@@ -17,8 +17,8 @@ trace:
 import pytest
 
 from repro.core import PAPER_4WIDE_PERFECT
-from repro.exec import RegionReducer, WorkUnit, execute_unit, \
-    plan_regions, region_units
+from repro.exec import SliceReducer, WorkUnit, execute_unit, \
+    plan_regions, slice_units
 from repro.exec.regions import IPC_ERROR_BOUND
 from repro.serialize import stats_from_dict
 from repro.trace import analyze_trace, ensure_profile
@@ -60,8 +60,8 @@ def test_sampled_vs_full_replay(benchmark, region_trace, tmp_path):
 
     def sampled_run():
         base = _unit(region_trace, tmp_path, "sampled")
-        reducer = RegionReducer(base, plan)
-        for unit in region_units(base, plan):
+        reducer = SliceReducer(base, plan)
+        for unit in slice_units(base, plan):
             reducer.add(execute_unit(unit))
         return reducer.merged()
 

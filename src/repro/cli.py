@@ -28,7 +28,8 @@ Subcommands mirror how the paper's system is used:
   queue directory (``sweep``/``search`` with ``--backend queue``)
   and simulates them until the queue drains or it is stopped;
 * ``stats``    — statistics utilities: ``stats merge A.json B.json``
-  reduces per-shard result documents into one merged document;
+  reduces per-shard or per-region result documents into one merged
+  document;
 * ``serve``    — the campaign service: a long-lived process accepting
   simulate/sweep/search submissions over HTTP/JSON, scheduling them
   onto the execution backends, streaming progress events, and
@@ -234,11 +235,11 @@ def _simulate_regions(args, config) -> int:
     import tempfile
     from repro.exec import (
         ExecError,
-        RegionReducer,
+        SliceReducer,
         WorkUnit,
         execute_unit,
         plan_regions,
-        region_units,
+        slice_units,
     )
     from repro.serialize import config_to_dict, stats_from_dict
     from repro.trace.analyze import ensure_profile
@@ -247,38 +248,27 @@ def _simulate_regions(args, config) -> int:
         raise SystemExit("--sample-regions needs --trace-file: region "
                          "sampling plans over a stored segmented "
                          "trace's profile")
-    if args.sample_regions < 1:
-        raise SystemExit(f"--sample-regions must be positive, "
-                         f"got {args.sample_regions}")
-    if args.region_warmup < 0:
-        raise SystemExit(f"--region-warmup must be >= 0, "
-                         f"got {args.region_warmup}")
+    options = _sampling_options(args)
     trace = Path(args.trace_file)
     try:
-        profile = ensure_profile(trace)
-        plan = plan_regions(trace, profile,
-                            regions=args.sample_regions,
-                            seed=args.region_seed,
-                            warmup_segments=args.region_warmup)
+        plan = plan_regions(trace, ensure_profile(trace),
+                            regions=options["regions"],
+                            seed=options["region_seed"],
+                            warmup_segments=options["region_warmup"])
+        print(plan.describe(), file=sys.stderr)
+        with tempfile.TemporaryDirectory(prefix="resim-regions-") as work:
+            base = WorkUnit.for_trace(
+                "point", trace.resolve(), config_to_dict(config),
+                Path(work) / "point.json", engine=args.engine)
+            reducer = SliceReducer(base, plan)
+            for unit in slice_units(base, plan):
+                reducer.add(execute_unit(unit))
+            merged = reducer.merged()
     except OSError as error:
         raise SystemExit(
             f"{trace}: {error.strerror or error}") from error
     except (TraceFileError, ExecError, ValueError) as error:
         raise SystemExit(f"{trace}: {error}") from error
-    print(plan.describe(), file=sys.stderr)
-    with tempfile.TemporaryDirectory(prefix="resim-regions-") as work:
-        base = WorkUnit.for_trace(
-            "point", trace.resolve(), config_to_dict(config),
-            Path(work) / "point.json", engine=args.engine)
-        try:
-            reducer = RegionReducer(base, plan)
-            for unit in region_units(base, plan):
-                reducer.add(execute_unit(unit))
-            merged = reducer.merged()
-        except TraceFileError as error:
-            raise SystemExit(f"{trace}: {error}") from error
-        except ExecError as error:
-            raise SystemExit(str(error)) from error
     stats = stats_from_dict(merged["stats"])
     print(stats.report())
     print(f"\nregion-sampled ESTIMATE: {plan.count} region(s) stood "
@@ -534,7 +524,8 @@ def _export_bulk_result(args, result, device) -> None:
 
 
 def _sampling_options(args) -> dict:
-    """Runner kwargs for the shared --sample-regions bulk options."""
+    """Validated runner kwargs for the shared --sample-regions /
+    --region-seed / --region-warmup options (empty for full replay)."""
     if args.sample_regions is None:
         return {}
     if args.sample_regions < 1:
@@ -551,6 +542,16 @@ def _sampling_options(args) -> dict:
     }
 
 
+def _runner_options(args, backend) -> dict:
+    """SweepRunner/SearchRunner kwargs shared by ``sweep`` and
+    ``search``."""
+    return {"results_dir": args.results_dir, "budget": args.budget,
+            "seed": args.seed, "workers": args.workers,
+            "backend": backend, "progress": _bulk_progress(args),
+            "shards": args.shards, "segment_records": args.segment_records,
+            "engine": args.engine, **_sampling_options(args)}
+
+
 def cmd_sweep(args) -> int:
     from repro.perf.tables import sweep_table  # heavy import, lazy
     from repro.exec import ExecError
@@ -564,13 +565,8 @@ def cmd_sweep(args) -> int:
 
     try:
         spec = SweepSpec(axes=axes, base=base)
-        runner = SweepRunner(
-            spec, args.workload, results_dir=args.results_dir,
-            budget=args.budget, seed=args.seed, workers=args.workers,
-            backend=backend, progress=_bulk_progress(args),
-            shards=args.shards, segment_records=args.segment_records,
-            engine=args.engine, **_sampling_options(args),
-        )
+        runner = SweepRunner(spec, args.workload,
+                             **_runner_options(args, backend))
         result = runner.run()
     except (SweepError, ExecError) as error:
         raise SystemExit(str(error)) from error
@@ -600,13 +596,10 @@ def cmd_search(args) -> int:
     from repro.perf.tables import sweep_table  # heavy import, lazy
     from repro.exec import ExecError
     from repro.sweep import (
-        SEARCHES,
-        GridSearch,
-        HillClimb,
-        RandomSearch,
         SearchRunner,
         SweepError,
         SweepSpec,
+        make_strategy,
     )
 
     base = _config(args.config)
@@ -621,32 +614,14 @@ def cmd_search(args) -> int:
         raise SystemExit(f"--max-steps must be >= 0, "
                          f"got {args.max_steps}")
     try:
-        strategy_cls = SEARCHES.get(args.strategy)
-    except RegistryError as error:
-        raise SystemExit(str(error)) from error
-
-    try:
-        spec = SweepSpec(axes=axes, base=base)
-        if strategy_cls is RandomSearch:
-            strategy = RandomSearch(spec, samples=args.samples,
-                                    seed=args.search_seed,
-                                    metric=args.metric)
-        elif strategy_cls is HillClimb:
-            strategy = HillClimb(spec, metric=args.metric,
-                                 max_steps=args.max_steps)
-        elif strategy_cls is GridSearch:
-            strategy = GridSearch(spec, metric=args.metric)
-        else:
-            strategy = strategy_cls(spec, metric=args.metric)
-        runner = SearchRunner(
-            strategy, args.workload, results_dir=args.results_dir,
-            budget=args.budget, seed=args.seed, workers=args.workers,
-            backend=backend, progress=_bulk_progress(args),
-            shards=args.shards, segment_records=args.segment_records,
-            engine=args.engine, **_sampling_options(args),
-        )
+        strategy = make_strategy(
+            args.strategy, SweepSpec(axes=axes, base=base),
+            metric=args.metric, samples=args.samples,
+            seed=args.search_seed, max_steps=args.max_steps)
+        runner = SearchRunner(strategy, args.workload,
+                              **_runner_options(args, backend))
         search = runner.run()
-    except (SweepError, ExecError) as error:
+    except (SweepError, ExecError, RegistryError) as error:
         raise SystemExit(str(error)) from error
 
     print(sweep_table(search.result, device_name=args.device,
@@ -665,11 +640,12 @@ def cmd_worker(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    """``resim stats merge A.json B.json ...`` — the shard reducer,
-    standalone: merge per-shard (or per-region) result documents into
-    one statistics document."""
+    """``resim stats merge A.json B.json ...`` — the slice reducer,
+    standalone: merge per-shard (exact) or per-region (weighted
+    estimate) result documents into one statistics document."""
     import json as _json
-    from repro.exec import ExecError, merge_result_documents
+    from repro.exec import ExecError, merge_slice_documents
+    from repro.exec.slice import kind_of
     from repro.serialize import stats_from_dict
 
     documents = []
@@ -683,12 +659,13 @@ def cmd_stats(args) -> int:
             raise SystemExit(f"{path}: not valid JSON ({error})") from error
         documents.append(payload)
     try:
-        merged = merge_result_documents(documents)
+        merged = merge_slice_documents(documents)
     except ExecError as error:
         raise SystemExit(str(error)) from error
     stats = stats_from_dict(merged["stats"])
     print(f"merged {len(documents)} result document(s) "
-          f"({len(merged['stats']['shards'] or ())} shard(s))")
+          f"({len(merged['stats']['shards'] or ())} "
+          f"{kind_of(merged).tag}(s))")
     print(stats.report())
     if args.output:
         text = _json.dumps(merged, indent=2, sort_keys=True)
@@ -885,6 +862,23 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget", type=int, default=20_000)
         p.add_argument("--seed", type=int, default=7)
 
+    def add_sampling(p, estimate, note=""):
+        """--sample-regions and its plan parameters (simulate and the
+        bulk commands)."""
+        p.add_argument("--sample-regions", type=int, default=None,
+                       metavar="N",
+                       help=f"{estimate} from N weighted representative "
+                            f"regions instead of replaying every record "
+                            f"(an approximation; see README "
+                            f"'Region-sampled simulation'{note})")
+        p.add_argument("--region-seed", type=int, default=0,
+                       help="k-means seed for --sample-regions; fixed "
+                            "seed = identical plan")
+        p.add_argument("--region-warmup", type=int, default=1,
+                       metavar="SEGMENTS",
+                       help="warmup segments replayed (uncounted) "
+                            "before each representative region")
+
     trace = sub.add_parser(
         "trace",
         help="generate a trace file, or inspect one (trace info FILE)")
@@ -928,19 +922,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help=f"engine tier ({', '.join(ENGINES)}); "
                                f"tiers are bit-identical, 'specialized' "
                                f"compiles the config into a fast path")
-    simulate.add_argument("--sample-regions", type=int, default=None,
-                          metavar="N",
-                          help="with --trace-file: estimate the run "
-                               "from N weighted representative regions "
-                               "instead of replaying every record (an "
-                               "approximation; see README "
-                               "'Region-sampled simulation')")
-    simulate.add_argument("--region-seed", type=int, default=0,
-                          help="k-means seed for --sample-regions")
-    simulate.add_argument("--region-warmup", type=int, default=1,
-                          metavar="SEGMENTS",
-                          help="warmup segments replayed (uncounted) "
-                               "before each representative region")
+    add_sampling(simulate, "with --trace-file: estimate the run")
     simulate.set_defaults(func=cmd_simulate)
 
     tables = sub.add_parser("tables", help="regenerate paper tables")
@@ -1017,21 +999,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="records per v2 trace segment when the "
                             "sweep generates its trace (the shard "
                             "planner's boundary granularity)")
-        p.add_argument("--sample-regions", type=int, default=None,
-                       metavar="N",
-                       help="estimate every design point from N "
-                            "weighted representative regions instead "
-                            "of replaying the whole trace (an "
-                            "approximation; see README "
-                            "'Region-sampled simulation'; mutually "
-                            "exclusive with --shards)")
-        p.add_argument("--region-seed", type=int, default=0,
-                       help="k-means seed for --sample-regions; fixed "
-                            "seed = identical plan")
-        p.add_argument("--region-warmup", type=int, default=1,
-                       metavar="SEGMENTS",
-                       help="warmup segments replayed (uncounted) "
-                            "before each representative region")
+        add_sampling(p, "estimate every design point",
+                     "; mutually exclusive with --shards")
         p.add_argument("--engine", default="reference",
                        help=f"engine tier executing every point "
                             f"({', '.join(ENGINES)}); tiers are "
@@ -1089,11 +1058,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     stats = sub.add_parser(
         "stats",
-        help="statistics utilities: merge shard result documents")
+        help="statistics utilities: merge slice result documents")
     stats.add_argument("action", choices=("merge",),
                        help="operation (currently only 'merge')")
     stats.add_argument("files", nargs="+", metavar="RESULT_JSON",
-                       help="per-shard result documents to reduce")
+                       help="per-shard or per-region result documents")
     stats.add_argument("--output", "-o", default=None,
                        help="write the merged document here")
     stats.set_defaults(func=cmd_stats)

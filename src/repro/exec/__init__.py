@@ -16,15 +16,17 @@ pieces:
 * :class:`~repro.exec.queue.DirectoryQueueBackend` + ``resim worker``
   (:mod:`repro.exec.worker`) — multi-host execution over a shared
   filesystem with crash-tolerant atomic-rename leases;
-* :class:`~repro.exec.shard.ShardPlan` /
-  :class:`~repro.exec.shard.ShardReducer` (:mod:`repro.exec.shard`) —
-  split one design point into segment-range shard units and merge
-  their statistics back into one point result;
-* :class:`~repro.exec.regions.RegionPlan` /
-  :class:`~repro.exec.regions.RegionReducer`
-  (:mod:`repro.exec.regions`) — region-sampled execution: simulate
-  one warmup-prefixed representative range per behaviour cluster and
-  extrapolate the full-trace statistics through the weighted merge.
+* :class:`~repro.exec.slice.SlicePlan` (:mod:`repro.exec.slice`) —
+  split one design point into segment-range slice units and merge
+  their results back into one point result, through one
+  :func:`~repro.exec.slice.slice_units`, one
+  :class:`~repro.exec.slice.SliceReducer` and one
+  :func:`~repro.exec.slice.merge_slice_documents`.  Two planners build
+  it: :func:`~repro.exec.shard.plan_shards` cuts exact, contiguous
+  shards (:mod:`repro.exec.shard`), and
+  :func:`~repro.exec.regions.plan_regions` samples one weighted,
+  warmup-prefixed representative per behaviour cluster, whose merge
+  estimates the full run (:mod:`repro.exec.regions`).
 
 Backends are named in :data:`~repro.exec.backends.BACKENDS`.  Because
 work units are deterministic and results are written atomically,
@@ -49,20 +51,15 @@ from repro.exec.regions import (
     DEFAULT_REGIONS,
     DEFAULT_WARMUP_SEGMENTS,
     IPC_ERROR_BOUND,
-    Region,
-    RegionPlan,
-    RegionReducer,
-    merge_region_documents,
     plan_regions,
-    region_units,
 )
-from repro.exec.shard import (
-    EXACT_SUM_COUNTERS,
-    ShardPlan,
-    ShardReducer,
-    merge_result_documents,
-    plan_shards,
-    shard_units,
+from repro.exec.shard import EXACT_SUM_COUNTERS, plan_shards
+from repro.exec.slice import (
+    Slice,
+    SlicePlan,
+    SliceReducer,
+    merge_slice_documents,
+    slice_units,
 )
 from repro.exec.unit import (
     ExecError,
@@ -77,6 +74,12 @@ from repro.exec.unit import (
 )
 from repro.exec.worker import LeaseHeartbeat, run_worker
 
+# The benchmark harness (resimbench/) imports these two names and runs
+# unchanged against older revisions too, so they stay as plain aliases
+# of the unified functions.
+region_units = slice_units
+merge_region_documents = merge_slice_documents
+
 __all__ = [
     "BACKENDS",
     "DEFAULT_LEASE_SECONDS",
@@ -90,12 +93,10 @@ __all__ = [
     "LeaseHeartbeat",
     "ProcessPoolBackend",
     "RESULT_SCHEMA",
-    "Region",
-    "RegionPlan",
-    "RegionReducer",
     "SerialBackend",
-    "ShardPlan",
-    "ShardReducer",
+    "Slice",
+    "SlicePlan",
+    "SliceReducer",
     "UnitExecutionError",
     "WorkUnit",
     "atomic_write_json",
@@ -104,12 +105,13 @@ __all__ = [
     "execute_unit",
     "load_unit_result",
     "merge_region_documents",
-    "merge_result_documents",
+    "merge_slice_documents",
     "plan_regions",
     "plan_shards",
     "queue_paths",
     "reclaim_stale",
+    "region_units",
     "result_matches_unit",
     "run_worker",
-    "shard_units",
+    "slice_units",
 ]

@@ -26,32 +26,25 @@ simulator (PAPERS.md) — estimates a design point from a few
   estimates the full-trace run while executing only the
   representatives.
 
-A :class:`RegionPlan` is the sibling of
-:class:`~repro.exec.shard.ShardPlan`: :func:`region_units` turns it
-into ordinary segment-range :class:`~repro.exec.unit.WorkUnit`s
-runnable on any backend, and :class:`RegionReducer` /
-:func:`merge_region_documents` reduce the results.  Unlike shard
-merges, a region merge is an **estimate** — the conformance suite
+:func:`plan_regions` returns a weighted
+:class:`~repro.exec.slice.SlicePlan`, the same plan type
+:func:`~repro.exec.shard.plan_shards` returns, so region units run and
+reduce through :mod:`repro.exec.slice` like shards do.  Unlike a shard
+merge, a region merge is an **estimate**: the conformance suite
 measures its IPC error against full runs and documents the bound
-(:data:`IPC_ERROR_BOUND`) — so sampled results must never be mistaken
-for exact ones: merged documents carry a top-level ``"sampled"``
-summary, region unit specs differ from full-run specs (``segments`` +
+(:data:`IPC_ERROR_BOUND`).  Sampled results are never mistaken for
+exact ones: merged documents carry a top-level ``"sampled"`` summary,
+region unit specs differ from full-run specs (``segments`` and
 ``warmup_instructions`` both survive canonicalization, keying the
 campaign cache apart), and sweep manifests record the sampling mode.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
-from repro.exec.unit import (
-    ExecError,
-    RESULT_SCHEMA,
-    WorkUnit,
-    atomic_write_json,
-)
-from repro.serialize import stats_from_dict, stats_to_dict
+from repro.exec.slice import Slice, SlicePlan
+from repro.exec.unit import ExecError
 from repro.trace.analyze import TraceProfile
 from repro.utils.rng import XorShiftRNG
 
@@ -71,107 +64,6 @@ IPC_ERROR_BOUND = 0.15
 
 #: k-means iteration cap; assignments converge far earlier in practice.
 _KMEANS_ITERATIONS = 25
-
-
-@dataclass(frozen=True)
-class Region:
-    """One representative segment range plus the weight it stands for.
-
-    ``[lo, hi)`` is the measured range (statistics counted);
-    ``[warm_lo, lo)`` is the warmup prefix (replayed, not counted);
-    ``weight`` is the number of trace segments this representative
-    extrapolates — the integer the weighted merge scales by.
-    """
-
-    index: int
-    lo: int
-    hi: int
-    warm_lo: int
-    warmup_instructions: int
-    weight: int
-    records: int            # records executed: warmup + measured
-    measured_records: int   # records in [lo, hi) only
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.warm_lo <= self.lo < self.hi:
-            raise ExecError(
-                f"region needs 0 <= warm_lo <= lo < hi, got "
-                f"({self.warm_lo}, {self.lo}, {self.hi})")
-        if self.weight < 1:
-            raise ExecError(
-                f"region weight must be >= 1 (it counts the segments "
-                f"the representative stands for), got {self.weight}")
-        if self.warmup_instructions < 0:
-            raise ExecError("region warmup_instructions must be >= 0")
-
-
-@dataclass(frozen=True)
-class RegionPlan:
-    """How one trace samples down to representative regions.
-
-    Produced by :func:`plan_regions`; may hold fewer regions than
-    requested (a trace with fewer segments than clusters cannot split
-    further).  ``total_segments``/``total_records`` describe the full
-    trace, so coverage — the fraction of records a sampled run
-    actually executes — is a property of the plan.
-    """
-
-    trace_path: str
-    trace_digest: str
-    seed: int
-    total_segments: int
-    total_records: int
-    regions: tuple[Region, ...]
-
-    def __post_init__(self) -> None:
-        if not self.regions:
-            raise ExecError("malformed region plan: no regions")
-        previous_hi = 0
-        for position, region in enumerate(self.regions):
-            if region.index != position:
-                raise ExecError(
-                    f"region {position} carries index {region.index}")
-            if region.lo < previous_hi:
-                raise ExecError(
-                    "region measured ranges must be disjoint and "
-                    "ascending")
-            previous_hi = region.hi
-            if region.hi > self.total_segments:
-                raise ExecError(
-                    f"region {position} ends at segment {region.hi}, "
-                    f"table holds {self.total_segments}")
-        if sum(region.weight for region in self.regions) \
-                != self.total_segments:
-            raise ExecError(
-                "region weights must sum to the trace's segment count "
-                "(every segment extrapolates from exactly one "
-                "representative)")
-
-    @property
-    def count(self) -> int:
-        return len(self.regions)
-
-    @property
-    def executed_records(self) -> int:
-        """Records a sampled run replays (warmup included)."""
-        return sum(region.records for region in self.regions)
-
-    @property
-    def coverage(self) -> float:
-        """Executed fraction of the trace's records."""
-        if not self.total_records:
-            return 0.0
-        return self.executed_records / self.total_records
-
-    def describe(self) -> str:
-        spans = ", ".join(
-            f"{region.lo}..{region.hi - 1} (w={region.weight})"
-            for region in self.regions)
-        return (f"RegionPlan({self.count} region(s) of "
-                f"{self.total_segments} segment(s), "
-                f"{100.0 * self.coverage:.1f}% of records: {spans})")
-
-    __repr__ = describe
 
 
 def _sqdist(a: tuple[float, ...], b: tuple[float, ...]) -> float:
@@ -251,7 +143,7 @@ def plan_regions(
     regions: int = DEFAULT_REGIONS,
     seed: int = 0,
     warmup_segments: int = DEFAULT_WARMUP_SEGMENTS,
-) -> RegionPlan:
+) -> SlicePlan:
     """Cluster a trace's segment profiles and pick one weighted
     representative range per cluster (see module docstring).
 
@@ -280,7 +172,7 @@ def plan_regions(
             members, key=lambda m: (_sqdist(vectors[m], centroid), m))
         chosen.append((representative, len(members)))
     chosen.sort()
-    built: list[Region] = []
+    built: list[Slice] = []
     previous_hi = 0
     for position, (representative, weight) in enumerate(chosen):
         # The warmup prefix may not reach into the previous region's
@@ -291,279 +183,21 @@ def plan_regions(
                      for index in range(warm_lo, representative))
         executed = sum(segments[index].records
                        for index in range(warm_lo, representative + 1))
-        built.append(Region(
+        built.append(Slice(
             index=position,
             lo=representative,
             hi=representative + 1,
             warm_lo=warm_lo,
             warmup_instructions=warmup,
-            weight=weight,
             records=executed,
-            measured_records=segments[representative].records,
+            weight=weight,
         ))
         previous_hi = representative + 1
-    return RegionPlan(
+    return SlicePlan(
         trace_path=str(trace_path),
-        trace_digest=profile.digest,
-        seed=seed,
         total_segments=len(segments),
         total_records=profile.total_records,
-        regions=tuple(built),
+        slices=tuple(built),
+        trace_digest=profile.digest,
+        seed=seed,
     )
-
-
-def region_unit_id(unit_id: str, index: int, regions: int) -> str:
-    """Stable id of one region of a unit.  The region count is part of
-    the id, so re-planning with different parameters cannot revive a
-    previous plan's per-region results."""
-    return f"{unit_id}.r{index}of{regions}"
-
-
-def region_units(base: WorkUnit, plan: RegionPlan) -> tuple[WorkUnit, ...]:
-    """Split one monolithic work unit into one unit per plan region.
-
-    Each region unit keeps the base spec plus its ``segments`` range
-    (warmup prefix included) and ``warmup_instructions`` (the prefix's
-    committed count, so the engine replays it warm but uncounted); a
-    ``region`` tag records slice and weight — the identity
-    :class:`RegionReducer` and resume checks match on.  Because
-    ``segments`` and ``warmup_instructions`` both survive
-    :meth:`Simulation.canonical_spec`, region units can never share a
-    campaign-cache entry with a full-trace run.
-    """
-    for key in ("segments", "warmup_instructions"):
-        if key in base.spec:
-            raise ExecError(
-                f"unit {base.unit_id!r} already carries {key!r}; "
-                f"region-sample the unrestricted unit instead")
-    units = []
-    base_path = Path(base.result_path)
-    for region in plan.regions:
-        spec = dict(base.spec)
-        spec["segments"] = [region.warm_lo, region.hi]
-        if region.warmup_instructions:
-            spec["warmup_instructions"] = region.warmup_instructions
-        tags = dict(base.tags)
-        tags["region"] = {"index": region.index, "of": plan.count,
-                          "unit": base.unit_id,
-                          "weight": region.weight}
-        uid = region_unit_id(base.unit_id, region.index, plan.count)
-        result_path = base_path.with_name(
-            f"{base_path.stem}.r{region.index}of{plan.count}"
-            f"{base_path.suffix}")
-        units.append(WorkUnit(unit_id=uid, spec=spec,
-                              result_path=str(result_path), tags=tags))
-    return tuple(units)
-
-
-def _region_identity(payload: dict) -> dict | None:
-    """Everything but the region's slice: two region results merge
-    only when they simulated the same trace under the same
-    parameters.  ``None`` (no spec recorded) cannot prove a
-    mismatch."""
-    spec = payload.get("spec")
-    if not isinstance(spec, dict):
-        return None
-    return {key: value for key, value in spec.items()
-            if key not in ("segments", "warmup_instructions")}
-
-
-def merge_region_documents(
-    payloads: list[dict],
-    *,
-    unit_id: str | None = None,
-    spec: dict | None = None,
-    tags: dict | None = None,
-) -> dict:
-    """Reduce per-region result documents into one *estimated* point
-    document via the weighted merge.
-
-    Validation mirrors :func:`repro.exec.shard.merge_result_documents`
-    (same schema, no errors, one configuration, one run identity);
-    each payload must additionally carry a ``region`` tag with an
-    integer ``weight``.  The merged document's statistics scale each
-    region by its weight, its provenance records every region's slice
-    and weight, and a top-level ``sampled`` summary marks it as an
-    estimate — never confusable with an exact sharded merge.
-    """
-    if not payloads:
-        raise ExecError("nothing to merge: no region documents")
-    weights: list[int] = []
-    for payload in payloads:
-        if not isinstance(payload, dict) \
-                or payload.get("schema") != RESULT_SCHEMA:
-            raise ExecError(
-                f"cannot merge: not a schema-{RESULT_SCHEMA} result "
-                f"document")
-        if "error" in payload:
-            error = payload.get("error") or {}
-            raise ExecError(
-                f"cannot merge failed region "
-                f"{payload.get('unit_id')!r}: {error.get('type')}: "
-                f"{error.get('message')}")
-        if not isinstance(payload.get("stats"), dict):
-            raise ExecError(
-                f"cannot merge: document "
-                f"{payload.get('unit_id')!r} has no statistics")
-        region_tag = payload.get("region")
-        if not isinstance(region_tag, dict) or \
-                isinstance(region_tag.get("weight"), bool) or \
-                not isinstance(region_tag.get("weight"), int):
-            raise ExecError(
-                f"document {payload.get('unit_id')!r} carries no "
-                f"integer region weight; was it produced by "
-                f"region_units()?")
-        weights.append(region_tag["weight"])
-    config = payloads[0].get("config")
-    for payload in payloads[1:]:
-        if payload.get("config") != config:
-            raise ExecError(
-                "cannot merge results of different design points: "
-                f"{payloads[0].get('unit_id')!r} and "
-                f"{payload.get('unit_id')!r} disagree on the "
-                f"processor configuration")
-    identities = [(payload, _region_identity(payload))
-                  for payload in payloads]
-    known = [(payload, identity) for payload, identity in identities
-             if identity is not None]
-    for payload, identity in known[1:]:
-        if identity != known[0][1]:
-            raise ExecError(
-                "cannot merge results of different runs: "
-                f"{known[0][0].get('unit_id')!r} and "
-                f"{payload.get('unit_id')!r} disagree on the run "
-                f"spec (trace, budget, seed, or config)")
-    parts = [stats_from_dict(payload["stats"]) for payload in payloads]
-    provenance: list[dict] = []
-    for position, (payload, stats) in enumerate(
-            zip(payloads, parts, strict=True)):
-        region_tag = payload["region"]
-        entry: dict = {
-            "index": region_tag.get("index", position),
-            "weight": weights[position],
-            "records": int(stats.trace_records_consumed),
-            "cycles": int(stats.major_cycles),
-            "instructions": int(stats.committed_instructions),
-        }
-        document_spec = payload.get("spec") or {}
-        segments = document_spec.get("segments")
-        if segments is not None:
-            entry["segments"] = [int(segments[0]), int(segments[1])]
-        warmup = document_spec.get("warmup_instructions")
-        if warmup is not None:
-            entry["warmup"] = int(warmup)
-        provenance.append(entry)
-    merged = parts[0].merge(parts[1:], weights=weights,
-                            shards=provenance)
-    document = {
-        "schema": RESULT_SCHEMA,
-        "unit_id": (unit_id if unit_id is not None
-                    else payloads[0].get("unit_id")),
-        "config": config,
-        "stats": stats_to_dict(merged),
-        "sampled": {"regions": len(payloads),
-                    "segments": sum(weights)},
-        **(tags or {}),
-    }
-    if spec is not None:
-        document["spec"] = dict(spec)
-    elif known:
-        document["spec"] = known[0][1]
-    return document
-
-
-class RegionReducer:
-    """Collects one design point's per-region results; emits the
-    weighted estimate.
-
-    The sibling of :class:`~repro.exec.shard.ShardReducer`:
-    construction takes the monolithic unit and the plan that sampled
-    it; feed region result documents to :meth:`add` in any order; once
-    :attr:`complete`, :meth:`write` atomically persists the merged
-    estimate to the monolithic unit's ``result_path``, making it the
-    design point's checkpoint.
-    """
-
-    def __init__(self, unit: WorkUnit, plan: RegionPlan) -> None:
-        self._unit = unit
-        self._plan = plan
-        self._parts: dict[int, dict] = {}
-
-    @property
-    def unit(self) -> WorkUnit:
-        return self._unit
-
-    @property
-    def plan(self) -> RegionPlan:
-        return self._plan
-
-    @property
-    def expected(self) -> int:
-        return self._plan.count
-
-    @property
-    def collected(self) -> int:
-        return len(self._parts)
-
-    @property
-    def complete(self) -> bool:
-        return len(self._parts) == self._plan.count
-
-    def add(self, payload: dict) -> None:
-        """Accept one region's result document."""
-        region_tag = payload.get("region") \
-            if isinstance(payload, dict) else None
-        if not isinstance(region_tag, dict) \
-                or not isinstance(region_tag.get("index"), int):
-            raise ExecError(
-                f"result document for {self._unit.unit_id!r} carries "
-                f"no region tag; was it produced by region_units()?")
-        index = region_tag["index"]
-        if region_tag.get("unit") != self._unit.unit_id \
-                or region_tag.get("of") != self._plan.count \
-                or not 0 <= index < self._plan.count:
-            raise ExecError(
-                f"region tag {region_tag} does not belong to the "
-                f"{self._plan.count}-region plan of "
-                f"{self._unit.unit_id!r}")
-        expected_weight = self._plan.regions[index].weight
-        if region_tag.get("weight") != expected_weight:
-            raise ExecError(
-                f"region {index} of {self._unit.unit_id!r} carries "
-                f"weight {region_tag.get('weight')!r}, plan says "
-                f"{expected_weight}")
-        if index in self._parts:
-            raise ExecError(
-                f"duplicate result for region {index} of "
-                f"{self._unit.unit_id!r}")
-        self._parts[index] = payload
-
-    def merged(self) -> dict:
-        """The merged estimate document (requires :attr:`complete`)."""
-        if not self.complete:
-            missing = sorted(set(range(self._plan.count))
-                             - set(self._parts))
-            raise ExecError(
-                f"cannot merge {self._unit.unit_id!r}: region(s) "
-                f"{missing} not collected yet")
-        ordered = [self._parts[index]
-                   for index in range(self._plan.count)]
-        return merge_region_documents(
-            ordered,
-            unit_id=self._unit.unit_id,
-            spec=dict(self._unit.spec),
-            tags=dict(self._unit.tags),
-        )
-
-    def write(self) -> dict:
-        """Merge and atomically persist to the monolithic unit's
-        result path; returns the merged document."""
-        document = self.merged()
-        atomic_write_json(self._unit.result_path, document)
-        return document
-
-    def describe(self) -> str:
-        return (f"RegionReducer({self._unit.unit_id!r}, "
-                f"{self.collected}/{self.expected} region(s))")
-
-    __repr__ = describe

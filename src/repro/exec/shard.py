@@ -1,26 +1,16 @@
-"""Sharded design-point execution: split one run, merge one result.
+"""Shard planning: split one run into exact segment-range slices.
 
 The paper's bulk mode simulates one prepared trace across a whole
-design grid; PR 4 made each design point a serializable
-:class:`~repro.exec.unit.WorkUnit`, but a point was still a single
-monolithic run — the slowest axis of a sweep was the longest trace, no
-matter how many workers sat idle.  This module adds intra-point
-parallelism on the two halves earlier layers already provide:
-
-* :class:`ShardPlan` splits one run into ``N`` contiguous
-  **segment-range** shards of its v2 trace file (the ranges
-  :class:`~repro.trace.source.FileSource` replays), balanced by record
-  count and snapped to entries of
-  :func:`~repro.trace.fileio.read_segment_table`;
-* :func:`shard_units` turns a monolithic work unit into one unit per
-  shard (same spec plus a ``segments`` range, shard-tagged), runnable
-  by any :class:`~repro.exec.backends.ExecutionBackend`;
-* :class:`ShardReducer` / :func:`merge_result_documents` collect the
-  per-shard result documents and emit **one merged point result** via
-  :meth:`SimulationStatistics.merge
-  <repro.core.stats.SimulationStatistics.merge>`, carrying shard
-  provenance — the merged document is a valid checkpoint, so sharded
-  sweeps resume exactly like monolithic ones.
+design grid, and a point that runs as one unit makes the longest trace
+the slowest axis of a sweep no matter how many workers sit idle.
+:func:`plan_shards` splits a point's v2 trace file into ``N``
+contiguous **segment-range** shards (the ranges
+:class:`~repro.trace.source.FileSource` replays), balanced by record
+count and snapped to entries of
+:func:`~repro.trace.fileio.read_segment_table`.  It returns an exact
+:class:`~repro.exec.slice.SlicePlan`; :mod:`repro.exec.slice` runs the
+shards as work units on any backend and merges their results back into
+one point result.
 
 Exact vs. approximate
 ---------------------
@@ -58,17 +48,10 @@ so a clean boundary always exists within a step or two.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from pathlib import Path
 
-from repro.core.stats import SimulationStatistics
-from repro.exec.unit import (
-    ExecError,
-    RESULT_SCHEMA,
-    WorkUnit,
-    atomic_write_json,
-)
-from repro.serialize import stats_from_dict, stats_to_dict
+from repro.exec.slice import Slice, SlicePlan
+from repro.exec.unit import ExecError
 from repro.trace.fileio import (
     TraceSegment,
     iter_trace_records,
@@ -108,54 +91,10 @@ def _segment_is_clean(path: str | Path,
     return cache[index]
 
 
-@dataclass(frozen=True)
-class ShardPlan:
-    """How one trace file splits into segment-range shards.
-
-    ``ranges`` are half-open ``(lo, hi)`` segment-index ranges that
-    concatenate to the whole segment table; ``records`` is the record
-    count of each range.  Plans are produced by :func:`plan_shards`
-    and may hold fewer shards than requested (a trace with fewer
-    segments than shards — including any v1 trace, whose payload is
-    one pseudo-segment — cannot split below segment granularity).
-    """
-
-    trace_path: str
-    ranges: tuple[tuple[int, int], ...]
-    records: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.ranges or len(self.ranges) != len(self.records):
-            raise ExecError("malformed shard plan")
-        previous = 0
-        for lo, hi in self.ranges:
-            if lo != previous or hi <= lo:
-                raise ExecError(
-                    f"shard ranges must be contiguous non-empty "
-                    f"segment spans, got {self.ranges}"
-                )
-            previous = hi
-
-    @property
-    def shards(self) -> int:
-        return len(self.ranges)
-
-    @property
-    def total_records(self) -> int:
-        return sum(self.records)
-
-    def describe(self) -> str:
-        spans = ", ".join(f"{lo}..{hi - 1} ({count} records)"
-                          for (lo, hi), count
-                          in zip(self.ranges, self.records, strict=True))
-        return f"ShardPlan({self.shards} shard(s): {spans})"
-
-    __repr__ = describe
-
-
-def plan_shards(trace_path: str | Path, shards: int) -> ShardPlan:
+def plan_shards(trace_path: str | Path, shards: int) -> SlicePlan:
     """Split a trace file's segment table into ``shards`` clean,
-    record-balanced contiguous ranges (see module docstring).
+    record-balanced contiguous ranges: an exact slice plan (see module
+    docstring).
 
     Fewer ranges than requested are returned when the table is too
     small to split (one segment per shard is the floor), so callers
@@ -170,9 +109,6 @@ def plan_shards(trace_path: str | Path, shards: int) -> ShardPlan:
         cumulative.append(cumulative[-1] + count)
     total = cumulative[-1]
     segments = len(table)
-    if shards == 1 or segments == 1:
-        return ShardPlan(str(trace_path), ((0, segments),), (total,))
-
     effective = min(shards, segments)
     cache: dict[int, bool] = {}
     boundaries: list[int] = []
@@ -209,263 +145,8 @@ def plan_shards(trace_path: str | Path, shards: int) -> ShardPlan:
         boundaries.append(clean)
         previous = clean
     edges = [0, *boundaries, segments]
-    ranges = tuple((edges[i], edges[i + 1])
-                   for i in range(len(edges) - 1))
-    records = tuple(cumulative[hi] - cumulative[lo]
-                    for lo, hi in ranges)
-    return ShardPlan(str(trace_path), ranges, records)
-
-
-def shard_unit_id(unit_id: str, index: int, shards: int) -> str:
-    """Stable id of one shard of a unit (also its queue filename
-    stem).  The shard count is part of the id, so re-planning with a
-    different ``--shards`` cannot collide with (or revive) a previous
-    plan's per-shard results."""
-    return f"{unit_id}.s{index}of{shards}"
-
-
-def shard_units(base: WorkUnit, plan: ShardPlan) -> tuple[WorkUnit, ...]:
-    """Split one monolithic work unit into one unit per plan shard.
-
-    Each shard unit keeps the base spec (config, trace, start PC,
-    warmup/ROI controls all ride along) plus its ``segments`` range;
-    its result lands next to the base unit's result path, and a
-    ``shard`` tag records which slice of which unit it is — the
-    identity :class:`ShardReducer` and resume checks match on.
-    """
-    if "segments" in base.spec:
-        raise ExecError(
-            f"unit {base.unit_id!r} is already segment-restricted; "
-            f"shard the unsharded unit instead"
-        )
-    units = []
-    base_path = Path(base.result_path)
-    for index, (lo, hi) in enumerate(plan.ranges):
-        spec = dict(base.spec)
-        spec["segments"] = [lo, hi]
-        tags = dict(base.tags)
-        tags["shard"] = {"index": index, "of": plan.shards,
-                         "unit": base.unit_id}
-        uid = shard_unit_id(base.unit_id, index, plan.shards)
-        result_path = base_path.with_name(
-            f"{base_path.stem}.s{index}of{plan.shards}"
-            f"{base_path.suffix}")
-        units.append(WorkUnit(unit_id=uid, spec=spec,
-                              result_path=str(result_path), tags=tags))
-    return tuple(units)
-
-
-def _shard_provenance(payload: dict,
-                      stats: SimulationStatistics,
-                      position: int) -> list[dict]:
-    """Provenance entries one part contributes to a merged document.
-
-    A part that is itself a merged document contributes its flattened
-    shard list (so ``resim stats merge`` composes associatively); a
-    plain shard result contributes one entry describing its slice.
-    """
-    if stats.shards:
-        return [dict(entry) for entry in stats.shards]
-    shard_tag = payload.get("shard")
-    entry: dict = {
-        "index": (shard_tag.get("index", position)
-                  if isinstance(shard_tag, dict) else position),
-        "records": int(stats.trace_records_consumed),
-        "cycles": int(stats.major_cycles),
-        "instructions": int(stats.committed_instructions),
-    }
-    segments = payload.get("spec", {}).get("segments")
-    if segments is not None:
-        entry["segments"] = [int(segments[0]), int(segments[1])]
-    return [entry]
-
-
-def merge_result_documents(
-    payloads: list[dict],
-    *,
-    unit_id: str | None = None,
-    spec: dict | None = None,
-    tags: dict | None = None,
-) -> dict:
-    """Reduce per-shard result documents into one merged document.
-
-    Every payload must be a successful result document
-    (:data:`~repro.exec.unit.RESULT_SCHEMA`, a ``stats`` dict, no
-    ``error``) and all must describe the **same configuration** —
-    merging different design points would produce statistics of no
-    machine at all.  The merged document carries the summed/pooled
-    statistics (with flat shard provenance in ``stats.shards``) plus a
-    top-level ``sharded`` summary, and — given the monolithic
-    ``unit_id``/``spec``/``tags`` — is a drop-in sweep checkpoint.
-    """
-    if not payloads:
-        raise ExecError("nothing to merge: no result documents")
-    for payload in payloads:
-        if not isinstance(payload, dict) \
-                or payload.get("schema") != RESULT_SCHEMA:
-            raise ExecError(
-                f"cannot merge: not a schema-{RESULT_SCHEMA} result "
-                f"document"
-            )
-        if "error" in payload:
-            error = payload.get("error") or {}
-            raise ExecError(
-                f"cannot merge failed shard "
-                f"{payload.get('unit_id')!r}: {error.get('type')}: "
-                f"{error.get('message')}"
-            )
-        if not isinstance(payload.get("stats"), dict):
-            raise ExecError(
-                f"cannot merge: document "
-                f"{payload.get('unit_id')!r} has no statistics")
-    config = payloads[0].get("config")
-    for payload in payloads[1:]:
-        if payload.get("config") != config:
-            raise ExecError(
-                "cannot merge results of different design points: "
-                f"{payloads[0].get('unit_id')!r} and "
-                f"{payload.get('unit_id')!r} disagree on the "
-                f"processor configuration"
-            )
-
-    def run_identity(payload: dict) -> dict | None:
-        # Everything but the shard's slice: two results merge only if
-        # they simulated the same trace under the same parameters.
-        # None (no spec recorded) cannot prove a mismatch.
-        document_spec = payload.get("spec")
-        if not isinstance(document_spec, dict):
-            return None
-        return {key: value for key, value in document_spec.items()
-                if key != "segments"}
-
-    identities = [(payload, run_identity(payload))
-                  for payload in payloads]
-    known = [(payload, identity) for payload, identity in identities
-             if identity is not None]
-    for payload, identity in known[1:]:
-        if identity != known[0][1]:
-            raise ExecError(
-                "cannot merge results of different runs: "
-                f"{known[0][0].get('unit_id')!r} and "
-                f"{payload.get('unit_id')!r} disagree on the run "
-                f"spec (trace, budget, seed, or windowing)"
-            )
-    parts = [stats_from_dict(payload["stats"]) for payload in payloads]
-    provenance: list[dict] = []
-    for position, (payload, stats) in enumerate(zip(payloads, parts, strict=True)):
-        provenance.extend(_shard_provenance(payload, stats, position))
-    merged = parts[0].merge(parts[1:], shards=provenance)
-    document = {
-        "schema": RESULT_SCHEMA,
-        "unit_id": (unit_id if unit_id is not None
-                    else payloads[0].get("unit_id")),
-        "config": config,
-        "stats": stats_to_dict(merged),
-        "sharded": {"shards": len(provenance),
-                    "documents": len(payloads)},
-        **(tags or {}),
-    }
-    if spec is not None:
-        document["spec"] = dict(spec)
-    elif known:
-        # Standalone merges keep the run identity (the shared spec
-        # minus the per-shard slice), so a merged document can itself
-        # be merged further without losing the cross-run guard.
-        document["spec"] = known[0][1]
-    return document
-
-
-class ShardReducer:
-    """Collects one design point's per-shard results; emits the merged
-    point result.
-
-    Construction takes the **monolithic** unit (the spec without a
-    ``segments`` range — what a 1-shard run would have executed) and
-    the plan that split it.  Feed shard result documents to
-    :meth:`add` (in any order; resume paths feed previously persisted
-    ones); once :attr:`complete`, :meth:`write` atomically writes the
-    merged document to the monolithic unit's ``result_path`` — which
-    makes it the design point's checkpoint, resumable like any other.
-    """
-
-    def __init__(self, unit: WorkUnit, plan: ShardPlan) -> None:
-        self._unit = unit
-        self._plan = plan
-        self._parts: dict[int, dict] = {}
-
-    @property
-    def unit(self) -> WorkUnit:
-        return self._unit
-
-    @property
-    def plan(self) -> ShardPlan:
-        return self._plan
-
-    @property
-    def expected(self) -> int:
-        return self._plan.shards
-
-    @property
-    def collected(self) -> int:
-        return len(self._parts)
-
-    @property
-    def complete(self) -> bool:
-        return len(self._parts) == self._plan.shards
-
-    def add(self, payload: dict) -> None:
-        """Accept one shard's result document."""
-        shard_tag = payload.get("shard") \
-            if isinstance(payload, dict) else None
-        if not isinstance(shard_tag, dict) \
-                or not isinstance(shard_tag.get("index"), int):
-            raise ExecError(
-                f"result document for {self._unit.unit_id!r} carries "
-                f"no shard tag; was it produced by shard_units()?"
-            )
-        index = shard_tag["index"]
-        if shard_tag.get("unit") != self._unit.unit_id \
-                or shard_tag.get("of") != self._plan.shards \
-                or not 0 <= index < self._plan.shards:
-            raise ExecError(
-                f"shard tag {shard_tag} does not belong to the "
-                f"{self._plan.shards}-shard plan of "
-                f"{self._unit.unit_id!r}"
-            )
-        if index in self._parts:
-            raise ExecError(
-                f"duplicate result for shard {index} of "
-                f"{self._unit.unit_id!r}"
-            )
-        self._parts[index] = payload
-
-    def merged(self) -> dict:
-        """The merged point document (requires :attr:`complete`)."""
-        if not self.complete:
-            missing = sorted(set(range(self._plan.shards))
-                             - set(self._parts))
-            raise ExecError(
-                f"cannot merge {self._unit.unit_id!r}: shard(s) "
-                f"{missing} not collected yet"
-            )
-        ordered = [self._parts[index]
-                   for index in range(self._plan.shards)]
-        return merge_result_documents(
-            ordered,
-            unit_id=self._unit.unit_id,
-            spec=dict(self._unit.spec),
-            tags=dict(self._unit.tags),
-        )
-
-    def write(self) -> dict:
-        """Merge and atomically persist to the monolithic unit's
-        result path; returns the merged document."""
-        document = self.merged()
-        atomic_write_json(self._unit.result_path, document)
-        return document
-
-    def describe(self) -> str:
-        return (f"ShardReducer({self._unit.unit_id!r}, "
-                f"{self.collected}/{self.expected} shard(s))")
-
-    __repr__ = describe
+    return SlicePlan(str(trace_path), segments, total, tuple(
+        Slice(index, lo, hi, warm_lo=lo, warmup_instructions=0,
+              records=cumulative[hi] - cumulative[lo])
+        for index, (lo, hi)
+        in enumerate(zip(edges, edges[1:], strict=False))))

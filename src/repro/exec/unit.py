@@ -41,10 +41,9 @@ RESULT_SCHEMA = 1
 
 #: Keys the executor itself writes into a result document; tags may
 #: not shadow them (a tag silently overwriting "stats" would corrupt
-#: every consumer downstream).  "sharded" belongs to the shard
-#: reducer (:mod:`repro.exec.shard`) and "sampled" to the region
-#: reducer (:mod:`repro.exec.regions`); each stamps its key on the
-#: merged point documents it emits.
+#: every consumer downstream).  "sharded" and "sampled" belong to the
+#: slice reducer (:mod:`repro.exec.slice`), which stamps one of them on
+#: every merged point document it emits.
 RESERVED_RESULT_KEYS = frozenset(
     ("schema", "unit_id", "spec", "config", "stats", "error",
      "sharded", "sampled"))

@@ -53,15 +53,11 @@ from repro.serve.canon import ENGINE_VERSION, canonical_spec
 from repro.serve.http import HttpApi
 from repro.serve.jobs import Job, JobContext, JobManager
 from repro.session import CONFIGS, RegistryError
-from repro.sweep import SEARCHES, SweepRunner, SweepSpec
+from repro.sweep import SEARCHES, SweepError, SweepRunner, SweepSpec
 from repro.sweep.progress import SweepProgress
 from repro.sweep.result import SORT_KEYS
-from repro.sweep.search import (
-    GridSearch,
-    HillClimb,
-    RandomSearch,
-    SearchRunner,
-)
+from repro.sweep.runner import sampling_entry
+from repro.sweep.search import SearchRunner, make_strategy
 from repro.workloads.tracegen import is_known_workload
 
 #: Default bind address of ``resim serve``.
@@ -266,22 +262,16 @@ class CampaignService:
         # job.  Full replay (the default) is normalized by omission,
         # keeping pre-sampling submissions byte-identical.
         sampling = request.get("sampling", "full")
-        if sampling not in ("full", "regions"):
-            raise ServiceError(
-                f"request field 'sampling' must be 'full' or "
-                f"'regions', got {sampling!r}")
-        if sampling == "regions":
-            if normalized["shards"] > 1:
-                raise ServiceError(
-                    "'shards' and sampling='regions' are mutually "
-                    "exclusive: sharding is exact, sampling estimates")
-            normalized["sampling"] = {
-                "mode": "regions",
-                "regions": _require_int(request, "regions", 8),
-                "seed": _require_int(request, "region_seed", 0),
-                "warmup_segments":
-                    _require_int(request, "region_warmup", 1),
-            }
+        if sampling != "full":
+            try:
+                normalized["sampling"] = sampling_entry(
+                    sampling, shards=normalized["shards"],
+                    regions=_require_int(request, "regions", 8),
+                    seed=_require_int(request, "region_seed", 0),
+                    warmup_segments=_require_int(
+                        request, "region_warmup", 1))
+            except SweepError as error:
+                raise ServiceError(str(error)) from None
         if kind == "search":
             strategy = request.get("strategy", "hillclimb")
             try:
@@ -355,56 +345,43 @@ class CampaignService:
         return SweepSpec(axes=dict(request["axes"]),
                          base=config_from_dict(request["config"]))
 
-    @staticmethod
-    def _sampling_kwargs(request: Mapping) -> dict:
-        """Runner kwargs for a normalized request's sampling entry."""
+    def _runner_kwargs(self, job: Job, context: JobContext,
+                       backend: ExecutionBackend) -> dict:
+        """SweepRunner/SearchRunner kwargs of a normalized request,
+        its sampling entry included."""
+        request = job.request
         sampling = request.get("sampling")
-        if not sampling:
-            return {}
-        return {
-            "sampling": sampling["mode"],
-            "regions": sampling["regions"],
-            "region_seed": sampling["seed"],
-            "region_warmup": sampling["warmup_segments"],
-        }
+        return {"results_dir": self._workdir(job),
+                "budget": request["budget"], "seed": request["seed"],
+                "backend": backend, "progress": _JobProgress(context),
+                "shards": request["shards"],
+                "engine": request.get("engine", "reference"),
+                **({} if not sampling else {
+                    "sampling": sampling["mode"],
+                    "regions": sampling["regions"],
+                    "region_seed": sampling["seed"],
+                    "region_warmup": sampling["warmup_segments"]})}
 
     def _run_sweep(self, job: Job, context: JobContext) -> dict:
         request = job.request
         backend = self._caching_backend(context)
         runner = SweepRunner(
             self._sweep_spec(request), request["workload"],
-            results_dir=self._workdir(job), budget=request["budget"],
-            seed=request["seed"], backend=backend,
-            progress=_JobProgress(context), shards=request["shards"],
-            engine=request.get("engine", "reference"),
-            **self._sampling_kwargs(request))
+            **self._runner_kwargs(job, context, backend))
         outcome = runner.run()
         context.set_cache_tally(backend.hits, backend.misses)
         return {"kind": "sweep", "sweep": json.loads(outcome.to_json())}
 
     def _run_search(self, job: Job, context: JobContext) -> dict:
         request = job.request
-        spec = self._sweep_spec(request)
-        strategy_cls = SEARCHES.get(request["strategy"])
-        if strategy_cls is RandomSearch:
-            strategy = RandomSearch(spec, samples=request["samples"],
-                                    seed=request["search_seed"],
-                                    metric=request["metric"])
-        elif strategy_cls is HillClimb:
-            strategy = HillClimb(spec, metric=request["metric"],
-                                 max_steps=request["max_steps"])
-        elif strategy_cls is GridSearch:
-            strategy = GridSearch(spec, metric=request["metric"])
-        else:  # extension-registered strategy
-            strategy = strategy_cls(spec, metric=request["metric"])
+        strategy = make_strategy(
+            request["strategy"], self._sweep_spec(request),
+            metric=request["metric"], samples=request["samples"],
+            seed=request["search_seed"], max_steps=request["max_steps"])
         backend = self._caching_backend(context)
         runner = SearchRunner(
             strategy, request["workload"],
-            results_dir=self._workdir(job), budget=request["budget"],
-            seed=request["seed"], backend=backend,
-            progress=_JobProgress(context), shards=request["shards"],
-            engine=request.get("engine", "reference"),
-            **self._sampling_kwargs(request))
+            **self._runner_kwargs(job, context, backend))
         outcome = runner.run()
         context.set_cache_tally(backend.hits, backend.misses)
         best = outcome.best

@@ -55,6 +55,7 @@ from repro.sweep.search import (
     SearchResult,
     SearchRunner,
     SearchStrategy,
+    make_strategy,
     run_search,
 )
 from repro.sweep.spec import Expansion, SweepError, SweepPoint, SweepSpec
@@ -81,6 +82,7 @@ __all__ = [
     "config_key",
     "config_to_dict",
     "default_backend",
+    "make_strategy",
     "run_search",
     "run_sweep",
     "stats_from_dict",

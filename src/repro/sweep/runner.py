@@ -63,18 +63,15 @@ from repro.exec import (
     DEFAULT_WARMUP_SEGMENTS,
     ExecutionBackend,
     ProcessPoolBackend,
-    RegionPlan,
-    RegionReducer,
     SerialBackend,
-    ShardPlan,
-    ShardReducer,
+    SlicePlan,
+    SliceReducer,
     UnitExecutionError,
     WorkUnit,
     load_unit_result,
     plan_regions,
     plan_shards,
-    region_units,
-    shard_units,
+    slice_units,
 )
 from repro.exec.unit import result_matches_unit
 from repro.serialize import (
@@ -127,6 +124,35 @@ def default_backend(workers: int) -> ExecutionBackend:
     return ProcessPoolBackend(workers)
 
 
+def sampling_entry(sampling: str, *, shards: int, regions: int,
+                   seed: int, warmup_segments: int) -> dict | None:
+    """The validated record of a sampling mode, or ``None`` for full
+    replay.
+
+    Sweep manifests and the campaign service's normalized requests
+    both carry it, so a sampled and an exact run never share a results
+    directory or coalesce into one job.  Full replay is recorded by
+    omission: pre-sampling manifests and requests keep their shape, so
+    old results directories stay resumable.
+    """
+    if sampling == "full":
+        return None
+    if sampling != "regions":
+        raise SweepError(
+            f"sampling must be 'full' or 'regions', got {sampling!r}")
+    if shards > 1:
+        raise SweepError(
+            "shards and region sampling are mutually exclusive: "
+            "sharding exists for exact merges, sampling estimates")
+    if regions < 1:
+        raise SweepError(f"regions must be >= 1, got {regions}")
+    if warmup_segments < 0:
+        raise SweepError(
+            f"region warmup must be >= 0, got {warmup_segments}")
+    return {"mode": "regions", "regions": regions, "seed": seed,
+            "warmup_segments": warmup_segments}
+
+
 @dataclass(frozen=True)
 class _TraceInfo:
     path: Path
@@ -167,7 +193,7 @@ class SweepRunner:
     shards:
         Split every design point into this many segment-range shard
         units (``resim sweep --shards N``), fanned through the same
-        backend and merged by a :class:`~repro.exec.ShardReducer` —
+        backend and merged by a :class:`~repro.exec.SliceReducer` —
         intra-point parallelism for grids smaller than the worker
         pool.  Exact-sum counters of the merged result equal the
         monolithic run's; cycle-derived metrics are approximate (see
@@ -221,22 +247,9 @@ class SweepRunner:
         if segment_records < 1:
             raise SweepError(
                 f"segment_records must be >= 1, got {segment_records}")
-        if sampling not in ("full", "regions"):
-            raise SweepError(
-                f"sampling must be 'full' or 'regions', got "
-                f"{sampling!r}")
-        if sampling == "regions":
-            if shards > 1:
-                raise SweepError(
-                    "shards and region sampling are mutually "
-                    "exclusive: sharding exists for exact merges, "
-                    "sampling estimates (drop one of --shards / "
-                    "--sample-regions)")
-            if regions < 1:
-                raise SweepError(f"regions must be >= 1, got {regions}")
-            if region_warmup < 0:
-                raise SweepError(
-                    f"region_warmup must be >= 0, got {region_warmup}")
+        self._sampling = sampling_entry(
+            sampling, shards=shards, regions=regions, seed=region_seed,
+            warmup_segments=region_warmup)
         try:
             ENGINES.get(engine)
         except RegistryError as error:
@@ -259,8 +272,7 @@ class SweepRunner:
         self.region_seed = region_seed
         self.region_warmup = region_warmup
         self._traces: dict[str, _TraceInfo] = {}
-        self._plans: dict[str, ShardPlan] = {}
-        self._region_plans: dict[str, RegionPlan] = {}
+        self._plans: dict[str, SlicePlan] = {}
 
     # -- trace management ---------------------------------------------
 
@@ -282,18 +294,11 @@ class SweepRunner:
                 "ifq_entries": base.ifq_entries,
             },
         }
-        # Only sampled sweeps record a sampling entry: full-replay
-        # manifests keep their historical shape (old results
-        # directories stay resumable), and a sampled directory can
-        # never be resumed as an exact one — or under different
-        # sampling parameters — because the manifests differ.
-        if self.sampling == "regions":
-            manifest["sampling"] = {
-                "mode": "regions",
-                "regions": self.regions,
-                "seed": self.region_seed,
-                "warmup_segments": self.region_warmup,
-            }
+        # A sampled directory can never be resumed as an exact one, or
+        # under different sampling parameters, because the manifests
+        # differ (see sampling_entry).
+        if self._sampling is not None:
+            manifest["sampling"] = dict(self._sampling)
         return manifest
 
     def _check_manifest(self) -> None:
@@ -412,32 +417,33 @@ class SweepRunner:
             return None
         return payload
 
-    # -- sharding ------------------------------------------------------
+    # -- slicing -------------------------------------------------------
 
-    def _plan_for(self, trace: _TraceInfo) -> ShardPlan:
-        """Memoizing shard planner: one trace file is probed (and its
-        clean boundaries found) once per runner, shared by every
-        design point simulated over it."""
+    def _plan_for(self, trace: _TraceInfo) -> SlicePlan | None:
+        """The slice plan every design point over ``trace`` runs as, or
+        ``None`` to run each point as one monolithic unit.
+
+        Memoized: a trace's shard boundaries are probed, or its
+        profile (a digest-fresh ``.rprof`` sidecar when present) is
+        clustered, once per runner; the plan depends only on the trace,
+        not the config.  Only an exact one-slice plan runs
+        monolithically (bit-identical to the unsplit path, unit
+        identity included); a sampled plan stays an estimate even with
+        one region, its checkpoint carrying the ``sampled`` marker.
+        """
+        if self.sampling == "full" and self.shards == 1:
+            return None
         key = str(trace.path)
         if key not in self._plans:
-            self._plans[key] = plan_shards(trace.path, self.shards)
-        return self._plans[key]
-
-    # -- region sampling -----------------------------------------------
-
-    def _region_plan_for(self, trace: _TraceInfo) -> RegionPlan:
-        """Memoizing region planner: one trace is profiled (reusing a
-        digest-fresh ``.rprof`` sidecar when present) and clustered
-        once per runner, shared by every design point simulated over
-        it — the plan depends only on the trace, not the config."""
-        key = str(trace.path)
-        if key not in self._region_plans:
-            profile = ensure_profile(trace.path)
-            self._region_plans[key] = plan_regions(
-                trace.path, profile, regions=self.regions,
-                seed=self.region_seed,
-                warmup_segments=self.region_warmup)
-        return self._region_plans[key]
+            if self.sampling == "regions":
+                self._plans[key] = plan_regions(
+                    trace.path, ensure_profile(trace.path),
+                    regions=self.regions, seed=self.region_seed,
+                    warmup_segments=self.region_warmup)
+            else:
+                self._plans[key] = plan_shards(trace.path, self.shards)
+        plan = self._plans[key]
+        return None if plan.exact and plan.count == 1 else plan
 
     # -- unit building -------------------------------------------------
 
@@ -478,16 +484,17 @@ class SweepRunner:
         This is the scheduler core the grid sweep and the adaptive
         search strategies share: load-or-build each point's
         checkpoint, hand the missing ones to the backend as work
-        units — one per point, or one per shard when ``shards > 1``,
-        merged back into a point checkpoint as the last shard lands —
-        and emit progress events in true completion order.
+        units — one per point, or one per slice of the point's
+        :meth:`slice plan <_plan_for>`, merged back into a point
+        checkpoint as the last slice lands — and emit progress events
+        in true completion order.
         """
         provenance = self._manifest() if points else {}
         outcomes: dict[str, SweepOutcome] = {}
         units: list[WorkUnit] = []
         by_id: dict[str, SweepPoint] = {}
-        reducers: dict[str, ShardReducer | RegionReducer] = {}
-        shard_point: dict[str, str] = {}  # split unit id -> point key
+        reducers: dict[str, SliceReducer] = {}
+        slice_point: dict[str, str] = {}  # slice unit id -> point key
 
         def finish(point: SweepPoint, payload: dict,
                    from_checkpoint: bool) -> None:
@@ -512,45 +519,30 @@ class SweepRunner:
                 continue
             by_id[point.key] = point
             base_unit = self._unit_for(point, trace, provenance)
-            reducer: ShardReducer | RegionReducer
-            if self.sampling == "regions":
-                # Sampled: every point runs as region units — even a
-                # one-region plan stays an estimate (its checkpoint
-                # carries the "sampled" marker), never a full replay.
-                region_plan = self._region_plan_for(trace)
-                reducer = RegionReducer(base_unit, region_plan)
-                split = region_units(base_unit, region_plan)
-            else:
-                plan = self._plan_for(trace) if self.shards > 1 \
-                    else None
-                if plan is None or plan.shards == 1:
-                    # Monolithic (or unsplittable trace):
-                    # bit-identical to the pre-shard path, including
-                    # the unit's identity.
-                    units.append(base_unit)
-                    continue
-                reducer = ShardReducer(base_unit, plan)
-                split = shard_units(base_unit, plan)
-            # Split (sharded or sampled): per-slice results are
-            # checkpoints too — reuse the ones a previous
-            # (interrupted) run already computed and submit only the
-            # missing slices.
+            plan = self._plan_for(trace)
+            if plan is None:
+                units.append(base_unit)
+                continue
+            # Split: per-slice results are checkpoints too — reuse the
+            # ones a previous (interrupted) run already computed and
+            # submit only the missing slices.
+            reducer = SliceReducer(base_unit, plan)
             pending = []
-            for shard_unit in split:
-                existing = load_unit_result(shard_unit.result_path)
+            for slice_unit in slice_units(base_unit, plan):
+                existing = load_unit_result(slice_unit.result_path)
                 if existing is not None and "error" not in existing \
-                        and result_matches_unit(existing, shard_unit):
+                        and result_matches_unit(existing, slice_unit):
                     reducer.add(existing)
                 else:
-                    pending.append(shard_unit)
+                    pending.append(slice_unit)
             if not pending:
                 finish(point, reducer.write(), from_checkpoint=True)
                 del by_id[point.key]
                 continue
             reducers[point.key] = reducer
-            for shard_unit in pending:
-                shard_point[shard_unit.unit_id] = point.key
-                units.append(shard_unit)
+            for slice_unit in pending:
+                slice_point[slice_unit.unit_id] = point.key
+                units.append(slice_unit)
 
         if units:
             def collect(unit: WorkUnit, payload: dict) -> None:
@@ -560,7 +552,7 @@ class SweepRunner:
                         unit.unit_id,
                         f"{error.get('type')}: {error.get('message')}")
                     return
-                point_key = shard_point.get(unit.unit_id)
+                point_key = slice_point.get(unit.unit_id)
                 if point_key is None:
                     finish(by_id[unit.unit_id], payload,
                            from_checkpoint=False)

@@ -360,6 +360,21 @@ class HillClimb(SearchStrategy):
         return self._steps
 
 
+def make_strategy(name: str, spec: SweepSpec, *, metric: str,
+                  samples: int, seed: int,
+                  max_steps: int) -> SearchStrategy:
+    """Build the strategy registered as ``name`` over ``spec``, passing
+    each built-in the knobs it takes (``resim search`` flags and
+    campaign-service request fields both resolve here)."""
+    strategy_cls = SEARCHES.get(name)
+    if strategy_cls is RandomSearch:
+        return RandomSearch(spec, samples=samples, seed=seed,
+                            metric=metric)
+    if strategy_cls is HillClimb:
+        return HillClimb(spec, metric=metric, max_steps=max_steps)
+    return strategy_cls(spec, metric=metric)
+
+
 @dataclass(frozen=True)
 class SearchResult:
     """Outcome of one adaptive search.

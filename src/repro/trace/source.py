@@ -182,7 +182,7 @@ class FileSource(TraceSource):
                 # `lo < hi` (not `<=`): an empty range replays zero
                 # records but still looks like a successful run to
                 # every consumer downstream — reject it here, matching
-                # ShardPlan and the session spec validation.
+                # SlicePlan and the session spec validation.
                 raise TraceSourceError(
                     f"segment range {segments} empty or outside the "
                     f"{len(table)}-segment table of {self._path}"

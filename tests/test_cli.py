@@ -304,6 +304,44 @@ class TestShardedCli:
                            match="different design points"):
             main(["stats", "merge", *points])
 
+    def test_stats_merge_region_documents_is_the_weighted_estimate(
+            self, tmp_path, capsys):
+        """`resim stats merge` over per-region documents is the weighted
+        estimate the sweep's reducer computes, marked `sampled`, never
+        an unweighted "exact" merge; shard and region documents never
+        mix."""
+        from repro.core.config import PAPER_4WIDE_PERFECT
+        from repro.exec import (SliceReducer, WorkUnit, execute_unit,
+                                plan_regions, plan_shards, slice_units)
+        from repro.trace import ensure_profile
+        from repro.workloads.tracegen import write_workload_trace
+        trace = tmp_path / "vpr.rtrc"
+        write_workload_trace("vpr", PAPER_4WIDE_PERFECT, trace,
+                             budget=12_000, seed=11, segment_records=128)
+        base = WorkUnit.for_trace("point", trace, "4wide-perfect",
+                                  tmp_path / "point.json")
+        plan = plan_regions(trace, ensure_profile(trace), regions=8)
+        reducer = SliceReducer(base, plan)
+        region_files = []
+        for unit in slice_units(base, plan):
+            reducer.add(execute_unit(unit))
+            region_files.append(unit.result_path)
+        merged_path = tmp_path / "merged.json"
+        assert main(["stats", "merge", *region_files,
+                     "--output", str(merged_path)]) == 0
+        out = capsys.readouterr().out
+        assert f"({plan.count} region(s))" in out
+        assert "merged from regions" in out
+        merged = json.loads(merged_path.read_text())
+        expected = reducer.merged()
+        assert merged["stats"] == expected["stats"]
+        assert merged["sampled"] == expected["sampled"]
+        assert "sharded" not in merged
+        shard = slice_units(base, plan_shards(trace, 2))[0]
+        execute_unit(shard)
+        with pytest.raises(SystemExit, match="never mix"):
+            main(["stats", "merge", region_files[0], shard.result_path])
+
     def test_stats_merge_rejects_garbage(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

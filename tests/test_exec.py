@@ -458,11 +458,10 @@ class TestDirectoryQueue:
 
 from repro.exec import (  # noqa: E402  (grouped with their tests)
     EXACT_SUM_COUNTERS,
-    ShardPlan,
-    ShardReducer,
-    merge_result_documents,
+    SliceReducer,
+    merge_slice_documents,
     plan_shards,
-    shard_units,
+    slice_units,
 )
 from repro.trace.fileio import read_segment_table  # noqa: E402
 from repro.trace.fileio import iter_trace_records  # noqa: E402
@@ -637,7 +636,7 @@ class TestShardUnits:
                                                tmp_path):
         base = make_base_unit(segmented_trace, tmp_path)
         plan = plan_shards(segmented_trace, 3)
-        units = shard_units(base, plan)
+        units = slice_units(base, plan)
         assert [u.spec["segments"] for u in units] == \
             [list(span) for span in plan.ranges]
         for index, unit in enumerate(units):
@@ -657,7 +656,7 @@ class TestShardUnits:
             "shard", segmented_trace, "4wide-perfect",
             tmp_path / "s.json", segments=(0, 2))
         with pytest.raises(ExecError, match="already segment"):
-            shard_units(base, plan_shards(segmented_trace, 2))
+            slice_units(base, plan_shards(segmented_trace, 2))
 
     def test_sharded_result_key_is_reserved(self, tmp_path):
         with pytest.raises(ExecError, match="may not shadow"):
@@ -672,8 +671,8 @@ class TestShardReducer:
         base = make_base_unit(segmented_trace, tmp_path)
         monolithic = execute_unit(base)
         plan = plan_shards(segmented_trace, 4)
-        reducer = ShardReducer(base, plan)
-        for unit in shard_units(base, plan):
+        reducer = SliceReducer(base, plan)
+        for unit in slice_units(base, plan):
             reducer.add(execute_unit(unit))
         assert reducer.complete
         merged = reducer.write()
@@ -694,8 +693,8 @@ class TestShardReducer:
                                              tmp_path):
         base = make_base_unit(segmented_trace, tmp_path, uid="ooo")
         plan = plan_shards(segmented_trace, 2)
-        payloads = [execute_unit(u) for u in shard_units(base, plan)]
-        reducer = ShardReducer(base, plan)
+        payloads = [execute_unit(u) for u in slice_units(base, plan)]
+        reducer = SliceReducer(base, plan)
         reducer.add(payloads[1])  # any order
         with pytest.raises(ExecError, match="not collected yet"):
             reducer.merged()
@@ -708,11 +707,11 @@ class TestShardReducer:
             self, segmented_trace, tmp_path):
         base = make_base_unit(segmented_trace, tmp_path, uid="bad")
         plan = plan_shards(segmented_trace, 2)
-        reducer = ShardReducer(base, plan)
+        reducer = SliceReducer(base, plan)
         with pytest.raises(ExecError, match="no shard tag"):
             reducer.add(execute_unit(base))  # monolithic result
         other_plan_payload = execute_unit(
-            shard_units(make_base_unit(segmented_trace, tmp_path,
+            slice_units(make_base_unit(segmented_trace, tmp_path,
                                        uid="other"),
                         plan_shards(segmented_trace, 3))[0])
         with pytest.raises(ExecError, match="does not belong"):
@@ -720,7 +719,7 @@ class TestShardReducer:
         # Same shard count, different unit: still refused — a shard
         # of another design point must never fold into this one.
         foreign_unit_payload = execute_unit(
-            shard_units(make_base_unit(segmented_trace, tmp_path,
+            slice_units(make_base_unit(segmented_trace, tmp_path,
                                        uid="foreign"), plan)[0])
         with pytest.raises(ExecError, match="does not belong"):
             reducer.add(foreign_unit_payload)
@@ -732,32 +731,32 @@ class TestShardReducer:
         standalone reducer must refuse, not average them."""
         base = make_base_unit(segmented_trace, tmp_path, uid="runa")
         plan = plan_shards(segmented_trace, 2)
-        units = shard_units(base, plan)
+        units = slice_units(base, plan)
         good = execute_unit(units[0])
         other = dict(execute_unit(units[1]))
         other_spec = dict(other["spec"])
         other_spec["budget"] = 99_999  # same config, different run
         other["spec"] = other_spec
         with pytest.raises(ExecError, match="different runs"):
-            merge_result_documents([good, other])
+            merge_slice_documents([good, other])
 
     def test_merge_refuses_errors_and_mixed_configs(
             self, segmented_trace, tmp_path):
         base = make_base_unit(segmented_trace, tmp_path, uid="mix")
         plan = plan_shards(segmented_trace, 2)
-        units = shard_units(base, plan)
+        units = slice_units(base, plan)
         good = execute_unit(units[0])
         from repro.exec.unit import error_document
         failed = error_document(units[1], ValueError("boom"))
         with pytest.raises(ExecError, match="failed shard"):
-            merge_result_documents([good, failed])
+            merge_slice_documents([good, failed])
         other_config = replace(PAPER_4WIDE_PERFECT, rob_entries=8)
         foreign = dict(good)
         foreign["config"] = config_to_dict(other_config)
         with pytest.raises(ExecError, match="different design points"):
-            merge_result_documents([good, foreign])
+            merge_slice_documents([good, foreign])
         with pytest.raises(ExecError, match="nothing to merge"):
-            merge_result_documents([])
+            merge_slice_documents([])
 
     def test_standalone_merge_composes_associatively(
             self, segmented_trace, tmp_path):
@@ -766,10 +765,10 @@ class TestShardReducer:
         statistics."""
         base = make_base_unit(segmented_trace, tmp_path, uid="assoc")
         plan = plan_shards(segmented_trace, 3)
-        payloads = [execute_unit(u) for u in shard_units(base, plan)]
-        flat = merge_result_documents(payloads)
-        nested = merge_result_documents(
-            [merge_result_documents(payloads[:2]), payloads[2]])
+        payloads = [execute_unit(u) for u in slice_units(base, plan)]
+        flat = merge_slice_documents(payloads)
+        nested = merge_slice_documents(
+            [merge_slice_documents(payloads[:2]), payloads[2]])
         assert flat["stats"] == nested["stats"]
         assert len(nested["stats"]["shards"]) == 3
 
@@ -786,7 +785,7 @@ class TestShardedQueueFaultTolerance:
                              segment_records=2048)
         base = make_base_unit(trace, tmp_path, uid="victim")
         plan = plan_shards(trace, 2)
-        units = shard_units(base, plan)
+        units = slice_units(base, plan)
         reference = [execute_unit(unit) for unit in units]
         for unit in units:  # forget the reference runs' files
             Path(unit.result_path).unlink()
@@ -818,13 +817,13 @@ class TestShardedQueueFaultTolerance:
         processed = run_worker(paths.root, exit_when_drained=True,
                                poll_seconds=0.02, lease_seconds=60)
         assert processed == 2
-        reducer = ShardReducer(base, plan)
+        reducer = SliceReducer(base, plan)
         for unit in units:
             payload = load_unit_result(unit.result_path)
             assert payload is not None and "error" not in payload
             reducer.add(payload)
         merged = reducer.merged()
-        undisturbed = merge_result_documents(
+        undisturbed = merge_slice_documents(
             reference, unit_id=base.unit_id,
             spec=dict(base.spec), tags=dict(base.tags))
         assert merged == undisturbed

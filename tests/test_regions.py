@@ -23,15 +23,18 @@ from repro.core.config import PAPER_4WIDE_PERFECT
 from repro.serialize import stats_from_dict
 from repro.exec import (
     ExecError,
-    RegionPlan,
-    RegionReducer,
+    SlicePlan,
+    SliceReducer,
     WorkUnit,
     execute_unit,
-    merge_region_documents,
+    merge_slice_documents,
     plan_regions,
-    region_units,
+    slice_units,
 )
-from repro.exec.regions import IPC_ERROR_BOUND, region_unit_id
+from repro.exec.regions import IPC_ERROR_BOUND
+from repro.exec.slice import REGION
+
+region_unit_id = REGION.unit_id
 from repro.serve.canon import cache_key
 from repro.trace import ensure_profile, trace_content_digest
 from repro.workloads.tracegen import write_workload_trace
@@ -74,8 +77,8 @@ def full_result(trace, tmp_path_factory):
 @pytest.fixture(scope="module")
 def sampled_result(trace, plan, tmp_path_factory):
     work = tmp_path_factory.mktemp("sampled")
-    reducer = RegionReducer(_unit(trace, work), plan)
-    for unit in region_units(_unit(trace, work), plan):
+    reducer = SliceReducer(_unit(trace, work), plan)
+    for unit in slice_units(_unit(trace, work), plan):
         reducer.add(execute_unit(unit))
     return reducer.merged()
 
@@ -110,18 +113,18 @@ class TestPlanning:
         broken = regions[0].__class__(
             **{**regions[0].__dict__, "weight": regions[0].weight + 1})
         with pytest.raises(ExecError, match="sum"):
-            RegionPlan(trace_path=plan.trace_path,
-                       trace_digest=plan.trace_digest, seed=plan.seed,
-                       total_segments=plan.total_segments,
-                       total_records=plan.total_records,
-                       regions=(broken, *regions[1:]))
+            SlicePlan(trace_path=plan.trace_path,
+                      trace_digest=plan.trace_digest, seed=plan.seed,
+                      total_segments=plan.total_segments,
+                      total_records=plan.total_records,
+                      slices=(broken, *regions[1:]))
 
 
 class TestRegionUnits:
     def test_units_carry_slice_warmup_and_weight(self, trace, plan,
                                                  tmp_path):
         base = _unit(trace, tmp_path)
-        units = region_units(base, plan)
+        units = slice_units(base, plan)
         assert len(units) == plan.count
         for unit, region in zip(units, plan.regions, strict=True):
             assert unit.unit_id == region_unit_id(
@@ -137,7 +140,7 @@ class TestRegionUnits:
                                     tmp_path / "point.json",
                                     segments=(0, 2))
         with pytest.raises(ExecError, match="segments"):
-            region_units(sliced, plan)
+            slice_units(sliced, plan)
 
 
 class TestConformance:
@@ -167,8 +170,8 @@ class TestConformance:
 
     def test_sampled_merge_is_deterministic(self, trace, plan,
                                             sampled_result, tmp_path):
-        reducer = RegionReducer(_unit(trace, tmp_path), plan)
-        for unit in region_units(_unit(trace, tmp_path), plan):
+        reducer = SliceReducer(_unit(trace, tmp_path), plan)
+        for unit in slice_units(_unit(trace, tmp_path), plan):
             reducer.add(execute_unit(unit))
         again = reducer.merged()
         assert again["stats"] == sampled_result["stats"]
@@ -184,7 +187,7 @@ class TestCacheKeying:
         full_key = cache_key(base.spec, trace_digest=digest)
         region_keys = {
             cache_key(unit.spec, trace_digest=digest)
-            for unit in region_units(base, plan)
+            for unit in slice_units(base, plan)
         }
         assert full_key not in region_keys
         assert len(region_keys) == plan.count  # pairwise distinct too
@@ -193,23 +196,23 @@ class TestCacheKeying:
 class TestMergeValidation:
     def test_incomplete_reducer_refuses_to_merge(self, trace, plan,
                                                  tmp_path):
-        reducer = RegionReducer(_unit(trace, tmp_path), plan)
+        reducer = SliceReducer(_unit(trace, tmp_path), plan)
         assert not reducer.complete
         with pytest.raises(ExecError):
             reducer.merged()
 
     def test_weightless_document_refused(self, trace, plan, tmp_path):
-        unit = region_units(_unit(trace, tmp_path), plan)[0]
+        unit = slice_units(_unit(trace, tmp_path), plan)[0]
         payload = execute_unit(unit)
         stripped = {key: value for key, value in payload.items()
                     if key != "region"}
         with pytest.raises(ExecError, match="weight"):
-            merge_region_documents([stripped])
+            merge_slice_documents([stripped])
 
     def test_mixed_configurations_refused(self, trace, plan,
                                           tmp_path):
         base = _unit(trace, tmp_path)
-        units = region_units(base, plan)
+        units = slice_units(base, plan)
         first = execute_unit(units[0])
         other_unit = WorkUnit(
             unit_id=units[1].unit_id,
@@ -218,8 +221,8 @@ class TestMergeValidation:
             tags=units[1].tags)
         second = execute_unit(other_unit)
         with pytest.raises(ExecError, match="configuration"):
-            merge_region_documents([first, second])
+            merge_slice_documents([first, second])
 
     def test_empty_merge_refused(self):
         with pytest.raises(ExecError, match="nothing"):
-            merge_region_documents([])
+            merge_slice_documents([])

@@ -384,16 +384,6 @@ class TestConfigValidation:
 
 
 class TestSharedSerialization:
-    """sweep/serialize is now a shim over repro.serialize."""
-
-    def test_shim_exports_the_same_objects(self):
-        import repro.serialize as shared
-        import repro.sweep.serialize as shim
-        for name in ("config_to_dict", "config_from_dict",
-                     "stats_to_dict", "stats_from_dict",
-                     "canonical_digest", "config_key"):
-            assert getattr(shim, name) is getattr(shared, name)
-
     def test_config_round_trip(self):
         config = ProcessorConfig(rob_entries=32, mul_latency=5)
         assert config_from_dict(config_to_dict(config)) == config

@@ -813,6 +813,20 @@ class TestShardedSweep:
             stats_to_dict(mono.outcomes[0].stats)
         assert not sharded.outcomes[0].stats.sharded
 
+    def test_single_segment_trace_still_samples(self, tmp_path):
+        """Region sampling never falls back to the monolithic unit: a
+        one-segment trace runs as one ``.r0of1`` region and its
+        checkpoint stays marked as an estimate."""
+        spec = SweepSpec(axes={"rob_entries": (8,)})
+        directory = tmp_path / "sampled"
+        sampled = run_sweep(spec, "gzip", results_dir=directory,
+                            budget=BUDGET, sampling="regions")
+        key = sampled.outcomes[0].key
+        assert (directory / f"{key}.r0of1.json").exists()
+        checkpoint = json.loads((directory / f"{key}.json").read_text())
+        assert checkpoint["sampled"] == {"regions": 1, "segments": 1}
+        assert "sharded" not in checkpoint
+
     def test_bad_shard_count_rejected(self, small_spec, tmp_path):
         with pytest.raises(SweepError, match="shards must be >= 1"):
             SweepRunner(small_spec, "gzip",
