@@ -13,7 +13,9 @@ This package provides:
 * :mod:`repro.trace.record` — the in-memory record types;
 * :mod:`repro.trace.encode` — the bit-packed codec (Table 3 of the paper
   reports 41-47 *bits* per instruction, so the encoding is measured at
-  bit granularity);
+  bit granularity).  It holds the B/M/O field layout once, packs each
+  record as one integer word, and has the one decode loop that every
+  reader (in-memory, v1 chunks, v2 segments) goes through;
 * :mod:`repro.trace.fileio` — the persistent trace-file format
   (segmented v2 plus the legacy v1), including the constant-memory
   :class:`~repro.trace.fileio.SegmentedTraceWriter` and the streaming
@@ -58,9 +60,7 @@ from repro.trace.fileio import (
     write_trace_file,
 )
 from repro.trace.encode import (
-    TraceDecoder,
     TraceEncoder,
-    decode_record,
     decode_trace,
     encode_trace,
     record_bit_length,
@@ -97,7 +97,6 @@ __all__ = [
     "RecordKind",
     "SegmentProfile",
     "SegmentedTraceWriter",
-    "TraceDecoder",
     "TraceEncoder",
     "TraceFileError",
     "TraceFileHeader",
@@ -110,7 +109,6 @@ __all__ = [
     "analyze_trace",
     "as_source",
     "conservative_block_size",
-    "decode_record",
     "decode_trace",
     "encode_trace",
     "ensure_profile",

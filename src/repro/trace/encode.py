@@ -19,9 +19,8 @@ cycle, so the hardware-friendly flat layout is part of the design.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 
-from repro.isa.opcodes import FuClass
 from repro.trace.record import (
     BRANCH_NUMBERS,
     BranchRecord,
@@ -33,33 +32,54 @@ from repro.trace.record import (
     RecordKind,
     TraceRecord,
 )
-from repro.utils.bitio import BitReader, BitWriter
 
-# Field widths, in bits.
-KIND_BITS = 2
-TAG_BITS = 1
-FU_BITS = 3
-REG_BITS = 6
-STORE_BITS = 1
-SIZE_BITS = 2
-ADDRESS_BITS = 32
-BRANCH_KIND_BITS = 3
-TAKEN_BITS = 1
-TARGET_BITS = 32
 
-_COMMON_BITS = KIND_BITS + TAG_BITS + FU_BITS + 3 * REG_BITS
+def _fields(*widths: int) -> tuple[int, ...]:
+    """The shift of each field packed MSB first, then the total width."""
+    return (*(sum(widths[i + 1:]) for i in range(len(widths))), sum(widths))
 
+
+# The layout tabled above; a record word is ``header << tail_bits | tail``.
+_KIND, _TAG, _FU, _DEST, _SRC1, _SRC2, _COMMON_BITS = _fields(2, 1, 3, 6, 6, 6)
+_STORE, _SIZE, _ADDRESS, _MEMORY_TAIL = _fields(1, 2, 32)
+_BRANCH_KIND, _TAKEN, _TARGET, _BRANCH_TAIL = _fields(3, 1, 32)
 #: Encoded size of each record format, in bits.
 FORMAT_BITS: dict[RecordKind, int] = {
     RecordKind.OTHER: _COMMON_BITS,
-    RecordKind.MEMORY: _COMMON_BITS + STORE_BITS + SIZE_BITS + ADDRESS_BITS,
-    RecordKind.BRANCH: _COMMON_BITS + BRANCH_KIND_BITS + TAKEN_BITS + TARGET_BITS,
+    RecordKind.MEMORY: _COMMON_BITS + _MEMORY_TAIL,
+    RecordKind.BRANCH: _COMMON_BITS + _BRANCH_TAIL,
 }
+_WIDTHS = tuple(map(FORMAT_BITS.get, range(4)))  # by kind code; 3 is none
+_WINDOW_BYTES = (7 + max(FORMAT_BITS.values()) + 7) // 8  # any record, any offset
+
+
+class CorruptRecordError(ValueError):
+    """``(reason, bit)``: a record no valid trace holds, ``bit`` bits in."""
 
 
 def record_bit_length(record: TraceRecord) -> int:
     """Exact encoded size of one record, in bits."""
     return FORMAT_BITS[record.kind]
+
+
+def pack_record(record: TraceRecord) -> tuple[int, int]:
+    """One record as ``(word, width)``, MSB first; flags pack as 0/1.
+
+    >>> word, width = pack_record(OtherRecord(tag=True, dest=1, src2=3))
+    >>> f"{word:0{width}b}"
+    '001000000001000000000011'
+    """
+    header = (bool(record.tag) << _TAG | FU_NUMBERS[record.fu] << _FU
+              | record.dest << _DEST | record.src1 << _SRC1 | record.src2)
+    if isinstance(record, MemoryRecord):
+        return ((header | RecordKind.MEMORY << _KIND) << _MEMORY_TAIL
+                | bool(record.is_store) << _STORE | record.size_log2 << _SIZE
+                | record.address, _COMMON_BITS + _MEMORY_TAIL)
+    if isinstance(record, BranchRecord):
+        return ((header | RecordKind.BRANCH << _KIND) << _BRANCH_TAIL
+                | BRANCH_NUMBERS[record.branch_kind] << _BRANCH_KIND
+                | bool(record.taken) << _TAKEN | record.target, _COMMON_BITS + _BRANCH_TAIL)
+    return header, _COMMON_BITS
 
 
 class TraceEncoder:
@@ -71,7 +91,8 @@ class TraceEncoder:
     """
 
     def __init__(self) -> None:
-        self._writer = BitWriter()
+        self._buffer = bytearray()  # the last byte is zero-padded
+        self._bits = 0
         self._count = 0
 
     @property
@@ -80,25 +101,17 @@ class TraceEncoder:
 
     @property
     def bit_length(self) -> int:
-        return self._writer.bit_length
+        return self._bits
 
     def append(self, record: TraceRecord) -> None:
         """Encode one record at the current bit position."""
-        writer = self._writer
-        writer.write(int(record.kind), KIND_BITS)
-        writer.write_bool(record.tag)
-        writer.write(FU_NUMBERS[record.fu], FU_BITS)
-        writer.write(record.dest, REG_BITS)
-        writer.write(record.src1, REG_BITS)
-        writer.write(record.src2, REG_BITS)
-        if isinstance(record, MemoryRecord):
-            writer.write_bool(record.is_store)
-            writer.write(record.size_log2, SIZE_BITS)
-            writer.write(record.address, ADDRESS_BITS)
-        elif isinstance(record, BranchRecord):
-            writer.write(BRANCH_NUMBERS[record.branch_kind], BRANCH_KIND_BITS)
-            writer.write_bool(record.taken)
-            writer.write(record.target, TARGET_BITS)
+        word, width = pack_record(record)
+        pending = self._bits & 7  # bits already in the last byte
+        if pending:
+            word |= self._buffer.pop() >> (8 - pending) << width
+        self._bits += width
+        width += pending
+        self._buffer += (word << (-width & 7)).to_bytes((width + 7) >> 3, "big")
         self._count += 1
 
     def extend(self, records: Iterable[TraceRecord]) -> None:
@@ -106,57 +119,43 @@ class TraceEncoder:
             self.append(record)
 
     def getvalue(self) -> bytes:
-        return self._writer.getvalue()
+        return bytes(self._buffer)
 
 
-def decode_record(reader: BitReader) -> TraceRecord:
-    """Decode exactly one record at the reader's current bit position.
-
-    The building block shared by :class:`TraceDecoder` (whole-buffer
-    decode) and the chunked streaming reader in
-    :mod:`repro.trace.fileio`; raises ``EOFError`` if the buffer ends
-    mid-record.
-    """
-    kind = RecordKind(reader.read(KIND_BITS))
-    tag = reader.read_bool()
-    fu = NUMBER_TO_FU[reader.read(FU_BITS)]
-    dest = reader.read(REG_BITS)
-    src1 = reader.read(REG_BITS)
-    src2 = reader.read(REG_BITS)
-    if kind is RecordKind.OTHER:
-        return OtherRecord(tag=tag, fu=fu, dest=dest, src1=src1, src2=src2)
-    if kind is RecordKind.MEMORY:
-        is_store = reader.read_bool()
-        size_log2 = reader.read(SIZE_BITS)
-        address = reader.read(ADDRESS_BITS)
-        return MemoryRecord(
-            tag=tag, fu=fu, dest=dest, src1=src1, src2=src2,
-            is_store=is_store, size_log2=size_log2, address=address,
-        )
-    branch_kind = NUMBER_TO_BRANCH[reader.read(BRANCH_KIND_BITS)]
-    taken = reader.read_bool()
-    target = reader.read(TARGET_BITS)
-    return BranchRecord(
-        tag=tag, fu=fu, dest=dest, src1=src1, src2=src2,
-        branch_kind=branch_kind, taken=taken, target=target,
-    )
-
-
-class TraceDecoder:
-    """Iterates records out of a bit-packed buffer."""
-
-    def __init__(self, data: bytes, bit_length: int | None = None) -> None:
-        self._reader = BitReader(data, bit_length)
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return self
-
-    def __next__(self) -> TraceRecord:
-        # A full record header no longer fits: end of stream (the final
-        # byte may contain zero padding shorter than one record).
-        if self._reader.bits_remaining < _COMMON_BITS:
-            raise StopIteration
-        return decode_record(self._reader)
+def decode_records(data: bytes | bytearray, start_bit: int, end_bit: int,
+                   stop_bit: int) -> tuple[list[TraceRecord], int]:
+    """Decode the records that start in ``[start_bit, stop_bit)`` of a
+    payload ending at ``end_bit``; returns them and the next offset."""
+    window = bytes(data) + bytes(_WINDOW_BYTES)
+    records: list[TraceRecord] = []
+    append = records.append
+    pos, stop = start_bit, min(stop_bit, end_bit - _COMMON_BITS + 1)
+    limit = min(end_bit, 8 * len(data))  # no record may run past either
+    while pos < stop:
+        at = pos >> 3
+        bits = int.from_bytes(window[at:at + _WINDOW_BYTES], "big")
+        head = bits >> (8 * _WINDOW_BYTES - _COMMON_BITS - (pos & 7))
+        kind, fu_code = head >> _KIND & 3, head >> _FU & 7
+        width, fu = _WIDTHS[kind], NUMBER_TO_FU[fu_code]
+        if width is None or fu is None or pos + width > limit:
+            reason = ("truncated record" if width and fu else
+                      f"FU code {fu_code}" if width else f"kind code {kind}")
+            raise CorruptRecordError(reason, pos)
+        tag, dest, src1, src2 = (bool(head >> _TAG & 1), head >> _DEST & 0x3F,
+                                 head >> _SRC1 & 0x3F, head & 0x3F)
+        tail = bits >> (8 * _WINDOW_BYTES - width - (pos & 7))
+        if kind == RecordKind.OTHER:
+            append(OtherRecord(tag, fu, dest, src1, src2))
+        elif kind == RecordKind.MEMORY:
+            append(MemoryRecord(tag, fu, dest, src1, src2, bool(tail >> _STORE & 1),
+                                tail & 0xFFFF_FFFF, tail >> _SIZE & 3))
+        elif (branch := NUMBER_TO_BRANCH[tail >> _BRANCH_KIND & 7]) is None:
+            raise CorruptRecordError(f"branch kind code {tail >> _BRANCH_KIND & 7}", pos)
+        else:
+            append(BranchRecord(tag, fu, dest, src1, src2, branch, bool(tail >> _TAKEN & 1),
+                                tail & 0xFFFF_FFFF))
+        pos += width
+    return records, pos
 
 
 def encode_trace(records: Sequence[TraceRecord]) -> tuple[bytes, int]:
@@ -168,4 +167,5 @@ def encode_trace(records: Sequence[TraceRecord]) -> tuple[bytes, int]:
 
 def decode_trace(data: bytes, bit_length: int | None = None) -> list[TraceRecord]:
     """Decode a buffer produced by :func:`encode_trace`."""
-    return list(TraceDecoder(data, bit_length))
+    end = 8 * len(data) if bit_length is None else bit_length
+    return decode_records(data, 0, end, end)[0]

@@ -89,15 +89,13 @@ from collections.abc import Iterable, Iterator, Sequence
 
 from repro.bpred.unit import PredictorConfig
 from repro.trace.encode import (
-    _COMMON_BITS,
     FORMAT_BITS,
+    CorruptRecordError,
     TraceEncoder,
-    decode_record,
-    decode_trace,
+    decode_records,
     encode_trace,
 )
 from repro.trace.record import TraceRecord
-from repro.utils.bitio import BitReader
 
 MAGIC = b"RESIMTRC"
 #: The monolithic-payload format.
@@ -126,8 +124,9 @@ _SEGMENT_ENTRY_BYTES = 12  # record count u32 + bit length u64
 #: Encoded size of the largest record format (a B record), in bits.
 _MAX_RECORD_BITS = max(FORMAT_BITS.values())
 
-#: Bytes per read when streaming a v1 payload.
-_V1_CHUNK_BYTES = 256 * 1024
+#: Bytes per read when streaming a v1 payload: about one v2 segment's
+#: worth of records, which are decoded a chunk at a time.
+_V1_CHUNK_BYTES = 32 * 1024
 
 
 class TraceFileError(ValueError):
@@ -502,13 +501,21 @@ def _parse_header(data: bytes) -> tuple[TraceFileHeader, int]:
     return header, header_length
 
 
-def _parse_segment_table(
+def _read_segment_table(
+    handle: BinaryIO,
     header: TraceFileHeader,
     header_length: int,
-    table_bytes: bytes,
     file_size: int,
 ) -> tuple[TraceSegment, ...]:
-    """Validate and expand a v2 segment table into absolute offsets."""
+    """Read, validate and expand a v2 segment table into absolute
+    offsets."""
+    if header.segment_table_offset < header_length:
+        raise TraceFileError("corrupt segment index: table offset "
+                             "inside the header")
+    if header.segment_table_offset > file_size:
+        raise TraceFileError("truncated payload")
+    handle.seek(header.segment_table_offset)
+    table_bytes = handle.read()
     expected = header.segment_count * _SEGMENT_ENTRY_BYTES
     if len(table_bytes) != expected:
         raise TraceFileError(
@@ -574,15 +581,8 @@ def read_segment_table(path: str | Path) -> tuple[TraceSegment, ...]:
                 bit_length=header.bit_length,
                 payload_offset=header_length,
             ),)
-        if header.segment_table_offset < header_length:
-            raise TraceFileError("corrupt segment index: table offset "
-                                 "inside the header")
-        if header.segment_table_offset > file_size:
-            raise TraceFileError("truncated payload")
-        handle.seek(header.segment_table_offset)
-        table_bytes = handle.read()
-    return _parse_segment_table(header, header_length, table_bytes,
-                                file_size)
+        return _read_segment_table(handle, header, header_length,
+                                   file_size)
 
 
 def _verify_committed(header: TraceFileHeader, committed: int) -> None:
@@ -595,56 +595,51 @@ def _verify_committed(header: TraceFileHeader, committed: int) -> None:
         )
 
 
+def _decode_segment(data: bytes | bytearray, start_bit: int, end_bit: int,
+                    stop_bit: int, index: int, origin: int = 0,
+                    ) -> tuple[list[TraceRecord], int]:
+    """:func:`decode_records`, naming segment ``index`` and the bit
+    offset (``origin`` bits before ``data``) of a corrupt record."""
+    try:
+        return decode_records(data, start_bit, end_bit, stop_bit)
+    except CorruptRecordError as error:
+        reason, bit = error.args
+        raise TraceFileError(f"segment {index}: {reason} at bit "
+                             f"{origin + bit}") from None
+
+
 def _iter_v1_payload(handle: BinaryIO, bit_length: int,
                      ) -> Iterator[TraceRecord]:
     """Decode a v1 payload in bounded chunks.
 
-    The payload is one contiguous bit-packed run; records are at most
-    :data:`_MAX_RECORD_BITS` long, so whenever at least that many bits
-    are buffered the next record is guaranteed to decode without
-    touching the file again.  Consumed whole bytes are dropped from
-    the front of the buffer, keeping resident memory at one chunk.
+    The payload is one contiguous bit-packed run.  Each pass decodes
+    every record that lies wholly inside the buffered chunk, then
+    drops the consumed whole bytes, keeping resident memory at one
+    chunk.
     """
     buffer = bytearray()
-    local_bitpos = 0       # bits of `buffer` already consumed
-    bits_buffered = 0      # payload bits currently held in `buffer`
-    bits_unread = bit_length
-    eof = bits_unread == 0
+    origin = 0  # payload bit offset of buffer[0]
+    pos = 0     # next record, in bits from buffer[0]
     while True:
-        while not eof and bits_buffered - local_bitpos < 8 * _V1_CHUNK_BYTES:
+        want = min(bit_length - origin, pos + 8 * _V1_CHUNK_BYTES)
+        while 8 * len(buffer) < want:
             chunk = handle.read(_V1_CHUNK_BYTES)
             if not chunk:
-                eof = True
-                if bits_unread > 0:
-                    raise TraceFileError("truncated payload")
-                break
-            buffer.extend(chunk)
-            got = min(8 * len(chunk), bits_unread)
-            bits_buffered += got
-            bits_unread -= got
-            if bits_unread == 0:
-                eof = True
-        # Decode straight out of the buffer at the current bit offset.
-        reader = BitReader(bytes(buffer), bits_buffered)
-        reader.seek_bit(local_bitpos)
-        while True:
-            remaining = reader.bits_remaining
-            if eof:
-                if remaining < _COMMON_BITS:
-                    # End of stream (the final byte may contain zero
-                    # padding shorter than one record).
-                    return
-            elif remaining < _MAX_RECORD_BITS:
-                break  # a record might straddle the chunk: read more
-            try:
-                yield decode_record(reader)
-            except EOFError:
-                raise TraceFileError("truncated payload") from None
-        local_bitpos = reader.bit_position
-        drop = local_bitpos // 8
-        del buffer[:drop]
-        local_bitpos -= 8 * drop
-        bits_buffered -= 8 * drop
+                raise TraceFileError("truncated payload")
+            buffer += chunk
+        end = min(bit_length - origin, 8 * len(buffer))
+        last = end == bit_length - origin
+        # Short of the payload's end, decode only records that start
+        # early enough to end inside the buffer, whatever their format.
+        records, pos = _decode_segment(
+            buffer, pos, end, end if last else end - _MAX_RECORD_BITS + 1,
+            0, origin)
+        yield from records
+        if last:
+            return
+        del buffer[:pos >> 3]
+        origin += pos & ~7
+        pos &= 7
 
 
 def iter_trace_records(
@@ -686,15 +681,8 @@ def iter_trace_records(
                 yielded += 1
                 yield record
         else:
-            if header.segment_table_offset < header_length:
-                raise TraceFileError(
-                    "corrupt segment index: table offset inside the "
-                    "header")
-            if header.segment_table_offset > file_size:
-                raise TraceFileError("truncated payload")
-            handle.seek(header.segment_table_offset)
-            table = _parse_segment_table(
-                header, header_length, handle.read(), file_size)
+            table = _read_segment_table(handle, header, header_length,
+                                        file_size)
             partial = segments is not None
             for segment in (table if segments is None else segments):
                 handle.seek(segment.payload_offset)
@@ -703,11 +691,9 @@ def iter_trace_records(
                     raise TraceFileError(
                         f"truncated segment {segment.index}: "
                         f"{len(data)} of {segment.byte_length} bytes")
-                try:
-                    records = decode_trace(data, segment.bit_length)
-                except EOFError:
-                    raise TraceFileError(
-                        f"truncated segment {segment.index}") from None
+                records, _ = _decode_segment(
+                    data, 0, segment.bit_length, segment.bit_length,
+                    segment.index)
                 if len(records) != segment.record_count:
                     raise TraceFileError(
                         f"segment {segment.index} holds "
@@ -748,21 +734,4 @@ def read_trace_file(
         records whose committed (untagged) count disagrees with the
         offset-28 consistency field.
     """
-    with open(path, "rb") as handle:
-        header, header_length = _parse_header(
-            handle.read(MAX_HEADER_LENGTH))
-    if header.version == VERSION_V2:
-        return header, list(iter_trace_records(path))
-    data = Path(path).read_bytes()
-    payload = data[header_length:]
-    if header.bit_length > 8 * len(payload):
-        raise TraceFileError("truncated payload")
-    records = decode_trace(payload, header.bit_length)
-    if len(records) != header.record_count:
-        raise TraceFileError(
-            f"payload holds {len(records)} records, header claims "
-            f"{header.record_count}"
-        )
-    committed = sum(1 for record in records if not record.tag)
-    _verify_committed(header, committed)
-    return header, records
+    return read_trace_header(path), list(iter_trace_records(path))

@@ -51,7 +51,9 @@ FU_NUMBERS: dict[FuClass, int] = {
     FuClass.BRANCH: 5,
     FuClass.NOP: 6,
 }
-NUMBER_TO_FU: dict[int, FuClass] = {v: k for k, v in FU_NUMBERS.items()}
+#: The same table by trace code; None marks the one code no class uses.
+NUMBER_TO_FU: tuple[FuClass | None, ...] = tuple(
+    map({v: k for k, v in FU_NUMBERS.items()}.get, range(8)))
 
 #: Branch sub-classes as encoded in the 3-bit type field of B records.
 BRANCH_NUMBERS: dict[BranchKind, int] = {
@@ -61,7 +63,9 @@ BRANCH_NUMBERS: dict[BranchKind, int] = {
     BranchKind.RETURN: 3,
     BranchKind.INDIRECT: 4,
 }
-NUMBER_TO_BRANCH: dict[int, BranchKind] = {v: k for k, v in BRANCH_NUMBERS.items()}
+#: The same table by trace code; None marks codes no sub-class uses.
+NUMBER_TO_BRANCH: tuple[BranchKind | None, ...] = tuple(
+    map({v: k for k, v in BRANCH_NUMBERS.items()}.get, range(8)))
 
 
 def _check_trace_reg(value: int, field: str) -> None:

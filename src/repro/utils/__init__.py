@@ -3,9 +3,9 @@
 This package collects small, dependency-free building blocks used across
 the simulator substrates:
 
-* :mod:`repro.utils.bitio` — bit-granular writers/readers used by the
-  trace codec (ReSim traces are bit-packed; Table 3 of the paper reports
-  bits-per-instruction, which we measure with these primitives).
+* :mod:`repro.utils.registry` — the string-keyed registry every
+  pluggable component family (devices, predictors, workloads, configs)
+  is named through.
 * :mod:`repro.utils.queues` — fixed-capacity circular queues modelling
   hardware structures (IFQ, decouple buffer, reorder buffer, LSQ).
 * :mod:`repro.utils.rng` — a deterministic xorshift PRNG plus the handful
@@ -14,13 +14,10 @@ the simulator substrates:
   that experiments are exactly reproducible.
 """
 
-from repro.utils.bitio import BitReader, BitWriter
 from repro.utils.queues import CircularQueue, QueueFullError, QueueEmptyError
 from repro.utils.rng import XorShiftRNG
 
 __all__ = [
-    "BitReader",
-    "BitWriter",
     "CircularQueue",
     "QueueFullError",
     "QueueEmptyError",

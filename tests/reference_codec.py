@@ -1,16 +1,26 @@
-"""Bit-granular I/O primitives.
+"""Bit-serial reference codec: the oracle for ``repro.trace.encode``.
 
-ReSim's input trace is a *bit-packed* stream of variable-length records
-(Branch, Memory, Other — see Section V.A of the paper).  Table 3 reports
-the average number of trace bits per instruction (41-47 depending on the
-benchmark), so the reproduction must measure encoded sizes at bit
-granularity rather than rounding every record to a byte boundary.
-
-The writer accumulates bits most-significant-first within each byte,
-which matches how a hardware deserializer would shift them in.
+This is the trace codec written the slow, obvious way: one field at a
+time through bit-granular writer/reader primitives that move a single
+bit per step, MSB first.  The word-level codec in ``repro.trace.encode``
+must produce the same bytes and decode the same records (or fail on
+the same inputs); ``tests/test_trace_codec.py`` checks both, and
+``tests/test_bitio.py`` checks the primitives themselves.
 """
 
 from __future__ import annotations
+
+from repro.trace.record import (
+    BRANCH_NUMBERS,
+    BranchRecord,
+    FU_NUMBERS,
+    MemoryRecord,
+    OtherRecord,
+    RecordKind,
+)
+
+_CODE_TO_FU = {code: fu for fu, code in FU_NUMBERS.items()}
+_CODE_TO_BRANCH = {code: kind for kind, code in BRANCH_NUMBERS.items()}
 
 
 class BitWriter:
@@ -18,16 +28,6 @@ class BitWriter:
 
     Bits are packed MSB-first.  ``write(value, width)`` appends the
     ``width`` low-order bits of ``value``.
-
-    Example
-    -------
-    >>> w = BitWriter()
-    >>> w.write(0b101, 3)
-    >>> w.write(0b1, 1)
-    >>> w.bit_length
-    4
-    >>> bytes(w.getvalue())[0] == 0b10110000
-    True
     """
 
     def __init__(self) -> None:
@@ -45,22 +45,15 @@ class BitWriter:
         return (self._bitpos + 7) // 8
 
     def write(self, value: int, width: int) -> None:
-        """Append the ``width`` low-order bits of ``value``.
-
-        Raises
-        ------
-        ValueError
-            If ``width`` is negative or ``value`` does not fit in
-            ``width`` bits (callers must mask explicitly; silently
-            truncating trace fields would corrupt the stream).
-        """
+        """Append the ``width`` low-order bits of ``value``; raises
+        ``ValueError`` if the width is negative or the value does not
+        fit."""
         if width < 0:
             raise ValueError(f"negative bit width: {width}")
         if value < 0:
             raise ValueError(f"negative value not encodable: {value}")
         if value >> width:
             raise ValueError(f"value {value:#x} does not fit in {width} bits")
-        # Write bits MSB-first.
         for shift in range(width - 1, -1, -1):
             bit = (value >> shift) & 1
             byte_index, bit_index = divmod(self._bitpos, 8)
@@ -85,16 +78,7 @@ class BitWriter:
 
 
 class BitReader:
-    """Reads values bit-by-bit from a byte buffer produced by BitWriter.
-
-    Example
-    -------
-    >>> w = BitWriter()
-    >>> w.write(42, 13)
-    >>> r = BitReader(w.getvalue())
-    >>> r.read(13)
-    42
-    """
+    """Reads values bit-by-bit from a byte buffer produced by BitWriter."""
 
     def __init__(self, data: bytes, bit_length: int | None = None) -> None:
         self._data = data
@@ -108,19 +92,9 @@ class BitReader:
         """Number of bits left to read."""
         return self._bit_length - self._bitpos
 
-    @property
-    def bit_position(self) -> int:
-        """Current read offset in bits from the start of the buffer."""
-        return self._bitpos
-
     def read(self, width: int) -> int:
-        """Read ``width`` bits and return them as an unsigned integer.
-
-        Raises
-        ------
-        EOFError
-            If fewer than ``width`` bits remain.
-        """
+        """Read ``width`` bits as an unsigned integer; raises
+        ``EOFError`` if fewer remain."""
         if width < 0:
             raise ValueError(f"negative bit width: {width}")
         if width > self.bits_remaining:
@@ -144,3 +118,52 @@ class BitReader:
         if not 0 <= position <= self._bit_length:
             raise ValueError(f"bit position {position} out of range")
         self._bitpos = position
+
+
+def reference_encode(records) -> tuple[bytes, int]:
+    """Encode records field by field; returns ``(buffer, bit_length)``."""
+    writer = BitWriter()
+    for record in records:
+        writer.write(int(record.kind), 2)
+        writer.write_bool(record.tag)
+        writer.write(FU_NUMBERS[record.fu], 3)
+        writer.write(record.dest, 6)
+        writer.write(record.src1, 6)
+        writer.write(record.src2, 6)
+        if isinstance(record, MemoryRecord):
+            writer.write_bool(record.is_store)
+            writer.write(record.size_log2, 2)
+            writer.write(record.address, 32)
+        elif isinstance(record, BranchRecord):
+            writer.write(BRANCH_NUMBERS[record.branch_kind], 3)
+            writer.write_bool(record.taken)
+            writer.write(record.target, 32)
+    return writer.getvalue(), writer.bit_length
+
+
+def reference_decode(data: bytes, bit_length: int | None = None) -> list:
+    """Decode field by field until less than a record header remains.
+
+    Raises ``EOFError`` for a record cut short, ``KeyError`` or
+    ``ValueError`` for a code or field combination no record has.
+    """
+    reader = BitReader(data, bit_length)
+    records = []
+    while reader.bits_remaining >= 24:
+        kind = RecordKind(reader.read(2))
+        tag = reader.read_bool()
+        fu = _CODE_TO_FU[reader.read(3)]
+        regs = dict(dest=reader.read(6), src1=reader.read(6),
+                    src2=reader.read(6))
+        if kind is RecordKind.OTHER:
+            records.append(OtherRecord(tag=tag, fu=fu, **regs))
+        elif kind is RecordKind.MEMORY:
+            records.append(MemoryRecord(
+                tag=tag, fu=fu, **regs, is_store=reader.read_bool(),
+                size_log2=reader.read(2), address=reader.read(32)))
+        else:
+            records.append(BranchRecord(
+                tag=tag, fu=fu, **regs,
+                branch_kind=_CODE_TO_BRANCH[reader.read(3)],
+                taken=reader.read_bool(), target=reader.read(32)))
+    return records

@@ -1,9 +1,10 @@
-"""Unit and property tests for the bit-granular I/O primitives."""
+"""Unit and property tests for the bit-serial primitives of the
+reference codec (tests/reference_codec.py)."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.utils.bitio import BitReader, BitWriter
+from reference_codec import BitReader, BitWriter
 
 
 class TestBitWriter:

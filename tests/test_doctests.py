@@ -1,7 +1,8 @@
 """Run the executable examples embedded in docstrings.
 
-The package docstring's quickstart and the bit-I/O examples are part
-of the documentation contract; they must keep working verbatim.
+The package docstring's quickstart and the trace codec's record layout
+example are part of the documentation contract; they must keep working
+verbatim.
 """
 
 import doctest
@@ -10,11 +11,11 @@ import pytest
 
 import repro
 import repro.serialize
-import repro.utils.bitio
+import repro.trace.encode
 import repro.utils.registry
 
 
-@pytest.mark.parametrize("module", [repro.utils.bitio, repro,
+@pytest.mark.parametrize("module", [repro.trace.encode, repro,
                                     repro.serialize,
                                     repro.utils.registry],
                          ids=lambda m: m.__name__)

@@ -10,7 +10,6 @@ from repro.trace import (
     MemoryRecord,
     OtherRecord,
     RecordKind,
-    TraceDecoder,
     TraceEncoder,
     conservative_block_size,
     decode_trace,
@@ -122,11 +121,6 @@ class TestCodec:
         assert encoder.getvalue() == batch_buffer
         assert encoder.bit_length == batch_bits
         assert encoder.record_count == len(records)
-
-    def test_decoder_is_iterable(self):
-        buffer, bits = encode_trace(_sample_records())
-        decoder = TraceDecoder(buffer, bits)
-        assert len(list(decoder)) == 6
 
     def test_empty_trace(self):
         buffer, bits = encode_trace([])

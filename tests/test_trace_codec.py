@@ -1,0 +1,149 @@
+"""The word-level trace codec against its bit-serial reference.
+
+``tests/reference_codec.py`` encodes and decodes one field, and one
+bit, at a time.  The word-level codec in :mod:`repro.trace.encode`
+must write the same bytes, decode its own output back, and agree with
+the reference on arbitrary input: the same records, or both raise.
+Golden digests pin whole trace files of both on-disk formats.
+"""
+
+import hashlib
+
+import pytest
+from hypothesis import given, strategies as st
+
+from reference_codec import reference_decode, reference_encode
+from repro.bpred.unit import PAPER_PREDICTOR
+from repro.isa.opcodes import BranchKind, FuClass
+from repro.trace import (
+    BranchRecord,
+    MemoryRecord,
+    OtherRecord,
+    decode_trace,
+    encode_trace,
+    write_trace_file,
+)
+from repro.trace.encode import pack_record
+from repro.workloads import SyntheticWorkload, get_profile
+
+#: SHA-256 of the golden trace files below, as the bit-serial codec
+#: wrote them.
+GOLDEN_SHA256 = {
+    1: "4f4ee385af2764f5c73868d850a5da0c481458e5353557b4f0b448b2dd11ba2e",
+    2: "6ce9d8fc08e7ed7c8701f10f2b5904685bea81888cb20183cf185c3dc4d70348",
+}
+
+
+def _up_to_max(high: int):
+    """Values in ``[0, high]`` that hit both bounds often."""
+    return st.one_of(st.sampled_from([0, high]), st.integers(0, high))
+
+
+REGS = _up_to_max(63)
+WORDS = _up_to_max(2**32 - 1)
+BRANCH_KINDS = [kind for kind in BranchKind if kind is not BranchKind.NONE]
+
+
+@st.composite
+def records(draw):
+    """Any valid record: all three formats, both tag values, every FU
+    class and branch kind, and field values up to their maxima."""
+    common = dict(tag=draw(st.booleans()), dest=draw(REGS),
+                  src1=draw(REGS), src2=draw(REGS))
+    fmt = draw(st.sampled_from("OMB"))
+    if fmt == "O":
+        return OtherRecord(fu=draw(st.sampled_from(list(FuClass))),
+                           **common)
+    if fmt == "M":
+        is_store = draw(st.booleans())
+        return MemoryRecord(
+            fu=FuClass.STORE if is_store else FuClass.LOAD,
+            is_store=is_store, address=draw(WORDS),
+            size_log2=draw(_up_to_max(3)), **common)
+    return BranchRecord(fu=FuClass.BRANCH,
+                        branch_kind=draw(st.sampled_from(BRANCH_KINDS)),
+                        taken=draw(st.booleans()), target=draw(WORDS),
+                        **common)
+
+
+TRACES = st.lists(records(), max_size=40)
+
+
+@st.composite
+def payloads(draw):
+    """``(data, bit_length)`` a decoder may meet: random bytes, or a
+    valid trace with a few flipped bits, cut at any bit length."""
+    if draw(st.booleans()):
+        data = bytearray(draw(st.binary(max_size=64)))
+    else:
+        data = bytearray(encode_trace(draw(TRACES))[0])
+        if data:
+            flips = st.integers(0, 8 * len(data) - 1)
+            for bit in draw(st.lists(flips, max_size=3)):
+                data[bit >> 3] ^= 0x80 >> (bit & 7)
+    return bytes(data), draw(st.integers(0, 8 * len(data)))
+
+
+@given(TRACES)
+def test_bytes_match_reference(trace):
+    assert encode_trace(trace) == reference_encode(trace)
+
+
+@given(TRACES)
+def test_decode_inverts_encode(trace):
+    assert decode_trace(*encode_trace(trace)) == trace
+
+
+def _outcomes(data: bytes, bit_length: int) -> list:
+    """What each decoder makes of ``data``: its records, or "raised"."""
+    outcomes = []
+    for decode in (decode_trace, reference_decode):
+        try:
+            outcomes.append(decode(data, bit_length))
+        except (EOFError, KeyError, ValueError):
+            outcomes.append("raised")
+    return outcomes
+
+
+@given(payloads())
+def test_decoders_agree_on_arbitrary_bytes(payload):
+    new, reference = _outcomes(*payload)
+    assert new == reference
+
+
+def test_decoders_agree_on_every_cut():
+    """A payload cut at each bit offset, including one bit short of a
+    record's end, is decoded or refused alike."""
+    trace = [OtherRecord(dest=5),
+             MemoryRecord(fu=FuClass.LOAD, address=2**32 - 1),
+             BranchRecord(fu=FuClass.BRANCH, taken=True, target=7)]
+    data, bits = encode_trace(trace)
+    for cut in range(bits + 1):
+        new, reference = _outcomes(data, cut)
+        assert new == reference, cut
+
+
+def test_flags_pack_by_truthiness():
+    """Tag, is_store and taken pack as 0/1 whatever truthy value they
+    hold, as the reference's ``write_bool`` does."""
+    for truthy, plain in [
+        (OtherRecord(tag=2), OtherRecord(tag=True)),
+        (MemoryRecord(fu=FuClass.STORE, is_store=5),
+         MemoryRecord(fu=FuClass.STORE, is_store=True)),
+        (BranchRecord(fu=FuClass.BRANCH, taken="yes"),
+         BranchRecord(fu=FuClass.BRANCH, taken=True)),
+    ]:
+        assert pack_record(truthy) == pack_record(plain)
+        assert encode_trace([truthy]) == reference_encode([truthy])
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_golden_file_digest(tmp_path, version):
+    records = SyntheticWorkload(get_profile("parser"),
+                                seed=11).generate(2000).records
+    path = tmp_path / "golden.rtrc"
+    write_trace_file(path, records, predictor=PAPER_PREDICTOR,
+                     benchmark="parser", seed=11, version=version,
+                     segment_records=256)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == GOLDEN_SHA256[version]

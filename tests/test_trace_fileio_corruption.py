@@ -2,7 +2,8 @@
 
 Every malformed input a bulk-sweep deployment will eventually meet —
 truncated payloads, bad magic, oversized metadata, lying record
-counts, corrupt segment indexes, flipped Tag bits — must surface as
+counts, corrupt segment indexes, flipped Tag bits, field codes no
+record uses — must surface as
 :class:`TraceFileError` with a useful message, never as a bare
 ``OverflowError`` or silently wrong statistics.  Both on-disk formats
 are covered: v1 (monolithic payload) files must stay readable forever,
@@ -15,6 +16,9 @@ import json
 import pytest
 
 from repro.bpred.unit import PAPER_PREDICTOR
+from repro.trace import fileio
+from repro.trace import BranchRecord
+from repro.trace.encode import FORMAT_BITS
 from repro.trace.fileio import (
     MAX_HEADER_LENGTH,
     MAGIC,
@@ -68,6 +72,21 @@ def v2_path(records, tmp_path):
                      benchmark="parser", seed=11,
                      segment_records=SEGMENT_RECORDS)
     return path
+
+
+def _record_offset(records, index: int) -> int:
+    """Bit offset of ``records[index]`` from the start of the payload."""
+    return sum(FORMAT_BITS[record.kind] for record in records[:index])
+
+
+def _set_bits(data: bytearray, bit: int, width: int, value: int) -> None:
+    """Overwrite ``width`` bits of ``data`` at MSB-first offset ``bit``."""
+    for i in range(width):
+        byte, shift = divmod(bit + i, 8)
+        if value >> (width - 1 - i) & 1:
+            data[byte] |= 0x80 >> shift
+        else:
+            data[byte] &= ~(0x80 >> shift) & 0xFF
 
 
 def _metadata_offset(data: bytes) -> int:
@@ -203,6 +222,36 @@ class TestPayloadConsistency:
                            match="truncated|segment index"):
             list(iter_trace_records(trace_path))
 
+    def test_bit_length_ending_mid_record(self, v1_path, records):
+        """A v1 header whose bit length ends partway through a record
+        is a truncated payload to both readers, never an EOFError."""
+        index = max(i for i, record in enumerate(records)
+                    if FORMAT_BITS[record.kind] > 40)
+        data = bytearray(v1_path.read_bytes())
+        data[20:28] = (_record_offset(records, index) + 40).to_bytes(
+            8, "little")
+        v1_path.write_bytes(bytes(data))
+        with pytest.raises(TraceFileError, match="truncated"):
+            read_trace_file(v1_path)
+        with pytest.raises(TraceFileError, match="truncated"):
+            list(iter_trace_records(v1_path))
+
+    @pytest.mark.parametrize("chunk_bytes", [8, 13, 100])
+    def test_v1_stream_across_chunk_boundaries(self, v1_path, records,
+                                               monkeypatch, chunk_bytes):
+        """Records straddling v1 read chunks decode whole, and a bad
+        code past the first chunk is reported at its payload offset."""
+        monkeypatch.setattr(fileio, "_V1_CHUNK_BYTES", chunk_bytes)
+        assert list(iter_trace_records(v1_path)) == records
+        data = bytearray(v1_path.read_bytes())
+        start = _record_offset(records, 1500)
+        payload = 8 * int.from_bytes(data[10:12], "little")
+        _set_bits(data, payload + start + 3, 3, 7)  # FU code 7
+        v1_path.write_bytes(bytes(data))
+        with pytest.raises(TraceFileError,
+                           match=f"segment 0: FU code 7 at bit {start}$"):
+            list(iter_trace_records(v1_path))
+
     def test_wrong_record_count(self, v1_path):
         data = bytearray(v1_path.read_bytes())
         count = int.from_bytes(data[12:20], "little")
@@ -269,6 +318,35 @@ class TestPayloadConsistency:
         header, decoded = read_trace_file(trace_path)
         assert decoded == records
         assert header.metadata["benchmark"] == "parser"
+
+
+class TestCorruptFieldCodes:
+    """A kind, FU or branch-kind code that names nothing is a
+    :class:`TraceFileError` naming the segment and the record's bit
+    offset, not a bare ``KeyError`` or enum ``ValueError``."""
+
+    @pytest.mark.parametrize("field,offset,width,code", [
+        ("kind", 0, 2, 3),
+        ("FU", 3, 3, 7),
+        ("branch kind", 24, 3, 7),
+    ], ids=["kind", "fu", "branch-kind"])
+    def test_bad_code(self, trace_path, records, field, offset, width,
+                      code):
+        index = 0
+        if field == "branch kind":
+            index = next(i for i, record in enumerate(records)
+                         if isinstance(record, BranchRecord))
+        assert index < SEGMENT_RECORDS  # the record lies in segment 0
+        data = bytearray(trace_path.read_bytes())
+        start = _record_offset(records, index)
+        payload = 8 * int.from_bytes(data[10:12], "little")
+        _set_bits(data, payload + start + offset, width, code)
+        trace_path.write_bytes(bytes(data))
+        message = f"segment 0: {field} code {code} at bit {start}"
+        with pytest.raises(TraceFileError, match=message):
+            read_trace_file(trace_path)
+        with pytest.raises(TraceFileError, match=message):
+            list(iter_trace_records(trace_path))
 
 
 class TestSegmentedFormat:
