@@ -59,7 +59,7 @@ from repro.fpga.area import AreaEstimator
 from repro.fpga.device import DEVICES, VIRTEX4_LX40, VIRTEX5_LX50T
 from repro.fpga.vhdlgen import generate_branch_predictor_vhdl
 from repro.multicore.simulator import MultiCoreSimulator, TraceChannel
-from repro.core.specialize import ENGINES
+from repro.core.specialize import ENGINE_TIERS
 from repro.session import CONFIGS, SessionError, Simulation
 from repro.trace.fileio import (
     DEFAULT_SEGMENT_RECORDS,
@@ -92,8 +92,6 @@ def _device(name: str):
 def _apply_engine(simulation: Simulation, engine: str) -> Simulation:
     """Select the engine tier before observers attach / prepare()
     runs (``with_*`` clones invalidate the prepared-trace cache)."""
-    if engine == "reference":
-        return simulation
     try:
         return simulation.with_engine(engine)
     except SessionError as error:
@@ -919,7 +917,7 @@ def build_parser() -> argparse.ArgumentParser:
                           default=100_000,
                           help="records between progress lines")
     simulate.add_argument("--engine", default="reference",
-                          help=f"engine tier ({', '.join(ENGINES)}); "
+                          help=f"engine tier ({', '.join(ENGINE_TIERS)}); "
                                f"tiers are bit-identical, 'specialized' "
                                f"compiles the config into a fast path")
     add_sampling(simulate, "with --trace-file: estimate the run")
@@ -1003,7 +1001,7 @@ def build_parser() -> argparse.ArgumentParser:
                      "; mutually exclusive with --shards")
         p.add_argument("--engine", default="reference",
                        help=f"engine tier executing every point "
-                            f"({', '.join(ENGINES)}); tiers are "
+                            f"({', '.join(ENGINE_TIERS)}); tiers are "
                             f"bit-identical, so checkpoints and cache "
                             f"keys are shared across them")
         p.add_argument("--progress", action="store_true",

@@ -29,7 +29,12 @@ from repro.core.config import (
     PAPER_4WIDE_PERFECT,
     ProcessorConfig,
 )
-from repro.core.engine import EngineObserver, ReSimEngine, SimulationResult
+from repro.core.engine import (
+    EngineObserver,
+    ReSimEngine,
+    SimulationResult,
+    WarmupWindowError,
+)
 from repro.core.observers import ProgressObserver
 from repro.core.minorpipe import (
     ImprovedPipeline,
@@ -39,18 +44,16 @@ from repro.core.minorpipe import (
     select_pipeline,
 )
 from repro.core.specialize import (
-    ENGINES,
-    EngineRequest,
+    ENGINE_TIERS,
     SpecializationError,
     SpecializedEngine,
-    create_engine,
+    choose_tier,
 )
 from repro.core.stats import SimulationStatistics
 
 __all__ = [
-    "ENGINES",
+    "ENGINE_TIERS",
     "EngineObserver",
-    "EngineRequest",
     "ImprovedPipeline",
     "MinorPipeline",
     "OptimizedPipeline",
@@ -64,6 +67,7 @@ __all__ = [
     "SimulationStatistics",
     "SpecializationError",
     "SpecializedEngine",
-    "create_engine",
+    "WarmupWindowError",
+    "choose_tier",
     "select_pipeline",
 ]

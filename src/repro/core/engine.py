@@ -99,6 +99,39 @@ class EngineObserver:
         """Called when a mispredicted branch retires and recovers."""
 
 
+_HOOKS = ("on_cycle", "on_commit", "on_recovery")
+
+
+def overrides_hook(observer: EngineObserver,
+                   name: str | None = None) -> bool:
+    """Does ``observer``'s class override hook ``name`` (any hook when
+    ``name`` is None)?  Un-overridden hooks are never dispatched."""
+    names = _HOOKS if name is None else (name,)
+    return any(getattr(type(observer), hook)
+               is not getattr(EngineObserver, hook) for hook in names)
+
+
+class WarmupWindowError(ValueError):
+    """The trace drained before (or exactly when) the warmup window
+    closed, leaving nothing to measure.  Raised identically by both
+    engine tiers instead of returning all-zero statistics."""
+
+    def __init__(self, warmup_instructions: int, committed: int) -> None:
+        super().__init__(
+            f"the trace drained within the {warmup_instructions}-"
+            f"instruction warmup window ({committed} instructions "
+            f"committed); nothing is left to measure")
+
+
+def check_window(warmup_instructions: int,
+                 roi_instructions: int | None) -> None:
+    """Validate the instrumentation-window arguments of ``run()``."""
+    if warmup_instructions < 0:
+        raise ValueError("warmup_instructions must be >= 0")
+    if roi_instructions is not None and roi_instructions <= 0:
+        raise ValueError("roi_instructions must be positive")
+
+
 @dataclass
 class SimulationResult:
     """Outcome of one engine run (counts only; throughput and wall
@@ -274,16 +307,13 @@ class ReSimEngine:
         self._rebuild_hooks()
 
     def _rebuild_hooks(self) -> None:
-        base = EngineObserver
-        self._cycle_hooks = tuple(
-            obs.on_cycle for obs in self._observers
-            if type(obs).on_cycle is not base.on_cycle)
-        self._commit_hooks = tuple(
-            obs.on_commit for obs in self._observers
-            if type(obs).on_commit is not base.on_commit)
-        self._recovery_hooks = tuple(
-            obs.on_recovery for obs in self._observers
-            if type(obs).on_recovery is not base.on_recovery)
+        def hooks(name: str) -> tuple:
+            return tuple(getattr(obs, name) for obs in self._observers
+                         if overrides_hook(obs, name))
+
+        self._cycle_hooks = hooks("on_cycle")
+        self._commit_hooks = hooks("on_commit")
+        self._recovery_hooks = hooks("on_recovery")
 
     def run(
         self,
@@ -306,7 +336,8 @@ class ReSimEngine:
             committed, then reset the statistics while keeping all
             microarchitectural state (predictor, caches, in-flight
             window) warm.  The returned statistics cover only the
-            post-warmup region.
+            post-warmup region; a trace that drains within the window
+            raises :class:`WarmupWindowError`.
         ``roi_instructions``
             Region of interest: stop once this many instructions have
             committed *after* warmup, even if trace records remain.
@@ -316,10 +347,7 @@ class ReSimEngine:
         """
         if max_cycles is None:
             max_cycles = 64 * max(1, self._source.total_records) + 10_000
-        if warmup_instructions < 0:
-            raise ValueError("warmup_instructions must be >= 0")
-        if roi_instructions is not None and roi_instructions <= 0:
-            raise ValueError("roi_instructions must be positive")
+        check_window(warmup_instructions, roi_instructions)
 
         if warmup_instructions:
             while (not self.done
@@ -327,6 +355,10 @@ class ReSimEngine:
                    < warmup_instructions):
                 self._check_cycle_budget(max_cycles)
                 self.step()
+            if self.done:
+                raise WarmupWindowError(
+                    warmup_instructions,
+                    int(self.stats.committed_instructions))
             self.stats = SimulationStatistics()
 
         if roi_instructions is None and stop_when is None:

@@ -18,16 +18,18 @@ This module applies that move to ReSim:
   hierarchy under perfect memory) are not emitted at all — then
   ``exec``-compiles it, memoized in-process by a config-content hash;
 * :class:`SpecializedEngine` wraps the compiled function behind the
-  reference engine's ``run()`` shape and rebuilds the exact
+  reference engine's ``run()`` shape — warmup and ROI windows
+  included, compiled into the commit stage as integer comparisons
+  against run-time arguments — and rebuilds the exact
   :class:`~repro.core.stats.SimulationStatistics` from the returned
   counters;
-* :data:`ENGINES` is the tier registry (``reference`` |
-  ``specialized``) with :func:`create_engine` as the selection point:
-  a request the specialized tier cannot honour (observers, warmup/ROI
-  windows, subclassed configs) transparently falls back to the
-  reference engine.
+* :func:`choose_tier` is the one tier rule: a run executes on
+  ``specialized`` unless ``reference`` was requested or the run needs
+  the engine between cycles (hook-overriding observers, ``stop_when``,
+  step-wise driving) or carries subclassed configs whose overridden
+  behaviour the generator cannot see.
 
-The contract is **bit-identity**: for every supported request the
+The contract is **bit-identity**: for every run it accepts the
 specialized engine produces the same ``SimulationStatistics`` — and
 therefore the same result documents, checkpoints, and cache keys — as
 the reference engine, proven by the differential conformance suite in
@@ -43,16 +45,22 @@ suite fails loudly on any divergence.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import deque
-from dataclasses import dataclass
 from collections.abc import Callable, Sequence
 
 from repro.bpred.unit import BranchPredictorUnit
 from repro.cache.cache import CacheConfig
 from repro.cache.hierarchy import MemorySystem
 from repro.core.config import ProcessorConfig
-from repro.core.engine import EngineObserver, ReSimEngine, SimulationResult
+from repro.core.engine import (
+    EngineObserver,
+    SimulationResult,
+    WarmupWindowError,
+    check_window,
+    overrides_hook,
+)
 from repro.core.stats import Counter64, OccupancySampler, SimulationStatistics
 from repro.isa.instruction import INSTRUCTION_BYTES
 from repro.isa.opcodes import FuClass
@@ -60,35 +68,39 @@ from repro.isa.program import TEXT_BASE
 from repro.serialize import canonical_digest, config_to_dict
 from repro.trace.record import BranchRecord, MemoryRecord, TraceRecord
 from repro.trace.source import InMemorySource, TraceSource, as_source
-from repro.utils.registry import Registry
+
+#: The engine tier names: the interpreted oracle and the generated
+#: fast path, bit-identical to it.
+ENGINE_TIERS = ("reference", "specialized")
 
 
 class SpecializationError(ValueError):
     """A request the specialized tier cannot honour was forced on it."""
 
 
-@dataclass(frozen=True)
-class EngineRequest:
-    """Everything tier selection needs to know about one run.
+def choose_tier(
+    requested: str,
+    config: ProcessorConfig,
+    *,
+    observers: Sequence[EngineObserver] = (),
+    stop_when: Callable | None = None,
+    stepwise: bool = False,
+) -> str:
+    """The tier a run executes on — the one tier rule.
 
-    Mirrors the reference engine's constructor plus the run-control
-    surface that decides specializability: observers and
-    instrumentation windows force the reference tier, and
-    ``wrong_path_free`` (a *sound* static fact about the trace,
-    derived from generation statistics or the v2 header's
-    committed-count consistency field) lets the generator compile out
-    speculative fetch and recovery entirely.
+    ``reference`` when it was requested, when the run needs the engine
+    between cycles (an observer overriding a hook, a ``stop_when``
+    predicate, step-wise driving), or when the config or either cache
+    config is a subclass whose overridden behaviour the generator
+    cannot see; ``specialized`` otherwise.
     """
-
-    config: ProcessorConfig
-    trace: TraceSource | Sequence[TraceRecord]
-    start_pc: int | None = None
-    update_predictor_at_commit: bool = True
-    observers: tuple[EngineObserver, ...] = ()
-    warmup_instructions: int = 0
-    roi_instructions: int | None = None
-    stop_when: Callable | None = None
-    wrong_path_free: bool = False
+    if (requested == "reference" or stop_when is not None or stepwise
+            or any(overrides_hook(observer) for observer in observers)
+            or type(config) is not ProcessorConfig
+            or type(config.icache) is not CacheConfig
+            or type(config.dcache) is not CacheConfig):
+        return "reference"
+    return "specialized"
 
 
 # ----------------------------------------------------------------------
@@ -215,6 +227,18 @@ if line != last_line:
 """
 
 
+#: The generated engine's counter locals, in the order ``run_trace``
+#: returns them after the cycle count (``_RAW_COUNTERS``, then the
+#: IFQ/ROB/LSQ occupancy totals and peaks).
+_COUNTER_LOCALS = (
+    "c_commit", "c_fetched", "c_fwp", "c_disc", "c_cons", "c_branches",
+    "c_loads", "c_stores", "c_mispred", "c_misfetch", "c_taken",
+    "c_diverge", "c_fwd", "c_dacc", "c_dmiss", "c_iacc", "c_imiss",
+    "c_fstall", "c_mfstall", "c_rstall",
+    "ifq_tot", "ifq_peak", "rob_tot", "rob_peak", "lsq_tot", "lsq_peak",
+)
+
+
 def _engine_source(
     config: ProcessorConfig,
     *,
@@ -228,7 +252,9 @@ def _engine_source(
     time): in-memory records vs generic :class:`TraceSource` cursor,
     perfect memory vs cache hierarchy, commit-time vs fetch-time
     predictor training, and wrong-path handling present vs compiled
-    out (sound only for traces proven wrong-path-free).
+    out (sound only for traces proven wrong-path-free).  Warmup and
+    ROI bounds are run-time arguments — two integer comparisons per
+    cycle — so every window shares one compiled function.
     """
     width = config.width
     perfect = config.perfect_memory
@@ -237,10 +263,14 @@ def _engine_source(
     def emit(text: str, indent: int = 0) -> None:
         lines.extend(_block(text, indent))
 
+    if inline_source:
+        done = "idx >= len(records) and not rob and not ifq and not dec"
+    else:
+        done = "src_peek() is None and not rob and not ifq and not dec"
     emit(f"""
 # Generated by repro.core.specialize for one ProcessorConfig.
 # Bit-identical transcription of repro.core.engine.ReSimEngine.
-def run_trace(trace, start_pc, bpred, memory, max_cycles):
+def run_trace(trace, start_pc, bpred, memory, max_cycles, warmup, roi):
     Op = _Op
     MemRec = _MemoryRecord
     BrRec = _BranchRecord
@@ -261,32 +291,13 @@ def run_trace(trace, start_pc, bpred, memory, max_cycles):
     fetch_pc = start_pc
     fetch_stall = 0
     last_line = -1
-    c_commit = 0
-    c_fetched = 0
-    c_fwp = 0
-    c_disc = 0
-    c_cons = 0
-    c_branches = 0
-    c_loads = 0
-    c_stores = 0
-    c_mispred = 0
-    c_misfetch = 0
-    c_taken = 0
-    c_diverge = 0
-    c_fwd = 0
-    c_dacc = 0
-    c_dmiss = 0
-    c_iacc = 0
-    c_imiss = 0
-    c_fstall = 0
-    c_mfstall = 0
-    c_rstall = 0
-    ifq_tot = 0
-    ifq_peak = 0
-    rob_tot = 0
-    rob_peak = 0
-    lsq_tot = 0
-    lsq_peak = 0
+""")
+    emit("".join(f"{name} = 0\n" for name in _COUNTER_LOCALS), indent=4)
+    # The cycle budget keeps counting from the start of the run; the
+    # reported cycle count starts where warmup ended (base).
+    emit("""
+    warming = warmup > 0
+    base = 0
 """)
     if inline_source:
         emit("""
@@ -339,9 +350,9 @@ def run_trace(trace, start_pc, bpred, memory, max_cycles):
 
     # ---- main loop: done check, cycle budget ----
     if inline_source:
-        emit("""
+        emit(f"""
     while True:
-        if idx >= len(records) and not rob and not ifq and not dec:
+        if {done}:
             break
         if cycle >= max_cycles:
             raise RuntimeError(
@@ -350,9 +361,9 @@ def run_trace(trace, start_pc, bpred, memory, max_cycles):
                 + " records consumed)")
 """)
     else:
-        emit("""
+        emit(f"""
     while True:
-        if src_peek() is None and not rob and not ifq and not dec:
+        if {done}:
             break
         if cycle >= max_cycles:
             raise RuntimeError(
@@ -768,7 +779,7 @@ def run_trace(trace, start_pc, bpred, memory, max_cycles):
                     fetch_pc = pc + {INSTRUCTION_BYTES}
 """)
 
-    # ---- occupancy sampling + return ----
+    # ---- occupancy sampling ----
     emit("""
         n = len(ifq)
         ifq_tot += n
@@ -782,11 +793,27 @@ def run_trace(trace, start_pc, bpred, memory, max_cycles):
         lsq_tot += n
         if n > lsq_peak:
             lsq_peak = n
-    return (cycle, c_commit, c_fetched, c_fwp, c_disc, c_cons,
-            c_branches, c_loads, c_stores, c_mispred, c_misfetch,
-            c_taken, c_diverge, c_fwd, c_dacc, c_dmiss, c_iacc,
-            c_imiss, c_fstall, c_mfstall, c_rstall,
-            ifq_tot, ifq_peak, rob_tot, rob_peak, lsq_tot, lsq_peak)
+""")
+
+    # ---- warmup/ROI windows + return ----
+    # Warmup: once c_commit reaches it, reset every statistic but keep
+    # the machine warm; ROI: stop after the cycle in which post-warmup
+    # commits reach it (roi is inf when unset).  The in-memory variant
+    # also returns how many records it consumed.
+    counters = ", ".join(_COUNTER_LOCALS + (("idx",) if inline_source else ()))
+    emit(f"""
+        if warming:
+            if c_commit >= warmup:
+                if {done}:
+                    raise WarmupWindowError(warmup, c_commit)
+                warming = False
+                base = cycle
+                {" = ".join(_COUNTER_LOCALS)} = 0
+        elif c_commit >= roi:
+            break
+    if warming:
+        raise WarmupWindowError(warmup, c_commit)
+    return (cycle - base, {counters})
 """)
     return "\n".join(lines) + "\n"
 
@@ -855,6 +882,7 @@ def compile_engine(
             "_FU_MUL": FuClass.MUL,
             "_FU_DIV": FuClass.DIV,
             "SpecializationError": SpecializationError,
+            "WarmupWindowError": WarmupWindowError,
         }
         code = compile(source, f"<specialized-engine {key[0][:12]}>", "exec")
         exec(code, namespace)  # noqa: S102 - the source is generated above
@@ -928,9 +956,10 @@ class SpecializedEngine:
 
     Exposes the slice of the reference engine surface the session
     layer drives (``run``, ``stats``, ``config``, ``predictor``,
-    ``source``); step-wise driving and observers are reference-tier
-    features, guarded at tier selection.  Each instance runs once:
-    the generated function consumes the source in one call.
+    ``source``); step-wise driving, observer hooks and ``stop_when``
+    are reference-tier features (see :func:`choose_tier`).  Each
+    instance runs once: the generated function consumes the source in
+    one call.
     """
 
     name = "specialized"
@@ -998,14 +1027,14 @@ class SpecializedEngine:
         roi_instructions: int | None = None,
         stop_when: Callable | None = None,
     ) -> SimulationResult:
-        """Simulate until the trace is drained; same contract and
-        default cycle budget as the reference ``run()``."""
-        if (warmup_instructions or roi_instructions is not None
-                or stop_when is not None):
+        """Simulate until the trace is drained (or the ROI ends); same
+        contract, windows and default cycle budget as the reference
+        ``run()``."""
+        if stop_when is not None:
             raise SpecializationError(
-                "the specialized engine compiles out instrumentation "
-                "windows; warmup/ROI/stop_when runs use the reference "
-                "engine (tier selection falls back automatically)")
+                "stop_when predicates need the engine between cycles; "
+                "run them on the reference tier")
+        check_window(warmup_instructions, roi_instructions)
         if self._ran:
             raise SpecializationError(
                 "a SpecializedEngine runs once; build a fresh engine "
@@ -1013,104 +1042,15 @@ class SpecializedEngine:
         self._ran = True
         if max_cycles is None:
             max_cycles = 64 * max(1, self._source.total_records) + 10_000
+        roi = math.inf if roi_instructions is None else roi_instructions
         trace = self._records if self._records is not None else self._source
         raw = self._run_fn(trace, self._start_pc, self._bpred,
-                           self._memory, max_cycles)
+                           self._memory, max_cycles, warmup_instructions,
+                           roi)
         if self._records is not None:
             # Keep the wrapped cursor consistent with consumption.
-            while not self._source.exhausted:
+            for _ in range(raw[-1]):
                 self._source.next()
         self.stats = _stats_from_raw(raw)
         return SimulationResult(config=self._config, stats=self.stats)
 
-
-# ----------------------------------------------------------------------
-# Tier registry + selection.
-# ----------------------------------------------------------------------
-
-ENGINES: Registry = Registry("engine tier")
-
-
-@ENGINES.register("reference")
-class ReferenceEngineTier:
-    """The interpreted oracle: supports every request."""
-
-    name = "reference"
-
-    @staticmethod
-    def supports(request: EngineRequest) -> bool:
-        return True
-
-    @staticmethod
-    def build(request: EngineRequest) -> ReSimEngine:
-        engine = ReSimEngine(
-            request.config,
-            request.trace,
-            start_pc=request.start_pc,
-            update_predictor_at_commit=request.update_predictor_at_commit,
-        )
-        for observer in request.observers:
-            engine.add_observer(observer)
-        return engine
-
-
-@ENGINES.register("specialized")
-class SpecializedEngineTier:
-    """exec-compiled per-config fast path, bit-identical to reference.
-
-    Declines (falling back to the reference tier) when the request
-    carries observers or instrumentation windows — those hooks are
-    compiled out — or when the config is a subclass of
-    :class:`ProcessorConfig` / uses subclassed cache configs, whose
-    overridden behaviour the generator cannot see.
-    """
-
-    name = "specialized"
-
-    @staticmethod
-    def supports(request: EngineRequest) -> bool:
-        if request.observers:
-            return False
-        if (request.warmup_instructions
-                or request.roi_instructions is not None
-                or request.stop_when is not None):
-            return False
-        config = request.config
-        if type(config) is not ProcessorConfig:
-            return False
-        if type(config.icache) is not CacheConfig:
-            return False
-        if type(config.dcache) is not CacheConfig:
-            return False
-        return True
-
-    @staticmethod
-    def build(request: EngineRequest) -> SpecializedEngine:
-        return SpecializedEngine(
-            request.config,
-            request.trace,
-            start_pc=request.start_pc,
-            update_predictor_at_commit=request.update_predictor_at_commit,
-            wrong_path_free=request.wrong_path_free,
-        )
-
-
-def create_engine(
-    name: str, request: EngineRequest
-) -> ReSimEngine | SpecializedEngine:
-    """Build the requested tier's engine for this run, transparently
-    falling back to the reference tier when the request cannot be
-    specialized (the fallback is behaviour-preserving: both tiers are
-    bit-identical)."""
-    tier = ENGINES.get(name)
-    if not tier.supports(request):
-        tier = ENGINES.get("reference")
-    return tier.build(request)
-
-
-def selected_tier(name: str, request: EngineRequest) -> str:
-    """The tier :func:`create_engine` would actually use."""
-    tier = ENGINES.get(name)
-    if not tier.supports(request):
-        return "reference"
-    return tier.name

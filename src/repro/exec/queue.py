@@ -28,8 +28,8 @@ queue on nothing but atomic ``rename(2)``:
   lease untouched for ``lease_seconds`` is *stale*; any worker or
   coordinator may reclaim it (rename back into ``pending/``), after
   which the unit runs again.  Long simulations stay claimed because
-  the executing worker heartbeats its lease mtime from an engine
-  observer (:class:`~repro.exec.worker.LeaseHeartbeat`).
+  the executing worker heartbeats its lease mtime from a thread
+  beside the simulation (:class:`~repro.exec.worker.LeaseHeartbeat`).
 
 Re-execution after a reclaim is safe because units are deterministic
 and results are written atomically: the rerun produces byte-identical

@@ -30,7 +30,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 
 from repro.serialize import config_to_dict, stats_to_dict
 
@@ -137,10 +137,13 @@ class WorkUnit:
         config dict or registered config name.
 
         ``engine`` selects the engine tier executing the unit (a
-        :data:`repro.core.specialize.ENGINES` name); the default
+        :data:`repro.core.specialize.ENGINE_TIERS` name); the default
         reference tier is omitted from the spec so specs stay stable
         across versions.  Tiers are bit-identical, so results and
-        checkpoints do not depend on the choice.
+        checkpoints do not depend on the choice.  A specialized unit
+        runs specialized whatever its window: region slices carry
+        ``warmup_instructions``, which the generated engine compiles
+        in.
         """
         spec: dict = {"trace_file": str(trace_path), "config": config}
         if segments is not None:
@@ -199,20 +202,17 @@ def atomic_write_json(path: str | Path, document: dict) -> None:
     os.replace(tmp, target)
 
 
-def execute_unit(unit: WorkUnit, observers: Sequence = ()) -> dict:
+def execute_unit(unit: WorkUnit) -> dict:
     """Run one unit and atomically write its result document.
 
     Module-level (it pickles into process pools) and side-effect-free
-    beyond the result file.  ``observers`` attach engine
-    instrumentation on the executing side — code does not serialize,
-    so e.g. the directory-queue worker adds its lease heartbeat here.
+    beyond the result file.  The unit runs exactly as its spec says,
+    with no observer attached, so it executes on the engine tier the
+    spec asks for.
     """
     from repro.session import Simulation  # heavy import, deferred
 
-    simulation = Simulation.from_spec(unit.spec)
-    if observers:
-        simulation = simulation.with_observer(*observers)
-    session = simulation.run()
+    session = Simulation.from_spec(unit.spec).run()
     payload = {
         "schema": RESULT_SCHEMA,
         "unit_id": unit.unit_id,

@@ -12,11 +12,13 @@ Crash tolerance from the executing side:
 * before simulating, the worker checks whether a valid result already
   exists (a predecessor may have died between its result write and
   its lease rename) and completes the unit for free if so;
-* while simulating, a :class:`LeaseHeartbeat` engine observer
-  refreshes the lease mtime (the PR 2 observer API doing operations
-  work: zero hot-loop cost when detached, one comparison per major
-  cycle when attached), so only a *dead* worker's lease ever goes
-  stale and gets reclaimed;
+* while simulating, a :class:`LeaseHeartbeat` daemon thread refreshes
+  the lease mtime, so only a *dead* worker's lease ever goes stale and
+  gets reclaimed.  The heartbeat lives beside the engine, not inside
+  it: the unit runs with no observer attached, on the tier its spec
+  asks for, and a hung simulation is still caught by the engine's
+  cycle-budget guard.  The thread is stopped before the lease is
+  completed, so a completed lease is never touched again;
 * a unit that raises gets an **error document** written to its result
   path — the coordinator learns what failed instead of waiting — and
   is still marked done (re-enqueueing a deterministic failure would
@@ -37,11 +39,13 @@ import argparse
 import os
 import socket
 import sys
+import threading
 import time
 from pathlib import Path
+from types import TracebackType
 from typing import TextIO
 
-from repro.core.engine import EngineObserver, ReSimEngine
+from repro.core.engine import EngineObserver
 from repro.exec.queue import (
     DEFAULT_LEASE_SECONDS,
     QueuePaths,
@@ -68,32 +72,41 @@ def worker_id() -> str:
 
 
 class LeaseHeartbeat(EngineObserver):
-    """Engine observer that keeps a lease fresh during long runs.
+    """Keeps a lease fresh from a daemon thread while a unit runs.
 
-    Overrides only :meth:`on_cycle`, so the zero-observer hot loop is
-    untouched; attached cost is one time check per ``every_cycles``
-    major cycles.
+    Use it as a context manager around the work: entering starts a
+    thread that touches the lease every ``interval_seconds``; exiting
+    stops and joins it, so no touch happens after the ``with`` block.
+    It is an :class:`EngineObserver` that overrides no hook, so
+    attaching one to a run changes nothing — in particular not the
+    engine tier the run executes on.
     """
 
     def __init__(self, lease_path: Path, *,
-                 interval_seconds: float,
-                 every_cycles: int = 4096) -> None:
+                 interval_seconds: float) -> None:
         self._lease_path = lease_path
         self._interval = interval_seconds
-        self._every = max(1, every_cycles)
-        self._countdown = self._every
-        self._last_beat = time.monotonic()
+        self._stop = threading.Event()
+        self._thread: threading.Thread | None = None
 
-    def on_cycle(self, engine: ReSimEngine) -> None:
-        self._countdown -= 1
-        if self._countdown > 0:
-            return
-        self._countdown = self._every
-        now = time.monotonic()
-        if now - self._last_beat < self._interval:
-            return
-        self._last_beat = now
-        touch_lease(self._lease_path)
+    def __enter__(self) -> LeaseHeartbeat:
+        self._stop.clear()
+        self._thread = threading.Thread(
+            target=self._beat, name="lease-heartbeat", daemon=True)
+        self._thread.start()
+        return self
+
+    def __exit__(self, exc_type: type[BaseException] | None,
+                 exc: BaseException | None,
+                 traceback: TracebackType | None) -> None:
+        self._stop.set()
+        if self._thread is not None:
+            self._thread.join()
+            self._thread = None
+
+    def _beat(self) -> None:
+        while not self._stop.wait(self._interval):
+            touch_lease(self._lease_path)
 
 
 def process_one(paths: QueuePaths, lease_path: Path, *,
@@ -136,7 +149,8 @@ def process_one(paths: QueuePaths, lease_path: Path, *,
     heartbeat = LeaseHeartbeat(
         lease_path, interval_seconds=max(lease_seconds / 4.0, 0.05))
     try:
-        execute_unit(unit, observers=(heartbeat,))
+        with heartbeat:
+            execute_unit(unit)
         if log:
             print(f"[worker {worker_id()}] completed {unit.unit_id}",
                   file=log)

@@ -40,7 +40,6 @@ import threading
 from pathlib import Path
 from collections.abc import Mapping
 
-from repro.core.specialize import ENGINES
 from repro.exec import (
     ExecutionBackend,
     ProcessPoolBackend,
@@ -52,7 +51,7 @@ from repro.serve.cache import CacheStore, CachingBackend
 from repro.serve.canon import ENGINE_VERSION, canonical_spec
 from repro.serve.http import HttpApi
 from repro.serve.jobs import Job, JobContext, JobManager
-from repro.session import CONFIGS, RegistryError
+from repro.session import CONFIGS, RegistryError, SessionError, coerce_engine
 from repro.sweep import SEARCHES, SweepError, SweepRunner, SweepSpec
 from repro.sweep.progress import SweepProgress
 from repro.sweep.result import SORT_KEYS
@@ -73,20 +72,15 @@ class ServiceError(ValueError):
 
 
 def _validate_engine(value: object) -> str:
-    """Check an engine-tier name against the ENGINES registry.
+    """Check a request's engine-tier name.
 
     Tiers are bit-identical by contract, so the tier never reaches a
     cache key — it is carried beside the canonical spec and re-applied
     at execution time."""
-    if not isinstance(value, str):
-        raise ServiceError(
-            f"request field 'engine' must be an engine tier name, "
-            f"got {value!r}")
     try:
-        ENGINES.get(value)
-    except RegistryError as error:
+        return coerce_engine(value)
+    except SessionError as error:
         raise ServiceError(str(error)) from error
-    return value
 
 
 class _JobProgress(SweepProgress):

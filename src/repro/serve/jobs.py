@@ -318,14 +318,16 @@ class JobManager:
 
     def _transition(self, job: Job, state: str, *,
                     error: str | None = None) -> None:
+        event = {"event": "state", "state": state}
+        if error is not None:
+            event["error"] = error
         with self._lock:
             job.state = state
             job.error = error
             self._persist(job)
-        event = {"event": "state", "state": state}
-        if error is not None:
-            event["error"] = error
-        self.emit(job.job_id, event)
+            # Under the same lock: an event stream that sees the new
+            # state must also see its event, or it may stop before it.
+            self.emit(job.job_id, event)
         if state in TERMINAL_STATES:
             self._runtime[job.job_id].finished.set()
 

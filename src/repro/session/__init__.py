@@ -32,6 +32,7 @@ from repro.session.simulation import (
     SessionError,
     SessionResult,
     Simulation,
+    coerce_engine,
 )
 from repro.utils.registry import Registry, RegistryError
 from repro.workloads.tracegen import WORKLOADS
@@ -50,4 +51,5 @@ __all__ = [
     "SessionResult",
     "Simulation",
     "WORKLOADS",
+    "coerce_engine",
 ]

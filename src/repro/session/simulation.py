@@ -57,12 +57,7 @@ from repro.core.config import (
     ProcessorConfig,
 )
 from repro.core.engine import EngineObserver, ReSimEngine, SimulationResult
-from repro.core.specialize import (
-    ENGINES,
-    EngineRequest,
-    SpecializedEngine,
-    create_engine,
-)
+from repro.core.specialize import ENGINE_TIERS, SpecializedEngine, choose_tier
 from repro.fpga.device import DEVICES, FpgaDevice
 from repro.isa.program import Program
 from repro.serialize import (
@@ -79,7 +74,7 @@ from repro.trace.fileio import (
 from repro.trace.record import TraceRecord
 from repro.trace.source import FileSource, InMemorySource, TraceSource
 from repro.trace.stats import TraceStatistics, measure_trace
-from repro.utils.registry import Registry, RegistryError
+from repro.utils.registry import Registry
 from repro.workloads.tracegen import build_tracer, generate_workload_trace
 
 #: Named processor configurations (Table 1's two machines).  Register
@@ -100,17 +95,14 @@ _SPEC_KEYS = frozenset((
 ))
 
 
-def _coerce_engine(value: object) -> str:
-    """Validate an engine-tier name from a spec or keyword."""
-    if not isinstance(value, str):
+def coerce_engine(value: object) -> str:
+    """Validate an engine-tier name from a spec, keyword or option —
+    the one engine-name check every entry point shares."""
+    if value not in ENGINE_TIERS:
         raise SessionError(
-            f"spec 'engine' must be a registered engine-tier name, "
-            f"got {value!r}")
-    try:
-        ENGINES.get(value)
-    except RegistryError as error:
-        raise SessionError(str(error)) from None
-    return value
+            f"unknown engine tier {value!r}; known: "
+            f"{', '.join(ENGINE_TIERS)}")
+    return str(value)
 
 
 def _coerce_segments(value: object) -> tuple[int, int]:
@@ -327,10 +319,10 @@ class SessionResult:
     start_pc: int | None = None
     spec: dict | None = None
     #: The engine tier that actually executed the run ("reference" |
-    #: "specialized") — may differ from the requested tier when tier
-    #: selection fell back; informational only, deliberately absent
-    #: from :meth:`to_dict` (both tiers are bit-identical, so result
-    #: documents must not differ by tier).
+    #: "specialized", see :func:`~repro.core.specialize.choose_tier`);
+    #: informational only, deliberately absent from :meth:`to_dict`
+    #: (both tiers are bit-identical, so result documents must not
+    #: differ by tier).
     engine_tier: str = "reference"
 
     @property
@@ -417,7 +409,7 @@ class Simulation:
                 "for_workload / for_trace_file / for_records / "
                 "for_program or from_spec"
             )
-        self._engine = _coerce_engine(engine)
+        self._engine = coerce_engine(engine)
         self._config = config
         self._source = source
         self._budget = budget
@@ -777,12 +769,13 @@ class Simulation:
 
     def with_engine(self, engine: str) -> Simulation:
         """Select the engine tier executing this run (a name from
-        :data:`repro.core.specialize.ENGINES`; ``"specialized"`` is
-        the config-compiled fast path).  Every tier is bit-identical
-        to the reference engine; requests a tier cannot honour
-        (observers, warmup/ROI windows, subclassed configs) fall back
-        to the reference tier transparently."""
-        return self._replace(_engine=_coerce_engine(engine))
+        :data:`repro.core.specialize.ENGINE_TIERS`; ``"specialized"``
+        is the config-compiled fast path, bit-identical to the
+        reference engine).  :func:`~repro.core.specialize.choose_tier`
+        still runs ``reference`` when the run needs the engine between
+        cycles (hook-overriding observers, ``stop_when``) or carries
+        subclassed configs."""
+        return self._replace(_engine=coerce_engine(engine))
 
     # -- introspection -------------------------------------------------
 
@@ -804,8 +797,8 @@ class Simulation:
 
     @property
     def engine(self) -> str:
-        """The requested engine tier (tier selection may still fall
-        back to ``"reference"`` at :meth:`build_engine` time)."""
+        """The requested engine tier (:meth:`build_engine` applies
+        :func:`~repro.core.specialize.choose_tier` to it)."""
         return self._engine
 
     def describe(self) -> str:
@@ -837,38 +830,28 @@ class Simulation:
             self,
             trace: Sequence[TraceRecord] | TraceSource | None = None,
     ) -> ReSimEngine | SpecializedEngine:
-        """Construct the configured engine, observers attached.
+        """Construct the engine for this run, on the tier
+        :func:`~repro.core.specialize.choose_tier` picks.
 
         ``trace`` overrides the prepared source — the streaming
-        co-simulation driver passes its growing input FIFO here while
-        keeping the facade's start PC and observer wiring.  A trace
-        override always uses the reference engine (step-wise driving
-        is a reference-tier feature); otherwise the requested tier is
-        resolved through :func:`repro.core.specialize.create_engine`,
-        which falls back to the reference tier for requests the
-        specialized tier cannot honour.
+        co-simulation driver passes its growing input FIFO here and
+        drives the engine step by step, so an override always gets the
+        reference engine, with the facade's start PC and observers.
         """
+        prepared = self.prepare()
+        start_pc = (self._start_pc if self._start_pc is not None
+                    else prepared.start_pc)
+        tier = choose_tier(self._engine, self._config,
+                           observers=self._observers,
+                           stop_when=self._stop_when,
+                           stepwise=trace is not None)
+        if tier == "specialized":
+            return SpecializedEngine(
+                self._config, prepared.open_source(), start_pc=start_pc,
+                update_predictor_at_commit=self._update_at_commit,
+                wrong_path_free=self._wrong_path_free(prepared))
         if trace is None:
-            prepared = self.prepare()
             trace = prepared.open_source()
-            start_pc = (self._start_pc if self._start_pc is not None
-                        else prepared.start_pc)
-            if self._engine != "reference":
-                request = EngineRequest(
-                    config=self._config,
-                    trace=trace,
-                    start_pc=start_pc,
-                    update_predictor_at_commit=self._update_at_commit,
-                    observers=self._observers,
-                    warmup_instructions=self._warmup,
-                    roi_instructions=self._roi,
-                    stop_when=self._stop_when,
-                    wrong_path_free=self._wrong_path_free(prepared),
-                )
-                return create_engine(self._engine, request)
-        else:
-            start_pc = (self._start_pc if self._start_pc is not None
-                        else self.prepare().start_pc)
         engine = ReSimEngine(
             self._config, trace, start_pc=start_pc,
             update_predictor_at_commit=self._update_at_commit,

@@ -56,8 +56,6 @@ from pathlib import Path
 from collections.abc import Callable, Sequence
 
 from repro.bpred.unit import PredictorConfig
-from repro.core.specialize import ENGINES
-from repro.utils.registry import RegistryError
 from repro.exec import (
     DEFAULT_REGIONS,
     DEFAULT_WARMUP_SEGMENTS,
@@ -79,6 +77,7 @@ from repro.serialize import (
     config_to_dict,
     stats_from_dict,
 )
+from repro.session import SessionError, coerce_engine
 from repro.sweep.progress import SweepProgress
 from repro.sweep.result import SweepOutcome, SweepResult
 from repro.sweep.spec import SweepError, SweepPoint, SweepSpec
@@ -251,8 +250,8 @@ class SweepRunner:
             sampling, shards=shards, regions=regions, seed=region_seed,
             warmup_segments=region_warmup)
         try:
-            ENGINES.get(engine)
-        except RegistryError as error:
+            coerce_engine(engine)
+        except SessionError as error:
             raise SweepError(str(error)) from None
         self._is_synthetic = workload in SPECINT_PROFILES
         self.spec = spec

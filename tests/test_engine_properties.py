@@ -3,16 +3,26 @@ arbitrary well-formed traces.
 
 The strategy builds random traces with the same structural contract as
 the real generators: wrong-path blocks appear only immediately after
-conditional-branch records, and contain only tagged records.
+conditional-branch records, and contain only tagged records.  The same
+traces drive the generated oracle: the specialized engine must match
+the reference engine's statistics document byte for byte.
 """
+
+import json
+import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
 from repro.bpred.unit import PERFECT_PREDICTOR
-from repro.core import ReSimEngine
+from repro.core import ReSimEngine, SpecializedEngine, WarmupWindowError
 from repro.core.config import ProcessorConfig
 from repro.isa.opcodes import BranchKind, FuClass
+from repro.serialize import stats_to_dict
+from repro.session import CONFIGS
+from repro.trace.fileio import write_trace_file
 from repro.trace.record import BranchRecord, MemoryRecord, OtherRecord
+from repro.trace.source import FileSource
 
 CONFIG = ProcessorConfig(predictor=PERFECT_PREDICTOR)
 
@@ -40,14 +50,15 @@ def plain_record(draw, tag=False):
 
 
 @st.composite
-def structured_trace(draw):
-    """Correct-path records with optional tagged blocks after branches."""
+def structured_trace(draw, wrong_path=True, max_segments=12):
+    """Correct-path records with optional tagged blocks after branches
+    (none when ``wrong_path`` is false)."""
     segments = draw(st.lists(st.tuples(
         st.lists(plain_record(), min_size=1, max_size=8),
         st.booleans(),   # append a branch?
         st.booleans(),   # branch taken?
-        st.integers(min_value=0, max_value=6),  # wrong-path block length
-    ), min_size=1, max_size=12))
+        st.integers(min_value=0, max_value=6 if wrong_path else 0),
+    ), min_size=1, max_size=max_segments))
     trace = []
     for body, with_branch, taken, block_length in segments:
         trace.extend(body)
@@ -144,3 +155,63 @@ def test_determinism_property(trace):
     assert a.major_cycles == b.major_cycles
     assert int(a.stats.fetched_instructions) == \
         int(b.stats.fetched_instructions)
+
+
+def _outcome(engine, **window):
+    """The statistics document, or the warmup error both tiers must
+    raise alike."""
+    try:
+        stats = engine.run(**window).stats
+    except WarmupWindowError as error:
+        return f"WarmupWindowError: {error}"
+    return json.dumps(stats_to_dict(stats), sort_keys=True)
+
+
+@st.composite
+def oracle_case(draw):
+    """A trace, a registry config, a trace source and a warmup/ROI
+    window for the reference-vs-specialized oracle."""
+    wrong_path = draw(st.booleans())
+    trace = draw(structured_trace(wrong_path=wrong_path, max_segments=24))
+    config = CONFIGS.get(draw(st.sampled_from(sorted(CONFIGS))))
+    segment_records = draw(st.sampled_from([8, 16, 32]))
+    segments = -(-len(trace) // segment_records)
+    lo = draw(st.integers(min_value=0, max_value=segments - 1))
+    hi = draw(st.integers(min_value=lo + 1, max_value=segments))
+    source = draw(st.sampled_from(["memory", "file"]))
+    replayed = trace
+    if source == "file":
+        replayed = trace[lo * segment_records:hi * segment_records]
+    commits = sum(1 for record in replayed if not record.tag)
+    warmup = draw(st.sampled_from(
+        sorted({0, 1, commits // 2, max(commits - 1, 0)})))
+    roi = draw(st.one_of(st.none(),
+                         st.integers(min_value=1,
+                                     max_value=max(commits, 1))))
+    return (trace, config, segment_records, source, (lo, hi),
+            dict(warmup_instructions=warmup, roi_instructions=roi))
+
+
+@settings(max_examples=80, deadline=None)
+@given(oracle_case())
+def test_specialized_matches_reference(case):
+    """Generated oracle: reference and specialized engines agree, byte
+    for byte, across warmup/ROI windows, both registry configs, an
+    in-memory trace and a v2 FileSource segment range, with and
+    without wrong paths."""
+    trace, config, segment_records, source, segments, window = case
+    wrong_path_free = not any(record.tag for record in trace)
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "trace.rtrc"
+        write_trace_file(path, trace, segment_records=segment_records)
+
+        def make():
+            if source == "memory":
+                return list(trace)
+            return FileSource(path, segments=segments)
+
+        reference = _outcome(ReSimEngine(config, make()), **window)
+        specialized = _outcome(
+            SpecializedEngine(config, make(),
+                              wrong_path_free=wrong_path_free), **window)
+    assert specialized == reference

@@ -212,6 +212,56 @@ class TestDirectoryQueue:
         assert not list(paths.leases.glob("*.json"))
         assert len(list(paths.done.glob("*.json"))) == 2
 
+    def test_heartbeat_keeps_long_unit_leased(self, trace_file,
+                                              tmp_path, monkeypatch):
+        """A unit slower than the heartbeat interval keeps its lease
+        mtime advancing, runs on the tier it asked for, and its lease
+        is never touched once completed."""
+        from repro.exec import worker
+
+        unit = WorkUnit.for_trace("spec", trace_file, "4wide-perfect",
+                                  tmp_path / "spec.json",
+                                  engine="specialized")
+        paths = queue_paths(tmp_path / "queue")
+        enqueue(paths, unit)
+        lease = claim_next(paths)
+        events, tiers, mtimes = [], [], []
+        touch, complete = worker.touch_lease, worker.complete_lease
+        build_engine = Simulation.build_engine
+
+        def recording_touch(path):
+            events.append("touch")
+            touch(path)
+
+        def recording_complete(queue, path):
+            events.append("complete")
+            complete(queue, path)
+
+        def recording_build(simulation, trace=None):
+            engine = build_engine(simulation, trace)
+            tiers.append(getattr(engine, "tier", "reference"))
+            return engine
+
+        def slow_execute(unit):
+            mtimes.append(lease.stat().st_mtime_ns)
+            payload = execute_unit(unit)
+            time.sleep(0.5)  # ten 0.05 s heartbeat intervals
+            mtimes.append(lease.stat().st_mtime_ns)
+            return payload
+
+        monkeypatch.setattr(worker, "touch_lease", recording_touch)
+        monkeypatch.setattr(worker, "complete_lease", recording_complete)
+        monkeypatch.setattr(worker, "execute_unit", slow_execute)
+        monkeypatch.setattr(Simulation, "build_engine", recording_build)
+        assert worker.process_one(paths, lease, lease_seconds=0.2)
+        time.sleep(0.3)  # a leaked heartbeat would touch again here
+        assert mtimes[1] > mtimes[0]
+        assert events.count("touch") >= 2
+        assert events[-1] == "complete"
+        assert events.count("complete") == 1
+        assert tiers == ["specialized"]
+        assert "stats" in load_unit_result(unit.result_path)
+
     def test_worker_skips_already_satisfied_unit(self, trace_file,
                                                  tmp_path):
         unit = make_unit(trace_file, tmp_path, rob=8)

@@ -5,8 +5,8 @@ The specialized tier is only allowed to exist because it is
 ``SimulationStatistics`` document, byte for byte, on every config,
 workload, trace source, and training mode.  These tests enforce that
 contract with the reference engine as oracle, then cover the
-machinery around it: the codegen cache, tier selection and fallback,
-spec round-trips, work-unit / sweep / CLI / service wiring.
+machinery around it: the codegen cache, the tier rule, spec
+round-trips, work-unit / sweep / CLI / service wiring.
 """
 
 import dataclasses
@@ -23,19 +23,20 @@ from repro.core import (
     ReSimEngine,
     SpecializationError,
     SpecializedEngine,
+    WarmupWindowError,
 )
+from repro.cache.cache import CacheConfig
 from repro.core.observers import ProgressObserver
 from repro.core.specialize import (
-    ENGINES,
-    EngineRequest,
+    ENGINE_TIERS,
+    choose_tier,
     clear_codegen_cache,
     codegen_cache_info,
     compile_engine,
-    create_engine,
     engine_cache_key,
-    selected_tier,
 )
 from repro.exec import (
+    LeaseHeartbeat,
     ProcessPoolBackend,
     SerialBackend,
     WorkUnit,
@@ -107,6 +108,24 @@ class TestBitIdentity:
                 specialized = SpecializedEngine(config, make()).run()
                 assert _doc(specialized.stats) == _doc(reference.stats)
 
+    @pytest.mark.parametrize("window", (
+        {"warmup_instructions": 1},
+        {"warmup_instructions": 500},
+        {"roi_instructions": 300},
+        {"warmup_instructions": 400, "roi_instructions": 250},
+    ), ids=("warmup1", "warmup", "roi", "warmup-roi"))
+    def test_warmup_and_roi_windows(self, window, tmp_path):
+        records = list(_records("gzip"))
+        path = tmp_path / "trace.v2"
+        write_trace_file(path, records, segment_records=256)
+        sources = (lambda: list(records), lambda: FileSource(path))
+        for config in (PAPER_4WIDE_PERFECT, PAPER_2WIDE_CACHE):
+            for make in sources:
+                reference = ReSimEngine(config, make()).run(**window)
+                specialized = SpecializedEngine(
+                    config, make()).run(**window)
+                assert _doc(specialized.stats) == _doc(reference.stats)
+
     def test_session_runs_identical_across_tiers(self):
         base = Simulation.for_workload("gzip", PAPER_4WIDE_PERFECT,
                                        budget=BUDGET)
@@ -148,10 +167,16 @@ class TestSpecializedEngineGuards:
             engine.run()
 
     def test_instrumentation_windows_rejected(self):
+        """Warmup and ROI are compiled in; a stop_when predicate needs
+        the engine between cycles and stays a reference feature."""
         engine = SpecializedEngine(PAPER_4WIDE_PERFECT,
                                    list(_records("gzip")))
         with pytest.raises(SpecializationError):
-            engine.run(warmup_instructions=10)
+            engine.run(stop_when=lambda engine: False)
+        with pytest.raises(ValueError, match="warmup_instructions"):
+            engine.run(warmup_instructions=-1)
+        with pytest.raises(ValueError, match="roi_instructions"):
+            engine.run(roi_instructions=0)
 
     def test_wrong_path_free_guard_trips_on_tagged_records(self):
         records = list(_records("gzip"))
@@ -209,6 +234,16 @@ class TestCodegenCache:
         }
         assert len(keys) == 8
 
+    def test_one_function_for_every_window(self):
+        """Window bounds are run-time arguments: runs with and without
+        warmup/ROI windows share one compiled function."""
+        records = list(_records("gzip", 400))
+        for warmup, roi in ((0, None), (10, None), (200, None), (0, 50),
+                            (5, 7)):
+            SpecializedEngine(PAPER_4WIDE_PERFECT, records).run(
+                warmup_instructions=warmup, roi_instructions=roi)
+        assert codegen_cache_info()["entries"] == 1
+
     def test_thread_safe_compilation(self):
         results = []
 
@@ -245,48 +280,81 @@ class TestCodegenCache:
 
 
 # ---------------------------------------------------------------------------
-# tier selection and fallback
+# the tier rule
 
 
-def _request(**overrides) -> EngineRequest:
-    defaults = dict(config=PAPER_4WIDE_PERFECT,
-                    trace=list(_records("gzip", 64)))
-    defaults.update(overrides)
-    return EngineRequest(**defaults)
+def _simulation(config=PAPER_4WIDE_PERFECT) -> Simulation:
+    return Simulation.for_records(list(_records("gzip", 64)),
+                                  config).with_engine("specialized")
+
+
+def _fields(config) -> dict:
+    return {f.name: getattr(config, f.name)
+            for f in dataclasses.fields(config)}
 
 
 class TestTierSelection:
     def test_registry_names(self):
-        assert sorted(ENGINES) == ["reference", "specialized"]
+        assert ENGINE_TIERS == ("reference", "specialized")
 
     def test_plain_request_specializes(self):
-        assert selected_tier("specialized", _request()) == "specialized"
-        engine = create_engine("specialized", _request())
-        assert isinstance(engine, SpecializedEngine)
+        assert choose_tier("specialized",
+                           PAPER_4WIDE_PERFECT) == "specialized"
+        assert choose_tier("reference",
+                           PAPER_4WIDE_PERFECT) == "reference"
+        assert isinstance(_simulation().build_engine(), SpecializedEngine)
 
     def test_observers_force_reference(self):
-        request = _request(observers=(ProgressObserver(100),))
-        assert selected_tier("specialized", request) == "reference"
-        assert isinstance(create_engine("specialized", request),
-                          ReSimEngine)
+        assert choose_tier("specialized", PAPER_4WIDE_PERFECT,
+                           observers=(ProgressObserver(100),)) \
+            == "reference"
+        observed = _simulation().with_observer(ProgressObserver(100))
+        assert isinstance(observed.build_engine(), ReSimEngine)
+
+    def test_hookless_observer_keeps_specialized(self, tmp_path):
+        heartbeat = LeaseHeartbeat(tmp_path / "lease.json",
+                                   interval_seconds=1.0)
+        assert choose_tier("specialized", PAPER_4WIDE_PERFECT,
+                           observers=(heartbeat,)) == "specialized"
+        attached = _simulation().with_observer(heartbeat)
+        assert isinstance(attached.build_engine(), SpecializedEngine)
 
     @pytest.mark.parametrize("overrides", (
+        {"stop_when": lambda engine: False},
+        {"stepwise": True},
+    ), ids=("stop_when", "stepwise"))
+    def test_instrumentation_windows_force_reference(self, overrides):
+        assert choose_tier("specialized", PAPER_4WIDE_PERFECT,
+                           **overrides) == "reference"
+
+    @pytest.mark.parametrize("window", (
         {"warmup_instructions": 50},
         {"roi_instructions": 100},
-        {"stop_when": lambda engine: False},
-    ), ids=("warmup", "roi", "stop_when"))
-    def test_instrumentation_windows_force_reference(self, overrides):
-        assert selected_tier("specialized",
-                             _request(**overrides)) == "reference"
+    ), ids=("warmup", "roi"))
+    def test_commit_windows_specialize(self, window):
+        simulation = _simulation()
+        if "warmup_instructions" in window:
+            simulation = simulation.with_warmup(
+                window["warmup_instructions"])
+        else:
+            simulation = simulation.with_roi(window["roi_instructions"])
+        assert isinstance(simulation.build_engine(), SpecializedEngine)
 
     def test_subclassed_config_forces_reference(self):
         class TweakedConfig(ProcessorConfig):
             pass
 
-        fields = {f.name: getattr(PAPER_4WIDE_PERFECT, f.name)
-                  for f in dataclasses.fields(ProcessorConfig)}
-        request = _request(config=TweakedConfig(**fields))
-        assert selected_tier("specialized", request) == "reference"
+        class TweakedCache(CacheConfig):
+            pass
+
+        tweaked = TweakedConfig(**_fields(PAPER_4WIDE_PERFECT))
+        assert choose_tier("specialized", tweaked) == "reference"
+        assert isinstance(_simulation(tweaked).build_engine(), ReSimEngine)
+        for cache in ("icache", "dcache"):
+            config = dataclasses.replace(PAPER_2WIDE_CACHE, **{
+                cache: TweakedCache(**_fields(
+                    getattr(PAPER_2WIDE_CACHE, cache)))})
+            assert choose_tier("specialized", config) == "reference"
 
     def test_session_fallback_is_observable(self):
         base = Simulation.for_workload("gzip", PAPER_4WIDE_PERFECT,
@@ -296,7 +364,32 @@ class TestTierSelection:
         observed = specialized.with_observer(ProgressObserver(10_000))
         assert observed.run().engine_tier == "reference"
         windowed = specialized.with_warmup(50)
-        assert windowed.run().engine_tier == "reference"
+        assert windowed.run().engine_tier == "specialized"
+        assert specialized.with_roi(50).run().engine_tier == "specialized"
+
+
+class TestWarmupWindow:
+    """A warmup window the trace cannot fill must fail loudly on both
+    tiers, never yield an all-zero statistics document."""
+
+    @pytest.mark.parametrize("engine", ENGINE_TIERS)
+    def test_warmup_that_drains_the_trace_raises(self, engine):
+        simulation = Simulation.for_workload(
+            "gzip", PAPER_4WIDE_PERFECT,
+            budget=200).with_engine(engine).with_warmup(10**6)
+        with pytest.raises(WarmupWindowError, match="1000000-instruction"):
+            simulation.run()
+
+    @pytest.mark.parametrize("engine", ENGINE_TIERS)
+    def test_warmup_ending_at_the_last_commit_raises(self, engine):
+        records = list(_records("gzip", 400))
+        committed = sum(1 for record in records if not record.tag)
+        simulation = Simulation.for_records(
+            records, PAPER_4WIDE_PERFECT).with_engine(engine)
+        with pytest.raises(WarmupWindowError):
+            simulation.with_warmup(committed).run()
+        stats = simulation.with_warmup(committed - 20).run().stats
+        assert 0 < int(stats.committed_instructions) <= 20
 
 
 # ---------------------------------------------------------------------------

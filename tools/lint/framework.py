@@ -39,6 +39,7 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from collections.abc import Callable, Iterable, Iterator
 
@@ -129,6 +130,34 @@ class FileContext:
         for node in ast.walk(self.tree):
             if not types or isinstance(node, types):
                 yield node
+
+    # -- import tables (built once per file; rules query them per
+    # call node, so rescanning the tree each time is quadratic) --------
+
+    @cached_property
+    def module_aliases(self) -> dict[str, frozenset[str]]:
+        """``import m [as a]`` bindings: module -> local names."""
+        table: dict[str, set[str]] = {}
+        for node in self.walk(ast.Import):
+            for alias in node.names:
+                table.setdefault(alias.name, set()).add(
+                    alias.asname or alias.name)
+        return {module: frozenset(names)
+                for module, names in table.items()}
+
+    @cached_property
+    def from_imports(self) -> dict[str, frozenset[str]]:
+        """``from m import n [as a]`` bindings: module -> local
+        names."""
+        table: dict[str, set[str]] = {}
+        for node in self.walk(ast.ImportFrom):
+            if node.module is None:
+                continue
+            for alias in node.names:
+                table.setdefault(node.module, set()).add(
+                    alias.asname or alias.name)
+        return {module: frozenset(names)
+                for module, names in table.items()}
 
 
 def _parse_suppressions(source: str) -> list[Suppression]:
@@ -249,26 +278,16 @@ def call_name(node: ast.Call) -> str | None:
     return dotted_name(node.func)
 
 
-def import_aliases(ctx: FileContext, module: str) -> set[str]:
+def import_aliases(ctx: FileContext, module: str) -> frozenset[str]:
     """Names under which ``module`` is imported in this file
     (``import random`` -> {"random"}; ``import random as rnd`` ->
     {"rnd"})."""
-    aliases: set[str] = set()
-    for node in ctx.walk(ast.Import):
-        for alias in node.names:
-            if alias.name == module:
-                aliases.add(alias.asname or alias.name)
-    return aliases
+    return ctx.module_aliases.get(module, frozenset())
 
 
-def names_imported_from(ctx: FileContext, module: str) -> set[str]:
+def names_imported_from(ctx: FileContext, module: str) -> frozenset[str]:
     """Local names bound by ``from <module> import ...``."""
-    names: set[str] = set()
-    for node in ctx.walk(ast.ImportFrom):
-        if node.module == module:
-            for alias in node.names:
-                names.add(alias.asname or alias.name)
-    return names
+    return ctx.from_imports.get(module, frozenset())
 
 
 # -- runner -----------------------------------------------------------
