@@ -59,7 +59,7 @@ from repro.fpga.area import AreaEstimator
 from repro.fpga.device import DEVICES, VIRTEX4_LX40, VIRTEX5_LX50T
 from repro.fpga.vhdlgen import generate_branch_predictor_vhdl
 from repro.multicore.simulator import MultiCoreSimulator, TraceChannel
-from repro.core.specialize import ENGINE_TIERS
+from repro.core.specialize import DEFAULT_ENGINE, ENGINE_TIERS
 from repro.session import CONFIGS, SessionError, Simulation
 from repro.trace.fileio import (
     DEFAULT_SEGMENT_RECORDS,
@@ -916,10 +916,12 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--progress-records", type=int,
                           default=100_000,
                           help="records between progress lines")
-    simulate.add_argument("--engine", default="reference",
-                          help=f"engine tier ({', '.join(ENGINE_TIERS)}); "
-                               f"tiers are bit-identical, 'specialized' "
-                               f"compiles the config into a fast path")
+    simulate.add_argument("--engine", default=DEFAULT_ENGINE,
+                          help=f"engine tier ({', '.join(ENGINE_TIERS)}; "
+                               f"default {DEFAULT_ENGINE}); tiers are "
+                               f"bit-identical: 'specialized' compiles "
+                               f"the config into a fast path, "
+                               f"'reference' is the interpreted oracle")
     add_sampling(simulate, "with --trace-file: estimate the run")
     simulate.set_defaults(func=cmd_simulate)
 
@@ -999,9 +1001,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "planner's boundary granularity)")
         add_sampling(p, "estimate every design point",
                      "; mutually exclusive with --shards")
-        p.add_argument("--engine", default="reference",
+        p.add_argument("--engine", default=DEFAULT_ENGINE,
                        help=f"engine tier executing every point "
-                            f"({', '.join(ENGINE_TIERS)}); tiers are "
+                            f"({', '.join(ENGINE_TIERS)}; default "
+                            f"{DEFAULT_ENGINE}); tiers are "
                             f"bit-identical, so checkpoints and cache "
                             f"keys are shared across them")
         p.add_argument("--progress", action="store_true",

@@ -36,7 +36,10 @@ class ProgressObserver(EngineObserver):
     ``Simulation.with_observer(...)``, or the ``--progress`` flag of
     ``resim simulate``.  Overrides only :meth:`on_cycle`, so the
     zero-observer hot loop is untouched and the attached cost is one
-    integer compare per major cycle.
+    integer compare per major cycle.  That also keeps a run on the
+    specialized tier: its generated engine calls :meth:`on_cycle`
+    from a record tick bounded by :attr:`next_threshold`, so with
+    ``min_seconds=0`` both tiers print the same lines.
     """
 
     def __init__(
@@ -58,6 +61,12 @@ class ProgressObserver(EngineObserver):
         self._next_threshold = every_records
         self._last_emit = 0.0
         self.lines_emitted = 0
+
+    @property
+    def next_threshold(self) -> int:
+        """The consumed-record count at which :meth:`on_cycle` next
+        has anything to do."""
+        return self._next_threshold
 
     def on_cycle(self, engine: ReSimEngine) -> None:
         consumed = engine.cursor_position

@@ -20,14 +20,17 @@ This module applies that move to ReSim:
 * :class:`SpecializedEngine` wraps the compiled function behind the
   reference engine's ``run()`` shape — warmup and ROI windows
   included, compiled into the commit stage as integer comparisons
-  against run-time arguments — and rebuilds the exact
-  :class:`~repro.core.stats.SimulationStatistics` from the returned
-  counters;
+  against run-time arguments, and a record tick serving
+  :class:`~repro.core.observers.ProgressObserver` — and rebuilds the
+  exact :class:`~repro.core.stats.SimulationStatistics` from the
+  returned counters;
 * :func:`choose_tier` is the one tier rule: a run executes on
-  ``specialized`` unless ``reference`` was requested or the run needs
-  the engine between cycles (hook-overriding observers, ``stop_when``,
-  step-wise driving) or carries subclassed configs whose overridden
-  behaviour the generator cannot see.
+  ``specialized`` — :data:`DEFAULT_ENGINE`, the tier every entry
+  point runs unless told otherwise — unless ``reference`` was
+  requested or the run needs the engine between cycles
+  (hook-overriding observers other than progress reporting,
+  ``stop_when``, step-wise driving) or carries subclassed configs
+  whose overridden behaviour the generator cannot see.
 
 The contract is **bit-identity**: for every run it accepts the
 specialized engine produces the same ``SimulationStatistics`` — and
@@ -61,6 +64,7 @@ from repro.core.engine import (
     check_window,
     overrides_hook,
 )
+from repro.core.observers import ProgressObserver
 from repro.core.stats import Counter64, OccupancySampler, SimulationStatistics
 from repro.isa.instruction import INSTRUCTION_BYTES
 from repro.isa.opcodes import FuClass
@@ -73,9 +77,24 @@ from repro.trace.source import InMemorySource, TraceSource, as_source
 #: fast path, bit-identical to it.
 ENGINE_TIERS = ("reference", "specialized")
 
+#: The tier every entry point runs unless told otherwise: the
+#: generated simulator *is* the simulator, and ``reference`` stays
+#: the oracle a run selects explicitly.  Specs omit ``"engine"`` when
+#: it names this tier.
+DEFAULT_ENGINE = "specialized"
+
 
 class SpecializationError(ValueError):
     """A request the specialized tier cannot honour was forced on it."""
+
+
+def _ticked(observer: EngineObserver) -> bool:
+    """Is ``observer`` served by the generated engine's record tick?
+    True for a :class:`ProgressObserver` whose only hook is the stock
+    ``on_cycle`` (a subclass may still override ``emit``)."""
+    return (type(observer).on_cycle is ProgressObserver.on_cycle
+            and not overrides_hook(observer, "on_commit")
+            and not overrides_hook(observer, "on_recovery"))
 
 
 def choose_tier(
@@ -89,13 +108,14 @@ def choose_tier(
     """The tier a run executes on — the one tier rule.
 
     ``reference`` when it was requested, when the run needs the engine
-    between cycles (an observer overriding a hook, a ``stop_when``
-    predicate, step-wise driving), or when the config or either cache
-    config is a subclass whose overridden behaviour the generator
-    cannot see; ``specialized`` otherwise.
+    between cycles (an observer overriding a hook, progress reporting
+    aside, a ``stop_when`` predicate, step-wise driving), or when the
+    config or either cache config is a subclass whose overridden
+    behaviour the generator cannot see; ``specialized`` otherwise.
     """
     if (requested == "reference" or stop_when is not None or stepwise
-            or any(overrides_hook(observer) for observer in observers)
+            or any(overrides_hook(observer) and not _ticked(observer)
+                   for observer in observers)
             or type(config) is not ProcessorConfig
             or type(config.icache) is not CacheConfig
             or type(config.dcache) is not CacheConfig):
@@ -254,7 +274,11 @@ def _engine_source(
     predictor training, and wrong-path handling present vs compiled
     out (sound only for traces proven wrong-path-free).  Warmup and
     ROI bounds are run-time arguments — two integer comparisons per
-    cycle — so every window shares one compiled function.
+    cycle — so every window shares one compiled function.  So is the
+    record tick: once ``tick`` records are consumed the engine calls
+    ``on_tick(cycle, consumed, counters)`` after the cycle and takes
+    the next bound from its return value (``math.inf`` when nothing
+    observes the run).
     """
     width = config.width
     perfect = config.perfect_memory
@@ -270,7 +294,8 @@ def _engine_source(
     emit(f"""
 # Generated by repro.core.specialize for one ProcessorConfig.
 # Bit-identical transcription of repro.core.engine.ReSimEngine.
-def run_trace(trace, start_pc, bpred, memory, max_cycles, warmup, roi):
+def run_trace(trace, start_pc, bpred, memory, max_cycles, warmup, roi,
+              tick, on_tick):
     Op = _Op
     MemRec = _MemoryRecord
     BrRec = _BranchRecord
@@ -294,10 +319,12 @@ def run_trace(trace, start_pc, bpred, memory, max_cycles, warmup, roi):
 """)
     emit("".join(f"{name} = 0\n" for name in _COUNTER_LOCALS), indent=4)
     # The cycle budget keeps counting from the start of the run; the
-    # reported cycle count starts where warmup ended (base).
+    # reported cycle count starts where warmup ended (base), and the
+    # records consumed before it (cons_off) keep counting for the tick.
     emit("""
     warming = warmup > 0
     base = 0
+    cons_off = 0
 """)
     if inline_source:
         emit("""
@@ -795,25 +822,32 @@ def run_trace(trace, start_pc, bpred, memory, max_cycles, warmup, roi):
             lsq_peak = n
 """)
 
-    # ---- warmup/ROI windows + return ----
+    # ---- record tick, warmup/ROI windows, return ----
+    # Tick: where the reference dispatches on_cycle hooks, once the
+    # bound is reached (tick is inf when nothing observes the run).
     # Warmup: once c_commit reaches it, reset every statistic but keep
     # the machine warm; ROI: stop after the cycle in which post-warmup
-    # commits reach it (roi is inf when unset).  The in-memory variant
-    # also returns how many records it consumed.
-    counters = ", ".join(_COUNTER_LOCALS + (("idx",) if inline_source else ()))
+    # commits reach it (roi is inf when unset).  The run also returns
+    # its absolute cycle count and how many records it consumed.
+    counters = ", ".join(_COUNTER_LOCALS)
     emit(f"""
+        if c_cons >= tick:
+            tick = on_tick(cycle, c_cons + cons_off,
+                           (cycle - base, {counters})) - cons_off
         if warming:
             if c_commit >= warmup:
                 if {done}:
                     raise WarmupWindowError(warmup, c_commit)
                 warming = False
                 base = cycle
+                tick -= c_cons
+                cons_off += c_cons
                 {" = ".join(_COUNTER_LOCALS)} = 0
         elif c_commit >= roi:
             break
     if warming:
         raise WarmupWindowError(warmup, c_commit)
-    return (cycle - base, {counters})
+    return (cycle - base, {counters}, cycle, c_cons + cons_off)
 """)
     return "\n".join(lines) + "\n"
 
@@ -957,9 +991,13 @@ class SpecializedEngine:
     Exposes the slice of the reference engine surface the session
     layer drives (``run``, ``stats``, ``config``, ``predictor``,
     ``source``); step-wise driving, observer hooks and ``stop_when``
-    are reference-tier features (see :func:`choose_tier`).  Each
-    instance runs once: the generated function consumes the source in
-    one call.
+    are reference-tier features (see :func:`choose_tier`).  Progress
+    observers are the exception: the record tick calls their
+    ``on_cycle`` with this engine, whose ``cycle``,
+    ``cursor_position``, ``total_records`` and ``stats`` then read as
+    the reference engine's would after the same cycle.  Each instance
+    runs once: the generated function consumes the source in one
+    call.
     """
 
     name = "specialized"
@@ -973,7 +1011,15 @@ class SpecializedEngine:
         update_predictor_at_commit: bool = True,
         *,
         wrong_path_free: bool = False,
+        observers: Sequence[EngineObserver] = (),
     ) -> None:
+        progress = tuple(observer for observer in observers
+                         if overrides_hook(observer))
+        if not all(_ticked(observer) for observer in progress):
+            raise SpecializationError(
+                "observer hooks other than progress reporting need the "
+                "engine between cycles; run them on the reference tier")
+        self._progress = progress
         self._config = config
         source = as_source(trace)
         self._source = source
@@ -990,7 +1036,10 @@ class SpecializedEngine:
             else MemorySystem(config.icache, config.dcache,
                               config.memory_latency))
         self._ran = False
-        self.stats = SimulationStatistics()
+        self._cycle = 0
+        self._consumed = source.consumed
+        self._raw: tuple | None = None
+        self._stats = SimulationStatistics()
         self._run_fn = compile_engine(
             config,
             update_at_commit=update_predictor_at_commit,
@@ -1013,6 +1062,26 @@ class SpecializedEngine:
     @property
     def total_records(self) -> int:
         return self._source.total_records
+
+    @property
+    def cycle(self) -> int:
+        """Major cycles simulated, warmup included (as of the last
+        tick while running)."""
+        return self._cycle
+
+    @property
+    def cursor_position(self) -> int:
+        """Trace records consumed (as of the last tick while
+        running)."""
+        return self._consumed
+
+    @property
+    def stats(self) -> SimulationStatistics:
+        """The statistics — live at a tick, final after ``run()``;
+        built on first read, so a tick nobody reports costs nothing."""
+        if self._stats is None:
+            self._stats = _stats_from_raw(self._raw)
+        return self._stats
 
     @property
     def generated_source(self) -> str:
@@ -1043,14 +1112,40 @@ class SpecializedEngine:
         if max_cycles is None:
             max_cycles = 64 * max(1, self._source.total_records) + 10_000
         roi = math.inf if roi_instructions is None else roi_instructions
+        tick, on_tick = self._tick()
         trace = self._records if self._records is not None else self._source
         raw = self._run_fn(trace, self._start_pc, self._bpred,
                            self._memory, max_cycles, warmup_instructions,
-                           roi)
+                           roi, tick, on_tick)
         if self._records is not None:
             # Keep the wrapped cursor consistent with consumption.
             for _ in range(raw[-1]):
                 self._source.next()
-        self.stats = _stats_from_raw(raw)
+        self._cycle = raw[-2]
+        self._consumed = self._source.consumed
+        self._raw, self._stats = raw[:-2], None
         return SimulationResult(config=self._config, stats=self.stats)
 
+    def _tick(self) -> tuple[float, Callable | None]:
+        """The first record-tick bound and its callback: ``on_cycle``
+        for every progress observer, then the nearest next threshold.
+        Bounds count records consumed by this run, so they are offset
+        by where the cursor started."""
+        if not self._progress:
+            return math.inf, None
+        start = self._consumed
+        progress = self._progress
+
+        def bound() -> int:
+            return min(observer.next_threshold
+                       for observer in progress) - start
+
+        def on_tick(cycle: int, consumed: int, raw: tuple) -> int:
+            self._cycle = cycle
+            self._consumed = start + consumed
+            self._raw, self._stats = raw, None
+            for observer in progress:
+                observer.on_cycle(self)
+            return bound()
+
+        return bound(), on_tick

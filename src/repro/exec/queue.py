@@ -446,10 +446,14 @@ class DirectoryQueueBackend(ExecutionBackend):
             self._ensure_workers(paths)
             if self.timeout is not None and \
                     time.monotonic() - last_progress > self.timeout:
-                if self._live_lease(paths):
-                    # A worker is still heartbeating a claimed unit:
-                    # slow is not dead.  Timeout only when nothing
-                    # completes AND nobody is provably working.
+                if self._live_lease(paths) or any(
+                        (paths.done / f"{unit_id}.json").exists()
+                        for unit_id in outstanding):
+                    # A worker is still heartbeating a claimed unit,
+                    # or the reclaim above just completed one whose
+                    # result the next pass collects: slow is not dead.
+                    # Timeout only when nothing completes AND nobody
+                    # is provably working.
                     last_progress = time.monotonic()
                 else:
                     waiting = ", ".join(sorted(outstanding))

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from collections.abc import Mapping
 
+from repro.core.specialize import DEFAULT_ENGINE
 from repro.serialize import config_to_dict, stats_to_dict
 
 #: Result/unit document schema; bump on incompatible layout changes.
@@ -138,19 +139,21 @@ class WorkUnit:
 
         ``engine`` selects the engine tier executing the unit (a
         :data:`repro.core.specialize.ENGINE_TIERS` name); the default
-        reference tier is omitted from the spec so specs stay stable
-        across versions.  Tiers are bit-identical, so results and
-        checkpoints do not depend on the choice.  A specialized unit
-        runs specialized whatever its window: region slices carry
-        ``warmup_instructions``, which the generated engine compiles
-        in.
+        tier (:data:`~repro.core.specialize.DEFAULT_ENGINE`) is
+        omitted from the spec, the same rule
+        :meth:`~repro.session.Simulation.to_spec` applies.  Tiers are
+        bit-identical, so results and checkpoints do not depend on the
+        choice (:func:`result_matches_unit` ignores the tier).  A
+        specialized unit runs specialized whatever its window: region
+        slices carry ``warmup_instructions``, which the generated
+        engine compiles in.
         """
         spec: dict = {"trace_file": str(trace_path), "config": config}
         if segments is not None:
             spec["segments"] = [int(segments[0]), int(segments[1])]
         if start_pc is not None:
             spec["start_pc"] = int(start_pc)
-        if engine is not None and engine != "reference":
+        if engine is not None and engine != DEFAULT_ENGINE:
             spec["engine"] = str(engine)
         return cls(unit_id=unit_id, spec=spec,
                    result_path=str(result_path), tags=dict(tags or {}))
@@ -246,14 +249,19 @@ def result_matches_unit(payload: dict | None, unit: WorkUnit) -> bool:
     deleted).  Reusing such a document would silently revive stale
     statistics the caller decided to recompute, so every
     reuse-instead-of-execute decision gates on this identity check:
-    same unit id, same spec, same tags.  True for both success and
-    error documents — callers distinguish via the ``"error"`` key.
+    same unit id, same spec, same tags.  The spec's ``"engine"`` tier
+    is ignored, the rule ``canonical_spec`` applies: tiers are
+    bit-identical, so a slice computed on one tier completes a point
+    on the other.  True for both success and error documents —
+    callers distinguish via the ``"error"`` key.
     """
     if payload is None:
         return False
     if payload.get("unit_id") != unit.unit_id:
         return False
-    if payload.get("spec") != dict(unit.spec):
+    spec = payload.get("spec")
+    if not isinstance(spec, Mapping) \
+            or _tierless(spec) != _tierless(unit.spec):
         return False
     return all(payload.get(key) == value
                for key, value in unit.tags.items())
@@ -283,3 +291,8 @@ def load_unit_result(path: str | Path) -> dict | None:
     if not isinstance(payload.get("stats"), dict):
         return None
     return payload
+
+
+def _tierless(spec: Mapping) -> dict:
+    """``spec`` without its engine tier (the part results depend on)."""
+    return {key: value for key, value in spec.items() if key != "engine"}

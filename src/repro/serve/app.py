@@ -40,6 +40,7 @@ import threading
 from pathlib import Path
 from collections.abc import Mapping
 
+from repro.core.specialize import DEFAULT_ENGINE
 from repro.exec import (
     ExecutionBackend,
     ProcessPoolBackend,
@@ -192,8 +193,8 @@ class CampaignService:
         # canonical_spec() drops the engine tier (tiers are
         # bit-identical, so cache keys must not depend on it); carry
         # it beside the spec so execution still honors the choice.
-        engine = _validate_engine(spec.get("engine", "reference"))
-        if engine != "reference":
+        engine = _validate_engine(spec.get("engine", DEFAULT_ENGINE))
+        if engine != DEFAULT_ENGINE:
             normalized["engine"] = engine
         return normalized
 
@@ -246,8 +247,8 @@ class CampaignService:
             "seed": _require_int(request, "seed", 7),
             "shards": _require_int(request, "shards", 1),
         }
-        engine = _validate_engine(request.get("engine", "reference"))
-        if engine != "reference":
+        engine = _validate_engine(request.get("engine", DEFAULT_ENGINE))
+        if engine != DEFAULT_ENGINE:
             normalized["engine"] = engine
         # Region sampling changes what the job *computes* (estimates,
         # not exact statistics), so every sampling parameter is part
@@ -318,8 +319,8 @@ class CampaignService:
     def _run_simulate(self, job: Job, context: JobContext) -> dict:
         backend = self._caching_backend(context)
         spec = dict(job.request["spec"])
-        engine = job.request.get("engine", "reference")
-        if engine != "reference":
+        engine = job.request.get("engine", DEFAULT_ENGINE)
+        if engine != DEFAULT_ENGINE:
             spec["engine"] = engine
         unit = WorkUnit(
             unit_id=job.job_id, spec=spec,
@@ -349,7 +350,7 @@ class CampaignService:
                 "budget": request["budget"], "seed": request["seed"],
                 "backend": backend, "progress": _JobProgress(context),
                 "shards": request["shards"],
-                "engine": request.get("engine", "reference"),
+                "engine": request.get("engine", DEFAULT_ENGINE),
                 **({} if not sampling else {
                     "sampling": sampling["mode"],
                     "regions": sampling["regions"],

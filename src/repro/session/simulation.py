@@ -57,7 +57,12 @@ from repro.core.config import (
     ProcessorConfig,
 )
 from repro.core.engine import EngineObserver, ReSimEngine, SimulationResult
-from repro.core.specialize import ENGINE_TIERS, SpecializedEngine, choose_tier
+from repro.core.specialize import (
+    DEFAULT_ENGINE,
+    ENGINE_TIERS,
+    SpecializedEngine,
+    choose_tier,
+)
 from repro.fpga.device import DEVICES, FpgaDevice
 from repro.isa.program import Program
 from repro.serialize import (
@@ -318,12 +323,12 @@ class SessionResult:
     trace_stats: TraceStatistics | None = None
     start_pc: int | None = None
     spec: dict | None = None
-    #: The engine tier that actually executed the run ("reference" |
-    #: "specialized", see :func:`~repro.core.specialize.choose_tier`);
+    #: The engine tier that actually executed the run (a name from
+    #: ``ENGINE_TIERS``, see :func:`~repro.core.specialize.choose_tier`);
     #: informational only, deliberately absent from :meth:`to_dict`
     #: (both tiers are bit-identical, so result documents must not
     #: differ by tier).
-    engine_tier: str = "reference"
+    engine_tier: str = DEFAULT_ENGINE
 
     @property
     def config(self) -> ProcessorConfig:
@@ -401,7 +406,7 @@ class Simulation:
         roi_instructions: int | None = None,
         stop_when: Callable[[ReSimEngine], bool] | None = None,
         max_cycles: int | None = None,
-        engine: str = "reference",
+        engine: str = DEFAULT_ENGINE,
     ) -> None:
         if source is None:
             raise SessionError(
@@ -581,7 +586,7 @@ class Simulation:
                     spec.get("warmup_instructions", 0)),
                 roi_instructions=optional_int("roi_instructions"),
                 max_cycles=optional_int("max_cycles"),
-                engine=spec.get("engine", "reference"),
+                engine=spec.get("engine", DEFAULT_ENGINE),
             )
         except (TypeError, ValueError) as error:
             if isinstance(error, SessionError):
@@ -621,7 +626,7 @@ class Simulation:
             spec["roi_instructions"] = self._roi
         if self._max_cycles is not None:
             spec["max_cycles"] = self._max_cycles
-        if self._engine != "reference":
+        if self._engine != DEFAULT_ENGINE:
             spec["engine"] = self._engine
         return spec
 
@@ -641,8 +646,8 @@ class Simulation:
         specs differing only there describe the same result.  The
         ``engine`` tier is dropped for the same reason: every tier is
         bit-identical by contract, so a campaign run with
-        ``--engine specialized`` shares its cache keys (and cached
-        results) with the reference run it reproduces.
+        ``--engine reference`` shares its cache keys (and cached
+        results) with the default-tier run it reproduces.
 
         This is the spec half of the campaign-service cache key (see
         :mod:`repro.serve.canon`); :meth:`spec_key` hashes it.
@@ -769,12 +774,13 @@ class Simulation:
 
     def with_engine(self, engine: str) -> Simulation:
         """Select the engine tier executing this run (a name from
-        :data:`repro.core.specialize.ENGINE_TIERS`; ``"specialized"``
-        is the config-compiled fast path, bit-identical to the
-        reference engine).  :func:`~repro.core.specialize.choose_tier`
-        still runs ``reference`` when the run needs the engine between
-        cycles (hook-overriding observers, ``stop_when``) or carries
-        subclassed configs."""
+        :data:`repro.core.specialize.ENGINE_TIERS`).  The default,
+        ``specialized``, is the config-compiled fast path;
+        ``reference`` is the interpreted oracle it is bit-identical
+        to.  :func:`~repro.core.specialize.choose_tier` still runs
+        ``reference`` when the run needs the engine between cycles
+        (hook-overriding observers other than progress reporting,
+        ``stop_when``) or carries subclassed configs."""
         return self._replace(_engine=coerce_engine(engine))
 
     # -- introspection -------------------------------------------------
@@ -841,15 +847,12 @@ class Simulation:
         prepared = self.prepare()
         start_pc = (self._start_pc if self._start_pc is not None
                     else prepared.start_pc)
-        tier = choose_tier(self._engine, self._config,
-                           observers=self._observers,
-                           stop_when=self._stop_when,
-                           stepwise=trace is not None)
-        if tier == "specialized":
+        if self._tier(stepwise=trace is not None) == "specialized":
             return SpecializedEngine(
                 self._config, prepared.open_source(), start_pc=start_pc,
                 update_predictor_at_commit=self._update_at_commit,
-                wrong_path_free=self._wrong_path_free(prepared))
+                wrong_path_free=self._wrong_path_free(prepared),
+                observers=self._observers)
         if trace is None:
             trace = prepared.open_source()
         engine = ReSimEngine(
@@ -859,6 +862,12 @@ class Simulation:
         for observer in self._observers:
             engine.add_observer(observer)
         return engine
+
+    def _tier(self, *, stepwise: bool = False) -> str:
+        """The tier this run executes on (see :meth:`build_engine`)."""
+        return choose_tier(self._engine, self._config,
+                           observers=self._observers,
+                           stop_when=self._stop_when, stepwise=stepwise)
 
     @staticmethod
     def _wrong_path_free(prepared: PreparedTrace) -> bool:
@@ -909,7 +918,7 @@ class Simulation:
             start_pc=(self._start_pc if self._start_pc is not None
                       else prepared.start_pc),
             spec=spec,
-            engine_tier=getattr(engine, "tier", "reference"),
+            engine_tier=self._tier(),
         )
 
     def save_trace(self, path: str | Path, *,

@@ -56,6 +56,7 @@ from pathlib import Path
 from collections.abc import Callable, Sequence
 
 from repro.bpred.unit import PredictorConfig
+from repro.core.specialize import DEFAULT_ENGINE
 from repro.exec import (
     DEFAULT_REGIONS,
     DEFAULT_WARMUP_SEGMENTS,
@@ -231,7 +232,7 @@ class SweepRunner:
         progress: SweepProgress | None = None,
         shards: int = 1,
         segment_records: int = DEFAULT_SEGMENT_RECORDS,
-        engine: str = "reference",
+        engine: str = DEFAULT_ENGINE,
         sampling: str = "full",
         regions: int = DEFAULT_REGIONS,
         region_seed: int = 0,
@@ -630,7 +631,7 @@ def run_sweep(
     progress: SweepProgress | None = None,
     shards: int = 1,
     segment_records: int = DEFAULT_SEGMENT_RECORDS,
-    engine: str = "reference",
+    engine: str = DEFAULT_ENGINE,
     sampling: str = "full",
     regions: int = DEFAULT_REGIONS,
     region_seed: int = 0,

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from collections.abc import Callable, Mapping, Sequence
 
+from repro.core.specialize import DEFAULT_ENGINE
 from repro.exec import (
     DEFAULT_REGIONS,
     DEFAULT_WARMUP_SEGMENTS,
@@ -435,7 +436,7 @@ class SearchRunner:
         progress: SweepProgress | None = None,
         shards: int = 1,
         segment_records: int | None = None,
-        engine: str = "reference",
+        engine: str = DEFAULT_ENGINE,
         sampling: str = "full",
         regions: int = DEFAULT_REGIONS,
         region_seed: int = 0,
@@ -530,7 +531,7 @@ def run_search(
     progress: SweepProgress | None = None,
     shards: int = 1,
     segment_records: int | None = None,
-    engine: str = "reference",
+    engine: str = DEFAULT_ENGINE,
     sampling: str = "full",
     regions: int = DEFAULT_REGIONS,
     region_seed: int = 0,

@@ -27,7 +27,9 @@ from repro.core import (
 )
 from repro.cache.cache import CacheConfig
 from repro.core.observers import ProgressObserver
+from repro.core.engine import EngineObserver
 from repro.core.specialize import (
+    DEFAULT_ENGINE,
     ENGINE_TIERS,
     choose_tier,
     clear_codegen_cache,
@@ -129,16 +131,16 @@ class TestBitIdentity:
     def test_session_runs_identical_across_tiers(self):
         base = Simulation.for_workload("gzip", PAPER_4WIDE_PERFECT,
                                        budget=BUDGET)
-        reference = base.run()
-        specialized = base.with_engine("specialized").run()
+        specialized = base.run()
+        reference = base.with_engine("reference").run()
         assert reference.engine_tier == "reference"
         assert specialized.engine_tier == "specialized"
         assert _doc(specialized.stats) == _doc(reference.stats)
         # The result documents agree everywhere except the spec's
-        # provenance record of which tier ran it.
+        # provenance record of the non-default tier that ran it.
         ref_doc, spec_doc = reference.to_dict(), specialized.to_dict()
-        assert spec_doc.pop("spec")["engine"] == "specialized"
-        assert "engine" not in ref_doc.pop("spec")
+        assert ref_doc.pop("spec")["engine"] == "reference"
+        assert "engine" not in spec_doc.pop("spec")
         assert spec_doc == ref_doc
 
     def test_sharded_sweep_merges_identically(self, tmp_path):
@@ -284,8 +286,17 @@ class TestCodegenCache:
 
 
 def _simulation(config=PAPER_4WIDE_PERFECT) -> Simulation:
-    return Simulation.for_records(list(_records("gzip", 64)),
-                                  config).with_engine("specialized")
+    return Simulation.for_records(list(_records("gzip", 64)), config)
+
+
+class _CommitCounter(EngineObserver):
+    """A hook the generated engine cannot serve (per-commit)."""
+
+    def __init__(self):
+        self.commits = 0
+
+    def on_commit(self, engine, op):
+        self.commits += 1
 
 
 def _fields(config) -> dict:
@@ -306,10 +317,16 @@ class TestTierSelection:
 
     def test_observers_force_reference(self):
         assert choose_tier("specialized", PAPER_4WIDE_PERFECT,
-                           observers=(ProgressObserver(100),)) \
-            == "reference"
-        observed = _simulation().with_observer(ProgressObserver(100))
+                           observers=(_CommitCounter(),)) == "reference"
+        observed = _simulation().with_observer(_CommitCounter())
         assert isinstance(observed.build_engine(), ReSimEngine)
+
+    def test_progress_observer_keeps_specialized(self):
+        assert choose_tier("specialized", PAPER_4WIDE_PERFECT,
+                           observers=(ProgressObserver(100),)) \
+            == "specialized"
+        observed = _simulation().with_observer(ProgressObserver(100))
+        assert isinstance(observed.build_engine(), SpecializedEngine)
 
     def test_hookless_observer_keeps_specialized(self, tmp_path):
         heartbeat = LeaseHeartbeat(tmp_path / "lease.json",
@@ -361,7 +378,7 @@ class TestTierSelection:
                                        budget=200)
         specialized = base.with_engine("specialized")
         assert specialized.run().engine_tier == "specialized"
-        observed = specialized.with_observer(ProgressObserver(10_000))
+        observed = specialized.with_observer(_CommitCounter())
         assert observed.run().engine_tier == "reference"
         windowed = specialized.with_warmup(50)
         assert windowed.run().engine_tier == "specialized"
@@ -400,16 +417,20 @@ class TestSpecWiring:
     def test_engine_round_trips_through_spec(self):
         simulation = Simulation.for_workload(
             "gzip", PAPER_4WIDE_PERFECT,
-            budget=200).with_engine("specialized")
+            budget=200).with_engine("reference")
         spec = simulation.to_spec()
-        assert spec["engine"] == "specialized"
-        assert Simulation.from_spec(spec).engine == "specialized"
+        assert spec["engine"] == "reference"
+        assert Simulation.from_spec(spec).engine == "reference"
 
     def test_reference_tier_omitted_from_spec(self):
+        """Only the default tier is omitted; ``reference`` is not it."""
         simulation = Simulation.for_workload("gzip",
                                              PAPER_4WIDE_PERFECT,
                                              budget=200)
+        assert simulation.engine == DEFAULT_ENGINE == "specialized"
         assert "engine" not in simulation.to_spec()
+        assert "engine" not in simulation.with_engine(
+            "specialized").to_spec()
 
     def test_unknown_engine_rejected(self):
         simulation = Simulation.for_workload("gzip",
@@ -435,22 +456,22 @@ class TestSpecWiring:
         unit = WorkUnit.for_trace("u1", tmp_path / "t.trace",
                                   "4wide-perfect",
                                   tmp_path / "u1.json",
-                                  engine="specialized")
-        assert unit.spec["engine"] == "specialized"
+                                  engine="reference")
+        assert unit.spec["engine"] == "reference"
         default = WorkUnit.for_trace("u2", tmp_path / "t.trace",
                                      "4wide-perfect",
                                      tmp_path / "u2.json",
-                                     engine="reference")
+                                     engine="specialized")
         assert "engine" not in default.spec
 
     def test_execute_unit_honors_engine(self, tmp_path):
         trace = tmp_path / "gzip.trace"
         write_trace_file(trace, list(_records("gzip")))
         reference = execute_unit(WorkUnit.for_trace(
-            "ref", trace, "4wide-perfect", tmp_path / "ref.json"))
+            "ref", trace, "4wide-perfect", tmp_path / "ref.json",
+            engine="reference"))
         specialized = execute_unit(WorkUnit.for_trace(
-            "spec", trace, "4wide-perfect", tmp_path / "spec.json",
-            engine="specialized"))
+            "spec", trace, "4wide-perfect", tmp_path / "spec.json"))
         assert specialized["stats"] == reference["stats"]
 
     def test_sweep_runner_rejects_unknown_engine(self, tmp_path):
@@ -471,9 +492,9 @@ class TestEndToEnd:
 
         argv = ["simulate", "gzip", "--budget", "400"]
         assert main(argv) == 0
-        reference = capsys.readouterr().out
-        assert main(argv + ["--engine", "specialized"]) == 0
-        assert capsys.readouterr().out == reference
+        default = capsys.readouterr().out
+        assert main(argv + ["--engine", "reference"]) == 0
+        assert capsys.readouterr().out == default
 
     def test_cli_rejects_unknown_engine(self):
         from repro.cli import main
@@ -489,20 +510,20 @@ class TestEndToEnd:
         try:
             bulk = {"kind": "sweep",
                     "axes": {"rob_entries": [8]},
-                    "budget": 200, "engine": "specialized"}
+                    "budget": 200, "engine": "reference"}
             normalized = service.validate_request(bulk)
-            assert normalized["engine"] == "specialized"
+            assert normalized["engine"] == "reference"
             assert "engine" not in service.validate_request(
-                {**bulk, "engine": "reference"})
+                {**bulk, "engine": "specialized"})
             with pytest.raises(ValueError):
                 service.validate_request({**bulk, "engine": "turbo"})
 
             spec = Simulation.for_workload(
                 "gzip", PAPER_4WIDE_PERFECT,
-                budget=200).with_engine("specialized").to_spec()
+                budget=200).with_engine("reference").to_spec()
             simulate = service.validate_request(
                 {"kind": "simulate", "spec": spec})
-            assert simulate["engine"] == "specialized"
+            assert simulate["engine"] == "reference"
             # The canonical spec (the cache identity) drops the tier.
             assert "engine" not in simulate["spec"]
         finally:
