@@ -39,7 +39,9 @@ class ProgressObserver(EngineObserver):
     integer compare per major cycle.  That also keeps a run on the
     specialized tier: its generated engine calls :meth:`on_cycle`
     from a record tick bounded by :attr:`next_threshold`, so with
-    ``min_seconds=0`` both tiers print the same lines.
+    ``min_seconds=0`` both tiers print the same lines.  A subclass
+    runs on the reference tier: its :meth:`emit` may read engine state
+    the generated engine does not keep.
     """
 
     def __init__(

@@ -90,11 +90,10 @@ class SpecializationError(ValueError):
 
 def _ticked(observer: EngineObserver) -> bool:
     """Is ``observer`` served by the generated engine's record tick?
-    True for a :class:`ProgressObserver` whose only hook is the stock
-    ``on_cycle`` (a subclass may still override ``emit``)."""
-    return (type(observer).on_cycle is ProgressObserver.on_cycle
-            and not overrides_hook(observer, "on_commit")
-            and not overrides_hook(observer, "on_recovery"))
+    True only for a stock :class:`ProgressObserver`; any subclass may
+    read engine state the generated engine does not keep, so it runs
+    on the reference tier."""
+    return type(observer) is ProgressObserver
 
 
 def choose_tier(
@@ -108,8 +107,9 @@ def choose_tier(
     """The tier a run executes on — the one tier rule.
 
     ``reference`` when it was requested, when the run needs the engine
-    between cycles (an observer overriding a hook, progress reporting
-    aside, a ``stop_when`` predicate, step-wise driving), or when the
+    between cycles (an observer overriding a hook, the stock
+    ``ProgressObserver`` aside, a ``stop_when`` predicate, step-wise
+    driving), or when the
     config or either cache config is a subclass whose overridden
     behaviour the generator cannot see; ``specialized`` otherwise.
     """

@@ -40,6 +40,7 @@ from repro.exec.unit import (
     RESULT_SCHEMA,
     WorkUnit,
     atomic_write_json,
+    tierless_spec,
 )
 from repro.serialize import stats_from_dict, stats_to_dict
 
@@ -337,7 +338,8 @@ def merge_slice_documents(
     Every payload must be a successful result document
     (:data:`~repro.exec.unit.RESULT_SCHEMA`, a ``stats`` dict, no
     ``error``), all must describe the **same configuration** and the
-    same run (spec equal apart from the slice's own keys), and all must
+    same run (spec equal apart from the slice's own keys and the
+    engine tier, which never changes a result), and all must
     be slices of one kind: exact parts (``shard`` tags, or merged
     ``sharded`` documents) or weighted parts (``region`` tags with
     integer weights).  The merged document carries the reduced
@@ -376,13 +378,14 @@ def merge_slice_documents(
     weights = _weights(payloads) if kind is REGION else None
 
     def run_identity(payload: dict) -> dict | None:
-        # Everything but the slice: two results merge only if they
-        # simulated the same trace under the same parameters.  None
-        # (no spec recorded) cannot prove a mismatch.
+        # Everything but the slice and the engine tier: two results
+        # merge only if they simulated the same trace under the same
+        # parameters.  None (no spec recorded) cannot prove a mismatch.
         document_spec = payload.get("spec")
         if not isinstance(document_spec, dict):
             return None
-        return {key: value for key, value in document_spec.items()
+        return {key: value
+                for key, value in tierless_spec(document_spec).items()
                 if key not in kind.slice_keys}
 
     known = [(payload, identity) for payload in payloads
@@ -417,8 +420,8 @@ def merge_slice_documents(
         document["spec"] = dict(spec)
     elif known:
         # Standalone merges keep the run identity (the shared spec
-        # minus the slice keys), so a merged document can itself be
-        # merged further without losing the cross-run guard.
+        # minus the slice keys and the tier), so a merged document can
+        # itself be merged further without losing the cross-run guard.
         document["spec"] = known[0][1]
     return document
 

@@ -261,7 +261,7 @@ def result_matches_unit(payload: dict | None, unit: WorkUnit) -> bool:
         return False
     spec = payload.get("spec")
     if not isinstance(spec, Mapping) \
-            or _tierless(spec) != _tierless(unit.spec):
+            or tierless_spec(spec) != tierless_spec(unit.spec):
         return False
     return all(payload.get(key) == value
                for key, value in unit.tags.items())
@@ -293,6 +293,11 @@ def load_unit_result(path: str | Path) -> dict | None:
     return payload
 
 
-def _tierless(spec: Mapping) -> dict:
-    """``spec`` without its engine tier (the part results depend on)."""
+def tierless_spec(spec: Mapping) -> dict:
+    """``spec`` without its engine tier — the part results depend on.
+
+    Tiers are bit-identical by contract, so the tier is never part of
+    a result's identity: every check that two documents describe the
+    same run compares specs through this helper.
+    """
     return {key: value for key, value in spec.items() if key != "engine"}

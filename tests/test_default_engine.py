@@ -25,8 +25,10 @@ from repro.core.specialize import (
 )
 from repro.exec import (
     DirectoryQueueBackend,
+    ExecError,
     SerialBackend,
     WorkUnit,
+    merge_slice_documents,
     result_matches_unit,
 )
 from repro.serialize import config_to_dict, stats_to_dict
@@ -218,6 +220,56 @@ class TestCrossTierResume:
         assert executed == []
         assert resumed == outcome
 
+    @pytest.mark.parametrize("mode", ("shards", "regions"))
+    @pytest.mark.parametrize("written", ("reference", "parent-specialized"))
+    def test_partly_sliced_points_resume_on_the_default(self, tmp_path,
+                                                        mode, written):
+        """A point killed after only some of its slices finished:
+        the kept slices carry the tier they ran on (``reference``, or
+        a parent-format ``"engine": "specialized"``), the recomputed
+        ones carry none, and the point still merges."""
+        first = "reference" if written == "reference" else "specialized"
+        outcome, _ = _sweep(tmp_path, first, mode)
+        slices = _slice_documents(tmp_path)
+        for path in _unit_documents(tmp_path):
+            if path not in slices:
+                path.unlink()  # the merged point documents
+        if written == "parent-specialized":
+            for path in slices:
+                document = json.loads(path.read_text())
+                document["spec"]["engine"] = "specialized"
+                path.write_text(json.dumps(document, sort_keys=True))
+        lost = [path for path in slices if ".s0of" in path.name
+                or ".r0of" in path.name]
+        assert len(lost) == 2
+        for path in lost:
+            path.unlink()
+        resumed, executed = _sweep(tmp_path, DEFAULT_ENGINE, mode)
+        assert sorted(executed) == sorted(path.name[:-len(".json")]
+                                          for path in lost)
+        assert resumed == outcome
+
+    @pytest.mark.parametrize("mode", ("shards", "regions"))
+    def test_stats_merge_accepts_mixed_tiers(self, tmp_path, mode):
+        """``resim stats merge`` over slices from both tiers merges
+        them as one run; a real run difference still refuses."""
+        _sweep(tmp_path, "reference", mode)
+        merged = {path.name.split(".")[0]: json.loads(path.read_text())
+                  for path in _unit_documents(tmp_path)
+                  if path not in _slice_documents(tmp_path)}
+        for point, expected in merged.items():
+            parts = [json.loads(path.read_text())
+                     for path in _slice_documents(tmp_path)
+                     if path.name.startswith(point + ".")]
+            assert parts[0]["spec"]["engine"] == "reference"
+            del parts[1]["spec"]["engine"]
+            document = merge_slice_documents(parts)
+            assert document["stats"] == expected["stats"]
+            assert "engine" not in document["spec"]
+            parts[1]["spec"]["trace_file"] += ".other"
+            with pytest.raises(ExecError, match="different runs"):
+                merge_slice_documents(parts)
+
 
 # ---------------------------------------------------------------------------
 # progress reporting stays on the fast tier
@@ -296,6 +348,25 @@ class TestProgressParity:
         assert session.engine_tier == "reference"
         assert counter.commits == int(session.stats.committed_instructions)
         assert buffer.getvalue().count("[progress] ") == 6
+
+    def test_progress_subclass_runs_reference(self, records):
+        """Only the stock observer is served from the tick: a subclass
+        may read engine state the generated engine does not keep."""
+
+        seen = []
+
+        class Reporter(ProgressObserver):
+            def emit(self, engine):
+                seen.append(len(engine.observers))
+
+        reporter = Reporter(500, min_seconds=0)
+        session = Simulation.for_records(records).with_observer(
+            reporter).run()
+        assert session.engine_tier == "reference"
+        assert seen == [1] * 6
+        with pytest.raises(SpecializationError, match="reference tier"):
+            SpecializedEngine(PAPER_4WIDE_PERFECT, records,
+                              observers=(reporter,))
 
     def test_specialized_engine_refuses_other_hooks(self, records):
         with pytest.raises(SpecializationError, match="reference tier"):
