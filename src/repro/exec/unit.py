@@ -34,6 +34,7 @@ from collections.abc import Mapping
 
 from repro.core.specialize import DEFAULT_ENGINE
 from repro.serialize import config_to_dict, stats_to_dict
+from repro.trace.fileio import decoded_segment_reuse
 
 #: Result/unit document schema; bump on incompatible layout changes.
 #: Kept equal to the sweep checkpoint schema on purpose: a unit result
@@ -211,11 +212,14 @@ def execute_unit(unit: WorkUnit) -> dict:
     Module-level (it pickles into process pools) and side-effect-free
     beyond the result file.  The unit runs exactly as its spec says,
     with no observer attached, so it executes on the engine tier the
-    spec asks for.
+    spec asks for.  Its trace reads share decoded segments with the
+    other units this process runs
+    (:func:`~repro.trace.fileio.decoded_segment_reuse`).
     """
     from repro.session import Simulation  # heavy import, deferred
 
-    session = Simulation.from_spec(unit.spec).run()
+    with decoded_segment_reuse():
+        session = Simulation.from_spec(unit.spec).run()
     payload = {
         "schema": RESULT_SCHEMA,
         "unit_id": unit.unit_id,

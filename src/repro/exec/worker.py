@@ -64,6 +64,7 @@ from repro.exec.unit import (
     load_unit_result,
     result_matches_unit,
 )
+from repro.trace.fileio import decoded_segment_cache_info
 
 
 def worker_id() -> str:
@@ -258,7 +259,9 @@ def run_from_args(args: argparse.Namespace) -> int:
         exit_when_drained=args.exit_when_drained,
         log=log,
     )
-    print(f"processed {processed} unit(s)")
+    reuse = decoded_segment_cache_info()
+    print(f"processed {processed} unit(s); decoded segments: "
+          f"{reuse['hits']} hit(s), {reuse['misses']} miss(es)")
     return 0
 
 

@@ -371,9 +371,6 @@ def ensure_profile(trace_path: str | Path, *,
         profile = load_profile(trace_path)
         if profile is not None and profile.bbv_dim == bbv_dim:
             return profile
-    try:
-        profile = analyze_trace(trace_path, bbv_dim=bbv_dim)
-    except TraceFileError:
-        raise
+    profile = analyze_trace(trace_path, bbv_dim=bbv_dim)
     write_profile(profile, profile_path(trace_path))
     return profile

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
+from repro.isa.opcodes import FuClass
 from repro.trace.record import (
     BRANCH_NUMBERS,
     BranchRecord,
@@ -51,6 +52,8 @@ FORMAT_BITS: dict[RecordKind, int] = {
 }
 _WIDTHS = tuple(map(FORMAT_BITS.get, range(4)))  # by kind code; 3 is none
 _WINDOW_BYTES = (7 + max(FORMAT_BITS.values()) + 7) // 8  # any record, any offset
+#: The one FU class an M record may carry, by its store bit.
+_MEMORY_FU = (FuClass.LOAD, FuClass.STORE)
 
 
 class CorruptRecordError(ValueError):
@@ -147,8 +150,14 @@ def decode_records(data: bytes | bytearray, start_bit: int, end_bit: int,
         if kind == RecordKind.OTHER:
             append(OtherRecord(tag, fu, dest, src1, src2))
         elif kind == RecordKind.MEMORY:
-            append(MemoryRecord(tag, fu, dest, src1, src2, bool(tail >> _STORE & 1),
+            store = tail >> _STORE & 1
+            if fu is not _MEMORY_FU[store]:
+                access = "store" if store else "load"
+                raise CorruptRecordError(f"FU code {fu_code} in a {access} record", pos)
+            append(MemoryRecord(tag, fu, dest, src1, src2, bool(store),
                                 tail & 0xFFFF_FFFF, tail >> _SIZE & 3))
+        elif fu is not FuClass.BRANCH:
+            raise CorruptRecordError(f"FU code {fu_code} in a branch record", pos)
         elif (branch := NUMBER_TO_BRANCH[tail >> _BRANCH_KIND & 7]) is None:
             raise CorruptRecordError(f"branch kind code {tail >> _BRANCH_KIND & 7}", pos)
         else:

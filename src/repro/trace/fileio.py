@@ -82,6 +82,10 @@ from __future__ import annotations
 import io
 import json
 import os
+import threading
+from collections import OrderedDict
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO
@@ -127,6 +131,10 @@ _MAX_RECORD_BITS = max(FORMAT_BITS.values())
 #: Bytes per read when streaming a v1 payload: about one v2 segment's
 #: worth of records, which are decoded a chunk at a time.
 _V1_CHUNK_BYTES = 32 * 1024
+
+#: Records the decoded-segment cache holds at most — about two default
+#: 32k-record sweep traces.  Least recently used segments go first.
+DECODED_SEGMENT_CACHE_RECORDS = 65_536
 
 
 class TraceFileError(ValueError):
@@ -608,6 +616,96 @@ def _decode_segment(data: bytes | bytearray, start_bit: int, end_bit: int,
                              f"{origin + bit}") from None
 
 
+# ----------------------------------------------------------------------
+# Decoded-segment cache: units over one trace decode each segment once.
+# ----------------------------------------------------------------------
+
+_SEGMENT_CACHE_LOCK = threading.Lock()
+#: ``(payload bytes, bit length) -> records``, least recently used first.
+_SEGMENT_CACHE: OrderedDict[tuple[bytes, int], tuple[TraceRecord, ...]] = \
+    OrderedDict()
+_SEGMENT_CACHE_COUNTS = {"hits": 0, "misses": 0, "records": 0}
+#: Whether this thread's v2 reads consult the cache; see
+#: :func:`decoded_segment_reuse`.
+_SEGMENT_REUSE: ContextVar[bool] = ContextVar("decoded_segment_reuse",
+                                              default=False)
+
+
+@contextmanager
+def decoded_segment_reuse() -> Iterator[None]:
+    """Let v2 segment reads in this block (and this thread) share
+    decoded records through the process-wide cache.
+
+    :func:`repro.exec.unit.execute_unit` runs every unit inside this
+    scope, so a sweep, pool child, queue worker or campaign server
+    decodes each segment of a trace once for all the design points it
+    runs.  Reads outside the scope neither consult nor fill the cache.
+
+    The key is the segment's exact payload bytes plus its bit length,
+    so a hit is by construction the decode of identical bytes: no
+    entry can go stale, and a corrupt segment never matches a clean
+    one.  Every per-read check (segment table, per-segment record
+    count, end-of-stream counts) still runs on each read; a decode
+    that raises is never stored.  The cache holds at most
+    :data:`DECODED_SEGMENT_CACHE_RECORDS` records.
+    """
+    token = _SEGMENT_REUSE.set(True)
+    try:
+        yield
+    finally:
+        _SEGMENT_REUSE.reset(token)
+
+
+def _decode_v2_segment(data: bytes, segment: TraceSegment,
+                       ) -> Sequence[TraceRecord]:
+    """The records of one v2 segment, from the cache when reuse is on."""
+    reuse = _SEGMENT_REUSE.get()
+    key = (data, segment.bit_length)
+    if reuse:
+        with _SEGMENT_CACHE_LOCK:
+            cached = _SEGMENT_CACHE.get(key)
+            if cached is not None:
+                _SEGMENT_CACHE.move_to_end(key)
+                _SEGMENT_CACHE_COUNTS["hits"] += 1
+                return cached
+            _SEGMENT_CACHE_COUNTS["misses"] += 1
+    records, _ = _decode_segment(data, 0, segment.bit_length,
+                                 segment.bit_length, segment.index)
+    if reuse and len(records) <= DECODED_SEGMENT_CACHE_RECORDS:
+        stored = tuple(records)
+        with _SEGMENT_CACHE_LOCK:
+            if key not in _SEGMENT_CACHE:
+                _SEGMENT_CACHE[key] = stored
+                _SEGMENT_CACHE_COUNTS["records"] += len(stored)
+            while _SEGMENT_CACHE_COUNTS["records"] > \
+                    DECODED_SEGMENT_CACHE_RECORDS:
+                _, evicted = _SEGMENT_CACHE.popitem(last=False)
+                _SEGMENT_CACHE_COUNTS["records"] -= len(evicted)
+    return records
+
+
+def decoded_segment_cache_info() -> dict:
+    """Hit/miss/size counters for the in-process decoded-segment
+    cache.  Process telemetry only: never part of any statistics or
+    result document."""
+    with _SEGMENT_CACHE_LOCK:
+        return {
+            "hits": _SEGMENT_CACHE_COUNTS["hits"],
+            "misses": _SEGMENT_CACHE_COUNTS["misses"],
+            "entries": len(_SEGMENT_CACHE),
+            "records": _SEGMENT_CACHE_COUNTS["records"],
+        }
+
+
+def clear_decoded_segment_cache() -> None:
+    """Drop all decoded segments and zero the counters (test
+    isolation)."""
+    with _SEGMENT_CACHE_LOCK:
+        _SEGMENT_CACHE.clear()
+        for name in _SEGMENT_CACHE_COUNTS:
+            _SEGMENT_CACHE_COUNTS[name] = 0
+
+
 def _iter_v1_payload(handle: BinaryIO, bit_length: int,
                      ) -> Iterator[TraceRecord]:
     """Decode a v1 payload in bounded chunks.
@@ -657,6 +755,13 @@ def iter_trace_records(
     verified, so a fully drained stream gives the same corruption
     guarantees as :func:`read_trace_file`.
 
+    The stream holds one decoded segment (or chunk) at a time.  Inside
+    :func:`decoded_segment_reuse`, which every executed work unit
+    enters, v2 segments also come from and go to the process-wide
+    decoded-segment cache; its fixed
+    :data:`DECODED_SEGMENT_CACHE_RECORDS`-record bound is the only
+    extra memory, and reads outside that scope never fill it.
+
     ``segments`` restricts a v2 read to a subset of the table (shard
     workers pass the slice they own); partial reads skip the
     whole-file count and committed checks, since they see only their
@@ -691,9 +796,7 @@ def iter_trace_records(
                     raise TraceFileError(
                         f"truncated segment {segment.index}: "
                         f"{len(data)} of {segment.byte_length} bytes")
-                records, _ = _decode_segment(
-                    data, 0, segment.bit_length, segment.bit_length,
-                    segment.index)
+                records = _decode_v2_segment(data, segment)
                 if len(records) != segment.record_count:
                     raise TraceFileError(
                         f"segment {segment.index} holds "

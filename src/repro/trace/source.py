@@ -13,7 +13,9 @@ recovery) — so simulation memory no longer scales with trace length:
   appends chunks while the engine runs, and the source sees them);
 * :class:`FileSource` streams a stored ``.rtrc`` file, decoding one
   v2 segment (or one v1 chunk) at a time — peak resident memory is
-  bounded by the segment size, not the trace length;
+  bounded by the segment size, not the trace length (work units add
+  only the fixed-size decoded-segment cache, see
+  :func:`repro.trace.fileio.decoded_segment_reuse`);
 * :class:`ConcatSource` chains sources end to end, so a trace sharded
   across several files (or several segment ranges of one file)
   replays as one stream.
@@ -156,7 +158,11 @@ class FileSource(TraceSource):
     not mid-simulation); the payload is decoded lazily, one v2 segment
     or one v1 chunk at a time, with end-of-stream consistency checks
     (record count, committed count) exactly as in
-    :func:`repro.trace.fileio.iter_trace_records`.
+    :func:`repro.trace.fileio.iter_trace_records`.  The cursor holds
+    one decoded segment; inside an executing work unit, v2 segments
+    also pass through the process-wide decoded-segment cache, whose
+    fixed :data:`~repro.trace.fileio.DECODED_SEGMENT_CACHE_RECORDS`
+    bound is the only extra memory.
 
     ``segments`` restricts the cursor to a slice of a v2 file's
     segment table — ``FileSource(path, segments=(lo, hi))`` replays

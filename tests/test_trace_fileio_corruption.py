@@ -17,7 +17,7 @@ import pytest
 
 from repro.bpred.unit import PAPER_PREDICTOR
 from repro.trace import fileio
-from repro.trace import BranchRecord
+from repro.trace import BranchRecord, MemoryRecord
 from repro.trace.encode import FORMAT_BITS
 from repro.trace.fileio import (
     MAX_HEADER_LENGTH,
@@ -321,28 +321,34 @@ class TestPayloadConsistency:
 
 
 class TestCorruptFieldCodes:
-    """A kind, FU or branch-kind code that names nothing is a
-    :class:`TraceFileError` naming the segment and the record's bit
-    offset, not a bare ``KeyError`` or enum ``ValueError``."""
+    """A kind, FU or branch-kind code that names nothing, or an FU code
+    the record's format cannot carry, is a :class:`TraceFileError`
+    naming the segment and the record's bit offset, not a bare
+    ``KeyError`` or ``ValueError``."""
 
-    @pytest.mark.parametrize("field,offset,width,code", [
-        ("kind", 0, 2, 3),
-        ("FU", 3, 3, 7),
-        ("branch kind", 24, 3, 7),
-    ], ids=["kind", "fu", "branch-kind"])
-    def test_bad_code(self, trace_path, records, field, offset, width,
-                      code):
+    @pytest.mark.parametrize("record,offset,width,code,reason", [
+        (None, 0, 2, 3, "kind code 3"),
+        (None, 3, 3, 7, "FU code 7"),
+        (BranchRecord, 24, 3, 7, "branch kind code 7"),
+        (MemoryRecord, 3, 3, 0, "FU code 0 in a load record"),
+        (BranchRecord, 3, 3, 0, "FU code 0 in a branch record"),
+    ], ids=["kind", "fu", "branch-kind", "load-fu", "branch-fu"])
+    def test_bad_code(self, trace_path, records, record, offset, width,
+                      code, reason):
         index = 0
-        if field == "branch kind":
-            index = next(i for i, record in enumerate(records)
-                         if isinstance(record, BranchRecord))
+        if record is MemoryRecord:
+            index = next(i for i, r in enumerate(records)
+                         if isinstance(r, MemoryRecord) and not r.is_store)
+        elif record is not None:
+            index = next(i for i, r in enumerate(records)
+                         if isinstance(r, record))
         assert index < SEGMENT_RECORDS  # the record lies in segment 0
         data = bytearray(trace_path.read_bytes())
         start = _record_offset(records, index)
         payload = 8 * int.from_bytes(data[10:12], "little")
         _set_bits(data, payload + start + offset, width, code)
         trace_path.write_bytes(bytes(data))
-        message = f"segment 0: {field} code {code} at bit {start}"
+        message = f"segment 0: {reason} at bit {start}"
         with pytest.raises(TraceFileError, match=message):
             read_trace_file(trace_path)
         with pytest.raises(TraceFileError, match=message):
