@@ -23,7 +23,9 @@ Subcommands mirror how the paper's system is used:
   shard runs merged back into one result;
 * ``search``   — adaptive design-space search (grid / seeded random /
   hill-climb) that simulates points one batch at a time through the
-  same backends, checkpoints, and sharding;
+  same backends, checkpoints, and sharding.  Both turn their argv into
+  the request document ``client submit`` would send and run it through
+  :mod:`repro.sweep.campaign`, exactly as ``serve`` does;
 * ``worker``   — a queue worker: claims work units from a shared
   queue directory (``sweep``/``search`` with ``--backend queue``)
   and simulates them until the queue drains or it is stopped;
@@ -86,15 +88,6 @@ def _device(name: str):
     try:
         return DEVICES.get(name)
     except RegistryError as error:
-        raise SystemExit(str(error)) from error
-
-
-def _apply_engine(simulation: Simulation, engine: str) -> Simulation:
-    """Select the engine tier before observers attach / prepare()
-    runs (``with_*`` clones invalidate the prepared-trace cache)."""
-    try:
-        return simulation.with_engine(engine)
-    except SessionError as error:
         raise SystemExit(str(error)) from error
 
 
@@ -240,19 +233,26 @@ def _simulate_regions(args, config) -> int:
         slice_units,
     )
     from repro.serialize import config_to_dict, stats_from_dict
+    from repro.sweep import SweepError
+    from repro.sweep.runner import sampling_entry
     from repro.trace.analyze import ensure_profile
 
     if not args.trace_file:
         raise SystemExit("--sample-regions needs --trace-file: region "
                          "sampling plans over a stored segmented "
                          "trace's profile")
-    options = _sampling_options(args)
+    try:
+        sampling = sampling_entry(
+            "regions", shards=1, regions=args.sample_regions,
+            seed=args.region_seed, warmup_segments=args.region_warmup)
+    except SweepError as error:
+        raise SystemExit(str(error)) from error
     trace = Path(args.trace_file)
     try:
         plan = plan_regions(trace, ensure_profile(trace),
-                            regions=options["regions"],
-                            seed=options["region_seed"],
-                            warmup_segments=options["region_warmup"])
+                            regions=sampling["regions"],
+                            seed=sampling["seed"],
+                            warmup_segments=sampling["warmup_segments"])
         print(plan.describe(), file=sys.stderr)
         with tempfile.TemporaryDirectory(prefix="resim-regions-") as work:
             base = WorkUnit.for_trace(
@@ -286,16 +286,21 @@ def cmd_simulate(args) -> int:
         return _simulate_regions(args, config)
     if args.trace_file:
         simulation = Simulation.for_trace_file(
-            args.trace_file, config=config,
-            streaming=not args.in_memory,
-        ).with_devices(VIRTEX4_LX40, VIRTEX5_LX50T)
-        simulation = _apply_engine(simulation, args.engine)
-        if args.progress:
-            # Attach before prepare(): every with_* clone invalidates
-            # the prepared-trace cache, and preparing twice would
-            # decode an --in-memory trace file twice.
-            simulation = simulation.with_observer(
-                ProgressObserver(args.progress_records))
+            args.trace_file, config=config, streaming=not args.in_memory)
+    else:
+        simulation = _workload_simulation(args, config)
+    # Select the tier and attach observers before prepare(): every
+    # with_* clone invalidates the prepared-trace cache, and preparing
+    # twice would decode an --in-memory trace file twice.
+    try:
+        simulation = simulation.with_devices(
+            VIRTEX4_LX40, VIRTEX5_LX50T).with_engine(args.engine)
+    except SessionError as error:
+        raise SystemExit(str(error)) from error
+    if args.progress:
+        simulation = simulation.with_observer(
+            ProgressObserver(args.progress_records))
+    if args.trace_file:
         try:
             prepared = simulation.prepare()
         except TraceFileError as error:
@@ -307,13 +312,6 @@ def cmd_simulate(args) -> int:
             print("warning: trace was generated with a different "
                   "predictor configuration; Tag bits may not match "
                   "this engine's predictions", file=sys.stderr)
-    else:
-        simulation = _workload_simulation(args, config).with_devices(
-            VIRTEX4_LX40, VIRTEX5_LX50T)
-        simulation = _apply_engine(simulation, args.engine)
-        if args.progress:
-            simulation = simulation.with_observer(
-                ProgressObserver(args.progress_records))
     try:
         session = simulation.run()
     except UnknownWorkloadError as error:
@@ -427,7 +425,8 @@ def _collect_axes(args) -> dict[str, list]:
 
 
 def _make_backend(args, results_dir: Path):
-    """Resolve ``--backend`` (None = the runner's workers default).
+    """Resolve ``--backend`` (``auto``: serial for one worker, else a
+    process pool).
 
     ``--workers`` means "pool size" for the process pool and "local
     worker processes to spawn" for the queue (0 = rely entirely on
@@ -440,6 +439,7 @@ def _make_backend(args, results_dir: Path):
         ProcessPoolBackend,
         SerialBackend,
     )
+    from repro.sweep.runner import default_backend
 
     if args.backend == "auto":
         if args.workers < 1:
@@ -448,7 +448,7 @@ def _make_backend(args, results_dir: Path):
                 f"--backend queue --workers 0 to rely on external "
                 f"workers"
             )
-        return None
+        return default_backend(args.workers)
     try:
         backend_cls = BACKENDS.get(args.backend)
     except RegistryError as error:
@@ -471,25 +471,14 @@ def _make_backend(args, results_dir: Path):
         raise SystemExit(str(error)) from error
 
 
-def _bulk_progress(args):
-    if not args.progress:
-        return None
-    from repro.sweep import ProgressPrinter
-    return ProgressPrinter()
-
-
 def _validate_bulk_options(args) -> Path:
     """Fail on bad presentation/export options *before* simulations
     run, not after minutes of them; returns the resolved results
     dir."""
     from repro.sweep.result import SORT_KEYS
-    if hasattr(args, "metric"):  # search names it --metric
-        kind, sort_key = "metric", args.metric
-    else:  # sweep names it --sort
-        kind, sort_key = "sort key", args.sort
-    if sort_key not in SORT_KEYS:
+    if args.command == "sweep" and args.sort not in SORT_KEYS:
         raise SystemExit(
-            f"unknown {kind} {sort_key!r}; choose from "
+            f"unknown sort key {args.sort!r}; choose from "
             f"{', '.join(SORT_KEYS)}"
         )
     if args.top is not None and args.top < 1:
@@ -521,114 +510,75 @@ def _export_bulk_result(args, result, device) -> None:
         print(f"wrote {args.json}")
 
 
-def _sampling_options(args) -> dict:
-    """Validated runner kwargs for the shared --sample-regions /
-    --region-seed / --region-warmup options (empty for full replay)."""
-    if args.sample_regions is None:
-        return {}
-    if args.sample_regions < 1:
-        raise SystemExit(f"--sample-regions must be positive, "
-                         f"got {args.sample_regions}")
-    if args.region_warmup < 0:
-        raise SystemExit(f"--region-warmup must be >= 0, "
-                         f"got {args.region_warmup}")
-    return {
-        "sampling": "regions",
-        "regions": args.sample_regions,
-        "region_seed": args.region_seed,
-        "region_warmup": args.region_warmup,
-    }
+def _campaign_request(args) -> dict:
+    """The request document ``resim client submit`` would send for this
+    ``sweep``/``search`` invocation: every option that changes what is
+    computed, none that changes how it runs or renders."""
+    request = {"kind": args.command, "workload": args.workload,
+               "config": args.config, "axes": _collect_axes(args),
+               "budget": args.budget, "seed": args.seed,
+               "shards": args.shards,
+               "segment_records": args.segment_records,
+               "engine": args.engine}
+    if args.sample_regions is not None:
+        request.update(sampling="regions", regions=args.sample_regions,
+                       region_seed=args.region_seed,
+                       region_warmup=args.region_warmup)
+    if args.command == "search":
+        request.update(strategy=args.strategy, metric=args.metric,
+                       samples=args.samples, search_seed=args.search_seed,
+                       max_steps=args.max_steps)
+    return request
 
 
-def _runner_options(args, backend) -> dict:
-    """SweepRunner/SearchRunner kwargs shared by ``sweep`` and
-    ``search``."""
-    return {"results_dir": args.results_dir, "budget": args.budget,
-            "seed": args.seed, "workers": args.workers,
-            "backend": backend, "progress": _bulk_progress(args),
-            "shards": args.shards, "segment_records": args.segment_records,
-            "engine": args.engine, **_sampling_options(args)}
-
-
-def cmd_sweep(args) -> int:
+def cmd_campaign(args) -> int:
+    """``resim sweep`` and ``resim search``: normalize and run the
+    campaign request, then print its table, notes and exports."""
     from repro.perf.tables import sweep_table  # heavy import, lazy
     from repro.exec import ExecError
-    from repro.sweep import SweepError, SweepRunner, SweepSpec
+    from repro.sweep import ProgressPrinter, SearchResult, SweepError
+    from repro.sweep.campaign import normalize_campaign, run_campaign
 
-    base = _config(args.config)
-    axes = _collect_axes(args)
+    request = _campaign_request(args)
     device = _device(args.device)
     results_dir = _validate_bulk_options(args)
-    backend = _make_backend(args, results_dir)
-
     try:
-        spec = SweepSpec(axes=axes, base=base)
-        runner = SweepRunner(spec, args.workload,
-                             **_runner_options(args, backend))
-        result = runner.run()
+        campaign = normalize_campaign(request)
+        backend = _make_backend(args, results_dir)
+        outcome = run_campaign(campaign, results_dir=args.results_dir,
+                               backend=backend,
+                               progress=ProgressPrinter() if args.progress
+                               else None)
     except (SweepError, ExecError) as error:
         raise SystemExit(str(error)) from error
 
+    search = outcome if isinstance(outcome, SearchResult) else None
+    result = outcome.result if search else outcome
     print(sweep_table(result, device_name=args.device,
-                      sort_key=args.sort, limit=args.top))
-    notes = [f"{len(result)} design points"]
-    if backend is not None:
-        notes.append(f"backend {backend.name}")
-    if args.shards > 1:
-        notes.append(f"{args.shards} shards per point")
-    if args.sample_regions is not None:
-        notes.append(f"region-sampled estimates "
-                     f"({args.sample_regions} regions requested)")
-    if result.resumed_count:
-        notes.append(f"{result.resumed_count} resumed from checkpoints")
-    if result.skipped_invalid:
-        notes.append(f"{result.skipped_invalid} invalid combos skipped")
-    if result.skipped_duplicates:
-        notes.append(f"{result.skipped_duplicates} duplicates collapsed")
-    print(f"\n[{'; '.join(notes)}; results in {args.results_dir}]")
+                      sort_key=args.metric if search else args.sort,
+                      limit=args.top))
+    if search:
+        print(f"\n{search.summary()}")
+        if result.resumed_count:
+            print(f"[{result.resumed_count} point(s) resumed from "
+                  f"checkpoints; results in {args.results_dir}]")
+    else:
+        notes = [f"{len(result)} design points"]
+        if args.backend != "auto":
+            notes.append(f"backend {backend.name}")
+        if args.shards > 1:
+            notes.append(f"{args.shards} shards per point")
+        if args.sample_regions is not None:
+            notes.append(f"region-sampled estimates "
+                         f"({args.sample_regions} regions requested)")
+        if result.resumed_count:
+            notes.append(f"{result.resumed_count} resumed from checkpoints")
+        if result.skipped_invalid:
+            notes.append(f"{result.skipped_invalid} invalid combos skipped")
+        if result.skipped_duplicates:
+            notes.append(f"{result.skipped_duplicates} duplicates collapsed")
+        print(f"\n[{'; '.join(notes)}; results in {args.results_dir}]")
     _export_bulk_result(args, result, device)
-    return 0
-
-
-def cmd_search(args) -> int:
-    from repro.perf.tables import sweep_table  # heavy import, lazy
-    from repro.exec import ExecError
-    from repro.sweep import (
-        SearchRunner,
-        SweepError,
-        SweepSpec,
-        make_strategy,
-    )
-
-    base = _config(args.config)
-    axes = _collect_axes(args)
-    device = _device(args.device)
-    results_dir = _validate_bulk_options(args)
-    backend = _make_backend(args, results_dir)
-    if args.samples < 1:
-        raise SystemExit(f"--samples must be positive, "
-                         f"got {args.samples}")
-    if args.max_steps < 0:
-        raise SystemExit(f"--max-steps must be >= 0, "
-                         f"got {args.max_steps}")
-    try:
-        strategy = make_strategy(
-            args.strategy, SweepSpec(axes=axes, base=base),
-            metric=args.metric, samples=args.samples,
-            seed=args.search_seed, max_steps=args.max_steps)
-        runner = SearchRunner(strategy, args.workload,
-                              **_runner_options(args, backend))
-        search = runner.run()
-    except (SweepError, ExecError, RegistryError) as error:
-        raise SystemExit(str(error)) from error
-
-    print(sweep_table(search.result, device_name=args.device,
-                      sort_key=args.metric, limit=args.top))
-    print(f"\n{search.summary()}")
-    if search.result.resumed_count:
-        print(f"[{search.result.resumed_count} point(s) resumed from "
-              f"checkpoints; results in {args.results_dir}]")
-    _export_bulk_result(args, search.result, device)
     return 0
 
 
@@ -702,8 +652,6 @@ def cmd_serve(args) -> int:
     if args.concurrency < 1:
         raise SystemExit(f"--concurrency must be >= 1, "
                          f"got {args.concurrency}")
-    if args.workers < 1:
-        raise SystemExit(f"--workers must be >= 1, got {args.workers}")
     try:
         service = CampaignService(
             args.root, concurrency=args.concurrency,
@@ -1025,7 +973,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_bulk(sweep, "sweep-results")
     sweep.add_argument("--sort", default="ipc",
                        help="table sort key (ipc, cycles, mispredictions)")
-    sweep.set_defaults(func=cmd_sweep)
+    sweep.set_defaults(func=cmd_campaign)
 
     search = sub.add_parser(
         "search",
@@ -1048,7 +996,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "fixed seed = identical search")
     search.add_argument("--max-steps", type=int, default=64,
                         help="move budget (--strategy hillclimb)")
-    search.set_defaults(func=cmd_search)
+    search.set_defaults(func=cmd_campaign)
 
     from repro.exec.worker import add_worker_arguments
     worker = sub.add_parser(

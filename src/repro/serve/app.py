@@ -15,10 +15,12 @@ Three request kinds are accepted, all as plain JSON documents:
 * ``{"kind": "simulate", "spec": {...}}`` — one
   :meth:`Simulation.from_spec` run; the spec is canonicalized on
   submission, so equivalent spellings coalesce to one job;
-* ``{"kind": "sweep", "workload": ..., "axes": {...}, ...}`` — a
-  :class:`~repro.sweep.SweepRunner` grid over a shared trace;
-* ``{"kind": "search", "strategy": ..., ...}`` — an adaptive
-  :class:`~repro.sweep.SearchRunner` over the same machinery.
+* ``{"kind": "sweep" | "search", "axes": {...}, ...}`` — a campaign
+  over a shared trace, validated by
+  :func:`~repro.sweep.campaign.normalize_campaign` and run by
+  :func:`~repro.sweep.campaign.run_campaign`, the two functions behind
+  ``resim sweep``/``resim search`` too.  Unknown fields are rejected,
+  and the axes run in name order.
 
 Every simulation a job performs flows through a
 :class:`~repro.serve.cache.CachingBackend` wrapped around the
@@ -41,47 +43,28 @@ from pathlib import Path
 from collections.abc import Mapping
 
 from repro.core.specialize import DEFAULT_ENGINE
-from repro.exec import (
-    ExecutionBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-    WorkUnit,
-)
-from repro.serialize import config_from_dict, config_to_dict
+from repro.exec import WorkUnit
+from repro.serialize import config_to_dict
 from repro.serve.cache import CacheStore, CachingBackend
 from repro.serve.canon import ENGINE_VERSION, canonical_spec
 from repro.serve.http import HttpApi
 from repro.serve.jobs import Job, JobContext, JobManager
-from repro.session import CONFIGS, RegistryError, SessionError, coerce_engine
-from repro.sweep import SEARCHES, SweepError, SweepRunner, SweepSpec
+from repro.session import SessionError, coerce_engine
+from repro.sweep.campaign import CAMPAIGN_KINDS, normalize_campaign, run_campaign
 from repro.sweep.progress import SweepProgress
-from repro.sweep.result import SORT_KEYS
-from repro.sweep.runner import sampling_entry
-from repro.sweep.search import SearchRunner, make_strategy
-from repro.workloads.tracegen import is_known_workload
+from repro.sweep.result import SweepResult
+from repro.sweep.runner import default_backend
 
 #: Default bind address of ``resim serve``.
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8437
 
 #: Request kinds the service accepts.
-REQUEST_KINDS = ("simulate", "sweep", "search")
+REQUEST_KINDS = ("simulate", *CAMPAIGN_KINDS)
 
 
 class ServiceError(ValueError):
     """Raised for malformed submissions (the HTTP 4xx family)."""
-
-
-def _validate_engine(value: object) -> str:
-    """Check a request's engine-tier name.
-
-    Tiers are bit-identical by contract, so the tier never reaches a
-    cache key — it is carried beside the canonical spec and re-applied
-    at execution time."""
-    try:
-        return coerce_engine(value)
-    except SessionError as error:
-        raise ServiceError(str(error)) from error
 
 
 class _JobProgress(SweepProgress):
@@ -117,15 +100,6 @@ class _JobProgress(SweepProgress):
 
     def finish(self) -> None:
         self._context.emit(event="evaluated", done=self._done)
-
-
-def _require_int(request: Mapping, key: str, default: int) -> int:
-    value = request.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ServiceError(
-            f"request field {key!r} must be an integer, "
-            f"got {value!r}")
-    return value
 
 
 class CampaignService:
@@ -177,8 +151,12 @@ class CampaignService:
         kind = request.get("kind")
         if kind == "simulate":
             return self._validate_simulate(request)
-        if kind in ("sweep", "search"):
-            return self._validate_bulk(request, kind)
+        if kind in CAMPAIGN_KINDS:
+            normalized = normalize_campaign(request)
+            # request_key() ignores axis order, so spellings that differ
+            # only in it coalesce into one job; name order runs them alike.
+            normalized["axes"] = dict(sorted(normalized["axes"].items()))
+            return normalized
         raise ServiceError(
             f"unknown request kind {kind!r}; expected one of "
             f"{', '.join(REQUEST_KINDS)}")
@@ -193,110 +171,19 @@ class CampaignService:
         # canonical_spec() drops the engine tier (tiers are
         # bit-identical, so cache keys must not depend on it); carry
         # it beside the spec so execution still honors the choice.
-        engine = _validate_engine(spec.get("engine", DEFAULT_ENGINE))
+        try:
+            engine = coerce_engine(spec.get("engine", DEFAULT_ENGINE))
+        except SessionError as error:
+            raise ServiceError(str(error)) from error
         if engine != DEFAULT_ENGINE:
             normalized["engine"] = engine
-        return normalized
-
-    def _base_config(self, value: object):
-        if isinstance(value, str):
-            try:
-                return CONFIGS.get(value)
-            except RegistryError as error:
-                raise ServiceError(str(error)) from error
-        if isinstance(value, Mapping):
-            try:
-                return config_from_dict(dict(value))
-            except (KeyError, TypeError, ValueError) as error:
-                raise ServiceError(
-                    f"bad config in request: {error!r}") from error
-        raise ServiceError(
-            f"request field 'config' must be a registered config "
-            f"name or a config dict, got {value!r}")
-
-    def _validate_bulk(self, request: Mapping, kind: str) -> dict:
-        axes = request.get("axes")
-        if not isinstance(axes, Mapping) or not axes:
-            raise ServiceError(
-                f"a {kind} request needs a non-empty 'axes' object "
-                f"(config field name -> list of values)")
-        axes_lists: dict[str, list] = {}
-        for name in sorted(axes):
-            values = axes[name]
-            if isinstance(values, (str, bytes)) \
-                    or not isinstance(values, (list, tuple)):
-                raise ServiceError(
-                    f"axis {name!r} must map to a list of values, "
-                    f"got {values!r}")
-            axes_lists[str(name)] = list(values)
-        base = self._base_config(request.get("config", "4wide-perfect"))
-        spec = SweepSpec(axes=axes_lists, base=base)
-        if not spec.expand().points:
-            raise ServiceError(
-                f"the {kind} grid expands to no valid design points")
-        workload = request.get("workload", "gzip")
-        if not isinstance(workload, str) \
-                or not is_known_workload(workload):
-            raise ServiceError(f"unknown workload {workload!r}")
-        normalized = {
-            "kind": kind,
-            "workload": workload,
-            "config": config_to_dict(base),
-            "axes": axes_lists,
-            "budget": _require_int(request, "budget", 30_000),
-            "seed": _require_int(request, "seed", 7),
-            "shards": _require_int(request, "shards", 1),
-        }
-        engine = _validate_engine(request.get("engine", DEFAULT_ENGINE))
-        if engine != DEFAULT_ENGINE:
-            normalized["engine"] = engine
-        # Region sampling changes what the job *computes* (estimates,
-        # not exact statistics), so every sampling parameter is part
-        # of the normalized document — a sampled and an exact
-        # submission of the same grid must never coalesce into one
-        # job.  Full replay (the default) is normalized by omission,
-        # keeping pre-sampling submissions byte-identical.
-        sampling = request.get("sampling", "full")
-        if sampling != "full":
-            try:
-                normalized["sampling"] = sampling_entry(
-                    sampling, shards=normalized["shards"],
-                    regions=_require_int(request, "regions", 8),
-                    seed=_require_int(request, "region_seed", 0),
-                    warmup_segments=_require_int(
-                        request, "region_warmup", 1))
-            except SweepError as error:
-                raise ServiceError(str(error)) from None
-        if kind == "search":
-            strategy = request.get("strategy", "hillclimb")
-            try:
-                SEARCHES.get(strategy)
-            except RegistryError as error:
-                raise ServiceError(str(error)) from error
-            metric = request.get("metric", "ipc")
-            if metric not in SORT_KEYS:
-                raise ServiceError(
-                    f"unknown metric {metric!r}; choose from "
-                    f"{', '.join(SORT_KEYS)}")
-            normalized.update({
-                "strategy": strategy,
-                "metric": metric,
-                "samples": _require_int(request, "samples", 16),
-                "search_seed": _require_int(request, "search_seed", 1),
-                "max_steps": _require_int(request, "max_steps", 64),
-            })
         return normalized
 
     # -- execution -----------------------------------------------------
 
-    def _inner_backend(self) -> ExecutionBackend:
-        if self.workers > 1:
-            return ProcessPoolBackend(self.workers)
-        return SerialBackend()
-
     def _caching_backend(self, context: JobContext) -> CachingBackend:
         return CachingBackend(
-            self.store, self._inner_backend(),
+            self.store, default_backend(self.workers),
             on_verdict=lambda unit, key, hit: context.emit(
                 event="cache", unit=unit.unit_id, key=key, hit=hit))
 
@@ -310,10 +197,8 @@ class CampaignService:
         context.check_cancelled()
         if kind == "simulate":
             return self._run_simulate(job, context)
-        if kind == "sweep":
-            return self._run_sweep(job, context)
-        if kind == "search":
-            return self._run_search(job, context)
+        if kind in CAMPAIGN_KINDS:
+            return self._run_campaign(job, context)
         raise ServiceError(f"unknown request kind {kind!r}")
 
     def _run_simulate(self, job: Job, context: JobContext) -> dict:
@@ -336,49 +221,14 @@ class CampaignService:
             "stats": outcome["stats"],
         }
 
-    def _sweep_spec(self, request: Mapping) -> SweepSpec:
-        return SweepSpec(axes=dict(request["axes"]),
-                         base=config_from_dict(request["config"]))
-
-    def _runner_kwargs(self, job: Job, context: JobContext,
-                       backend: ExecutionBackend) -> dict:
-        """SweepRunner/SearchRunner kwargs of a normalized request,
-        its sampling entry included."""
-        request = job.request
-        sampling = request.get("sampling")
-        return {"results_dir": self._workdir(job),
-                "budget": request["budget"], "seed": request["seed"],
-                "backend": backend, "progress": _JobProgress(context),
-                "shards": request["shards"],
-                "engine": request.get("engine", DEFAULT_ENGINE),
-                **({} if not sampling else {
-                    "sampling": sampling["mode"],
-                    "regions": sampling["regions"],
-                    "region_seed": sampling["seed"],
-                    "region_warmup": sampling["warmup_segments"]})}
-
-    def _run_sweep(self, job: Job, context: JobContext) -> dict:
-        request = job.request
+    def _run_campaign(self, job: Job, context: JobContext) -> dict:
         backend = self._caching_backend(context)
-        runner = SweepRunner(
-            self._sweep_spec(request), request["workload"],
-            **self._runner_kwargs(job, context, backend))
-        outcome = runner.run()
+        outcome = run_campaign(job.request, results_dir=self._workdir(job),
+                               backend=backend,
+                               progress=_JobProgress(context))
         context.set_cache_tally(backend.hits, backend.misses)
-        return {"kind": "sweep", "sweep": json.loads(outcome.to_json())}
-
-    def _run_search(self, job: Job, context: JobContext) -> dict:
-        request = job.request
-        strategy = make_strategy(
-            request["strategy"], self._sweep_spec(request),
-            metric=request["metric"], samples=request["samples"],
-            seed=request["search_seed"], max_steps=request["max_steps"])
-        backend = self._caching_backend(context)
-        runner = SearchRunner(
-            strategy, request["workload"],
-            **self._runner_kwargs(job, context, backend))
-        outcome = runner.run()
-        context.set_cache_tally(backend.hits, backend.misses)
+        if isinstance(outcome, SweepResult):
+            return {"kind": "sweep", "sweep": json.loads(outcome.to_json())}
         best = outcome.best
         return {
             "kind": "search",

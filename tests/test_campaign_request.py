@@ -1,0 +1,186 @@
+"""One campaign request for ``resim sweep``/``search`` and ``resim serve``.
+
+Both entry points build the same request document and run it through
+:func:`~repro.sweep.campaign.normalize_campaign` and
+:func:`~repro.sweep.campaign.run_campaign`.  These tests pin that:
+
+* **CLI ≡ served** — a generated request run through ``repro.cli.main``
+  (``--json`` export) and through an in-process
+  :class:`~repro.serve.CampaignService` yields the same sweep document;
+* **stable identity** — the request keys of every pre-existing document
+  shape are unchanged (coalescing and journaled jobs depend on them);
+* **loud schema** — unknown fields and non-positive sizes are rejected
+  by name at normalization.
+"""
+
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.cli import main
+from repro.serve import CampaignService
+from repro.serve.jobs import request_key
+from repro.sweep import SweepError
+from repro.sweep.campaign import CAMPAIGN_FIELDS, normalize_campaign
+from repro.trace.fileio import DEFAULT_SEGMENT_RECORDS
+
+BUDGET = 1500
+
+#: Small integer axes and the values a generated request draws from.
+AXIS_VALUES = {
+    "lsq_entries": (4, 8),
+    "rob_entries": (8, 16, 32),
+    "width": (2, 4),
+}
+
+
+def sweep_request(**fields) -> dict:
+    return {"kind": "sweep", "workload": "gzip", "budget": BUDGET,
+            "axes": {"rob_entries": [8, 16]}, **fields}
+
+
+@st.composite
+def campaign_requests(draw) -> dict:
+    # The service runs axes in name order; the CLI runs them in flag
+    # order.  Drawing them sorted gives both the same order.
+    names = sorted(draw(st.lists(st.sampled_from(sorted(AXIS_VALUES)),
+                                 min_size=1, max_size=2, unique=True)))
+    axes = {name: sorted(draw(st.lists(st.sampled_from(AXIS_VALUES[name]),
+                                       min_size=1, max_size=2,
+                                       unique=True)))
+            for name in names}
+    request = {"kind": draw(st.sampled_from(("sweep", "search"))),
+               "workload": "gzip", "axes": axes,
+               "budget": draw(st.integers(600, 1200)),
+               "seed": draw(st.integers(1, 9)),
+               "segment_records": 200}
+    split = draw(st.sampled_from(("full", "shards", "regions")))
+    if split == "shards":
+        request["shards"] = 2
+    elif split == "regions":
+        request.update(sampling="regions",
+                       regions=draw(st.integers(1, 3)))
+    if request["kind"] == "search":
+        request.update(strategy=draw(st.sampled_from(
+                           ("grid", "random", "hillclimb"))),
+                       metric=draw(st.sampled_from(("ipc", "cycles"))),
+                       samples=draw(st.integers(1, 3)),
+                       search_seed=draw(st.integers(1, 5)))
+    return request
+
+
+def cli_argv(request: dict, results_dir: Path, export: Path) -> list[str]:
+    """The ``resim sweep``/``search`` invocation of one request."""
+    argv = [request["kind"], request["workload"],
+            "--budget", str(request["budget"]),
+            "--seed", str(request["seed"]),
+            "--segment-records", str(request["segment_records"]),
+            "--shards", str(request.get("shards", 1)),
+            "--results-dir", str(results_dir), "--json", str(export)]
+    for name, values in request["axes"].items():
+        argv += ["--axis", f"{name}={','.join(map(str, values))}"]
+    if "sampling" in request:
+        argv += ["--sample-regions", str(request["regions"])]
+    if request["kind"] == "search":
+        argv += ["--strategy", request["strategy"],
+                 "--metric", request["metric"],
+                 "--samples", str(request["samples"]),
+                 "--search-seed", str(request["search_seed"])]
+    return argv
+
+
+@settings(max_examples=6, deadline=None)
+@given(campaign_requests())
+def test_cli_result_equals_served_result(request):
+    with tempfile.TemporaryDirectory() as scratch:
+        scratch = Path(scratch)
+        export = scratch / "cli.json"
+        assert main(cli_argv(request, scratch / "cli", export)) == 0
+        service = CampaignService(scratch / "root")
+        try:
+            job, _ = service.submit(request)
+            service.manager.wait(job.job_id, timeout=300)
+            assert job.state == "done", job.error
+            served = service.manager.result_document(job.job_id)
+        finally:
+            service.close()
+        assert served["sweep"] == json.loads(export.read_text())
+
+
+class TestRequestKeys:
+    """Request keys computed by the service before the campaign module
+    existed; every pre-existing document shape must keep its key."""
+
+    @pytest.mark.parametrize("request_document, key", [
+        (sweep_request(), "8697c85a38bdb4b20fc796f6923fb6342722a6ed"),
+        (sweep_request(sampling="regions", regions=4),
+         "bf4fabbaaa775e40478be34292e9be56fceed4dc"),
+        ({"kind": "search", "workload": "gzip", "budget": BUDGET,
+          "axes": {"rob_entries": [8, 16], "width": [2, 4]},
+          "strategy": "random", "samples": 3, "search_seed": 5},
+         "67ea33b9c80db28fe2b9e772b0526a03c67e0c30"),
+        (sweep_request(engine="reference"),
+         "eb50eeebf3107bf728b156073fb2932a5aba333b"),
+        # Spelled-out defaults, reordered keys and axes, tuple values.
+        ({"workload": "gzip", "seed": 7, "kind": "sweep",
+          "config": "4wide-perfect", "budget": BUDGET, "shards": 1,
+          "axes": {"rob_entries": (8, 16)}, "sampling": "full",
+          "engine": "specialized",
+          "segment_records": DEFAULT_SEGMENT_RECORDS},
+         "8697c85a38bdb4b20fc796f6923fb6342722a6ed"),
+        ({"kind": "search", "axes": {"width": [2, 4],
+                                     "rob_entries": [8, 16]}},
+         "5b86c2d5879216619f1701603b5f6490467615e0"),
+    ])
+    def test_request_key_is_stable(self, tmp_path, request_document, key):
+        service = CampaignService(tmp_path, autostart=False)
+        try:
+            normalized = service.validate_request(request_document)
+        finally:
+            service.close()
+        assert request_key(normalized) == key
+
+
+class TestNormalizeCampaign:
+    def test_segment_records_is_a_request_field(self):
+        assert "segment_records" not in normalize_campaign(
+            sweep_request(segment_records=DEFAULT_SEGMENT_RECORDS))
+        assert normalize_campaign(sweep_request(segment_records=200))[
+            "segment_records"] == 200
+
+    @pytest.mark.parametrize("kind, field", [
+        ("sweep", "budjet"),
+        ("sweep", "strategy"),  # a search field
+        ("search", "sample"),
+        ("sweep", "workers"),  # execution stays CLI-side
+        ("sweep", "sort"),  # presentation stays CLI-side
+    ])
+    def test_unknown_fields_are_named(self, kind, field):
+        with pytest.raises(SweepError) as raised:
+            normalize_campaign({**sweep_request(kind=kind), field: 1})
+        message = str(raised.value)
+        assert repr(field) in message
+        assert ", ".join(sorted(CAMPAIGN_FIELDS[kind])) in message
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"budget": 0}, "budget must be >= 1, got 0"),
+        ({"shards": 0}, "shards must be >= 1, got 0"),
+        ({"segment_records": 0}, "segment_records must be >= 1, got 0"),
+        ({"kind": "search", "samples": 0}, "samples must be >= 1, got 0"),
+        ({"kind": "search", "max_steps": -1},
+         "max_steps must be >= 0, got -1"),
+        ({"kind": "search", "metric": "goodness"}, "unknown metric"),
+        ({"kind": "search", "strategy": "oracle"},
+         "unknown search strategy"),
+    ])
+    def test_bad_values_are_rejected(self, fields, message):
+        with pytest.raises(SweepError, match=message):
+            normalize_campaign(sweep_request(**fields))
+
+    def test_axes_keep_the_request_order(self):
+        axes = {"width": [2, 4], "rob_entries": [8, 16]}
+        assert list(normalize_campaign(sweep_request(axes=axes))["axes"]) \
+            == ["width", "rob_entries"]

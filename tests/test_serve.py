@@ -233,6 +233,17 @@ class TestCampaignService:
                  "budget": "lots"},
                 {"kind": "search", "axes": {"rob_entries": [8]},
                  "strategy": "oracle"},
+                # Non-positive sizes fail at submission, not mid-job.
+                {"kind": "search", "axes": {"rob_entries": [8]},
+                 "strategy": "random", "samples": 0},
+                {"kind": "search", "axes": {"rob_entries": [8]},
+                 "max_steps": -1},
+                {"kind": "sweep", "axes": {"rob_entries": [8]},
+                 "shards": 0},
+                {"kind": "sweep", "axes": {"rob_entries": [8]},
+                 "budget": 0},
+                {"kind": "sweep", "axes": {"rob_entries": [8]},
+                 "budget": -5},
             ):
                 with pytest.raises(ValueError):
                     service.validate_request(bad)
@@ -402,6 +413,11 @@ class TestHttpService:
                 client.submit({"kind": "simulate",
                                "spec": {"version": 99}})
             assert bad_spec.value.status == 400
+            with pytest.raises(ClientError) as misspelled:
+                client.submit({**sweep_request(), "budjet": 10})
+            assert misspelled.value.status == 400
+            assert "'budjet'" in str(misspelled.value)
+            assert client.jobs() == []
             with pytest.raises(ClientError) as missing:
                 client.status("job-999999")
             assert missing.value.status == 404

@@ -647,6 +647,14 @@ class TestSweepCli:
             main(["sweep", "gzip", "--predictor", "twolevel,bogus",
                   "--results-dir", str(out)])
 
+    def test_cli_non_positive_budget_is_one_line(self, tmp_path):
+        from repro.cli import main
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit, match=r"^budget must be >= 1, got 0$"):
+            main(["sweep", "gzip", "--rob", "16", "--budget", "0",
+                  "--results-dir", str(out)])
+        assert not out.exists()
+
     def test_cli_duplicate_axis_rejected(self, tmp_path):
         from repro.cli import main
         with pytest.raises(SystemExit, match="specified twice"):
