@@ -1,37 +1,11 @@
 """Bench: host-side throughput of the reproduction's components.
 
-Two harnesses in one file:
-
-* the pytest benchmarks (run via ``pytest benchmarks/``) measure
-  records simulated per host second for the engine (reference and
-  specialized tiers), generator and functional simulator — what a
-  user of this library cares about when sizing their own experiments;
-* the script mode (``PYTHONPATH=src python benchmarks/bench_engine.py
-  --json BENCH_engine.json [--smoke]``) compares the reference
-  interpreter against the config-specialized compiled engine on the
-  same gzip trace, over **both** trace paths — the in-memory record
-  list and the streaming :class:`FileSource` — and emits a
-  machine-readable JSON document with records/s and speedups.  Before
-  printing anything it asserts the two tiers are **bit-identical**
-  (same full statistics document): a tier that changes a number is
-  wrong, not fast.  CI runs ``--smoke`` inside the
-  specialized-engine-parity job.
+Measures records simulated per host second for the engine (reference
+and specialized tiers), generator and functional simulator — what a
+user of this library cares about when sizing their own experiments.
+Run via ``pytest benchmarks/``; ``resimbench/`` holds the committed
+per-layer figures, and the tier-1 suite holds the tier parity checks.
 """
-
-import argparse
-import json
-import sys
-import time
-
-try:
-    import pytest
-except ImportError:  # script mode needs no pytest
-    class _FixtureShim:
-        """Keeps the @pytest decorators below importable."""
-        @staticmethod
-        def fixture(*args, **kwargs):
-            return lambda fn: fn
-    pytest = _FixtureShim()
 
 from repro.core import (
     EngineObserver,
@@ -41,6 +15,16 @@ from repro.core import (
 )
 from repro.functional import SimBpred
 from repro.workloads import SyntheticWorkload, get_profile, kernel_program
+
+
+def _print_rate(benchmark, label, records, detail=""):
+    """Print records per host second when the run was timed
+    (``--benchmark-disable`` runs each function once, untimed)."""
+    if benchmark.stats is None:
+        return
+    rate = records / benchmark.stats.stats.mean
+    print(f"\n{label}: {rate / 1e3:.1f}k records/s host throughput"
+          f"{detail}")
 
 
 def test_engine_host_throughput(benchmark):
@@ -59,9 +43,8 @@ def test_engine_host_throughput(benchmark):
                            generation.records).run().major_cycles
 
     cycles = benchmark(simulate)
-    rate = len(generation.records) / benchmark.stats.stats.mean
-    print(f"\nengine: {rate / 1e3:.1f}k records/s host throughput "
-          f"({cycles} simulated cycles)")
+    _print_rate(benchmark, "engine", len(generation.records),
+                f" ({cycles} simulated cycles)")
     assert cycles > 0
 
 
@@ -86,9 +69,8 @@ def test_specialized_engine_host_throughput(benchmark):
         reference.stats.major_cycles.value
     assert result.stats.committed_instructions.value == \
         reference.stats.committed_instructions.value
-    rate = len(generation.records) / benchmark.stats.stats.mean
-    print(f"\nspecialized engine: {rate / 1e3:.1f}k records/s host "
-          f"throughput ({result.major_cycles} simulated cycles)")
+    _print_rate(benchmark, "specialized engine", len(generation.records),
+                f" ({result.major_cycles} simulated cycles)")
 
 
 def test_engine_observer_overhead(benchmark):
@@ -117,10 +99,9 @@ def test_engine_observer_overhead(benchmark):
         return observer
 
     observer = benchmark(simulate)
-    rate = len(generation.records) / benchmark.stats.stats.mean
-    print(f"\nengine+observers: {rate / 1e3:.1f}k records/s host "
-          f"throughput ({observer.cycles} cycles, "
-          f"{observer.commits} commits observed)")
+    _print_rate(benchmark, "engine+observers", len(generation.records),
+                f" ({observer.cycles} cycles, "
+                f"{observer.commits} commits observed)")
     assert observer.cycles > 0
     assert observer.commits > 0
 
@@ -132,8 +113,7 @@ def test_generator_host_throughput(benchmark):
         return workload.generate(10_000).total_records
 
     records = benchmark(generate)
-    rate = records / benchmark.stats.stats.mean
-    print(f"\ngenerator: {rate / 1e3:.1f}k records/s host throughput")
+    _print_rate(benchmark, "generator", records)
     assert records >= 10_000
 
 
@@ -145,149 +125,5 @@ def test_functional_tracer_host_throughput(benchmark):
         return SimBpred().generate(program).total_records
 
     records = benchmark(trace)
-    rate = records / benchmark.stats.stats.mean
-    print(f"\nsim-bpred: {rate / 1e3:.1f}k records/s host throughput")
+    _print_rate(benchmark, "sim-bpred", records)
     assert records > 9000
-
-
-# ---------------------------------------------------------------------
-# Script mode: reference tier vs. specialized tier, both trace paths.
-
-
-def _canonical_stats(result) -> str:
-    from repro.serialize import stats_to_dict
-    return json.dumps(stats_to_dict(result.stats), sort_keys=True)
-
-
-def _best_of(repeats, run):
-    """(best seconds, last result) over `repeats` fresh runs — min is
-    the standard estimator for a deterministic workload under noise."""
-    best = None
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = run()
-        elapsed = time.perf_counter() - start
-        best = elapsed if best is None else min(best, elapsed)
-    return best, result
-
-
-def _measure_path(label, records, repeats, make_reference,
-                  make_specialized):
-    """One trace path: both tiers, bit-identity check, records/s."""
-    ref_s, ref_result = _best_of(repeats,
-                                 lambda: make_reference().run())
-    spec_s, spec_result = _best_of(repeats,
-                                   lambda: make_specialized().run())
-    identical = _canonical_stats(ref_result) == \
-        _canonical_stats(spec_result)
-    return {
-        "path": label,
-        "records": records,
-        "bit_identical": identical,
-        "reference": {"seconds": ref_s,
-                      "records_per_s": records / ref_s},
-        "specialized": {"seconds": spec_s,
-                        "records_per_s": records / spec_s},
-        "speedup": ref_s / spec_s,
-    }
-
-
-def compare_engines(budget: int, repeats: int) -> dict:
-    """Reference vs. specialized on gzip: in-memory + streaming."""
-    import tempfile
-    from pathlib import Path
-
-    from repro.core.specialize import codegen_cache_info
-    from repro.trace.fileio import write_trace_file
-    from repro.trace.source import FileSource
-
-    generation = SyntheticWorkload(get_profile("gzip"),
-                                   seed=7).generate(budget)
-    records = list(generation.records)
-
-    measurements = [_measure_path(
-        "in_memory", len(records), repeats,
-        lambda: ReSimEngine(PAPER_4WIDE_PERFECT, list(records)),
-        lambda: SpecializedEngine(PAPER_4WIDE_PERFECT, list(records)),
-    )]
-    with tempfile.TemporaryDirectory() as raw:
-        path = Path(raw) / "gzip.trace"
-        write_trace_file(path, records, benchmark="gzip", seed=7)
-        measurements.append(_measure_path(
-            "streaming_file", len(records), repeats,
-            lambda: ReSimEngine(PAPER_4WIDE_PERFECT, FileSource(path)),
-            lambda: SpecializedEngine(PAPER_4WIDE_PERFECT,
-                                      FileSource(path)),
-        ))
-
-    return {
-        "benchmark": "bench_engine",
-        "workload": "gzip",
-        "config": "4wide-perfect",
-        "budget": budget,
-        "repeats": repeats,
-        "measurements": measurements,
-        "codegen_cache": codegen_cache_info(),
-    }
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Compare the reference and specialized engine "
-                    "tiers on one gzip trace (in-memory + streaming).")
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-sized budget, no speedup floor "
-                             "(parity is still asserted)")
-    parser.add_argument("--budget", type=int, default=10_000,
-                        help="records in the measured trace")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="fresh runs per measurement (min wins)")
-    parser.add_argument("--json", default=None, metavar="PATH",
-                        help="write the machine-readable document here")
-    args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be >= 1")
-    budget = 2000 if args.smoke else args.budget
-
-    document = compare_engines(budget, args.repeats)
-
-    failures = [m["path"] for m in document["measurements"]
-                if not m["bit_identical"]]
-    if failures:
-        print(f"FAIL: tiers disagree on {', '.join(failures)}",
-              file=sys.stderr)
-        return 1
-
-    print(f"workload gzip, {budget} records, best of "
-          f"{args.repeats} run(s); tiers bit-identical OK\n")
-    header = (f"{'path':16s} {'ref rec/s':>10s} {'spec rec/s':>11s} "
-              f"{'speedup':>8s}")
-    print(header)
-    print("-" * len(header))
-    for m in document["measurements"]:
-        print(f"{m['path']:16s} "
-              f"{m['reference']['records_per_s']:10.0f} "
-              f"{m['specialized']['records_per_s']:11.0f} "
-              f"{m['speedup']:7.2f}x")
-
-    if args.json:
-        from pathlib import Path
-        Path(args.json).write_text(
-            json.dumps(document, indent=2, sort_keys=True) + "\n")
-        print(f"\nwrote {args.json}")
-
-    if not args.smoke:
-        slow = [m for m in document["measurements"]
-                if m["speedup"] < 2.0]
-        if slow:
-            detail = ", ".join(f"{m['path']}={m['speedup']:.2f}x"
-                               for m in slow)
-            print(f"FAIL: expected >=2x speedup on every path, got "
-                  f"{detail}", file=sys.stderr)
-            return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

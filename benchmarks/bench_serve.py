@@ -1,59 +1,24 @@
-"""Bench: campaign-service caching — cold sweep vs. cache-served rerun.
+"""Bench: campaign-service caching — cache-served rerun of a sweep.
 
-Two harnesses in one file:
-
-* the pytest benchmark (run via ``pytest benchmarks/``) drives a
-  sweep through :class:`~repro.serve.CampaignService` twice in
-  process and times the warm (100% cache-hit) pass;
-* the script mode (``PYTHONPATH=src python benchmarks/bench_serve.py
-  [--smoke]``) is the end-to-end measurement CI runs as the
-  campaign-service smoke job: it starts a real HTTP server, submits
-  one sweep, resubmits it, and reports both wall clocks.  Before
-  printing anything it asserts the second job executed **zero**
-  work units (every outcome cache-served) and that its result
-  document is **byte-identical** to the cold one — the cache must be
-  invisible in the numbers and only visible in the clock.
-
-The interesting figure is the warm pass: it is pure key derivation +
-store lookups + HTTP, so it bounds the service's per-query overhead
-for a fully warmed campaign.
+The pytest benchmark (run via ``pytest benchmarks/``) drives a sweep
+through :class:`~repro.serve.CampaignService` twice in process and
+times the warm (100% cache-hit) pass.  That pass is pure key
+derivation + store lookups, so it bounds the service's per-query
+overhead for a fully warmed campaign.  CI's ``campaign-service-smoke``
+job checks the same cache behaviour over HTTP.
 """
 
-import argparse
-import json
-import sys
-import tempfile
-import time
-from pathlib import Path
+import pytest
 
-try:
-    import pytest
-except ImportError:  # script mode needs no pytest
-    class _FixtureShim:
-        """Keeps the @pytest.fixture decorators below importable."""
-        @staticmethod
-        def fixture(*args, **kwargs):
-            return lambda fn: fn
-    pytest = _FixtureShim()
-
-BUDGET = 6000
-AXES = {"rob_entries": [8, 16, 32, 64], "width": [2, 4]}
-
-
-def _request(budget: int) -> dict:
-    return {"kind": "sweep", "workload": "gzip", "budget": budget,
-            "axes": AXES}
-
-
-# ---------------------------------------------------------------------
-# pytest mode: in-process service, benchmark the warm pass.
+REQUEST = {"kind": "sweep", "workload": "gzip", "budget": 6000,
+           "axes": {"rob_entries": [8, 16, 32, 64], "width": [2, 4]}}
 
 
 @pytest.fixture(scope="module")
 def warmed_service(tmp_path_factory):
     from repro.serve import CampaignService
     service = CampaignService(tmp_path_factory.mktemp("campaign"))
-    job, _ = service.submit(_request(BUDGET))
+    job, _ = service.submit(REQUEST)
     service.manager.wait(job.job_id, timeout=600)
     assert job.state == "done"
     yield service, job
@@ -67,7 +32,7 @@ def test_cache_served_resubmission(warmed_service, benchmark):
     service, cold_job = warmed_service
 
     def resubmit():
-        job, _ = service.submit(_request(BUDGET))
+        job, _ = service.submit(REQUEST)
         service.manager.wait(job.job_id, timeout=600)
         return job
 
@@ -79,74 +44,3 @@ def test_cache_served_resubmission(warmed_service, benchmark):
             warm_job.job_id)["sweep"]["outcomes"])
     assert service.manager.result_document(warm_job.job_id) \
         == service.manager.result_document(cold_job.job_id)
-
-
-# ---------------------------------------------------------------------
-# Script mode: the real server over HTTP (CI's smoke job).
-
-
-def smoke(budget: int) -> int:
-    from repro.serve import (
-        BackgroundServer,
-        CampaignService,
-        ServiceClient,
-    )
-
-    with tempfile.TemporaryDirectory() as raw:
-        service = CampaignService(Path(raw) / "campaign")
-        with BackgroundServer(service) as server:
-            client = ServiceClient(*server.address)
-            health = client.health()
-            assert health["ok"], health
-            print(f"campaign service up at "
-                  f"http://{server.address[0]}:{server.address[1]} "
-                  f"(engine {health['engine_version']})")
-
-            runs = {}
-            for label in ("cold", "warm"):
-                start = time.perf_counter()
-                answer = client.submit(_request(budget))
-                client.wait(answer["job_id"])
-                elapsed = time.perf_counter() - start
-                envelope = client.result(answer["job_id"])
-                runs[label] = (envelope, elapsed)
-
-        (cold, cold_s), (warm, warm_s) = runs["cold"], runs["warm"]
-        points = len(cold["result"]["sweep"]["outcomes"])
-
-        if warm["cache"]["misses"] != 0 \
-                or warm["cache"]["hits"] != points:
-            print(f"FAIL: resubmission was not fully cache-served: "
-                  f"{warm['cache']} over {points} points",
-                  file=sys.stderr)
-            return 1
-        cold_doc = json.dumps(cold["result"], sort_keys=True)
-        warm_doc = json.dumps(warm["result"], sort_keys=True)
-        if cold_doc != warm_doc:
-            print("FAIL: cache-served result differs from the "
-                  "simulated one", file=sys.stderr)
-            return 1
-
-        print(f"sweep: {points} design points, workload gzip, "
-              f"budget {budget}")
-        print(f"  cold submit (simulated)    : {cold_s:8.2f}s  "
-              f"cache {cold['cache']}")
-        print(f"  warm submit (cache-served) : {warm_s:8.2f}s  "
-              f"cache {warm['cache']}")
-        print(f"  -> {cold_s / warm_s:.1f}x; results bit-identical "
-              f"[OK]")
-    return 0
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Campaign service: cold vs. cache-served sweep.")
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-sized budget")
-    parser.add_argument("--budget", type=int, default=BUDGET)
-    args = parser.parse_args(argv)
-    return smoke(2000 if args.smoke else args.budget)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,43 +1,19 @@
-"""Bench: sweep throughput across execution backends.
+"""Bench: sweep throughput on one grid.
 
-Two harnesses in one file:
-
-* the pytest benchmarks (run via ``pytest benchmarks/``) measure the
-  historical question — process-pool fan-out vs. the serial loop on
-  one 16-point grid — plus trace-generation amortization;
-* the script mode (``PYTHONPATH=src python benchmarks/bench_sweep.py
-  [--smoke]``) compares **all three** backends — serial, process
-  pool, directory queue with 2 local workers — on the same grid,
-  reporting points/sec plus each backend's pure coordinator overhead
-  (a second run over the same results directory satisfies every
-  point from checkpoints, so its wall clock is scheduling +
-  checkpoint I/O with zero simulation).  Before printing anything it
-  asserts the three result sets are **bit-identical**: the engine is
-  a deterministic function of (config, trace), so any backend that
-  changes a number is wrong, not fast.  CI runs ``--smoke`` as the
-  distributed-execution smoke job.
+The pytest benchmarks (run via ``pytest benchmarks/``) measure the
+historical question — process-pool fan-out vs. the serial loop on one
+16-point grid — plus trace-generation amortization.  Backend parity
+and checkpoint resume on every backend are tier-1 tests
+(``tests/test_sweep.py``).
 
 Checkpoints are disabled as a variable in the fresh-run measurements
-by giving every run its own results directory; resume behaviour is
-covered by ``tests/test_sweep.py`` and ``tests/test_exec.py``.
+by giving every run its own results directory.
 """
 
-import argparse
-import hashlib
-import json
 import os
-import sys
 import time
 
-try:
-    import pytest
-except ImportError:  # script mode needs no pytest
-    class _FixtureShim:
-        """Keeps the @pytest.fixture decorators below importable."""
-        @staticmethod
-        def fixture(*args, **kwargs):
-            return lambda fn: fn
-    pytest = _FixtureShim()
+import pytest
 
 from repro.sweep import SweepSpec, SweepRunner, stats_to_dict
 
@@ -103,106 +79,3 @@ def test_sweep_amortizes_trace_generation(spec, tmp_path, benchmark):
     # Subsequent calls reuse the persisted file (same path, same PC).
     assert generated.path == trace.path
     assert generated.start_pc == trace.start_pc
-
-
-# ---------------------------------------------------------------------
-# Script mode: serial vs. process pool vs. directory queue.
-
-
-def _digest(result) -> str:
-    """Order-independent digest of every point's full statistics."""
-    blob = json.dumps(
-        sorted((o.key, stats_to_dict(o.stats)) for o in result),
-        sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def _make_backend(name: str, base_dir, workers: int):
-    from repro.exec import (
-        DirectoryQueueBackend,
-        ProcessPoolBackend,
-        SerialBackend,
-    )
-    if name == "serial":
-        return SerialBackend()
-    if name == "pool":
-        return ProcessPoolBackend(workers)
-    return DirectoryQueueBackend(
-        base_dir / "queue", workers=workers, poll_seconds=0.02,
-        timeout=600)
-
-
-def _timed_run(spec, workload, budget, backend, results_dir):
-    runner = SweepRunner(spec, workload, results_dir=results_dir,
-                         budget=budget, backend=backend)
-    start = time.perf_counter()
-    result = runner.run()
-    return result, time.perf_counter() - start
-
-
-def compare_backends(budget: int, workers: int) -> int:
-    spec = SweepSpec(axes={
-        "rob_entries": (8, 16, 32, 64),
-        "width": (2, 4),
-    })
-    points = len(spec.expand())
-    print(f"grid: {points} design points, workload gzip, "
-          f"budget {budget}, {workers} worker(s) per parallel backend")
-
-    import tempfile
-    with tempfile.TemporaryDirectory() as raw:
-        from pathlib import Path
-        base = Path(raw)
-        measurements = {}
-        for name in ("serial", "pool", "queue"):
-            directory = base / name
-            result, fresh_s = _timed_run(
-                spec, "gzip", budget,
-                _make_backend(name, directory, workers), directory)
-            # Second pass over the same directory: every point comes
-            # from its checkpoint, so this is pure coordinator
-            # overhead (scheduling + checkpoint I/O, no simulation).
-            resumed, resume_s = _timed_run(
-                spec, "gzip", budget,
-                _make_backend(name, directory, workers), directory)
-            assert resumed.resumed_count == points
-            measurements[name] = (result, fresh_s, resume_s)
-
-    digests = {name: _digest(result)
-               for name, (result, _, _) in measurements.items()}
-    if len(set(digests.values())) != 1:
-        print(f"FAIL: backends disagree: {digests}", file=sys.stderr)
-        return 1
-    print(f"statistics digest (all backends): "
-          f"{next(iter(digests.values()))}  [bit-identical OK]\n")
-
-    serial_s = measurements["serial"][1]
-    header = (f"{'backend':8s} {'fresh s':>8s} {'points/s':>9s} "
-              f"{'vs serial':>9s} {'coord s':>8s}")
-    print(header)
-    print("-" * len(header))
-    for name, (_, fresh_s, resume_s) in measurements.items():
-        print(f"{name:8s} {fresh_s:8.2f} {points / fresh_s:9.2f} "
-              f"{serial_s / fresh_s:8.2f}x {resume_s:8.2f}")
-    print("\n(coord s = wall clock of a fully checkpointed rerun: "
-          "the backend's scheduling overhead with zero simulation)")
-    return 0
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Compare sweep execution backends on one grid.")
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-sized budget")
-    parser.add_argument("--budget", type=int, default=BUDGET)
-    parser.add_argument("--workers", type=int, default=2,
-                        help="workers for pool/queue backends")
-    args = parser.parse_args(argv)
-    budget = 1500 if args.smoke else args.budget
-    if args.workers < 1:
-        parser.error("--workers must be >= 1")
-    return compare_backends(budget, args.workers)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

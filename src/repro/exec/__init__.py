@@ -9,7 +9,7 @@ pieces:
   :meth:`Simulation.from_spec` dict (PR 2) over a shared trace file
   (PR 3, optionally a segment shard) plus a result destination;
 * :class:`~repro.exec.backends.ExecutionBackend` — the
-  submit/``run_units`` protocol every dispatcher implements;
+  ``run_units`` protocol every dispatcher implements;
 * :class:`~repro.exec.backends.SerialBackend` /
   :class:`~repro.exec.backends.ProcessPoolBackend` — in-process and
   one-host fan-out (the sweep runner's historical behaviors);

@@ -52,49 +52,36 @@ OnResult = Callable[[WorkUnit, dict], None]
 class ExecutionBackend(ABC):
     """Run serializable work units to completion.
 
-    The protocol is submit-then-drain: :meth:`submit` enqueues units,
-    :meth:`drain` executes everything enqueued and returns
-    ``{unit_id: result_document}``.  :meth:`run_units` is the
-    convenience composition of the two.  A backend instance is
-    reusable — each :meth:`drain` consumes the queue, so adaptive
-    search can push batch after batch through one backend.
+    :meth:`run_units` executes one batch and returns
+    ``{unit_id: result_document}``.  A backend instance is reusable —
+    adaptive search pushes batch after batch through one backend.
     """
 
     #: Human-readable backend name (also its registry key).
     name = "?"
 
-    def __init__(self) -> None:
-        self._queue: list[WorkUnit] = []
-
-    def submit(self, unit: WorkUnit) -> None:
-        """Enqueue one unit for the next :meth:`drain`."""
-        if not isinstance(unit, WorkUnit):
-            raise ExecError(
-                f"submit() takes a WorkUnit, got {type(unit).__name__}")
-        if any(queued.unit_id == unit.unit_id for queued in self._queue):
-            raise ExecError(
-                f"unit {unit.unit_id!r} is already enqueued; unit ids "
-                f"must be unique within a batch"
-            )
-        self._queue.append(unit)
-
     def run_units(self, units: Sequence[WorkUnit] = (), *,
                   on_result: OnResult | None = None) -> dict[str, dict]:
-        """Submit a batch and drain it (see :meth:`drain`)."""
-        for unit in units:
-            self.submit(unit)
-        return self.drain(on_result=on_result)
-
-    def drain(self, *,
-              on_result: OnResult | None = None) -> dict[str, dict]:
-        """Execute every enqueued unit; return documents by unit id."""
-        batch, self._queue = self._queue, []
+        """Execute a batch; return result documents by unit id."""
+        batch = list(units)
+        seen: set[str] = set()
+        for unit in batch:
+            if not isinstance(unit, WorkUnit):
+                raise ExecError(
+                    f"run_units() takes a WorkUnit, got "
+                    f"{type(unit).__name__}")
+            if unit.unit_id in seen:
+                raise ExecError(
+                    f"unit {unit.unit_id!r} is already enqueued; unit "
+                    f"ids must be unique within a batch"
+                )
+            seen.add(unit.unit_id)
         return self._execute(batch, on_result)
 
     @abstractmethod
     def _execute(self, batch: Sequence[WorkUnit],
                  on_result: OnResult | None) -> dict[str, dict]:
-        """Backend-specific execution of one drained batch."""
+        """Backend-specific execution of one validated batch."""
 
     def describe(self) -> str:
         return f"{type(self).__name__}()"
@@ -133,7 +120,6 @@ class ProcessPoolBackend(ExecutionBackend):
     name = "pool"
 
     def __init__(self, workers: int) -> None:
-        super().__init__()
         if workers < 1:
             raise ExecError(f"workers must be >= 1, got {workers}")
         self.workers = workers

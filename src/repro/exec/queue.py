@@ -248,7 +248,6 @@ class DirectoryQueueBackend(ExecutionBackend):
         poll_seconds: float = 0.1,
         timeout: float | None = None,
     ) -> None:
-        super().__init__()
         if workers < 0:
             raise ExecError(f"workers must be >= 0, got {workers}")
         if lease_seconds <= 0:

@@ -202,7 +202,7 @@ OnCacheVerdict = Callable[[WorkUnit, str, bool], None]
 class CachingBackend(ExecutionBackend):
     """Memoize any inner backend through a :class:`CacheStore`.
 
-    For every drained unit: derive its content-addressed key (trace
+    For every unit of a batch: derive its content-addressed key (trace
     digests are memoized per path — trace files are write-once in
     this codebase), serve hits by synthesizing the unit's result
     document from the cached (config, stats) — the document passes
@@ -220,7 +220,6 @@ class CachingBackend(ExecutionBackend):
     def __init__(self, store: CacheStore,
                  inner: ExecutionBackend, *,
                  on_verdict: OnCacheVerdict | None = None) -> None:
-        super().__init__()
         self.store = store
         self.inner = inner
         self.on_verdict = on_verdict

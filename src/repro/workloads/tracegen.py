@@ -9,7 +9,9 @@ runner all generate traces here, so a change to trace-generation
 parameters happens in exactly one place.
 
 Workloads are named components: the :data:`WORKLOADS` registry maps
-each name to a :class:`WorkloadSource`, so new workloads (a new
+each name to a trace source (:class:`SyntheticSource`,
+:class:`KernelSource`, or anything with their ``start_pc`` and
+streaming ``generate(..., sink=)`` methods), so new workloads (a new
 profile, a new kernel, or an entirely new source kind) register once
 and are immediately reachable from CLI flags, sweep specs, and
 :class:`~repro.session.Simulation` specs.
@@ -116,21 +118,15 @@ del _name
 
 
 def _resolve_source(workload: str):
-    """Workload name → source, falling back to the profile/kernel
-    tables for names added after import (the pre-registry behaviour)."""
-    if workload in WORKLOADS:
-        return WORKLOADS.get(workload)
-    if workload in SPECINT_PROFILES:
-        return SyntheticSource(workload)
-    if workload in KERNELS:
-        return KernelSource(workload)
-    raise UnknownWorkloadError(workload)
+    """Workload name → source."""
+    if workload not in WORKLOADS:
+        raise UnknownWorkloadError(workload)
+    return WORKLOADS.get(workload)
 
 
 def is_known_workload(workload: str) -> bool:
     """True for any name :func:`generate_workload_trace` accepts."""
-    return (workload in WORKLOADS or workload in SPECINT_PROFILES
-            or workload in KERNELS)
+    return workload in WORKLOADS
 
 
 class _ObservingSink:
@@ -203,17 +199,9 @@ def write_workload_trace(
     """
     source = _resolve_source(workload)
     stats = TraceStatistics()
-    streams = hasattr(source, "start_pc")
-    if streams:
-        # Start PC is declared up front so it can live in the header
-        # metadata while records stream past it.
-        start_pc = source.start_pc(config)
-        generation = None
-    else:
-        # A registered source without the streaming protocol: fall
-        # back to in-memory generation, then stream the list out.
-        generation, start_pc = source.generate(
-            config, budget=budget, seed=seed)
+    # Start PC is declared up front so it can live in the header
+    # metadata while records stream past it.
+    start_pc = source.start_pc(config)
     metadata = dict(extra or {})
     if start_pc is not None:
         metadata.setdefault("start_pc", start_pc)
@@ -224,13 +212,9 @@ def write_workload_trace(
             part, predictor=config.predictor, benchmark=workload,
             seed=seed, extra=metadata, segment_records=segment_records,
         ) as writer:
-            if streams:
-                generation, _ = source.generate(
-                    config, budget=budget, seed=seed,
-                    sink=_ObservingSink(writer, stats))
-            else:
-                sink = _ObservingSink(writer, stats)
-                sink.extend(generation.records)
+            generation, _ = source.generate(
+                config, budget=budget, seed=seed,
+                sink=_ObservingSink(writer, stats))
     except BaseException:
         part.unlink(missing_ok=True)
         raise

@@ -132,10 +132,9 @@ class TestBackendProtocol:
         assert BACKENDS.get("directory-queue") is DirectoryQueueBackend
 
     def test_duplicate_unit_id_rejected(self, trace_file, tmp_path):
-        backend = SerialBackend()
-        backend.submit(make_unit(trace_file, tmp_path))
+        unit = make_unit(trace_file, tmp_path)
         with pytest.raises(ExecError, match="already enqueued"):
-            backend.submit(make_unit(trace_file, tmp_path))
+            SerialBackend().run_units([unit, unit])
 
     def test_pool_needs_positive_workers(self):
         with pytest.raises(ExecError, match="workers"):

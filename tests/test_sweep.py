@@ -466,29 +466,38 @@ class TestExecutionBackends:
     def test_three_backends_bit_identical(self, small_spec, tmp_path):
         """Acceptance: for the same grid, serial, process-pool, and
         directory-queue (2 concurrent workers) backends produce
-        bit-identical SweepResult statistics."""
+        bit-identical SweepResult statistics, and a rerun on each
+        backend resumes every point from its checkpoint."""
         from repro.exec import (
             DirectoryQueueBackend,
             ProcessPoolBackend,
             SerialBackend,
         )
-        serial = run_sweep(small_spec, "gzip",
-                           results_dir=tmp_path / "serial",
-                           budget=BUDGET, backend=SerialBackend())
-        pool = run_sweep(small_spec, "gzip",
-                         results_dir=tmp_path / "pool",
-                         budget=BUDGET, backend=ProcessPoolBackend(2))
-        queue = run_sweep(
-            small_spec, "gzip", results_dir=tmp_path / "queued",
-            budget=BUDGET,
-            backend=DirectoryQueueBackend(
+        backends = {
+            "serial": SerialBackend,
+            "pool": lambda: ProcessPoolBackend(2),
+            "queued": lambda: DirectoryQueueBackend(
                 tmp_path / "queued" / "queue", workers=2,
-                poll_seconds=0.02, timeout=120))
+                poll_seconds=0.02, timeout=120),
+        }
+
+        def run(name):
+            return run_sweep(small_spec, "gzip",
+                             results_dir=tmp_path / name,
+                             budget=BUDGET, backend=backends[name]())
+
+        serial, pool, queue = (run(name) for name in backends)
         assert [o.key for o in serial] == [o.key for o in pool] \
             == [o.key for o in queue]
         for a, b, c in zip(serial, pool, queue, strict=True):
             assert stats_to_dict(a.stats) == stats_to_dict(b.stats) \
                 == stats_to_dict(c.stats)
+        for name, first in zip(backends, (serial, pool, queue),
+                               strict=True):
+            rerun = run(name)
+            assert rerun.resumed_count == len(rerun) == 4, name
+            for a, b in zip(first, rerun, strict=True):
+                assert stats_to_dict(a.stats) == stats_to_dict(b.stats)
 
     def test_backend_overrides_workers(self, small_spec, tmp_path):
         """An explicit backend wins; the workers shorthand is only

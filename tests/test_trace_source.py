@@ -249,12 +249,16 @@ class TestEngineEquivalence:
         result = ReSimEngine(PAPER_4WIDE_PERFECT, source).run()
         assert stats_to_dict(result.stats) == reference
 
-    def test_session_streaming_vs_in_memory(self, v2_path, reference):
+    def test_session_streaming_vs_in_memory(self, v1_path, v2_path,
+                                            reference):
         streamed = Simulation.for_trace_file(
             v2_path, PAPER_4WIDE_PERFECT).run()
+        streamed_v1 = Simulation.for_trace_file(
+            v1_path, PAPER_4WIDE_PERFECT).run()
         materialized = Simulation.for_trace_file(
             v2_path, PAPER_4WIDE_PERFECT, streaming=False).run()
         assert stats_to_dict(streamed.stats) == reference
+        assert stats_to_dict(streamed_v1.stats) == reference
         assert stats_to_dict(materialized.stats) == reference
 
     def test_streaming_session_rerun_is_stable(self, v2_path,
