@@ -28,7 +28,8 @@ This package provides:
   instruction, wrong-path fraction) feeding the Table 3 reproduction;
 * :mod:`repro.trace.analyze` — per-segment behaviour profiles (record
   mix, misprediction density, basic-block vectors) persisted as
-  content-digest-keyed ``.rprof`` sidecars — the measurement half of
+  content-digest-keyed ``.rprof`` sidecars and an in-process memo, so
+  each trace is profiled once — the measurement half of
   region-sampled simulation (:mod:`repro.exec.regions`);
 * :mod:`repro.trace.wrongpath` — wrong-path block sizing and injection
   helpers shared by the functional and synthetic trace generators.
@@ -37,13 +38,16 @@ This package provides:
 from repro.trace.analyze import (
     DEFAULT_BBV_DIM,
     PROFILE_SCHEMA,
+    ProfileAccumulator,
     ProfileError,
     SegmentProfile,
     TraceProfile,
     analyze_trace,
     ensure_profile,
     load_profile,
+    profile_cache_info,
     profile_path,
+    record_profile,
     trace_content_digest,
     write_profile,
 )
@@ -93,6 +97,7 @@ __all__ = [
     "MemoryRecord",
     "OtherRecord",
     "PROFILE_SCHEMA",
+    "ProfileAccumulator",
     "ProfileError",
     "RecordKind",
     "SegmentProfile",
@@ -115,11 +120,13 @@ __all__ = [
     "iter_trace_records",
     "load_profile",
     "measure_trace",
+    "profile_cache_info",
     "profile_path",
     "read_segment_table",
     "read_trace_file",
     "read_trace_header",
     "record_bit_length",
+    "record_profile",
     "trace_content_digest",
     "write_profile",
     "write_trace_file",

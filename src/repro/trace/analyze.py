@@ -27,6 +27,13 @@ Profiles persist as a JSON sidecar next to the trace
 digest*, so a stale sidecar — the trace was regenerated in place — is
 detected and recomputed rather than trusted.  ``resim trace analyze``
 surfaces the same pass on the command line.
+
+A profile is a pure function of the trace bytes and ``bbv_dim``, so
+each process measures it at most once: :func:`ensure_profile` keeps
+every profile it measured (or that the trace writer measured while
+writing, see :func:`record_profile`) in a small digest-keyed memo, and
+a trace that lands in another directory with no sidecar is served from
+there instead of being decoded again.
 """
 
 from __future__ import annotations
@@ -34,6 +41,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
+from collections import OrderedDict
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,7 +52,7 @@ from repro.trace.fileio import (
     iter_trace_records,
     read_segment_table,
 )
-from repro.trace.record import RecordKind
+from repro.trace.record import RecordKind, TraceRecord
 
 #: Profile sidecar schema; bump on incompatible layout changes.
 PROFILE_SCHEMA = 1
@@ -55,6 +65,10 @@ PROFILE_SUFFIX = ".rprof"
 #: many buckets; 32 keeps sidecars small while separating program
 #: phases that touch different code.
 DEFAULT_BBV_DIM = 32
+
+#: Profiles the in-process memo holds at most (least recently used
+#: first out).  A sidecar is a few tens of kilobytes of JSON.
+PROFILE_MEMO_ENTRIES = 32
 
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
@@ -149,8 +163,12 @@ class SegmentProfile:
 
     @classmethod
     def from_dict(cls, data: dict) -> SegmentProfile:
+        """Parse one sidecar entry, rejecting counts no trace can
+        produce (every record is committed or wrong-path, every
+        committed record lands in exactly one BBV bucket, and the mix
+        counters are committed records)."""
         try:
-            return cls(
+            segment = cls(
                 index=int(data["index"]),
                 records=int(data["records"]),
                 committed=int(data["committed"]),
@@ -165,6 +183,23 @@ class SegmentProfile:
         except (KeyError, TypeError, ValueError) as error:
             raise ProfileError(
                 f"malformed segment profile entry: {error!r}") from None
+        s = segment
+        consistent = (
+            # With the relations below, this makes every count
+            # non-negative.
+            min(s.wrong_path_blocks, s.taken_branches, s.loads, s.stores,
+                *s.bbv) >= 0
+            and s.records == s.committed + s.wrong_path
+            and sum(s.bbv) == s.committed
+            and s.taken_branches <= s.branches
+            and s.branches + s.loads + s.stores <= s.committed
+            and s.wrong_path_blocks <= s.wrong_path
+        )
+        if not consistent:
+            raise ProfileError(
+                f"profile segment {segment.index} has inconsistent "
+                f"counts")
+        return segment
 
 
 @dataclass
@@ -220,6 +255,13 @@ class TraceProfile:
                     f"profile segment {position} is inconsistent "
                     f"(index {segment.index}, "
                     f"{len(segment.bbv)}-bucket BBV)")
+        if trace.get("segments") != len(profile.segments) \
+                or trace.get("records") != profile.total_records:
+            raise ProfileError(
+                f"profile header claims {trace.get('segments')!r} "
+                f"segment(s) and {trace.get('records')!r} record(s); "
+                f"its entries hold {len(profile.segments)} and "
+                f"{profile.total_records}")
         return profile
 
     def summary(self) -> str:
@@ -247,59 +289,104 @@ class TraceProfile:
         return "\n".join(lines)
 
 
-def analyze_trace(path: str | Path, *,
-                  bbv_dim: int = DEFAULT_BBV_DIM) -> TraceProfile:
-    """Profile every segment of a stored trace in one streaming pass.
+class ProfileAccumulator:
+    """Folds trace records, in trace order, into per-segment profiles.
 
-    Decodes segment by segment (constant memory), carrying the
-    reconstructed committed PC and the wrong-path block state across
-    segment boundaries — exactly the continuity the engine itself sees
-    when it replays the whole file.
+    The profiler's one per-record body, with two feeders:
+    :func:`analyze_trace` hands it each segment of a stored file along
+    the segment table, and
+    :func:`repro.workloads.tracegen.write_workload_trace` hands it each
+    segment as the writer produces it.  The reconstructed committed PC
+    and the wrong-path block state carry across segment boundaries —
+    exactly the continuity the engine sees when it replays the whole
+    file — so both feeders give the same profile.
     """
-    if bbv_dim < 1:
-        raise ProfileError(f"bbv_dim must be >= 1, got {bbv_dim}")
-    table = read_segment_table(path)
-    profiles = [SegmentProfile(index=index, bbv=[0] * bbv_dim)
-                for index in range(len(table))]
-    pc = 0
-    block_start = 0
-    previous_tagged = False
-    iterator = iter_trace_records(path)
-    for segment, profile in zip(table, profiles, strict=True):
-        for record in _take(iterator, segment.record_count, segment.index):
-            profile.records += 1
+
+    def __init__(self, bbv_dim: int = DEFAULT_BBV_DIM) -> None:
+        if bbv_dim < 1:
+            raise ProfileError(f"bbv_dim must be >= 1, got {bbv_dim}")
+        self.bbv_dim = bbv_dim
+        self.segments: list[SegmentProfile] = []
+        self._pc = 0
+        self._block_start = 0
+        self._previous_tagged = False
+
+    def add_segment(self, records: Iterable[TraceRecord]) -> None:
+        """Profile the records of the next segment."""
+        bbv_dim = self.bbv_dim
+        bbv = [0] * bbv_dim
+        pc = self._pc
+        block_start = self._block_start
+        previous_tagged = self._previous_tagged
+        bucket = _mix(block_start) % bbv_dim
+        branch, memory = RecordKind.BRANCH, RecordKind.MEMORY
+        committed = wrong_path = wrong_path_blocks = 0
+        branches = taken_branches = loads = stores = 0
+        for record in records:
             if record.tag:
-                profile.wrong_path += 1
+                wrong_path += 1
                 if not previous_tagged:
-                    profile.wrong_path_blocks += 1
+                    wrong_path_blocks += 1
                 previous_tagged = True
                 # Wrong-path records never advance the committed PC.
                 continue
             previous_tagged = False
-            profile.committed += 1
-            profile.bbv[_mix(block_start) % bbv_dim] += 1
+            committed += 1
+            bbv[bucket] += 1
             kind = record.kind
-            if kind is RecordKind.BRANCH:
-                profile.branches += 1
+            if kind is branch:
+                branches += 1
                 if record.taken:
-                    profile.taken_branches += 1
+                    taken_branches += 1
                     pc = record.target & _MASK32
                 else:
                     pc = (pc + 4) & _MASK32
                 block_start = pc
+                bucket = _mix(block_start) % bbv_dim
             else:
-                if kind is RecordKind.MEMORY:
+                if kind is memory:
                     if record.is_store:
-                        profile.stores += 1
+                        stores += 1
                     else:
-                        profile.loads += 1
+                        loads += 1
                 pc = (pc + 4) & _MASK32
+        self._pc = pc
+        self._block_start = block_start
+        self._previous_tagged = previous_tagged
+        self.segments.append(SegmentProfile(
+            index=len(self.segments), records=committed + wrong_path,
+            committed=committed, wrong_path=wrong_path,
+            wrong_path_blocks=wrong_path_blocks, branches=branches,
+            taken_branches=taken_branches, loads=loads, stores=stores,
+            bbv=bbv))
+
+    def profile(self, digest: str) -> TraceProfile:
+        """The profile of the records fed so far, for the trace whose
+        content digest is ``digest``."""
+        return TraceProfile(digest=digest, bbv_dim=self.bbv_dim,
+                            segments=list(self.segments))
+
+
+def analyze_trace(path: str | Path, *,
+                  bbv_dim: int = DEFAULT_BBV_DIM) -> TraceProfile:
+    """Profile every segment of a stored trace in one streaming pass.
+
+    Decodes segment by segment (constant memory) into one
+    :class:`ProfileAccumulator`.  Never memoized: this is the
+    measurement itself.  The digest is taken after the pass, so a
+    profile always names bytes that were on disk when it finished.
+    """
+    accumulator = ProfileAccumulator(bbv_dim)
+    table = read_segment_table(path)
+    iterator = iter_trace_records(path)
+    for segment in table:
+        accumulator.add_segment(
+            _take(iterator, segment.record_count, segment.index))
     # Drain the iterator so the whole-file consistency checks run.
     for _ in iterator:
         raise TraceFileError(
             "payload holds more records than the segment table claims")
-    return TraceProfile(digest=trace_content_digest(path),
-                        bbv_dim=bbv_dim, segments=profiles)
+    return accumulator.profile(trace_content_digest(path))
 
 
 def _take(iterator, count: int, segment_index: int):
@@ -319,22 +406,35 @@ def profile_path(trace_path: str | Path) -> Path:
     return trace.with_name(trace.name + PROFILE_SUFFIX)
 
 
+def _sidecar_text(profile: TraceProfile) -> str:
+    """The canonical sidecar bytes of a profile."""
+    return json.dumps(profile.to_dict(), sort_keys=True)
+
+
+def _write_sidecar(text: str, path: str | Path) -> None:
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    # Per process *and* thread: two threads profiling one trace must
+    # not share (and truncate) one temporary file.
+    tmp = target.parent / (f"{target.name}.{os.getpid()}."
+                           f"{threading.get_ident()}.tmp")
+    tmp.write_text(text)
+    os.replace(tmp, target)
+
+
 def write_profile(profile: TraceProfile,
                   path: str | Path) -> None:
     """Atomically persist a profile sidecar (write-tmpfile-then-rename,
     the same durability idiom as every other protocol file: a crash
     mid-write leaves the old sidecar or none, never truncated JSON)."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    tmp = target.parent / f"{target.name}.{os.getpid()}.tmp"
-    tmp.write_text(json.dumps(profile.to_dict(), sort_keys=True))
-    os.replace(tmp, target)
+    _write_sidecar(_sidecar_text(profile), path)
 
 
 def load_profile(trace_path: str | Path, *,
                  expected_digest: str | None = None,
                  ) -> TraceProfile | None:
-    """The trace's sidecar profile, or ``None`` when absent or stale.
+    """The trace's sidecar profile, or ``None`` when absent, stale or
+    inconsistent.
 
     Staleness is decided by content: the sidecar records the digest of
     the trace bytes it was measured from, and a mismatch (the trace
@@ -357,20 +457,86 @@ def load_profile(trace_path: str | Path, *,
     return profile
 
 
+# ----------------------------------------------------------------------
+# Profile memo: each process measures a trace's profile at most once.
+# ----------------------------------------------------------------------
+
+_MEMO_LOCK = threading.Lock()
+#: ``(content digest, bbv_dim) -> sidecar text``, least recently used
+#: first.  Filled only by :func:`record_profile`, i.e. from a
+#: measurement, never from a sidecar read off disk.
+_MEMO: OrderedDict[tuple[str, int], str] = OrderedDict()
+_MEMO_COUNTS = {"hits": 0, "misses": 0}
+
+
+def _memo_get(key: tuple[str, int]) -> str | None:
+    with _MEMO_LOCK:
+        text = _MEMO.get(key)
+        if text is None:
+            _MEMO_COUNTS["misses"] += 1
+            return None
+        _MEMO.move_to_end(key)
+        _MEMO_COUNTS["hits"] += 1
+        return text
+
+
+def record_profile(trace_path: str | Path,
+                   profile: TraceProfile) -> None:
+    """Persist a freshly *measured* profile as the trace's sidecar and
+    remember it in the process memo under its own digest.
+
+    Callers pass only profiles they measured — :func:`analyze_trace`
+    output, or the profile the trace writer accumulated — whose
+    ``digest`` was taken over the bytes they measured.
+    """
+    text = _sidecar_text(profile)
+    _write_sidecar(text, profile_path(trace_path))
+    key = (profile.digest, profile.bbv_dim)
+    with _MEMO_LOCK:
+        _MEMO[key] = text
+        _MEMO.move_to_end(key)
+        while len(_MEMO) > PROFILE_MEMO_ENTRIES:
+            _MEMO.popitem(last=False)
+
+
+def profile_cache_info() -> dict:
+    """Hit/miss/size counters of the in-process profile memo.  Process
+    telemetry only: never part of any statistics or result document."""
+    with _MEMO_LOCK:
+        return {"hits": _MEMO_COUNTS["hits"],
+                "misses": _MEMO_COUNTS["misses"],
+                "entries": len(_MEMO)}
+
+
+def clear_profile_cache() -> None:
+    """Drop every memoized profile and zero the counters (test
+    isolation)."""
+    with _MEMO_LOCK:
+        _MEMO.clear()
+        for name in _MEMO_COUNTS:
+            _MEMO_COUNTS[name] = 0
+
+
 def ensure_profile(trace_path: str | Path, *,
                    bbv_dim: int = DEFAULT_BBV_DIM,
                    force: bool = False) -> TraceProfile:
-    """The trace's profile — loaded from a fresh sidecar when one
-    exists, otherwise measured and persisted.
+    """The trace's profile: from a digest-fresh sidecar, else from the
+    process memo (writing the sidecar), else measured and persisted.
 
-    ``force`` re-analyzes unconditionally (and rewrites the sidecar);
-    a sidecar whose BBV dimension differs from the requested one is
-    treated as absent, since its vectors are not comparable.
+    The trace is hashed once for both lookups.  ``force`` re-analyzes
+    unconditionally (and rewrites the sidecar); a sidecar whose BBV
+    dimension differs from the requested one is treated as absent,
+    since its vectors are not comparable.
     """
     if not force:
-        profile = load_profile(trace_path)
+        digest = trace_content_digest(trace_path)
+        profile = load_profile(trace_path, expected_digest=digest)
         if profile is not None and profile.bbv_dim == bbv_dim:
             return profile
+        text = _memo_get((digest, bbv_dim))
+        if text is not None:
+            _write_sidecar(text, profile_path(trace_path))
+            return TraceProfile.from_dict(json.loads(text))
     profile = analyze_trace(trace_path, bbv_dim=bbv_dim)
-    write_profile(profile, profile_path(trace_path))
+    record_profile(trace_path, profile)
     return profile

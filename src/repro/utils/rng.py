@@ -14,6 +14,27 @@ Only the handful of distributions the generator needs are provided.
 from __future__ import annotations
 
 _MASK64 = (1 << 64) - 1
+_TWO_64 = 1 << 64
+_TWO_53 = float(1 << 53)
+
+#: ``(total weight, ((running total, key), ...))``, see
+#: :func:`cumulative_weights`.
+WeightTable = tuple[float, tuple[tuple[float, str], ...]]
+
+
+def cumulative_weights(weights: dict[str, float]) -> WeightTable:
+    """Fold a weights dict into the running totals
+    :meth:`XorShiftRNG.choose_cumulative` scans, summed in the dict's
+    order (the summation order fixes the floats, hence the picks)."""
+    total = sum(weights.values())
+    if total <= 0:
+        raise ValueError("weights must sum to a positive value")
+    steps = []
+    acc = 0.0
+    for key, weight in weights.items():
+        acc += weight
+        steps.append((acc, key))
+    return total, tuple(steps)
 
 
 class XorShiftRNG:
@@ -43,9 +64,18 @@ class XorShiftRNG:
         self._state = x
         return (x * 0x2545F4914F6CDD1D) & _MASK64
 
+    # The samplers below repeat next_u64's xorshift64* step inline (a
+    # method call per draw is a large share of trace generation's
+    # cost); they draw exactly the words next_u64 would.
+
     def random(self) -> float:
         """Uniform float in [0, 1) with 53 bits of precision."""
-        return (self.next_u64() >> 11) / float(1 << 53)
+        x = self._state
+        x ^= x >> 12
+        x ^= (x << 25) & _MASK64
+        x ^= x >> 27
+        self._state = x
+        return (((x * 0x2545F4914F6CDD1D) & _MASK64) >> 11) / _TWO_53
 
     def randint(self, low: int, high: int) -> int:
         """Uniform integer in the inclusive range [low, high]."""
@@ -53,10 +83,15 @@ class XorShiftRNG:
             raise ValueError(f"empty range [{low}, {high}]")
         span = high - low + 1
         # Rejection sampling to avoid modulo bias.
-        limit = (_MASK64 + 1) - ((_MASK64 + 1) % span)
+        limit = _TWO_64 - (_TWO_64 % span)
+        x = self._state
         while True:
-            draw = self.next_u64()
+            x ^= x >> 12
+            x ^= (x << 25) & _MASK64
+            x ^= x >> 27
+            draw = (x * 0x2545F4914F6CDD1D) & _MASK64
             if draw < limit:
+                self._state = x
                 return low + (draw % span)
 
     def chance(self, probability: float) -> bool:
@@ -77,28 +112,35 @@ class XorShiftRNG:
         if mean <= 1.0:
             return 1
         success = 1.0 / mean
+        tail = 64 * mean  # guard against pathological tails
         count = 1
-        while not self.chance(success):
-            count += 1
-            if count >= 64 * mean:  # guard against pathological tails
+        x = self._state
+        while True:
+            x ^= x >> 12
+            x ^= (x << 25) & _MASK64
+            x ^= x >> 27
+            if (((x * 0x2545F4914F6CDD1D) & _MASK64) >> 11) / _TWO_53 \
+                    < success:
                 break
+            count += 1
+            if count >= tail:
+                break
+        self._state = x
         return count
 
     def choose_weighted(self, weights: dict[str, float]) -> str:
         """Pick a key with probability proportional to its weight."""
-        total = sum(weights.values())
-        if total <= 0:
-            raise ValueError("weights must sum to a positive value")
+        return self.choose_cumulative(cumulative_weights(weights))
+
+    def choose_cumulative(self, table: WeightTable) -> str:
+        """:meth:`choose_weighted` over a table folded once by
+        :func:`cumulative_weights` — the same draw, the same pick."""
+        total, steps = table
         draw = self.random() * total
-        acc = 0.0
-        last_key = None
-        for key, weight in weights.items():
-            acc += weight
-            last_key = key
-            if draw < acc:
+        for bound, key in steps:
+            if draw < bound:
                 return key
-        assert last_key is not None  # floating point edge: return last
-        return last_key
+        return steps[-1][1]  # floating point edge: return last
 
     def fork(self, stream_id: int) -> XorShiftRNG:
         """Derive an independent generator for a sub-stream.

@@ -41,7 +41,7 @@ from repro.trace.record import (
     TraceRecord,
 )
 from repro.trace.wrongpath import conservative_block_size
-from repro.utils.rng import XorShiftRNG
+from repro.utils.rng import XorShiftRNG, cumulative_weights
 from repro.workloads.profiles import BenchmarkProfile
 
 #: Gap between consecutive synthetic functions, in bytes.
@@ -157,6 +157,18 @@ class SyntheticWorkload:
                 self._rng_mem.randint(0, max(0, limit)) & ~63
             )
             self._stream_offsets.append(0)
+
+        # The non-branch instruction mix every body record draws from,
+        # folded once.
+        non_branch = 1.0 - profile.branch_fraction
+        weights = {
+            "load": profile.load_fraction / non_branch,
+            "store": profile.store_fraction / non_branch,
+            "mul": profile.mul_fraction / non_branch,
+            "div": profile.div_fraction / non_branch,
+        }
+        weights["alu"] = max(0.0, 1.0 - sum(weights.values()))
+        self._body_mix = cumulative_weights(weights)
 
         # Recent destination registers, oldest first (dependency model).
         self._recent_dests: list[int] = list(_GLOBAL_REGS)
@@ -342,16 +354,7 @@ class SyntheticWorkload:
                      rng_mem: XorShiftRNG, tag: bool,
                      advance_streams: bool) -> TraceRecord:
         """Sample one non-branch instruction from the profile mix."""
-        profile = self._profile
-        non_branch = 1.0 - profile.branch_fraction
-        weights = {
-            "load": profile.load_fraction / non_branch,
-            "store": profile.store_fraction / non_branch,
-            "mul": profile.mul_fraction / non_branch,
-            "div": profile.div_fraction / non_branch,
-        }
-        weights["alu"] = max(0.0, 1.0 - sum(weights.values()))
-        kind = rng_mix.choose_weighted(weights)
+        kind = rng_mix.choose_cumulative(self._body_mix)
 
         if kind == "load":
             dest = self._next_dest(rng_deps)
