@@ -82,7 +82,7 @@ from repro.session import SessionError, coerce_engine
 from repro.sweep.progress import SweepProgress
 from repro.sweep.result import SweepOutcome, SweepResult
 from repro.sweep.spec import SweepError, SweepPoint, SweepSpec
-from repro.trace.analyze import ensure_profile, record_profile
+from repro.trace.analyze import ensure_profile
 from repro.trace.fileio import (
     DEFAULT_SEGMENT_RECORDS,
     TraceFileError,
@@ -360,17 +360,12 @@ class SweepRunner:
         # renamed on success), so a kill mid-write leaves either no
         # trace or a complete one, never a truncated file that blocks
         # every future resume.
-        # A region-sampled sweep profiles the trace while writing it,
-        # so planning never decodes it again.
         written = write_workload_trace(
             self.workload, replace(self.spec.base, predictor=predictor),
             trace_path, budget=self.budget, seed=self.seed,
             segment_records=self.segment_records,
             extra={"generator": "sweep"},
-            profile=self.sampling == "regions",
         )
-        if written.profile is not None:
-            record_profile(trace_path, written.profile)
         return _TraceInfo(trace_path, written.start_pc,
                           written.trace_stats.bits_per_instruction)
 

@@ -38,7 +38,6 @@ This package provides:
 from repro.trace.analyze import (
     DEFAULT_BBV_DIM,
     PROFILE_SCHEMA,
-    ProfileAccumulator,
     ProfileError,
     SegmentProfile,
     TraceProfile,
@@ -47,7 +46,6 @@ from repro.trace.analyze import (
     load_profile,
     profile_cache_info,
     profile_path,
-    record_profile,
     trace_content_digest,
     write_profile,
 )
@@ -97,7 +95,6 @@ __all__ = [
     "MemoryRecord",
     "OtherRecord",
     "PROFILE_SCHEMA",
-    "ProfileAccumulator",
     "ProfileError",
     "RecordKind",
     "SegmentProfile",
@@ -126,7 +123,6 @@ __all__ = [
     "read_trace_file",
     "read_trace_header",
     "record_bit_length",
-    "record_profile",
     "trace_content_digest",
     "write_profile",
     "write_trace_file",

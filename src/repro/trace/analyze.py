@@ -30,10 +30,9 @@ surfaces the same pass on the command line.
 
 A profile is a pure function of the trace bytes and ``bbv_dim``, so
 each process measures it at most once: :func:`ensure_profile` keeps
-every profile it measured (or that the trace writer measured while
-writing, see :func:`record_profile`) in a small digest-keyed memo, and
-a trace that lands in another directory with no sidecar is served from
-there instead of being decoded again.
+every profile it measured in a small digest-keyed memo, and a trace
+that lands in another directory with no sidecar is served from there
+instead of being decoded again.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ import json
 import os
 import threading
 from collections import OrderedDict
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -52,7 +50,7 @@ from repro.trace.fileio import (
     iter_trace_records,
     read_segment_table,
 )
-from repro.trace.record import RecordKind, TraceRecord
+from repro.trace.record import RecordKind
 
 #: Profile sidecar schema; bump on incompatible layout changes.
 PROFILE_SCHEMA = 1
@@ -289,40 +287,32 @@ class TraceProfile:
         return "\n".join(lines)
 
 
-class ProfileAccumulator:
-    """Folds trace records, in trace order, into per-segment profiles.
+def analyze_trace(path: str | Path, *,
+                  bbv_dim: int = DEFAULT_BBV_DIM) -> TraceProfile:
+    """Profile every segment of a stored trace in one streaming pass.
 
-    The profiler's one per-record body, with two feeders:
-    :func:`analyze_trace` hands it each segment of a stored file along
-    the segment table, and
-    :func:`repro.workloads.tracegen.write_workload_trace` hands it each
-    segment as the writer produces it.  The reconstructed committed PC
-    and the wrong-path block state carry across segment boundaries —
-    exactly the continuity the engine sees when it replays the whole
-    file — so both feeders give the same profile.
+    Decodes segment by segment (constant memory), carrying the
+    reconstructed committed PC and the wrong-path block state across
+    segment boundaries — exactly the continuity the engine itself sees
+    when it replays the whole file.  Never memoized: this is the
+    measurement itself.  The digest is taken after the pass, so a
+    profile always names bytes that were on disk when it finished.
     """
-
-    def __init__(self, bbv_dim: int = DEFAULT_BBV_DIM) -> None:
-        if bbv_dim < 1:
-            raise ProfileError(f"bbv_dim must be >= 1, got {bbv_dim}")
-        self.bbv_dim = bbv_dim
-        self.segments: list[SegmentProfile] = []
-        self._pc = 0
-        self._block_start = 0
-        self._previous_tagged = False
-
-    def add_segment(self, records: Iterable[TraceRecord]) -> None:
-        """Profile the records of the next segment."""
-        bbv_dim = self.bbv_dim
+    if bbv_dim < 1:
+        raise ProfileError(f"bbv_dim must be >= 1, got {bbv_dim}")
+    table = read_segment_table(path)
+    profiles = []
+    pc = 0
+    block_start = 0
+    previous_tagged = False
+    bucket = _mix(block_start) % bbv_dim
+    branch, memory = RecordKind.BRANCH, RecordKind.MEMORY
+    iterator = iter_trace_records(path)
+    for segment in table:
         bbv = [0] * bbv_dim
-        pc = self._pc
-        block_start = self._block_start
-        previous_tagged = self._previous_tagged
-        bucket = _mix(block_start) % bbv_dim
-        branch, memory = RecordKind.BRANCH, RecordKind.MEMORY
         committed = wrong_path = wrong_path_blocks = 0
         branches = taken_branches = loads = stores = 0
-        for record in records:
+        for record in _take(iterator, segment.record_count, segment.index):
             if record.tag:
                 wrong_path += 1
                 if not previous_tagged:
@@ -350,43 +340,18 @@ class ProfileAccumulator:
                     else:
                         loads += 1
                 pc = (pc + 4) & _MASK32
-        self._pc = pc
-        self._block_start = block_start
-        self._previous_tagged = previous_tagged
-        self.segments.append(SegmentProfile(
-            index=len(self.segments), records=committed + wrong_path,
+        profiles.append(SegmentProfile(
+            index=segment.index, records=committed + wrong_path,
             committed=committed, wrong_path=wrong_path,
             wrong_path_blocks=wrong_path_blocks, branches=branches,
             taken_branches=taken_branches, loads=loads, stores=stores,
             bbv=bbv))
-
-    def profile(self, digest: str) -> TraceProfile:
-        """The profile of the records fed so far, for the trace whose
-        content digest is ``digest``."""
-        return TraceProfile(digest=digest, bbv_dim=self.bbv_dim,
-                            segments=list(self.segments))
-
-
-def analyze_trace(path: str | Path, *,
-                  bbv_dim: int = DEFAULT_BBV_DIM) -> TraceProfile:
-    """Profile every segment of a stored trace in one streaming pass.
-
-    Decodes segment by segment (constant memory) into one
-    :class:`ProfileAccumulator`.  Never memoized: this is the
-    measurement itself.  The digest is taken after the pass, so a
-    profile always names bytes that were on disk when it finished.
-    """
-    accumulator = ProfileAccumulator(bbv_dim)
-    table = read_segment_table(path)
-    iterator = iter_trace_records(path)
-    for segment in table:
-        accumulator.add_segment(
-            _take(iterator, segment.record_count, segment.index))
     # Drain the iterator so the whole-file consistency checks run.
     for _ in iterator:
         raise TraceFileError(
             "payload holds more records than the segment table claims")
-    return accumulator.profile(trace_content_digest(path))
+    return TraceProfile(digest=trace_content_digest(path),
+                        bbv_dim=bbv_dim, segments=profiles)
 
 
 def _take(iterator, count: int, segment_index: int):
@@ -463,7 +428,7 @@ def load_profile(trace_path: str | Path, *,
 
 _MEMO_LOCK = threading.Lock()
 #: ``(content digest, bbv_dim) -> sidecar text``, least recently used
-#: first.  Filled only by :func:`record_profile`, i.e. from a
+#: first.  Filled only by :func:`_record_profile`, i.e. from a
 #: measurement, never from a sidecar read off disk.
 _MEMO: OrderedDict[tuple[str, int], str] = OrderedDict()
 _MEMO_COUNTS = {"hits": 0, "misses": 0}
@@ -480,15 +445,11 @@ def _memo_get(key: tuple[str, int]) -> str | None:
         return text
 
 
-def record_profile(trace_path: str | Path,
-                   profile: TraceProfile) -> None:
+def _record_profile(trace_path: str | Path,
+                    profile: TraceProfile) -> None:
     """Persist a freshly *measured* profile as the trace's sidecar and
-    remember it in the process memo under its own digest.
-
-    Callers pass only profiles they measured — :func:`analyze_trace`
-    output, or the profile the trace writer accumulated — whose
-    ``digest`` was taken over the bytes they measured.
-    """
+    remember it in the process memo under its own digest — the one
+    :func:`analyze_trace` took over the bytes it measured."""
     text = _sidecar_text(profile)
     _write_sidecar(text, profile_path(trace_path))
     key = (profile.digest, profile.bbv_dim)
@@ -538,5 +499,5 @@ def ensure_profile(trace_path: str | Path, *,
             _write_sidecar(text, profile_path(trace_path))
             return TraceProfile.from_dict(json.loads(text))
     profile = analyze_trace(trace_path, bbv_dim=bbv_dim)
-    record_profile(trace_path, profile)
+    _record_profile(trace_path, profile)
     return profile

@@ -25,11 +25,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.functional.sim_bpred import SimBpred, TraceGenerationResult
-from repro.trace.analyze import (
-    ProfileAccumulator,
-    TraceProfile,
-    trace_content_digest,
-)
 from repro.trace.fileio import DEFAULT_SEGMENT_RECORDS, SegmentedTraceWriter
 from repro.trace.stats import TraceStatistics
 from repro.utils.registry import Registry
@@ -140,40 +135,20 @@ class _ObservingSink:
     The adapter that lets the generators' ``sink`` mode stream into a
     :class:`~repro.trace.fileio.SegmentedTraceWriter`: each record is
     written and folded into a :class:`~repro.trace.stats.TraceStatistics`
-    the moment it is produced, so nothing accumulates.  With a
-    ``profiler``, the records of the segment being written are also
-    held until the writer's segment is full (the same boundary rule as
-    the writer's) and then profiled as one segment.
+    the moment it is produced, so nothing accumulates.
     """
 
-    def __init__(self, writer, stats: TraceStatistics,
-                 profiler: ProfileAccumulator | None,
-                 segment_records: int) -> None:
+    def __init__(self, writer, stats: TraceStatistics) -> None:
         self._writer = writer
         self._stats = stats
-        self._profiler = profiler
-        self._segment_records = segment_records
-        self._pending: list | None = [] if profiler is not None else None
 
     def append(self, record) -> None:
         self._writer.append(record)
         self._stats.observe(record)
-        pending = self._pending
-        if pending is not None:
-            pending.append(record)
-            if len(pending) >= self._segment_records:
-                self.flush_profile()
 
     def extend(self, records) -> None:
         for record in records:
             self.append(record)
-
-    def flush_profile(self) -> None:
-        """Profile the held records as one segment (none held: no
-        segment, as the writer writes none)."""
-        if self._pending:
-            self._profiler.add_segment(self._pending)
-            self._pending = []
 
     def __len__(self) -> int:
         return self._writer.record_count
@@ -189,9 +164,6 @@ class WrittenTrace:
     start_pc: int | None
     trace_stats: TraceStatistics
     generation: TraceGenerationResult
-    #: The trace's region-sampling profile, measured while writing;
-    #: ``None`` unless the caller asked for it.
-    profile: TraceProfile | None = None
 
 
 def write_workload_trace(
@@ -203,7 +175,6 @@ def write_workload_trace(
     seed: int = 7,
     segment_records: int = DEFAULT_SEGMENT_RECORDS,
     extra: dict | None = None,
-    profile: bool = False,
 ) -> WrittenTrace:
     """Generate a workload's trace straight into a segmented v2 file.
 
@@ -221,13 +192,6 @@ def write_workload_trace(
     generation (or mid-write) never destroys an existing trace at
     ``path`` and never leaves a half-written file behind.
 
-    With ``profile``, the records are also profiled as they are
-    written (:class:`~repro.trace.analyze.ProfileAccumulator`, default
-    BBV dimension), and the result's ``profile`` equals what
-    :func:`~repro.trace.analyze.analyze_trace` would measure from the
-    file, without decoding it again.  Persisting it is the caller's
-    choice (:func:`~repro.trace.analyze.record_profile`).
-
     Raises
     ------
     UnknownWorkloadError
@@ -243,19 +207,14 @@ def write_workload_trace(
         metadata.setdefault("start_pc", start_pc)
     target = Path(path)
     part = target.with_name(target.name + ".part")
-    profiler = ProfileAccumulator() if profile else None
-    measured = None
     try:
         with SegmentedTraceWriter(
             part, predictor=config.predictor, benchmark=workload,
             seed=seed, extra=metadata, segment_records=segment_records,
         ) as writer:
-            sink = _ObservingSink(writer, stats, profiler, segment_records)
             generation, _ = source.generate(
-                config, budget=budget, seed=seed, sink=sink)
-        if profiler is not None:
-            sink.flush_profile()
-            measured = profiler.profile(trace_content_digest(part))
+                config, budget=budget, seed=seed,
+                sink=_ObservingSink(writer, stats))
     except BaseException:
         part.unlink(missing_ok=True)
         raise
@@ -267,7 +226,6 @@ def write_workload_trace(
         start_pc=start_pc,
         trace_stats=stats,
         generation=generation,
-        profile=measured,
     )
 
 

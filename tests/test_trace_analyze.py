@@ -9,16 +9,14 @@ its sidecar cache must never serve a profile for different bytes than
 the ones on disk (content-digest staleness), or counts no trace can
 produce.
 
-Each process profiles a trace at most once: the write-time profile
-(the trace writer feeding the same accumulator) and a memo hit must
-both equal a fresh :func:`analyze_trace`, down to the sidecar bytes.
+Each process profiles a trace at most once: a memo hit must equal a
+fresh :func:`analyze_trace`, down to the sidecar bytes.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import shutil
 import tempfile
 import threading
 from pathlib import Path
@@ -27,13 +25,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import PAPER_4WIDE_PERFECT
-from repro.sweep import SweepRunner, SweepSpec
 from repro.trace import (
-    ProfileAccumulator,
     RecordKind,
-    SegmentedTraceWriter,
     TraceFileError,
-    TraceStatistics,
     analyze_trace,
     ensure_profile,
     iter_trace_records,
@@ -42,7 +36,6 @@ from repro.trace import (
     profile_cache_info,
     profile_path,
     read_segment_table,
-    record_profile,
     trace_content_digest,
     write_profile,
     write_trace_file,
@@ -53,8 +46,7 @@ from repro.trace.analyze import (
     TraceProfile,
     clear_profile_cache,
 )
-from repro.workloads import SPECINT_PROFILES
-from repro.workloads.tracegen import _ObservingSink, write_workload_trace
+from repro.workloads.tracegen import write_workload_trace
 from test_trace_codec import records as record_strategy
 
 BUDGET = 6_000
@@ -434,95 +426,3 @@ def _race_ensure_profile(path: Path) -> list:
     for thread in threads:
         thread.join()
     return results
-
-
-class TestWriteTimeProfile:
-    """The trace writer feeds the same accumulator ``analyze_trace``
-    does; the two profiles must be identical."""
-
-    @pytest.mark.parametrize("segment_records", [1, 7, 256, 4096])
-    @pytest.mark.parametrize("workload", SPECINT_PROFILES)
-    def test_matches_analysis(self, workload, segment_records,
-                              tmp_path):
-        path = tmp_path / "t.rtrc"
-        written = write_workload_trace(
-            workload, PAPER_4WIDE_PERFECT, path, budget=1200, seed=5,
-            segment_records=segment_records, profile=True)
-        fresh = analyze_trace(path)
-        assert written.profile.to_dict() == fresh.to_dict()
-        assert _sidecar_bytes(written.profile) == _sidecar_bytes(fresh)
-
-    def test_budget_ending_on_a_segment_boundary(self, tmp_path):
-        path = tmp_path / "t.rtrc"
-        records = write_workload_trace(
-            "vpr", PAPER_4WIDE_PERFECT, path, budget=1200,
-            seed=5).record_count
-        divisors = [size for size in range(2, records)
-                    if records % size == 0] + [records]
-        for size in divisors[:3]:
-            written = write_workload_trace(
-                "vpr", PAPER_4WIDE_PERFECT, path, budget=1200, seed=5,
-                segment_records=size, profile=True)
-            assert written.record_count % size == 0
-            assert len(written.profile.segments) == records // size
-            assert written.profile.to_dict() == \
-                analyze_trace(path).to_dict()
-
-    def test_wrong_path_run_straddling_a_boundary(self, tmp_path):
-        path = tmp_path / "t.rtrc"
-        written = write_workload_trace(
-            "vpr", PAPER_4WIDE_PERFECT, path, budget=1200, seed=5,
-            segment_records=7, profile=True)
-        tags = [record.tag for record in iter_trace_records(path)]
-        assert any(tags[i] and tags[i + 1]
-                   for i in range(6, len(tags) - 1, 7)), \
-            "no wrong-path run crosses a segment boundary"
-        assert written.profile.to_dict() == analyze_trace(path).to_dict()
-
-    def test_without_profile_nothing_is_measured(self, tmp_path):
-        written = write_workload_trace(
-            "gzip", PAPER_4WIDE_PERFECT, tmp_path / "t.rtrc",
-            budget=600, seed=5)
-        assert written.profile is None
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(record_strategy(), max_size=48), st.integers(1, 12))
-    def test_generated_sink_matches_analysis(self, trace,
-                                             segment_records):
-        profiler = ProfileAccumulator()
-        with tempfile.TemporaryDirectory() as directory:
-            path = Path(directory) / "t.rtrc"
-            with SegmentedTraceWriter(
-                    path, segment_records=segment_records) as writer:
-                sink = _ObservingSink(writer, TraceStatistics(),
-                                      profiler, segment_records)
-                sink.extend(trace)
-            sink.flush_profile()
-            measured = profiler.profile(trace_content_digest(path))
-            assert measured.to_dict() == analyze_trace(path).to_dict()
-
-    def test_regions_sweep_profiles_at_write_time(self, tmp_path,
-                                                  monkeypatch):
-        def no_reanalysis(path, **kwargs):  # pragma: no cover
-            raise AssertionError(f"{path} was decoded again")
-
-        monkeypatch.setattr(analyze_module, "analyze_trace",
-                            no_reanalysis)
-        spec = SweepSpec(axes={"rob_entries": (8,)})
-        runner = SweepRunner(spec, "gzip", results_dir=tmp_path / "r",
-                             budget=3000, segment_records=256,
-                             sampling="regions")
-        trace = runner.prepare_trace(spec.base.predictor).path
-        assert profile_cache_info()["entries"] == 1
-        runner.run()
-        monkeypatch.undo()
-        assert profile_path(trace).read_bytes() == \
-            _sidecar_bytes(analyze_trace(trace))
-
-    def test_full_sweep_writes_no_profile(self, tmp_path):
-        spec = SweepSpec(axes={"rob_entries": (8,)})
-        runner = SweepRunner(spec, "gzip", results_dir=tmp_path / "f",
-                             budget=1500)
-        trace = runner.prepare_trace(spec.base.predictor).path
-        assert not profile_path(trace).exists()
-        assert profile_cache_info()["entries"] == 0
