@@ -110,7 +110,6 @@ from repro.session import (
 from repro.sweep import SweepResult, SweepRunner, SweepSpec, run_sweep
 from repro.multicore import MultiCoreSimulator, TraceChannel
 from repro.trace import (
-    ConcatSource,
     FileSource,
     InMemorySource,
     SegmentedTraceWriter,
@@ -139,7 +138,6 @@ __all__ = [
     "BranchPredictorUnit",
     "CONFIGS",
     "CacheConfig",
-    "ConcatSource",
     "DEVICES",
     "EngineObserver",
     "FileSource",

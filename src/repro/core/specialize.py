@@ -49,7 +49,6 @@ suite fails loudly on any divergence.
 from __future__ import annotations
 
 import math
-import threading
 from collections import deque
 from collections.abc import Callable, Sequence
 
@@ -72,6 +71,7 @@ from repro.isa.program import TEXT_BASE
 from repro.serialize import canonical_digest, config_to_dict
 from repro.trace.record import BranchRecord, MemoryRecord, TraceRecord
 from repro.trace.source import InMemorySource, TraceSource, as_source
+from repro.utils.memo import BoundedMemo
 
 #: The engine tier names: the interpreted oracle and the generated
 #: fast path, bit-identical to it.
@@ -856,9 +856,7 @@ def run_trace(trace, start_pc, bpred, memory, max_cycles, warmup, roi,
 # Codegen cache: one compiled run_trace per (config content, variant).
 # ----------------------------------------------------------------------
 
-_CODEGEN_LOCK = threading.Lock()
-_CODEGEN_CACHE: dict[tuple, Callable] = {}
-_CODEGEN_COUNTS = {"hits": 0, "misses": 0}
+_ENGINES: BoundedMemo[tuple, Callable] = BoundedMemo("compiled engines")
 
 
 def engine_cache_key(
@@ -887,61 +885,46 @@ def compile_engine(
 ) -> Callable:
     """Return the compiled ``run_trace`` for this config + variant,
     generating and ``exec``-compiling it on first use (thread-safe:
-    backends sharing the process share the cache)."""
+    backends sharing the process share the cache, and threads racing
+    on one key all get the function stored first)."""
     key = engine_cache_key(
         config,
         update_at_commit=update_at_commit,
         wrong_path=wrong_path,
         inline_source=inline_source,
     )
-    with _CODEGEN_LOCK:
-        fn = _CODEGEN_CACHE.get(key)
-        if fn is not None:
-            _CODEGEN_COUNTS["hits"] += 1
-            return fn
-        _CODEGEN_COUNTS["misses"] += 1
-        source = _engine_source(
-            config,
-            update_at_commit=update_at_commit,
-            wrong_path=wrong_path,
-            inline_source=inline_source,
-        )
-        namespace = {
-            "_Op": _Op,
-            "_deque": deque,
-            "_MemoryRecord": MemoryRecord,
-            "_BranchRecord": BranchRecord,
-            "_FU_LOAD": FuClass.LOAD,
-            "_FU_STORE": FuClass.STORE,
-            "_FU_MUL": FuClass.MUL,
-            "_FU_DIV": FuClass.DIV,
-            "SpecializationError": SpecializationError,
-            "WarmupWindowError": WarmupWindowError,
-        }
-        code = compile(source, f"<specialized-engine {key[0][:12]}>", "exec")
-        exec(code, namespace)  # noqa: S102 - the source is generated above
-        fn = namespace["run_trace"]
-        fn.__resim_generated_source__ = source  # debuggability
-        _CODEGEN_CACHE[key] = fn
+    fn = _ENGINES.get(key)
+    if fn is not None:
         return fn
+    source = _engine_source(
+        config,
+        update_at_commit=update_at_commit,
+        wrong_path=wrong_path,
+        inline_source=inline_source,
+    )
+    namespace = {
+        "_Op": _Op,
+        "_deque": deque,
+        "_MemoryRecord": MemoryRecord,
+        "_BranchRecord": BranchRecord,
+        "_FU_LOAD": FuClass.LOAD,
+        "_FU_STORE": FuClass.STORE,
+        "_FU_MUL": FuClass.MUL,
+        "_FU_DIV": FuClass.DIV,
+        "SpecializationError": SpecializationError,
+        "WarmupWindowError": WarmupWindowError,
+    }
+    code = compile(source, f"<specialized-engine {key[0][:12]}>", "exec")
+    exec(code, namespace)  # noqa: S102 - the source is generated above
+    fn = namespace["run_trace"]
+    fn.__resim_generated_source__ = source  # debuggability
+    return _ENGINES.put(key, fn)
 
 
-def codegen_cache_info() -> dict:
-    """Hit/miss/size counters for the in-process codegen cache."""
-    with _CODEGEN_LOCK:
-        return {
-            "hits": _CODEGEN_COUNTS["hits"],
-            "misses": _CODEGEN_COUNTS["misses"],
-            "entries": len(_CODEGEN_CACHE),
-        }
-
-
-def clear_codegen_cache() -> None:
-    """Drop all compiled engines (test isolation)."""
-    with _CODEGEN_LOCK:
-        _CODEGEN_CACHE.clear()
-        _CODEGEN_COUNTS["hits"] = 0
-        _CODEGEN_COUNTS["misses"] = 0
+#: Hit/miss/size counters for the in-process codegen cache.
+codegen_cache_info = _ENGINES.info
+#: Drop all compiled engines (test isolation).
+clear_codegen_cache = _ENGINES.clear
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,6 @@ duplicated or divergent results.
 from __future__ import annotations
 
 import json
-import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,6 +34,7 @@ from collections.abc import Mapping
 from repro.core.specialize import DEFAULT_ENGINE
 from repro.serialize import config_to_dict, stats_to_dict
 from repro.trace.fileio import decoded_segment_reuse
+from repro.utils.atomic import atomic_path
 
 #: Result/unit document schema; bump on incompatible layout changes.
 #: Kept equal to the sweep checkpoint schema on purpose: a unit result
@@ -193,17 +193,16 @@ class WorkUnit:
 
 
 def atomic_write_json(path: str | Path, document: dict) -> None:
-    """Write-tmpfile-then-rename, the durability idiom every file in
-    this layer uses: a crash mid-write leaves the old file (or none),
-    never truncated JSON.  The tmp name is per-process unique so two
-    executors racing on one result (a stalled worker plus the
-    reclaimer that replaced it) cannot consume each other's tmp file.
+    """Write ``document`` as canonical JSON through
+    :func:`~repro.utils.atomic.atomic_path`, creating the parent
+    directory: a crash mid-write leaves the old file (or none), never
+    truncated JSON, and racing writers of one target (two processes
+    or two threads) never consume each other's temporary file.
     """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    tmp = target.parent / f"{target.name}.{os.getpid()}.tmp"
-    tmp.write_text(json.dumps(document, sort_keys=True))
-    os.replace(tmp, target)
+    with atomic_path(target) as tmp:
+        tmp.write_text(json.dumps(document, sort_keys=True))
 
 
 def execute_unit(unit: WorkUnit) -> dict:

@@ -64,7 +64,7 @@ from repro.exec.unit import (
     load_unit_result,
     result_matches_unit,
 )
-from repro.trace.fileio import decoded_segment_cache_info
+from repro.utils.memo import memo_info
 
 
 def worker_id() -> str:
@@ -259,9 +259,14 @@ def run_from_args(args: argparse.Namespace) -> int:
         exit_when_drained=args.exit_when_drained,
         log=log,
     )
-    reuse = decoded_segment_cache_info()
-    print(f"processed {processed} unit(s); decoded segments: "
-          f"{reuse['hits']} hit(s), {reuse['misses']} miss(es)")
+    # Decoded segments lead: the line's opening text is what scripts
+    # and tests match on.
+    memos = memo_info()
+    names = ["decoded segments",
+             *sorted(memos.keys() - {"decoded segments"})]
+    print(f"processed {processed} unit(s); " + "; ".join(
+        f"{name}: {memos[name]['hits']} hit(s), "
+        f"{memos[name]['misses']} miss(es)" for name in names))
     return 0
 
 

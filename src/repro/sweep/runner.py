@@ -50,7 +50,6 @@ sweepable trace budget is bounded by disk, not by per-worker RAM.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from collections.abc import Callable, Sequence
@@ -67,6 +66,7 @@ from repro.exec import (
     SliceReducer,
     UnitExecutionError,
     WorkUnit,
+    atomic_write_json,
     load_unit_result,
     plan_regions,
     plan_shards,
@@ -310,22 +310,18 @@ class SweepRunner:
             except (OSError, json.JSONDecodeError):
                 # Checkpoints self-validate via embedded provenance,
                 # so a corrupt manifest can simply be rewritten.
-                tmp = manifest_path.with_suffix(".tmp")
-                tmp.write_text(json.dumps(manifest, sort_keys=True))
-                os.replace(tmp, manifest_path)
+                pass
+            else:
+                if existing != manifest:
+                    raise SweepError(
+                        f"results directory {self.results_dir} holds a "
+                        f"different sweep ({existing}); use a fresh "
+                        f"directory for {manifest}"
+                    )
                 return
-            if existing != manifest:
-                raise SweepError(
-                    f"results directory {self.results_dir} holds a "
-                    f"different sweep ({existing}); use a fresh "
-                    f"directory for {manifest}"
-                )
-        else:
-            # Atomic, like the checkpoints: a kill mid-write must not
-            # leave truncated JSON that bricks every future resume.
-            tmp = manifest_path.with_suffix(".tmp")
-            tmp.write_text(json.dumps(manifest, sort_keys=True))
-            os.replace(tmp, manifest_path)
+        # Atomic, like the checkpoints: a kill mid-write must not
+        # leave truncated JSON that bricks every future resume.
+        atomic_write_json(manifest_path, manifest)
 
     def prepare_trace(self, predictor: PredictorConfig) -> _TraceInfo:
         """Generate the shared trace for one generation predictor, or
@@ -356,7 +352,7 @@ class SweepRunner:
             start_pc = header.metadata.get("start_pc")
             return _TraceInfo(trace_path, start_pc,
                               header.bits_per_instruction)
-        # write_workload_trace is atomic (streams to a .part sibling,
+        # write_workload_trace is atomic (streams to a temporary sibling,
         # renamed on success), so a kill mid-write leaves either no
         # trace or a complete one, never a truncated file that blocks
         # every future resume.

@@ -68,7 +68,6 @@ from repro.trace.encode import (
     record_bit_length,
 )
 from repro.trace.source import (
-    ConcatSource,
     FileSource,
     InMemorySource,
     TraceSource,
@@ -87,7 +86,6 @@ from repro.trace.wrongpath import conservative_block_size
 
 __all__ = [
     "BranchRecord",
-    "ConcatSource",
     "DEFAULT_BBV_DIM",
     "DEFAULT_SEGMENT_RECORDS",
     "FileSource",

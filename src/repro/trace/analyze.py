@@ -39,9 +39,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -51,6 +48,8 @@ from repro.trace.fileio import (
     read_segment_table,
 )
 from repro.trace.record import RecordKind
+from repro.utils.atomic import atomic_path
+from repro.utils.memo import BoundedMemo
 
 #: Profile sidecar schema; bump on incompatible layout changes.
 PROFILE_SCHEMA = 1
@@ -379,12 +378,8 @@ def _sidecar_text(profile: TraceProfile) -> str:
 def _write_sidecar(text: str, path: str | Path) -> None:
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    # Per process *and* thread: two threads profiling one trace must
-    # not share (and truncate) one temporary file.
-    tmp = target.parent / (f"{target.name}.{os.getpid()}."
-                           f"{threading.get_ident()}.tmp")
-    tmp.write_text(text)
-    os.replace(tmp, target)
+    with atomic_path(target) as tmp:
+        tmp.write_text(text)
 
 
 def write_profile(profile: TraceProfile,
@@ -426,23 +421,11 @@ def load_profile(trace_path: str | Path, *,
 # Profile memo: each process measures a trace's profile at most once.
 # ----------------------------------------------------------------------
 
-_MEMO_LOCK = threading.Lock()
-#: ``(content digest, bbv_dim) -> sidecar text``, least recently used
-#: first.  Filled only by :func:`_record_profile`, i.e. from a
-#: measurement, never from a sidecar read off disk.
-_MEMO: OrderedDict[tuple[str, int], str] = OrderedDict()
-_MEMO_COUNTS = {"hits": 0, "misses": 0}
-
-
-def _memo_get(key: tuple[str, int]) -> str | None:
-    with _MEMO_LOCK:
-        text = _MEMO.get(key)
-        if text is None:
-            _MEMO_COUNTS["misses"] += 1
-            return None
-        _MEMO.move_to_end(key)
-        _MEMO_COUNTS["hits"] += 1
-        return text
+#: ``(content digest, bbv_dim) -> sidecar text``.  Filled only by
+#: :func:`_record_profile`, i.e. from a measurement, never from a
+#: sidecar read off disk.
+_PROFILES: BoundedMemo[tuple[str, int], str] = \
+    BoundedMemo("trace profiles", PROFILE_MEMO_ENTRIES)
 
 
 def _record_profile(trace_path: str | Path,
@@ -452,30 +435,14 @@ def _record_profile(trace_path: str | Path,
     :func:`analyze_trace` took over the bytes it measured."""
     text = _sidecar_text(profile)
     _write_sidecar(text, profile_path(trace_path))
-    key = (profile.digest, profile.bbv_dim)
-    with _MEMO_LOCK:
-        _MEMO[key] = text
-        _MEMO.move_to_end(key)
-        while len(_MEMO) > PROFILE_MEMO_ENTRIES:
-            _MEMO.popitem(last=False)
+    _PROFILES.put((profile.digest, profile.bbv_dim), text)
 
 
-def profile_cache_info() -> dict:
-    """Hit/miss/size counters of the in-process profile memo.  Process
-    telemetry only: never part of any statistics or result document."""
-    with _MEMO_LOCK:
-        return {"hits": _MEMO_COUNTS["hits"],
-                "misses": _MEMO_COUNTS["misses"],
-                "entries": len(_MEMO)}
-
-
-def clear_profile_cache() -> None:
-    """Drop every memoized profile and zero the counters (test
-    isolation)."""
-    with _MEMO_LOCK:
-        _MEMO.clear()
-        for name in _MEMO_COUNTS:
-            _MEMO_COUNTS[name] = 0
+#: Hit/miss/size counters of the in-process profile memo.  Process
+#: telemetry only: never part of any statistics or result document.
+profile_cache_info = _PROFILES.info
+#: Drop every memoized profile and zero the counters (test isolation).
+clear_profile_cache = _PROFILES.clear
 
 
 def ensure_profile(trace_path: str | Path, *,
@@ -494,7 +461,7 @@ def ensure_profile(trace_path: str | Path, *,
         profile = load_profile(trace_path, expected_digest=digest)
         if profile is not None and profile.bbv_dim == bbv_dim:
             return profile
-        text = _memo_get((digest, bbv_dim))
+        text = _PROFILES.get((digest, bbv_dim))
         if text is not None:
             _write_sidecar(text, profile_path(trace_path))
             return TraceProfile.from_dict(json.loads(text))

@@ -82,8 +82,6 @@ from __future__ import annotations
 import io
 import json
 import os
-import threading
-from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -100,6 +98,8 @@ from repro.trace.encode import (
     encode_trace,
 )
 from repro.trace.record import TraceRecord
+from repro.utils.atomic import atomic_path
+from repro.utils.memo import BoundedMemo
 
 MAGIC = b"RESIMTRC"
 #: The monolithic-payload format.
@@ -393,7 +393,7 @@ def write_trace_file(
 
     Writes format v2 (segmented) by default; pass ``version=1`` for
     the legacy monolithic layout.  The write is atomic: the file is
-    assembled in memory, written to a ``.part`` sibling and renamed
+    assembled in memory, written to a temporary sibling and renamed
     over ``path``, so a crash mid-write neither destroys an existing
     trace at ``path`` nor leaves a truncated one (for traces too
     large to assemble in memory, stream through
@@ -412,47 +412,35 @@ def write_trace_file(
         limit of the u16 header-length field, or ``version`` is not a
         supported format.  Nothing is written in either case.
     """
+    if version not in SUPPORTED_VERSIONS:
+        raise TraceFileError(
+            f"cannot write trace version {version}; supported: "
+            f"{', '.join(map(str, SUPPORTED_VERSIONS))}"
+        )
+    buffer = io.BytesIO()
     if version == VERSION_V2:
-        buffer = io.BytesIO()
         with SegmentedTraceWriter(
             buffer, predictor=predictor, benchmark=benchmark,
             seed=seed, extra=extra, segment_records=segment_records,
         ) as writer:
             writer.extend(records)
-        return _atomic_write_bytes(path, buffer.getvalue())
-    if version != VERSION_V1:
-        raise TraceFileError(
-            f"cannot write trace version {version}; supported: "
-            f"{', '.join(map(str, SUPPORTED_VERSIONS))}"
-        )
-
-    payload, bit_length = encode_trace(records)
-    blob = _metadata_blob(predictor, benchmark, seed, extra, _V1_PREFIX)
-    header_length = _V1_PREFIX + len(blob)
-
-    buffer = io.BytesIO()
-    buffer.write(MAGIC)
-    buffer.write(VERSION_V1.to_bytes(2, "little"))
-    buffer.write(header_length.to_bytes(2, "little"))
-    buffer.write(len(records).to_bytes(8, "little"))
-    buffer.write(bit_length.to_bytes(8, "little"))
-    committed = sum(1 for record in records if not record.tag)
-    buffer.write((committed & _COMMITTED_MASK).to_bytes(4, "little"))
-    buffer.write(blob)
-    buffer.write(payload)
-    return _atomic_write_bytes(path, buffer.getvalue())
-
-
-def _atomic_write_bytes(path: str | Path, data: bytes) -> int:
-    """Write via a ``.part`` sibling + rename; returns bytes written."""
-    target = Path(path)
-    part = target.with_name(target.name + ".part")
-    try:
-        part.write_bytes(data)
-    except BaseException:
-        part.unlink(missing_ok=True)
-        raise
-    os.replace(part, target)
+    else:
+        payload, bit_length = encode_trace(records)
+        blob = _metadata_blob(predictor, benchmark, seed, extra,
+                              _V1_PREFIX)
+        header_length = _V1_PREFIX + len(blob)
+        buffer.write(MAGIC)
+        buffer.write(VERSION_V1.to_bytes(2, "little"))
+        buffer.write(header_length.to_bytes(2, "little"))
+        buffer.write(len(records).to_bytes(8, "little"))
+        buffer.write(bit_length.to_bytes(8, "little"))
+        committed = sum(1 for record in records if not record.tag)
+        buffer.write((committed & _COMMITTED_MASK).to_bytes(4, "little"))
+        buffer.write(blob)
+        buffer.write(payload)
+    data = buffer.getvalue()
+    with atomic_path(path) as tmp:
+        tmp.write_bytes(data)
     return len(data)
 
 
@@ -620,11 +608,10 @@ def _decode_segment(data: bytes | bytearray, start_bit: int, end_bit: int,
 # Decoded-segment cache: units over one trace decode each segment once.
 # ----------------------------------------------------------------------
 
-_SEGMENT_CACHE_LOCK = threading.Lock()
-#: ``(payload bytes, bit length) -> records``, least recently used first.
-_SEGMENT_CACHE: OrderedDict[tuple[bytes, int], tuple[TraceRecord, ...]] = \
-    OrderedDict()
-_SEGMENT_CACHE_COUNTS = {"hits": 0, "misses": 0, "records": 0}
+#: ``(payload bytes, bit length) -> records``.
+_SEGMENTS: BoundedMemo[tuple[bytes, int], tuple[TraceRecord, ...]] = \
+    BoundedMemo("decoded segments", DECODED_SEGMENT_CACHE_RECORDS,
+                weigh=len, unit="records")
 #: Whether this thread's v2 reads consult the cache; see
 #: :func:`decoded_segment_reuse`.
 _SEGMENT_REUSE: ContextVar[bool] = ContextVar("decoded_segment_reuse",
@@ -662,48 +649,22 @@ def _decode_v2_segment(data: bytes, segment: TraceSegment,
     reuse = _SEGMENT_REUSE.get()
     key = (data, segment.bit_length)
     if reuse:
-        with _SEGMENT_CACHE_LOCK:
-            cached = _SEGMENT_CACHE.get(key)
-            if cached is not None:
-                _SEGMENT_CACHE.move_to_end(key)
-                _SEGMENT_CACHE_COUNTS["hits"] += 1
-                return cached
-            _SEGMENT_CACHE_COUNTS["misses"] += 1
+        cached = _SEGMENTS.get(key)
+        if cached is not None:
+            return cached
     records, _ = _decode_segment(data, 0, segment.bit_length,
                                  segment.bit_length, segment.index)
-    if reuse and len(records) <= DECODED_SEGMENT_CACHE_RECORDS:
-        stored = tuple(records)
-        with _SEGMENT_CACHE_LOCK:
-            if key not in _SEGMENT_CACHE:
-                _SEGMENT_CACHE[key] = stored
-                _SEGMENT_CACHE_COUNTS["records"] += len(stored)
-            while _SEGMENT_CACHE_COUNTS["records"] > \
-                    DECODED_SEGMENT_CACHE_RECORDS:
-                _, evicted = _SEGMENT_CACHE.popitem(last=False)
-                _SEGMENT_CACHE_COUNTS["records"] -= len(evicted)
+    if reuse:
+        return _SEGMENTS.put(key, tuple(records))
     return records
 
 
-def decoded_segment_cache_info() -> dict:
-    """Hit/miss/size counters for the in-process decoded-segment
-    cache.  Process telemetry only: never part of any statistics or
-    result document."""
-    with _SEGMENT_CACHE_LOCK:
-        return {
-            "hits": _SEGMENT_CACHE_COUNTS["hits"],
-            "misses": _SEGMENT_CACHE_COUNTS["misses"],
-            "entries": len(_SEGMENT_CACHE),
-            "records": _SEGMENT_CACHE_COUNTS["records"],
-        }
-
-
-def clear_decoded_segment_cache() -> None:
-    """Drop all decoded segments and zero the counters (test
-    isolation)."""
-    with _SEGMENT_CACHE_LOCK:
-        _SEGMENT_CACHE.clear()
-        for name in _SEGMENT_CACHE_COUNTS:
-            _SEGMENT_CACHE_COUNTS[name] = 0
+#: Hit/miss/size counters for the in-process decoded-segment cache.
+#: Process telemetry only: never part of any statistics or result
+#: document.
+decoded_segment_cache_info = _SEGMENTS.info
+#: Drop all decoded segments and zero the counters (test isolation).
+clear_decoded_segment_cache = _SEGMENTS.clear
 
 
 def _iter_v1_payload(handle: BinaryIO, bit_length: int,

@@ -15,10 +15,7 @@ recovery) — so simulation memory no longer scales with trace length:
   v2 segment (or one v1 chunk) at a time — peak resident memory is
   bounded by the segment size, not the trace length (work units add
   only the fixed-size decoded-segment cache, see
-  :func:`repro.trace.fileio.decoded_segment_reuse`);
-* :class:`ConcatSource` chains sources end to end, so a trace sharded
-  across several files (or several segment ranges of one file)
-  replays as one stream.
+  :func:`repro.trace.fileio.decoded_segment_reuse`).
 
 Every consumer — the engine, the session facade, sweep workers, the
 multicore study, co-simulation — speaks this protocol; a sequence
@@ -167,8 +164,7 @@ class FileSource(TraceSource):
     ``segments`` restricts the cursor to a slice of a v2 file's
     segment table — ``FileSource(path, segments=(lo, hi))`` replays
     segments ``lo..hi-1`` only, which is how sharded sweeps split one
-    trace at segment boundaries (wrap the shards in a
-    :class:`ConcatSource` to replay the whole trace).
+    trace at segment boundaries.
     """
 
     def __init__(
@@ -249,68 +245,6 @@ class FileSource(TraceSource):
 
     def fresh(self) -> FileSource:
         return FileSource(self._path, segments=self._range)
-
-
-class ConcatSource(TraceSource):
-    """Chains sources end to end (trace sharded across files/ranges).
-
-    Children must be fresh (nothing consumed yet) and **finite** —
-    fully written before the replay starts, like trace files or
-    completed record lists.  A *growing* in-memory child (the cosim
-    FIFO pattern) is not supported here: an empty child is taken as
-    exhausted and the cursor moves on, so records appended to it later
-    would be silently lost — which is why the cursor checks passed
-    children and fails loudly if one has grown, rather than corrupting
-    the stream.  The concatenated replay of a trace split at v2
-    segment boundaries is bit-identical to the unsharded file.
-    """
-
-    def __init__(self, sources: Sequence[TraceSource]) -> None:
-        self._sources = tuple(sources)
-        if not self._sources:
-            raise TraceSourceError(
-                "ConcatSource needs at least one child source")
-        self._active = 0
-        self._consumed = 0
-
-    def _check_passed_children(self) -> None:
-        """Growth guard, paid only when advancing past a child and at
-        end-of-stream peeks — never on the hot record-yielding path."""
-        for index in range(self._active):
-            if not self._sources[index].exhausted:
-                raise TraceSourceError(
-                    "a ConcatSource child produced records after being "
-                    "exhausted; children must be finite (fully written "
-                    "before replay), not growing streams"
-                )
-
-    def peek(self) -> TraceRecord | None:
-        while self._active < len(self._sources):
-            record = self._sources[self._active].peek()
-            if record is not None:
-                return record
-            self._check_passed_children()
-            self._active += 1
-        self._check_passed_children()
-        return None
-
-    def next(self) -> TraceRecord:
-        if self.peek() is None:
-            raise TraceSourceError("concatenated sources exhausted")
-        record = self._sources[self._active].next()
-        self._consumed += 1
-        return record
-
-    @property
-    def consumed(self) -> int:
-        return self._consumed
-
-    @property
-    def total_records(self) -> int:
-        return sum(source.total_records for source in self._sources)
-
-    def fresh(self) -> ConcatSource:
-        return ConcatSource([source.fresh() for source in self._sources])
 
 
 def as_source(

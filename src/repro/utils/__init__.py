@@ -12,6 +12,10 @@ the simulator substrates:
   of distributions the synthetic workload generator needs.  Determinism
   matters: the same seed must produce the same trace on every platform so
   that experiments are exactly reproducible.
+* :mod:`repro.utils.memo` — the bounded, thread-safe LRU memo behind
+  every process-wide cache, and :func:`~repro.utils.memo.memo_info`.
+* :mod:`repro.utils.atomic` — the write-then-rename idiom every file
+  ReSim writes goes through.
 """
 
 from repro.utils.queues import CircularQueue, QueueFullError, QueueEmptyError

@@ -19,7 +19,6 @@ and are immediately reachable from CLI flags, sweep specs, and
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -27,6 +26,7 @@ from typing import TYPE_CHECKING
 from repro.functional.sim_bpred import SimBpred, TraceGenerationResult
 from repro.trace.fileio import DEFAULT_SEGMENT_RECORDS, SegmentedTraceWriter
 from repro.trace.stats import TraceStatistics
+from repro.utils.atomic import atomic_path
 from repro.utils.registry import Registry
 from repro.workloads.kernels import KERNELS, kernel_program
 from repro.workloads.profiles import SPECINT_PROFILES, get_profile
@@ -187,7 +187,7 @@ def write_workload_trace(
     ``Simulation.save_trace`` path, so consumers cannot tell which
     path produced a file.
 
-    The write is atomic: records stream to a ``.part`` sibling that
+    The write is atomic: records stream to a temporary sibling that
     is renamed over ``path`` only on success, so a failure mid-
     generation (or mid-write) never destroys an existing trace at
     ``path`` and never leaves a half-written file behind.
@@ -206,19 +206,13 @@ def write_workload_trace(
     if start_pc is not None:
         metadata.setdefault("start_pc", start_pc)
     target = Path(path)
-    part = target.with_name(target.name + ".part")
-    try:
-        with SegmentedTraceWriter(
-            part, predictor=config.predictor, benchmark=workload,
-            seed=seed, extra=metadata, segment_records=segment_records,
-        ) as writer:
-            generation, _ = source.generate(
-                config, budget=budget, seed=seed,
-                sink=_ObservingSink(writer, stats))
-    except BaseException:
-        part.unlink(missing_ok=True)
-        raise
-    os.replace(part, target)
+    with atomic_path(target) as tmp, SegmentedTraceWriter(
+        tmp, predictor=config.predictor, benchmark=workload,
+        seed=seed, extra=metadata, segment_records=segment_records,
+    ) as writer:
+        generation, _ = source.generate(
+            config, budget=budget, seed=seed,
+            sink=_ObservingSink(writer, stats))
     return WrittenTrace(
         path=target,
         record_count=writer.record_count,

@@ -170,7 +170,7 @@ class TestScope:
                         "entries": len(segments),
                         "records": len(records)}
         assert all(isinstance(entry, tuple)
-                   for entry in fileio._SEGMENT_CACHE.values())
+                   for entry in fileio._SEGMENTS.values())
 
     def test_v1_payloads_are_not_cached(self, path, tmp_path):
         _, records = read_trace_file(path)
@@ -191,7 +191,7 @@ class TestScope:
     def test_lru_bound_in_records(self, path, monkeypatch):
         table = read_segment_table(path)
         # Room for two of the 64-record segments, not three.
-        monkeypatch.setattr(fileio, "DECODED_SEGMENT_CACHE_RECORDS", 150)
+        monkeypatch.setattr(fileio._SEGMENTS, "capacity", 150)
         with decoded_segment_reuse():
             list(iter_trace_records(path))
             info = decoded_segment_cache_info()
@@ -203,7 +203,7 @@ class TestScope:
 
     def test_segment_above_the_bound_is_not_stored(self, path,
                                                    monkeypatch):
-        monkeypatch.setattr(fileio, "DECODED_SEGMENT_CACHE_RECORDS", 32)
+        monkeypatch.setattr(fileio._SEGMENTS, "capacity", 32)
         with decoded_segment_reuse():
             list(iter_trace_records(path))
         info = decoded_segment_cache_info()
@@ -220,7 +220,7 @@ class TestScope:
         write_trace_file(other, records[::-1], segment_records=48)
         expected = {path: records, other: records[::-1]}
         reads = {file: len(read_segment_table(file)) for file in expected}
-        monkeypatch.setattr(fileio, "DECODED_SEGMENT_CACHE_RECORDS", 200)
+        monkeypatch.setattr(fileio._SEGMENTS, "capacity", 200)
         failures = []
 
         def reader(index: int) -> None:
@@ -246,7 +246,7 @@ class TestScope:
         info = decoded_segment_cache_info()
         assert info["hits"] + info["misses"] == 8 * 3 * sum(reads.values())
         assert info["records"] == sum(
-            len(entry) for entry in fileio._SEGMENT_CACHE.values())
+            len(entry) for entry in fileio._SEGMENTS.values())
         assert info["records"] <= 200
 
     def test_clear_resets_counters(self, path):

@@ -20,7 +20,10 @@ def run_example(name: str, *args: str) -> str:
         [sys.executable, str(EXAMPLES / name), *args],
         capture_output=True, text=True, timeout=300,
     )
-    assert result.returncode == 0, result.stderr
+    if result.returncode != 0:
+        pytest.fail(f"{name} {' '.join(args)} exited with "
+                    f"{result.returncode}\n--- stdout ---\n{result.stdout}"
+                    f"\n--- stderr ---\n{result.stderr}", pytrace=False)
     return result.stdout
 
 

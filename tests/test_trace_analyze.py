@@ -378,7 +378,7 @@ class TestProfileMemo:
                                         "entries": 1}
 
     def test_lru_bound_evicts(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(analyze_module, "PROFILE_MEMO_ENTRIES", 2)
+        monkeypatch.setattr(analyze_module._PROFILES, "capacity", 2)
         traces = []
         for seed in (1, 2, 3):
             path = tmp_path / f"t{seed}" / "t.rtrc"

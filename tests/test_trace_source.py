@@ -1,8 +1,8 @@
 """Tests for the streaming trace pipeline.
 
 The contract under test: every ingestion path — in-memory list,
-streamed v1 file, streamed v2 file, sharded segment ranges stitched
-with :class:`ConcatSource` — delivers the identical record stream, and
+streamed v1 file, streamed v2 file, sharded segment ranges replayed
+back to back — delivers the identical record stream, and
 the engine produces **bit-identical statistics** over all of them.
 """
 
@@ -23,7 +23,6 @@ from repro.trace.fileio import (
 )
 from repro.trace.record import OtherRecord
 from repro.trace.source import (
-    ConcatSource,
     FileSource,
     InMemorySource,
     TraceSourceError,
@@ -177,50 +176,6 @@ class TestFileSource:
                 FileSource(v2_path, segments=(lo, lo))
 
 
-class TestConcatSource:
-    def test_spans_shards(self, v2_path, records):
-        table = read_segment_table(v2_path)
-        thirds = [len(table) // 3, 2 * len(table) // 3, len(table)]
-        shards, lo = [], 0
-        for hi in thirds:
-            shards.append(FileSource(v2_path, segments=(lo, hi)))
-            lo = hi
-        combined = ConcatSource(shards)
-        assert combined.total_records == len(records)
-        assert list(combined) == records
-        assert combined.consumed == len(records)
-
-    def test_mixed_kinds(self, records, v2_path):
-        combined = ConcatSource([
-            InMemorySource(records[:100]), FileSource(v2_path)])
-        assert combined.total_records == 100 + len(records)
-        streamed = list(combined)
-        assert streamed == records[:100] + records
-
-    def test_fresh(self, records):
-        combined = ConcatSource([InMemorySource(records[:3]),
-                                 InMemorySource(records[3:6])])
-        list(combined)
-        assert list(combined.fresh()) == records[:6]
-
-    def test_empty_rejected(self):
-        with pytest.raises(TraceSourceError):
-            ConcatSource([])
-
-    def test_growing_child_fails_loudly(self, records):
-        """A child that produces records after being passed over must
-        raise by end-of-stream, not silently drop its late records."""
-        growing = []
-        combined = ConcatSource([InMemorySource(growing),
-                                 InMemorySource(records[:4])])
-        assert combined.next() == records[0]  # child 0 skipped, empty
-        growing.append(OtherRecord())
-        for _ in range(3):
-            combined.next()  # later records still stream normally...
-        with pytest.raises(TraceSourceError, match="finite"):
-            combined.peek()  # ...but end-of-stream detects the growth
-
-
 class TestEngineEquivalence:
     """The acceptance criterion: streamed ingestion is bit-identical
     to the in-memory path."""
@@ -243,9 +198,9 @@ class TestEngineEquivalence:
     def test_sharded_concat(self, v2_path, reference):
         table = read_segment_table(v2_path)
         mid = len(table) // 2
-        source = ConcatSource([
-            FileSource(v2_path, segments=(0, mid)),
-            FileSource(v2_path, segments=(mid, len(table)))])
+        source = InMemorySource([
+            *FileSource(v2_path, segments=(0, mid)),
+            *FileSource(v2_path, segments=(mid, len(table)))])
         result = ReSimEngine(PAPER_4WIDE_PERFECT, source).run()
         assert stats_to_dict(result.stats) == reference
 
