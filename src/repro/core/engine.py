@@ -160,7 +160,7 @@ class ReSimEngine:
     trace:
         Tagged record stream: either a
         :class:`~repro.trace.source.TraceSource` (streamed file,
-        shard concatenation, growing in-memory FIFO) or a plain
+        segment range, growing in-memory FIFO) or a plain
         record sequence, which is wrapped in an
         :class:`~repro.trace.source.InMemorySource`.  Both paths run
         the same fetch code and produce bit-identical statistics; the

@@ -70,7 +70,7 @@ from repro.isa.opcodes import FuClass
 from repro.isa.program import TEXT_BASE
 from repro.serialize import canonical_digest, config_to_dict
 from repro.trace.record import BranchRecord, MemoryRecord, TraceRecord
-from repro.trace.source import InMemorySource, TraceSource, as_source
+from repro.trace.source import TraceSource, as_source
 from repro.utils.memo import BoundedMemo
 
 #: The engine tier names: the interpreted oracle and the generated
@@ -223,6 +223,37 @@ c_cons += 1
 """
 
 
+#: All records consumed and the pipeline drained (after a refill).
+_DONE = "idx >= end and not rob and not ifq and not dec"
+
+
+def _refill(then: str = "", indent: int = 0) -> str:
+    """Move on to the source's next block once the held one is used
+    up, then run ``then`` (nested under the refill), all indented by
+    ``indent``.  The source's cursor catches up (``seek``) only here
+    and when the run ends."""
+    text = f"""
+if idx >= end:
+    src_seek(idx)
+    records, idx = src_block()
+    end = len(records)
+{chr(10).join(_block(then, 4))}
+"""
+    return "\n".join(_block(text, indent)) + "\n"
+
+
+def _drain_chunk() -> str:
+    """Discard the wrong-path block at the cursor, counting each record
+    as discarded and consumed — the reference engine's
+    ``_drain_wrong_path``, for cold mid-stream starts and recovery."""
+    return _refill() + """
+while idx < end and records[idx].tag:
+    idx += 1
+    c_disc += 1
+    c_cons += 1
+""" + _refill(indent=4)
+
+
 def _icache_chunk(*, pc_var: str, perfect: bool, block_bytes: int) -> str:
     """The once-per-line I-cache access; on a miss, charges the stall
     and breaks out of the fetch loop (the record stays in the trace
@@ -264,21 +295,22 @@ def _engine_source(
     *,
     update_at_commit: bool,
     wrong_path: bool,
-    inline_source: bool,
 ) -> str:
     """Emit the specialized ``run_trace`` source for one configuration.
 
     Variant axes (each statically resolved, never re-tested at run
-    time): in-memory records vs generic :class:`TraceSource` cursor,
-    perfect memory vs cache hierarchy, commit-time vs fetch-time
-    predictor training, and wrong-path handling present vs compiled
-    out (sound only for traces proven wrong-path-free).  Warmup and
-    ROI bounds are run-time arguments — two integer comparisons per
-    cycle — so every window shares one compiled function.  So is the
-    record tick: once ``tick`` records are consumed the engine calls
-    ``on_tick(cycle, consumed, counters)`` after the cycle and takes
-    the next bound from its return value (``math.inf`` when nothing
-    observes the run).
+    time): perfect memory vs cache hierarchy, commit-time vs
+    fetch-time predictor training, and wrong-path handling present vs
+    compiled out (sound only for traces proven wrong-path-free).  The
+    hot loop indexes the source's blocks (:meth:`TraceSource.block`),
+    in memory and from files alike, and every exit leaves the source's
+    cursor where the run stopped.
+    Warmup and ROI bounds are run-time arguments — two integer
+    comparisons per cycle — so every window shares one compiled
+    function.  So is the record tick: once ``tick`` records are
+    consumed the engine calls ``on_tick(cycle, consumed, counters)``
+    after the cycle and takes the next bound from its return value
+    (``math.inf`` when nothing observes the run).
     """
     width = config.width
     perfect = config.perfect_memory
@@ -287,10 +319,6 @@ def _engine_source(
     def emit(text: str, indent: int = 0) -> None:
         lines.extend(_block(text, indent))
 
-    if inline_source:
-        done = "idx >= len(records) and not rob and not ifq and not dec"
-    else:
-        done = "src_peek() is None and not rob and not ifq and not dec"
     emit(f"""
 # Generated by repro.core.specialize for one ProcessorConfig.
 # Bit-identical transcription of repro.core.engine.ReSimEngine.
@@ -326,17 +354,16 @@ def run_trace(trace, start_pc, bpred, memory, max_cycles, warmup, roi,
     base = 0
     cons_off = 0
 """)
-    if inline_source:
-        emit("""
-    records = trace
-    idx = 0
+    emit("""
+    src_block = trace.block
+    src_seek = trace.seek
+    start = trace.consumed
+    records, idx = src_block()
+    end = len(records)
 """)
-    else:
-        emit("""
-    src_peek = trace.peek
-    src_next = trace.next
-    src_tagged = trace.peek_is_tagged
-""")
+    # Everything after the first block runs inside try/finally (see
+    # the end), so every exit leaves the source where the run stopped.
+    body = len(lines)
     if not perfect:
         emit("""
     m_ifetch = memory.ifetch
@@ -352,20 +379,7 @@ def run_trace(trace, start_pc, bpred, memory, max_cycles, warmup, roi,
         # Cold-start drain: a segment-range shard may open inside a
         # wrong-path block whose faulting branch lives in the previous
         # shard (same bookkeeping as the reference constructor).
-        if inline_source:
-            emit("""
-    while idx < len(records) and records[idx].tag:
-        idx += 1
-        c_disc += 1
-        c_cons += 1
-""")
-        else:
-            emit("""
-    while src_tagged():
-        src_next()
-        c_disc += 1
-        c_cons += 1
-""")
+        emit(_drain_chunk(), indent=4)
     if config.div_count != 1:
         emit(f"""
     div_busy = [0] * {config.div_count}
@@ -376,27 +390,21 @@ def run_trace(trace, start_pc, bpred, memory, max_cycles, warmup, roi,
 """)
 
     # ---- main loop: done check, cycle budget ----
-    if inline_source:
-        emit(f"""
+    # The budget error counts records as the reference cursor does:
+    # from the source's start, warmup included.
+    emit("""
     while True:
-        if {done}:
-            break
-        if cycle >= max_cycles:
-            raise RuntimeError(
-                "simulation exceeded " + str(max_cycles) + " cycles ("
-                + str(idx) + "/" + str(len(records))
-                + " records consumed)")
 """)
-    else:
-        emit(f"""
-    while True:
-        if {done}:
-            break
+    emit(_refill(f"""
+if {_DONE}:
+    break
+"""), indent=8)
+    emit("""
         if cycle >= max_cycles:
             raise RuntimeError(
                 "simulation exceeded " + str(max_cycles) + " cycles ("
-                + str(trace.consumed) + "/" + str(trace.total_records)
-                + " records consumed)")
+                + str(start + c_cons + cons_off) + "/"
+                + str(trace.total_records) + " records consumed)")
 """)
     emit("""
         cycle += 1
@@ -474,20 +482,7 @@ def run_trace(trace, start_pc, bpred, memory, max_cycles, warmup, roi,
                         if p is not None and p.tag:
                             table[r] = None
 """)
-        if inline_source:
-            emit("""
-                    while idx < len(records) and records[idx].tag:
-                        idx += 1
-                        c_disc += 1
-                        c_cons += 1
-""")
-        else:
-            emit("""
-                    while src_tagged():
-                        src_next()
-                        c_disc += 1
-                        c_cons += 1
-""")
+        emit(_drain_chunk(), indent=20)
         emit(f"""
                     fetch_pc = (op.target if op.taken
                                 else op.pc + {INSTRUCTION_BYTES})
@@ -696,19 +691,13 @@ def run_trace(trace, start_pc, bpred, memory, max_cycles, warmup, roi,
             fetched = 0
             while fetched < {width} and len(ifq) < {config.ifq_entries}:
 """)
-    if inline_source:
-        emit("""
-                if idx >= len(records):
-                    break
+    emit(_refill("""
+if idx >= end:
+    break
+"""), indent=16)
+    emit("""
                 rec = records[idx]
-""", indent=0)
-    else:
-        emit("""
-                rec = src_peek()
-                if rec is None:
-                    break
 """)
-    consume = "idx += 1" if inline_source else "src_next()"
     if wrong_path:
         emit("""
                 if speculative:
@@ -717,7 +706,7 @@ def run_trace(trace, start_pc, bpred, memory, max_cycles, warmup, roi,
 """)
         emit(_icache_chunk(pc_var="spec_pc", perfect=perfect,
                            block_bytes=config.icache.block_bytes), indent=20)
-        emit(consume, indent=20)
+        emit("idx += 1", indent=20)
         emit(_admit_chunk(pc_var="spec_pc", wrong_path=True), indent=20)
         emit(f"""
                     c_fwp += 1
@@ -741,7 +730,7 @@ def run_trace(trace, start_pc, bpred, memory, max_cycles, warmup, roi,
 """)
     emit(_icache_chunk(pc_var="pc", perfect=perfect,
                        block_bytes=config.icache.block_bytes), indent=16)
-    emit(consume, indent=16)
+    emit("idx += 1", indent=16)
     emit(_admit_chunk(pc_var="pc", wrong_path=wrong_path), indent=16)
     emit("""
                 fetched += 1
@@ -759,14 +748,9 @@ def run_trace(trace, start_pc, bpred, memory, max_cycles, warmup, roi,
                               resolution)
 """)
     if wrong_path:
-        if inline_source:
-            emit("""
-                    tagged_next = (idx < len(records)
-                                   and records[idx].tag)
-""")
-        else:
-            emit("""
-                    tagged_next = src_tagged()
+        emit(_refill(), indent=20)
+        emit("""
+                    tagged_next = idx < end and records[idx].tag
 """)
         emit(f"""
                     if resolution.mispredicted != tagged_next:
@@ -836,7 +820,8 @@ def run_trace(trace, start_pc, bpred, memory, max_cycles, warmup, roi,
                            (cycle - base, {counters})) - cons_off
         if warming:
             if c_commit >= warmup:
-                if {done}:
+{_refill(indent=16)}
+                if {_DONE}:
                     raise WarmupWindowError(warmup, c_commit)
                 warming = False
                 base = cycle
@@ -847,8 +832,11 @@ def run_trace(trace, start_pc, bpred, memory, max_cycles, warmup, roi,
             break
     if warming:
         raise WarmupWindowError(warmup, c_commit)
-    return (cycle - base, {counters}, cycle, c_cons + cons_off)
+    return (cycle - base, {counters}, cycle)
 """)
+    lines[body:] = ["    try:", *("    " + line if line else ""
+                                   for line in lines[body:]),
+                    "    finally:", "        src_seek(idx)"]
     return "\n".join(lines) + "\n"
 
 
@@ -864,7 +852,6 @@ def engine_cache_key(
     *,
     update_at_commit: bool,
     wrong_path: bool,
-    inline_source: bool,
 ) -> tuple:
     """The in-process memoization key: a content hash of the config
     plus the statically-resolved variant axes."""
@@ -872,7 +859,6 @@ def engine_cache_key(
         canonical_digest(config_to_dict(config)),
         bool(update_at_commit),
         bool(wrong_path),
-        bool(inline_source),
     )
 
 
@@ -881,7 +867,6 @@ def compile_engine(
     *,
     update_at_commit: bool = True,
     wrong_path: bool = True,
-    inline_source: bool = True,
 ) -> Callable:
     """Return the compiled ``run_trace`` for this config + variant,
     generating and ``exec``-compiling it on first use (thread-safe:
@@ -891,7 +876,6 @@ def compile_engine(
         config,
         update_at_commit=update_at_commit,
         wrong_path=wrong_path,
-        inline_source=inline_source,
     )
     fn = _ENGINES.get(key)
     if fn is not None:
@@ -900,7 +884,6 @@ def compile_engine(
         config,
         update_at_commit=update_at_commit,
         wrong_path=wrong_path,
-        inline_source=inline_source,
     )
     namespace = {
         "_Op": _Op,
@@ -1004,13 +987,7 @@ class SpecializedEngine:
                 "engine between cycles; run them on the reference tier")
         self._progress = progress
         self._config = config
-        source = as_source(trace)
-        self._source = source
-        self._records = None
-        if isinstance(source, InMemorySource) and source.consumed == 0:
-            # Fast path: index the sequence directly, skipping the
-            # cursor method calls (live-length semantics preserved).
-            self._records = source.records
+        self._source = as_source(trace)
         self._start_pc = TEXT_BASE if start_pc is None else start_pc
         self._update_at_commit = update_predictor_at_commit
         self._bpred = BranchPredictorUnit(config.predictor)
@@ -1020,14 +997,13 @@ class SpecializedEngine:
                               config.memory_latency))
         self._ran = False
         self._cycle = 0
-        self._consumed = source.consumed
+        self._consumed = self._source.consumed
         self._raw: tuple | None = None
         self._stats = SimulationStatistics()
         self._run_fn = compile_engine(
             config,
             update_at_commit=update_predictor_at_commit,
             wrong_path=not wrong_path_free,
-            inline_source=self._records is not None,
         )
 
     @property
@@ -1096,17 +1072,14 @@ class SpecializedEngine:
             max_cycles = 64 * max(1, self._source.total_records) + 10_000
         roi = math.inf if roi_instructions is None else roi_instructions
         tick, on_tick = self._tick()
-        trace = self._records if self._records is not None else self._source
-        raw = self._run_fn(trace, self._start_pc, self._bpred,
-                           self._memory, max_cycles, warmup_instructions,
-                           roi, tick, on_tick)
-        if self._records is not None:
-            # Keep the wrapped cursor consistent with consumption.
-            for _ in range(raw[-1]):
-                self._source.next()
-        self._cycle = raw[-2]
-        self._consumed = self._source.consumed
-        self._raw, self._stats = raw[:-2], None
+        try:
+            raw = self._run_fn(self._source, self._start_pc, self._bpred,
+                               self._memory, max_cycles,
+                               warmup_instructions, roi, tick, on_tick)
+        finally:
+            self._consumed = self._source.consumed
+        self._cycle = raw[-1]
+        self._raw, self._stats = raw[:-1], None
         return SimulationResult(config=self._config, stats=self.stats)
 
     def _tick(self) -> tuple[float, Callable | None]:

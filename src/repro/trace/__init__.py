@@ -19,11 +19,10 @@ This package provides:
 * :mod:`repro.trace.fileio` — the persistent trace-file format
   (segmented v2 plus the legacy v1), including the constant-memory
   :class:`~repro.trace.fileio.SegmentedTraceWriter` and the streaming
-  reader :func:`~repro.trace.fileio.iter_trace_records`;
+  reader :func:`~repro.trace.fileio.iter_trace_blocks`;
 * :mod:`repro.trace.source` — the :class:`~repro.trace.source.TraceSource`
-  bounded-lookahead cursor protocol the engine and every other
-  consumer ingest traces through (in-memory, streamed file, sharded
-  concatenation);
+  block-fed cursor protocol the engines and every other consumer
+  ingest traces through (in-memory, streamed file, segment range);
 * :mod:`repro.trace.stats` — per-trace statistics (record mix, bits per
   instruction, wrong-path fraction) feeding the Table 3 reproduction;
 * :mod:`repro.trace.analyze` — per-segment behaviour profiles (record
@@ -55,6 +54,7 @@ from repro.trace.fileio import (
     TraceFileError,
     TraceFileHeader,
     TraceSegment,
+    iter_trace_blocks,
     iter_trace_records,
     read_segment_table,
     read_trace_file,
@@ -112,6 +112,7 @@ __all__ = [
     "decode_trace",
     "encode_trace",
     "ensure_profile",
+    "iter_trace_blocks",
     "iter_trace_records",
     "load_profile",
     "measure_trace",

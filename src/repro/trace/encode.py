@@ -32,6 +32,7 @@ from repro.trace.record import (
     OtherRecord,
     RecordKind,
     TraceRecord,
+    trusted_constructor,
 )
 
 
@@ -54,6 +55,10 @@ _WIDTHS = tuple(map(FORMAT_BITS.get, range(4)))  # by kind code; 3 is none
 _WINDOW_BYTES = (7 + max(FORMAT_BITS.values()) + 7) // 8  # any record, any offset
 #: The one FU class an M record may carry, by its store bit.
 _MEMORY_FU = (FuClass.LOAD, FuClass.STORE)
+# Decode checks what the layout does not bound itself (see below).
+_OTHER = trusted_constructor(OtherRecord)
+_MEMORY = trusted_constructor(MemoryRecord)
+_BRANCH = trusted_constructor(BranchRecord)
 
 
 class CorruptRecordError(ValueError):
@@ -148,21 +153,21 @@ def decode_records(data: bytes | bytearray, start_bit: int, end_bit: int,
                                  head >> _SRC1 & 0x3F, head & 0x3F)
         tail = bits >> (8 * _WINDOW_BYTES - width - (pos & 7))
         if kind == RecordKind.OTHER:
-            append(OtherRecord(tag, fu, dest, src1, src2))
+            append(_OTHER(tag, fu, dest, src1, src2))
         elif kind == RecordKind.MEMORY:
             store = tail >> _STORE & 1
             if fu is not _MEMORY_FU[store]:
                 access = "store" if store else "load"
                 raise CorruptRecordError(f"FU code {fu_code} in a {access} record", pos)
-            append(MemoryRecord(tag, fu, dest, src1, src2, bool(store),
-                                tail & 0xFFFF_FFFF, tail >> _SIZE & 3))
+            append(_MEMORY(tag, fu, dest, src1, src2, bool(store),
+                           tail & 0xFFFF_FFFF, tail >> _SIZE & 3))
         elif fu is not FuClass.BRANCH:
             raise CorruptRecordError(f"FU code {fu_code} in a branch record", pos)
         elif (branch := NUMBER_TO_BRANCH[tail >> _BRANCH_KIND & 7]) is None:
             raise CorruptRecordError(f"branch kind code {tail >> _BRANCH_KIND & 7}", pos)
         else:
-            append(BranchRecord(tag, fu, dest, src1, src2, branch, bool(tail >> _TAKEN & 1),
-                                tail & 0xFFFF_FFFF))
+            append(_BRANCH(tag, fu, dest, src1, src2, branch, bool(tail >> _TAKEN & 1),
+                           tail & 0xFFFF_FFFF))
         pos += width
     return records, pos
 

@@ -85,6 +85,8 @@ import os
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import partial
+from operator import attrgetter
 from pathlib import Path
 from typing import BinaryIO
 from collections.abc import Iterable, Iterator, Sequence
@@ -593,25 +595,29 @@ def _verify_committed(header: TraceFileHeader, committed: int) -> None:
 
 def _decode_segment(data: bytes | bytearray, start_bit: int, end_bit: int,
                     stop_bit: int, index: int, origin: int = 0,
-                    ) -> tuple[list[TraceRecord], int]:
+                    ) -> tuple[list[TraceRecord], int, int]:
     """:func:`decode_records`, naming segment ``index`` and the bit
-    offset (``origin`` bits before ``data``) of a corrupt record."""
+    offset (``origin`` bits before ``data``) of a corrupt record; also
+    returns how many of the records are untagged (committed)."""
     try:
-        return decode_records(data, start_bit, end_bit, stop_bit)
+        records, pos = decode_records(data, start_bit, end_bit, stop_bit)
     except CorruptRecordError as error:
         reason, bit = error.args
         raise TraceFileError(f"segment {index}: {reason} at bit "
                              f"{origin + bit}") from None
+    return records, len(records) - sum(map(attrgetter("tag"), records)), pos
 
 
 # ----------------------------------------------------------------------
 # Decoded-segment cache: units over one trace decode each segment once.
 # ----------------------------------------------------------------------
 
-#: ``(payload bytes, bit length) -> records``.
-_SEGMENTS: BoundedMemo[tuple[bytes, int], tuple[TraceRecord, ...]] = \
+#: ``(payload bytes, bit length) -> (records, committed count)``: the
+#: count travels with the records, so a hit never recounts Tag bits.
+_SEGMENTS: BoundedMemo[tuple[bytes, int],
+                       tuple[tuple[TraceRecord, ...], int]] = \
     BoundedMemo("decoded segments", DECODED_SEGMENT_CACHE_RECORDS,
-                weigh=len, unit="records")
+                weigh=lambda entry: len(entry[0]), unit="records")
 #: Whether this thread's v2 reads consult the cache; see
 #: :func:`decoded_segment_reuse`.
 _SEGMENT_REUSE: ContextVar[bool] = ContextVar("decoded_segment_reuse",
@@ -643,20 +649,32 @@ def decoded_segment_reuse() -> Iterator[None]:
         _SEGMENT_REUSE.reset(token)
 
 
-def _decode_v2_segment(data: bytes, segment: TraceSegment,
-                       ) -> Sequence[TraceRecord]:
-    """The records of one v2 segment, from the cache when reuse is on."""
-    reuse = _SEGMENT_REUSE.get()
+def _read_v2_segment(handle: BinaryIO, segment: TraceSegment,
+                     ) -> tuple[Sequence[TraceRecord], int]:
+    """Read and decode one v2 segment, checked against its table entry
+    (from the cache when reuse is on); returns its records and how
+    many are committed."""
+    handle.seek(segment.payload_offset)
+    data = handle.read(segment.byte_length)
+    if len(data) < segment.byte_length:
+        raise TraceFileError(
+            f"truncated segment {segment.index}: "
+            f"{len(data)} of {segment.byte_length} bytes")
     key = (data, segment.bit_length)
-    if reuse:
-        cached = _SEGMENTS.get(key)
-        if cached is not None:
-            return cached
-    records, _ = _decode_segment(data, 0, segment.bit_length,
-                                 segment.bit_length, segment.index)
-    if reuse:
-        return _SEGMENTS.put(key, tuple(records))
-    return records
+    reuse = _SEGMENT_REUSE.get()
+    entry = _SEGMENTS.get(key) if reuse else None
+    if entry is None:
+        records, committed, _ = _decode_segment(
+            data, 0, segment.bit_length, segment.bit_length, segment.index)
+        entry = (records, committed)
+        if reuse:
+            entry = _SEGMENTS.put(key, (tuple(records), committed))
+    if len(entry[0]) != segment.record_count:
+        raise TraceFileError(
+            f"segment {segment.index} holds {len(entry[0])} records, "
+            f"segment index claims {segment.record_count}"
+        )
+    return entry
 
 
 #: Hit/miss/size counters for the in-process decoded-segment cache.
@@ -668,8 +686,9 @@ clear_decoded_segment_cache = _SEGMENTS.clear
 
 
 def _iter_v1_payload(handle: BinaryIO, bit_length: int,
-                     ) -> Iterator[TraceRecord]:
-    """Decode a v1 payload in bounded chunks.
+                     ) -> Iterator[tuple[list[TraceRecord], int]]:
+    """Decode a v1 payload in bounded chunks, yielding each chunk's
+    records and how many are committed.
 
     The payload is one contiguous bit-packed run.  Each pass decodes
     every record that lies wholly inside the buffered chunk, then
@@ -690,10 +709,10 @@ def _iter_v1_payload(handle: BinaryIO, bit_length: int,
         last = end == bit_length - origin
         # Short of the payload's end, decode only records that start
         # early enough to end inside the buffer, whatever their format.
-        records, pos = _decode_segment(
+        records, committed, pos = _decode_segment(
             buffer, pos, end, end if last else end - _MAX_RECORD_BITS + 1,
             0, origin)
-        yield from records
+        yield records, committed
         if last:
             return
         del buffer[:pos >> 3]
@@ -701,27 +720,27 @@ def _iter_v1_payload(handle: BinaryIO, bit_length: int,
         pos &= 7
 
 
-def iter_trace_records(
+def iter_trace_blocks(
     path: str | Path,
     *,
     segments: Sequence[TraceSegment] | None = None,
     verify: bool = True,
-) -> Iterator[TraceRecord]:
-    """Stream a trace file's records with bounded memory.
+) -> Iterator[Sequence[TraceRecord]]:
+    """Stream a trace file as decoded blocks, with bounded memory: the
+    one reader, which :func:`iter_trace_records` flattens and
+    :class:`~repro.trace.source.FileSource` hands to the engine.
 
-    v2 payloads are decoded one segment at a time (each segment's
-    record count and bit length are checked against the table); v1
-    payloads are decoded in fixed-size chunks.  At exhaustion the
-    total record count and the committed-count consistency field are
-    verified, so a fully drained stream gives the same corruption
-    guarantees as :func:`read_trace_file`.
-
-    The stream holds one decoded segment (or chunk) at a time.  Inside
+    v2 payloads come one segment per block (each checked against its
+    table entry); v1 payloads come in fixed-size chunks.  At
+    exhaustion the total record count and the committed-count
+    consistency field are verified, so a fully drained stream gives
+    the same corruption guarantees as :func:`read_trace_file`.  The
+    stream holds one block at a time; inside
     :func:`decoded_segment_reuse`, which every executed work unit
     enters, v2 segments also come from and go to the process-wide
-    decoded-segment cache; its fixed
+    decoded-segment cache, whose fixed
     :data:`DECODED_SEGMENT_CACHE_RECORDS`-record bound is the only
-    extra memory, and reads outside that scope never fill it.
+    extra memory.
 
     ``segments`` restricts a v2 read to a subset of the table (shard
     workers pass the slice they own); partial reads skip the
@@ -732,8 +751,6 @@ def iter_trace_records(
     with open(path, "rb") as handle:
         header, header_length = _parse_header(
             handle.read(MAX_HEADER_LENGTH))
-        committed = 0
-        yielded = 0
         if header.version == VERSION_V1:
             if segments is not None:
                 raise TraceFileError(
@@ -742,42 +759,40 @@ def iter_trace_records(
             if header.bit_length > 8 * max(0, payload_bytes):
                 raise TraceFileError("truncated payload")
             handle.seek(header_length)
-            for record in _iter_v1_payload(handle, header.bit_length):
-                committed += not record.tag
-                yielded += 1
-                yield record
+            blocks = _iter_v1_payload(handle, header.bit_length)
         else:
             table = _read_segment_table(handle, header, header_length,
                                         file_size)
-            partial = segments is not None
-            for segment in (table if segments is None else segments):
-                handle.seek(segment.payload_offset)
-                data = handle.read(segment.byte_length)
-                if len(data) < segment.byte_length:
-                    raise TraceFileError(
-                        f"truncated segment {segment.index}: "
-                        f"{len(data)} of {segment.byte_length} bytes")
-                records = _decode_v2_segment(data, segment)
-                if len(records) != segment.record_count:
-                    raise TraceFileError(
-                        f"segment {segment.index} holds "
-                        f"{len(records)} records, segment index "
-                        f"claims {segment.record_count}"
-                    )
-                for record in records:
-                    committed += not record.tag
-                    yielded += 1
-                    yield record
-            if partial:
-                return
-        if not verify:
+            blocks = map(partial(_read_v2_segment, handle),
+                         table if segments is None else segments)
+        records = 0
+        committed = 0
+        for block, block_committed in blocks:
+            records += len(block)
+            committed += block_committed
+            yield block
+        if segments is not None or not verify:
             return
-        if yielded != header.record_count:
+        if records != header.record_count:
             raise TraceFileError(
-                f"payload holds {yielded} records, header claims "
+                f"payload holds {records} records, header claims "
                 f"{header.record_count}"
             )
         _verify_committed(header, committed)
+
+
+def iter_trace_records(
+    path: str | Path,
+    *,
+    segments: Sequence[TraceSegment] | None = None,
+    verify: bool = True,
+) -> Iterator[TraceRecord]:
+    """Stream a trace file's records with bounded memory: the records
+    of :func:`iter_trace_blocks` (same arguments, same checks), one
+    at a time."""
+    for block in iter_trace_blocks(path, segments=segments,
+                                   verify=verify):
+        yield from block
 
 
 def read_trace_file(

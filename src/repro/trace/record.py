@@ -22,7 +22,8 @@ Design notes
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, fields
 
 from repro.isa.opcodes import BranchKind, FuClass
 
@@ -203,3 +204,18 @@ class BranchRecord(TraceRecord):
     def is_unconditional(self) -> bool:
         """Jumps, calls and returns are always taken."""
         return self.branch_kind is not BranchKind.COND
+
+
+def trusted_constructor(cls: type[TraceRecord]) -> Callable[..., TraceRecord]:
+    """A positional constructor for record class ``cls`` that skips
+    ``__post_init__`` — for the trace decoder only, whose bit layout
+    bounds what those checks test (6-bit registers, 32-bit address and
+    target) and which checks the rest itself (an FU class that fits
+    the format, a concrete branch kind)."""
+    names = [field.name for field in fields(cls)]
+    namespace = {f"set_{name}": getattr(cls, name).__set__ for name in names}
+    namespace.update(new=object.__new__, cls=cls)
+    body = "".join(f"    set_{name}(record, {name})\n" for name in names)
+    exec(f"def make({', '.join(names)}):\n    record = new(cls)\n{body}"  # noqa: S102
+         "    return record\n", namespace)
+    return namespace["make"]

@@ -1,27 +1,26 @@
-"""Bounded-lookahead trace sources — streaming ingestion for the engine.
+"""Block-fed trace sources — streaming ingestion for the engine.
 
-ReSim's hardware consumes its trace through an input FIFO: the
-deserializer exposes the *next few* records, never the whole trace.
-This module is the software equivalent.  A :class:`TraceSource` is a
-forward-only cursor with one record of lookahead — exactly what the
-engine's fetch stage needs (``peek`` the next record, ``next`` to
-consume it, ``peek_is_tagged`` for the wrong-path discard loop at
-recovery) — so simulation memory no longer scales with trace length:
+ReSim's hardware reads its trace through an input FIFO whose
+deserializer decodes one record per minor cycle and never holds the
+whole trace.  A :class:`TraceSource` is the software equivalent: a
+forward-only cursor over decoded **blocks**, one held at a time.
+:class:`InMemorySource` holds one block, the live sequence itself (a
+*growing* list, which the streaming co-simulation driver appends to,
+shows its new records); :class:`FileSource` holds one decoded v2
+segment or v1 chunk of a stored ``.rtrc`` file at a time, from
+:func:`repro.trace.fileio.iter_trace_blocks`, so memory is bounded by
+the segment size, not the trace length.
 
-* :class:`InMemorySource` wraps a record sequence already in memory
-  (including a *growing* list — the streaming co-simulation driver
-  appends chunks while the engine runs, and the source sees them);
-* :class:`FileSource` streams a stored ``.rtrc`` file, decoding one
-  v2 segment (or one v1 chunk) at a time — peak resident memory is
-  bounded by the segment size, not the trace length (work units add
-  only the fixed-size decoded-segment cache, see
-  :func:`repro.trace.fileio.decoded_segment_reuse`).
-
-Every consumer — the engine, the session facade, sweep workers, the
-multicore study, co-simulation — speaks this protocol; a sequence
-passed to :class:`~repro.core.engine.ReSimEngine` is wrapped in an
-:class:`InMemorySource` automatically, so the two ingestion paths
-share one fetch implementation and produce bit-identical statistics.
+The generated engine (:mod:`repro.core.specialize`) takes the
+**block** view: :meth:`~TraceSource.block` hands out the held block
+and the cursor's index into it, the engine indexes it as a plain
+sequence, and it calls back only at block ends and once, through
+:meth:`~TraceSource.seek`, when the run stops.  The reference engine
+(:class:`~repro.core.engine.ReSimEngine`) and step-wise drivers take
+the **record** view, :meth:`~TraceSource.peek`/:meth:`~TraceSource.next`.
+Both move one position (:attr:`~TraceSource.consumed`) through the
+same file checks, so both tiers see the same records.  A sequence
+passed to an engine is wrapped in an :class:`InMemorySource`.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from collections.abc import Iterator, Sequence
 from repro.trace.fileio import (
     TraceFileHeader,
     TraceSegment,
-    iter_trace_records,
+    iter_trace_blocks,
     read_segment_table,
     read_trace_header,
 )
@@ -45,33 +44,55 @@ class TraceSourceError(ValueError):
 
 
 class TraceSource(ABC):
-    """A forward-only record cursor with one record of lookahead.
+    """A forward-only cursor over decoded record blocks, which
+    subclasses supply through :meth:`_load`.
 
-    The contract the engine relies on:
-
-    * :meth:`peek` returns the next record without consuming it, or
-      ``None`` when no record is available *right now* (a growing
-      in-memory stream may produce more later; a file is simply done);
-    * :meth:`next` consumes and returns that record;
-    * :attr:`total_records` is the best current estimate of the full
-      stream length (exact for files; the live length for growing
-      lists) — used for cycle budgets and progress reporting, never
-      for termination.
+    :attr:`total_records` is the best current estimate of the stream
+    length (exact for files, live for growing lists), for cycle
+    budgets and progress reporting, never for termination.
     """
 
+    _block: Sequence[TraceRecord] = ()
+    _index = 0  # the cursor, within _block
+    _base = 0   # records consumed before _block
+
     @abstractmethod
+    def _load(self) -> bool:
+        """Replace the held block with the next one (``_base`` grows by
+        the held block's length, ``_index`` restarts at 0); False, with
+        nothing changed, when no further block is available now."""
+
+    def block(self) -> tuple[Sequence[TraceRecord], int]:
+        """The held block and the cursor's index into it, after moving
+        past used-up blocks.  An index at the block's end means no
+        record is available *right now* (a growing in-memory stream may
+        produce more later; a file is done)."""
+        while self._index >= len(self._block) and self._load():
+            pass
+        return self._block, self._index
+
+    def seek(self, index: int) -> None:
+        """Move the cursor to ``index`` of the held block; the records
+        before it count as consumed."""
+        if not self._index <= index <= len(self._block):
+            raise TraceSourceError(
+                f"cannot seek to {index}: the cursor is at "
+                f"{self._index} of a {len(self._block)}-record block")
+        self._index = index
+
     def peek(self) -> TraceRecord | None:
         """The next record, or ``None`` if none is available."""
+        block, index = self.block()
+        return block[index] if index < len(block) else None
 
-    @abstractmethod
     def next(self) -> TraceRecord:
-        """Consume and return the next record.
-
-        Raises
-        ------
-        TraceSourceError
-            If the source is exhausted.
-        """
+        """Consume and return the next record (:class:`TraceSourceError`
+        if the source is exhausted)."""
+        record = self.peek()
+        if record is None:
+            raise TraceSourceError(f"{type(self).__name__} exhausted")
+        self._index += 1
+        return record
 
     def peek_is_tagged(self) -> bool:
         """True when the next record exists and is wrong-path."""
@@ -79,9 +100,9 @@ class TraceSource(ABC):
         return record is not None and record.tag
 
     @property
-    @abstractmethod
     def consumed(self) -> int:
         """Records consumed so far."""
+        return self._base + self._index
 
     @property
     @abstractmethod
@@ -93,73 +114,51 @@ class TraceSource(ABC):
         """True when no record is available right now."""
         return self.peek() is None
 
+    @abstractmethod
     def fresh(self) -> TraceSource:
         """An independent cursor over the same stream, rewound to the
-        start.  Sources that cannot rewind raise
-        :class:`TraceSourceError`."""
-        raise TraceSourceError(
-            f"{type(self).__name__} cannot be reopened")
+        start."""
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        while self.peek() is not None:
-            yield self.next()
+        """Consume the remaining records, a block at a time."""
+        block, index = self.block()
+        while index < len(block):
+            for index in range(index, len(block)):
+                self._index = index + 1
+                yield block[index]
+            block, index = self.block()
 
 
 class InMemorySource(TraceSource):
     """Cursor over a record sequence already in memory.
 
-    The sequence is referenced, not copied, and its length is read
-    live — appending to the underlying list makes the new records
-    visible, which is exactly how the streaming co-simulation driver
-    models its flow-controlled input FIFO.
+    The sequence is its one block — referenced, not copied, and its
+    length read live: appending to the underlying list makes the new
+    records visible, which is exactly how the streaming co-simulation
+    driver models its flow-controlled input FIFO.
     """
 
     def __init__(self, records: Sequence[TraceRecord]) -> None:
-        self._records = records
-        self._index = 0
+        self._block = records
 
-    def peek(self) -> TraceRecord | None:
-        if self._index < len(self._records):
-            return self._records[self._index]
-        return None
-
-    def next(self) -> TraceRecord:
-        if self._index >= len(self._records):
-            raise TraceSourceError("in-memory source exhausted")
-        record = self._records[self._index]
-        self._index += 1
-        return record
-
-    @property
-    def consumed(self) -> int:
-        return self._index
+    def _load(self) -> bool:
+        return False
 
     @property
     def total_records(self) -> int:
-        return len(self._records)
-
-    @property
-    def records(self) -> Sequence[TraceRecord]:
-        """The wrapped sequence (shared, not copied) — lets the
-        specialized engine index it directly."""
-        return self._records
+        return len(self._block)
 
     def fresh(self) -> InMemorySource:
-        return InMemorySource(self._records)
+        return InMemorySource(self._block)
 
 
 class FileSource(TraceSource):
     """Streams a stored trace file with bounded memory.
 
     The header is parsed eagerly (so a bad file fails at construction,
-    not mid-simulation); the payload is decoded lazily, one v2 segment
-    or one v1 chunk at a time, with end-of-stream consistency checks
-    (record count, committed count) exactly as in
-    :func:`repro.trace.fileio.iter_trace_records`.  The cursor holds
-    one decoded segment; inside an executing work unit, v2 segments
-    also pass through the process-wide decoded-segment cache, whose
-    fixed :data:`~repro.trace.fileio.DECODED_SEGMENT_CACHE_RECORDS`
-    bound is the only extra memory.
+    not mid-simulation); the blocks are decoded lazily by
+    :func:`repro.trace.fileio.iter_trace_blocks`, with its per-segment
+    and end-of-stream checks and its decoded-segment cache.
 
     ``segments`` restricts the cursor to a slice of a v2 file's
     segment table — ``FileSource(path, segments=(lo, hi))`` replays
@@ -189,14 +188,12 @@ class FileSource(TraceSource):
                     f"segment range {segments} empty or outside the "
                     f"{len(table)}-segment table of {self._path}"
                 )
-            if self._header.version == 1 and (lo, hi) != (0, 1):
+            if self._header.version != 1:
+                self._segments = table[lo:hi]
+            elif (lo, hi) != (0, 1):
                 raise TraceSourceError(
                     "segment-restricted reads need a v2 trace file")
-            self._segments = table[lo:hi]
-        self._iterator: Iterator[TraceRecord] | None = None
-        self._lookahead: TraceRecord | None = None
-        self._consumed = 0
-        self._done = False
+        self._blocks: Iterator[Sequence[TraceRecord]] | None = None
 
     @property
     def path(self) -> Path:
@@ -206,36 +203,16 @@ class FileSource(TraceSource):
     def header(self) -> TraceFileHeader:
         return self._header
 
-    def _fill(self) -> None:
-        if self._lookahead is not None or self._done:
-            return
-        if self._iterator is None:
-            if (self._segments is not None
-                    and self._header.version != 1):
-                self._iterator = iter_trace_records(
-                    self._path, segments=self._segments)
-            else:
-                self._iterator = iter_trace_records(self._path)
-        self._lookahead = next(self._iterator, None)
-        if self._lookahead is None:
-            self._done = True
-
-    def peek(self) -> TraceRecord | None:
-        self._fill()
-        return self._lookahead
-
-    def next(self) -> TraceRecord:
-        self._fill()
-        record = self._lookahead
-        if record is None:
-            raise TraceSourceError(f"trace file {self._path} exhausted")
-        self._lookahead = None
-        self._consumed += 1
-        return record
-
-    @property
-    def consumed(self) -> int:
-        return self._consumed
+    def _load(self) -> bool:
+        if self._blocks is None:
+            self._blocks = iter_trace_blocks(self._path,
+                                             segments=self._segments)
+        block = next(self._blocks, None)
+        if block is None:
+            return False
+        self._base += len(self._block)
+        self._block, self._index = block, 0
+        return True
 
     @property
     def total_records(self) -> int:

@@ -169,8 +169,9 @@ class TestScope:
         assert info == {"hits": 0, "misses": len(segments),
                         "entries": len(segments),
                         "records": len(records)}
-        assert all(isinstance(entry, tuple)
-                   for entry in fileio._SEGMENTS.values())
+        assert all(isinstance(records, tuple)
+                   and committed == sum(not r.tag for r in records)
+                   for records, committed in fileio._SEGMENTS.values())
 
     def test_v1_payloads_are_not_cached(self, path, tmp_path):
         _, records = read_trace_file(path)
@@ -246,7 +247,7 @@ class TestScope:
         info = decoded_segment_cache_info()
         assert info["hits"] + info["misses"] == 8 * 3 * sum(reads.values())
         assert info["records"] == sum(
-            len(entry) for entry in fileio._SEGMENTS.values())
+            len(records) for records, _ in fileio._SEGMENTS.values())
         assert info["records"] <= 200
 
     def test_clear_resets_counters(self, path):

@@ -22,7 +22,7 @@ from repro.serialize import stats_to_dict
 from repro.session import CONFIGS
 from repro.trace.fileio import write_trace_file
 from repro.trace.record import BranchRecord, MemoryRecord, OtherRecord
-from repro.trace.source import FileSource
+from repro.trace.source import FileSource, InMemorySource
 
 CONFIG = ProcessorConfig(predictor=PERFECT_PREDICTOR)
 
@@ -159,22 +159,26 @@ def test_determinism_property(trace):
 
 def _outcome(engine, **window):
     """The statistics document, or the warmup error both tiers must
-    raise alike."""
+    raise alike, then where the run left the trace cursor."""
     try:
-        stats = engine.run(**window).stats
+        outcome = json.dumps(stats_to_dict(engine.run(**window).stats),
+                             sort_keys=True)
     except WarmupWindowError as error:
-        return f"WarmupWindowError: {error}"
-    return json.dumps(stats_to_dict(stats), sort_keys=True)
+        outcome = f"WarmupWindowError: {error}"
+    return outcome, engine.cursor_position, engine.source.consumed
 
 
 @st.composite
 def oracle_case(draw):
-    """A trace, a registry config, a trace source and a warmup/ROI
-    window for the reference-vs-specialized oracle."""
+    """A trace, a registry config, a trace source, a prefix of it
+    consumed before the engine starts, and a warmup/ROI window for the
+    reference-vs-specialized oracle.  Segments of 1 and 7 records put
+    (nearly) every record on a block boundary; the prefix starts the
+    engine mid-block."""
     wrong_path = draw(st.booleans())
     trace = draw(structured_trace(wrong_path=wrong_path, max_segments=24))
     config = CONFIGS.get(draw(st.sampled_from(sorted(CONFIGS))))
-    segment_records = draw(st.sampled_from([8, 16, 32]))
+    segment_records = draw(st.sampled_from([1, 7, 8, 16, 32]))
     segments = -(-len(trace) // segment_records)
     lo = draw(st.integers(min_value=0, max_value=segments - 1))
     hi = draw(st.integers(min_value=lo + 1, max_value=segments))
@@ -182,13 +186,14 @@ def oracle_case(draw):
     replayed = trace
     if source == "file":
         replayed = trace[lo * segment_records:hi * segment_records]
-    commits = sum(1 for record in replayed if not record.tag)
+    prefix = draw(st.integers(min_value=0, max_value=len(replayed)))
+    commits = sum(1 for record in replayed[prefix:] if not record.tag)
     warmup = draw(st.sampled_from(
         sorted({0, 1, commits // 2, max(commits - 1, 0)})))
     roi = draw(st.one_of(st.none(),
                          st.integers(min_value=1,
                                      max_value=max(commits, 1))))
-    return (trace, config, segment_records, source, (lo, hi),
+    return (trace, config, segment_records, source, (lo, hi), prefix,
             dict(warmup_instructions=warmup, roi_instructions=roi))
 
 
@@ -197,18 +202,23 @@ def oracle_case(draw):
 def test_specialized_matches_reference(case):
     """Generated oracle: reference and specialized engines agree, byte
     for byte, across warmup/ROI windows, both registry configs, an
-    in-memory trace and a v2 FileSource segment range, with and
-    without wrong paths."""
-    trace, config, segment_records, source, segments, window = case
+    in-memory trace and a v2 FileSource segment range, segment sizes
+    down to one record, cursors started mid-block, with and without
+    wrong paths — on the statistics and on where the run leaves the
+    cursor."""
+    (trace, config, segment_records, source, segments, prefix,
+     window) = case
     wrong_path_free = not any(record.tag for record in trace)
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "trace.rtrc"
         write_trace_file(path, trace, segment_records=segment_records)
 
         def make():
-            if source == "memory":
-                return list(trace)
-            return FileSource(path, segments=segments)
+            cursor = (InMemorySource(list(trace)) if source == "memory"
+                      else FileSource(path, segments=segments))
+            for _ in range(prefix):
+                cursor.next()
+            return cursor
 
         reference = _outcome(ReSimEngine(config, make()), **window)
         specialized = _outcome(

@@ -47,7 +47,7 @@ from repro.exec import (
 from repro.serialize import stats_to_dict
 from repro.session import CONFIGS, SessionError, Simulation
 from repro.trace.fileio import write_trace_file
-from repro.trace.source import FileSource
+from repro.trace.source import FileSource, InMemorySource
 from repro.workloads import SyntheticWorkload, get_profile
 
 WORKLOADS = ("bzip2", "gzip", "parser", "vortex", "vpr")
@@ -197,6 +197,33 @@ class TestSpecializedEngineGuards:
         assert str(PAPER_4WIDE_PERFECT.rob_entries) in source
 
 
+    @pytest.mark.parametrize("prefix", [0, 5])
+    @pytest.mark.parametrize("warmup", [0, 20])
+    @pytest.mark.parametrize("kind", ["memory", "file"])
+    def test_cycle_budget_error_matches_reference(self, tmp_path, kind,
+                                                  warmup, prefix):
+        """Both tiers report an exceeded cycle budget with the same
+        consumed/total count — counted from the source's start, warmup
+        included — and leave the cursor in the same place."""
+        records = list(_records("gzip", 400))
+        path = tmp_path / "gzip.rtrc"
+        write_trace_file(path, records, segment_records=64)
+        reports = []
+        for tier in (ReSimEngine, SpecializedEngine):
+            source = (InMemorySource(records) if kind == "memory"
+                      else FileSource(path))
+            for _ in range(prefix):
+                source.next()
+            engine = tier(PAPER_2WIDE_CACHE, source)
+            with pytest.raises(RuntimeError,
+                               match="simulation exceeded 50 cycles"
+                               ) as error:
+                engine.run(max_cycles=50, warmup_instructions=warmup)
+            reports.append((str(error.value), engine.cursor_position,
+                            source.consumed))
+        assert reports[1] == reports[0]
+
+
 # ---------------------------------------------------------------------------
 # codegen cache
 
@@ -228,13 +255,26 @@ class TestCodegenCache:
         keys = {
             engine_cache_key(PAPER_4WIDE_PERFECT,
                              update_at_commit=at_commit,
-                             wrong_path=wrong_path,
-                             inline_source=inline)
+                             wrong_path=wrong_path)
             for at_commit in (True, False)
             for wrong_path in (True, False)
-            for inline in (True, False)
         }
-        assert len(keys) == 8
+        assert len(keys) == 4
+
+    def test_one_fetch_path_for_files_and_memory(self, tmp_path):
+        """In-memory records, a cursor started mid-block and a streamed
+        file all run one compiled function, fed block by block."""
+        records = list(_records("gzip", 400))
+        path = tmp_path / "gzip.rtrc"
+        write_trace_file(path, records, segment_records=64)
+        started = InMemorySource(records)
+        started.next()
+        engines = [SpecializedEngine(PAPER_4WIDE_PERFECT, trace)
+                   for trace in (records, started, FileSource(path))]
+        assert codegen_cache_info()["entries"] == 1
+        source = engines[0].generated_source
+        assert "src_block()" in source
+        assert "src_peek" not in source and "src_next" not in source
 
     def test_one_function_for_every_window(self):
         """Window bounds are run-time arguments: runs with and without

@@ -4,15 +4,19 @@
 bit, at a time.  The word-level codec in :mod:`repro.trace.encode`
 must write the same bytes, decode its own output back, and agree with
 the reference on arbitrary input: the same records, or both raise.
+Decode builds records without re-running their constructors' checks,
+so it must also accept exactly the field codes those checks accept.
 Golden digests pin whole trace files of both on-disk formats.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from reference_codec import reference_decode, reference_encode
+from reference_codec import BitWriter, reference_decode, reference_encode
+from test_engine_properties import structured_trace
 from repro.bpred.unit import PAPER_PREDICTOR
 from repro.isa.opcodes import BranchKind, FuClass
 from repro.trace import (
@@ -121,6 +125,69 @@ def test_decoders_agree_on_every_cut():
     for cut in range(bits + 1):
         new, reference = _outcomes(data, cut)
         assert new == reference, cut
+
+
+def _revalidated(record):
+    """``record`` rebuilt through its class's validating constructor."""
+    return type(record)(**{field.name: getattr(record, field.name)
+                           for field in dataclasses.fields(record)})
+
+
+@given(st.one_of(TRACES, structured_trace()))
+def test_trusted_decode_equals_validated_decode(trace):
+    """Decode skips the records' constructor checks; every record it
+    builds from the reference codec's bytes passes them anyway and
+    equals, with the same type, its validated rebuild."""
+    decoded = decode_trace(*reference_encode(trace))
+    assert decoded == trace
+    for record in decoded:
+        rebuilt = _revalidated(record)
+        assert type(rebuilt) is type(record) and rebuilt == record
+
+
+def _code(draw, valid, bits):
+    """A field code: one of ``valid`` or one of the rest, evenly."""
+    invalid = [code for code in range(1 << bits) if code not in valid]
+    return draw(st.sampled_from(draw(st.sampled_from([valid, invalid]))))
+
+
+@st.composite
+def field_codes(draw):
+    """Records as raw field codes — FU, store and branch kind codes in
+    valid combinations or not — packed by the reference writer."""
+    writer = BitWriter()
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.integers(0, 2))
+        store = draw(st.integers(0, 1))
+        fu = _code(draw, ([0, 1, 2, 3, 4, 5, 6], [5], [3 + store])[kind], 3)
+        writer.write(kind, 2)
+        writer.write(draw(st.integers(0, 1)), 1)  # tag
+        writer.write(fu, 3)
+        for _ in range(3):
+            writer.write(draw(REGS), 6)
+        if kind == 2:
+            writer.write(store, 1)
+            writer.write(draw(st.integers(0, 3)), 2)  # size
+        elif kind == 1:
+            writer.write(_code(draw, [0, 1, 2, 3, 4], 3), 3)  # branch kind
+            writer.write(draw(st.integers(0, 1)), 1)  # taken
+        if kind:
+            writer.write(draw(WORDS), 32)  # address or target
+    return writer.getvalue(), writer.bit_length
+
+
+@settings(max_examples=300)
+@given(field_codes())
+def test_trusted_decode_of_any_field_codes(payload):
+    """Decode accepts exactly the field codes the validating
+    constructors accept (the reference builds records through them),
+    and its records survive a validated rebuild."""
+    new, reference = _outcomes(*payload)
+    assert new == reference
+    if new != "raised":
+        for record in new:
+            rebuilt = _revalidated(record)
+            assert type(rebuilt) is type(record) and rebuilt == record
 
 
 def test_flags_pack_by_truthiness():

@@ -176,6 +176,55 @@ class TestFileSource:
                 FileSource(v2_path, segments=(lo, lo))
 
 
+class TestBlockProtocol:
+    """The block view the generated engine reads: whole decoded blocks,
+    a position moved by ``seek``, the same cursor as ``peek``/``next``."""
+
+    def test_file_blocks_are_its_segments(self, v2_path, records):
+        source = FileSource(v2_path)
+        table = read_segment_table(v2_path)
+        streamed, sizes = [], []
+        block, index = source.block()
+        while index < len(block):
+            streamed.extend(block[index:])
+            sizes.append(len(block))
+            source.seek(len(block))
+            assert source.consumed == len(streamed)
+            block, index = source.block()
+        assert streamed == records
+        assert sizes == [segment.record_count for segment in table]
+
+    def test_record_and_block_views_share_one_cursor(self, v2_path,
+                                                     records):
+        source = FileSource(v2_path)
+        for _ in range(SEGMENT_RECORDS + 3):
+            source.next()
+        block, index = source.block()
+        assert (block[index], index) == (records[SEGMENT_RECORDS + 3], 3)
+        source.seek(index + 2)
+        assert source.next() is block[index + 2]
+        assert source.consumed == SEGMENT_RECORDS + 6
+
+    @pytest.mark.parametrize("target", [-1, 2, SEGMENT_RECORDS + 1])
+    def test_seek_is_forward_within_the_block(self, v2_path, target):
+        source = FileSource(v2_path)
+        for _ in range(3):
+            source.next()
+        with pytest.raises(TraceSourceError, match="cannot seek"):
+            source.seek(target)
+        assert source.consumed == 3
+
+    def test_in_memory_block_is_the_live_sequence(self):
+        stream = [OtherRecord()]
+        source = InMemorySource(stream)
+        block, index = source.block()
+        assert block is stream and index == 0
+        source.seek(1)
+        assert source.block() == (stream, 1)
+        stream.append(OtherRecord(dest=3))
+        assert source.next() is stream[1]
+
+
 class TestEngineEquivalence:
     """The acceptance criterion: streamed ingestion is bit-identical
     to the in-memory path."""
