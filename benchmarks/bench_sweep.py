@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from repro.sweep import SweepSpec, SweepRunner, stats_to_dict
+from repro.sweep import SweepSpec, SweepRunner, default_backend, stats_to_dict
 
 BUDGET = 6000
 WORKERS = 4
@@ -32,7 +32,7 @@ def spec():
 
 def _run(spec, directory, workers):
     runner = SweepRunner(spec, "gzip", results_dir=directory,
-                         budget=BUDGET, workers=workers)
+                         budget=BUDGET, backend=default_backend(workers))
     start = time.perf_counter()
     result = runner.run()
     return result, time.perf_counter() - start
@@ -70,7 +70,7 @@ def test_sweep_amortizes_trace_generation(spec, tmp_path, benchmark):
     after `prepare_trace`, each additional design point costs only a
     simulation."""
     runner = SweepRunner(spec, "gzip", results_dir=tmp_path / "amort",
-                         budget=BUDGET, workers=1)
+                         budget=BUDGET)
     predictor = spec.base.predictor
     trace = runner.prepare_trace(predictor)
     assert trace.path.exists()

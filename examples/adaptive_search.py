@@ -22,10 +22,11 @@ as the ground truth the strategies are judged against.
 Run:  python examples/adaptive_search.py \
           [--budget N] [--results-dir DIR]
 
-(For multi-host execution, pass a DirectoryQueueBackend as the
-``backend=`` of ``run_search``/``run_sweep`` and start ``resim
-worker <queue-dir>`` on any machine sharing the filesystem — the
-search itself does not change.)
+One :class:`~repro.sweep.SweepRunner` serves all three: ``.search(
+strategy)`` for each strategy, ``.run()`` for the grid.  (For
+multi-host execution, pass a DirectoryQueueBackend as its
+``backend=`` and start ``resim worker <queue-dir>`` on any machine
+sharing the filesystem — the search itself does not change.)
 """
 
 from __future__ import annotations
@@ -34,13 +35,7 @@ import argparse
 import tempfile
 from pathlib import Path
 
-from repro.sweep import (
-    HillClimb,
-    RandomSearch,
-    SweepSpec,
-    run_search,
-    run_sweep,
-)
+from repro.sweep import HillClimb, RandomSearch, SweepRunner, SweepSpec
 
 
 def main() -> None:
@@ -64,10 +59,11 @@ def main() -> None:
     })
     grid_points = len(spec.expand())
     print(f"design space: {grid_points} valid points\n")
+    runner = SweepRunner(spec, "gzip", results_dir=results_dir,
+                         budget=args.budget)
 
     # -- hill-climb: pay only for the ridge it walks ------------------
-    climb = run_search(HillClimb(spec), "gzip",
-                       results_dir=results_dir, budget=args.budget)
+    climb = runner.search(HillClimb(spec))
     print("== hill-climb ==")
     print(climb.table())
     print(f"\n{climb.summary()}")
@@ -76,9 +72,7 @@ def main() -> None:
     print(f"evaluations: {len(climb)}/{grid_points} grid points\n")
 
     # -- seeded random sampling: reproducible by construction ---------
-    sampled = run_search(RandomSearch(spec, samples=6, seed=42),
-                         "gzip", results_dir=results_dir,
-                         budget=args.budget)
+    sampled = runner.search(RandomSearch(spec, samples=6, seed=42))
     print("== random sample (seed 42) ==")
     print(f"{sampled.summary()}")
     resumed = sampled.result.resumed_count
@@ -87,8 +81,7 @@ def main() -> None:
               f"straight from checkpoints)")
 
     # -- ground truth: the full grid, resuming everything above -------
-    full = run_sweep(spec, "gzip", results_dir=results_dir,
-                     budget=args.budget)
+    full = runner.run()
     best = full.best("ipc")
     print("\n== full grid (ground truth) ==")
     print(f"grid best: {best.label}  ipc={best.ipc:.4f} "

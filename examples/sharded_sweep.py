@@ -31,7 +31,7 @@ from pathlib import Path
 
 from repro.exec import EXACT_SUM_COUNTERS, DirectoryQueueBackend
 from repro.serialize import stats_to_dict
-from repro.sweep import SweepSpec, run_sweep
+from repro.sweep import SweepRunner, SweepSpec
 
 
 def main() -> None:
@@ -47,9 +47,9 @@ def main() -> None:
         scratch = Path(scratch)
         print(f"== monolithic reference (serial, budget "
               f"{args.budget}) ==")
-        monolithic = run_sweep(
+        monolithic = SweepRunner(
             spec, "gzip", results_dir=scratch / "monolithic",
-            budget=args.budget, segment_records=256)
+            budget=args.budget, segment_records=256).run()
 
         print(f"== sharded sweep ({len(spec.expand())} points x "
               f"{args.shards} shards through a {args.workers}-worker "
@@ -57,10 +57,10 @@ def main() -> None:
         backend = DirectoryQueueBackend(
             scratch / "queue", workers=args.workers,
             poll_seconds=0.05, timeout=600)
-        sharded = run_sweep(
+        sharded = SweepRunner(
             spec, "gzip", results_dir=scratch / "sharded",
             budget=args.budget, segment_records=256,
-            backend=backend, shards=args.shards)
+            backend=backend, shards=args.shards).run()
 
         print(f"\n{'point':>16} {'mono IPC':>9} {'shard IPC':>9} "
               f"{'delta':>7}  exact-sum counters")

@@ -22,7 +22,7 @@ from pathlib import Path
 from repro.fpga.device import VIRTEX4_LX40
 from repro.perf.comparison import comparison_table, render_table
 from repro.perf.tables import sweep_table
-from repro.sweep import SweepSpec, run_sweep
+from repro.sweep import SweepRunner, SweepSpec, default_backend
 
 
 def main() -> None:
@@ -53,8 +53,10 @@ def main() -> None:
           f"{expansion.skipped_duplicates} duplicates dropped) "
           f"with {args.workers} worker(s)\n")
 
-    result = run_sweep(spec, "gzip", results_dir=results_dir,
-                       budget=args.budget, workers=args.workers)
+    runner = SweepRunner(spec, "gzip", results_dir=results_dir,
+                         budget=args.budget,
+                         backend=default_backend(args.workers))
+    result = runner.run()
 
     print(sweep_table(result, sort_key="ipc", limit=8))
     if result.resumed_count:

@@ -107,7 +107,7 @@ from repro.session import (
     Simulation,
     WORKLOADS,
 )
-from repro.sweep import SweepResult, SweepRunner, SweepSpec, run_sweep
+from repro.sweep import SweepResult, SweepRunner, SweepSpec
 from repro.multicore import MultiCoreSimulator, TraceChannel
 from repro.trace import (
     FileSource,
@@ -188,7 +188,6 @@ __all__ = [
     "measure_trace",
     "read_segment_table",
     "read_trace_file",
-    "run_sweep",
     "select_pipeline",
     "write_trace_file",
     "write_workload_trace",

@@ -62,13 +62,16 @@ from repro.fpga.device import DEVICES, VIRTEX4_LX40, VIRTEX5_LX50T
 from repro.fpga.vhdlgen import generate_branch_predictor_vhdl
 from repro.multicore.simulator import MultiCoreSimulator, TraceChannel
 from repro.core.specialize import DEFAULT_ENGINE, ENGINE_TIERS
+from repro.exec import DEFAULT_LEASE_SECONDS, DEFAULT_WARMUP_SEGMENTS
 from repro.session import CONFIGS, SessionError, Simulation
+from repro.sweep.search import SEARCH_DEFAULTS
 from repro.trace.fileio import (
     DEFAULT_SEGMENT_RECORDS,
     TraceFileError,
     read_segment_table,
     read_trace_header,
 )
+from repro.utils.atomic import atomic_path
 from repro.utils.registry import RegistryError
 from repro.workloads.profiles import SPECINT_PROFILES
 from repro.workloads.tracegen import (
@@ -354,7 +357,8 @@ def cmd_vhdl(args) -> int:
     output.mkdir(parents=True, exist_ok=True)
     for entity, source in sources.items():
         path = output / f"{entity}.vhd"
-        path.write_text(source)
+        with atomic_path(path) as tmp:
+            tmp.write_text(source)
         print(f"wrote {path}")
     return 0
 
@@ -616,8 +620,8 @@ def cmd_stats(args) -> int:
           f"{kind_of(merged).tag}(s))")
     print(stats.report())
     if args.output:
-        text = _json.dumps(merged, indent=2, sort_keys=True)
-        Path(args.output).write_text(text)
+        with atomic_path(args.output) as tmp:
+            tmp.write_text(_json.dumps(merged, indent=2, sort_keys=True))
         print(f"wrote {args.output}")
     return 0
 
@@ -820,7 +824,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--region-seed", type=int, default=0,
                        help="k-means seed for --sample-regions; fixed "
                             "seed = identical plan")
-        p.add_argument("--region-warmup", type=int, default=1,
+        p.add_argument("--region-warmup", type=int,
+                       default=DEFAULT_WARMUP_SEGMENTS,
                        metavar="SEGMENTS",
                        help="warmup segments replayed (uncounted) "
                             "before each representative region")
@@ -930,7 +935,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="queue directory for --backend queue "
                             "(default: RESULTS_DIR/queue; every host "
                             "must see it at the same path)")
-        p.add_argument("--queue-lease", type=float, default=60.0,
+        p.add_argument("--queue-lease", type=float,
+                       default=DEFAULT_LEASE_SECONDS,
                        help="seconds of silence before a claimed "
                             "unit is presumed orphaned and retried")
         p.add_argument("--queue-timeout", type=float, default=None,
@@ -983,18 +989,21 @@ def build_parser() -> argparse.ArgumentParser:
                         help="benchmark profile or kernel name")
     add_axes(search, "search")
     add_bulk(search, "search-results")
-    search.add_argument("--strategy", default="hillclimb",
+    search.add_argument("--strategy", default=SEARCH_DEFAULTS["strategy"],
                         help="search strategy (grid, random, "
                              "hillclimb)")
-    search.add_argument("--metric", default="ipc",
+    search.add_argument("--metric", default=SEARCH_DEFAULTS["metric"],
                         help="objective to optimize (ipc, cycles, "
                              "mispredictions)")
-    search.add_argument("--samples", type=int, default=16,
+    search.add_argument("--samples", type=int,
+                        default=SEARCH_DEFAULTS["samples"],
                         help="points to sample (--strategy random)")
-    search.add_argument("--search-seed", type=int, default=1,
+    search.add_argument("--search-seed", type=int,
+                        default=SEARCH_DEFAULTS["search_seed"],
                         help="sampling seed (--strategy random); "
                              "fixed seed = identical search")
-    search.add_argument("--max-steps", type=int, default=64,
+    search.add_argument("--max-steps", type=int,
+                        default=SEARCH_DEFAULTS["max_steps"],
                         help="move budget (--strategy hillclimb)")
     search.set_defaults(func=cmd_campaign)
 

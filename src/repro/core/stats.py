@@ -124,21 +124,27 @@ class OccupancySampler:
         """
         return (self.total, self.samples)
 
-    def merge(self, others: Iterable[OccupancySampler]
-              ) -> OccupancySampler:
+    def merge(self, others: Iterable[OccupancySampler], *,
+              weights: Sequence[int] | None = None) -> OccupancySampler:
         """Pool this sampler with others into a new sampler.
 
         Totals and sample counts add (every part sampled once per
         cycle, so the pooled average weights each part by its cycles);
-        the peak is the maximum of the parts' peaks.
+        the peak is the maximum of the parts' peaks.  ``weights``
+        scales each part's raw state as in
+        :meth:`SimulationStatistics.merge` (``None`` = all ones); a
+        zero-weight part's peak is ignored.
         """
-        total, samples, peak = self.total, self.samples, self.peak
-        for other in others:
-            other_total, other_samples = other.raw()
-            total += other_total
-            samples += other_samples
-            if other.peak > peak:
-                peak = other.peak
+        parts = (self, *others)
+        scale = ((1,) * len(parts) if weights is None
+                 else _validate_weights(weights, len(parts)))
+        total = samples = peak = 0
+        for weight, part in zip(scale, parts, strict=True):
+            part_total, part_samples = part.raw()
+            total += weight * part_total
+            samples += weight * part_samples
+            if weight and part.peak > peak:
+                peak = part.peak
         return OccupancySampler(total=total, samples=samples, peak=peak)
 
 
@@ -222,10 +228,10 @@ class SimulationStatistics:
         first) scales each part's contribution: counters add
         ``weight * value`` (still modulo 2^64), samplers pool
         ``weight``-scaled raw state, and a zero-weight part's peaks
-        are ignored.  ``weights=None`` and all-ones weights are
-        bit-identical — weighting strictly generalizes the exact
-        merge.  Region-sampled runs use weights to extrapolate a
-        cluster of similar trace segments from one representative.
+        are ignored.  ``weights=None`` means all-ones weights: the
+        exact merge is the weighted one with unit weights.
+        Region-sampled runs use weights to extrapolate a cluster of
+        similar trace segments from one representative.
 
         Merging with no ``others`` and no ``shards`` is the identity
         (a copy that compares equal to ``self``).  Which counters of a
@@ -234,7 +240,7 @@ class SimulationStatistics:
         in :mod:`repro.exec.shard`.
         """
         parts = (self, *others)
-        scale = (None if weights is None
+        scale = ((1,) * len(parts) if weights is None
                  else _validate_weights(weights, len(parts)))
         merged = SimulationStatistics()
         for spec in fields(self):
@@ -242,26 +248,12 @@ class SimulationStatistics:
                 continue
             values = [getattr(part, spec.name) for part in parts]
             if isinstance(values[0], Counter64):
-                if scale is None:
-                    setattr(merged, spec.name,
-                            Counter64(sum(int(value) for value in values)))
-                else:
-                    setattr(merged, spec.name, Counter64(
-                        sum(weight * int(value) for weight, value
-                            in zip(scale, values, strict=True))))
-            elif scale is None:
-                setattr(merged, spec.name, values[0].merge(values[1:]))
+                setattr(merged, spec.name, Counter64(
+                    sum(weight * int(value) for weight, value
+                        in zip(scale, values, strict=True))))
             else:
-                total = samples = peak = 0
-                for weight, value in zip(scale, values, strict=True):
-                    part_total, part_samples = value.raw()
-                    total += weight * part_total
-                    samples += weight * part_samples
-                    if weight and value.peak > peak:
-                        peak = value.peak
                 setattr(merged, spec.name,
-                        OccupancySampler(total=total, samples=samples,
-                                         peak=peak))
+                        values[0].merge(values[1:], weights=scale))
         if shards is not None:
             merged.shards = [dict(entry) for entry in shards]
         else:

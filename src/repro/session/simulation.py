@@ -79,6 +79,7 @@ from repro.trace.fileio import (
 from repro.trace.record import TraceRecord
 from repro.trace.source import FileSource, InMemorySource, TraceSource
 from repro.trace.stats import TraceStatistics, measure_trace
+from repro.utils.atomic import atomic_path
 from repro.utils.registry import Registry
 from repro.workloads.tracegen import build_tracer, generate_workload_trace
 
@@ -379,7 +380,8 @@ class SessionResult:
     def to_json(self, path: str | Path | None = None) -> str:
         text = json.dumps(self.to_dict(), indent=2, sort_keys=True)
         if path is not None:
-            Path(path).write_text(text)
+            with atomic_path(path) as tmp:
+                tmp.write_text(text)
         return text
 
 

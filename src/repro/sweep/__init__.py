@@ -7,33 +7,32 @@ workflow as a subsystem:
 
 * :class:`~repro.sweep.spec.SweepSpec` — expand a parameter grid into
   validated, deduplicated :class:`ProcessorConfig` design points;
-* :class:`~repro.sweep.runner.SweepRunner` — generate/persist the
-  workload trace once, turn design points into serializable work
-  units, run them through any :class:`~repro.exec.ExecutionBackend`
-  (in-process, process pool, or a multi-host directory queue drained
-  by ``resim worker``), checkpoint every finished point so
-  interrupted sweeps resume;
-* :class:`~repro.sweep.search.SearchRunner` — adaptive search
-  (:class:`GridSearch` / :class:`RandomSearch` / :class:`HillClimb`)
-  that evaluates points one batch at a time through the same
-  backends and checkpoints;
+* :class:`~repro.sweep.runner.SweepRunner` — the one campaign
+  constructor: generate/persist the workload trace once, turn design
+  points into serializable work units, run them through any
+  :class:`~repro.exec.ExecutionBackend` (in-process, process pool, or
+  a multi-host directory queue drained by ``resim worker``),
+  checkpoint every finished point so interrupted campaigns resume;
+  ``.run()`` evaluates the whole grid, ``.search(strategy)`` what an
+  adaptive strategy proposes one batch at a time;
+* :mod:`~repro.sweep.search` — the strategies (:class:`GridSearch` /
+  :class:`RandomSearch` / :class:`HillClimb`);
 * :class:`~repro.sweep.result.SweepResult` — sort/filter/tabulate the
   outcomes and export them as JSON/CSV or Table 2-style comparison
   rows.
 
 Quick start
 -----------
->>> from repro.sweep import SweepSpec, run_sweep
+>>> from repro.sweep import SweepRunner, SweepSpec, default_backend
 >>> spec = SweepSpec(axes={"rob_entries": (8, 16, 32)})
->>> result = run_sweep(spec, "gzip", results_dir="sweep-out",
-...                    budget=5_000, workers=4)   # doctest: +SKIP
->>> print(result.sorted_by("ipc").table())        # doctest: +SKIP
+>>> runner = SweepRunner(spec, "gzip", results_dir="sweep-out",
+...                      budget=5_000, backend=default_backend(4))
+>>> print(runner.run().sorted_by("ipc").table())  # doctest: +SKIP
 
-Adaptive search over the same axes:
+Adaptive search over the same axes and checkpoints:
 
->>> from repro.sweep import HillClimb, run_search
->>> best = run_search(HillClimb(spec), "gzip",
-...                   results_dir="sweep-out").best  # doctest: +SKIP
+>>> from repro.sweep import HillClimb
+>>> best = runner.search(HillClimb(spec)).best  # doctest: +SKIP
 """
 
 from repro.serialize import (
@@ -45,7 +44,7 @@ from repro.serialize import (
 )
 from repro.sweep.progress import ProgressPrinter, SweepProgress
 from repro.sweep.result import SweepOutcome, SweepResult
-from repro.sweep.runner import SweepRunner, default_backend, run_sweep
+from repro.sweep.runner import SweepRunner, default_backend
 from repro.sweep.search import (
     SEARCHES,
     GridSearch,
@@ -53,10 +52,8 @@ from repro.sweep.search import (
     RandomSearch,
     SearchError,
     SearchResult,
-    SearchRunner,
     SearchStrategy,
     make_strategy,
-    run_search,
 )
 from repro.sweep.spec import Expansion, SweepError, SweepPoint, SweepSpec
 
@@ -69,7 +66,6 @@ __all__ = [
     "SEARCHES",
     "SearchError",
     "SearchResult",
-    "SearchRunner",
     "SearchStrategy",
     "SweepError",
     "SweepOutcome",
@@ -83,8 +79,6 @@ __all__ = [
     "config_to_dict",
     "default_backend",
     "make_strategy",
-    "run_search",
-    "run_sweep",
     "stats_from_dict",
     "stats_to_dict",
 ]

@@ -24,7 +24,7 @@ from repro.session import CONFIGS, SessionError, coerce_engine
 from repro.sweep.progress import SweepProgress
 from repro.sweep.result import SORT_KEYS, SweepResult
 from repro.sweep.runner import SweepRunner, sampling_entry
-from repro.sweep.search import SEARCHES, SearchResult, SearchRunner, make_strategy
+from repro.sweep.search import SEARCH_DEFAULTS, SEARCHES, SearchResult, make_strategy
 from repro.sweep.spec import SweepError, SweepSpec
 from repro.trace.fileio import DEFAULT_SEGMENT_RECORDS
 from repro.utils.registry import RegistryError
@@ -139,12 +139,12 @@ def normalize_campaign(request: Mapping) -> dict:
             warmup_segments=_require_int(
                 request, "region_warmup", DEFAULT_WARMUP_SEGMENTS))
     if kind == "search":
-        strategy = request.get("strategy", "hillclimb")
+        strategy = request.get("strategy", SEARCH_DEFAULTS["strategy"])
         try:
             SEARCHES.get(strategy)
         except RegistryError as error:
             raise SweepError(str(error)) from None
-        metric = request.get("metric", "ipc")
+        metric = request.get("metric", SEARCH_DEFAULTS["metric"])
         if metric not in SORT_KEYS:
             raise SweepError(
                 f"unknown metric {metric!r}; choose from "
@@ -152,9 +152,12 @@ def normalize_campaign(request: Mapping) -> dict:
         normalized.update({
             "strategy": strategy,
             "metric": metric,
-            "samples": _require_int(request, "samples", 16, 1),
-            "search_seed": _require_int(request, "search_seed", 1),
-            "max_steps": _require_int(request, "max_steps", 64, 0),
+            "samples": _require_int(
+                request, "samples", SEARCH_DEFAULTS["samples"], 1),
+            "search_seed": _require_int(
+                request, "search_seed", SEARCH_DEFAULTS["search_seed"]),
+            "max_steps": _require_int(
+                request, "max_steps", SEARCH_DEFAULTS["max_steps"], 0),
         })
     return normalized
 
@@ -182,10 +185,10 @@ def run_campaign(normalized: Mapping, *, results_dir: str | Path,
             "region_seed": sampling["seed"],
             "region_warmup": sampling["warmup_segments"]}),
     }
+    runner = SweepRunner(spec, normalized["workload"], **options)
     if normalized["kind"] == "sweep":
-        return SweepRunner(spec, normalized["workload"], **options).run()
-    strategy = make_strategy(
+        return runner.run()
+    return runner.search(make_strategy(
         normalized["strategy"], spec, metric=normalized["metric"],
         samples=normalized["samples"], seed=normalized["search_seed"],
-        max_steps=normalized["max_steps"])
-    return SearchRunner(strategy, normalized["workload"], **options).run()
+        max_steps=normalized["max_steps"]))

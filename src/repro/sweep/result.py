@@ -33,6 +33,7 @@ from repro.perf.comparison import SimulatorEntry
 from repro.perf.throughput import ThroughputModel
 from repro.serialize import config_to_dict, stats_to_dict
 from repro.sweep.spec import format_params, value_label
+from repro.utils.atomic import atomic_path
 
 
 @dataclass(frozen=True)
@@ -223,7 +224,8 @@ class SweepResult:
     # -- export --------------------------------------------------------
 
     def to_json(self, path: str | Path | None = None) -> str:
-        """Full-fidelity JSON export (config + statistics per point)."""
+        """Full-fidelity JSON export (config + statistics per point);
+        a ``path`` is written atomically."""
         document = {
             "workload": self.workload,
             "budget": self.budget,
@@ -246,15 +248,17 @@ class SweepResult:
         }
         text = json.dumps(document, indent=2, sort_keys=True)
         if path is not None:
-            Path(path).write_text(text)
+            with atomic_path(path) as tmp:
+                tmp.write_text(text)
         return text
 
     def to_csv(self, path: str | Path,
                devices: Sequence[FpgaDevice] = ()) -> None:
-        """Spreadsheet-friendly export: one row per design point."""
+        """Spreadsheet-friendly export: one row per design point,
+        written atomically (a failure keeps the previous file)."""
         axes = [name for name, _ in self.outcomes[0].params] \
             if self.outcomes else []
-        with open(path, "w", newline="") as handle:
+        with atomic_path(path) as tmp, open(tmp, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(
                 ["key"] + axes

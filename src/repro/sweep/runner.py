@@ -81,6 +81,13 @@ from repro.serialize import (
 from repro.session import SessionError, coerce_engine
 from repro.sweep.progress import SweepProgress
 from repro.sweep.result import SweepOutcome, SweepResult
+from repro.sweep.search import (
+    MAX_ROUNDS,
+    HillClimb,
+    SearchError,
+    SearchResult,
+    SearchStrategy,
+)
 from repro.sweep.spec import SweepError, SweepPoint, SweepSpec
 from repro.trace.analyze import ensure_profile
 from repro.trace.fileio import (
@@ -115,8 +122,8 @@ def trace_filename(predictor: PredictorConfig) -> str:
 
 
 def default_backend(workers: int) -> ExecutionBackend:
-    """The backend ``workers=N`` historically meant: in-process for
-    1, a process pool otherwise."""
+    """The backend ``--workers N`` means: in-process for 1, a process
+    pool otherwise."""
     if workers < 1:
         raise SweepError(f"workers must be >= 1, got {workers}")
     if workers == 1:
@@ -162,7 +169,10 @@ class _TraceInfo:
 
 class SweepRunner:
     """Evaluate design points against shared traces through a
-    pluggable execution backend (see module docstring).
+    pluggable execution backend (see module docstring): the whole grid
+    (:meth:`run`) or what an adaptive strategy proposes
+    (:meth:`search`).  Its constructor is the one place the campaign
+    options are declared.
 
     Parameters
     ----------
@@ -180,13 +190,11 @@ class SweepRunner:
         completion).
     seed:
         Synthetic-generator seed.
-    workers:
-        Shorthand for the default backend choice: ``1`` runs
-        in-process (the serial reference path), ``N > 1`` fans out
-        over a local process pool.  Ignored when ``backend`` is given.
     backend:
-        Any :class:`~repro.exec.ExecutionBackend`; overrides
-        ``workers``.
+        Any :class:`~repro.exec.ExecutionBackend`; ``None`` runs
+        in-process (:class:`~repro.exec.SerialBackend`, the serial
+        reference path).  :func:`default_backend` maps a worker count
+        to one.
     progress:
         A :class:`~repro.sweep.progress.SweepProgress` sink for
         per-point completion events (``resim sweep --progress``).
@@ -227,7 +235,6 @@ class SweepRunner:
         results_dir: str | Path,
         budget: int = 30_000,
         seed: int = 7,
-        workers: int = 1,
         backend: ExecutionBackend | None = None,
         progress: SweepProgress | None = None,
         shards: int = 1,
@@ -238,8 +245,6 @@ class SweepRunner:
         region_seed: int = 0,
         region_warmup: int = DEFAULT_WARMUP_SEGMENTS,
     ) -> None:
-        if backend is None:
-            backend = default_backend(workers)
         if not is_known_workload(workload):
             raise SweepError(str(UnknownWorkloadError(workload)))
         if shards < 1:
@@ -261,8 +266,7 @@ class SweepRunner:
         self.results_dir = Path(results_dir)
         self.budget = budget
         self.seed = seed
-        self.workers = workers
-        self.backend = backend
+        self.backend = backend if backend is not None else SerialBackend()
         self.progress = progress if progress is not None \
             else SweepProgress()
         self.shards = shards
@@ -603,6 +607,74 @@ class SweepRunner:
             skipped_duplicates=expansion.skipped_duplicates,
         )
 
+    def search(self, strategy: SearchStrategy) -> SearchResult:
+        """Propose/evaluate/observe until ``strategy`` stops.
+
+        The strategy's spec supplies the axes; its base config must be
+        this runner's, which the manifest and the trace summary are
+        keyed on.  Checkpoints written by a search are interchangeable
+        with a sweep's over the same results directory.
+        """
+        if strategy.spec.base != self.spec.base:
+            raise SweepError(
+                f"strategy {strategy.name!r} searches another base "
+                f"config than this runner's; build the runner from the "
+                f"strategy's spec")
+        progress = self.progress
+        progress.start(None, label="search")
+        evaluated: dict[str, SweepOutcome] = {}
+        rounds = 0
+        while rounds < MAX_ROUNDS:
+            batch = [point for point in strategy.propose()
+                     if point.key not in evaluated]
+            if not batch:
+                break
+            rounds += 1
+            progress.round(rounds, len(batch))
+            outcomes = self.evaluate(batch)
+            for outcome in outcomes:
+                evaluated[outcome.key] = outcome
+            strategy.observe(outcomes)
+        else:
+            raise SearchError(
+                f"strategy {strategy.name!r} did not converge "
+                f"within {MAX_ROUNDS} rounds"
+            )
+        if not evaluated:
+            raise SearchError(
+                f"strategy {strategy.name!r} proposed no design "
+                f"points"
+            )
+        progress.finish()
+        best = strategy.best_of(list(evaluated.values()))
+        headline, by_predictor = self.trace_summary()
+        metadata = {
+            "search": {
+                "strategy": strategy.name,
+                "metric": strategy.metric,
+                "rounds": rounds,
+                "evaluated": len(evaluated),
+            },
+            "trace_bits_per_instruction_by_predictor": by_predictor,
+        }
+        if isinstance(strategy, HillClimb):
+            metadata["search"]["trajectory"] = list(strategy.trajectory)
+        sweep_result = SweepResult(
+            outcomes=tuple(evaluated.values()),
+            workload=self.workload,
+            budget=self.budget,
+            seed=self.seed,
+            trace_bits_per_instruction=headline,
+            metadata=metadata,
+        )
+        return SearchResult(
+            result=sweep_result,
+            best=best,
+            strategy=strategy.name,
+            metric=strategy.metric,
+            rounds=rounds,
+        )
+
     @staticmethod
     def _outcome(point: SweepPoint, payload: dict,
                  from_checkpoint: bool) -> SweepOutcome:
@@ -614,31 +686,3 @@ class SweepRunner:
             from_checkpoint=from_checkpoint,
         )
 
-
-def run_sweep(
-    spec: SweepSpec,
-    workload: str = "gzip",
-    *,
-    results_dir: str | Path,
-    budget: int = 30_000,
-    seed: int = 7,
-    workers: int = 1,
-    backend: ExecutionBackend | None = None,
-    progress: SweepProgress | None = None,
-    shards: int = 1,
-    segment_records: int = DEFAULT_SEGMENT_RECORDS,
-    engine: str = DEFAULT_ENGINE,
-    sampling: str = "full",
-    regions: int = DEFAULT_REGIONS,
-    region_seed: int = 0,
-    region_warmup: int = DEFAULT_WARMUP_SEGMENTS,
-) -> SweepResult:
-    """One-call convenience wrapper around :class:`SweepRunner`."""
-    runner = SweepRunner(spec, workload, results_dir=results_dir,
-                         budget=budget, seed=seed, workers=workers,
-                         backend=backend, progress=progress,
-                         shards=shards, segment_records=segment_records,
-                         engine=engine, sampling=sampling,
-                         regions=regions, region_seed=region_seed,
-                         region_warmup=region_warmup)
-    return runner.run()

@@ -4,7 +4,8 @@ A grid sweep simulates every combination; past a handful of axes that
 is exponentially wasteful when the question is "which configuration is
 *best*?".  This module adds the strategy layer the ROADMAP promised on
 top of the sweep subsystem: a :class:`SearchStrategy` proposes batches
-of design points, a :class:`SearchRunner` evaluates each batch through
+of design points, :meth:`SweepRunner.search
+<repro.sweep.runner.SweepRunner.search>` evaluates each batch through
 the **same** machinery as a grid sweep — shared per-predictor traces,
 per-point checkpoints, any :class:`~repro.exec.ExecutionBackend` — and
 feeds the scores back until the strategy stops proposing.
@@ -37,18 +38,9 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from pathlib import Path
 from collections.abc import Callable, Mapping, Sequence
 
-from repro.core.specialize import DEFAULT_ENGINE
-from repro.exec import (
-    DEFAULT_REGIONS,
-    DEFAULT_WARMUP_SEGMENTS,
-    ExecutionBackend,
-)
-from repro.sweep.progress import SweepProgress
 from repro.sweep.result import SORT_KEYS, SweepOutcome, SweepResult
-from repro.sweep.runner import SweepRunner
 from repro.sweep.spec import SweepError, SweepPoint, SweepSpec
 from repro.utils.registry import Registry
 from repro.utils.rng import XorShiftRNG
@@ -61,6 +53,12 @@ SEARCHES: Registry[type] = Registry("search strategy")
 #: Safety net: no strategy may run more proposal rounds than this
 #: (a buggy strategy that never stops must not sweep forever).
 MAX_ROUNDS = 1000
+
+#: Defaults of the search request fields, read by the ``resim search``
+#: flags, :func:`~repro.sweep.campaign.normalize_campaign` and the
+#: strategies' keyword defaults.
+SEARCH_DEFAULTS = {"strategy": "hillclimb", "metric": "ipc", "samples": 16,
+                   "search_seed": 1, "max_steps": 64}
 
 
 class SearchError(SweepError):
@@ -81,7 +79,8 @@ def _metric(name: str) -> tuple[Callable[[SweepOutcome], float], bool]:
 class SearchStrategy(ABC):
     """Proposes design points; learns from their outcomes.
 
-    The contract :class:`SearchRunner` drives: :meth:`propose` returns
+    The contract :meth:`SweepRunner.search
+    <repro.sweep.runner.SweepRunner.search>` drives: :meth:`propose` returns
     the next batch to evaluate (empty tuple = converged/done), then
     :meth:`observe` receives the batch's outcomes before the next
     :meth:`propose`.  A strategy never re-proposes a point it has
@@ -91,7 +90,8 @@ class SearchStrategy(ABC):
     #: Registry key / display name; subclasses override.
     name = "?"
 
-    def __init__(self, spec: SweepSpec, *, metric: str = "ipc") -> None:
+    def __init__(self, spec: SweepSpec, *,
+                 metric: str = SEARCH_DEFAULTS["metric"]) -> None:
         self.spec = spec
         self.metric = metric
         self._score, self._larger_is_better = _metric(metric)
@@ -139,7 +139,8 @@ class GridSearch(SearchStrategy):
 
     name = "grid"
 
-    def __init__(self, spec: SweepSpec, *, metric: str = "ipc") -> None:
+    def __init__(self, spec: SweepSpec, *,
+                 metric: str = SEARCH_DEFAULTS["metric"]) -> None:
         super().__init__(spec, metric=metric)
         self._proposed = False
 
@@ -171,8 +172,10 @@ class RandomSearch(SearchStrategy):
     #: points rather than looping forever.
     ATTEMPTS_PER_SAMPLE = 64
 
-    def __init__(self, spec: SweepSpec, *, samples: int = 16,
-                 seed: int = 1, metric: str = "ipc") -> None:
+    def __init__(self, spec: SweepSpec, *,
+                 samples: int = SEARCH_DEFAULTS["samples"],
+                 seed: int = SEARCH_DEFAULTS["search_seed"],
+                 metric: str = SEARCH_DEFAULTS["metric"]) -> None:
         super().__init__(spec, metric=metric)
         if samples < 1:
             raise SearchError(f"samples must be >= 1, got {samples}")
@@ -228,8 +231,9 @@ class HillClimb(SearchStrategy):
 
     name = "hillclimb"
 
-    def __init__(self, spec: SweepSpec, *, metric: str = "ipc",
-                 max_steps: int = 64,
+    def __init__(self, spec: SweepSpec, *,
+                 metric: str = SEARCH_DEFAULTS["metric"],
+                 max_steps: int = SEARCH_DEFAULTS["max_steps"],
                  start: Mapping[str, object] | None = None) -> None:
         super().__init__(spec, metric=metric)
         if max_steps < 0:
@@ -412,136 +416,3 @@ class SearchResult:
                 f"point(s) in {self.rounds} round(s); best "
                 f"{self.metric}={score:.4f} at {self.best.label}")
 
-
-class SearchRunner:
-    """Drive a strategy through the sweep evaluation machinery.
-
-    Construction mirrors :class:`~repro.sweep.runner.SweepRunner`
-    (same workload/results-dir/budget/seed/backend semantics — the
-    strategy's spec supplies the axes); checkpoints written by a
-    search are interchangeable with a sweep's over the same results
-    directory.
-    """
-
-    def __init__(
-        self,
-        strategy: SearchStrategy,
-        workload: str = "gzip",
-        *,
-        results_dir: str | Path,
-        budget: int = 30_000,
-        seed: int = 7,
-        workers: int = 1,
-        backend: ExecutionBackend | None = None,
-        progress: SweepProgress | None = None,
-        shards: int = 1,
-        segment_records: int | None = None,
-        engine: str = DEFAULT_ENGINE,
-        sampling: str = "full",
-        regions: int = DEFAULT_REGIONS,
-        region_seed: int = 0,
-        region_warmup: int = DEFAULT_WARMUP_SEGMENTS,
-    ) -> None:
-        self.strategy = strategy
-        extra = {} if segment_records is None \
-            else {"segment_records": segment_records}
-        self._runner = SweepRunner(
-            strategy.spec, workload, results_dir=results_dir,
-            budget=budget, seed=seed, workers=workers,
-            backend=backend, progress=progress, shards=shards,
-            engine=engine, sampling=sampling, regions=regions,
-            region_seed=region_seed, region_warmup=region_warmup,
-            **extra,
-        )
-
-    @property
-    def runner(self) -> SweepRunner:
-        """The underlying evaluator (trace prep, checkpoints,
-        backend)."""
-        return self._runner
-
-    def run(self) -> SearchResult:
-        """Propose/evaluate/observe until the strategy stops."""
-        progress = self._runner.progress
-        progress.start(None, label="search")
-        evaluated: dict[str, SweepOutcome] = {}
-        rounds = 0
-        while rounds < MAX_ROUNDS:
-            batch = [point for point in self.strategy.propose()
-                     if point.key not in evaluated]
-            if not batch:
-                break
-            rounds += 1
-            progress.round(rounds, len(batch))
-            outcomes = self._runner.evaluate(batch)
-            for outcome in outcomes:
-                evaluated[outcome.key] = outcome
-            self.strategy.observe(outcomes)
-        else:
-            raise SearchError(
-                f"strategy {self.strategy.name!r} did not converge "
-                f"within {MAX_ROUNDS} rounds"
-            )
-        if not evaluated:
-            raise SearchError(
-                f"strategy {self.strategy.name!r} proposed no design "
-                f"points"
-            )
-        progress.finish()
-        best = self.strategy.best_of(list(evaluated.values()))
-        headline, by_predictor = self._runner.trace_summary()
-        metadata = {
-            "search": {
-                "strategy": self.strategy.name,
-                "metric": self.strategy.metric,
-                "rounds": rounds,
-                "evaluated": len(evaluated),
-            },
-            "trace_bits_per_instruction_by_predictor": by_predictor,
-        }
-        if isinstance(self.strategy, HillClimb):
-            metadata["search"]["trajectory"] = \
-                list(self.strategy.trajectory)
-        sweep_result = SweepResult(
-            outcomes=tuple(evaluated.values()),
-            workload=self._runner.workload,
-            budget=self._runner.budget,
-            seed=self._runner.seed,
-            trace_bits_per_instruction=headline,
-            metadata=metadata,
-        )
-        return SearchResult(
-            result=sweep_result,
-            best=best,
-            strategy=self.strategy.name,
-            metric=self.strategy.metric,
-            rounds=rounds,
-        )
-
-
-def run_search(
-    strategy: SearchStrategy,
-    workload: str = "gzip",
-    *,
-    results_dir: str | Path,
-    budget: int = 30_000,
-    seed: int = 7,
-    workers: int = 1,
-    backend: ExecutionBackend | None = None,
-    progress: SweepProgress | None = None,
-    shards: int = 1,
-    segment_records: int | None = None,
-    engine: str = DEFAULT_ENGINE,
-    sampling: str = "full",
-    regions: int = DEFAULT_REGIONS,
-    region_seed: int = 0,
-    region_warmup: int = DEFAULT_WARMUP_SEGMENTS,
-) -> SearchResult:
-    """One-call convenience wrapper around :class:`SearchRunner`."""
-    return SearchRunner(
-        strategy, workload, results_dir=results_dir, budget=budget,
-        seed=seed, workers=workers, backend=backend, progress=progress,
-        shards=shards, segment_records=segment_records, engine=engine,
-        sampling=sampling, regions=regions, region_seed=region_seed,
-        region_warmup=region_warmup,
-    ).run()

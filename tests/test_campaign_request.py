@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cli import main
+from repro.cli import _campaign_request, build_parser, main
 from repro.serve import CampaignService
 from repro.serve.jobs import request_key
 from repro.sweep import SweepError
@@ -184,3 +184,23 @@ class TestNormalizeCampaign:
         axes = {"width": [2, 4], "rob_entries": [8, 16]}
         assert list(normalize_campaign(sweep_request(axes=axes))["axes"]) \
             == ["width", "rob_entries"]
+
+    @pytest.mark.parametrize("kind", ["sweep", "search"])
+    @pytest.mark.parametrize("flags, fields", [
+        ([], {}),
+        (["--sample-regions", "4"], {"sampling": "regions", "regions": 4}),
+    ], ids=["full", "regions"])
+    def test_cli_defaults_are_the_request_defaults(self, kind, flags,
+                                                   fields):
+        """A bare ``resim sweep``/``search`` sends the defaults the
+        service fills in, except the budget: the CLI's 20,000 against
+        the service's 30,000 is an open decision, pinned here so that
+        changing either is deliberate."""
+        args = build_parser().parse_args([kind, "gzip", "--rob", "8",
+                                          *flags])
+        cli = normalize_campaign(_campaign_request(args))
+        served = normalize_campaign({"kind": kind, "workload": "gzip",
+                                     "axes": {"rob_entries": [8]},
+                                     **fields})
+        assert (cli.pop("budget"), served.pop("budget")) == (20_000, 30_000)
+        assert cli == served

@@ -2,6 +2,8 @@
 strategy proposal determinism, hill-climb movement, equivalence with
 grid sweeps, checkpoint resume, and metric directions."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.sweep import (
@@ -10,10 +12,9 @@ from repro.sweep import (
     ProgressPrinter,
     RandomSearch,
     SearchError,
-    SearchRunner,
+    SweepError,
+    SweepRunner,
     SweepSpec,
-    run_search,
-    run_sweep,
     stats_to_dict,
 )
 
@@ -127,12 +128,12 @@ class TestMakePoint:
 
 class TestSearchRuns:
     def test_grid_search_equals_sweep(self, rob_spec, tmp_path):
-        sweep = run_sweep(rob_spec, "gzip",
-                          results_dir=tmp_path / "sweep",
-                          budget=BUDGET)
-        search = run_search(GridSearch(rob_spec), "gzip",
-                            results_dir=tmp_path / "search",
-                            budget=BUDGET)
+        sweep = SweepRunner(rob_spec, "gzip",
+                            results_dir=tmp_path / "sweep",
+                            budget=BUDGET).run()
+        search = SweepRunner(rob_spec, "gzip",
+                             results_dir=tmp_path / "search",
+                             budget=BUDGET).search(GridSearch(rob_spec))
         assert len(search) == len(sweep)
         sweep_stats = {o.key: stats_to_dict(o.stats) for o in sweep}
         for outcome in search:
@@ -143,11 +144,11 @@ class TestSearchRuns:
 
     def test_hillclimb_finds_single_axis_optimum(self, rob_spec,
                                                  tmp_path):
-        search = run_search(HillClimb(rob_spec), "gzip",
-                            results_dir=tmp_path / "climb",
-                            budget=BUDGET)
-        grid = run_sweep(rob_spec, "gzip",
-                         results_dir=tmp_path / "grid", budget=BUDGET)
+        search = SweepRunner(rob_spec, "gzip",
+                             results_dir=tmp_path / "climb",
+                             budget=BUDGET).search(HillClimb(rob_spec))
+        grid = SweepRunner(rob_spec, "gzip", results_dir=tmp_path / "grid",
+                           budget=BUDGET).run()
         assert search.best.ipc == pytest.approx(
             grid.best("ipc").ipc)
         assert search.strategy == "hillclimb"
@@ -156,10 +157,10 @@ class TestSearchRuns:
         assert len(trajectory) >= 2  # it actually moved uphill
 
     def test_hillclimb_deterministic(self, rob_spec, tmp_path):
-        a = run_search(HillClimb(rob_spec), "gzip",
-                       results_dir=tmp_path / "a", budget=BUDGET)
-        b = run_search(HillClimb(rob_spec), "gzip",
-                       results_dir=tmp_path / "b", budget=BUDGET)
+        a = SweepRunner(rob_spec, "gzip", results_dir=tmp_path / "a",
+                        budget=BUDGET).search(HillClimb(rob_spec))
+        b = SweepRunner(rob_spec, "gzip", results_dir=tmp_path / "b",
+                        budget=BUDGET).search(HillClimb(rob_spec))
         assert [o.key for o in a] == [o.key for o in b]
         assert a.best.key == b.best.key
 
@@ -167,21 +168,22 @@ class TestSearchRuns:
             self, rob_spec, tmp_path):
         """With no moves allowed, neighbors must not be simulated —
         they could never be used."""
-        search = run_search(HillClimb(rob_spec, max_steps=0), "gzip",
-                            results_dir=tmp_path / "frozen",
-                            budget=BUDGET)
+        search = SweepRunner(rob_spec, "gzip",
+                             results_dir=tmp_path / "frozen",
+                             budget=BUDGET).search(
+            HillClimb(rob_spec, max_steps=0))
         assert len(search) == 1
         assert search.rounds == 1
         assert search.best.param("rob_entries") == 8  # the start
 
     def test_random_search_deterministic_end_to_end(self, grid_spec,
                                                     tmp_path):
-        a = run_search(RandomSearch(grid_spec, samples=5, seed=9),
-                       "gzip", results_dir=tmp_path / "a",
-                       budget=BUDGET)
-        b = run_search(RandomSearch(grid_spec, samples=5, seed=9),
-                       "gzip", results_dir=tmp_path / "b",
-                       budget=BUDGET)
+        a = SweepRunner(grid_spec, "gzip", results_dir=tmp_path / "a",
+                        budget=BUDGET).search(
+            RandomSearch(grid_spec, samples=5, seed=9))
+        b = SweepRunner(grid_spec, "gzip", results_dir=tmp_path / "b",
+                        budget=BUDGET).search(
+            RandomSearch(grid_spec, samples=5, seed=9))
         assert [o.key for o in a] == [o.key for o in b]
         for x, y in zip(a, b, strict=True):
             assert stats_to_dict(x.stats) == stats_to_dict(y.stats)
@@ -189,11 +191,11 @@ class TestSearchRuns:
     def test_search_resumes_from_checkpoints(self, rob_spec,
                                              tmp_path):
         directory = tmp_path / "resume"
-        first = run_search(HillClimb(rob_spec), "gzip",
-                           results_dir=directory, budget=BUDGET)
+        first = SweepRunner(rob_spec, "gzip", results_dir=directory,
+                            budget=BUDGET).search(HillClimb(rob_spec))
         assert all(not o.from_checkpoint for o in first)
-        second = run_search(HillClimb(rob_spec), "gzip",
-                            results_dir=directory, budget=BUDGET)
+        second = SweepRunner(rob_spec, "gzip", results_dir=directory,
+                             budget=BUDGET).search(HillClimb(rob_spec))
         assert all(o.from_checkpoint for o in second)
         assert [o.key for o in first] == [o.key for o in second]
 
@@ -202,24 +204,24 @@ class TestSearchRuns:
         """Checkpoints are interchangeable: a sweep after a search
         re-simulates only the points the search never visited."""
         directory = tmp_path / "shared"
-        search = run_search(HillClimb(rob_spec), "gzip",
-                            results_dir=directory, budget=BUDGET)
-        sweep = run_sweep(rob_spec, "gzip", results_dir=directory,
-                          budget=BUDGET)
+        search = SweepRunner(rob_spec, "gzip", results_dir=directory,
+                             budget=BUDGET).search(HillClimb(rob_spec))
+        sweep = SweepRunner(rob_spec, "gzip", results_dir=directory,
+                            budget=BUDGET).run()
         assert sweep.resumed_count == len(search)
 
     def test_cycles_metric_minimizes(self, rob_spec, tmp_path):
-        search = run_search(
-            HillClimb(rob_spec, metric="cycles"), "gzip",
-            results_dir=tmp_path / "cyc", budget=BUDGET)
+        search = SweepRunner(
+            rob_spec, "gzip", results_dir=tmp_path / "cyc",
+            budget=BUDGET).search(HillClimb(rob_spec, metric="cycles"))
         assert search.best.major_cycles == \
             min(o.major_cycles for o in search)
 
     def test_summary_names_strategy_and_best(self, rob_spec,
                                              tmp_path):
-        search = run_search(
-            RandomSearch(rob_spec, samples=2, seed=4), "gzip",
-            results_dir=tmp_path / "sum", budget=BUDGET)
+        search = SweepRunner(
+            rob_spec, "gzip", results_dir=tmp_path / "sum",
+            budget=BUDGET).search(RandomSearch(rob_spec, samples=2, seed=4))
         summary = search.summary()
         assert "random search" in summary
         assert "best ipc=" in summary
@@ -229,16 +231,24 @@ class TestSearchRuns:
                                           capsys):
         import io
         stream = io.StringIO()
-        run_search(HillClimb(rob_spec), "gzip",
-                   results_dir=tmp_path / "prog", budget=BUDGET,
-                   progress=ProgressPrinter(stream=stream))
+        SweepRunner(rob_spec, "gzip", results_dir=tmp_path / "prog",
+                    budget=BUDGET,
+                    progress=ProgressPrinter(stream=stream)).search(
+            HillClimb(rob_spec))
         text = stream.getvalue()
         assert "[search] round 1:" in text
         assert "points done" in text
         assert "complete:" in text
 
-    def test_runner_exposes_evaluator(self, rob_spec, tmp_path):
-        runner = SearchRunner(HillClimb(rob_spec), "gzip",
-                              results_dir=tmp_path / "r",
-                              budget=BUDGET)
-        assert runner.runner.workload == "gzip"
+    def test_search_refuses_another_base_config(self, rob_spec,
+                                                tmp_path):
+        """The manifest and trace summary are keyed on the runner's
+        base config, so a strategy over another base is refused before
+        anything is written."""
+        other = SweepSpec(axes=rob_spec.axes,
+                          base=replace(rob_spec.base, ifq_entries=8))
+        runner = SweepRunner(rob_spec, "gzip", results_dir=tmp_path / "r",
+                             budget=BUDGET)
+        with pytest.raises(SweepError, match="another base config"):
+            runner.search(HillClimb(other))
+        assert not (tmp_path / "r").exists()

@@ -17,7 +17,7 @@ from repro.sweep import (
     config_from_dict,
     config_key,
     config_to_dict,
-    run_sweep,
+    default_backend,
     stats_from_dict,
     stats_to_dict,
 )
@@ -165,9 +165,9 @@ class TestSweepRunner:
     def test_matches_serial_engine_path(self, small_spec, tmp_path):
         """Sweep statistics are bit-identical to a direct engine run
         on the same persisted trace."""
-        result = run_sweep(small_spec, "gzip",
-                           results_dir=tmp_path / "sweep",
-                           budget=BUDGET, workers=1)
+        result = SweepRunner(small_spec, "gzip",
+                             results_dir=tmp_path / "sweep",
+                             budget=BUDGET).run()
         assert len(result) == 4
         __, records = read_trace_file(
             tmp_path / "sweep"
@@ -178,20 +178,22 @@ class TestSweepRunner:
                 stats_to_dict(outcome.stats)
 
     def test_parallel_identical_to_serial(self, small_spec, tmp_path):
-        serial = run_sweep(small_spec, "gzip",
-                           results_dir=tmp_path / "serial",
-                           budget=BUDGET, workers=1)
-        parallel = run_sweep(small_spec, "gzip",
-                             results_dir=tmp_path / "parallel",
-                             budget=BUDGET, workers=4)
+        serial = SweepRunner(small_spec, "gzip",
+                             results_dir=tmp_path / "serial",
+                             budget=BUDGET).run()
+        parallel = SweepRunner(small_spec, "gzip",
+                               results_dir=tmp_path / "parallel",
+                               budget=BUDGET,
+                               backend=default_backend(4)).run()
         assert [o.key for o in serial] == [o.key for o in parallel]
         for a, b in zip(serial, parallel, strict=True):
             assert stats_to_dict(a.stats) == stats_to_dict(b.stats)
 
     def test_kernel_workload_carries_entry_pc(self, tmp_path):
         spec = SweepSpec(axes={"rob_entries": (8, 16)})
-        result = run_sweep(spec, "vecsum",
-                           results_dir=tmp_path / "kernel", workers=2)
+        result = SweepRunner(spec, "vecsum",
+                             results_dir=tmp_path / "kernel",
+                             backend=default_backend(2)).run()
         assert all(int(o.stats.committed_instructions) > 0
                    for o in result)
         header, __ = read_trace_file(
@@ -202,11 +204,11 @@ class TestSweepRunner:
     def test_mismatched_results_dir_refused(self, small_spec,
                                             tmp_path):
         directory = tmp_path / "sweep"
-        run_sweep(small_spec, "gzip", results_dir=directory,
-                  budget=BUDGET, workers=1)
+        SweepRunner(small_spec, "gzip", results_dir=directory,
+                    budget=BUDGET).run()
         with pytest.raises(SweepError, match="different sweep"):
-            run_sweep(small_spec, "bzip2", results_dir=directory,
-                      budget=BUDGET, workers=1)
+            SweepRunner(small_spec, "bzip2", results_dir=directory,
+                        budget=BUDGET).run()
 
     def test_mismatched_base_config_refused(self, small_spec,
                                             tmp_path):
@@ -215,15 +217,15 @@ class TestSweepRunner:
         silently reuse the wrong trace.  (A different base *predictor*
         is fine — it simply selects/creates its own trace file.)"""
         directory = tmp_path / "sweep"
-        run_sweep(small_spec, "gzip", results_dir=directory,
-                  budget=BUDGET, workers=1)
+        SweepRunner(small_spec, "gzip", results_dir=directory,
+                    budget=BUDGET).run()
         other = SweepSpec(
             base=replace(PAPER_4WIDE_PERFECT, ifq_entries=8),
             axes=small_spec.axes,
         )
         with pytest.raises(SweepError, match="different sweep"):
-            run_sweep(other, "gzip", results_dir=directory,
-                      budget=BUDGET, workers=1)
+            SweepRunner(other, "gzip", results_dir=directory,
+                        budget=BUDGET).run()
 
     def test_predictor_axis_gets_its_own_traces(self, tmp_path):
         """Mispredictions are trace-authoritative, so a shared trace
@@ -231,8 +233,8 @@ class TestSweepRunner:
         regenerate per scheme and actually discriminate them."""
         spec = SweepSpec(axes={"predictor": ("twolevel", "nottaken")})
         directory = tmp_path / "pred"
-        result = run_sweep(spec, "parser", results_dir=directory,
-                           budget=4000, workers=1)
+        result = SweepRunner(spec, "parser", results_dir=directory,
+                             budget=4000).run()
         by_scheme = {o.config.predictor.scheme: o for o in result}
         assert len(list(directory.glob("trace-*.rtrc"))) == 2
         for scheme, outcome in by_scheme.items():
@@ -252,10 +254,10 @@ class TestSweepRunner:
         kernel sweep."""
         spec = SweepSpec(axes={"rob_entries": (8, 16)})
         directory = tmp_path / "kernel"
-        run_sweep(spec, "vecsum", results_dir=directory,
-                  budget=2000, seed=7, workers=1)
-        resumed = run_sweep(spec, "vecsum", results_dir=directory,
-                            budget=50_000, seed=9, workers=1)
+        SweepRunner(spec, "vecsum", results_dir=directory,
+                    budget=2000, seed=7).run()
+        resumed = SweepRunner(spec, "vecsum", results_dir=directory,
+                              budget=50_000, seed=9).run()
         assert resumed.resumed_count == 2
 
     def test_deleted_manifest_cannot_revive_stale_checkpoints(
@@ -264,13 +266,13 @@ class TestSweepRunner:
         sweep.json and rerunning with different parameters must
         re-simulate, not revive results computed under the old ones."""
         directory = tmp_path / "sweep"
-        run_sweep(small_spec, "gzip", results_dir=directory,
-                  budget=BUDGET, workers=1)
+        SweepRunner(small_spec, "gzip", results_dir=directory,
+                    budget=BUDGET).run()
         (directory / "sweep.json").unlink()
         for trace in directory.glob("trace-*.rtrc"):
             trace.unlink()  # stale trace too (budget changes it)
-        second = run_sweep(small_spec, "gzip", results_dir=directory,
-                           budget=BUDGET * 2, workers=1)
+        second = SweepRunner(small_spec, "gzip", results_dir=directory,
+                             budget=BUDGET * 2).run()
         assert second.resumed_count == 0
         committed = [int(o.stats.committed_instructions)
                      for o in second]
@@ -280,20 +282,19 @@ class TestSweepRunner:
         with pytest.raises(SweepError, match="unknown workload"):
             SweepRunner(small_spec, "nonesuch", results_dir=tmp_path)
 
-    def test_bad_worker_count_rejected(self, small_spec, tmp_path):
+    def test_bad_worker_count_rejected(self):
         with pytest.raises(SweepError, match="workers"):
-            SweepRunner(small_spec, "gzip", results_dir=tmp_path,
-                        workers=0)
+            default_backend(0)
 
 
 class TestCheckpointResume:
     def test_rerun_resumes_everything(self, small_spec, tmp_path):
         directory = tmp_path / "sweep"
-        first = run_sweep(small_spec, "gzip", results_dir=directory,
-                          budget=BUDGET, workers=1)
+        first = SweepRunner(small_spec, "gzip", results_dir=directory,
+                            budget=BUDGET).run()
         assert first.resumed_count == 0
-        second = run_sweep(small_spec, "gzip", results_dir=directory,
-                           budget=BUDGET, workers=1)
+        second = SweepRunner(small_spec, "gzip", results_dir=directory,
+                             budget=BUDGET).run()
         assert second.resumed_count == len(second) == 4
         for a, b in zip(first, second, strict=True):
             assert stats_to_dict(a.stats) == stats_to_dict(b.stats)
@@ -303,12 +304,12 @@ class TestCheckpointResume:
         """A killed sweep = some checkpoints present; only the missing
         design points are re-simulated."""
         directory = tmp_path / "sweep"
-        first = run_sweep(small_spec, "gzip", results_dir=directory,
-                          budget=BUDGET, workers=1)
+        first = SweepRunner(small_spec, "gzip", results_dir=directory,
+                            budget=BUDGET).run()
         victim = first.outcomes[2]
         (directory / f"{victim.key}.json").unlink()
-        second = run_sweep(small_spec, "gzip", results_dir=directory,
-                           budget=BUDGET, workers=1)
+        second = SweepRunner(small_spec, "gzip", results_dir=directory,
+                             budget=BUDGET).run()
         assert second.resumed_count == 3
         recomputed = [o for o in second if not o.from_checkpoint]
         assert [o.key for o in recomputed] == [victim.key]
@@ -317,12 +318,12 @@ class TestCheckpointResume:
 
     def test_corrupt_checkpoint_recomputed(self, small_spec, tmp_path):
         directory = tmp_path / "sweep"
-        first = run_sweep(small_spec, "gzip", results_dir=directory,
-                          budget=BUDGET, workers=1)
+        first = SweepRunner(small_spec, "gzip", results_dir=directory,
+                            budget=BUDGET).run()
         victim = first.outcomes[0]
         (directory / f"{victim.key}.json").write_text("{not json")
-        second = run_sweep(small_spec, "gzip", results_dir=directory,
-                           budget=BUDGET, workers=1)
+        second = SweepRunner(small_spec, "gzip", results_dir=directory,
+                             budget=BUDGET).run()
         assert second.resumed_count == 3
         assert stats_to_dict(second.outcomes[0].stats) == \
             stats_to_dict(victim.stats)
@@ -332,8 +333,8 @@ class TestCheckpointResume:
         """Payload corruption found by a worker mid-resume must carry
         the delete-the-directory guidance, not a raw TraceFileError."""
         directory = tmp_path / "sweep"
-        first = run_sweep(small_spec, "gzip", results_dir=directory,
-                          budget=BUDGET, workers=1)
+        first = SweepRunner(small_spec, "gzip", results_dir=directory,
+                            budget=BUDGET).run()
         trace_path = directory / trace_filename(
             PAPER_4WIDE_PERFECT.predictor)
         data = trace_path.read_bytes()
@@ -341,8 +342,9 @@ class TestCheckpointResume:
         (directory / f"{first.outcomes[0].key}.json").unlink()
         for workers in (1, 2):
             with pytest.raises(SweepError, match="delete the results"):
-                run_sweep(small_spec, "gzip", results_dir=directory,
-                          budget=BUDGET, workers=workers)
+                SweepRunner(small_spec, "gzip", results_dir=directory,
+                            budget=BUDGET,
+                            backend=default_backend(workers)).run()
 
     def test_stale_config_checkpoint_recomputed(self, small_spec,
                                                 tmp_path):
@@ -350,15 +352,15 @@ class TestCheckpointResume:
         design point (e.g. hash collision or hand-edited file) is
         discarded, not trusted."""
         directory = tmp_path / "sweep"
-        first = run_sweep(small_spec, "gzip", results_dir=directory,
-                          budget=BUDGET, workers=1)
+        first = SweepRunner(small_spec, "gzip", results_dir=directory,
+                            budget=BUDGET).run()
         victim = first.outcomes[1]
         path = directory / f"{victim.key}.json"
         payload = json.loads(path.read_text())
         payload["config"]["rob_entries"] = 999
         path.write_text(json.dumps(payload))
-        second = run_sweep(small_spec, "gzip", results_dir=directory,
-                           budget=BUDGET, workers=1)
+        second = SweepRunner(small_spec, "gzip", results_dir=directory,
+                             budget=BUDGET).run()
         assert second.resumed_count == 3
         assert stats_to_dict(second.outcomes[1].stats) == \
             stats_to_dict(victim.stats)
@@ -369,9 +371,9 @@ class TestSweepResult:
     def result(self, tmp_path_factory):
         spec = SweepSpec(axes={"rob_entries": (8, 16, 32),
                                "width": (2, 4)})
-        return run_sweep(spec, "gzip",
-                         results_dir=tmp_path_factory.mktemp("sweep"),
-                         budget=BUDGET, workers=1)
+        return SweepRunner(spec, "gzip",
+                           results_dir=tmp_path_factory.mktemp("sweep"),
+                           budget=BUDGET).run()
 
     def test_sorted_by_ipc(self, result):
         ipcs = [o.ipc for o in result.sorted_by("ipc")]
@@ -482,9 +484,9 @@ class TestExecutionBackends:
         }
 
         def run(name):
-            return run_sweep(small_spec, "gzip",
-                             results_dir=tmp_path / name,
-                             budget=BUDGET, backend=backends[name]())
+            return SweepRunner(small_spec, "gzip",
+                               results_dir=tmp_path / name, budget=BUDGET,
+                               backend=backends[name]()).run()
 
         serial, pool, queue = (run(name) for name in backends)
         assert [o.key for o in serial] == [o.key for o in pool] \
@@ -499,14 +501,10 @@ class TestExecutionBackends:
             for a, b in zip(first, rerun, strict=True):
                 assert stats_to_dict(a.stats) == stats_to_dict(b.stats)
 
-    def test_backend_overrides_workers(self, small_spec, tmp_path):
-        """An explicit backend wins; the workers shorthand is only
-        consulted when no backend is given."""
-        from repro.exec import SerialBackend
+    def test_default_backend_is_serial(self, small_spec, tmp_path):
+        """Without a backend the runner evaluates in-process."""
         runner = SweepRunner(small_spec, "gzip",
-                             results_dir=tmp_path / "s",
-                             budget=BUDGET, workers=7,
-                             backend=SerialBackend())
+                             results_dir=tmp_path / "s", budget=BUDGET)
         assert runner.backend.name == "serial"
         assert len(runner.run()) == 4
 
@@ -516,13 +514,13 @@ class TestExecutionBackends:
         workers resume under the serial backend and vice versa."""
         from repro.exec import DirectoryQueueBackend
         directory = tmp_path / "sweep"
-        first = run_sweep(
+        first = SweepRunner(
             small_spec, "gzip", results_dir=directory, budget=BUDGET,
             backend=DirectoryQueueBackend(
                 directory / "queue", workers=2, poll_seconds=0.02,
-                timeout=120))
-        second = run_sweep(small_spec, "gzip", results_dir=directory,
-                           budget=BUDGET, workers=1)
+                timeout=120)).run()
+        second = SweepRunner(small_spec, "gzip", results_dir=directory,
+                             budget=BUDGET).run()
         assert second.resumed_count == len(second) == 4
         for a, b in zip(first, second, strict=True):
             assert stats_to_dict(a.stats) == stats_to_dict(b.stats)
@@ -542,14 +540,14 @@ class TestExecutionBackends:
                 timeout=120)
 
         directory = tmp_path / "sweep"
-        run_sweep(small_spec, "gzip", results_dir=directory,
-                  budget=BUDGET, backend=backend(directory))
+        SweepRunner(small_spec, "gzip", results_dir=directory,
+                    budget=BUDGET, backend=backend(directory)).run()
         (directory / "sweep.json").unlink()
         for trace in directory.glob("trace-*.rtrc"):
             trace.unlink()  # stale trace too (budget changes it)
-        second = run_sweep(small_spec, "gzip", results_dir=directory,
-                           budget=BUDGET * 2,
-                           backend=backend(directory))
+        second = SweepRunner(small_spec, "gzip", results_dir=directory,
+                             budget=BUDGET * 2,
+                             backend=backend(directory)).run()
         assert second.resumed_count == 0
         assert all(int(o.stats.committed_instructions) > BUDGET
                    for o in second)
@@ -559,8 +557,8 @@ class TestExecutionBackends:
         """PR 3-era checkpoints lack the unit_id/spec keys work units
         now embed; they must still be honored on resume."""
         directory = tmp_path / "sweep"
-        run_sweep(small_spec, "gzip", results_dir=directory,
-                  budget=BUDGET, workers=1)
+        SweepRunner(small_spec, "gzip", results_dir=directory,
+                    budget=BUDGET).run()
         for path in directory.glob("*.json"):
             if path.name == "sweep.json":
                 continue
@@ -568,8 +566,8 @@ class TestExecutionBackends:
             payload.pop("unit_id", None)
             payload.pop("spec", None)
             path.write_text(json.dumps(payload, sort_keys=True))
-        second = run_sweep(small_spec, "gzip", results_dir=directory,
-                           budget=BUDGET, workers=1)
+        second = SweepRunner(small_spec, "gzip", results_dir=directory,
+                             budget=BUDGET).run()
         assert second.resumed_count == 4
 
 
@@ -578,9 +576,9 @@ class TestProgressReporting:
         import io
         from repro.sweep import ProgressPrinter
         stream = io.StringIO()
-        run_sweep(small_spec, "gzip", results_dir=tmp_path / "sweep",
-                  budget=BUDGET,
-                  progress=ProgressPrinter(stream=stream))
+        SweepRunner(small_spec, "gzip", results_dir=tmp_path / "sweep",
+                    budget=BUDGET,
+                    progress=ProgressPrinter(stream=stream)).run()
         text = stream.getvalue()
         assert "[sweep] 4 design point(s) to evaluate" in text
         assert "[sweep] 4/4 points done, 0 failed, 0 remaining" in text
@@ -592,12 +590,12 @@ class TestProgressReporting:
         import io
         from repro.sweep import ProgressPrinter
         directory = tmp_path / "sweep"
-        run_sweep(small_spec, "gzip", results_dir=directory,
-                  budget=BUDGET)
+        SweepRunner(small_spec, "gzip", results_dir=directory,
+                    budget=BUDGET).run()
         stream = io.StringIO()
-        run_sweep(small_spec, "gzip", results_dir=directory,
-                  budget=BUDGET,
-                  progress=ProgressPrinter(stream=stream))
+        SweepRunner(small_spec, "gzip", results_dir=directory,
+                    budget=BUDGET,
+                    progress=ProgressPrinter(stream=stream)).run()
         text = stream.getvalue()
         assert "(4 from checkpoints)" in text
         assert "0 simulated, 4 from checkpoints" in text
@@ -606,8 +604,8 @@ class TestProgressReporting:
         import io
         from repro.sweep import ProgressPrinter
         printer = ProgressPrinter(stream=io.StringIO())
-        run_sweep(small_spec, "gzip", results_dir=tmp_path / "sweep",
-                  budget=BUDGET, progress=printer)
+        SweepRunner(small_spec, "gzip", results_dir=tmp_path / "sweep",
+                    budget=BUDGET, progress=printer).run()
         assert printer.done == 4
         assert printer.resumed == printer.failed == 0
 
@@ -714,16 +712,16 @@ class TestShardedSweep:
     @pytest.fixture(scope="class")
     def reference(self, small_spec, tmp_path_factory):
         directory = tmp_path_factory.mktemp("mono")
-        return run_sweep(small_spec, "gzip", results_dir=directory,
-                         budget=BUDGET, segment_records=64)
+        return SweepRunner(small_spec, "gzip", results_dir=directory,
+                           budget=BUDGET, segment_records=64).run()
 
     def test_exact_sum_counters_equal_monolithic(
             self, small_spec, reference, tmp_path):
         from repro.exec import EXACT_SUM_COUNTERS
-        sharded = run_sweep(small_spec, "gzip",
-                            results_dir=tmp_path / "sharded",
-                            budget=BUDGET, segment_records=64,
-                            shards=3)
+        sharded = SweepRunner(small_spec, "gzip",
+                              results_dir=tmp_path / "sharded",
+                              budget=BUDGET, segment_records=64,
+                              shards=3).run()
         assert [o.key for o in sharded] == [o.key for o in reference]
         for mono, shard in zip(reference, sharded, strict=True):
             mono_stats = stats_to_dict(mono.stats)
@@ -760,10 +758,10 @@ class TestShardedSweep:
         backend = DirectoryQueueBackend(
             tmp_path / "queue", workers=4, poll_seconds=0.02,
             timeout=180)
-        sharded = run_sweep(spec, "gzip",
-                            results_dir=tmp_path / "sharded",
-                            budget=BUDGET, segment_records=64,
-                            backend=backend, shards=4)
+        sharded = SweepRunner(spec, "gzip",
+                              results_dir=tmp_path / "sharded",
+                              budget=BUDGET, segment_records=64,
+                              backend=backend, shards=4).run()
         assert len(sharded) == 1
         outcome = sharded.outcomes[0]
         mono = next(o for o in reference
@@ -784,10 +782,10 @@ class TestShardedSweep:
 
     def test_sharded_checkpoints_resume(self, small_spec, tmp_path):
         directory = tmp_path / "resume"
-        first = run_sweep(small_spec, "gzip", results_dir=directory,
-                          budget=BUDGET, segment_records=64, shards=2)
-        again = run_sweep(small_spec, "gzip", results_dir=directory,
-                          budget=BUDGET, segment_records=64, shards=2)
+        first = SweepRunner(small_spec, "gzip", results_dir=directory,
+                            budget=BUDGET, segment_records=64, shards=2).run()
+        again = SweepRunner(small_spec, "gzip", results_dir=directory,
+                            budget=BUDGET, segment_records=64, shards=2).run()
         assert again.resumed_count == len(again)
         for a, b in zip(first, again, strict=True):
             assert stats_to_dict(a.stats) == stats_to_dict(b.stats)
@@ -798,16 +796,16 @@ class TestShardedSweep:
         re-simulating a single shard."""
         from pathlib import Path
         directory = tmp_path / "partial"
-        first = run_sweep(small_spec, "gzip", results_dir=directory,
-                          budget=BUDGET, segment_records=64, shards=2)
+        first = SweepRunner(small_spec, "gzip", results_dir=directory,
+                            budget=BUDGET, segment_records=64, shards=2).run()
         shard_files = sorted(directory.glob("*.s*of2.json"))
         assert len(shard_files) == 2 * len(first)
         stamps = {path: path.stat().st_mtime_ns
                   for path in shard_files}
         for outcome in first:
             Path(directory, f"{outcome.key}.json").unlink()
-        again = run_sweep(small_spec, "gzip", results_dir=directory,
-                          budget=BUDGET, segment_records=64, shards=2)
+        again = SweepRunner(small_spec, "gzip", results_dir=directory,
+                            budget=BUDGET, segment_records=64, shards=2).run()
         assert again.resumed_count == len(again)
         for path, stamp in stamps.items():
             assert path.stat().st_mtime_ns == stamp, \
@@ -821,11 +819,11 @@ class TestShardedSweep:
         must fall back to the bit-identical monolithic unit rather
         than fail or mislabel the result as sharded."""
         spec = SweepSpec(axes={"rob_entries": (8,)})
-        mono = run_sweep(spec, "gzip", results_dir=tmp_path / "mono",
-                         budget=BUDGET)
-        sharded = run_sweep(spec, "gzip",
-                            results_dir=tmp_path / "sharded",
-                            budget=BUDGET, shards=4)  # 1 segment
+        mono = SweepRunner(spec, "gzip", results_dir=tmp_path / "mono",
+                           budget=BUDGET).run()
+        sharded = SweepRunner(spec, "gzip",
+                              results_dir=tmp_path / "sharded",
+                              budget=BUDGET, shards=4).run()  # 1 segment
         assert stats_to_dict(sharded.outcomes[0].stats) == \
             stats_to_dict(mono.outcomes[0].stats)
         assert not sharded.outcomes[0].stats.sharded
@@ -836,8 +834,8 @@ class TestShardedSweep:
         checkpoint stays marked as an estimate."""
         spec = SweepSpec(axes={"rob_entries": (8,)})
         directory = tmp_path / "sampled"
-        sampled = run_sweep(spec, "gzip", results_dir=directory,
-                            budget=BUDGET, sampling="regions")
+        sampled = SweepRunner(spec, "gzip", results_dir=directory,
+                              budget=BUDGET, sampling="regions").run()
         key = sampled.outcomes[0].key
         assert (directory / f"{key}.r0of1.json").exists()
         checkpoint = json.loads((directory / f"{key}.json").read_text())
@@ -854,11 +852,11 @@ class TestShardedSweep:
                         results_dir=tmp_path / "x", segment_records=0)
 
     def test_search_accepts_shards(self, tmp_path):
-        from repro.sweep import GridSearch, run_search
+        from repro.sweep import GridSearch
         spec = SweepSpec(axes={"rob_entries": (8, 16)})
-        search = run_search(GridSearch(spec), "gzip",
-                            results_dir=tmp_path / "search",
-                            budget=BUDGET, shards=2,
-                            segment_records=64)
+        search = SweepRunner(spec, "gzip",
+                             results_dir=tmp_path / "search",
+                             budget=BUDGET, shards=2,
+                             segment_records=64).search(GridSearch(spec))
         assert len(search) == 2
         assert all(o.stats.sharded for o in search.outcomes)
