@@ -6,9 +6,9 @@ Subcommands mirror how the paper's system is used:
   assembled kernel), streaming it straight into a segmented trace
   file; ``trace info FILE`` inspects a stored trace (header, format
   version, metadata, segment table) without decoding its payload;
-* ``simulate`` — run a trace file (streamed by default; see
-  ``--in-memory``, ``--progress``) or generate one on the fly through
-  the timing engine and print statistics + FPGA-projected MIPS;
+* ``simulate`` — run a trace file (streamed a segment at a time; see
+  ``--progress``) or generate one on the fly through the timing engine
+  and print statistics + FPGA-projected MIPS;
 * ``tables``   — regenerate the paper's Tables 1-4;
 * ``area``     — print the Table 4 area breakdown for a configuration;
 * ``vhdl``     — emit the parametric branch-predictor VHDL;
@@ -288,13 +288,12 @@ def cmd_simulate(args) -> int:
     if args.sample_regions is not None:
         return _simulate_regions(args, config)
     if args.trace_file:
-        simulation = Simulation.for_trace_file(
-            args.trace_file, config=config, streaming=not args.in_memory)
+        simulation = Simulation.for_trace_file(args.trace_file,
+                                               config=config)
     else:
         simulation = _workload_simulation(args, config)
     # Select the tier and attach observers before prepare(): every
-    # with_* clone invalidates the prepared-trace cache, and preparing
-    # twice would decode an --in-memory trace file twice.
+    # with_* clone invalidates the prepared-trace cache.
     try:
         simulation = simulation.with_devices(
             VIRTEX4_LX40, VIRTEX5_LX50T).with_engine(args.engine)
@@ -861,9 +860,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("workload", nargs="?", default="gzip")
     simulate.add_argument("--trace-file", default=None,
                           help="simulate a stored trace instead")
-    simulate.add_argument("--in-memory", action="store_true",
-                          help="decode the whole trace file up front "
-                               "instead of streaming it")
     simulate.add_argument("--progress", action="store_true",
                           help="print periodic progress lines to stderr")
     simulate.add_argument("--progress-records", type=int,

@@ -110,7 +110,7 @@ class OnTheFlyCosimulation:
         produce_start = time.perf_counter()
         prepared = simulation.prepare()
         produce_seconds = max(time.perf_counter() - produce_start, 1e-9)
-        records = prepared.records
+        records = list(prepared.open_source())
 
         # Streamed engine: an InMemorySource over a list that grows
         # chunk by chunk while the engine steps (the source reads its

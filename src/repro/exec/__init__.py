@@ -71,6 +71,7 @@ from repro.exec.unit import (
     execute_unit,
     load_unit_result,
     result_matches_unit,
+    reusable_result,
 )
 from repro.exec.worker import LeaseHeartbeat, run_worker
 
@@ -112,6 +113,7 @@ __all__ = [
     "reclaim_stale",
     "region_units",
     "result_matches_unit",
+    "reusable_result",
     "run_worker",
     "slice_units",
 ]

@@ -64,6 +64,7 @@ from repro.exec.unit import (
     atomic_write_json,
     load_unit_result,
     result_matches_unit,
+    reusable_result,
 )
 
 #: Default seconds of lease silence after which a claimed unit is
@@ -344,25 +345,25 @@ class DirectoryQueueBackend(ExecutionBackend):
                 on_result(unit, payload)
 
         for unit in batch:
-            payload = load_unit_result(unit.result_path)
-            if payload is not None and "error" not in payload \
-                    and result_matches_unit(payload, unit):
+            payload = reusable_result(unit)
+            if payload is not None:
                 # Already satisfied *by this exact unit* (a previous
                 # drain, another coordinator, an eager worker):
                 # deterministic units make reuse always correct.
                 collect(unit, payload)
                 continue
-            if payload is not None:
-                # The file holds either a stale error document (its
-                # failure was reported then; re-submitting the unit
-                # means the caller wants a retry — transient causes
-                # like a missing mount get fixed between runs) or a
-                # result from a *different* unit that happened to use
-                # this path (e.g. a results directory reused after
-                # its manifest was deleted).  Either way: clear the
-                # document and its done marker and execute afresh —
-                # reviving it would break the bit-identical contract.
-                Path(unit.result_path).unlink(missing_ok=True)
+            result_path = Path(unit.result_path)
+            if result_path.exists():
+                # The file holds a stale error document (its failure
+                # was reported then; re-submitting the unit means the
+                # caller wants a retry — transient causes like a
+                # missing mount get fixed between runs), a result from
+                # a *different* unit that happened to use this path
+                # (e.g. a results directory reused after its manifest
+                # was deleted), or nothing readable.  Either way: clear
+                # the document and its done marker and execute afresh
+                # — reviving it would break the bit-identical contract.
+                result_path.unlink(missing_ok=True)
                 done_marker = paths.done / f"{unit.unit_id}.json"
                 done_marker.unlink(missing_ok=True)
             enqueue(paths, unit)

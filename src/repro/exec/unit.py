@@ -296,6 +296,18 @@ def load_unit_result(path: str | Path) -> dict | None:
     return payload
 
 
+def reusable_result(unit: WorkUnit) -> dict | None:
+    """The success document this exact unit already wrote at its
+    result path, or None: what every reuse-instead-of-execute decision
+    takes.  Missing, malformed, error and foreign documents (see
+    :func:`result_matches_unit`) never count."""
+    payload = load_unit_result(unit.result_path)
+    if payload is None or "error" in payload \
+            or not result_matches_unit(payload, unit):
+        return None
+    return payload
+
+
 def tierless_spec(spec: Mapping) -> dict:
     """``spec`` without its engine tier — the part results depend on.
 

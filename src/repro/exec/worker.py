@@ -61,8 +61,7 @@ from repro.exec.unit import (
     atomic_write_json,
     error_document,
     execute_unit,
-    load_unit_result,
-    result_matches_unit,
+    reusable_result,
 )
 from repro.utils.memo import memo_info
 
@@ -132,19 +131,10 @@ def process_one(paths: QueuePaths, lease_path: Path, *,
         complete_lease(paths, lease_path)
         return False
 
-    def fresh_result() -> dict | None:
-        """A success document this exact unit already produced (a
-        predecessor that died before marking done, or a racing
-        duplicate executor) — stale or foreign files don't count."""
-        payload = load_unit_result(unit.result_path)
-        if payload is not None and "error" not in payload \
-                and result_matches_unit(payload, unit):
-            return payload
-        return None
-
-    if fresh_result() is not None:
-        # Honor the predecessor's (deterministic, hence identical)
-        # result instead of re-simulating.
+    if reusable_result(unit) is not None:
+        # Honor the result a predecessor that died before marking done
+        # (or a racing duplicate executor) wrote — deterministic, hence
+        # identical — instead of re-simulating.
         complete_lease(paths, lease_path)
         return True
     heartbeat = LeaseHeartbeat(
@@ -156,7 +146,7 @@ def process_one(paths: QueuePaths, lease_path: Path, *,
             print(f"[worker {worker_id()}] completed {unit.unit_id}",
                   file=log)
     except Exception as error:  # noqa: BLE001 - becomes an error doc
-        if fresh_result() is None and lease_path.exists():
+        if reusable_result(unit) is None and lease_path.exists():
             # Report the failure only while we still own the claim —
             # lease paths are claimant-unique, so existence *is*
             # ownership.  A missing lease means we stalled past the

@@ -71,11 +71,7 @@ from repro.serialize import (
     config_to_dict,
     stats_to_dict,
 )
-from repro.trace.fileio import (
-    read_trace_file,
-    read_trace_header,
-    write_trace_file,
-)
+from repro.trace.fileio import SegmentedTraceWriter
 from repro.trace.record import TraceRecord
 from repro.trace.source import FileSource, InMemorySource, TraceSource
 from repro.trace.stats import TraceStatistics, measure_trace
@@ -96,8 +92,7 @@ SPEC_SCHEMA = 1
 _SPEC_KEYS = frozenset((
     "schema", "workload", "trace_file", "config", "budget", "seed",
     "start_pc", "update_predictor_at_commit", "warmup_instructions",
-    "roi_instructions", "devices", "max_cycles", "streaming",
-    "segments", "engine",
+    "roi_instructions", "devices", "max_cycles", "segments", "engine",
 ))
 
 
@@ -140,14 +135,12 @@ class SessionError(ValueError):
 
 @dataclass(frozen=True)
 class PreparedTrace:
-    """A prepared trace the engine can run — materialized or streamed.
-
-    Exactly one of ``records`` (in-memory sequence) and ``source``
-    (a rewindable streaming :class:`~repro.trace.source.TraceSource`,
-    e.g. a :class:`~repro.trace.source.FileSource`) is set; consumers
-    call :meth:`open_source` for a fresh engine-ready cursor either
-    way, and only code that truly needs the whole list (``save_trace``)
-    calls :meth:`materialize`.
+    """A prepared trace the engine can run: one rewindable
+    :class:`~repro.trace.source.TraceSource` — a
+    :class:`~repro.trace.source.FileSource` over a stored trace, or an
+    :class:`~repro.trace.source.InMemorySource` over generated or
+    given records.  Consumers call :meth:`open_source` for a fresh
+    engine-ready cursor.
 
     ``trace_stats`` carries record-stream statistics
     (bits/instruction etc.) when the source computed them anyway;
@@ -158,42 +151,25 @@ class PreparedTrace:
     to warn or refuse).
     """
 
-    records: Sequence[TraceRecord] | None
+    source: TraceSource
     start_pc: int | None
     trace_stats: TraceStatistics | None = None
     predictor_mismatch: bool = False
-    source: TraceSource | None = None
-
-    def __post_init__(self) -> None:
-        if (self.records is None) == (self.source is None):
-            raise SessionError(
-                "PreparedTrace needs exactly one of records/source")
 
     @property
     def record_count(self) -> int:
-        """Stream length without materializing."""
-        if self.records is not None:
-            return len(self.records)
+        """Stream length, without decoding it."""
         return self.source.total_records
 
     def open_source(self) -> TraceSource:
         """A fresh cursor over the prepared trace (every call rewinds,
         so repeated ``run()``s see the full stream)."""
-        if self.records is not None:
-            return InMemorySource(self.records)
         return self.source.fresh()
-
-    def materialize(self) -> Sequence[TraceRecord]:
-        """The full record list (decodes a streamed source)."""
-        if self.records is not None:
-            return self.records
-        return list(self.source.fresh())
 
 
 # ---------------------------------------------------------------------
 # Trace sources.  Each knows how to prepare an engine-ready trace
-# (in-memory records or a streaming TraceSource) and whether it can be
-# described in a serializable spec.
+# source and whether it can be described in a serializable spec.
 
 
 @dataclass(frozen=True)
@@ -203,7 +179,7 @@ class _WorkloadSource:
     def prepare(self, sim: Simulation) -> PreparedTrace:
         generation, start_pc = generate_workload_trace(
             self.name, sim.config, budget=sim.budget, seed=sim.seed)
-        return PreparedTrace(records=generation.records,
+        return PreparedTrace(InMemorySource(generation.records),
                              start_pc=start_pc,
                              trace_stats=generation.statistics())
 
@@ -217,29 +193,14 @@ class _WorkloadSource:
 @dataclass(frozen=True)
 class _TraceFileSource:
     path: str
-    streaming: bool = True
     segments: tuple[int, int] | None = None
 
-    def __post_init__(self) -> None:
-        if self.segments is not None and not self.streaming:
-            raise SessionError(
-                "a segment range requires streaming (the in-memory "
-                "path decodes the whole file); drop streaming=False "
-                "or the segment range"
-            )
-
     def prepare(self, sim: Simulation) -> PreparedTrace:
-        if self.streaming:
-            source = FileSource(self.path, segments=self.segments)
-            header = source.header
-            records = None
-        else:
-            header, records = read_trace_file(self.path)
-            source = None
+        source = FileSource(self.path, segments=self.segments)
+        header = source.header
         stored = header.predictor_config
         return PreparedTrace(
-            records=records,
-            source=source,
+            source,
             start_pc=header.metadata.get("start_pc"),
             predictor_mismatch=(stored is not None
                                 and stored != sim.config.predictor),
@@ -247,14 +208,12 @@ class _TraceFileSource:
 
     def spec_entry(self) -> dict:
         entry: dict = {"trace_file": self.path}
-        if not self.streaming:
-            entry["streaming"] = False
         if self.segments is not None:
             entry["segments"] = list(self.segments)
         return entry
 
     def describe(self) -> str:
-        mode = "streamed" if self.streaming else "in-memory"
+        mode = "streamed"
         if self.segments is not None:
             mode += f", segments {self.segments[0]}..{self.segments[1]}"
         return f"trace file {self.path!r} ({mode})"
@@ -266,7 +225,8 @@ class _RecordsSource:
     start_pc: int | None
 
     def prepare(self, sim: Simulation) -> PreparedTrace:
-        return PreparedTrace(records=self.records, start_pc=self.start_pc)
+        return PreparedTrace(InMemorySource(self.records),
+                             start_pc=self.start_pc)
 
     def spec_entry(self) -> dict:
         raise SessionError(
@@ -287,7 +247,7 @@ class _ProgramSource:
         tracer = build_tracer(sim.config)
         inputs = list(self.inputs) if self.inputs is not None else None
         generation = tracer.generate(self.program, inputs=inputs)
-        return PreparedTrace(records=generation.records,
+        return PreparedTrace(InMemorySource(generation.records),
                              start_pc=self.program.entry,
                              trace_stats=generation.statistics())
 
@@ -445,29 +405,27 @@ class Simulation:
     @classmethod
     def for_trace_file(cls, path: str | Path,
                        config: ProcessorConfig = PAPER_4WIDE_PERFECT,
-                       *, streaming: bool = True,
-                       segments: tuple[int, int] | None = None,
+                       *, segments: tuple[int, int] | None = None,
                        ) -> Simulation:
         """A run over a stored ``.rtrc`` trace file.
 
-        By default the file is *streamed* through a
-        :class:`~repro.trace.source.FileSource` — peak resident
-        memory is bounded by the segment size, not the trace length,
-        and statistics are bit-identical to the in-memory path.  Pass
-        ``streaming=False`` to decode the whole trace up front (worth
-        it only when the same Simulation object will be re-run many
-        times and the decode cost dominates).
+        The file is streamed through a
+        :class:`~repro.trace.source.FileSource`: peak resident memory
+        is bounded by the segment size, not the trace length, and
+        statistics are bit-identical to :meth:`for_records` over the
+        same records.  Each ``run()`` decodes the file again; wrap
+        repeated runs in
+        :func:`~repro.trace.fileio.decoded_segment_reuse` to share
+        decoded v2 segments between them.
 
         ``segments=(lo, hi)`` restricts the run to a v2 file's
         segment range ``lo..hi-1`` — the worker-side half of sharded
         distributed sweeps, where each work unit replays one slice of
-        one shared trace (requires streaming).
+        one shared trace.
         """
         if segments is not None:
             segments = _coerce_segments(segments)
-        return cls(config,
-                   source=_TraceFileSource(str(path), streaming,
-                                           segments))
+        return cls(config, source=_TraceFileSource(str(path), segments))
 
     @classmethod
     def for_records(cls, records: Sequence[TraceRecord],
@@ -530,14 +488,8 @@ class Simulation:
                 "spec needs exactly one source: 'workload' or "
                 "'trace_file'"
             )
-        streaming = spec.get("streaming")
         segments = spec.get("segments")
         if workload is not None:
-            if streaming is not None:
-                raise SessionError(
-                    "spec key 'streaming' applies only to "
-                    "'trace_file' sources"
-                )
             if segments is not None:
                 raise SessionError(
                     "spec key 'segments' applies only to "
@@ -547,7 +499,6 @@ class Simulation:
         else:
             source = _TraceFileSource(
                 str(trace_file),
-                True if streaming is None else bool(streaming),
                 None if segments is None else _coerce_segments(segments))
 
         config = spec.get("config", PAPER_4WIDE_PERFECT)
@@ -637,17 +588,14 @@ class Simulation:
 
         Same contract as :meth:`to_spec` (``from_spec`` reproduces the
         identical run) but normalized for hashing: every default is
-        materialized (a spec that omits ``budget`` and one that spells
+        filled in (a spec that omits ``budget`` and one that spells
         out ``"budget": 30000`` canonicalize identically), the config
         is always the full config dict (a registered name and its
         expanded dict canonicalize identically), keys are emitted in
         sorted order, and the source entry always carries all three
         source keys (``workload`` / ``trace_file`` / ``segments``,
-        unused ones ``None``).  The ``streaming`` flag is dropped: it
-        selects an I/O strategy with bit-identical statistics, so two
-        specs differing only there describe the same result.  The
-        ``engine`` tier is dropped for the same reason: every tier is
-        bit-identical by contract, so a campaign run with
+        unused ones ``None``).  The ``engine`` tier is dropped: every
+        tier is bit-identical by contract, so a campaign run with
         ``--engine reference`` shares its cache keys (and cached
         results) with the default-tier run it reproduces.
 
@@ -818,7 +766,7 @@ class Simulation:
     # -- execution -----------------------------------------------------
 
     def prepare(self) -> PreparedTrace:
-        """Materialize the trace source (cached across calls, so
+        """Prepare the trace source (cached across calls, so
         ``prepare()`` + ``run()`` generates only once)."""
         if self._prepared is None:
             self._prepared = self._source.prepare(self)
@@ -827,8 +775,7 @@ class Simulation:
     def trace_statistics(self) -> TraceStatistics:
         """Record-stream statistics of the prepared trace, measuring
         on demand for sources that don't compute them anyway (a
-        streamed trace file is measured in one constant-memory pass,
-        never materialized)."""
+        stored trace file is measured in one constant-memory pass)."""
         prepared = self.prepare()
         if prepared.trace_stats is not None:
             return prepared.trace_stats
@@ -931,8 +878,12 @@ class Simulation:
         Returns ``(record_count, bytes_written)``.  The file carries
         the generation predictor, the workload name, the seed and the
         start PC, so ``Simulation.for_trace_file`` reproduces this
-        run's timing exactly.  (To generate-and-persist a workload
-        without ever holding the record list, use
+        run's timing exactly.  The prepared source streams through a
+        :class:`~repro.trace.fileio.SegmentedTraceWriter` into a
+        temporary sibling renamed over ``path`` on success, so a
+        stored trace is re-saved one segment at a time.  (To
+        generate-and-persist a workload without ever holding the
+        record list, use
         :func:`repro.workloads.tracegen.write_workload_trace`.)
         """
         prepared = self.prepare()
@@ -946,9 +897,9 @@ class Simulation:
                     else prepared.start_pc)
         if start_pc is not None:
             metadata.setdefault("start_pc", start_pc)
-        records = prepared.materialize()
-        written = write_trace_file(
-            path, records, predictor=self._config.predictor,
-            benchmark=benchmark, seed=self._seed, extra=metadata,
-        )
-        return len(records), written
+        with atomic_path(path) as tmp, SegmentedTraceWriter(
+            tmp, predictor=self._config.predictor, benchmark=benchmark,
+            seed=self._seed, extra=metadata,
+        ) as writer:
+            writer.extend(prepared.open_source())
+        return writer.record_count, writer.bytes_written

@@ -72,7 +72,7 @@ from repro.exec import (
     plan_shards,
     slice_units,
 )
-from repro.exec.unit import result_matches_unit
+from repro.exec.unit import reusable_result
 from repro.serialize import (
     canonical_digest,
     config_to_dict,
@@ -529,9 +529,8 @@ class SweepRunner:
             reducer = SliceReducer(base_unit, plan)
             pending = []
             for slice_unit in slice_units(base_unit, plan):
-                existing = load_unit_result(slice_unit.result_path)
-                if existing is not None and "error" not in existing \
-                        and result_matches_unit(existing, slice_unit):
+                existing = reusable_result(slice_unit)
+                if existing is not None:
                     reducer.add(existing)
                 else:
                     pending.append(slice_unit)

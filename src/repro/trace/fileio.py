@@ -724,28 +724,27 @@ def iter_trace_blocks(
     path: str | Path,
     *,
     segments: Sequence[TraceSegment] | None = None,
-    verify: bool = True,
 ) -> Iterator[Sequence[TraceRecord]]:
     """Stream a trace file as decoded blocks, with bounded memory: the
     one reader, which :func:`iter_trace_records` flattens and
     :class:`~repro.trace.source.FileSource` hands to the engine.
 
     v2 payloads come one segment per block (each checked against its
-    table entry); v1 payloads come in fixed-size chunks.  At
-    exhaustion the total record count and the committed-count
-    consistency field are verified, so a fully drained stream gives
-    the same corruption guarantees as :func:`read_trace_file`.  The
-    stream holds one block at a time; inside
-    :func:`decoded_segment_reuse`, which every executed work unit
-    enters, v2 segments also come from and go to the process-wide
-    decoded-segment cache, whose fixed
+    table entry); v1 payloads come in fixed-size chunks.  When a
+    whole-file read is exhausted, the total record count and the
+    committed-count consistency field are always verified, so a fully
+    drained stream gives the same corruption guarantees as
+    :func:`read_trace_file`.  The stream holds one block at a time;
+    inside :func:`decoded_segment_reuse`, which every executed work
+    unit enters, v2 segments also come from and go to the
+    process-wide decoded-segment cache, whose fixed
     :data:`DECODED_SEGMENT_CACHE_RECORDS`-record bound is the only
     extra memory.
 
     ``segments`` restricts a v2 read to a subset of the table (shard
     workers pass the slice they own); partial reads skip the
     whole-file count and committed checks, since they see only their
-    shard.  ``verify=False`` skips the end-of-stream checks too.
+    shard.
     """
     file_size = os.stat(path).st_size
     with open(path, "rb") as handle:
@@ -771,7 +770,7 @@ def iter_trace_blocks(
             records += len(block)
             committed += block_committed
             yield block
-        if segments is not None or not verify:
+        if segments is not None:
             return
         if records != header.record_count:
             raise TraceFileError(
@@ -785,13 +784,11 @@ def iter_trace_records(
     path: str | Path,
     *,
     segments: Sequence[TraceSegment] | None = None,
-    verify: bool = True,
 ) -> Iterator[TraceRecord]:
     """Stream a trace file's records with bounded memory: the records
     of :func:`iter_trace_blocks` (same arguments, same checks), one
     at a time."""
-    for block in iter_trace_blocks(path, segments=segments,
-                                   verify=verify):
+    for block in iter_trace_blocks(path, segments=segments):
         yield from block
 
 

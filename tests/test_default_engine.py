@@ -320,8 +320,8 @@ class TestProgressParity:
         if source == "in-memory":
             simulation = Simulation.for_records(records, config)
         else:
-            simulation = Simulation.for_trace_file(
-                trace_v2, config=config, streaming=True)
+            simulation = Simulation.for_trace_file(trace_v2,
+                                                   config=config)
         if "warmup" in window:
             simulation = simulation.with_warmup(window["warmup"])
         if "roi" in window:

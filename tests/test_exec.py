@@ -480,6 +480,21 @@ class TestDirectoryQueue:
                               tags={"sweep": {"workload": "bzip2"}})
         assert not result_matches_unit(payload, other_tags)
 
+    def test_reusable_result_is_a_matching_success(self, trace_file,
+                                                   tmp_path):
+        from repro.exec.unit import (
+            atomic_write_json, error_document, reusable_result)
+        unit = make_unit(trace_file, tmp_path, rob=16)
+        assert reusable_result(unit) is None  # nothing written yet
+        payload = execute_unit(unit)
+        assert reusable_result(unit) == payload
+        foreign = make_unit(trace_file, tmp_path, rob=8, uid="rob16")
+        assert reusable_result(foreign) is None
+        atomic_write_json(unit.result_path,
+                          error_document(unit, RuntimeError("boom")))
+        assert load_unit_result(unit.result_path) is not None
+        assert reusable_result(unit) is None
+
     def test_unreadable_descriptor_abandoned_not_counted(
             self, tmp_path):
         paths = queue_paths(tmp_path / "queue")

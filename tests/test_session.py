@@ -428,13 +428,18 @@ class TestSegmentRanges:
             sim.prepare().record_count == 512
 
     def test_segments_require_streaming(self, segmented_trace):
-        with pytest.raises(SessionError, match="streaming"):
+        # Every trace-file run streams, so a segment range needs no
+        # ingestion flag, and neither entry path accepts one.
+        with pytest.raises(TypeError, match="streaming"):
             Simulation.for_trace_file(segmented_trace,
                                       streaming=False, segments=(0, 1))
-        with pytest.raises(SessionError, match="streaming"):
+        with pytest.raises(SessionError, match="'streaming'"):
             Simulation.from_spec({"trace_file": str(segmented_trace),
                                   "streaming": False,
                                   "segments": [0, 1]})
+        shard = Simulation.from_spec({"trace_file": str(segmented_trace),
+                                      "segments": [0, 1]})
+        assert shard.prepare().record_count == 256
 
     def test_segments_rejected_for_workload_specs(self):
         with pytest.raises(SessionError, match="'segments'"):

@@ -16,9 +16,10 @@ from repro.core import (
     ReSimEngine,
 )
 from repro.serialize import stats_to_dict
-from repro.session import Simulation
+from repro.session import SessionError, Simulation
 from repro.trace.fileio import (
     read_segment_table,
+    read_trace_file,
     write_trace_file,
 )
 from repro.trace.record import OtherRecord
@@ -259,8 +260,9 @@ class TestEngineEquivalence:
             v2_path, PAPER_4WIDE_PERFECT).run()
         streamed_v1 = Simulation.for_trace_file(
             v1_path, PAPER_4WIDE_PERFECT).run()
-        materialized = Simulation.for_trace_file(
-            v2_path, PAPER_4WIDE_PERFECT, streaming=False).run()
+        _, decoded = read_trace_file(v2_path)
+        materialized = Simulation.for_records(
+            decoded, PAPER_4WIDE_PERFECT).run()
         assert stats_to_dict(streamed.stats) == reference
         assert stats_to_dict(streamed_v1.stats) == reference
         assert stats_to_dict(materialized.stats) == reference
@@ -287,13 +289,15 @@ class TestEngineEquivalence:
             expected.bits_per_instruction
 
     def test_spec_roundtrip_with_streaming(self, v2_path):
-        spec = Simulation.for_trace_file(
-            v2_path, streaming=False).to_spec()
-        assert spec["streaming"] is False
-        again = Simulation.from_spec(spec)
-        assert again.to_spec() == spec
-        default = Simulation.for_trace_file(v2_path).to_spec()
-        assert "streaming" not in default
+        """A stored trace is always streamed, so a spec names no
+        ingestion mode: a trace-file spec round-trips without a
+        ``streaming`` key, and ``from_spec`` rejects one as unknown."""
+        spec = Simulation.for_trace_file(v2_path).to_spec()
+        assert "streaming" not in spec
+        assert Simulation.from_spec(spec).to_spec() == spec
+        for mode in (False, True):
+            with pytest.raises(SessionError, match="'streaming'"):
+                Simulation.from_spec({**spec, "streaming": mode})
 
 
 class TestStreamedGeneration:
