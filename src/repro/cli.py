@@ -646,34 +646,40 @@ def _read_json_document(target):
 
 def cmd_serve(args) -> int:
     """``resim serve``: run the campaign service until interrupted."""
-    from repro.serve import (
-        CampaignServer,
-        CampaignService,
-        ServiceError,
-    )
+    from repro.serve import BackgroundServer, CampaignService, ServiceError
 
     if args.concurrency < 1:
         raise SystemExit(f"--concurrency must be >= 1, "
                          f"got {args.concurrency}")
+    if not 0 <= args.port <= 65535:
+        raise SystemExit(f"--port must be in 0-65535, got {args.port}")
+    # Journaled jobs start only once the socket is bound: a busy port
+    # must fail before any of them runs.
     try:
         service = CampaignService(
             args.root, concurrency=args.concurrency,
-            workers=args.workers)
-        server = CampaignServer(service, host=args.host,
-                                port=args.port)
+            workers=args.workers, autostart=False)
     except (ServiceError, OSError) as error:
         raise SystemExit(str(error)) from error
-
-    def ready(host: str, port: int) -> None:
-        print(f"campaign service listening on http://{host}:{port} "
-              f"(root {Path(args.root).resolve()})", flush=True)
-
     try:
-        server.run(ready=ready)
+        server = BackgroundServer(service, host=args.host,
+                                  port=args.port)
     except OSError as error:
+        service.close()
         raise SystemExit(
             f"cannot serve on {args.host}:{args.port}: "
             f"{error}") from error
+    service.start()
+    print(f"campaign service listening on "
+          f"http://{args.host}:{server.address[1]} "
+          f"(root {Path(args.root).resolve()})", flush=True)
+    try:
+        server.serve_forever()
+    except KeyboardInterrupt:
+        pass
+    finally:
+        server.server_close()
+        service.close()
     return 0
 
 
@@ -1021,7 +1027,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the merged document here")
     stats.set_defaults(func=cmd_stats)
 
-    # Defaults below mirror repro.serve.app.DEFAULT_HOST/DEFAULT_PORT;
+    # Defaults below mirror repro.serve.http.DEFAULT_HOST/DEFAULT_PORT;
     # literals keep parser construction free of the serve import.
     serve = sub.add_parser(
         "serve",

@@ -291,18 +291,27 @@ class DirectoryQueueBackend(ExecutionBackend):
         # worker errors stay visible.
         return subprocess.Popen(command, stdout=subprocess.DEVNULL)
 
-    def _ensure_worker_pool(self) -> None:
+    def _ensure_workers(self) -> None:
         """Top the persistent local pool back up to ``workers``.
 
         Workers are spawned with ``--idle-exit`` rather than
         ``--exit-when-drained`` so consecutive drains (an adaptive
         search's many small rounds) reuse live processes instead of
         paying interpreter startup per round; retired/dead ones are
-        pruned and replaced here.
+        pruned and replaced here.  Every spawn spends the spawn
+        budget, which bounds the pathological case of a unit that
+        hard-crashes every executor it meets.
         """
         self._procs = [proc for proc in self._procs
                        if proc.poll() is None]
         while len(self._procs) < self.workers:
+            if self._respawns_left <= 0:
+                raise ExecError(
+                    f"local queue workers keep dying with work "
+                    f"outstanding; queue {self.queue_dir} likely has "
+                    f"a unit that crashes its executor"
+                )
+            self._respawns_left -= 1
             self._procs.append(self._spawn_worker())
         if not self._atexit_registered:
             import atexit
@@ -370,11 +379,13 @@ class DirectoryQueueBackend(ExecutionBackend):
             outstanding[unit.unit_id] = unit
 
         if outstanding and self.workers:
-            # Spawn budget guard (reset per drain): a unit that
-            # hard-crashes its worker (e.g. OOM kill) must not
-            # respawn processes forever.
+            # Spawn budget (reset per drain): the initial top-up may
+            # fill the whole pool; after it, a unit that hard-crashes
+            # its worker (e.g. OOM kill) must not respawn processes
+            # forever.
+            self._respawns_left = self.workers
+            self._ensure_workers()
             self._respawns_left = 3 * self.workers
-            self._ensure_worker_pool()
         try:
             self._poll(paths, outstanding, collect)
             if failures:
@@ -423,8 +434,9 @@ class DirectoryQueueBackend(ExecutionBackend):
                         not result_matches_unit(payload, unit):
                     continue  # not done yet (or a stale leftover a
                     #           worker is about to overwrite)
-                if "error" in payload and \
-                        self._lease_is_fresh(paths, unit_id):
+                if "error" in payload and any(
+                        self._lease_is_fresh(lease)
+                        for lease in _leases_for(paths, unit_id)):
                     # One executor reported failure while another
                     # still heartbeats a claim on the same unit (a
                     # stalled worker lost its lease and failed late):
@@ -443,10 +455,18 @@ class DirectoryQueueBackend(ExecutionBackend):
             # make sure somebody is still around to do the work.
             reclaim_stale(paths, self.lease_seconds)
             self._requeue_abandoned(paths, outstanding)
-            self._ensure_workers(paths)
+            # Only *pending* entries justify a respawn: leased units
+            # have a live claimant somewhere (and go back to pending
+            # via the stale reclaim if that claimant died), while an
+            # idle-retired local worker next to an empty pending
+            # directory needs no replacement.  Externally managed
+            # workers (``workers=0``) are never spawned here.
+            if self.workers and any(paths.pending.glob("*.json")):
+                self._ensure_workers()
             if self.timeout is not None and \
                     time.monotonic() - last_progress > self.timeout:
-                if self._live_lease(paths) or any(
+                if any(self._lease_is_fresh(lease)
+                       for lease in paths.leases.glob("*.json")) or any(
                         (paths.done / f"{unit_id}.json").exists()
                         for unit_id in outstanding):
                     # A worker is still heartbeating a claimed unit,
@@ -465,33 +485,14 @@ class DirectoryQueueBackend(ExecutionBackend):
                     )
             time.sleep(self.poll_seconds)
 
-    def _lease_is_fresh(self, paths: QueuePaths, unit_id: str) -> bool:
-        """True while some claimant's lease on ``unit_id`` is fresher
-        than the staleness horizon — i.e. a worker heartbeats it."""
-        now = time.time()
-        for lease in _leases_for(paths, unit_id):
-            try:
-                age = now - lease.stat().st_mtime
-            except OSError:
-                continue
-            if age < self.lease_seconds:
-                return True
-        return False
-
-    def _live_lease(self, paths: QueuePaths) -> bool:
-        """True while any claimed unit's lease is fresher than the
-        staleness horizon — i.e. some worker heartbeats it."""
-        now = time.time()
-        # resim-lint: disable=D104 -- pure existence scan with early
-        # exit; no iteration-order-dependent effect escapes.
-        for lease in paths.leases.glob("*.json"):
-            try:
-                age = now - lease.stat().st_mtime
-            except OSError:
-                continue
-            if age < self.lease_seconds:
-                return True
-        return False
+    def _lease_is_fresh(self, lease: Path) -> bool:
+        """True while ``lease`` is fresher than the staleness horizon
+        — i.e. a worker heartbeats it (a vanished lease is not)."""
+        try:
+            age = time.time() - lease.stat().st_mtime
+        except OSError:
+            return False
+        return age < self.lease_seconds
 
     @staticmethod
     def _requeue_abandoned(paths: QueuePaths,
@@ -515,33 +516,6 @@ class DirectoryQueueBackend(ExecutionBackend):
             except OSError:
                 continue
             enqueue(paths, unit)
-
-    def _ensure_workers(self, paths: QueuePaths) -> None:
-        """Replace local workers that died while unclaimed work sits
-        in ``pending/``.
-
-        Only *pending* entries justify a respawn: leased units have a
-        live claimant somewhere (and go back to pending via the stale
-        reclaim if that claimant died), while an idle-retired local
-        worker next to an empty pending directory needs no
-        replacement.  The respawn budget bounds the pathological case
-        of a unit that hard-crashes every executor it meets.
-        """
-        if not self.workers:
-            return  # externally-managed workers; nothing to do
-        if not any(paths.pending.glob("*.json")):
-            return
-        self._procs = [proc for proc in self._procs
-                       if proc.poll() is None]
-        while len(self._procs) < self.workers:
-            if self._respawns_left <= 0:
-                raise ExecError(
-                    f"local queue workers keep dying with work "
-                    f"outstanding; queue {self.queue_dir} likely has "
-                    f"a unit that crashes its executor"
-                )
-            self._respawns_left -= 1
-            self._procs.append(self._spawn_worker())
 
     def describe(self) -> str:
         return (f"DirectoryQueueBackend({str(self.queue_dir)!r}, "

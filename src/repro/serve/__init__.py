@@ -1,15 +1,19 @@
 """``repro.serve`` — the campaign service: async submission API +
 content-addressed result cache.
 
-The ROADMAP's north star is serving heavy design-space-exploration
-traffic; this package is that front door.  A long-lived
-``resim serve`` process accepts simulate/sweep/search submissions as
-plain JSON documents, schedules them onto the existing execution
-backends with bounded concurrency and a crash-safe journal, streams
+Bulk design-space exploration — one prepared trace replayed across
+many design points — is ReSim's main use; this package serves it to
+many clients at once.  A long-lived ``resim serve`` process accepts
+simulate/sweep/search submissions as plain JSON documents, schedules
+them onto the existing execution backends with bounded concurrency
+and a crash-safe journal, streams
 progress as line-delimited JSON, and — the production-scale move —
 memoizes every completed work unit in a content-addressed store, so
-overlapping queries from any number of clients simulate each distinct
-computation exactly once.  The pieces:
+overlapping queries from all clients simulate each distinct
+computation exactly once.  Each connection, an open event stream
+included, holds one server thread for its span; the measured
+envelope is tens of clients at once (20 simultaneous submissions
+with 60 open event streams, all answered).  The pieces:
 
 * :mod:`repro.serve.canon` — cache-key derivation: canonicalized
   spec + trace content digest + engine version;
@@ -20,8 +24,9 @@ computation exactly once.  The pieces:
   coalescing, bounded concurrency, journal-backed restart recovery,
   cooperative cancellation;
 * :mod:`repro.serve.app` — :class:`CampaignService` (request
-  validation + job execution) and the server shells;
-* :mod:`repro.serve.http` — the stdlib asyncio HTTP/JSON layer;
+  validation + job execution);
+* :mod:`repro.serve.http` — :class:`BackgroundServer`, the stdlib
+  ``http.server`` front: one thread per connection, JSON both ways;
 * :mod:`repro.serve.client` — :class:`ServiceClient`, the
   programmatic twin of ``resim client``.
 
@@ -40,15 +45,7 @@ Quick start (one process)::
         print(client.result(answer["job_id"])["cache"])
 """
 
-from repro.serve.app import (
-    BackgroundServer,
-    CampaignServer,
-    CampaignService,
-    DEFAULT_HOST,
-    DEFAULT_PORT,
-    REQUEST_KINDS,
-    ServiceError,
-)
+from repro.serve.app import CampaignService, REQUEST_KINDS, ServiceError
 from repro.serve.cache import (
     CACHE_SCHEMA,
     CacheError,
@@ -65,6 +62,7 @@ from repro.serve.canon import (
     trace_digest,
 )
 from repro.serve.client import ClientError, ServiceClient
+from repro.serve.http import BackgroundServer, DEFAULT_HOST, DEFAULT_PORT
 from repro.serve.jobs import (
     JOB_SCHEMA,
     JOB_STATES,
@@ -81,7 +79,6 @@ __all__ = [
     "BackgroundServer",
     "CACHE_KEY_LENGTH",
     "CACHE_SCHEMA",
-    "CampaignServer",
     "CampaignService",
     "CanonError",
     "CacheError",

@@ -29,16 +29,14 @@ sweep twice, two searches exploring intersecting regions, a sweep
 whose grid contains points a simulate request already ran — execute
 each distinct computation exactly once.
 
-Two server shells wrap the service: :class:`CampaignServer` (the
-foreground ``resim serve`` process) and :class:`BackgroundServer`
-(a daemon-thread server for tests and benchmarks).
+:class:`~repro.serve.http.BackgroundServer` serves the service over
+HTTP: in the foreground of ``resim serve``, or from a daemon thread
+for tests and benchmarks.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
-import threading
 from pathlib import Path
 from collections.abc import Mapping
 
@@ -47,17 +45,12 @@ from repro.exec import WorkUnit
 from repro.serialize import config_to_dict
 from repro.serve.cache import CacheStore, CachingBackend
 from repro.serve.canon import ENGINE_VERSION, canonical_spec
-from repro.serve.http import HttpApi
 from repro.serve.jobs import Job, JobContext, JobManager
 from repro.session import SessionError, coerce_engine
 from repro.sweep.campaign import CAMPAIGN_KINDS, normalize_campaign, run_campaign
 from repro.sweep.progress import SweepProgress
 from repro.sweep.result import SweepResult
 from repro.sweep.runner import default_backend
-
-#: Default bind address of ``resim serve``.
-DEFAULT_HOST = "127.0.0.1"
-DEFAULT_PORT = 8437
 
 #: Request kinds the service accepts.
 REQUEST_KINDS = ("simulate", *CAMPAIGN_KINDS)
@@ -266,99 +259,3 @@ class CampaignService:
             "engine_version": self.store.engine_version,
             "jobs": self.manager.counts(),
         }
-
-
-class CampaignServer:
-    """The foreground asyncio server shell (``resim serve``)."""
-
-    def __init__(self, service: CampaignService, *,
-                 host: str = DEFAULT_HOST,
-                 port: int = DEFAULT_PORT) -> None:
-        self.service = service
-        self.host = host
-        self.port = port
-        self._api = HttpApi(service)
-
-    async def _serve(self, ready=None) -> None:
-        server = await asyncio.start_server(
-            self._api.handle, self.host, self.port)
-        self.port = server.sockets[0].getsockname()[1]
-        if ready is not None:
-            ready(self.host, self.port)
-        async with server:
-            await server.serve_forever()
-
-    def run(self, *, ready=None) -> None:
-        """Serve until interrupted; ``ready(host, port)`` fires once
-        the socket is bound (port 0 resolves to the real port)."""
-        try:
-            asyncio.run(self._serve(ready))
-        except KeyboardInterrupt:
-            pass
-        finally:
-            self.service.close()
-
-
-class BackgroundServer:
-    """A campaign server on a daemon thread — the harness tests and
-    benchmarks drive::
-
-        with BackgroundServer(CampaignService(root)) as server:
-            client = ServiceClient(*server.address)
-            ...
-
-    Exiting the context stops the listener and closes the service
-    (running jobs are awaited; queued ones stay journaled).
-    """
-
-    def __init__(self, service: CampaignService, *,
-                 host: str = DEFAULT_HOST, port: int = 0) -> None:
-        self.service = service
-        self.host = host
-        self.port = port
-        self._api = HttpApi(service)
-        self._ready = threading.Event()
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop: asyncio.Event | None = None
-        self._thread: threading.Thread | None = None
-        self._error: BaseException | None = None
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self.host, self.port
-
-    async def _amain(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        server = await asyncio.start_server(
-            self._api.handle, self.host, self.port)
-        self.port = server.sockets[0].getsockname()[1]
-        self._ready.set()
-        async with server:
-            await self._stop.wait()
-
-    def _main(self) -> None:
-        try:
-            asyncio.run(self._amain())
-        except BaseException as error:  # noqa: BLE001 — surfaced to
-            # the entering thread below, not swallowed.
-            self._error = error
-            self._ready.set()
-
-    def __enter__(self) -> BackgroundServer:
-        self._thread = threading.Thread(
-            target=self._main, name="resim-serve", daemon=True)
-        self._thread.start()
-        if not self._ready.wait(timeout=30):
-            raise ServiceError("campaign server did not start")
-        if self._error is not None:
-            raise ServiceError(
-                f"campaign server failed to start: {self._error}")
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self._loop is not None and self._stop is not None:
-            self._loop.call_soon_threadsafe(self._stop.set)
-        if self._thread is not None:
-            self._thread.join(timeout=30)
-        self.service.close()

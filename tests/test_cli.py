@@ -414,3 +414,31 @@ class TestTraceInfoJson:
         assert main(["trace", "info", str(out)]) == 0
         assert "content digest       : sha256:" \
             in capsys.readouterr().out
+
+
+class TestServe:
+    def test_busy_port_fails_before_any_job_runs(self, tmp_path):
+        import socket
+
+        from repro.serve import CampaignService
+        root = tmp_path / "root"
+        service = CampaignService(root, autostart=False)
+        job, _ = service.submit({"kind": "sweep", "workload": "gzip",
+                                 "budget": int(BUDGET),
+                                 "axes": {"rob_entries": [8, 16]}})
+        service.close()
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            with pytest.raises(SystemExit, match="cannot serve") as exited:
+                main(["serve", str(root), "--port", str(port)])
+        assert exited.value.code not in (None, 0)
+        journal = json.loads(
+            (root / "jobs" / f"{job.job_id}.json").read_text())
+        assert journal["state"] == "queued"
+
+    @pytest.mark.parametrize("port", ["70000", "-1"])
+    def test_out_of_range_port_exits_cleanly(self, tmp_path, port):
+        with pytest.raises(SystemExit, match="0-65535"):
+            main(["serve", str(tmp_path), "--port", port])

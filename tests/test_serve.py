@@ -22,6 +22,7 @@ import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -43,6 +44,7 @@ from repro.serve import (
     canonical_spec,
     trace_digest,
 )
+from repro.serve.http import MAX_BODY_BYTES
 from repro.session import CONFIGS, Simulation
 
 BUDGET = 1200
@@ -425,6 +427,100 @@ class TestHttpService:
             with pytest.raises(ClientError) as unfinished:
                 client.result(job_id)  # queued: no result yet
             assert unfinished.value.status == 409
+
+    def test_second_server_cannot_share_a_port(self, tmp_path):
+        """Two servers on one port would run one root's journaled
+        queue twice; the second bind must fail."""
+        first = CampaignService(tmp_path / "first", autostart=False)
+        with BackgroundServer(first) as server:
+            second = CampaignService(tmp_path / "second",
+                                     autostart=False)
+            try:
+                with pytest.raises(OSError):
+                    BackgroundServer(second, port=server.address[1])
+            finally:
+                second.close()
+
+    def test_connection_burst_is_not_dropped(self, tmp_path):
+        """Forty clients connecting at once all get in without a SYN
+        retry (the kernel's first one waits a whole second), so the
+        listen backlog holds a burst."""
+        import threading
+
+        service = CampaignService(tmp_path, autostart=False)
+        latencies = []
+        with BackgroundServer(service) as server:
+            start = threading.Barrier(40)
+
+            def call():
+                client = ServiceClient(*server.address)
+                start.wait()
+                began = time.perf_counter()
+                client.health()
+                latencies.append(time.perf_counter() - began)
+
+            callers = [threading.Thread(target=call) for _ in range(40)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join()
+        assert len(latencies) == 40
+        assert max(latencies) < 1.0, max(latencies)
+
+    def test_http_error_contract(self, tmp_path):
+        """Raw-socket requests the client never sends: each error
+        answers a status line and a JSON object with an ``error``
+        string, and no route accepts a method it does not serve."""
+
+        def exchange(address, raw: bytes) -> tuple[int, dict]:
+            with socket.create_connection(address, timeout=30) as conn:
+                conn.sendall(raw)
+                answer = b""
+                while chunk := conn.recv(65536):
+                    answer += chunk
+            head, _, body = answer.partition(b"\r\n\r\n")
+            status_line = head.split(b"\r\n", 1)[0].decode()
+            assert re.fullmatch(r"HTTP/1\.[01] \d{3} .*", status_line), \
+                answer
+            document = json.loads(body)
+            assert isinstance(document, dict)
+            assert isinstance(document.get("error"), str), document
+            return int(status_line.split()[1]), document
+
+        def request(address, method: str, path: str, body: bytes = b"",
+                    headers: str = "") -> int:
+            if body and "Content-Length" not in headers:
+                headers += f"Content-Length: {len(body)}\r\n"
+            raw = (f"{method} {path} HTTP/1.1\r\nHost: test\r\n"
+                   f"{headers}\r\n").encode() + body
+            return exchange(address, raw)[0]
+
+        service = CampaignService(tmp_path, autostart=False)
+        with BackgroundServer(service) as server:
+            address = server.address
+            assert exchange(address, b"BOGUS\r\n\r\n")[0] == 400
+            assert exchange(
+                address, b"GET /v1/health NOTHTTP\r\n\r\n")[0] == 400
+            for method in ("PUT", "DELETE"):
+                for path in ("/v1/jobs", "/v1/health"):
+                    assert request(address, method, path,
+                                   b"{}") == 405, (method, path)
+            job_id = ServiceClient(*address).submit(
+                sweep_request())["job_id"]
+            assert request(address, "GET",
+                           f"/v1/jobs/{job_id}/cancel") == 405
+            too_big = f"Content-Length: {MAX_BODY_BYTES + 1}\r\n"
+            assert request(address, "POST", "/v1/jobs",
+                           headers=too_big) == 413
+            assert request(address, "POST", "/v1/jobs", b"{x") == 400
+            assert request(address, "POST", "/v1/jobs", b"[1]") == 400
+            assert request(address, "POST", "/v1/jobs",
+                           headers="Content-Length: abc\r\n") == 400
+            assert request(address, "GET", "/v2/x") == 404
+            assert request(address, "GET",
+                           f"/v1/jobs/{job_id}/events?after=x") == 400
+            assert [job["job_id"] for job in
+                    ServiceClient(*address).jobs()] == [job_id]
 
     def test_simulate_round_trip_matches_direct_run(self, tmp_path):
         service = CampaignService(tmp_path)
