@@ -28,6 +28,10 @@ class AccessResult:
     latency: int  # total cycles until data/completion
 
 
+#: Every perfect-memory access: a hit in one cycle.
+_PERFECT_HIT = AccessResult(hit=True, latency=1)
+
+
 class PerfectMemory:
     """The paper's perfect memory system: all accesses hit in 1 cycle."""
 
@@ -42,15 +46,15 @@ class PerfectMemory:
 
     def ifetch(self, address: int) -> AccessResult:
         self.ifetches += 1
-        return AccessResult(hit=True, latency=1)
+        return _PERFECT_HIT
 
     def dread(self, address: int) -> AccessResult:
         self.reads += 1
-        return AccessResult(hit=True, latency=1)
+        return _PERFECT_HIT
 
     def dwrite(self, address: int) -> AccessResult:
         self.writes += 1
-        return AccessResult(hit=True, latency=1)
+        return _PERFECT_HIT
 
     def describe(self) -> str:
         return "perfect memory"
@@ -68,6 +72,10 @@ class MemorySystem:
         Cycles for a main-memory access on an L1 miss (SimpleScalar's
         classic default of 18 is used; the paper does not state its
         value, see EXPERIMENTS.md).
+
+    A dirty victim drains to memory through write buffers: it is
+    counted in the cache's ``writebacks``, never added to an access's
+    latency.
     """
 
     def __init__(
@@ -81,34 +89,31 @@ class MemorySystem:
         self.icache = Cache(icache_config or CacheConfig(name="il1"))
         self.dcache = Cache(dcache_config or CacheConfig(name="dl1"))
         self.memory_latency = memory_latency
+        # Each cache's two outcomes, (miss, hit), indexed by the hit
+        # flag; every access returns one of them.
+        self._ioutcomes = self._outcomes(self.icache)
+        self._doutcomes = self._outcomes(self.dcache)
+
+    def _outcomes(self, cache: Cache) -> tuple[AccessResult, AccessResult]:
+        hit = cache.config.hit_latency
+        return (AccessResult(hit=False, latency=hit + self.memory_latency),
+                AccessResult(hit=True, latency=hit))
 
     @property
     def is_perfect(self) -> bool:
         return False
 
-    def _access(self, cache: Cache, address: int, is_write: bool) -> AccessResult:
-        hit, writeback = cache.access(address, is_write=is_write)
-        latency = cache.config.hit_latency
-        if not hit:
-            latency += self.memory_latency
-        if writeback:
-            # Dirty victim drains to memory; modelled as additional
-            # occupancy of the memory port, not added to load latency
-            # (write buffers hide it), but it is counted in statistics.
-            pass
-        return AccessResult(hit=hit, latency=latency)
-
     def ifetch(self, address: int) -> AccessResult:
         """Instruction fetch through the L1 I-cache."""
-        return self._access(self.icache, address, is_write=False)
+        return self._ioutcomes[self.icache.access(address)[0]]
 
     def dread(self, address: int) -> AccessResult:
         """Load access through the L1 D-cache."""
-        return self._access(self.dcache, address, is_write=False)
+        return self._doutcomes[self.dcache.access(address)[0]]
 
     def dwrite(self, address: int) -> AccessResult:
         """Committed-store access through the L1 D-cache."""
-        return self._access(self.dcache, address, is_write=True)
+        return self._doutcomes[self.dcache.access(address, True)[0]]
 
     def describe(self) -> str:
         return (

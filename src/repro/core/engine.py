@@ -85,7 +85,7 @@ class EngineObserver:
       redirected.
 
     Observers may read any public engine state (``engine.cycle``,
-    ``engine.stats``, ``engine.predictor``...) but must not mutate it.
+    ``engine.stats``...) but must not mutate it.
     """
 
     def on_cycle(self, engine: ReSimEngine) -> None:

@@ -12,11 +12,21 @@ This module applies that move to ReSim:
 
 * :func:`compile_engine` emits the source of a ``run_trace`` function
   for one fully-resolved configuration — config constants are inlined
-  as literals, predictor/cache calls are pre-bound locals, statistics
-  are plain local integers, and statically-dead branches (observer
-  dispatch, wrong-path recovery for wrong-path-free traces, the cache
-  hierarchy under perfect memory) are not emitted at all — then
-  ``exec``-compiles it, memoized in-process by a config-content hash;
+  as literals, statistics are plain local integers, and
+  statically-dead branches (observer dispatch, wrong-path recovery for
+  wrong-path-free traces, the cache hierarchy under perfect memory)
+  are not emitted at all — then ``exec``-compiles it, memoized
+  in-process by a config-content hash;
+* the memory system and the branch predictor are generated too (as
+  Khatwal & Jain specialize cache simulation to its configuration):
+  LRU and FIFO L1 lookups run inline against per-set lists of block
+  numbers with the geometry and latencies as constants, and the
+  ``twolevel``/``gshare`` PHT and history registers, the BTB and the
+  RAS are locals (``perfect`` prediction emits no predictor code at
+  all).  The ``random`` policy and the other schemes keep calling
+  :class:`~repro.cache.hierarchy.MemorySystem` /
+  :class:`~repro.bpred.unit.BranchPredictorUnit` from inside the
+  generated engine, so no run changes tier;
 * :class:`SpecializedEngine` wraps the compiled function behind the
   reference engine's ``run()`` shape — warmup and ROI windows
   included, compiled into the commit stage as integer comparisons
@@ -52,9 +62,17 @@ import math
 from collections import deque
 from collections.abc import Callable, Sequence
 
-from repro.bpred.unit import BranchPredictorUnit
+from repro.bpred.unit import (
+    PREDICTORS,
+    BranchPredictorUnit,
+    PredictorConfig,
+    _build_gshare,
+    _build_perfect,
+    _build_twolevel,
+)
 from repro.cache.cache import CacheConfig
 from repro.cache.hierarchy import MemorySystem
+from repro.cache.replacement import REPLACEMENT_POLICIES, FifoPolicy, LruPolicy
 from repro.core.config import ProcessorConfig
 from repro.core.engine import (
     EngineObserver,
@@ -66,7 +84,7 @@ from repro.core.engine import (
 from repro.core.observers import ProgressObserver
 from repro.core.stats import Counter64, OccupancySampler, SimulationStatistics
 from repro.isa.instruction import INSTRUCTION_BYTES
-from repro.isa.opcodes import FuClass
+from repro.isa.opcodes import BranchKind, FuClass
 from repro.isa.program import TEXT_BASE
 from repro.serialize import canonical_digest, config_to_dict
 from repro.trace.record import BranchRecord, MemoryRecord, TraceRecord
@@ -110,13 +128,15 @@ def choose_tier(
     between cycles (an observer overriding a hook, the stock
     ``ProgressObserver`` aside, a ``stop_when`` predicate, step-wise
     driving), or when the
-    config or either cache config is a subclass whose overridden
-    behaviour the generator cannot see; ``specialized`` otherwise.
+    config, its predictor config or either cache config is a subclass
+    whose overridden behaviour the generator cannot see;
+    ``specialized`` otherwise.
     """
     if (requested == "reference" or stop_when is not None or stepwise
             or any(overrides_hook(observer) and not _ticked(observer)
                    for observer in observers)
             or type(config) is not ProcessorConfig
+            or type(config.predictor) is not PredictorConfig
             or type(config.icache) is not CacheConfig
             or type(config.dcache) is not CacheConfig):
         return "reference"
@@ -254,27 +274,274 @@ while idx < end and records[idx].tag:
 """ + _refill(indent=4)
 
 
-def _icache_chunk(*, pc_var: str, perfect: bool, block_bytes: int) -> str:
+# ----------------------------------------------------------------------
+# The memory system and the branch predictor, generated inline.
+#
+# Timing reads only whether an L1 access hits and whether a branch was
+# mispredicted or misfetched, so the generated state is what decides
+# those: block numbers per cache set, and the direction tables, BTB
+# and RAS of the predictor.  Policies and schemes without an emitter
+# here keep calling the object model from inside the generated engine.
+# ----------------------------------------------------------------------
+
+#: Replacement policies whose sets are generated as plain lists of
+#: block numbers: recency order for LRU, fill order for FIFO.
+_INLINE_POLICIES = (LruPolicy, FifoPolicy)
+
+#: Registered predictor builders whose tables are generated as locals,
+#: and the form each is generated in.  Inlining is keyed on the builder
+#: a scheme name resolves to, not on the name, so a scheme registered
+#: over one of these keeps calling the object model.
+_INLINE_BUILDERS = {
+    _build_perfect: "perfect",
+    _build_twolevel: "twolevel",
+    _build_gshare: "gshare",
+}
+
+#: ``pc >> _WORD_SHIFT`` is ``pc // INSTRUCTION_BYTES``, the word
+#: address every predictor table is indexed by.
+_WORD_SHIFT = INSTRUCTION_BYTES.bit_length() - 1
+
+
+def _inline_policy(cache: CacheConfig) -> type | None:
+    """The replacement policy ``cache``'s lookups are generated inline
+    for, or None when they call the object model."""
+    policy = REPLACEMENT_POLICIES.get(cache.replacement.lower())
+    return policy if policy in _INLINE_POLICIES else None
+
+
+def _inline_scheme(predictor: PredictorConfig) -> str | None:
+    """The form ``predictor`` is generated inline in, or None when it
+    calls the object model."""
+    return _INLINE_BUILDERS.get(PREDICTORS.get(predictor.scheme, None))
+
+
+def _calls_memory(config: ProcessorConfig) -> bool:
+    """Does the engine generated for ``config`` call a MemorySystem?"""
+    return not config.perfect_memory and not (
+        _inline_policy(config.icache) and _inline_policy(config.dcache))
+
+
+def _calls_predictor(config: ProcessorConfig) -> bool:
+    """Does the engine generated for ``config`` call a
+    BranchPredictorUnit?"""
+    return _inline_scheme(config.predictor) is None
+
+
+def _cache_state(cache: CacheConfig, table: str) -> str:
+    """The empty tag array of one inline cache: a list of block
+    numbers per set."""
+    if not _inline_policy(cache):
+        return ""
+    return f"{table} = [[] for _ in range({cache.sets})]\n"
+
+
+def _cache_access(cache: CacheConfig, table: str, call: str, address: str,
+                  miss: str, *, block: str | None = None) -> str:
+    """One L1 access to ``address`` with the fill on a miss, then
+    ``miss`` — the one emitter of all three access sites (ifetch, load
+    issue, store commit), with the geometry baked in as constants.
+    ``block`` names a local already holding the block number.
+    Policies without an inline form call ``call`` on the object model.
+    """
+    miss = "\n".join(_block(miss, 4))
+    policy = _inline_policy(cache)
+    if not policy:
+        return f"""
+if not {call}({address}).hit:
+{miss}
+"""
+    head = ""
+    if block is None:
+        block = "blk"
+        shift = cache.block_bytes.bit_length() - 1
+        head = f"blk = {address} >> {shift}\n"
+    mask = cache.sets - 1
+    text = head + f"""cs = {table}[{block} & {mask}]
+if {block} not in cs:
+    if len(cs) == {cache.assoc}:
+        del cs[0]
+    cs.append({block})
+{miss}
+"""
+    if policy is LruPolicy:
+        text += f"""elif cs[-1] != {block}:
+    cs.remove({block})
+    cs.append({block})
+"""
+    return text
+
+
+def _icache_chunk(config: ProcessorConfig, *, pc_var: str) -> str:
     """The once-per-line I-cache access; on a miss, charges the stall
     and breaks out of the fetch loop (the record stays in the trace
     for the post-stall retry, which then hits the line buffer)."""
-    if perfect:
+    if config.perfect_memory:
         return f"""
 line = {pc_var} // 64
 if line != last_line:
     last_line = line
     c_iacc += 1
 """
+    icache = config.icache
+    stall = icache.hit_latency + config.memory_latency - 1
+    shift = icache.block_bytes.bit_length() - 1
+    access = _cache_access(icache, "isets", "m_ifetch", pc_var, f"""
+c_imiss += 1
+fetch_stall += {stall}
+break
+""", block="line")
     return f"""
-line = {pc_var} // {block_bytes}
+line = {pc_var} >> {shift}
 if line != last_line:
-    res = m_ifetch({pc_var})
     c_iacc += 1
     last_line = line
-    if not res.hit:
-        c_imiss += 1
-        fetch_stall += res.latency - 1
-        break
+{chr(10).join(_block(access, 4))}
+"""
+
+
+def _direction(predictor: PredictorConfig) -> tuple[str, str, str, str]:
+    """The two-level direction tables for the word address ``bw``:
+    their power-on state, the line that picks the history register
+    (empty for a single global one), the register, and the PHT
+    index."""
+    gshare = _inline_scheme(predictor) == "gshare"
+    l1_size = 1 if gshare else predictor.l1_size
+    state = f"pht = [2] * {predictor.l2_size}\n"
+    if l1_size == 1:
+        state += "ghist = 0\n"
+        slot, history = "", "ghist"
+    else:
+        state += f"bht = [0] * {l1_size}\n"
+        slot, history = f"bh = bw & {l1_size - 1}\n", "bht[bh]"
+    if gshare:
+        index = f"({history} ^ bw)"
+    else:
+        index = f"({history} | (bw << {predictor.history_length}))"
+    return state, slot, history, f"{index} & {predictor.l2_size - 1}"
+
+
+def _btb(predictor: PredictorConfig) -> tuple[str, str, str]:
+    """The BTB for the word address ``bw``: its empty state, the
+    lookup into ``pt`` (None on a miss; a hit becomes the set's most
+    recently used entry) and the fill of ``op.target``.  Entries are
+    keyed by ``bw``, which stands for the (set, tag) pair."""
+    sets = predictor.btb_entries // predictor.btb_assoc
+    # A dict per set, in LRU order: least recently used first.
+    return f"btb = [{{}} for _ in range({sets})]\n", f"""
+bs = btb[bw & {sets - 1}]
+pt = bs.pop(bw, None)
+if pt is not None:
+    bs[bw] = pt
+""", f"""
+bs = btb[bw & {sets - 1}]
+if bw in bs:
+    del bs[bw]
+elif len(bs) == {predictor.btb_assoc}:
+    del bs[next(iter(bs))]
+bs[bw] = op.target
+"""
+
+
+def _predictor_state(predictor: PredictorConfig) -> str:
+    """The predictor's power-on state as locals (or the bound object
+    calls of a scheme without an inline form)."""
+    scheme = _inline_scheme(predictor)
+    if scheme == "perfect":
+        return ""
+    if scheme is None:
+        return "bp_resolve = bpred.resolve\nbp_update = bpred.update\n"
+    return (_direction(predictor)[0] + _btb(predictor)[0]
+            + f"ras = [0] * {predictor.ras_depth}\nras_top = 0\nras_n = 0\n")
+
+
+def _resolve_chunk(predictor: PredictorConfig, *, update_at_commit: bool,
+                   wrong_path: bool) -> str:
+    """Predict the fetched branch ``op`` at ``pc``: sets ``mis`` (wrong
+    direction), ``mf`` (misfetch) and, with wrong paths, ``wps`` (the
+    wrong-path fetch PC the prediction chose, None when it follows
+    from the outcome) — ``BranchPredictorUnit.resolve``.  The RAS is
+    peeked, never popped."""
+    wps = "wps = None\n" if wrong_path else ""
+    scheme = _inline_scheme(predictor)
+    if scheme == "perfect":
+        return "mis = False\nmf = False\n" + wps
+    if scheme is None:
+        text = "resolution = bp_resolve(pc, op.bk, op.taken, op.target)\n"
+        text += ("op.resolution = resolution\n" if update_at_commit
+                 else _update_chunk(predictor, "pc", "resolution"))
+        text += "mis = resolution.mispredicted\nmf = resolution.misfetch\n"
+        if wrong_path:
+            text += "wps = resolution.wrong_path_start\n"
+        return text
+    _, slot, _, index = _direction(predictor)
+    taken_wrong = "mis = True\nwps = pt\n" if wrong_path else "mis = True\n"
+    text = wps + f"""bk = op.bk
+bw = pc >> {_WORD_SHIFT}
+if bk is BK_RETURN:
+    pt = ras[ras_top - 1] if ras_n else None
+else:
+{chr(10).join(_block(_btb(predictor)[1], 4))}
+mis = False
+mf = False
+if bk is BK_COND:
+{chr(10).join(_block(slot, 4))}
+    if pt is not None and pht[{index}] > 1:
+        if op.taken:
+            mf = pt != op.target
+        else:
+{chr(10).join(_block(taken_wrong, 12))}
+    elif op.taken:
+        mis = True
+else:
+    mf = pt != op.target
+"""
+    if not update_at_commit:
+        text += _update_chunk(predictor, "pc", "None")
+    return text
+
+
+def _update_chunk(predictor: PredictorConfig, pc_var: str,
+                  resolution: str) -> str:
+    """Train the predictor on branch ``op`` at ``pc_var``, in program
+    order — ``BranchPredictorUnit.update``: the direction tables for
+    conditional branches, the BTB for taken non-returns, RAS push on a
+    call and pop on a return.  ``resolution`` is passed to the object
+    model only."""
+    scheme = _inline_scheme(predictor)
+    if scheme == "perfect":
+        return ""
+    if scheme is None:
+        return (f"bp_update({pc_var}, op.bk, op.taken, op.target, "
+                f"{resolution})\n")
+    _, slot, history, index = _direction(predictor)
+    mask = (1 << predictor.history_length) - 1
+    depth = predictor.ras_depth
+    return f"""
+bk = op.bk
+bw = {pc_var} >> {_WORD_SHIFT}
+if bk is BK_COND:
+{chr(10).join(_block(slot, 4))}
+    bx = {index}
+    bc = pht[bx]
+    if op.taken:
+        if bc < 3:
+            pht[bx] = bc + 1
+        {history} = (({history} << 1) | 1) & {mask}
+    else:
+        if bc:
+            pht[bx] = bc - 1
+        {history} = ({history} << 1) & {mask}
+if op.taken and bk is not BK_RETURN:
+{chr(10).join(_block(_btb(predictor)[2], 4))}
+if bk is BK_CALL:
+    ras[ras_top] = {pc_var} + {INSTRUCTION_BYTES}
+    ras_top = (ras_top + 1) % {depth}
+    if ras_n < {depth}:
+        ras_n += 1
+elif bk is BK_RETURN and ras_n:
+    ras_top = (ras_top - 1) % {depth}
+    ras_n -= 1
 """
 
 
@@ -314,6 +581,9 @@ def _engine_source(
     """
     width = config.width
     perfect = config.perfect_memory
+    predictor = config.predictor
+    # The object model checks the predictor geometry baked in below.
+    BranchPredictorUnit(predictor)
     lines: list[str] = []
 
     def emit(text: str, indent: int = 0) -> None:
@@ -331,8 +601,9 @@ def run_trace(trace, start_pc, bpred, memory, max_cycles, warmup, roi,
     FU_STORE = _FU_STORE
     FU_MUL = _FU_MUL
     FU_DIV = _FU_DIV
-    bp_resolve = bpred.resolve
-    bp_update = bpred.update
+    BK_COND = _BK_COND
+    BK_CALL = _BK_CALL
+    BK_RETURN = _BK_RETURN
     ifq = _deque()
     dec = _deque()
     rob = _deque()
@@ -346,6 +617,7 @@ def run_trace(trace, start_pc, bpred, memory, max_cycles, warmup, roi,
     last_line = -1
 """)
     emit("".join(f"{name} = 0\n" for name in _COUNTER_LOCALS), indent=4)
+    emit(_predictor_state(predictor), indent=4)
     # The cycle budget keeps counting from the start of the run; the
     # reported cycle count starts where warmup ended (base), and the
     # records consumed before it (cons_off) keep counting for the tick.
@@ -365,6 +637,9 @@ def run_trace(trace, start_pc, bpred, memory, max_cycles, warmup, roi,
     # the end), so every exit leaves the source where the run stopped.
     body = len(lines)
     if not perfect:
+        emit(_cache_state(config.icache, "isets"), indent=4)
+        emit(_cache_state(config.dcache, "dsets"), indent=4)
+    if _calls_memory(config):
         emit("""
     m_ifetch = memory.ifetch
     m_dread = memory.dread
@@ -432,12 +707,9 @@ if {_DONE}:
                 c_dacc += 1
 """)
     else:
-        emit("""
-                res = m_dwrite(op.address)
-                c_dacc += 1
-                if not res.hit:
-                    c_dmiss += 1
-""")
+        emit("c_dacc += 1", indent=16)
+        emit(_cache_access(config.dcache, "dsets", "m_dwrite", "op.address",
+                           "c_dmiss += 1"), indent=16)
     emit("""
             rob.popleft()
             if op.is_mem:
@@ -460,10 +732,7 @@ if {_DONE}:
                     c_taken += 1
 """)
     if update_at_commit:
-        emit("""
-                bp_update(op.pc, op.bk, op.taken, op.target,
-                          op.resolution)
-""")
+        emit(_update_chunk(predictor, "op.pc", "op.resolution"), indent=16)
     if wrong_path:
         emit("""
                 committed += 1
@@ -581,13 +850,15 @@ if {_DONE}:
                     lat = 1
 """)
     else:
-        emit("""
-                    res = m_dread(op.address)
+        dcache = config.dcache
+        emit(f"""
                     c_dacc += 1
-                    if not res.hit:
-                        c_dmiss += 1
-                    lat = res.latency
+                    lat = {dcache.hit_latency}
 """)
+        emit(_cache_access(dcache, "dsets", "m_dread", "op.address", f"""
+c_dmiss += 1
+lat = {dcache.hit_latency + config.memory_latency}
+"""), indent=20)
     emit(f"""
             else:
                 f = op.fuc
@@ -704,8 +975,7 @@ if idx >= end:
                     if not rec.tag:
                         break
 """)
-        emit(_icache_chunk(pc_var="spec_pc", perfect=perfect,
-                           block_bytes=config.icache.block_bytes), indent=20)
+        emit(_icache_chunk(config, pc_var="spec_pc"), indent=20)
         emit("idx += 1", indent=20)
         emit(_admit_chunk(pc_var="spec_pc", wrong_path=True), indent=20)
         emit(f"""
@@ -728,37 +998,26 @@ if idx >= end:
     emit("""
                 pc = fetch_pc
 """)
-    emit(_icache_chunk(pc_var="pc", perfect=perfect,
-                       block_bytes=config.icache.block_bytes), indent=16)
+    emit(_icache_chunk(config, pc_var="pc"), indent=16)
     emit("idx += 1", indent=16)
     emit(_admit_chunk(pc_var="pc", wrong_path=wrong_path), indent=16)
     emit("""
                 fetched += 1
                 if op.is_branch:
-                    resolution = bp_resolve(pc, op.bk, op.taken,
-                                            op.target)
 """)
-    if update_at_commit:
-        emit("""
-                    op.resolution = resolution
-""")
-    else:
-        emit("""
-                    bp_update(pc, op.bk, op.taken, op.target,
-                              resolution)
-""")
+    emit(_resolve_chunk(predictor, update_at_commit=update_at_commit,
+                        wrong_path=wrong_path), indent=20)
     if wrong_path:
         emit(_refill(), indent=20)
         emit("""
                     tagged_next = idx < end and records[idx].tag
 """)
         emit(f"""
-                    if resolution.mispredicted != tagged_next:
+                    if mis != tagged_next:
                         c_diverge += 1
                     if tagged_next:
                         speculative = True
                         spec_branch_seq = op.seq
-                        wps = resolution.wrong_path_start
                         if wps is not None:
                             spec_pc = wps
                         elif op.taken:
@@ -769,19 +1028,19 @@ if idx >= end:
 """)
     else:
         emit("""
-                    if resolution.mispredicted:
+                    if mis:
                         c_diverge += 1
 """)
     emit(f"""
                     if op.taken:
                         fetch_pc = op.target
-                        if resolution.misfetch:
+                        if mf:
                             fetch_stall += {config.misfetch_penalty}
                             c_misfetch += 1
                             c_mfstall += {config.misfetch_penalty}
                         break
                     fetch_pc = pc + {INSTRUCTION_BYTES}
-                    if resolution.misfetch:
+                    if mf:
                         fetch_stall += {config.misfetch_penalty}
                         c_misfetch += 1
                         c_mfstall += {config.misfetch_penalty}
@@ -854,11 +1113,15 @@ def engine_cache_key(
     wrong_path: bool,
 ) -> tuple:
     """The in-process memoization key: a content hash of the config
-    plus the statically-resolved variant axes."""
+    plus the statically-resolved variant axes and the inline forms
+    the registries resolve its policies and scheme to."""
     return (
         canonical_digest(config_to_dict(config)),
         bool(update_at_commit),
         bool(wrong_path),
+        _inline_policy(config.icache),
+        _inline_policy(config.dcache),
+        _inline_scheme(config.predictor),
     )
 
 
@@ -894,6 +1157,9 @@ def compile_engine(
         "_FU_STORE": FuClass.STORE,
         "_FU_MUL": FuClass.MUL,
         "_FU_DIV": FuClass.DIV,
+        "_BK_COND": BranchKind.COND,
+        "_BK_CALL": BranchKind.CALL,
+        "_BK_RETURN": BranchKind.RETURN,
         "SpecializationError": SpecializationError,
         "WarmupWindowError": WarmupWindowError,
     }
@@ -955,8 +1221,8 @@ class SpecializedEngine:
     """Drives one compiled fast-path engine over one trace.
 
     Exposes the slice of the reference engine surface the session
-    layer drives (``run``, ``stats``, ``config``, ``predictor``,
-    ``source``); step-wise driving, observer hooks and ``stop_when``
+    layer drives (``run``, ``stats``, ``config``, ``source``);
+    step-wise driving, observer hooks and ``stop_when``
     are reference-tier features (see :func:`choose_tier`).  Progress
     observers are the exception: the record tick calls their
     ``on_cycle`` with this engine, whose ``cycle``,
@@ -990,11 +1256,6 @@ class SpecializedEngine:
         self._source = as_source(trace)
         self._start_pc = TEXT_BASE if start_pc is None else start_pc
         self._update_at_commit = update_predictor_at_commit
-        self._bpred = BranchPredictorUnit(config.predictor)
-        self._memory = (
-            None if config.perfect_memory
-            else MemorySystem(config.icache, config.dcache,
-                              config.memory_latency))
         self._ran = False
         self._cycle = 0
         self._consumed = self._source.consumed
@@ -1005,14 +1266,16 @@ class SpecializedEngine:
             update_at_commit=update_predictor_at_commit,
             wrong_path=not wrong_path_free,
         )
+        # Only what the generated code still calls into is built.
+        self._bpred = (BranchPredictorUnit(config.predictor)
+                       if _calls_predictor(config) else None)
+        self._memory = (MemorySystem(config.icache, config.dcache,
+                                     config.memory_latency)
+                        if _calls_memory(config) else None)
 
     @property
     def config(self) -> ProcessorConfig:
         return self._config
-
-    @property
-    def predictor(self) -> BranchPredictorUnit:
-        return self._bpred
 
     @property
     def source(self) -> TraceSource:

@@ -5,19 +5,29 @@ The strategy builds random traces with the same structural contract as
 the real generators: wrong-path blocks appear only immediately after
 conditional-branch records, and contain only tagged records.  The same
 traces drive the generated oracle: the specialized engine must match
-the reference engine's statistics document byte for byte.
+the reference engine's statistics document byte for byte, on the
+registered configs and on drawn cache and predictor configurations.
 """
 
 import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bpred.unit import PERFECT_PREDICTOR
+from repro.bpred.unit import (
+    PERFECT_PREDICTOR,
+    PREDICTOR_SCHEMES,
+    PredictorConfig,
+)
+from repro.cache.cache import CacheConfig
+from repro.cache.replacement import REPLACEMENT_POLICIES
 from repro.core import ReSimEngine, SpecializedEngine, WarmupWindowError
 from repro.core.config import ProcessorConfig
+from repro.isa.instruction import INSTRUCTION_BYTES
 from repro.isa.opcodes import BranchKind, FuClass
+from repro.isa.program import TEXT_BASE
 from repro.serialize import stats_to_dict
 from repro.session import CONFIGS
 from repro.trace.fileio import write_trace_file
@@ -30,8 +40,9 @@ _regs = st.integers(min_value=0, max_value=33)
 
 
 @st.composite
-def plain_record(draw, tag=False):
-    kind = draw(st.sampled_from(["alu", "mul", "div", "load", "store"]))
+def plain_record(draw, tag=False, max_word=0xFFFF,
+                 kinds=("alu", "mul", "div", "load", "store")):
+    kind = draw(st.sampled_from(kinds))
     if kind in ("alu", "mul", "div"):
         fu = {"alu": FuClass.ALU, "mul": FuClass.MUL,
               "div": FuClass.DIV}[kind]
@@ -39,7 +50,7 @@ def plain_record(draw, tag=False):
             st.integers(min_value=1, max_value=31))
         return OtherRecord(tag=tag, fu=fu, dest=dest,
                            src1=draw(_regs), src2=draw(_regs))
-    address = draw(st.integers(min_value=0, max_value=0xFFFF)) * 4
+    address = draw(st.integers(min_value=0, max_value=max_word)) * 4
     if kind == "load":
         return MemoryRecord(tag=tag, fu=FuClass.LOAD,
                             dest=draw(st.integers(min_value=1, max_value=31)),
@@ -224,4 +235,113 @@ def test_specialized_matches_reference(case):
         specialized = _outcome(
             SpecializedEngine(config, make(),
                               wrong_path_free=wrong_path_free), **window)
+    assert specialized == reference
+
+
+#: Branch targets: a few PCs, so branches and their targets recur and
+#: the BTB and the direction tables see the same branch again.
+_TARGETS = [TEXT_BASE + INSTRUCTION_BYTES * k for k in range(16)]
+
+#: Mostly memory operations, so the D-cache sets fill and evict.
+_DATA = ("alu", "mul", "load", "load", "store")
+
+
+@st.composite
+def control_trace(draw, wrong_path):
+    """Records of every branch kind, with tagged blocks only after
+    conditional branches.  PCs recur, most returns go back to their
+    call (so the RAS predicts some of them right) and data addresses
+    stay within 256 bytes (so small caches hit, miss and evict)."""
+    pc = TEXT_BASE
+    calls = []
+    trace = []
+    for _ in range(draw(st.integers(min_value=16, max_value=80))):
+        kind = draw(st.sampled_from(
+            ["op", "op", "op", "op", "cond", "cond", "jump", "call",
+             "ret", "indirect"]))
+        if kind == "op":
+            trace.append(draw(plain_record(max_word=63, kinds=_DATA)))
+            pc += INSTRUCTION_BYTES
+            continue
+        taken = draw(st.booleans()) if kind == "cond" else True
+        target = draw(st.sampled_from(_TARGETS))
+        if kind == "call":
+            calls.append(pc + INSTRUCTION_BYTES)
+        elif kind == "ret" and calls and draw(st.integers(0, 3)):
+            target = calls.pop()
+        branch_kind = {"cond": BranchKind.COND, "jump": BranchKind.JUMP,
+                       "call": BranchKind.CALL, "ret": BranchKind.RETURN,
+                       "indirect": BranchKind.INDIRECT}[kind]
+        trace.append(BranchRecord(
+            fu=FuClass.BRANCH, branch_kind=branch_kind, taken=taken,
+            target=target, src1=draw(_regs)))
+        if kind == "cond" and wrong_path:
+            for _ in range(draw(st.integers(min_value=0, max_value=4))):
+                trace.append(draw(plain_record(tag=True, max_word=63,
+                                               kinds=_DATA)))
+        pc = target if taken else pc + INSTRUCTION_BYTES
+    return trace
+
+
+@st.composite
+def drawn_cache(draw, name, replacement):
+    """An L1 geometry of 1-4 sets, 1-4 ways and 4-64 byte blocks."""
+    block, assoc, sets = (draw(st.sampled_from([4, 8, 16, 32, 64])),
+                          draw(st.sampled_from([1, 2, 4])),
+                          draw(st.sampled_from([1, 2, 4])))
+    return CacheConfig(name=name, size_bytes=sets * assoc * block,
+                       block_bytes=block, assoc=assoc,
+                       hit_latency=draw(st.integers(1, 3)),
+                       replacement=replacement)
+
+
+@st.composite
+def drawn_config(draw, scheme, replacement):
+    """A cache machine with drawn L1 geometries, ``replacement`` in the
+    D-cache (the I-cache draws its own policy) and a ``scheme``
+    predictor with drawn table sizes, BTB associativity and RAS
+    depth."""
+    policies = REPLACEMENT_POLICIES.names()
+    predictor = PredictorConfig(
+        scheme=scheme,
+        l1_size=draw(st.sampled_from([1, 2, 4])),
+        history_length=draw(st.integers(1, 6)),
+        l2_size=draw(st.sampled_from([4, 16, 64])),
+        bimodal_size=draw(st.sampled_from([4, 16])),
+        meta_size=draw(st.sampled_from([4, 16])),
+        btb_entries=draw(st.sampled_from([4, 8, 16])),
+        btb_assoc=draw(st.sampled_from([1, 2, 4])),
+        ras_depth=draw(st.integers(1, 4)),
+    )
+    return ProcessorConfig(
+        width=draw(st.sampled_from([1, 2, 4])),
+        predictor=predictor,
+        perfect_memory=False,
+        icache=draw(drawn_cache("il1", draw(st.sampled_from(policies)))),
+        dcache=draw(drawn_cache("dl1", replacement)),
+        memory_latency=draw(st.integers(1, 20)),
+    )
+
+
+@pytest.mark.parametrize("replacement", REPLACEMENT_POLICIES.names())
+@pytest.mark.parametrize("scheme", PREDICTOR_SCHEMES)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_specialized_matches_reference_on_drawn_configs(scheme, replacement,
+                                                        data):
+    """Generated oracle over configurations, not only the registered
+    ones: every replacement policy and predictor scheme, drawn cache
+    geometries and latencies, predictor tables, BTB associativity and
+    RAS depth, both predictor-training points, with and without wrong
+    paths.  The inline caches and predictors must decide every hit,
+    miss, misprediction and misfetch as the object model does."""
+    config = data.draw(drawn_config(scheme, replacement))
+    wrong_path = data.draw(st.booleans())
+    trace = data.draw(control_trace(wrong_path))
+    at_commit = data.draw(st.booleans())
+    reference = _outcome(ReSimEngine(
+        config, list(trace), update_predictor_at_commit=at_commit))
+    specialized = _outcome(SpecializedEngine(
+        config, list(trace), update_predictor_at_commit=at_commit,
+        wrong_path_free=not wrong_path))
     assert specialized == reference

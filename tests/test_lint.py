@@ -193,6 +193,48 @@ class TestUnsortedListing:
                 "names = {p.name for p in root.glob('*.json')}\n")
         assert not fires(good, "D104")
 
+    def test_listing_passed_to_helper_fires(self):
+        assert fires(
+            "def claim_all(paths):\n"
+            "    for path in paths:\n"
+            "        claim(path)\n"
+            "def drain(root):\n"
+            "    claim_all(root.glob('*.json'))\n", "D104")
+
+    def test_listing_passed_to_method_by_keyword_fires(self):
+        assert fires(
+            "class Queue:\n"
+            "    def _claim_all(self, *, paths):\n"
+            "        return [claim(path) for path in paths]\n"
+            "    def drain(self):\n"
+            "        self._claim_all(paths=self.root.iterdir())\n",
+            "D104")
+
+    def test_order_free_helper_is_silent(self):
+        good = ("def pending(paths):\n"
+                "    return len(set(paths)) + any(p.stem for p in paths)\n"
+                "def claim_all(paths):\n"
+                "    for path in paths:\n"
+                "        claim(path)\n"
+                "n = pending(root.glob('*.json'))\n"
+                "claim_all(sorted(root.glob('*.json')))\n")
+        assert not fires(good, "D104")
+
+    def test_helper_that_rebinds_its_parameter_is_silent(self):
+        sorts_first = ("def claim_all(paths):\n"
+                       "    paths = sorted(paths)\n"
+                       "    for path in paths:\n"
+                       "        claim(path)\n"
+                       "claim_all(root.glob('*.json'))\n")
+        shadows = ("def claim_all(paths):\n"
+                   "    def each(paths):\n"
+                   "        return paths\n"
+                   "    firsts = [p for paths in groups for p in paths]\n"
+                   "    return each(sorted(paths)), firsts\n"
+                   "claim_all(root.glob('*.json'))\n")
+        assert not fires(sorts_first, "D104")
+        assert not fires(shadows, "D104")
+
 
 # ---------------------------------------------------------------------
 # D105 — canonical JSON

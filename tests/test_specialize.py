@@ -25,6 +25,7 @@ from repro.core import (
     SpecializedEngine,
     WarmupWindowError,
 )
+from repro.bpred.unit import PredictorConfig
 from repro.cache.cache import CacheConfig
 from repro.core.observers import ProgressObserver
 from repro.core.engine import EngineObserver
@@ -92,6 +93,36 @@ class TestBitIdentity:
             config, list(records),
             update_predictor_at_commit=False).run()
         assert _doc(specialized.stats) == _doc(reference.stats)
+
+    def test_components_registered_over_inline_ones(self):
+        """Inlining follows what a name resolves to: a scheme and a
+        policy registered over inlined ones (after an engine for the
+        same config was compiled) run what the reference tier runs."""
+        from repro.bpred.unit import PREDICTORS, _build_nottaken
+        from repro.cache.replacement import (
+            REPLACEMENT_POLICIES, FifoPolicy, LruPolicy)
+
+        config = dataclasses.replace(
+            PAPER_2WIDE_CACHE, predictor=PAPER_4WIDE_PERFECT.predictor,
+            dcache=CacheConfig(size_bytes=1024, block_bytes=32, assoc=4))
+        assert config.predictor.scheme == "twolevel"
+        assert config.dcache.replacement == "lru"
+        records = list(_records("gzip"))
+        SpecializedEngine(config, list(records)).run()
+        twolevel = PREDICTORS.get("twolevel")
+        try:
+            PREDICTORS.register("twolevel", _build_nottaken, overwrite=True)
+            REPLACEMENT_POLICIES.register("lru", FifoPolicy, overwrite=True)
+            reference = ReSimEngine(config, list(records)).run()
+            specialized = SpecializedEngine(config, list(records)).run()
+        finally:
+            PREDICTORS.register("twolevel", twolevel, overwrite=True)
+            REPLACEMENT_POLICIES.register("lru", LruPolicy, overwrite=True)
+        assert _doc(specialized.stats) == _doc(reference.stats)
+        original = ReSimEngine(config, list(records)).run().stats
+        assert original.prediction_divergence \
+            != reference.stats.prediction_divergence
+        assert original.dcache_misses != reference.stats.dcache_misses
 
     def test_streaming_and_sharded_file_sources(self, tmp_path):
         records = list(_records("gzip"))
@@ -404,6 +435,9 @@ class TestTierSelection:
         class TweakedCache(CacheConfig):
             pass
 
+        class TweakedPredictor(PredictorConfig):
+            pass
+
         tweaked = TweakedConfig(**_fields(PAPER_4WIDE_PERFECT))
         assert choose_tier("specialized", tweaked) == "reference"
         assert isinstance(_simulation(tweaked).build_engine(), ReSimEngine)
@@ -412,6 +446,9 @@ class TestTierSelection:
                 cache: TweakedCache(**_fields(
                     getattr(PAPER_2WIDE_CACHE, cache)))})
             assert choose_tier("specialized", config) == "reference"
+        config = dataclasses.replace(PAPER_4WIDE_PERFECT, predictor=(
+            TweakedPredictor(**_fields(PAPER_4WIDE_PERFECT.predictor))))
+        assert choose_tier("specialized", config) == "reference"
 
     def test_session_fallback_is_observable(self):
         base = Simulation.for_workload("gzip", PAPER_4WIDE_PERFECT,

@@ -16,9 +16,10 @@ breaks that:
 * ``D103`` — iterating a bare ``set`` into anything order-sensitive
   (set iteration order varies with hash randomization across runs);
 * ``D104`` — scheduling or serializing directly off ``os.listdir`` /
-  ``glob`` / ``iterdir`` results without ``sorted()`` (readdir order
-  is filesystem-dependent; two hosts draining one queue must scan it
-  identically);
+  ``glob`` / ``iterdir`` results without ``sorted()``, also through a
+  helper in the same module that the listing is passed to (readdir
+  order is filesystem-dependent; two hosts draining one queue must
+  scan it identically);
 * ``D105`` — ``json.dumps`` without ``sort_keys=True`` (every JSON
   document in this repo may end up hashed, diffed, or compared
   byte-for-byte across backends; key order must be canonical).
@@ -311,13 +312,71 @@ class UnsortedListingRule(Rule):
         for node in ctx.walk(ast.Call):
             if not self._is_listing_call(ctx, node):
                 continue
-            consumer = _iteration_context(ctx, node)
+            consumer = (_iteration_context(ctx, node)
+                        or _helper_context(ctx, node))
             if consumer is not None:
                 yield self.finding(
                     ctx, node,
                     f"directory listing consumed by {consumer} in "
                     f"readdir order; wrap in sorted(...) so every "
                     f"host scans identically")
+
+
+def _helper_context(ctx: FileContext, node: ast.AST) -> str | None:
+    """How a function of this module consumes ``node`` when ``node`` is
+    passed to it as an argument: the first order-sensitive use of the
+    parameter it binds (see :func:`_iteration_context`), if any."""
+    call = ctx.parent(node)
+    keyword = None
+    if isinstance(call, ast.keyword):
+        keyword, call = call.arg, ctx.parent(call)
+    if not isinstance(call, ast.Call) or node is call.func:
+        return None
+    callee = call.func
+    name = (callee.attr if isinstance(callee, ast.Attribute)
+            else getattr(callee, "id", None))
+    for func in ctx.walk(ast.FunctionDef, ast.AsyncFunctionDef):
+        if func.name != name:
+            continue
+        positional = [arg.arg for arg in func.args.posonlyargs
+                      + func.args.args]
+        if isinstance(callee, ast.Attribute) \
+                and isinstance(ctx.parent(func), ast.ClassDef):
+            positional = positional[1:]  # bound self/cls
+        if keyword is not None:
+            param = keyword
+        elif node in call.args[:len(positional)]:
+            param = positional[call.args.index(node)]
+        else:
+            continue
+        if _rebinds(func, param):
+            continue  # a use may see another value (sorted, shadowed)
+        for use in ast.walk(func):
+            if isinstance(use, ast.Name) and use.id == param \
+                    and isinstance(use.ctx, ast.Load):
+                consumer = _iteration_context(ctx, use)
+                if consumer is not None:
+                    return f"{consumer} in {func.name}()"
+    return None
+
+
+def _rebinds(func: ast.AST, name: str) -> bool:
+    """Does the body of ``func`` bind ``name`` (an assignment, a loop
+    or comprehension target, a nested function's or lambda's
+    parameter, an ``except ... as`` or an import)?"""
+    for stmt in func.body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and node.id == name \
+                    and not isinstance(node.ctx, ast.Load):
+                return True
+            if isinstance(node, ast.arg) and node.arg == name:
+                return True
+            if isinstance(node, ast.ExceptHandler) and node.name == name:
+                return True
+            if isinstance(node, ast.alias) \
+                    and (node.asname or node.name) == name:
+                return True
+    return False
 
 
 @register
