@@ -61,12 +61,12 @@ from repro.fpga.area import AreaEstimator
 from repro.fpga.device import DEVICES, VIRTEX4_LX40, VIRTEX5_LX50T
 from repro.fpga.vhdlgen import generate_branch_predictor_vhdl
 from repro.multicore.simulator import MultiCoreSimulator, TraceChannel
-from repro.core.specialize import DEFAULT_ENGINE, ENGINE_TIERS
-from repro.exec import DEFAULT_LEASE_SECONDS, DEFAULT_WARMUP_SEGMENTS
+from repro.exec import DEFAULT_LEASE_SECONDS
 from repro.session import CONFIGS, SessionError, Simulation
-from repro.sweep.search import SEARCH_DEFAULTS
+from repro.sweep.campaign import CAMPAIGN_FIELDS, normalize_sampling
+from repro.sweep.fields import FIELDS
+from repro.sweep.spec import SweepError
 from repro.trace.fileio import (
-    DEFAULT_SEGMENT_RECORDS,
     TraceFileError,
     read_segment_table,
     read_trace_header,
@@ -222,10 +222,10 @@ def cmd_trace_analyze(args) -> int:
     return 0
 
 
-def _simulate_regions(args, config) -> int:
+def _simulate_regions(args, config, sampling: dict) -> int:
     """``resim simulate --trace-file F --sample-regions N``: profile,
-    plan, run the representative regions, report the weighted
-    estimate."""
+    plan (``sampling`` is the normalized sampling record), run the
+    representative regions, report the weighted estimate."""
     import tempfile
     from repro.exec import (
         ExecError,
@@ -236,20 +236,12 @@ def _simulate_regions(args, config) -> int:
         slice_units,
     )
     from repro.serialize import config_to_dict, stats_from_dict
-    from repro.sweep import SweepError
-    from repro.sweep.runner import sampling_entry
     from repro.trace.analyze import ensure_profile
 
     if not args.trace_file:
         raise SystemExit("--sample-regions needs --trace-file: region "
                          "sampling plans over a stored segmented "
                          "trace's profile")
-    try:
-        sampling = sampling_entry(
-            "regions", shards=1, regions=args.sample_regions,
-            seed=args.region_seed, warmup_segments=args.region_warmup)
-    except SweepError as error:
-        raise SystemExit(str(error)) from error
     trace = Path(args.trace_file)
     try:
         plan = plan_regions(trace, ensure_profile(trace),
@@ -285,8 +277,12 @@ def cmd_simulate(args) -> int:
         raise SystemExit(
             f"--progress-records must be positive, "
             f"got {args.progress_records}")
-    if args.sample_regions is not None:
-        return _simulate_regions(args, config)
+    try:
+        sampling = normalize_sampling(_flag_fields(args, _SIMULATE_FIELDS))
+    except SweepError as error:
+        raise SystemExit(str(error)) from error
+    if sampling is not None:
+        return _simulate_regions(args, config, sampling)
     if args.trace_file:
         simulation = Simulation.for_trace_file(args.trace_file,
                                                config=config)
@@ -513,25 +509,23 @@ def _export_bulk_result(args, result, device) -> None:
         print(f"wrote {args.json}")
 
 
+def _flag_fields(args, names) -> dict:
+    """The campaign fields among ``names`` that this invocation's flags
+    set (a sampling parameter only when given); ``--sample-regions``
+    also sets ``sampling``."""
+    fields = {name: getattr(args, name) for name in names
+              if FIELDS[name].flag and getattr(args, name) is not None}
+    if "regions" in fields:
+        fields["sampling"] = "regions"
+    return fields
+
+
 def _campaign_request(args) -> dict:
     """The request document ``resim client submit`` would send for this
     ``sweep``/``search`` invocation: every option that changes what is
     computed, none that changes how it runs or renders."""
-    request = {"kind": args.command, "workload": args.workload,
-               "config": args.config, "axes": _collect_axes(args),
-               "budget": args.budget, "seed": args.seed,
-               "shards": args.shards,
-               "segment_records": args.segment_records,
-               "engine": args.engine}
-    if args.sample_regions is not None:
-        request.update(sampling="regions", regions=args.sample_regions,
-                       region_seed=args.region_seed,
-                       region_warmup=args.region_warmup)
-    if args.command == "search":
-        request.update(strategy=args.strategy, metric=args.metric,
-                       samples=args.samples, search_seed=args.search_seed,
-                       max_steps=args.max_steps)
-    return request
+    return {"kind": args.command, "axes": _collect_axes(args),
+            **_flag_fields(args, CAMPAIGN_FIELDS[args.command])}
 
 
 def cmd_campaign(args) -> int:
@@ -539,7 +533,7 @@ def cmd_campaign(args) -> int:
     campaign request, then print its table, notes and exports."""
     from repro.perf.tables import sweep_table  # heavy import, lazy
     from repro.exec import ExecError
-    from repro.sweep import ProgressPrinter, SearchResult, SweepError
+    from repro.sweep import ProgressPrinter, SearchResult
     from repro.sweep.campaign import normalize_campaign, run_campaign
 
     request = _campaign_request(args)
@@ -558,7 +552,7 @@ def cmd_campaign(args) -> int:
     search = outcome if isinstance(outcome, SearchResult) else None
     result = outcome.result if search else outcome
     print(sweep_table(result, device_name=args.device,
-                      sort_key=args.metric if search else args.sort,
+                      sort_key=campaign["metric"] if search else args.sort,
                       limit=args.top))
     if search:
         print(f"\n{search.summary()}")
@@ -569,11 +563,12 @@ def cmd_campaign(args) -> int:
         notes = [f"{len(result)} design points"]
         if args.backend != "auto":
             notes.append(f"backend {backend.name}")
-        if args.shards > 1:
-            notes.append(f"{args.shards} shards per point")
-        if args.sample_regions is not None:
+        if campaign["shards"] > 1:
+            notes.append(f"{campaign['shards']} shards per point")
+        if "sampling" in campaign:
+            regions = campaign["sampling"]["regions"]
             notes.append(f"region-sampled estimates "
-                         f"({args.sample_regions} regions requested)")
+                         f"({regions} regions requested)")
         if result.resumed_count:
             notes.append(f"{result.resumed_count} resumed from checkpoints")
         if result.skipped_invalid:
@@ -751,8 +746,6 @@ def cmd_spec(args) -> int:
     content key — the same canonicalization + hash the campaign
     cache builds its keys from, so two invocations agree iff the
     service would treat the specs as the same computation."""
-    from repro.session import SessionError
-
     if args.length < 4 or args.length > 64:
         raise SystemExit(f"--length must be in 4..64, "
                          f"got {args.length}")
@@ -804,6 +797,34 @@ def cmd_lint(args) -> int:
     return run(argv)
 
 
+#: The campaign fields ``resim simulate`` takes as flags: they mean
+#: what they mean in a sweep's request.
+_SIMULATE_FIELDS = ("workload", "engine", "regions", "region_seed",
+                    "region_warmup")
+
+
+def _add_field_flags(parser, names) -> None:
+    """Add the flag of each campaign field in ``names`` that has one,
+    as its :data:`~repro.sweep.fields.FIELDS` row declares it.  A
+    region-sampling parameter defaults to ``None``: not given."""
+    for name in names:
+        field = FIELDS[name]
+        if field.flag is None:
+            continue
+        default = None if field.record_key else field.default
+        notes = [f"one of {', '.join(field.choices)}"] if field.choices \
+            else []
+        notes += [] if default is None else [f"default {default}"]
+        text = f"{field.help} [{'; '.join(notes)}]" if notes else field.help
+        if field.flag.startswith("--"):
+            parser.add_argument(field.flag, dest=name, type=field.type,
+                                default=default, metavar=field.metavar,
+                                help=text)
+        else:
+            parser.add_argument(name, nargs="?", default=default,
+                                metavar=field.flag, help=text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="resim", description=__doc__,
@@ -812,28 +833,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--config", default="4wide-perfect",
-                       help=f"processor config ({', '.join(CONFIGS)})")
+        """--config/--seed as the campaign fields; --budget with the
+        single-run default."""
+        _add_field_flags(p, ("config", "seed"))
         p.add_argument("--budget", type=int, default=20_000)
-        p.add_argument("--seed", type=int, default=7)
-
-    def add_sampling(p, estimate, note=""):
-        """--sample-regions and its plan parameters (simulate and the
-        bulk commands)."""
-        p.add_argument("--sample-regions", type=int, default=None,
-                       metavar="N",
-                       help=f"{estimate} from N weighted representative "
-                            f"regions instead of replaying every record "
-                            f"(an approximation; see README "
-                            f"'Region-sampled simulation'{note})")
-        p.add_argument("--region-seed", type=int, default=0,
-                       help="k-means seed for --sample-regions; fixed "
-                            "seed = identical plan")
-        p.add_argument("--region-warmup", type=int,
-                       default=DEFAULT_WARMUP_SEGMENTS,
-                       metavar="SEGMENTS",
-                       help="warmup segments replayed (uncounted) "
-                            "before each representative region")
 
     trace = sub.add_parser(
         "trace",
@@ -847,10 +850,7 @@ def build_parser() -> argparse.ArgumentParser:
         "output",
         help="output trace file path (with 'info'/'analyze': the file "
              "to inspect)")
-    trace.add_argument("--segment-records", type=int,
-                       default=DEFAULT_SEGMENT_RECORDS,
-                       help="records per v2 segment (decode granularity "
-                            "of streaming readers)")
+    _add_field_flags(trace, ("segment_records",))
     trace.add_argument("--format", choices=("text", "json"),
                        default="text",
                        help="with 'info'/'analyze': output format "
@@ -863,7 +863,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser("simulate", help="run the timing engine")
     add_common(simulate)
-    simulate.add_argument("workload", nargs="?", default="gzip")
     simulate.add_argument("--trace-file", default=None,
                           help="simulate a stored trace instead")
     simulate.add_argument("--progress", action="store_true",
@@ -871,13 +870,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--progress-records", type=int,
                           default=100_000,
                           help="records between progress lines")
-    simulate.add_argument("--engine", default=DEFAULT_ENGINE,
-                          help=f"engine tier ({', '.join(ENGINE_TIERS)}; "
-                               f"default {DEFAULT_ENGINE}); tiers are "
-                               f"bit-identical: 'specialized' compiles "
-                               f"the config into a fast path, "
-                               f"'reference' is the interpreted oracle")
-    add_sampling(simulate, "with --trace-file: estimate the run")
+    _add_field_flags(simulate, _SIMULATE_FIELDS)
     simulate.set_defaults(func=cmd_simulate)
 
     tables = sub.add_parser("tables", help="regenerate paper tables")
@@ -886,14 +879,14 @@ def build_parser() -> argparse.ArgumentParser:
     tables.set_defaults(func=cmd_tables)
 
     area = sub.add_parser("area", help="Table 4 area breakdown")
-    area.add_argument("--config", default="4wide-perfect")
+    _add_field_flags(area, ("config",))
     area.add_argument("--device", default="xc4vlx40")
     area.add_argument("--with-caches", action="store_true",
                       help="include cache tag structures")
     area.set_defaults(func=cmd_area)
 
     vhdl = sub.add_parser("vhdl", help="emit branch-predictor VHDL")
-    vhdl.add_argument("--config", default="4wide-perfect")
+    _add_field_flags(vhdl, ("config",))
     vhdl.add_argument("output_dir")
     vhdl.set_defaults(func=cmd_vhdl)
 
@@ -944,25 +937,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--queue-timeout", type=float, default=None,
                        help="abort if no unit completes for this "
                             "many seconds (default: wait forever)")
-        p.add_argument("--shards", type=int, default=1,
-                       help="split every design point into N "
-                            "segment-range shard units, merged back "
-                            "into one result (exact-sum counters "
-                            "identical, cycle metrics approximate; "
-                            "see README 'Sharded design points')")
-        p.add_argument("--segment-records", type=int,
-                       default=DEFAULT_SEGMENT_RECORDS,
-                       help="records per v2 trace segment when the "
-                            "sweep generates its trace (the shard "
-                            "planner's boundary granularity)")
-        add_sampling(p, "estimate every design point",
-                     "; mutually exclusive with --shards")
-        p.add_argument("--engine", default=DEFAULT_ENGINE,
-                       help=f"engine tier executing every point "
-                            f"({', '.join(ENGINE_TIERS)}; default "
-                            f"{DEFAULT_ENGINE}); tiers are "
-                            f"bit-identical, so checkpoints and cache "
-                            f"keys are shared across them")
         p.add_argument("--progress", action="store_true",
                        help="report per-point completion to stderr")
         p.add_argument("--device", default="xc4vlx40",
@@ -974,9 +948,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser(
         "sweep", help="bulk design-space sweep over one shared trace")
-    add_common(sweep)
-    sweep.add_argument("workload", nargs="?", default="gzip",
-                       help="benchmark profile or kernel name")
+    _add_field_flags(sweep, CAMPAIGN_FIELDS["sweep"])
     add_axes(sweep, "sweep")
     add_bulk(sweep, "sweep-results")
     sweep.add_argument("--sort", default="ipc",
@@ -986,27 +958,9 @@ def build_parser() -> argparse.ArgumentParser:
     search = sub.add_parser(
         "search",
         help="adaptive design-space search (grid/random/hillclimb)")
-    add_common(search)
-    search.add_argument("workload", nargs="?", default="gzip",
-                        help="benchmark profile or kernel name")
+    _add_field_flags(search, CAMPAIGN_FIELDS["search"])
     add_axes(search, "search")
     add_bulk(search, "search-results")
-    search.add_argument("--strategy", default=SEARCH_DEFAULTS["strategy"],
-                        help="search strategy (grid, random, "
-                             "hillclimb)")
-    search.add_argument("--metric", default=SEARCH_DEFAULTS["metric"],
-                        help="objective to optimize (ipc, cycles, "
-                             "mispredictions)")
-    search.add_argument("--samples", type=int,
-                        default=SEARCH_DEFAULTS["samples"],
-                        help="points to sample (--strategy random)")
-    search.add_argument("--search-seed", type=int,
-                        default=SEARCH_DEFAULTS["search_seed"],
-                        help="sampling seed (--strategy random); "
-                             "fixed seed = identical search")
-    search.add_argument("--max-steps", type=int,
-                        default=SEARCH_DEFAULTS["max_steps"],
-                        help="move budget (--strategy hillclimb)")
     search.set_defaults(func=cmd_campaign)
 
     from repro.exec.worker import add_worker_arguments
@@ -1083,10 +1037,7 @@ def build_parser() -> argparse.ArgumentParser:
     spec.add_argument("--workload", default="gzip",
                       help="hash a workload simulation spec "
                            "(ignored with --file/--trace-file)")
-    spec.add_argument("--config", default="4wide-perfect",
-                      help=f"processor config ({', '.join(CONFIGS)})")
-    spec.add_argument("--budget", type=int, default=20_000)
-    spec.add_argument("--seed", type=int, default=7)
+    add_common(spec)
     spec.add_argument("--length", type=int, default=40,
                       help="hex digits to print (4..64; the campaign "
                            "cache uses 40)")

@@ -145,11 +145,7 @@ class CampaignService:
         if kind == "simulate":
             return self._validate_simulate(request)
         if kind in CAMPAIGN_KINDS:
-            normalized = normalize_campaign(request)
-            # request_key() ignores axis order, so spellings that differ
-            # only in it coalesce into one job; name order runs them alike.
-            normalized["axes"] = dict(sorted(normalized["axes"].items()))
-            return normalized
+            return normalize_campaign(request)
         raise ServiceError(
             f"unknown request kind {kind!r}; expected one of "
             f"{', '.join(REQUEST_KINDS)}")

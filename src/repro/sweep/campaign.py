@@ -4,9 +4,12 @@
 A campaign simulates one workload's shared trace across a parameter
 grid, exhaustively (``sweep``) or adaptively (``search``).  It is one
 JSON request document, e.g. ``{"kind": "sweep", "workload": "gzip",
-"axes": {"rob_entries": [8, 16]}}``.  The CLI turns its argv into
-that document; ``resim client submit`` sends it to the service.  Both
-then call :func:`normalize_campaign` (validate, fill in defaults) and
+"axes": {"rob_entries": [8, 16]}}``.  Its fields are declared once, in
+the :class:`~repro.sweep.fields.CampaignField` table
+:data:`~repro.sweep.fields.FIELDS`; the validator, the CLI flags and
+the runner call are read from it.  The CLI turns its argv into that
+document; ``resim client submit`` sends it to the service.  Both then
+call :func:`normalize_campaign` (validate, fill in defaults) and
 :func:`run_campaign` (execute through the caller's backend and
 progress sink).  How points execute and how results render stay with
 the caller and are never request fields.
@@ -17,41 +20,26 @@ from __future__ import annotations
 from collections.abc import Mapping
 from pathlib import Path
 
-from repro.core.specialize import DEFAULT_ENGINE
-from repro.exec import DEFAULT_REGIONS, DEFAULT_WARMUP_SEGMENTS, ExecutionBackend
+from repro.exec import ExecutionBackend
 from repro.serialize import config_from_dict, config_to_dict
-from repro.session import CONFIGS, SessionError, coerce_engine
+from repro.session import CONFIGS
+from repro.sweep.fields import CAMPAIGN_KINDS, FIELDS, SAMPLING_FIELDS
 from repro.sweep.progress import SweepProgress
-from repro.sweep.result import SORT_KEYS, SweepResult
+from repro.sweep.result import SweepResult
 from repro.sweep.runner import SweepRunner, sampling_entry
-from repro.sweep.search import SEARCH_DEFAULTS, SEARCHES, SearchResult, make_strategy
+from repro.sweep.search import SEARCHES, SearchResult, make_strategy
 from repro.sweep.spec import SweepError, SweepSpec
-from repro.trace.fileio import DEFAULT_SEGMENT_RECORDS
 from repro.utils.registry import RegistryError
 from repro.workloads.tracegen import UnknownWorkloadError, is_known_workload
 
-#: Request kinds :func:`normalize_campaign` accepts.
-CAMPAIGN_KINDS = ("sweep", "search")
-
 #: The fields each kind accepts; anything else is rejected by name.
-CAMPAIGN_FIELDS = {
-    "sweep": ("kind", "workload", "config", "axes", "budget", "seed",
-              "shards", "segment_records", "engine", "sampling",
-              "regions", "region_seed", "region_warmup"),
-}
-CAMPAIGN_FIELDS["search"] = CAMPAIGN_FIELDS["sweep"] + (
-    "strategy", "metric", "samples", "search_seed", "max_steps")
+CAMPAIGN_FIELDS = {kind: tuple(name for name, field in FIELDS.items()
+                               if kind in field.kinds)
+                   for kind in CAMPAIGN_KINDS}
 
-
-def _require_int(request: Mapping, key: str, default: int,
-                 minimum: int | None = None) -> int:
-    value = request.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SweepError(
-            f"request field {key!r} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise SweepError(f"{key} must be >= {minimum}, got {value}")
-    return value
+#: Fields with their own normalization below: they need a registry or
+#: a structure, or (``kind``) are checked first.
+_SPECIAL = ("kind", "workload", "config", "axes", "sampling", "strategy")
 
 
 def _base_config(value: object):
@@ -70,26 +58,7 @@ def _base_config(value: object):
         f"a config dict, got {value!r}")
 
 
-def normalize_campaign(request: Mapping) -> dict:
-    """The validated, default-filled form of a ``sweep``/``search``
-    request document; raises :class:`SweepError` (a ``ValueError``)
-    on any malformed field, unknown fields included.
-
-    Axes keep the request's order, which is the order design points
-    expand in.
-    """
-    kind = request.get("kind")
-    if kind not in CAMPAIGN_KINDS:
-        raise SweepError(
-            f"campaign kind must be one of {', '.join(CAMPAIGN_KINDS)}, "
-            f"got {kind!r}")
-    unknown = sorted(set(request) - set(CAMPAIGN_FIELDS[kind]))
-    if unknown:
-        raise SweepError(
-            f"unknown {kind} request field(s) "
-            f"{', '.join(map(repr, unknown))}; accepted fields: "
-            f"{', '.join(sorted(CAMPAIGN_FIELDS[kind]))}")
-    axes = request.get("axes")
+def _axes(kind: str, axes: object) -> dict[str, list]:
     if not isinstance(axes, Mapping) or not axes:
         raise SweepError(
             f"a {kind} request needs a non-empty 'axes' object "
@@ -100,65 +69,68 @@ def normalize_campaign(request: Mapping) -> dict:
             raise SweepError(
                 f"axis {name!r} must map to a list of values, "
                 f"got {values!r}")
-    axes_lists = {str(name): list(values) for name, values in axes.items()}
-    base = _base_config(request.get("config", "4wide-perfect"))
-    SweepSpec(axes=axes_lists, base=base).expand()
-    workload = request.get("workload", "gzip")
+    return dict(sorted((str(name), list(values))
+                       for name, values in axes.items()))
+
+
+def normalize_sampling(fields: Mapping, *, shards: int = 1) -> dict | None:
+    """The nested ``sampling`` record of a request's (or ``resim
+    simulate``'s) sampling fields, or ``None`` for full replay.  A
+    sampling parameter without ``"sampling": "regions"`` would do
+    nothing, so it is an error.
+    """
+    sampling = fields.get("sampling", FIELDS["sampling"].default)
+    given = {field.name: fields[field.name] for field in SAMPLING_FIELDS
+             if field.name in fields}
+    if sampling == "full" and given:
+        field = FIELDS[next(iter(given))]
+        raise SweepError(
+            f"request field {field.name!r} ({field.flag}) applies only "
+            f"with \"sampling\": \"regions\" ({FIELDS['regions'].flag})")
+    return sampling_entry(sampling, shards=shards, **given)
+
+
+def normalize_campaign(request: Mapping) -> dict:
+    """The validated, default-filled form of a ``sweep``/``search``
+    request document; raises :class:`SweepError` (a ``ValueError``)
+    on any malformed field, unknown fields included.
+
+    Axes run in name order, whatever order the request gives them in.
+    """
+    kind = FIELDS["kind"].check(request.get("kind"))
+    unknown = sorted(set(request) - set(CAMPAIGN_FIELDS[kind]))
+    if unknown:
+        raise SweepError(
+            f"unknown {kind} request field(s) "
+            f"{', '.join(map(repr, unknown))}; accepted fields: "
+            f"{', '.join(sorted(CAMPAIGN_FIELDS[kind]))}")
+    axes = _axes(kind, request.get("axes"))
+    base = _base_config(request.get("config", FIELDS["config"].default))
+    SweepSpec(axes=axes, base=base).expand()
+    workload = request.get("workload", FIELDS["workload"].default)
     if not isinstance(workload, str) or not is_known_workload(workload):
         raise SweepError(str(UnknownWorkloadError(workload)))
-    normalized = {
-        "kind": kind,
-        "workload": workload,
-        "config": config_to_dict(base),
-        "axes": axes_lists,
-        "budget": _require_int(request, "budget", 30_000, 1),
-        "seed": _require_int(request, "seed", 7),
-        "shards": _require_int(request, "shards", 1, 1),
-    }
-    # Defaults added after the first request shape are normalized by
-    # omission, so older documents keep their request keys.
-    segment_records = _require_int(
-        request, "segment_records", DEFAULT_SEGMENT_RECORDS, 1)
-    if segment_records != DEFAULT_SEGMENT_RECORDS:
-        normalized["segment_records"] = segment_records
-    try:
-        engine = coerce_engine(request.get("engine", DEFAULT_ENGINE))
-    except SessionError as error:
-        raise SweepError(str(error)) from None
-    if engine != DEFAULT_ENGINE:
-        normalized["engine"] = engine
+    normalized = {"kind": kind, "workload": workload,
+                  "config": config_to_dict(base), "axes": axes}
+    for name in CAMPAIGN_FIELDS[kind]:
+        field = FIELDS[name]
+        if name in _SPECIAL or field.record_key:
+            continue
+        value = field.check(request.get(name, field.default))
+        if not (field.omit_default and value == field.default):
+            normalized[name] = value
     # Region sampling changes what is computed (estimates, not exact
-    # statistics), so its parameters are part of the document: a
-    # sampled and an exact campaign never coalesce into one job.
-    sampling = request.get("sampling", "full")
-    if sampling != "full":
-        normalized["sampling"] = sampling_entry(
-            sampling, shards=normalized["shards"],
-            regions=_require_int(request, "regions", DEFAULT_REGIONS),
-            seed=_require_int(request, "region_seed", 0),
-            warmup_segments=_require_int(
-                request, "region_warmup", DEFAULT_WARMUP_SEGMENTS))
+    # statistics), so a sampled and an exact campaign never coalesce.
+    sampling = normalize_sampling(request, shards=normalized["shards"])
+    if sampling is not None:
+        normalized["sampling"] = sampling
     if kind == "search":
-        strategy = request.get("strategy", SEARCH_DEFAULTS["strategy"])
+        strategy = request.get("strategy", FIELDS["strategy"].default)
         try:
             SEARCHES.get(strategy)
         except RegistryError as error:
             raise SweepError(str(error)) from None
-        metric = request.get("metric", SEARCH_DEFAULTS["metric"])
-        if metric not in SORT_KEYS:
-            raise SweepError(
-                f"unknown metric {metric!r}; choose from "
-                f"{', '.join(SORT_KEYS)}")
-        normalized.update({
-            "strategy": strategy,
-            "metric": metric,
-            "samples": _require_int(
-                request, "samples", SEARCH_DEFAULTS["samples"], 1),
-            "search_seed": _require_int(
-                request, "search_seed", SEARCH_DEFAULTS["search_seed"]),
-            "max_steps": _require_int(
-                request, "max_steps", SEARCH_DEFAULTS["max_steps"], 0),
-        })
+        normalized["strategy"] = strategy
     return normalized
 
 
@@ -168,27 +140,22 @@ def run_campaign(normalized: Mapping, *, results_dir: str | Path,
                  ) -> SweepResult | SearchResult:
     """Run one :func:`normalize_campaign` document: a
     :class:`SweepResult` for a sweep, a :class:`SearchResult` for a
-    search."""
+    search.  Every normalized field reaches the runner or the strategy
+    by name; omitted ones take the same defaults there."""
     spec = SweepSpec(axes=dict(normalized["axes"]),
                      base=config_from_dict(normalized["config"]))
+    options = {name: normalized[name] for name in CAMPAIGN_FIELDS["sweep"]
+               if name in normalized and name not in _SPECIAL}
     sampling = normalized.get("sampling")
-    options = {
-        "results_dir": results_dir, "budget": normalized["budget"],
-        "seed": normalized["seed"], "backend": backend,
-        "progress": progress, "shards": normalized["shards"],
-        "segment_records": normalized.get(
-            "segment_records", DEFAULT_SEGMENT_RECORDS),
-        "engine": normalized.get("engine", DEFAULT_ENGINE),
-        **({} if not sampling else {
-            "sampling": sampling["mode"],
-            "regions": sampling["regions"],
-            "region_seed": sampling["seed"],
-            "region_warmup": sampling["warmup_segments"]}),
-    }
-    runner = SweepRunner(spec, normalized["workload"], **options)
+    if sampling:
+        options.update(sampling=sampling["mode"], **{
+            field.name: sampling[field.record_key]
+            for field in SAMPLING_FIELDS})
+    runner = SweepRunner(spec, normalized["workload"],
+                         results_dir=results_dir, backend=backend,
+                         progress=progress, **options)
     if normalized["kind"] == "sweep":
         return runner.run()
-    return runner.search(make_strategy(
-        normalized["strategy"], spec, metric=normalized["metric"],
-        samples=normalized["samples"], seed=normalized["search_seed"],
-        max_steps=normalized["max_steps"]))
+    return runner.search(make_strategy(spec, **{
+        name: normalized[name] for name in CAMPAIGN_FIELDS["search"]
+        if FIELDS[name].kinds == ("search",)}))

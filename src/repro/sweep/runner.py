@@ -55,10 +55,7 @@ from pathlib import Path
 from collections.abc import Callable, Sequence
 
 from repro.bpred.unit import PredictorConfig
-from repro.core.specialize import DEFAULT_ENGINE
 from repro.exec import (
-    DEFAULT_REGIONS,
-    DEFAULT_WARMUP_SEGMENTS,
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
@@ -78,7 +75,7 @@ from repro.serialize import (
     config_to_dict,
     stats_from_dict,
 )
-from repro.session import SessionError, coerce_engine
+from repro.sweep.fields import FIELDS, SAMPLING_FIELDS
 from repro.sweep.progress import SweepProgress
 from repro.sweep.result import SweepOutcome, SweepResult
 from repro.sweep.search import (
@@ -90,11 +87,7 @@ from repro.sweep.search import (
 )
 from repro.sweep.spec import SweepError, SweepPoint, SweepSpec
 from repro.trace.analyze import ensure_profile
-from repro.trace.fileio import (
-    DEFAULT_SEGMENT_RECORDS,
-    TraceFileError,
-    read_trace_header,
-)
+from repro.trace.fileio import TraceFileError, read_trace_header
 from repro.workloads.profiles import SPECINT_PROFILES
 from repro.workloads.tracegen import (
     UnknownWorkloadError,
@@ -131,10 +124,12 @@ def default_backend(workers: int) -> ExecutionBackend:
     return ProcessPoolBackend(workers)
 
 
-def sampling_entry(sampling: str, *, shards: int, regions: int,
-                   seed: int, warmup_segments: int) -> dict | None:
+def sampling_entry(sampling: str, *, shards: int = 1,
+                   **parameters: int) -> dict | None:
     """The validated record of a sampling mode, or ``None`` for full
-    replay.
+    replay.  ``parameters`` are the region-sampling fields
+    (:data:`~repro.sweep.fields.SAMPLING_FIELDS`) by name; missing
+    ones take their defaults.
 
     Sweep manifests and the campaign service's normalized requests
     both carry it, so a sampled and an exact run never share a results
@@ -151,13 +146,10 @@ def sampling_entry(sampling: str, *, shards: int, regions: int,
         raise SweepError(
             "shards and region sampling are mutually exclusive: "
             "sharding exists for exact merges, sampling estimates")
-    if regions < 1:
-        raise SweepError(f"regions must be >= 1, got {regions}")
-    if warmup_segments < 0:
-        raise SweepError(
-            f"region warmup must be >= 0, got {warmup_segments}")
-    return {"mode": "regions", "regions": regions, "seed": seed,
-            "warmup_segments": warmup_segments}
+    return {"mode": "regions", **{
+        field.record_key: field.check(parameters.get(field.name,
+                                                     field.default))
+        for field in SAMPLING_FIELDS}}
 
 
 @dataclass(frozen=True)
@@ -171,8 +163,7 @@ class SweepRunner:
     """Evaluate design points against shared traces through a
     pluggable execution backend (see module docstring): the whole grid
     (:meth:`run`) or what an adaptive strategy proposes
-    (:meth:`search`).  Its constructor is the one place the campaign
-    options are declared.
+    (:meth:`search`).
 
     Parameters
     ----------
@@ -185,11 +176,6 @@ class SweepRunner:
         Where the shared traces, the manifest, and per-point
         checkpoints live.  Reusing the directory resumes the sweep;
         mixing workloads/budgets/seeds in one directory is refused.
-    budget:
-        Instruction budget for synthetic workloads (kernels run to
-        completion).
-    seed:
-        Synthetic-generator seed.
     backend:
         Any :class:`~repro.exec.ExecutionBackend`; ``None`` runs
         in-process (:class:`~repro.exec.SerialBackend`, the serial
@@ -198,67 +184,49 @@ class SweepRunner:
     progress:
         A :class:`~repro.sweep.progress.SweepProgress` sink for
         per-point completion events (``resim sweep --progress``).
-    shards:
-        Split every design point into this many segment-range shard
-        units (``resim sweep --shards N``), fanned through the same
-        backend and merged by a :class:`~repro.exec.SliceReducer` —
-        intra-point parallelism for grids smaller than the worker
-        pool.  Exact-sum counters of the merged result equal the
-        monolithic run's; cycle-derived metrics are approximate (see
-        :mod:`repro.exec.shard`).  Traces with fewer v2 segments than
-        ``shards`` split as far as segment granularity allows.
-    segment_records:
-        Records per segment when this runner generates a trace —
-        the shard planner's boundary granularity (a trace shorter
-        than one segment cannot shard).
-    sampling:
-        ``"full"`` (default) replays every trace record per design
-        point; ``"regions"`` estimates each point from weighted
-        representative regions (``resim sweep --sample-regions``,
-        see :mod:`repro.exec.regions`) — the per-point cost drops to
-        the plan's coverage, the results become *estimates* (merged
-        documents carry a ``"sampled"`` marker, the manifest records
-        the sampling parameters so sampled and exact results never
-        share a results directory).  Mutually exclusive with
-        ``shards > 1``: sharding exists for exactness, sampling
-        deliberately gives it up.
-    regions / region_seed / region_warmup:
-        Sampling-plan parameters (cluster count, k-means seed, warmup
-        segments per representative); ignored under full replay.
+    budget ... region_warmup:
+        The campaign fields of the same names (meanings, defaults and
+        minimums: :data:`repro.sweep.fields.FIELDS`).  ``shards > 1``
+        splits every design point into segment-range shard units run
+        through the same backend and merged by a
+        :class:`~repro.exec.SliceReducer`: exact-sum counters equal the
+        monolithic run's, cycle-derived metrics are approximate (see
+        :mod:`repro.exec.shard`).  ``sampling="regions"`` estimates
+        each point from weighted representative regions (see
+        :mod:`repro.exec.regions`): merged documents carry a
+        ``"sampled"`` marker and the manifest records the sampling
+        parameters, so sampled and exact results never share a results
+        directory.  The two exclude each other; the region parameters
+        are ignored under full replay.
     """
 
     def __init__(
         self,
         spec: SweepSpec,
-        workload: str = "gzip",
+        workload: str = FIELDS["workload"].default,
         *,
         results_dir: str | Path,
-        budget: int = 30_000,
-        seed: int = 7,
+        budget: int = FIELDS["budget"].default,
+        seed: int = FIELDS["seed"].default,
         backend: ExecutionBackend | None = None,
         progress: SweepProgress | None = None,
-        shards: int = 1,
-        segment_records: int = DEFAULT_SEGMENT_RECORDS,
-        engine: str = DEFAULT_ENGINE,
-        sampling: str = "full",
-        regions: int = DEFAULT_REGIONS,
-        region_seed: int = 0,
-        region_warmup: int = DEFAULT_WARMUP_SEGMENTS,
+        shards: int = FIELDS["shards"].default,
+        segment_records: int = FIELDS["segment_records"].default,
+        engine: str = FIELDS["engine"].default,
+        sampling: str = FIELDS["sampling"].default,
+        regions: int = FIELDS["regions"].default,
+        region_seed: int = FIELDS["region_seed"].default,
+        region_warmup: int = FIELDS["region_warmup"].default,
     ) -> None:
         if not is_known_workload(workload):
             raise SweepError(str(UnknownWorkloadError(workload)))
-        if shards < 1:
-            raise SweepError(f"shards must be >= 1, got {shards}")
-        if segment_records < 1:
-            raise SweepError(
-                f"segment_records must be >= 1, got {segment_records}")
+        for name, value in (("budget", budget), ("seed", seed),
+                            ("shards", shards), ("engine", engine),
+                            ("segment_records", segment_records)):
+            FIELDS[name].check(value)
         self._sampling = sampling_entry(
-            sampling, shards=shards, regions=regions, seed=region_seed,
-            warmup_segments=region_warmup)
-        try:
-            coerce_engine(engine)
-        except SessionError as error:
-            raise SweepError(str(error)) from None
+            sampling, shards=shards, regions=regions,
+            region_seed=region_seed, region_warmup=region_warmup)
         self._is_synthetic = workload in SPECINT_PROFILES
         self.spec = spec
         self.workload = workload
@@ -271,10 +239,6 @@ class SweepRunner:
             else SweepProgress()
         self.shards = shards
         self.segment_records = segment_records
-        self.sampling = sampling
-        self.regions = regions
-        self.region_seed = region_seed
-        self.region_warmup = region_warmup
         self._traces: dict[str, _TraceInfo] = {}
         self._plans: dict[str, SlicePlan] = {}
 
@@ -431,15 +395,16 @@ class SweepRunner:
         identity included); a sampled plan stays an estimate even with
         one region, its checkpoint carrying the ``sampled`` marker.
         """
-        if self.sampling == "full" and self.shards == 1:
+        sampling = self._sampling
+        if sampling is None and self.shards == 1:
             return None
         key = str(trace.path)
         if key not in self._plans:
-            if self.sampling == "regions":
+            if sampling is not None:
                 self._plans[key] = plan_regions(
                     trace.path, ensure_profile(trace.path),
-                    regions=self.regions, seed=self.region_seed,
-                    warmup_segments=self.region_warmup)
+                    regions=sampling["regions"], seed=sampling["seed"],
+                    warmup_segments=sampling["warmup_segments"])
             else:
                 self._plans[key] = plan_shards(trace.path, self.shards)
         plan = self._plans[key]

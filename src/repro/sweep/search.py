@@ -40,6 +40,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from collections.abc import Callable, Mapping, Sequence
 
+from repro.sweep.fields import FIELDS
 from repro.sweep.result import SORT_KEYS, SweepOutcome, SweepResult
 from repro.sweep.spec import SweepError, SweepPoint, SweepSpec
 from repro.utils.registry import Registry
@@ -53,12 +54,6 @@ SEARCHES: Registry[type] = Registry("search strategy")
 #: Safety net: no strategy may run more proposal rounds than this
 #: (a buggy strategy that never stops must not sweep forever).
 MAX_ROUNDS = 1000
-
-#: Defaults of the search request fields, read by the ``resim search``
-#: flags, :func:`~repro.sweep.campaign.normalize_campaign` and the
-#: strategies' keyword defaults.
-SEARCH_DEFAULTS = {"strategy": "hillclimb", "metric": "ipc", "samples": 16,
-                   "search_seed": 1, "max_steps": 64}
 
 
 class SearchError(SweepError):
@@ -91,7 +86,7 @@ class SearchStrategy(ABC):
     name = "?"
 
     def __init__(self, spec: SweepSpec, *,
-                 metric: str = SEARCH_DEFAULTS["metric"]) -> None:
+                 metric: str = FIELDS["metric"].default) -> None:
         self.spec = spec
         self.metric = metric
         self._score, self._larger_is_better = _metric(metric)
@@ -140,7 +135,7 @@ class GridSearch(SearchStrategy):
     name = "grid"
 
     def __init__(self, spec: SweepSpec, *,
-                 metric: str = SEARCH_DEFAULTS["metric"]) -> None:
+                 metric: str = FIELDS["metric"].default) -> None:
         super().__init__(spec, metric=metric)
         self._proposed = False
 
@@ -173,13 +168,11 @@ class RandomSearch(SearchStrategy):
     ATTEMPTS_PER_SAMPLE = 64
 
     def __init__(self, spec: SweepSpec, *,
-                 samples: int = SEARCH_DEFAULTS["samples"],
-                 seed: int = SEARCH_DEFAULTS["search_seed"],
-                 metric: str = SEARCH_DEFAULTS["metric"]) -> None:
+                 samples: int = FIELDS["samples"].default,
+                 seed: int = FIELDS["search_seed"].default,
+                 metric: str = FIELDS["metric"].default) -> None:
         super().__init__(spec, metric=metric)
-        if samples < 1:
-            raise SearchError(f"samples must be >= 1, got {samples}")
-        self.samples = samples
+        self.samples = FIELDS["samples"].check(samples, SearchError)
         self.seed = seed
         self._proposed = False
 
@@ -232,14 +225,11 @@ class HillClimb(SearchStrategy):
     name = "hillclimb"
 
     def __init__(self, spec: SweepSpec, *,
-                 metric: str = SEARCH_DEFAULTS["metric"],
-                 max_steps: int = SEARCH_DEFAULTS["max_steps"],
+                 metric: str = FIELDS["metric"].default,
+                 max_steps: int = FIELDS["max_steps"].default,
                  start: Mapping[str, object] | None = None) -> None:
         super().__init__(spec, metric=metric)
-        if max_steps < 0:
-            raise SearchError(
-                f"max_steps must be >= 0, got {max_steps}")
-        self.max_steps = max_steps
+        self.max_steps = FIELDS["max_steps"].check(max_steps, SearchError)
         self._axes = spec.coerced_axes()
         self._names = list(self._axes)
         self._position = {name: 0 for name in self._names}
@@ -365,15 +355,16 @@ class HillClimb(SearchStrategy):
         return self._steps
 
 
-def make_strategy(name: str, spec: SweepSpec, *, metric: str,
-                  samples: int, seed: int,
+def make_strategy(spec: SweepSpec, *, strategy: str, metric: str,
+                  samples: int, search_seed: int,
                   max_steps: int) -> SearchStrategy:
-    """Build the strategy registered as ``name`` over ``spec``, passing
-    each built-in the knobs it takes (``resim search`` flags and
-    campaign-service request fields both resolve here)."""
-    strategy_cls = SEARCHES.get(name)
+    """Build the strategy registered as ``strategy`` over ``spec`` from
+    the search fields of a campaign request (see
+    :data:`repro.sweep.fields.FIELDS`), passing each built-in the
+    knobs it takes."""
+    strategy_cls = SEARCHES.get(strategy)
     if strategy_cls is RandomSearch:
-        return RandomSearch(spec, samples=samples, seed=seed,
+        return RandomSearch(spec, samples=samples, seed=search_seed,
                             metric=metric)
     if strategy_cls is HillClimb:
         return HillClimb(spec, metric=metric, max_steps=max_steps)

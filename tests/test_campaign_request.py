@@ -9,31 +9,38 @@ Both entry points build the same request document and run it through
   :class:`~repro.serve.CampaignService` yields the same sweep document;
 * **stable identity** — the request keys of every pre-existing document
   shape are unchanged (coalescing and journaled jobs depend on them);
-* **loud schema** — unknown fields and non-positive sizes are rejected
-  by name at normalization.
+* **loud schema** — unknown fields, non-positive sizes and sampling
+  parameters without sampling are rejected by name at normalization;
+* **one declaration** — the CLI defaults and the README's field table
+  are the :data:`~repro.sweep.fields.FIELDS` rows.
 """
 
 import json
+import re
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cli import _campaign_request, build_parser, main
 from repro.serve import CampaignService
 from repro.serve.jobs import request_key
 from repro.sweep import SweepError
 from repro.sweep.campaign import CAMPAIGN_FIELDS, normalize_campaign
+from repro.sweep.fields import FIELDS
 from repro.trace.fileio import DEFAULT_SEGMENT_RECORDS
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 BUDGET = 1500
 
-#: Small integer axes and the values a generated request draws from.
+#: Small integer axes, their ``resim sweep`` flags, and the values a
+#: generated request draws from.
 AXIS_VALUES = {
-    "lsq_entries": (4, 8),
-    "rob_entries": (8, 16, 32),
-    "width": (2, 4),
+    "lsq_entries": ("--lsq", (4, 8)),
+    "rob_entries": ("--rob", (8, 16, 32)),
+    "width": ("--width", (2, 4)),
 }
 
 
@@ -44,13 +51,11 @@ def sweep_request(**fields) -> dict:
 
 @st.composite
 def campaign_requests(draw) -> dict:
-    # The service runs axes in name order; the CLI runs them in flag
-    # order.  Drawing them sorted gives both the same order.
-    names = sorted(draw(st.lists(st.sampled_from(sorted(AXIS_VALUES)),
-                                 min_size=1, max_size=2, unique=True)))
-    axes = {name: sorted(draw(st.lists(st.sampled_from(AXIS_VALUES[name]),
-                                       min_size=1, max_size=2,
-                                       unique=True)))
+    names = draw(st.lists(st.sampled_from(sorted(AXIS_VALUES)),
+                          min_size=1, max_size=2, unique=True))
+    axes = {name: sorted(draw(st.lists(
+                st.sampled_from(AXIS_VALUES[name][1]), min_size=1,
+                max_size=2, unique=True)))
             for name in names}
     request = {"kind": draw(st.sampled_from(("sweep", "search"))),
                "workload": "gzip", "axes": axes,
@@ -62,7 +67,8 @@ def campaign_requests(draw) -> dict:
         request["shards"] = 2
     elif split == "regions":
         request.update(sampling="regions",
-                       regions=draw(st.integers(1, 3)))
+                       regions=draw(st.integers(1, 3)),
+                       region_seed=draw(st.integers(0, 3)))
     if request["kind"] == "search":
         request.update(strategy=draw(st.sampled_from(
                            ("grid", "random", "hillclimb"))),
@@ -81,9 +87,10 @@ def cli_argv(request: dict, results_dir: Path, export: Path) -> list[str]:
             "--shards", str(request.get("shards", 1)),
             "--results-dir", str(results_dir), "--json", str(export)]
     for name, values in request["axes"].items():
-        argv += ["--axis", f"{name}={','.join(map(str, values))}"]
+        argv += [AXIS_VALUES[name][0], ",".join(map(str, values))]
     if "sampling" in request:
-        argv += ["--sample-regions", str(request["regions"])]
+        argv += ["--sample-regions", str(request["regions"]),
+                 "--region-seed", str(request["region_seed"])]
     if request["kind"] == "search":
         argv += ["--strategy", request["strategy"],
                  "--metric", request["metric"],
@@ -94,6 +101,10 @@ def cli_argv(request: dict, results_dir: Path, export: Path) -> list[str]:
 
 @settings(max_examples=6, deadline=None)
 @given(campaign_requests())
+# Axes out of name order, as in ``resim sweep --rob 8,16 --lsq 4,8``.
+@example({"kind": "sweep", "workload": "gzip", "budget": 800, "seed": 3,
+          "segment_records": 200,
+          "axes": {"rob_entries": [8, 16], "lsq_entries": [4, 8]}})
 def test_cli_result_equals_served_result(request):
     with tempfile.TemporaryDirectory() as scratch:
         scratch = Path(scratch)
@@ -180,10 +191,20 @@ class TestNormalizeCampaign:
         with pytest.raises(SweepError, match=message):
             normalize_campaign(sweep_request(**fields))
 
-    def test_axes_keep_the_request_order(self):
-        axes = {"width": [2, 4], "rob_entries": [8, 16]}
-        assert list(normalize_campaign(sweep_request(axes=axes))["axes"]) \
-            == ["width", "rob_entries"]
+    def test_axes_run_in_name_order(self):
+        axes = {"width": [4, 2], "rob_entries": [16, 8]}
+        normalized = normalize_campaign(sweep_request(axes=axes))
+        assert list(normalized["axes"].items()) \
+            == [("rob_entries", [16, 8]), ("width", [4, 2])]
+
+    @pytest.mark.parametrize("sampling", [{}, {"sampling": "full"}],
+                             ids=["absent", "full"])
+    @pytest.mark.parametrize("field", ["regions", "region_seed",
+                                       "region_warmup"])
+    def test_sampling_parameters_need_sampling(self, sampling, field):
+        with pytest.raises(SweepError, match=f"'{field}'.*applies only "
+                                             f"with \"sampling\""):
+            normalize_campaign(sweep_request(**sampling, **{field: 3}))
 
     @pytest.mark.parametrize("kind", ["sweep", "search"])
     @pytest.mark.parametrize("flags, fields", [
@@ -193,14 +214,67 @@ class TestNormalizeCampaign:
     def test_cli_defaults_are_the_request_defaults(self, kind, flags,
                                                    fields):
         """A bare ``resim sweep``/``search`` sends the defaults the
-        service fills in, except the budget: the CLI's 20,000 against
-        the service's 30,000 is an open decision, pinned here so that
-        changing either is deliberate."""
+        service fills in."""
         args = build_parser().parse_args([kind, "gzip", "--rob", "8",
                                           *flags])
         cli = normalize_campaign(_campaign_request(args))
         served = normalize_campaign({"kind": kind, "workload": "gzip",
                                      "axes": {"rob_entries": [8]},
                                      **fields})
-        assert (cli.pop("budget"), served.pop("budget")) == (20_000, 30_000)
         assert cli == served
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "gzip", "--rob", "8"],
+    ["search", "gzip", "--rob", "8"],
+    ["simulate", "gzip"],
+], ids=["sweep", "search", "simulate"])
+@pytest.mark.parametrize("flag", ["--region-seed", "--region-warmup"])
+def test_sampling_flags_need_sample_regions(tmp_path, command, flag):
+    """Exits before simulating anything: the results directory is never
+    created."""
+    results = tmp_path / "results"
+    extra = [] if command[0] == "simulate" else ["--results-dir",
+                                                 str(results)]
+    with pytest.raises(SystemExit,
+                       match=f"\\({flag}\\) applies only .*--sample-regions"):
+        main([*command, *extra, flag, "2", "--budget", "500"])
+    assert not results.exists()
+
+
+def readme_field_rows() -> dict[str, dict]:
+    """The README's request-field table, one dict per row."""
+    lines = README.read_text().splitlines()
+    start = lines.index(
+        "| field | type | default | `resim sweep`/`search` flag |")
+    rows = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        name, kind, default, flag = (
+            cell.strip() for cell in line.strip("|").split("|"))
+        match = re.fullmatch(r"`(\w+)`( \(search\))?", name)
+        assert match, f"README field cell {name!r}"
+        rows[match[1]] = {"search_only": bool(match[2]), "type": kind,
+                          "default": default, "flag": flag}
+    return rows
+
+
+def test_readme_field_table_is_the_field_table():
+    rows = readme_field_rows()
+    assert list(rows) == list(FIELDS)
+    for name, field in FIELDS.items():
+        row = rows[name]
+        assert row["search_only"] == (field.kinds == ("search",)), name
+        default = "required" if field.default is None \
+            else f"`{json.dumps(field.default)}`" \
+            if isinstance(field.default, str) else str(field.default)
+        assert row["default"] == default, name
+        if field.type is int:
+            minimum = "" if field.minimum is None \
+                else f" ≥ {field.minimum}"
+            assert row["type"] == f"integer{minimum}", name
+        for choice in field.choices:
+            assert f'`"{choice}"`' in row["type"], name
+        flag = re.match(r"`([-\w]+)", row["flag"])
+        assert (flag and flag[1]) == (field.flag or None), name

@@ -14,7 +14,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from repro.bpred.unit import (
     PERFECT_PREDICTOR,
@@ -325,7 +325,11 @@ def drawn_config(draw, scheme, replacement):
 
 @pytest.mark.parametrize("replacement", REPLACEMENT_POLICIES.names())
 @pytest.mark.parametrize("scheme", PREDICTOR_SCHEMES)
-@settings(max_examples=12, deadline=None)
+# No shrink phase: shrinking a drawn config plus trace takes minutes,
+# while the unshrunk failing example is reported at once and already
+# names the config, the trace and both outcomes.
+@settings(max_examples=12, deadline=None,
+          phases=[phase for phase in Phase if phase is not Phase.shrink])
 @given(data=st.data())
 def test_specialized_matches_reference_on_drawn_configs(scheme, replacement,
                                                         data):
