@@ -15,7 +15,8 @@ import time
 
 import pytest
 
-from repro.sweep import SweepSpec, SweepRunner, default_backend, stats_to_dict
+from repro.serialize import stats_to_dict
+from repro.sweep import SweepSpec, SweepRunner, default_backend
 
 BUDGET = 6000
 WORKERS = 4

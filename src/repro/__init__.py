@@ -74,121 +74,45 @@ See ``examples/`` for runnable end-to-end scenarios and
 ``EXPERIMENTS.md`` for the paper-vs-measured record.
 """
 
-from repro.bpred import BranchPredictorUnit, PredictorConfig
-from repro.cache import CacheConfig, MemorySystem, PerfectMemory
-from repro.core import (
-    EngineObserver,
-    PAPER_2WIDE_CACHE,
-    PAPER_4WIDE_PERFECT,
-    ProcessorConfig,
-    ReSimEngine,
-    SimulationResult,
-    select_pipeline,
-)
-from repro.fpga import (
-    AreaEstimator,
-    FrequencyModel,
-    VIRTEX4_LX40,
-    VIRTEX5_LX50T,
-    generate_branch_predictor_vhdl,
-)
-from repro.functional import SimBpred, SimFast
-from repro.isa import Program, assemble
-from repro.perf import ThroughputModel, evaluate_benchmark, evaluate_suite
-from repro.cosim import OnTheFlyCosimulation
-from repro.session import (
-    CONFIGS,
-    DEVICES,
-    PREDICTORS,
-    REPLACEMENT_POLICIES,
-    Registry,
-    SessionError,
-    SessionResult,
-    Simulation,
-    WORKLOADS,
-)
-from repro.sweep import SweepResult, SweepRunner, SweepSpec
-from repro.multicore import MultiCoreSimulator, TraceChannel
-from repro.trace import (
-    FileSource,
-    InMemorySource,
-    SegmentedTraceWriter,
-    TraceSource,
-    decode_trace,
-    encode_trace,
-    iter_trace_records,
-    measure_trace,
-    read_segment_table,
-    read_trace_file,
-    write_trace_file,
-)
-from repro.workloads import (
-    KERNELS,
-    SPECINT_PROFILES,
-    SyntheticWorkload,
-    get_profile,
-    kernel_program,
-    write_workload_trace,
-)
+from repro.utils.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AreaEstimator",
-    "BranchPredictorUnit",
-    "CONFIGS",
-    "CacheConfig",
-    "DEVICES",
-    "EngineObserver",
-    "FileSource",
-    "FrequencyModel",
-    "InMemorySource",
-    "KERNELS",
-    "MemorySystem",
-    "MultiCoreSimulator",
-    "OnTheFlyCosimulation",
-    "PAPER_2WIDE_CACHE",
-    "PAPER_4WIDE_PERFECT",
-    "PREDICTORS",
-    "PerfectMemory",
-    "PredictorConfig",
-    "ProcessorConfig",
-    "Program",
-    "REPLACEMENT_POLICIES",
-    "ReSimEngine",
-    "Registry",
-    "SPECINT_PROFILES",
-    "SegmentedTraceWriter",
-    "SessionError",
-    "SessionResult",
-    "SimBpred",
-    "SimFast",
-    "Simulation",
-    "SimulationResult",
-    "SweepResult",
-    "SweepRunner",
-    "SweepSpec",
-    "SyntheticWorkload",
-    "ThroughputModel",
-    "TraceChannel",
-    "TraceSource",
-    "VIRTEX4_LX40",
-    "VIRTEX5_LX50T",
-    "WORKLOADS",
-    "__version__",
-    "assemble",
-    "decode_trace",
-    "encode_trace",
-    "evaluate_benchmark",
-    "evaluate_suite",
-    "generate_branch_predictor_vhdl",
-    "get_profile",
-    "iter_trace_records",
-    "kernel_program",
-    "measure_trace",
-    "read_segment_table",
-    "read_trace_file",
-    "select_pipeline",
-    "write_trace_file",
-    "write_workload_trace",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.bpred.unit": "BranchPredictorUnit PREDICTORS PredictorConfig",
+    "repro.cache.cache": "CacheConfig",
+    "repro.cache.hierarchy": "MemorySystem PerfectMemory",
+    "repro.cache.replacement": "REPLACEMENT_POLICIES",
+    "repro.core.config": "PAPER_2WIDE_CACHE PAPER_4WIDE_PERFECT "
+                         "ProcessorConfig",
+    "repro.core.engine": "EngineObserver ReSimEngine SimulationResult",
+    "repro.core.minorpipe": "select_pipeline",
+    "repro.cosim.streaming": "OnTheFlyCosimulation",
+    "repro.fpga.area": "AreaEstimator",
+    "repro.fpga.device": "DEVICES VIRTEX4_LX40 VIRTEX5_LX50T",
+    "repro.fpga.timing": "FrequencyModel",
+    "repro.fpga.vhdlgen.bpgen": "generate_branch_predictor_vhdl",
+    "repro.functional.sim_bpred": "SimBpred",
+    "repro.functional.sim_fast": "SimFast",
+    "repro.isa.assembler": "assemble",
+    "repro.isa.program": "Program",
+    "repro.multicore.simulator": "MultiCoreSimulator TraceChannel",
+    "repro.perf.harness": "evaluate_benchmark evaluate_suite",
+    "repro.perf.throughput": "ThroughputModel",
+    "repro.session.simulation": "CONFIGS SessionError SessionResult "
+                                "Simulation",
+    "repro.sweep.result": "SweepResult",
+    "repro.sweep.runner": "SweepRunner",
+    "repro.sweep.spec": "SweepSpec",
+    "repro.trace.encode": "decode_trace encode_trace",
+    "repro.trace.fileio": "SegmentedTraceWriter iter_trace_records "
+                          "read_segment_table read_trace_file "
+                          "write_trace_file",
+    "repro.trace.source": "FileSource InMemorySource TraceSource",
+    "repro.trace.stats": "measure_trace",
+    "repro.utils.registry": "Registry",
+    "repro.workloads.kernels": "KERNELS kernel_program",
+    "repro.workloads.profiles": "SPECINT_PROFILES get_profile",
+    "repro.workloads.synthetic": "SyntheticWorkload",
+    "repro.workloads.tracegen": "WORKLOADS write_workload_trace",
+})

@@ -23,6 +23,8 @@ into a fixed front-end delay; stores release without write-port
 contention.
 """
 
-from repro.baseline.outorder import BaselineResult, OutOrderBaseline
+from repro.utils.lazy import lazy_exports
 
-__all__ = ["BaselineResult", "OutOrderBaseline"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.baseline.outorder": "BaselineResult OutOrderBaseline",
+})

@@ -19,28 +19,17 @@ every branch, so the wrong-path blocks injected into the trace are
 exactly the ones ReSim's own predictions will follow.
 """
 
-from repro.bpred.base import DirectionPredictor, Prediction
-from repro.bpred.bimodal import BimodalPredictor
-from repro.bpred.btb import BranchTargetBuffer
-from repro.bpred.combining import CombiningPredictor
-from repro.bpred.perfect import PerfectPredictor
-from repro.bpred.ras import ReturnAddressStack
-from repro.bpred.static_ import AlwaysNotTaken, AlwaysTaken
-from repro.bpred.twolevel import TwoLevelPredictor
-from repro.bpred.unit import BranchPredictorUnit, PredictorConfig, build_direction_predictor
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "AlwaysNotTaken",
-    "AlwaysTaken",
-    "BimodalPredictor",
-    "BranchPredictorUnit",
-    "BranchTargetBuffer",
-    "CombiningPredictor",
-    "DirectionPredictor",
-    "PerfectPredictor",
-    "Prediction",
-    "PredictorConfig",
-    "ReturnAddressStack",
-    "TwoLevelPredictor",
-    "build_direction_predictor",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.bpred.base": "DirectionPredictor Prediction",
+    "repro.bpred.bimodal": "BimodalPredictor",
+    "repro.bpred.btb": "BranchTargetBuffer",
+    "repro.bpred.combining": "CombiningPredictor",
+    "repro.bpred.perfect": "PerfectPredictor",
+    "repro.bpred.ras": "ReturnAddressStack",
+    "repro.bpred.static_": "AlwaysNotTaken AlwaysTaken",
+    "repro.bpred.twolevel": "TwoLevelPredictor",
+    "repro.bpred.unit": "BranchPredictorUnit PredictorConfig "
+                        "build_direction_predictor",
+})

@@ -18,26 +18,11 @@ The paper's two memory configurations:
   as easily).
 """
 
-from repro.cache.cache import Cache, CacheConfig, CacheStatistics
-from repro.cache.hierarchy import AccessResult, MemorySystem, PerfectMemory
-from repro.cache.replacement import (
-    FifoPolicy,
-    LruPolicy,
-    RandomPolicy,
-    ReplacementPolicy,
-    make_policy,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "AccessResult",
-    "Cache",
-    "CacheConfig",
-    "CacheStatistics",
-    "FifoPolicy",
-    "LruPolicy",
-    "MemorySystem",
-    "PerfectMemory",
-    "RandomPolicy",
-    "ReplacementPolicy",
-    "make_policy",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.cache.cache": "Cache CacheConfig CacheStatistics",
+    "repro.cache.hierarchy": "AccessResult MemorySystem PerfectMemory",
+    "repro.cache.replacement": "FifoPolicy LruPolicy RandomPolicy "
+                               "ReplacementPolicy make_policy",
+})

@@ -52,35 +52,21 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from repro.core.minorpipe import select_pipeline
-from repro.core.observers import ProgressObserver
-from repro.fpga.area import AreaEstimator
-from repro.fpga.device import DEVICES, VIRTEX4_LX40, VIRTEX5_LX50T
-from repro.fpga.vhdlgen import generate_branch_predictor_vhdl
-from repro.multicore.simulator import MultiCoreSimulator, TraceChannel
-from repro.exec import DEFAULT_LEASE_SECONDS
-from repro.session import CONFIGS, SessionError, Simulation
-from repro.sweep.campaign import CAMPAIGN_FIELDS, normalize_sampling
-from repro.sweep.fields import FIELDS
-from repro.sweep.spec import SweepError
-from repro.trace.fileio import (
-    TraceFileError,
-    read_segment_table,
-    read_trace_header,
-)
-from repro.utils.atomic import atomic_path
-from repro.utils.registry import RegistryError
-from repro.workloads.profiles import SPECINT_PROFILES
-from repro.workloads.tracegen import (
-    UnknownWorkloadError,
-    write_workload_trace,
-)
+# Only what building the parser needs, and the two devices `simulate`
+# projects onto (the benchmark harness reads them from here): each
+# command imports the rest itself, so no command loads the simulator
+# parts it never runs.
+from repro.exec.queue import DEFAULT_LEASE_SECONDS
+from repro.fpga.device import VIRTEX4_LX40, VIRTEX5_LX50T
+from repro.sweep.fields import CAMPAIGN_FIELDS, FIELDS
+from repro.sweep.result import SORT_KEYS, sort_key
 
 
 def _config(name: str):
+    from repro.session.simulation import CONFIGS
+    from repro.utils.registry import RegistryError
     try:
         return CONFIGS.get(name)
     except RegistryError as error:
@@ -88,14 +74,17 @@ def _config(name: str):
 
 
 def _device(name: str):
+    from repro.fpga.device import DEVICES
+    from repro.utils.registry import RegistryError
     try:
         return DEVICES.get(name)
     except RegistryError as error:
         raise SystemExit(str(error)) from error
 
 
-def _workload_simulation(args, config) -> Simulation:
-    """Shared workload selection for `trace` and `simulate`."""
+def _workload_simulation(args, config):
+    """Shared workload selection for `simulate` and `spec hash`."""
+    from repro.session.simulation import Simulation
     return Simulation.for_workload(
         args.workload, config, budget=args.budget, seed=args.seed)
 
@@ -105,6 +94,12 @@ def cmd_trace(args) -> int:
         return cmd_trace_info(args)
     if args.workload == "analyze":
         return cmd_trace_analyze(args)
+    from repro.trace.fileio import TraceFileError
+    from repro.workloads.tracegen import (
+        UnknownWorkloadError,
+        write_workload_trace,
+    )
+
     config = _config(args.config)
     try:
         written = write_workload_trace(
@@ -132,7 +127,12 @@ def _describe_predictor(blob) -> str:
 
 def cmd_trace_info(args) -> int:
     """`resim trace info <file>`: inspect a stored trace."""
-    from repro.serve.canon import trace_digest  # deferred: hashes the file
+    from repro.serve.canon import trace_digest
+    from repro.trace.fileio import (
+        TraceFileError,
+        read_segment_table,
+        read_trace_header,
+    )
 
     path = Path(args.output)
     try:
@@ -205,6 +205,7 @@ def cmd_trace_analyze(args) -> int:
     """``resim trace analyze <file>``: profile a stored trace into its
     ``.rprof`` sidecar (reused when digest-fresh) and summarize it."""
     from repro.trace.analyze import ensure_profile, profile_path
+    from repro.trace.fileio import TraceFileError
 
     path = Path(args.output)
     try:
@@ -227,16 +228,12 @@ def _simulate_regions(args, config, sampling: dict) -> int:
     plan (``sampling`` is the normalized sampling record), run the
     representative regions, report the weighted estimate."""
     import tempfile
-    from repro.exec import (
-        ExecError,
-        SliceReducer,
-        WorkUnit,
-        execute_unit,
-        plan_regions,
-        slice_units,
-    )
+    from repro.exec.regions import plan_regions
+    from repro.exec.slice import SliceReducer, slice_units
+    from repro.exec.unit import ExecError, WorkUnit, execute_unit
     from repro.serialize import config_to_dict, stats_from_dict
     from repro.trace.analyze import ensure_profile
+    from repro.trace.fileio import TraceFileError
 
     if not args.trace_file:
         raise SystemExit("--sample-regions needs --trace-file: region "
@@ -272,6 +269,13 @@ def _simulate_regions(args, config, sampling: dict) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from repro.core.minorpipe import select_pipeline
+    from repro.core.observers import ProgressObserver
+    from repro.session.simulation import SessionError, Simulation
+    from repro.sweep.fields import normalize_sampling
+    from repro.sweep.spec import SweepError
+    from repro.trace.fileio import TraceFileError
+
     config = _config(args.config)
     if args.progress_records < 1:
         raise SystemExit(
@@ -287,6 +291,13 @@ def cmd_simulate(args) -> int:
         simulation = Simulation.for_trace_file(args.trace_file,
                                                config=config)
     else:
+        # Only a workload run loads the trace generator.
+        from repro.workloads.tracegen import (
+            UnknownWorkloadError,
+            is_known_workload,
+        )
+        if not is_known_workload(args.workload):
+            raise SystemExit(str(UnknownWorkloadError(args.workload)))
         simulation = _workload_simulation(args, config)
     # Select the tier and attach observers before prepare(): every
     # with_* clone invalidates the prepared-trace cache.
@@ -312,8 +323,6 @@ def cmd_simulate(args) -> int:
                   "this engine's predictions", file=sys.stderr)
     try:
         session = simulation.run()
-    except UnknownWorkloadError as error:
-        raise SystemExit(str(error)) from error
     except TraceFileError as error:
         # Streamed payload corruption surfaces during the run, not at
         # prepare time (only one segment is ever decoded ahead).
@@ -328,7 +337,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    from repro.perf.tables import render_all  # heavy import, lazy
+    from repro.perf.tables import render_all
     try:
         render_all(args.tables or None, args.budget)
     except KeyError as error:
@@ -337,6 +346,9 @@ def cmd_tables(args) -> int:
 
 
 def cmd_area(args) -> int:
+    from dataclasses import replace
+    from repro.fpga.area import AreaEstimator
+
     config = _config(args.config)
     if args.with_caches:
         config = replace(config, perfect_memory=False)
@@ -346,6 +358,9 @@ def cmd_area(args) -> int:
 
 
 def cmd_vhdl(args) -> int:
+    from repro.fpga.vhdlgen.bpgen import generate_branch_predictor_vhdl
+    from repro.utils.atomic import atomic_path
+
     config = _config(args.config)
     sources = generate_branch_predictor_vhdl(config.predictor)
     output = Path(args.output_dir)
@@ -359,6 +374,11 @@ def cmd_vhdl(args) -> int:
 
 
 def cmd_multicore(args) -> int:
+    from repro.multicore.simulator import MultiCoreSimulator, TraceChannel
+    from repro.trace.fileio import TraceFileError
+    from repro.workloads.profiles import SPECINT_PROFILES
+    from repro.workloads.tracegen import UnknownWorkloadError
+
     config = _config(args.config)
     device = _device(args.device)
     simulator = MultiCoreSimulator(
@@ -431,14 +451,13 @@ def _make_backend(args, results_dir: Path):
     worker processes to spawn" for the queue (0 = rely entirely on
     externally started ``resim worker`` processes).
     """
-    from repro.exec import (
-        BACKENDS,
-        DirectoryQueueBackend,
-        ExecError,
-        ProcessPoolBackend,
-        SerialBackend,
-    )
+    from repro.exec.backends import ProcessPoolBackend, SerialBackend
+    from repro.exec.unit import ExecError
     from repro.sweep.runner import default_backend
+    from repro.utils.registry import RegistryError
+    # The queue module registers the "queue" backend: import it before
+    # any lookup.
+    from repro.exec.queue import BACKENDS, DirectoryQueueBackend
 
     if args.backend == "auto":
         if args.workers < 1:
@@ -474,12 +493,8 @@ def _validate_bulk_options(args) -> Path:
     """Fail on bad presentation/export options *before* simulations
     run, not after minutes of them; returns the resolved results
     dir."""
-    from repro.sweep.result import SORT_KEYS
-    if args.command == "sweep" and args.sort not in SORT_KEYS:
-        raise SystemExit(
-            f"unknown sort key {args.sort!r}; choose from "
-            f"{', '.join(SORT_KEYS)}"
-        )
+    if args.command == "sweep":
+        sort_key(args.sort, SystemExit)
     if args.top is not None and args.top < 1:
         raise SystemExit(f"--top must be positive, got {args.top}")
     results_dir = Path(args.results_dir).resolve()
@@ -531,10 +546,12 @@ def _campaign_request(args) -> dict:
 def cmd_campaign(args) -> int:
     """``resim sweep`` and ``resim search``: normalize and run the
     campaign request, then print its table, notes and exports."""
-    from repro.perf.tables import sweep_table  # heavy import, lazy
-    from repro.exec import ExecError
-    from repro.sweep import ProgressPrinter, SearchResult
+    from repro.perf.tables import sweep_table
+    from repro.exec.unit import ExecError
     from repro.sweep.campaign import normalize_campaign, run_campaign
+    from repro.sweep.progress import ProgressPrinter
+    from repro.sweep.search import SearchResult
+    from repro.sweep.spec import SweepError
 
     request = _campaign_request(args)
     device = _device(args.device)
@@ -590,9 +607,10 @@ def cmd_stats(args) -> int:
     standalone: merge per-shard (exact) or per-region (weighted
     estimate) result documents into one statistics document."""
     import json as _json
-    from repro.exec import ExecError, merge_slice_documents
-    from repro.exec.slice import kind_of
+    from repro.exec.slice import kind_of, merge_slice_documents
+    from repro.exec.unit import ExecError
     from repro.serialize import stats_from_dict
+    from repro.utils.atomic import atomic_path
 
     documents = []
     for name in args.files:
@@ -641,7 +659,8 @@ def _read_json_document(target):
 
 def cmd_serve(args) -> int:
     """``resim serve``: run the campaign service until interrupted."""
-    from repro.serve import BackgroundServer, CampaignService, ServiceError
+    from repro.serve.app import CampaignService, ServiceError
+    from repro.serve.http import BackgroundServer
 
     if args.concurrency < 1:
         raise SystemExit(f"--concurrency must be >= 1, "
@@ -681,7 +700,7 @@ def cmd_serve(args) -> int:
 def cmd_client(args) -> int:
     """``resim client``: drive a running campaign service."""
     import json as _json
-    from repro.serve import ClientError, ServiceClient
+    from repro.serve.client import ClientError, ServiceClient
 
     client = ServiceClient(args.host, args.port,
                            timeout=args.timeout)
@@ -746,6 +765,8 @@ def cmd_spec(args) -> int:
     content key — the same canonicalization + hash the campaign
     cache builds its keys from, so two invocations agree iff the
     service would treat the specs as the same computation."""
+    from repro.session.simulation import SessionError, Simulation
+
     if args.length < 4 or args.length > 64:
         raise SystemExit(f"--length must be in 4..64, "
                          f"got {args.length}")
@@ -952,7 +973,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_axes(sweep, "sweep")
     add_bulk(sweep, "sweep-results")
     sweep.add_argument("--sort", default="ipc",
-                       help="table sort key (ipc, cycles, mispredictions)")
+                       help=f"table sort key ({', '.join(SORT_KEYS)})")
     sweep.set_defaults(func=cmd_campaign)
 
     search = sub.add_parser(

@@ -24,50 +24,17 @@ the paper's two-level structure (Section IV):
    latency x the device's minor-cycle frequency.
 """
 
-from repro.core.config import (
-    PAPER_2WIDE_CACHE,
-    PAPER_4WIDE_PERFECT,
-    ProcessorConfig,
-)
-from repro.core.engine import (
-    EngineObserver,
-    ReSimEngine,
-    SimulationResult,
-    WarmupWindowError,
-)
-from repro.core.observers import ProgressObserver
-from repro.core.minorpipe import (
-    ImprovedPipeline,
-    MinorPipeline,
-    OptimizedPipeline,
-    SimplePipeline,
-    select_pipeline,
-)
-from repro.core.specialize import (
-    ENGINE_TIERS,
-    SpecializationError,
-    SpecializedEngine,
-    choose_tier,
-)
-from repro.core.stats import SimulationStatistics
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "ENGINE_TIERS",
-    "EngineObserver",
-    "ImprovedPipeline",
-    "MinorPipeline",
-    "OptimizedPipeline",
-    "PAPER_2WIDE_CACHE",
-    "PAPER_4WIDE_PERFECT",
-    "ProcessorConfig",
-    "ProgressObserver",
-    "ReSimEngine",
-    "SimplePipeline",
-    "SimulationResult",
-    "SimulationStatistics",
-    "SpecializationError",
-    "SpecializedEngine",
-    "WarmupWindowError",
-    "choose_tier",
-    "select_pipeline",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.core.config": "PAPER_2WIDE_CACHE PAPER_4WIDE_PERFECT "
+                         "ProcessorConfig",
+    "repro.core.engine": "EngineObserver ReSimEngine SimulationResult "
+                         "WarmupWindowError",
+    "repro.core.minorpipe": "ImprovedPipeline MinorPipeline OptimizedPipeline "
+                            "SimplePipeline select_pipeline",
+    "repro.core.observers": "ProgressObserver",
+    "repro.core.specialize": "ENGINE_TIERS SpecializationError "
+                             "SpecializedEngine choose_tier",
+    "repro.core.stats": "SimulationStatistics",
+})

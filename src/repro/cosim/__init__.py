@@ -13,10 +13,8 @@ functional production, link transfer, FPGA timing simulation — bounds
 the pipeline.
 """
 
-from repro.cosim.streaming import (
-    CosimResult,
-    OnTheFlyCosimulation,
-    StageRates,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = ["CosimResult", "OnTheFlyCosimulation", "StageRates"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.cosim.streaming": "CosimResult OnTheFlyCosimulation StageRates",
+})

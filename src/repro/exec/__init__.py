@@ -34,86 +34,22 @@ every backend produces bit-identical result documents for the same
 batch — the property the sweep and search layers build on.
 """
 
-from repro.exec.backends import (
-    BACKENDS,
-    ExecutionBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-)
-from repro.exec.queue import (
-    DEFAULT_LEASE_SECONDS,
-    DirectoryQueueBackend,
-    enqueue,
-    queue_paths,
-    reclaim_stale,
-)
-from repro.exec.regions import (
-    DEFAULT_REGIONS,
-    DEFAULT_WARMUP_SEGMENTS,
-    IPC_ERROR_BOUND,
-    plan_regions,
-)
-from repro.exec.shard import EXACT_SUM_COUNTERS, plan_shards
-from repro.exec.slice import (
-    Slice,
-    SlicePlan,
-    SliceReducer,
-    merge_slice_documents,
-    slice_units,
-)
-from repro.exec.unit import (
-    ExecError,
-    RESULT_SCHEMA,
-    UnitExecutionError,
-    WorkUnit,
-    atomic_write_json,
-    error_document,
-    execute_unit,
-    load_unit_result,
-    result_matches_unit,
-    reusable_result,
-)
-from repro.exec.worker import LeaseHeartbeat, run_worker
+from repro.utils.lazy import lazy_exports
 
-# The benchmark harness (resimbench/) imports these two names and runs
-# unchanged against older revisions too, so they stay as plain aliases
-# of the unified functions.
-region_units = slice_units
-merge_region_documents = merge_slice_documents
-
-__all__ = [
-    "BACKENDS",
-    "DEFAULT_LEASE_SECONDS",
-    "DEFAULT_REGIONS",
-    "DEFAULT_WARMUP_SEGMENTS",
-    "DirectoryQueueBackend",
-    "EXACT_SUM_COUNTERS",
-    "ExecError",
-    "ExecutionBackend",
-    "IPC_ERROR_BOUND",
-    "LeaseHeartbeat",
-    "ProcessPoolBackend",
-    "RESULT_SCHEMA",
-    "SerialBackend",
-    "Slice",
-    "SlicePlan",
-    "SliceReducer",
-    "UnitExecutionError",
-    "WorkUnit",
-    "atomic_write_json",
-    "enqueue",
-    "error_document",
-    "execute_unit",
-    "load_unit_result",
-    "merge_region_documents",
-    "merge_slice_documents",
-    "plan_regions",
-    "plan_shards",
-    "queue_paths",
-    "reclaim_stale",
-    "region_units",
-    "result_matches_unit",
-    "reusable_result",
-    "run_worker",
-    "slice_units",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.exec.backends": "ExecutionBackend ProcessPoolBackend "
+                           "SerialBackend",
+    # BACKENDS is defined in backends; queue registers its "queue"
+    # entry, so the registry resolves from there, complete.
+    "repro.exec.queue": "BACKENDS DEFAULT_LEASE_SECONDS DirectoryQueueBackend "
+                        "enqueue queue_paths reclaim_stale",
+    "repro.exec.regions": "DEFAULT_REGIONS DEFAULT_WARMUP_SEGMENTS "
+                          "IPC_ERROR_BOUND plan_regions",
+    "repro.exec.shard": "EXACT_SUM_COUNTERS plan_shards",
+    "repro.exec.slice": "Slice SlicePlan SliceReducer merge_region_documents "
+                        "merge_slice_documents region_units slice_units",
+    "repro.exec.unit": "ExecError RESULT_SCHEMA UnitExecutionError WorkUnit "
+                       "atomic_write_json error_document execute_unit "
+                       "load_unit_result result_matches_unit reusable_result",
+    "repro.exec.worker": "LeaseHeartbeat run_worker",
+})

@@ -215,7 +215,7 @@ def execute_unit(unit: WorkUnit) -> dict:
     other units this process runs
     (:func:`~repro.trace.fileio.decoded_segment_reuse`).
     """
-    from repro.session import Simulation  # heavy import, deferred
+    from repro.session.simulation import Simulation  # heavy, deferred
 
     with decoded_segment_reuse():
         session = Simulation.from_spec(unit.spec).run()

@@ -21,25 +21,11 @@ package provides the documented substitution (DESIGN.md §2):
   :class:`~repro.bpred.unit.PredictorConfig`.
 """
 
-from repro.fpga.area import AreaEstimator, AreaReport, StageArea
-from repro.fpga.device import (
-    DEVICES,
-    FpgaDevice,
-    VIRTEX4_LX40,
-    VIRTEX5_LX50T,
-)
-from repro.fpga.timing import FrequencyModel, parallel_fetch_ablation
-from repro.fpga.vhdlgen import generate_branch_predictor_vhdl
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "AreaEstimator",
-    "AreaReport",
-    "DEVICES",
-    "FpgaDevice",
-    "FrequencyModel",
-    "StageArea",
-    "VIRTEX4_LX40",
-    "VIRTEX5_LX50T",
-    "generate_branch_predictor_vhdl",
-    "parallel_fetch_ablation",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.fpga.area": "AreaEstimator AreaReport StageArea",
+    "repro.fpga.device": "DEVICES FpgaDevice VIRTEX4_LX40 VIRTEX5_LX50T",
+    "repro.fpga.timing": "FrequencyModel parallel_fetch_ablation",
+    "repro.fpga.vhdlgen.bpgen": "generate_branch_predictor_vhdl",
+})

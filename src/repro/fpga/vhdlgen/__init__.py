@@ -8,16 +8,10 @@ BTB, etc."*  This package is that script: it turns a
 entities (direction predictor, BTB, RAS, and a wrapping unit).
 """
 
-from repro.fpga.vhdlgen.bpgen import (
-    generate_branch_predictor_vhdl,
-    generate_btb_vhdl,
-    generate_direction_vhdl,
-    generate_ras_vhdl,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "generate_branch_predictor_vhdl",
-    "generate_btb_vhdl",
-    "generate_direction_vhdl",
-    "generate_ras_vhdl",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.fpga.vhdlgen.bpgen": "generate_branch_predictor_vhdl "
+                                "generate_btb_vhdl generate_direction_vhdl "
+                                "generate_ras_vhdl",
+})

@@ -16,18 +16,11 @@ branch (Section V.A).  This package is that toolflow:
   including wrong-path blocks.
 """
 
-from repro.functional.executor import Executor, ExecutionError, StepResult
-from repro.functional.sim_bpred import SimBpred, TraceGenerationResult
-from repro.functional.sim_fast import SimFast, SimFastResult
-from repro.functional.state import MachineState
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "ExecutionError",
-    "Executor",
-    "MachineState",
-    "SimBpred",
-    "SimFast",
-    "SimFastResult",
-    "StepResult",
-    "TraceGenerationResult",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.functional.executor": "ExecutionError Executor StepResult",
+    "repro.functional.sim_bpred": "SimBpred TraceGenerationResult",
+    "repro.functional.sim_fast": "SimFast SimFastResult",
+    "repro.functional.state": "MachineState",
+})

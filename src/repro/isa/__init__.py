@@ -18,34 +18,13 @@ Public API
 * register name tables in :mod:`repro.isa.registers`
 """
 
-from repro.isa.assembler import Assembler, AssemblyError, assemble
-from repro.isa.instruction import Instruction
-from repro.isa.opcodes import FuClass, Opcode, OPCODE_INFO
-from repro.isa.program import Program
-from repro.isa.registers import (
-    HI,
-    LO,
-    REG_COUNT,
-    REG_NAMES,
-    ZERO,
-    register_index,
-    register_name,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "Assembler",
-    "AssemblyError",
-    "FuClass",
-    "HI",
-    "Instruction",
-    "LO",
-    "Opcode",
-    "OPCODE_INFO",
-    "Program",
-    "REG_COUNT",
-    "REG_NAMES",
-    "ZERO",
-    "assemble",
-    "register_index",
-    "register_name",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.isa.assembler": "Assembler AssemblyError assemble",
+    "repro.isa.instruction": "Instruction",
+    "repro.isa.opcodes": "FuClass OPCODE_INFO Opcode",
+    "repro.isa.program": "Program",
+    "repro.isa.registers": "HI LO REG_COUNT REG_NAMES ZERO register_index "
+                           "register_name",
+})

@@ -17,16 +17,9 @@ proportionally; the model quantifies where per-device simulation
 throughput saturates.
 """
 
-from repro.multicore.simulator import (
-    CoreResult,
-    MultiCoreResult,
-    MultiCoreSimulator,
-    TraceChannel,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "CoreResult",
-    "MultiCoreResult",
-    "MultiCoreSimulator",
-    "TraceChannel",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.multicore.simulator": "CoreResult MultiCoreResult "
+                                 "MultiCoreSimulator TraceChannel",
+})

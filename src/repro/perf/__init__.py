@@ -15,23 +15,11 @@ the paper reports:
   speedup claims (>5x over the best hardware simulators).
 """
 
-from repro.perf.comparison import (
-    PUBLISHED_SIMULATORS,
-    SimulatorEntry,
-    comparison_table,
-    speedup_over,
-)
-from repro.perf.harness import BenchmarkRow, evaluate_benchmark, evaluate_suite
-from repro.perf.throughput import ThroughputModel, ThroughputReport
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "BenchmarkRow",
-    "PUBLISHED_SIMULATORS",
-    "SimulatorEntry",
-    "ThroughputModel",
-    "ThroughputReport",
-    "comparison_table",
-    "evaluate_benchmark",
-    "evaluate_suite",
-    "speedup_over",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.perf.comparison": "PUBLISHED_SIMULATORS SimulatorEntry "
+                             "comparison_table speedup_over",
+    "repro.perf.harness": "BenchmarkRow evaluate_benchmark evaluate_suite",
+    "repro.perf.throughput": "ThroughputModel ThroughputReport",
+})

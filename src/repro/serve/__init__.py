@@ -45,63 +45,15 @@ Quick start (one process)::
         print(client.result(answer["job_id"])["cache"])
 """
 
-from repro.serve.app import CampaignService, REQUEST_KINDS, ServiceError
-from repro.serve.cache import (
-    CACHE_SCHEMA,
-    CacheError,
-    CacheStore,
-    CachingBackend,
-)
-from repro.serve.canon import (
-    CACHE_KEY_LENGTH,
-    CanonError,
-    ENGINE_VERSION,
-    KEY_SCHEMA,
-    cache_key,
-    canonical_spec,
-    trace_digest,
-)
-from repro.serve.client import ClientError, ServiceClient
-from repro.serve.http import BackgroundServer, DEFAULT_HOST, DEFAULT_PORT
-from repro.serve.jobs import (
-    JOB_SCHEMA,
-    JOB_STATES,
-    Job,
-    JobCancelled,
-    JobContext,
-    JobError,
-    JobManager,
-    TERMINAL_STATES,
-    request_key,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "BackgroundServer",
-    "CACHE_KEY_LENGTH",
-    "CACHE_SCHEMA",
-    "CampaignService",
-    "CanonError",
-    "CacheError",
-    "CacheStore",
-    "CachingBackend",
-    "ClientError",
-    "DEFAULT_HOST",
-    "DEFAULT_PORT",
-    "ENGINE_VERSION",
-    "JOB_SCHEMA",
-    "JOB_STATES",
-    "Job",
-    "JobCancelled",
-    "JobContext",
-    "JobError",
-    "JobManager",
-    "KEY_SCHEMA",
-    "REQUEST_KINDS",
-    "ServiceClient",
-    "ServiceError",
-    "TERMINAL_STATES",
-    "cache_key",
-    "canonical_spec",
-    "request_key",
-    "trace_digest",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.serve.app": "CampaignService REQUEST_KINDS ServiceError",
+    "repro.serve.cache": "CACHE_SCHEMA CacheError CacheStore CachingBackend",
+    "repro.serve.canon": "CACHE_KEY_LENGTH CanonError ENGINE_VERSION "
+                         "KEY_SCHEMA cache_key canonical_spec trace_digest",
+    "repro.serve.client": "ClientError ServiceClient",
+    "repro.serve.http": "BackgroundServer DEFAULT_HOST DEFAULT_PORT",
+    "repro.serve.jobs": "JOB_SCHEMA JOB_STATES Job JobCancelled JobContext "
+                        "JobError JobManager TERMINAL_STATES request_key",
+})

@@ -47,7 +47,8 @@ from repro.serve.cache import CacheStore, CachingBackend
 from repro.serve.canon import ENGINE_VERSION, canonical_spec
 from repro.serve.jobs import Job, JobContext, JobManager
 from repro.session import SessionError, coerce_engine
-from repro.sweep.campaign import CAMPAIGN_KINDS, normalize_campaign, run_campaign
+from repro.sweep.campaign import normalize_campaign, run_campaign
+from repro.sweep.fields import CAMPAIGN_KINDS
 from repro.sweep.progress import SweepProgress
 from repro.sweep.result import SweepResult
 from repro.sweep.runner import default_backend

@@ -21,35 +21,16 @@ See :mod:`repro.session.simulation` for the full story, and
 :class:`repro.core.engine.EngineObserver` for run instrumentation.
 """
 
-from repro.bpred.unit import PREDICTORS
-from repro.cache.replacement import REPLACEMENT_POLICIES
-from repro.core.engine import EngineObserver
-from repro.fpga.device import DEVICES
-from repro.session.simulation import (
-    CONFIGS,
-    PreparedTrace,
-    SPEC_SCHEMA,
-    SessionError,
-    SessionResult,
-    Simulation,
-    coerce_engine,
-)
-from repro.utils.registry import Registry, RegistryError
-from repro.workloads.tracegen import WORKLOADS
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "CONFIGS",
-    "DEVICES",
-    "EngineObserver",
-    "PREDICTORS",
-    "PreparedTrace",
-    "REPLACEMENT_POLICIES",
-    "Registry",
-    "RegistryError",
-    "SPEC_SCHEMA",
-    "SessionError",
-    "SessionResult",
-    "Simulation",
-    "WORKLOADS",
-    "coerce_engine",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.bpred.unit": "PREDICTORS",
+    "repro.cache.replacement": "REPLACEMENT_POLICIES",
+    "repro.core.engine": "EngineObserver",
+    "repro.fpga.device": "DEVICES",
+    "repro.session.simulation": "CONFIGS PreparedTrace SPEC_SCHEMA "
+                                "SessionError SessionResult Simulation "
+                                "coerce_engine",
+    "repro.utils.registry": "Registry RegistryError",
+    "repro.workloads.tracegen": "WORKLOADS",
+})

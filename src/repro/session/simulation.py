@@ -77,7 +77,6 @@ from repro.trace.source import FileSource, InMemorySource, TraceSource
 from repro.trace.stats import TraceStatistics, measure_trace
 from repro.utils.atomic import atomic_path
 from repro.utils.registry import Registry
-from repro.workloads.tracegen import build_tracer, generate_workload_trace
 
 #: Named processor configurations (Table 1's two machines).  Register
 #: more (``CONFIGS.register("my-config", ProcessorConfig(...))``) and
@@ -177,6 +176,7 @@ class _WorkloadSource:
     name: str
 
     def prepare(self, sim: Simulation) -> PreparedTrace:
+        from repro.workloads.tracegen import generate_workload_trace
         generation, start_pc = generate_workload_trace(
             self.name, sim.config, budget=sim.budget, seed=sim.seed)
         return PreparedTrace(InMemorySource(generation.records),
@@ -244,6 +244,7 @@ class _ProgramSource:
     inputs: tuple[int, ...] | None
 
     def prepare(self, sim: Simulation) -> PreparedTrace:
+        from repro.workloads.tracegen import build_tracer
         tracer = build_tracer(sim.config)
         inputs = list(self.inputs) if self.inputs is not None else None
         generation = tracer.generate(self.program, inputs=inputs)

@@ -35,50 +35,14 @@ Adaptive search over the same axes and checkpoints:
 >>> best = runner.search(HillClimb(spec)).best  # doctest: +SKIP
 """
 
-from repro.serialize import (
-    config_from_dict,
-    config_key,
-    config_to_dict,
-    stats_from_dict,
-    stats_to_dict,
-)
-from repro.sweep.progress import ProgressPrinter, SweepProgress
-from repro.sweep.result import SweepOutcome, SweepResult
-from repro.sweep.runner import SweepRunner, default_backend
-from repro.sweep.search import (
-    SEARCHES,
-    GridSearch,
-    HillClimb,
-    RandomSearch,
-    SearchError,
-    SearchResult,
-    SearchStrategy,
-    make_strategy,
-)
-from repro.sweep.spec import Expansion, SweepError, SweepPoint, SweepSpec
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "Expansion",
-    "GridSearch",
-    "HillClimb",
-    "ProgressPrinter",
-    "RandomSearch",
-    "SEARCHES",
-    "SearchError",
-    "SearchResult",
-    "SearchStrategy",
-    "SweepError",
-    "SweepOutcome",
-    "SweepPoint",
-    "SweepProgress",
-    "SweepResult",
-    "SweepRunner",
-    "SweepSpec",
-    "config_from_dict",
-    "config_key",
-    "config_to_dict",
-    "default_backend",
-    "make_strategy",
-    "stats_from_dict",
-    "stats_to_dict",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.sweep.progress": "ProgressPrinter SweepProgress",
+    "repro.sweep.result": "SweepOutcome SweepResult",
+    "repro.sweep.runner": "SweepRunner default_backend",
+    "repro.sweep.search": "GridSearch HillClimb RandomSearch SEARCHES "
+                          "SearchError SearchResult SearchStrategy "
+                          "make_strategy",
+    "repro.sweep.spec": "Expansion SweepError SweepPoint SweepSpec",
+})

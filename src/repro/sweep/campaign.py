@@ -20,22 +20,22 @@ from __future__ import annotations
 from collections.abc import Mapping
 from pathlib import Path
 
-from repro.exec import ExecutionBackend
+from repro.exec.backends import ExecutionBackend
 from repro.serialize import config_from_dict, config_to_dict
-from repro.session import CONFIGS
-from repro.sweep.fields import CAMPAIGN_KINDS, FIELDS, SAMPLING_FIELDS
+from repro.session.simulation import CONFIGS
+from repro.sweep.fields import (
+    CAMPAIGN_FIELDS,
+    FIELDS,
+    SAMPLING_FIELDS,
+    normalize_sampling,
+)
 from repro.sweep.progress import SweepProgress
 from repro.sweep.result import SweepResult
-from repro.sweep.runner import SweepRunner, sampling_entry
+from repro.sweep.runner import SweepRunner
 from repro.sweep.search import SEARCHES, SearchResult, make_strategy
 from repro.sweep.spec import SweepError, SweepSpec
 from repro.utils.registry import RegistryError
 from repro.workloads.tracegen import UnknownWorkloadError, is_known_workload
-
-#: The fields each kind accepts; anything else is rejected by name.
-CAMPAIGN_FIELDS = {kind: tuple(name for name, field in FIELDS.items()
-                               if kind in field.kinds)
-                   for kind in CAMPAIGN_KINDS}
 
 #: Fields with their own normalization below: they need a registry or
 #: a structure, or (``kind``) are checked first.
@@ -71,23 +71,6 @@ def _axes(kind: str, axes: object) -> dict[str, list]:
                 f"got {values!r}")
     return dict(sorted((str(name), list(values))
                        for name, values in axes.items()))
-
-
-def normalize_sampling(fields: Mapping, *, shards: int = 1) -> dict | None:
-    """The nested ``sampling`` record of a request's (or ``resim
-    simulate``'s) sampling fields, or ``None`` for full replay.  A
-    sampling parameter without ``"sampling": "regions"`` would do
-    nothing, so it is an error.
-    """
-    sampling = fields.get("sampling", FIELDS["sampling"].default)
-    given = {field.name: fields[field.name] for field in SAMPLING_FIELDS
-             if field.name in fields}
-    if sampling == "full" and given:
-        field = FIELDS[next(iter(given))]
-        raise SweepError(
-            f"request field {field.name!r} ({field.flag}) applies only "
-            f"with \"sampling\": \"regions\" ({FIELDS['regions'].flag})")
-    return sampling_entry(sampling, shards=shards, **given)
 
 
 def normalize_campaign(request: Mapping) -> dict:

@@ -9,12 +9,13 @@ search-strategy keyword defaults, and the README's request-field table
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Any
 
 from repro.core.specialize import DEFAULT_ENGINE, ENGINE_TIERS
-from repro.exec import DEFAULT_REGIONS, DEFAULT_WARMUP_SEGMENTS
-from repro.session import CONFIGS
+from repro.exec.regions import DEFAULT_REGIONS, DEFAULT_WARMUP_SEGMENTS
+from repro.session.simulation import CONFIGS
 from repro.sweep.result import SORT_KEYS
 from repro.sweep.spec import SweepError
 from repro.trace.fileio import DEFAULT_SEGMENT_RECORDS
@@ -126,3 +127,53 @@ FIELDS = {field.name: field for field in (
 #: The region-sampling parameters (the nested ``sampling`` record).
 SAMPLING_FIELDS = tuple(field for field in FIELDS.values()
                         if field.record_key)
+
+#: The fields each kind accepts; anything else is rejected by name.
+CAMPAIGN_FIELDS = {kind: tuple(name for name, field in FIELDS.items()
+                               if kind in field.kinds)
+                   for kind in CAMPAIGN_KINDS}
+
+
+def sampling_entry(sampling: str, *, shards: int = 1,
+                   **parameters: int) -> dict | None:
+    """The validated record of a sampling mode, or ``None`` for full
+    replay.  ``parameters`` are the region-sampling fields
+    (:data:`SAMPLING_FIELDS`) by name; missing ones take their
+    defaults.
+
+    Sweep manifests and the campaign service's normalized requests
+    both carry it, so a sampled and an exact run never share a results
+    directory or coalesce into one job.  Full replay is recorded by
+    omission: pre-sampling manifests and requests keep their shape, so
+    old results directories stay resumable.
+    """
+    if sampling == "full":
+        return None
+    if sampling != "regions":
+        raise SweepError(
+            f"sampling must be 'full' or 'regions', got {sampling!r}")
+    if shards > 1:
+        raise SweepError(
+            "shards and region sampling are mutually exclusive: "
+            "sharding exists for exact merges, sampling estimates")
+    return {"mode": "regions", **{
+        field.record_key: field.check(parameters.get(field.name,
+                                                     field.default))
+        for field in SAMPLING_FIELDS}}
+
+
+def normalize_sampling(fields: Mapping, *, shards: int = 1) -> dict | None:
+    """The nested ``sampling`` record of a request's (or ``resim
+    simulate``'s) sampling fields, or ``None`` for full replay.  A
+    sampling parameter without ``"sampling": "regions"`` would do
+    nothing, so it is an error.
+    """
+    sampling = fields.get("sampling", FIELDS["sampling"].default)
+    given = {field.name: fields[field.name] for field in SAMPLING_FIELDS
+             if field.name in fields}
+    if sampling == "full" and given:
+        field = FIELDS[next(iter(given))]
+        raise SweepError(
+            f"request field {field.name!r} ({field.flag}) applies only "
+            f"with \"sampling\": \"regions\" ({FIELDS['regions'].flag})")
+    return sampling_entry(sampling, shards=shards, **given)

@@ -91,6 +91,17 @@ SORT_KEYS: dict[str, tuple[Callable[[SweepOutcome], float], bool]] = {
 }
 
 
+def sort_key(name: str, error: type[BaseException] = KeyError
+             ) -> tuple[Callable[[SweepOutcome], float], bool]:
+    """The (score function, larger-is-better) pair of a named sort key
+    or search metric; an unknown name raises ``error``."""
+    try:
+        return SORT_KEYS[name]
+    except KeyError:
+        raise error(f"unknown sort key {name!r}; choose from "
+                    f"{', '.join(SORT_KEYS)}") from None
+
+
 @dataclass(frozen=True)
 class SweepResult:
     """All outcomes of one sweep plus its provenance."""
@@ -126,13 +137,7 @@ class SweepResult:
         overrides it.  Callable keys default to larger-is-better.
         """
         if isinstance(key, str):
-            try:
-                key, larger_is_better = SORT_KEYS[key]
-            except KeyError:
-                raise KeyError(
-                    f"unknown sort key {key!r}; choose from "
-                    f"{', '.join(SORT_KEYS)} or pass a callable"
-                ) from None
+            key, larger_is_better = sort_key(key)
         else:
             larger_is_better = True
         if reverse is None:

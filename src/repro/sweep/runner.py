@@ -75,7 +75,7 @@ from repro.serialize import (
     config_to_dict,
     stats_from_dict,
 )
-from repro.sweep.fields import FIELDS, SAMPLING_FIELDS
+from repro.sweep.fields import FIELDS, sampling_entry
 from repro.sweep.progress import SweepProgress
 from repro.sweep.result import SweepOutcome, SweepResult
 from repro.sweep.search import (
@@ -122,34 +122,6 @@ def default_backend(workers: int) -> ExecutionBackend:
     if workers == 1:
         return SerialBackend()
     return ProcessPoolBackend(workers)
-
-
-def sampling_entry(sampling: str, *, shards: int = 1,
-                   **parameters: int) -> dict | None:
-    """The validated record of a sampling mode, or ``None`` for full
-    replay.  ``parameters`` are the region-sampling fields
-    (:data:`~repro.sweep.fields.SAMPLING_FIELDS`) by name; missing
-    ones take their defaults.
-
-    Sweep manifests and the campaign service's normalized requests
-    both carry it, so a sampled and an exact run never share a results
-    directory or coalesce into one job.  Full replay is recorded by
-    omission: pre-sampling manifests and requests keep their shape, so
-    old results directories stay resumable.
-    """
-    if sampling == "full":
-        return None
-    if sampling != "regions":
-        raise SweepError(
-            f"sampling must be 'full' or 'regions', got {sampling!r}")
-    if shards > 1:
-        raise SweepError(
-            "shards and region sampling are mutually exclusive: "
-            "sharding exists for exact merges, sampling estimates")
-    return {"mode": "regions", **{
-        field.record_key: field.check(parameters.get(field.name,
-                                                     field.default))
-        for field in SAMPLING_FIELDS}}
 
 
 @dataclass(frozen=True)

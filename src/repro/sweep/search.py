@@ -38,10 +38,10 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from repro.sweep.fields import FIELDS
-from repro.sweep.result import SORT_KEYS, SweepOutcome, SweepResult
+from repro.sweep.result import SweepOutcome, SweepResult, sort_key
 from repro.sweep.spec import SweepError, SweepPoint, SweepSpec
 from repro.utils.registry import Registry
 from repro.utils.rng import XorShiftRNG
@@ -58,17 +58,6 @@ MAX_ROUNDS = 1000
 
 class SearchError(SweepError):
     """Raised on malformed search strategies or parameters."""
-
-
-def _metric(name: str) -> tuple[Callable[[SweepOutcome], float], bool]:
-    """Resolve a metric name to (score function, larger-is-better)."""
-    try:
-        return SORT_KEYS[name]
-    except KeyError:
-        raise SearchError(
-            f"unknown search metric {name!r}; choose from "
-            f"{', '.join(SORT_KEYS)}"
-        ) from None
 
 
 class SearchStrategy(ABC):
@@ -89,7 +78,7 @@ class SearchStrategy(ABC):
                  metric: str = FIELDS["metric"].default) -> None:
         self.spec = spec
         self.metric = metric
-        self._score, self._larger_is_better = _metric(metric)
+        self._score, self._larger_is_better = sort_key(metric, SearchError)
 
     def better(self, candidate: SweepOutcome,
                incumbent: SweepOutcome | None) -> bool:
@@ -402,7 +391,7 @@ class SearchResult:
 
     def summary(self) -> str:
         """One line: what won, at what score, for how many sims."""
-        score = SORT_KEYS[self.metric][0](self.best)
+        score = sort_key(self.metric)[0](self.best)
         return (f"{self.strategy} search evaluated {len(self)} "
                 f"point(s) in {self.rounds} round(s); best "
                 f"{self.metric}={score:.4f} at {self.best.label}")

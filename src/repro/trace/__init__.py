@@ -34,95 +34,24 @@ This package provides:
   helpers shared by the functional and synthetic trace generators.
 """
 
-from repro.trace.analyze import (
-    DEFAULT_BBV_DIM,
-    PROFILE_SCHEMA,
-    ProfileError,
-    SegmentProfile,
-    TraceProfile,
-    analyze_trace,
-    ensure_profile,
-    load_profile,
-    profile_cache_info,
-    profile_path,
-    trace_content_digest,
-    write_profile,
-)
-from repro.trace.fileio import (
-    DEFAULT_SEGMENT_RECORDS,
-    SegmentedTraceWriter,
-    TraceFileError,
-    TraceFileHeader,
-    TraceSegment,
-    iter_trace_blocks,
-    iter_trace_records,
-    read_segment_table,
-    read_trace_file,
-    read_trace_header,
-    write_trace_file,
-)
-from repro.trace.encode import (
-    TraceEncoder,
-    decode_trace,
-    encode_trace,
-    record_bit_length,
-)
-from repro.trace.source import (
-    FileSource,
-    InMemorySource,
-    TraceSource,
-    TraceSourceError,
-    as_source,
-)
-from repro.trace.record import (
-    BranchRecord,
-    MemoryRecord,
-    OtherRecord,
-    RecordKind,
-    TraceRecord,
-)
-from repro.trace.stats import TraceStatistics, measure_trace
-from repro.trace.wrongpath import conservative_block_size
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "BranchRecord",
-    "DEFAULT_BBV_DIM",
-    "DEFAULT_SEGMENT_RECORDS",
-    "FileSource",
-    "InMemorySource",
-    "MemoryRecord",
-    "OtherRecord",
-    "PROFILE_SCHEMA",
-    "ProfileError",
-    "RecordKind",
-    "SegmentProfile",
-    "SegmentedTraceWriter",
-    "TraceEncoder",
-    "TraceFileError",
-    "TraceFileHeader",
-    "TraceRecord",
-    "TraceSegment",
-    "TraceProfile",
-    "TraceSource",
-    "TraceSourceError",
-    "TraceStatistics",
-    "analyze_trace",
-    "as_source",
-    "conservative_block_size",
-    "decode_trace",
-    "encode_trace",
-    "ensure_profile",
-    "iter_trace_blocks",
-    "iter_trace_records",
-    "load_profile",
-    "measure_trace",
-    "profile_cache_info",
-    "profile_path",
-    "read_segment_table",
-    "read_trace_file",
-    "read_trace_header",
-    "record_bit_length",
-    "trace_content_digest",
-    "write_profile",
-    "write_trace_file",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.trace.analyze": "DEFAULT_BBV_DIM PROFILE_SCHEMA ProfileError "
+                           "SegmentProfile TraceProfile analyze_trace "
+                           "ensure_profile load_profile profile_cache_info "
+                           "profile_path trace_content_digest write_profile",
+    "repro.trace.encode": "TraceEncoder decode_trace encode_trace "
+                          "record_bit_length",
+    "repro.trace.fileio": "DEFAULT_SEGMENT_RECORDS SegmentedTraceWriter "
+                          "TraceFileError TraceFileHeader TraceSegment "
+                          "iter_trace_blocks iter_trace_records "
+                          "read_segment_table read_trace_file "
+                          "read_trace_header write_trace_file",
+    "repro.trace.record": "BranchRecord MemoryRecord OtherRecord RecordKind "
+                          "TraceRecord",
+    "repro.trace.source": "FileSource InMemorySource TraceSource "
+                          "TraceSourceError as_source",
+    "repro.trace.stats": "TraceStatistics measure_trace",
+    "repro.trace.wrongpath": "conservative_block_size",
+})

@@ -16,14 +16,13 @@ the simulator substrates:
   every process-wide cache, and :func:`~repro.utils.memo.memo_info`.
 * :mod:`repro.utils.atomic` — the write-then-rename idiom every file
   ReSim writes goes through.
+* :mod:`repro.utils.lazy` — the export table every package
+  ``__init__`` resolves its names through on first use.
 """
 
-from repro.utils.queues import CircularQueue, QueueFullError, QueueEmptyError
-from repro.utils.rng import XorShiftRNG
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "CircularQueue",
-    "QueueFullError",
-    "QueueEmptyError",
-    "XorShiftRNG",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.utils.queues": "CircularQueue QueueEmptyError QueueFullError",
+    "repro.utils.rng": "XorShiftRNG",
+})

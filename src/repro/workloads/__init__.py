@@ -26,32 +26,14 @@ orderings and ratios in the reproduced tables are meaningful even
 though absolute MIPS are not expected to match the paper's testbed.
 """
 
-from repro.workloads.kernels import KERNELS, kernel_program, kernel_source
-from repro.workloads.profiles import (
-    BenchmarkProfile,
-    SPECINT_PROFILES,
-    get_profile,
-)
-from repro.workloads.synthetic import SyntheticWorkload
-from repro.workloads.tracegen import (
-    UnknownWorkloadError,
-    WrittenTrace,
-    generate_workload_trace,
-    is_known_workload,
-    write_workload_trace,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "BenchmarkProfile",
-    "KERNELS",
-    "SPECINT_PROFILES",
-    "SyntheticWorkload",
-    "UnknownWorkloadError",
-    "WrittenTrace",
-    "generate_workload_trace",
-    "get_profile",
-    "is_known_workload",
-    "kernel_program",
-    "kernel_source",
-    "write_workload_trace",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.workloads.kernels": "KERNELS kernel_program kernel_source",
+    "repro.workloads.profiles": "BenchmarkProfile SPECINT_PROFILES "
+                                "get_profile",
+    "repro.workloads.synthetic": "SyntheticWorkload",
+    "repro.workloads.tracegen": "UnknownWorkloadError WrittenTrace "
+                                "generate_workload_trace is_known_workload "
+                                "write_workload_trace",
+})

@@ -551,7 +551,7 @@ class TestShardPlan:
     def test_ranges_partition_the_segment_table(self, segmented_trace):
         table = read_segment_table(segmented_trace)
         plan = plan_shards(segmented_trace, 4)
-        assert plan.shards == 4
+        assert plan.count == 4
         assert plan.ranges[0][0] == 0
         assert plan.ranges[-1][1] == len(table)
         for (_, hi), (lo, _) in zip(plan.ranges, plan.ranges[1:], strict=False):
@@ -579,12 +579,12 @@ class TestShardPlan:
     def test_more_shards_than_segments_clamps(self, segmented_trace):
         table = read_segment_table(segmented_trace)
         plan = plan_shards(segmented_trace, 10_000)
-        assert plan.shards <= len(table)
+        assert plan.count <= len(table)
         assert all(count > 0 for count in plan.records)
 
     def test_single_shard_and_bad_count(self, segmented_trace):
         plan = plan_shards(segmented_trace, 1)
-        assert plan.shards == 1
+        assert plan.count == 1
         with pytest.raises(ExecError, match="shards must be >= 1"):
             plan_shards(segmented_trace, 0)
 
@@ -596,7 +596,7 @@ class TestShardPlan:
         path = tmp_path / "v1.rtrc"
         write_trace_file(path, generation.records, version=1)
         plan = plan_shards(path, 4)  # cannot split a v1 payload
-        assert plan.shards == 1
+        assert plan.count == 1
 
 
 class TestShardPlanAdversarial:

@@ -90,13 +90,13 @@ class TestPlanning:
     def test_seed_is_part_of_the_function(self, trace, profile, plan):
         reseeded = plan_regions(trace, profile, regions=8, seed=1)
         assert reseeded.seed == 1
-        assert sum(r.weight for r in reseeded.regions) == \
+        assert sum(r.weight for r in reseeded.slices) == \
             reseeded.total_segments
 
     def test_weights_partition_the_segments(self, plan):
-        assert sum(r.weight for r in plan.regions) == \
+        assert sum(r.weight for r in plan.slices) == \
             plan.total_segments
-        for region in plan.regions:
+        for region in plan.slices:
             assert region.warm_lo <= region.lo < region.hi
 
     def test_plan_records_the_trace_identity(self, trace, plan):
@@ -109,7 +109,7 @@ class TestPlanning:
             plan_regions(trace, profile, warmup_segments=-1)
 
     def test_weights_must_partition(self, plan):
-        regions = plan.regions
+        regions = plan.slices
         broken = regions[0].__class__(
             **{**regions[0].__dict__, "weight": regions[0].weight + 1})
         with pytest.raises(ExecError, match="sum"):
@@ -126,7 +126,7 @@ class TestRegionUnits:
         base = _unit(trace, tmp_path)
         units = slice_units(base, plan)
         assert len(units) == plan.count
-        for unit, region in zip(units, plan.regions, strict=True):
+        for unit, region in zip(units, plan.slices, strict=True):
             assert unit.unit_id == region_unit_id(
                 base.unit_id, region.index, plan.count)
             assert unit.spec["segments"] == [region.warm_lo, region.hi]

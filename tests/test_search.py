@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.serialize import stats_to_dict
 from repro.sweep import (
     GridSearch,
     HillClimb,
@@ -15,7 +16,6 @@ from repro.sweep import (
     SweepError,
     SweepRunner,
     SweepSpec,
-    stats_to_dict,
 )
 
 BUDGET = 1200
@@ -35,7 +35,7 @@ def grid_spec():
 
 class TestStrategyProtocol:
     def test_unknown_metric_rejected(self, rob_spec):
-        with pytest.raises(SearchError, match="unknown search metric"):
+        with pytest.raises(SearchError, match="unknown sort key"):
             GridSearch(rob_spec, metric="goodness")
 
     def test_registry_lists_strategies(self):

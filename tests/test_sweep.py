@@ -10,17 +10,14 @@ import pytest
 from repro.bpred.unit import PredictorConfig
 from repro.core.config import PAPER_4WIDE_PERFECT, ProcessorConfig
 from repro.core.engine import ReSimEngine
-from repro.sweep import (
-    SweepError,
-    SweepRunner,
-    SweepSpec,
+from repro.serialize import (
     config_from_dict,
     config_key,
     config_to_dict,
-    default_backend,
     stats_from_dict,
     stats_to_dict,
 )
+from repro.sweep import SweepError, SweepRunner, SweepSpec, default_backend
 from repro.sweep.runner import predictor_key, trace_filename
 from repro.trace.fileio import read_trace_file
 from repro.workloads import SyntheticWorkload, get_profile
