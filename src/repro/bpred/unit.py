@@ -195,12 +195,6 @@ class PredictorStatistics:
     ras_predictions: int = 0
     ras_correct: int = 0
 
-    @property
-    def direction_accuracy(self) -> float:
-        if self.conditional == 0:
-            return 1.0
-        return 1.0 - self.mispredictions / self.conditional
-
 
 class BranchPredictorUnit:
     """Direction predictor + BTB + RAS behind one interface."""

@@ -183,6 +183,3 @@ class Cache:
         ]
         self._policy.reset()
         return dirty
-
-    def reset_statistics(self) -> None:
-        self.stats = CacheStatistics()

@@ -824,10 +824,21 @@ _SIMULATE_FIELDS = ("workload", "engine", "regions", "region_seed",
                     "region_warmup")
 
 
+class _CheckedField(argparse.Action):
+    """Store a field flag's value once its row's check accepts it; a
+    refused value exits 1 naming the field, as a refused request field
+    does."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest,
+                FIELDS[self.dest].check(values, SystemExit))
+
+
 def _add_field_flags(parser, names) -> None:
     """Add the flag of each campaign field in ``names`` that has one,
-    as its :data:`~repro.sweep.fields.FIELDS` row declares it.  A
-    region-sampling parameter defaults to ``None``: not given."""
+    as its :data:`~repro.sweep.fields.FIELDS` row declares it (the
+    run-spec fields' rows are the spec rows).  A region-sampling
+    parameter defaults to ``None``: not given."""
     for name in names:
         field = FIELDS[name]
         if field.flag is None:
@@ -840,7 +851,7 @@ def _add_field_flags(parser, names) -> None:
         if field.flag.startswith("--"):
             parser.add_argument(field.flag, dest=name, type=field.type,
                                 default=default, metavar=field.metavar,
-                                help=text)
+                                action=_CheckedField, help=text)
         else:
             parser.add_argument(name, nargs="?", default=default,
                                 metavar=field.flag, help=text)
@@ -854,10 +865,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        """--config/--seed as the campaign fields; --budget with the
-        single-run default."""
-        _add_field_flags(p, ("config", "seed"))
-        p.add_argument("--budget", type=int, default=20_000)
+        """--config/--budget/--seed, as the campaign fields."""
+        _add_field_flags(p, ("config", "budget", "seed"))
 
     trace = sub.add_parser(
         "trace",
@@ -896,7 +905,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     tables = sub.add_parser("tables", help="regenerate paper tables")
     tables.add_argument("tables", nargs="*", metavar="TABLE")
-    tables.add_argument("--budget", type=int, default=30_000)
+    _add_field_flags(tables, ("budget",))
     tables.set_defaults(func=cmd_tables)
 
     area = sub.add_parser("area", help="Table 4 area breakdown")
@@ -1055,7 +1064,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "('-' = stdin)")
     spec.add_argument("--trace-file", default=None,
                       help="hash a trace-file simulation spec")
-    spec.add_argument("--workload", default="gzip",
+    spec.add_argument("--workload", default=FIELDS["workload"].default,
                       help="hash a workload simulation spec "
                            "(ignored with --file/--trace-file)")
     add_common(spec)

@@ -33,6 +33,7 @@ from collections.abc import Mapping
 
 from repro.core.specialize import DEFAULT_ENGINE
 from repro.serialize import config_to_dict, stats_to_dict
+from repro.session.simulation import SPEC_FIELDS
 from repro.trace.fileio import decoded_segment_reuse
 from repro.utils.atomic import atomic_path
 
@@ -309,10 +310,12 @@ def reusable_result(unit: WorkUnit) -> dict | None:
 
 
 def tierless_spec(spec: Mapping) -> dict:
-    """``spec`` without its engine tier — the part results depend on.
+    """``spec`` without the keys results do not depend on (the engine
+    tier; see :data:`~repro.session.simulation.SPEC_FIELDS`).
 
     Tiers are bit-identical by contract, so the tier is never part of
     a result's identity: every check that two documents describe the
     same run compares specs through this helper.
     """
-    return {key: value for key, value in spec.items() if key != "engine"}
+    return {key: value for key, value in spec.items()
+            if key not in SPEC_FIELDS or SPEC_FIELDS[key].affects_results}

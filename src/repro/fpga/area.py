@@ -122,11 +122,6 @@ class AreaReport:
         """Total block RAMs (caches included, as in Table 4's BRAM row)."""
         return self._sum("brams", include_caches=True)
 
-    @property
-    def full_design_slices(self) -> int:
-        """Slices including the cache tag structures."""
-        return self._sum("slices", include_caches=True)
-
     def percentage(self, component: str, attribute: str) -> float:
         """Share of one component in the full design (Table 4 cells)."""
         total = self._sum(attribute, include_caches=True)

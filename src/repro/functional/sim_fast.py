@@ -30,10 +30,6 @@ class SimFastResult:
     output: str = ""
     exit_code: int = 0
 
-    @property
-    def memory_operations(self) -> int:
-        return self.loads + self.stores
-
     def mix_summary(self) -> str:
         """One-line instruction-mix report (fractions of total)."""
         if self.instructions == 0:

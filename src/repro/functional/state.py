@@ -130,8 +130,3 @@ class MachineState:
                 break
             chars.append(chr(byte))
         return "".join(chars)
-
-    @property
-    def touched_pages(self) -> int:
-        """Number of memory pages allocated so far."""
-        return len(self._pages)

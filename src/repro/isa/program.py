@@ -68,13 +68,6 @@ class Program:
             raise IndexError(f"no instruction at {pc:#010x}")
         return self.instructions[(pc - self.text_base) // INSTRUCTION_BYTES]
 
-    def address_of(self, label: str) -> int:
-        """Resolve a label to its byte address."""
-        try:
-            return self.symbols[label]
-        except KeyError:
-            raise KeyError(f"undefined symbol {label!r}") from None
-
     def __len__(self) -> int:
         return len(self.instructions)
 

@@ -15,7 +15,7 @@ from repro.core.config import ProcessorConfig
 from repro.core.engine import SimulationResult
 from repro.fpga.device import FpgaDevice, VIRTEX4_LX40, VIRTEX5_LX50T
 from repro.perf.throughput import ThroughputReport
-from repro.session import Simulation
+from repro.session.simulation import SPEC_FIELDS, Simulation
 from repro.trace.stats import TraceStatistics
 
 #: Default devices: the paper's two implementation targets.
@@ -23,11 +23,11 @@ DEFAULT_DEVICES = (VIRTEX4_LX40, VIRTEX5_LX50T)
 
 #: Default per-benchmark instruction budget.  Small enough for quick
 #: runs, large enough for the predictor/caches to reach steady state.
-DEFAULT_BUDGET = 30_000
+DEFAULT_BUDGET: int = SPEC_FIELDS["budget"].default
 
 #: Default workload seed (kept fixed so every table in EXPERIMENTS.md
 #: regenerates identically).
-DEFAULT_SEED = 7
+DEFAULT_SEED: int = SPEC_FIELDS["seed"].default
 
 
 @dataclass

@@ -20,7 +20,7 @@ from repro.perf.comparison import (
     render_table,
     speedup_over,
 )
-from repro.perf.harness import average_mips, evaluate_suite
+from repro.perf.harness import DEFAULT_BUDGET, average_mips, evaluate_suite
 
 BENCHMARKS = ("gzip", "bzip2", "parser", "vortex", "vpr")
 
@@ -151,7 +151,7 @@ def sweep_table(result, device_name: str = "xc4vlx40",
 
 
 def render_all(tables: list[str] | None = None,
-               budget: int = 30_000) -> None:
+               budget: int = DEFAULT_BUDGET) -> None:
     """Render the selected tables (all four by default)."""
     runners = {"table1": table1, "table2": table2,
                "table3": table3, "table4": table4}

@@ -46,7 +46,6 @@ from repro.serialize import config_to_dict
 from repro.serve.cache import CacheStore, CachingBackend
 from repro.serve.canon import ENGINE_VERSION, canonical_spec
 from repro.serve.jobs import Job, JobContext, JobManager
-from repro.session import SessionError, coerce_engine
 from repro.sweep.campaign import normalize_campaign, run_campaign
 from repro.sweep.fields import CAMPAIGN_KINDS
 from repro.sweep.progress import SweepProgress
@@ -157,14 +156,11 @@ class CampaignService:
             raise ServiceError(
                 "a simulate request needs a 'spec' object "
                 "(a Simulation.from_spec document)")
+        # canonical_spec() checks every key, then drops the engine tier
+        # (tiers are bit-identical, so cache keys must not depend on
+        # it); carry it beside the spec so execution still honors it.
         normalized = {"kind": "simulate", "spec": canonical_spec(spec)}
-        # canonical_spec() drops the engine tier (tiers are
-        # bit-identical, so cache keys must not depend on it); carry
-        # it beside the spec so execution still honors the choice.
-        try:
-            engine = coerce_engine(spec.get("engine", DEFAULT_ENGINE))
-        except SessionError as error:
-            raise ServiceError(str(error)) from error
+        engine = spec.get("engine", DEFAULT_ENGINE)
         if engine != DEFAULT_ENGINE:
             normalized["engine"] = engine
         return normalized

@@ -28,9 +28,9 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.cache.replacement": "REPLACEMENT_POLICIES",
     "repro.core.engine": "EngineObserver",
     "repro.fpga.device": "DEVICES",
-    "repro.session.simulation": "CONFIGS PreparedTrace SPEC_SCHEMA "
-                                "SessionError SessionResult Simulation "
-                                "coerce_engine",
+    "repro.session.simulation": "CONFIGS PreparedTrace SPEC_FIELDS "
+                                "SPEC_SCHEMA SessionError SessionResult "
+                                "Simulation",
     "repro.utils.registry": "Registry RegistryError",
     "repro.workloads.tracegen": "WORKLOADS",
 })

@@ -37,6 +37,11 @@ FPGA devices (:data:`repro.fpga.device.DEVICES`), workloads
 a CLI flag mean the same thing everywhere and new components register
 without touching call sites.
 
+Every spec key is one row of :data:`SPEC_FIELDS`, which the
+constructor, :meth:`Simulation.from_spec`, :meth:`Simulation.to_spec`
+and :meth:`Simulation.canonical_spec` read; a value its row's check
+(the one campaigns use) refuses raises :class:`SessionError`.
+
 Instrumentation rides along: :meth:`Simulation.with_observer` attaches
 :class:`~repro.core.engine.EngineObserver` hooks, and
 :meth:`Simulation.with_warmup` / :meth:`Simulation.with_roi` /
@@ -45,9 +50,8 @@ Instrumentation rides along: :meth:`Simulation.with_observer` attaches
 
 from __future__ import annotations
 
-import copy
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from collections.abc import Callable, Mapping, Sequence
 
@@ -76,6 +80,7 @@ from repro.trace.record import TraceRecord
 from repro.trace.source import FileSource, InMemorySource, TraceSource
 from repro.trace.stats import TraceStatistics, measure_trace
 from repro.utils.atomic import atomic_path
+from repro.utils.fields import Field
 from repro.utils.registry import Registry
 
 #: Named processor configurations (Table 1's two machines).  Register
@@ -88,44 +93,81 @@ CONFIGS.register("2wide-cache", PAPER_2WIDE_CACHE)
 #: Spec schema version; bump on incompatible layout changes.
 SPEC_SCHEMA = 1
 
-_SPEC_KEYS = frozenset((
-    "schema", "workload", "trace_file", "config", "budget", "seed",
-    "start_pc", "update_predictor_at_commit", "warmup_instructions",
-    "roi_instructions", "devices", "max_cycles", "segments", "engine",
-))
+#: Every spec key, in ``to_spec`` order.
+SPEC_FIELDS = {field.name: field for field in (
+    Field("schema", int, SPEC_SCHEMA),
+    Field("workload", str, None, omit_default=True),
+    Field("trace_file", str, None, omit_default=True),
+    Field("segments", list, None, omit_default=True),
+    Field("config", str, "4wide-perfect"),
+    Field("budget", int, 30_000, minimum=1),
+    Field("seed", int, 7),
+    Field("start_pc", int, None, minimum=0, nullable=True,
+          omit_default=True),
+    Field("update_predictor_at_commit", bool, True, omit_default=True),
+    Field("devices", list, [], omit_default=True),
+    Field("warmup_instructions", int, 0, minimum=0, omit_default=True),
+    Field("roi_instructions", int, None, minimum=1, nullable=True,
+          omit_default=True),
+    Field("max_cycles", int, None, minimum=1, nullable=True,
+          omit_default=True),
+    Field("engine", str, DEFAULT_ENGINE, choices=ENGINE_TIERS,
+          omit_default=True, affects_results=False),
+)}
+
+#: Keys with code of their own; the rest are plain checked values.
+_OWN_CODE = ("schema", "workload", "trace_file", "segments", "config",
+             "devices")
+_VALUE_FIELDS = {name: field for name, field in SPEC_FIELDS.items()
+                 if name not in _OWN_CODE}
+_SEGMENT_BOUND = Field("segment range bound", int, None, minimum=0)
 
 
-def coerce_engine(value: object) -> str:
-    """Validate an engine-tier name from a spec, keyword or option —
-    the one engine-name check every entry point shares."""
-    if value not in ENGINE_TIERS:
-        raise SessionError(
-            f"unknown engine tier {value!r}; known: "
-            f"{', '.join(ENGINE_TIERS)}")
-    return str(value)
-
-
-def _coerce_segments(value: object) -> tuple[int, int]:
-    """Validate a ``(lo, hi)`` segment range from a spec or keyword."""
-    if (not isinstance(value, Sequence) or isinstance(value, (str, bytes))
-            or len(value) != 2):
+def _segments(value: object) -> tuple[int, int] | None:
+    """Validate a ``(lo, hi)`` segment range (or ``None``: the whole
+    file) from a spec or keyword."""
+    if value is None:
+        return None
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise SessionError(
             f"a segment range is a (lo, hi) pair of segment indices, "
             f"got {value!r}"
         )
-    try:
-        lo, hi = int(value[0]), int(value[1])
-    except (TypeError, ValueError):
-        raise SessionError(
-            f"segment range bounds must be integers, got {value!r}"
-        ) from None
-    if lo < 0 or hi <= lo:
+    lo, hi = (_SEGMENT_BOUND.check(bound, SessionError) for bound in value)
+    if hi <= lo:
         # An empty range (lo == hi) is rejected too: it would simulate
         # zero records yet produce a structurally valid result document
         # that checkpoints and caches as a "successful" run.
         raise SessionError(
             f"segment range needs 0 <= lo < hi, got ({lo}, {hi})")
     return (lo, hi)
+
+
+def _spec_config(config: object) -> ProcessorConfig:
+    """A spec's config: a registered name, a config dict, or a
+    :class:`~repro.core.config.ProcessorConfig`."""
+    if isinstance(config, str):
+        return CONFIGS.get(config)
+    if isinstance(config, Mapping):
+        try:
+            return config_from_dict(dict(config))
+        except (KeyError, TypeError, ValueError) as error:
+            raise SessionError(f"bad config in spec: {error!r}") from None
+    if not isinstance(config, ProcessorConfig):
+        raise SessionError(
+            f"spec 'config' must be a registered name, a config "
+            f"dict, or a ProcessorConfig, got {config!r}"
+        )
+    return config
+
+
+def _devices(devices: object) -> tuple[FpgaDevice, ...]:
+    """FPGA devices by name or object."""
+    if not isinstance(devices, (list, tuple)):
+        raise SessionError(
+            f"devices must be a list of device names, got {devices!r}")
+    return tuple(device if isinstance(device, FpgaDevice)
+                 else DEVICES.get(device) for device in devices)
 
 
 class SessionError(ValueError):
@@ -168,7 +210,7 @@ class PreparedTrace:
 
 # ---------------------------------------------------------------------
 # Trace sources.  Each knows how to prepare an engine-ready trace
-# source and whether it can be described in a serializable spec.
+# source; those a spec can name give their keys (``spec_entry``).
 
 
 @dataclass(frozen=True)
@@ -207,32 +249,23 @@ class _TraceFileSource:
         )
 
     def spec_entry(self) -> dict:
-        entry: dict = {"trace_file": self.path}
-        if self.segments is not None:
-            entry["segments"] = list(self.segments)
-        return entry
+        return {"trace_file": self.path,
+                "segments": None if self.segments is None
+                else list(self.segments)}
 
     def describe(self) -> str:
-        mode = "streamed"
-        if self.segments is not None:
-            mode += f", segments {self.segments[0]}..{self.segments[1]}"
-        return f"trace file {self.path!r} ({mode})"
+        if self.segments is None:
+            return f"trace file {self.path!r}"
+        lo, hi = self.segments
+        return f"trace file {self.path!r} (segments {lo}..{hi})"
 
 
 @dataclass(frozen=True)
 class _RecordsSource:
     records: Sequence[TraceRecord]
-    start_pc: int | None
 
     def prepare(self, sim: Simulation) -> PreparedTrace:
-        return PreparedTrace(InMemorySource(self.records),
-                             start_pc=self.start_pc)
-
-    def spec_entry(self) -> dict:
-        raise SessionError(
-            "a simulation over in-memory records has no serializable "
-            "spec; construct from a workload name or trace file instead"
-        )
+        return PreparedTrace(InMemorySource(self.records), start_pc=None)
 
     def describe(self) -> str:
         return f"{len(self.records)} in-memory records"
@@ -251,13 +284,6 @@ class _ProgramSource:
         return PreparedTrace(InMemorySource(generation.records),
                              start_pc=self.program.entry,
                              trace_stats=generation.statistics())
-
-    def spec_entry(self) -> dict:
-        raise SessionError(
-            "a simulation over an assembled program has no serializable "
-            "spec; trace it to a file first (save_trace) or use a "
-            "kernel workload name"
-        )
 
     def describe(self) -> str:
         return "assembled program"
@@ -352,56 +378,47 @@ class Simulation:
     Instances are immutable in style: every ``with_*`` method returns
     a new :class:`Simulation`, so partial builders can be shared and
     specialized (the sweep pattern: one base, many variants).
+    ``values`` are the plain spec values (``budget``, ``seed``,
+    ``start_pc``, ``update_predictor_at_commit``,
+    ``warmup_instructions``, ``roi_instructions``, ``max_cycles``,
+    ``engine``); each is checked against its :data:`SPEC_FIELDS` row,
+    and a missing one takes the row's default.
     """
 
     def __init__(
         self,
         config: ProcessorConfig = PAPER_4WIDE_PERFECT,
         *,
-        source=None,
-        budget: int = 30_000,
-        seed: int = 7,
-        start_pc: int | None = None,
-        update_predictor_at_commit: bool = True,
+        source,
         devices: tuple[FpgaDevice, ...] = (),
         observers: tuple[EngineObserver, ...] = (),
-        warmup_instructions: int = 0,
-        roi_instructions: int | None = None,
         stop_when: Callable[[ReSimEngine], bool] | None = None,
-        max_cycles: int | None = None,
-        engine: str = DEFAULT_ENGINE,
+        **values,
     ) -> None:
-        if source is None:
-            raise SessionError(
-                "a Simulation needs a trace source; construct it with "
-                "for_workload / for_trace_file / for_records / "
-                "for_program or from_spec"
-            )
-        self._engine = coerce_engine(engine)
+        unknown = set(values) - set(_VALUE_FIELDS)
+        if unknown:
+            raise TypeError(f"unexpected Simulation value(s) "
+                            f"{', '.join(sorted(unknown))}")
         self._config = config
         self._source = source
-        self._budget = budget
-        self._seed = seed
-        self._start_pc = start_pc
-        self._update_at_commit = update_predictor_at_commit
         self._devices = devices
         self._observers = observers
-        self._warmup = warmup_instructions
-        self._roi = roi_instructions
         self._stop_when = stop_when
-        self._max_cycles = max_cycles
+        self._values = {
+            name: field.check(values.get(name, field.default),
+                              SessionError)
+            for name, field in _VALUE_FIELDS.items()}
         self._prepared: PreparedTrace | None = None
 
     # -- constructors --------------------------------------------------
 
     @classmethod
     def for_workload(cls, workload: str,
-                     config: ProcessorConfig = PAPER_4WIDE_PERFECT, *,
-                     budget: int = 30_000, seed: int = 7,
-                     ) -> Simulation:
-        """A run over a named workload (SPECINT profile or kernel)."""
-        return cls(config, source=_WorkloadSource(workload),
-                   budget=budget, seed=seed)
+                     config: ProcessorConfig = PAPER_4WIDE_PERFECT,
+                     **values) -> Simulation:
+        """A run over a named workload (SPECINT profile or kernel);
+        ``values`` are spec values (``budget``, ``seed``, ...)."""
+        return cls(config, source=_WorkloadSource(workload), **values)
 
     @classmethod
     def for_trace_file(cls, path: str | Path,
@@ -424,16 +441,15 @@ class Simulation:
         distributed sweeps, where each work unit replays one slice of
         one shared trace.
         """
-        if segments is not None:
-            segments = _coerce_segments(segments)
-        return cls(config, source=_TraceFileSource(str(path), segments))
+        return cls(config,
+                   source=_TraceFileSource(str(path), _segments(segments)))
 
     @classmethod
     def for_records(cls, records: Sequence[TraceRecord],
                     config: ProcessorConfig = PAPER_4WIDE_PERFECT, *,
                     start_pc: int | None = None) -> Simulation:
         """A run over records already in memory."""
-        return cls(config, source=_RecordsSource(records, start_pc))
+        return cls(config, source=_RecordsSource(records), start_pc=start_pc)
 
     @classmethod
     def for_program(cls, program: Program,
@@ -441,39 +457,30 @@ class Simulation:
                     inputs: Sequence[int] | None = None) -> Simulation:
         """A run over an assembled program, traced through the
         functional simulator (``sim-bpred``) at prepare time."""
-        inputs_tuple = tuple(inputs) if inputs is not None else None
-        return cls(config, source=_ProgramSource(program, inputs_tuple))
+        return cls(config, source=_ProgramSource(
+            program, None if inputs is None else tuple(inputs)))
 
     # -- declarative form ----------------------------------------------
 
     @classmethod
     def from_spec(cls, spec: Mapping) -> Simulation:
-        """Build a run from a plain-dict description.
+        """Build a run from a plain-dict description (see the module
+        docstring) — the serializable contract shared by the CLI, the
+        sweep subsystem, and the campaign service.
 
-        The spec is the serializable contract shared by the CLI, the
-        sweep subsystem, and future distributed runners::
-
-            {
-                "workload": "gzip",          # or "trace_file": "t.rtrc"
-                "config": "4wide-perfect",   # name or full config dict
-                "budget": 30000, "seed": 7,
-                "devices": ["xc4vlx40"],
-                "warmup_instructions": 0,
-                "roi_instructions": null,
-                "update_predictor_at_commit": true,
-            }
-
-        Unknown keys are rejected (a typo'd key silently ignored would
-        change the experiment being described).
+        Its keys are the :data:`SPEC_FIELDS` rows.  Unknown keys are
+        rejected (a typo'd key silently ignored would change the
+        experiment being described), and so is any value its row's
+        check refuses: values are never coerced.
         """
         if not isinstance(spec, Mapping):
             raise SessionError(
                 f"spec must be a mapping, got {type(spec).__name__}")
-        unknown = set(spec) - _SPEC_KEYS
+        unknown = set(spec) - set(SPEC_FIELDS)
         if unknown:
             raise SessionError(
                 f"unknown spec key(s) {', '.join(sorted(map(repr, unknown)))}; "
-                f"valid keys: {', '.join(sorted(_SPEC_KEYS))}"
+                f"valid keys: {', '.join(sorted(SPEC_FIELDS))}"
             )
         schema = spec.get("schema", SPEC_SCHEMA)
         if schema != SPEC_SCHEMA:
@@ -482,152 +489,79 @@ class Simulation:
                 f"(this version reads schema {SPEC_SCHEMA})"
             )
 
-        workload = spec.get("workload")
-        trace_file = spec.get("trace_file")
+        workload, trace_file, segments = (
+            spec.get(name) for name in ("workload", "trace_file", "segments"))
         if (workload is None) == (trace_file is None):
             raise SessionError(
                 "spec needs exactly one source: 'workload' or "
                 "'trace_file'"
             )
-        segments = spec.get("segments")
-        if workload is not None:
-            if segments is not None:
-                raise SessionError(
-                    "spec key 'segments' applies only to "
-                    "'trace_file' sources"
-                )
-            source = _WorkloadSource(workload)
-        else:
-            source = _TraceFileSource(
-                str(trace_file),
-                None if segments is None else _coerce_segments(segments))
-
-        config = spec.get("config", PAPER_4WIDE_PERFECT)
-        if isinstance(config, str):
-            config = CONFIGS.get(config)
-        elif isinstance(config, Mapping):
-            try:
-                config = config_from_dict(dict(config))
-            except (KeyError, TypeError, ValueError) as error:
-                raise SessionError(
-                    f"bad config in spec: {error!r}") from None
-        elif not isinstance(config, ProcessorConfig):
+        if workload is not None and segments is not None:
             raise SessionError(
-                f"spec 'config' must be a registered name, a config "
-                f"dict, or a ProcessorConfig, got {config!r}"
-            )
+                "spec key 'segments' applies only to 'trace_file' sources")
+        source = (_WorkloadSource(workload) if trace_file is None else
+                  _TraceFileSource(str(trace_file), _segments(segments)))
+        return cls(
+            _spec_config(spec.get("config", SPEC_FIELDS["config"].default)),
+            source=source, devices=_devices(spec.get("devices", ())),
+            **{name: spec[name] for name in _VALUE_FIELDS if name in spec})
 
-        devices = []
-        for device in spec.get("devices", ()):
-            devices.append(device if isinstance(device, FpgaDevice)
-                           else DEVICES.get(device))
-
-        def optional_int(key: str) -> int | None:
-            value = spec.get(key)
-            return None if value is None else int(value)
-
-        try:
-            return cls(
-                config,
-                source=source,
-                budget=int(spec.get("budget", 30_000)),
-                seed=int(spec.get("seed", 7)),
-                start_pc=optional_int("start_pc"),
-                update_predictor_at_commit=bool(
-                    spec.get("update_predictor_at_commit", True)),
-                devices=tuple(devices),
-                warmup_instructions=int(
-                    spec.get("warmup_instructions", 0)),
-                roi_instructions=optional_int("roi_instructions"),
-                max_cycles=optional_int("max_cycles"),
-                engine=spec.get("engine", DEFAULT_ENGINE),
-            )
-        except (TypeError, ValueError) as error:
-            if isinstance(error, SessionError):
-                raise
-            raise SessionError(f"bad value in spec: {error}") from None
-
-    def to_spec(self) -> dict:
-        """The serializable description of this run.
-
-        Inverse of :meth:`from_spec` (``from_spec(sim.to_spec())``
-        describes the identical run).  Raises :class:`SessionError`
-        for runs over in-memory records or programs, and for attached
-        observers/predicates (code does not serialize).
-        """
+    def _spec_values(self, config: object) -> dict:
+        """Every spec key's value for this run, ``config`` as given."""
         if self._observers or self._stop_when is not None:
             raise SessionError(
                 "a simulation with observers or a stop predicate has "
                 "no serializable spec (code does not serialize); "
                 "attach them after from_spec on the running side"
             )
-        spec: dict = {"schema": SPEC_SCHEMA}
-        spec.update(self._source.spec_entry())
+        if not hasattr(self._source, "spec_entry"):
+            raise SessionError(
+                f"a simulation over {self._source.describe()} has no "
+                f"serializable spec; save_trace it to a file first or "
+                f"use a workload name")
+        return {"schema": SPEC_SCHEMA, "workload": None, "trace_file": None,
+                "segments": None, **self._source.spec_entry(),
+                "config": config,
+                "devices": [device.name for device in self._devices],
+                **self._values}
+
+    def to_spec(self) -> dict:
+        """The serializable description of this run.
+
+        Inverse of :meth:`from_spec` (``from_spec(sim.to_spec())``
+        describes the identical run); ``omit_default`` keys at their
+        default are left out.  Raises :class:`SessionError` for runs
+        over in-memory records or programs, and for attached
+        observers/predicates (code does not serialize).
+        """
         named = next((name for name in CONFIGS
                       if CONFIGS[name] == self._config), None)
-        spec["config"] = named or config_to_dict(self._config)
-        spec["budget"] = self._budget
-        spec["seed"] = self._seed
-        if self._start_pc is not None:
-            spec["start_pc"] = self._start_pc
-        if not self._update_at_commit:
-            spec["update_predictor_at_commit"] = False
-        if self._devices:
-            spec["devices"] = [device.name for device in self._devices]
-        if self._warmup:
-            spec["warmup_instructions"] = self._warmup
-        if self._roi is not None:
-            spec["roi_instructions"] = self._roi
-        if self._max_cycles is not None:
-            spec["max_cycles"] = self._max_cycles
-        if self._engine != DEFAULT_ENGINE:
-            spec["engine"] = self._engine
-        return spec
+        values = self._spec_values(named or config_to_dict(self._config))
+        return {name: values[name] for name, field in SPEC_FIELDS.items()
+                if not (field.omit_default and values[name] == field.default)}
 
     def canonical_spec(self) -> dict:
         """The *canonical* serializable description of this run.
 
         Same contract as :meth:`to_spec` (``from_spec`` reproduces the
-        identical run) but normalized for hashing: every default is
-        filled in (a spec that omits ``budget`` and one that spells
-        out ``"budget": 30000`` canonicalize identically), the config
-        is always the full config dict (a registered name and its
-        expanded dict canonicalize identically), keys are emitted in
-        sorted order, and the source entry always carries all three
-        source keys (``workload`` / ``trace_file`` / ``segments``,
-        unused ones ``None``).  The ``engine`` tier is dropped: every
-        tier is bit-identical by contract, so a campaign run with
-        ``--engine reference`` shares its cache keys (and cached
-        results) with the default-tier run it reproduces.
+        identical run) but normalized for hashing: every key is
+        present with defaults filled in (a spec that omits ``budget``
+        and one that spells out ``"budget": 30000`` canonicalize
+        identically), the config is always the full config dict (a
+        registered name and its expanded dict canonicalize
+        identically), keys are emitted in sorted order, and unused
+        source keys are ``None``.  Keys results do not depend on
+        (``engine``: every tier is bit-identical by contract) are
+        dropped, so a campaign run with ``--engine reference`` shares
+        its cache keys (and cached results) with the default-tier run
+        it reproduces.
 
         This is the spec half of the campaign-service cache key (see
         :mod:`repro.serve.canon`); :meth:`spec_key` hashes it.
         """
-        self.to_spec()  # same serializability rules (and errors)
-        source = self._source
-        if isinstance(source, _WorkloadSource):
-            entry: dict = {"workload": source.name, "trace_file": None,
-                           "segments": None}
-        else:
-            segments = (None if source.segments is None
-                        else [int(source.segments[0]),
-                              int(source.segments[1])])
-            entry = {"workload": None, "trace_file": source.path,
-                     "segments": segments}
-        spec = {
-            "schema": SPEC_SCHEMA,
-            "config": config_to_dict(self._config),
-            "budget": self._budget,
-            "seed": self._seed,
-            "start_pc": self._start_pc,
-            "update_predictor_at_commit": self._update_at_commit,
-            "devices": [device.name for device in self._devices],
-            "warmup_instructions": self._warmup,
-            "roi_instructions": self._roi,
-            "max_cycles": self._max_cycles,
-            **entry,
-        }
-        return dict(sorted(spec.items()))
+        values = self._spec_values(config_to_dict(self._config))
+        return {name: values[name] for name in sorted(SPEC_FIELDS)
+                if SPEC_FIELDS[name].affects_results}
 
     def spec_key(self, *, length: int = 40) -> str:
         """Canonical hash of this run's description.
@@ -644,84 +578,44 @@ class Simulation:
     # -- fluent builders -----------------------------------------------
 
     def _replace(self, **changes) -> Simulation:
-        clone = copy.copy(self)
-        for name, value in changes.items():
-            setattr(clone, name, value)
-        clone._prepared = None  # a changed run must re-prepare
-        return clone
-
-    def with_config(self, config: ProcessorConfig | str) -> Simulation:
-        """Swap the processor configuration (name or object)."""
-        if isinstance(config, str):
-            config = CONFIGS.get(config)
-        return self._replace(_config=config)
-
-    def with_predictor(self, predictor) -> Simulation:
-        """Swap the branch predictor (scheme name or PredictorConfig).
-
-        Note the trace-driven contract: for workload sources the trace
-        is regenerated with the new predictor, but a stored trace file
-        keeps its recorded wrong paths (``predictor_mismatch`` will be
-        set if they disagree).
-        """
-        from repro.bpred.unit import PredictorConfig, PREDICTORS
-        if isinstance(predictor, str):
-            PREDICTORS.get(predictor)  # validate the name
-            predictor = PredictorConfig(scheme=predictor)
-        return self._replace(
-            _config=replace(self._config, predictor=predictor))
+        """A new run (so it prepares again) with ``changes``:
+        constructor arguments by name."""
+        return type(self)(**{
+            "config": self._config, "source": self._source,
+            "devices": self._devices, "observers": self._observers,
+            "stop_when": self._stop_when, **self._values, **changes})
 
     def with_budget(self, budget: int) -> Simulation:
         """Instruction budget for synthetic workload generation."""
-        return self._replace(_budget=budget)
+        return self._replace(budget=budget)
 
     def with_seed(self, seed: int) -> Simulation:
         """Synthetic-generator seed."""
-        return self._replace(_seed=seed)
-
-    def with_start_pc(self, start_pc: int | None) -> Simulation:
-        """Override the engine's first-fetch PC (rarely needed; trace
-        files and kernels carry their own)."""
-        return self._replace(_start_pc=start_pc)
+        return self._replace(seed=seed)
 
     def with_devices(self, *devices: FpgaDevice | str) -> Simulation:
         """FPGA devices to project throughput onto (names or objects)."""
-        resolved = tuple(
-            device if isinstance(device, FpgaDevice)
-            else DEVICES.get(device)
-            for device in devices
-        )
-        return self._replace(_devices=resolved)
+        return self._replace(devices=_devices(devices))
 
     def with_observer(self, *observers: EngineObserver) -> Simulation:
         """Attach engine instrumentation (appends to existing)."""
-        return self._replace(_observers=self._observers + observers)
+        return self._replace(observers=self._observers + observers)
 
     def with_warmup(self, instructions: int) -> Simulation:
         """Fast-forward: commit this many instructions with warm
         microarchitectural state before statistics start."""
-        return self._replace(_warmup=instructions)
+        return self._replace(warmup_instructions=instructions)
 
     def with_roi(self, instructions: int | None) -> Simulation:
         """Region of interest: stop after this many post-warmup
         committed instructions."""
-        return self._replace(_roi=instructions)
+        return self._replace(roi_instructions=instructions)
 
     def with_stop_when(
             self, predicate: Callable[[ReSimEngine], bool] | None
     ) -> Simulation:
         """Early-stop predicate, checked after every cycle."""
-        return self._replace(_stop_when=predicate)
-
-    def with_max_cycles(self, max_cycles: int | None) -> Simulation:
-        """Cycle budget guard (None = the engine's default)."""
-        return self._replace(_max_cycles=max_cycles)
-
-    def with_predictor_training(self, at_commit: bool) -> Simulation:
-        """True (paper behaviour): train the predictor at commit;
-        False: train at fetch (engine agrees with the generator
-        bit-for-bit)."""
-        return self._replace(_update_at_commit=at_commit)
+        return self._replace(stop_when=predicate)
 
     def with_engine(self, engine: str) -> Simulation:
         """Select the engine tier executing this run (a name from
@@ -732,7 +626,7 @@ class Simulation:
         ``reference`` when the run needs the engine between cycles
         (hook-overriding observers other than progress reporting,
         ``stop_when``) or carries subclassed configs."""
-        return self._replace(_engine=coerce_engine(engine))
+        return self._replace(engine=engine)
 
     # -- introspection -------------------------------------------------
 
@@ -742,11 +636,11 @@ class Simulation:
 
     @property
     def budget(self) -> int:
-        return self._budget
+        return self._values["budget"]
 
     @property
     def seed(self) -> int:
-        return self._seed
+        return self._values["seed"]
 
     @property
     def devices(self) -> tuple[FpgaDevice, ...]:
@@ -756,7 +650,7 @@ class Simulation:
     def engine(self) -> str:
         """The requested engine tier (:meth:`build_engine` applies
         :func:`~repro.core.specialize.choose_tier` to it)."""
-        return self._engine
+        return self._values["engine"]
 
     def describe(self) -> str:
         return (f"Simulation({self._source.describe()} on "
@@ -795,27 +689,32 @@ class Simulation:
         reference engine, with the facade's start PC and observers.
         """
         prepared = self.prepare()
-        start_pc = (self._start_pc if self._start_pc is not None
-                    else prepared.start_pc)
+        start_pc = self._start_pc(prepared)
+        at_commit = self._values["update_predictor_at_commit"]
         if self._tier(stepwise=trace is not None) == "specialized":
             return SpecializedEngine(
                 self._config, prepared.open_source(), start_pc=start_pc,
-                update_predictor_at_commit=self._update_at_commit,
+                update_predictor_at_commit=at_commit,
                 wrong_path_free=self._wrong_path_free(prepared),
                 observers=self._observers)
         if trace is None:
             trace = prepared.open_source()
         engine = ReSimEngine(
             self._config, trace, start_pc=start_pc,
-            update_predictor_at_commit=self._update_at_commit,
+            update_predictor_at_commit=at_commit,
         )
         for observer in self._observers:
             engine.add_observer(observer)
         return engine
 
+    def _start_pc(self, prepared: PreparedTrace) -> int | None:
+        """The spec's ``start_pc``, else the prepared trace's."""
+        start_pc = self._values["start_pc"]
+        return prepared.start_pc if start_pc is None else start_pc
+
     def _tier(self, *, stepwise: bool = False) -> str:
         """The tier this run executes on (see :meth:`build_engine`)."""
-        return choose_tier(self._engine, self._config,
+        return choose_tier(self.engine, self._config,
                            observers=self._observers,
                            stop_when=self._stop_when, stepwise=stepwise)
 
@@ -847,9 +746,10 @@ class Simulation:
         prepared = self.prepare()
         engine = self.build_engine()
         result = engine.run(
-            max_cycles if max_cycles is not None else self._max_cycles,
-            warmup_instructions=self._warmup,
-            roi_instructions=self._roi,
+            max_cycles if max_cycles is not None
+            else self._values["max_cycles"],
+            warmup_instructions=self._values["warmup_instructions"],
+            roi_instructions=self._values["roi_instructions"],
             stop_when=self._stop_when,
         )
         from repro.perf.throughput import ThroughputModel
@@ -865,8 +765,7 @@ class Simulation:
             result=result,
             reports=reports,
             trace_stats=prepared.trace_stats,
-            start_pc=(self._start_pc if self._start_pc is not None
-                      else prepared.start_pc),
+            start_pc=self._start_pc(prepared),
             spec=spec,
             engine_tier=self._tier(),
         )
@@ -894,13 +793,12 @@ class Simulation:
                          if isinstance(source, _WorkloadSource)
                          else "unknown")
         metadata = dict(extra or {})
-        start_pc = (self._start_pc if self._start_pc is not None
-                    else prepared.start_pc)
+        start_pc = self._start_pc(prepared)
         if start_pc is not None:
             metadata.setdefault("start_pc", start_pc)
         with atomic_path(path) as tmp, SegmentedTraceWriter(
             tmp, predictor=self._config.predictor, benchmark=benchmark,
-            seed=self._seed, extra=metadata,
+            seed=self.seed, extra=metadata,
         ) as writer:
             writer.extend(prepared.open_source())
         return writer.record_count, writer.bytes_written

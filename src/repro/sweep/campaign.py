@@ -5,14 +5,13 @@ A campaign simulates one workload's shared trace across a parameter
 grid, exhaustively (``sweep``) or adaptively (``search``).  It is one
 JSON request document, e.g. ``{"kind": "sweep", "workload": "gzip",
 "axes": {"rob_entries": [8, 16]}}``.  Its fields are declared once, in
-the :class:`~repro.sweep.fields.CampaignField` table
-:data:`~repro.sweep.fields.FIELDS`; the validator, the CLI flags and
-the runner call are read from it.  The CLI turns its argv into that
-document; ``resim client submit`` sends it to the service.  Both then
-call :func:`normalize_campaign` (validate, fill in defaults) and
-:func:`run_campaign` (execute through the caller's backend and
-progress sink).  How points execute and how results render stay with
-the caller and are never request fields.
+the campaign field table :data:`~repro.sweep.fields.FIELDS`; the
+validator, the CLI flags and the runner call are read from it.  The
+CLI turns its argv into that document; ``resim client submit`` sends
+it to the service.  Both then call :func:`normalize_campaign`
+(validate, fill in defaults) and :func:`run_campaign` (execute through
+the caller's backend and progress sink).  How points execute and how
+results render stay with the caller and are never request fields.
 """
 
 from __future__ import annotations
@@ -80,7 +79,7 @@ def normalize_campaign(request: Mapping) -> dict:
 
     Axes run in name order, whatever order the request gives them in.
     """
-    kind = FIELDS["kind"].check(request.get("kind"))
+    kind = FIELDS["kind"].check(request.get("kind"), SweepError)
     unknown = sorted(set(request) - set(CAMPAIGN_FIELDS[kind]))
     if unknown:
         raise SweepError(
@@ -99,7 +98,7 @@ def normalize_campaign(request: Mapping) -> dict:
         field = FIELDS[name]
         if name in _SPECIAL or field.record_key:
             continue
-        value = field.check(request.get(name, field.default))
+        value = field.check(request.get(name, field.default), SweepError)
         if not (field.omit_default and value == field.default):
             normalized[name] = value
     # Region sampling changes what is computed (estimates, not exact

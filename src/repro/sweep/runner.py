@@ -195,7 +195,7 @@ class SweepRunner:
         for name, value in (("budget", budget), ("seed", seed),
                             ("shards", shards), ("engine", engine),
                             ("segment_records", segment_records)):
-            FIELDS[name].check(value)
+            FIELDS[name].check(value, SweepError)
         self._sampling = sampling_entry(
             sampling, shards=shards, regions=regions,
             region_seed=region_seed, region_warmup=region_warmup)

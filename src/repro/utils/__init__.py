@@ -18,6 +18,8 @@ the simulator substrates:
   ReSim writes goes through.
 * :mod:`repro.utils.lazy` — the export table every package
   ``__init__`` resolves its names through on first use.
+* :mod:`repro.utils.fields` — the declared-field row type (and its one
+  value check) of the run-spec and campaign-request tables.
 """
 
 from repro.utils.lazy import lazy_exports

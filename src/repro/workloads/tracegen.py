@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.functional.sim_bpred import SimBpred, TraceGenerationResult
+from repro.session.simulation import SPEC_FIELDS
 from repro.trace.fileio import DEFAULT_SEGMENT_RECORDS, SegmentedTraceWriter
 from repro.trace.stats import TraceStatistics
 from repro.utils.atomic import atomic_path
@@ -171,8 +172,8 @@ def write_workload_trace(
     config: ProcessorConfig,
     path: str | Path,
     *,
-    budget: int = 30_000,
-    seed: int = 7,
+    budget: int = SPEC_FIELDS["budget"].default,
+    seed: int = SPEC_FIELDS["seed"].default,
     segment_records: int = DEFAULT_SEGMENT_RECORDS,
     extra: dict | None = None,
 ) -> WrittenTrace:
@@ -227,8 +228,8 @@ def generate_workload_trace(
     workload: str,
     config: ProcessorConfig,
     *,
-    budget: int = 30_000,
-    seed: int = 7,
+    budget: int = SPEC_FIELDS["budget"].default,
+    seed: int = SPEC_FIELDS["seed"].default,
 ) -> tuple[TraceGenerationResult, int | None]:
     """Generate the tagged trace for one workload name.
 

@@ -386,6 +386,50 @@ class TestSpecHash:
         with pytest.raises(SystemExit, match="not valid JSON"):
             main(["spec", "hash", "--file", "/dev/null"])
 
+    def test_bare_hash_is_the_bare_workload_spec(self, tmp_path, capsys):
+        """The flag defaults are the spec defaults: ``resim spec hash``
+        names the spec ``{"workload": "gzip"}``."""
+        assert main(["spec", "hash"]) == 0
+        bare = capsys.readouterr().out.strip()
+        saved = tmp_path / "spec.json"
+        saved.write_text(json.dumps({"workload": "gzip"}))
+        assert main(["spec", "hash", "--file", str(saved)]) == 0
+        assert capsys.readouterr().out.strip() == bare
+        assert bare == Simulation.for_workload("gzip").spec_key()
+
+
+class TestSpecFieldFlags:
+    """``--budget``/``--seed`` of the single-run commands are the spec
+    rows' flags: same defaults, same check, exit 1 naming the field."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "gzip", "--budget", "0"],
+        ["trace", "gzip", "OUT", "--budget", "-1"],
+        ["multicore", "gzip", "--budget", "0"],
+        ["spec", "hash", "--budget", "0"],
+        ["tables", "table4", "--budget", "0"],
+    ])
+    def test_budget_below_minimum_exits_naming_it(self, argv, tmp_path):
+        argv = [str(tmp_path / "t.rtrc") if arg == "OUT" else arg
+                for arg in argv]
+        with pytest.raises(SystemExit, match=r"^budget must be >= 1, "
+                                             r"got -?\d+$") as exit_:
+            main(argv)
+        assert isinstance(exit_.value.code, str)  # exit status 1
+        assert not (tmp_path / "t.rtrc").exists()
+
+    def test_defaults_are_the_spec_defaults(self):
+        from repro.cli import build_parser
+        from repro.session import SPEC_FIELDS
+
+        parser = build_parser()
+        for argv in (["simulate"], ["trace", "gzip", "t.rtrc"],
+                     ["multicore"], ["spec", "hash"], ["tables"]):
+            args = parser.parse_args(argv)
+            assert args.budget == SPEC_FIELDS["budget"].default == 30_000
+            if argv[0] != "tables":
+                assert args.seed == SPEC_FIELDS["seed"].default
+
 
 class TestTraceInfoJson:
     def test_json_format_carries_cache_digest(self, tmp_path, capsys):

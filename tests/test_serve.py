@@ -522,6 +522,27 @@ class TestHttpService:
             assert [job["job_id"] for job in
                     ServiceClient(*address).jobs()] == [job_id]
 
+    @pytest.mark.parametrize("key, value", [
+        ("budget", 0), ("budget", "500"), ("budget", 500.5),
+        ("budget", True), ("update_predictor_at_commit", "false"),
+        ("warmup_instructions", -1), ("roi_instructions", 0),
+        ("max_cycles", 0),
+    ])
+    def test_ill_typed_simulate_spec_answers_400_naming_the_key(
+            self, tmp_path, key, value):
+        """A spec value its row's check refuses fails at submission,
+        as a refused campaign field does, never coerced or mid-job."""
+        service = CampaignService(tmp_path, autostart=False)
+        with BackgroundServer(service) as server:
+            client = ServiceClient(*server.address)
+            with pytest.raises(ClientError) as refused:
+                client.submit({"kind": "simulate",
+                               "spec": {"workload": "gzip", key: value}})
+            assert refused.value.status == 400
+            error = str(refused.value).split("): ", 1)[1]
+            assert error.startswith(f"{key} must be "), error
+            assert client.jobs() == []
+
     def test_simulate_round_trip_matches_direct_run(self, tmp_path):
         service = CampaignService(tmp_path)
         with BackgroundServer(service) as server:

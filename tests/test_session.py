@@ -158,16 +158,21 @@ class TestSpecs:
             Simulation.from_spec({"workload": "gzip",
                                   "config": {"width": 4}})
 
-    def test_from_spec_coerces_and_validates_numeric_fields(self):
-        # Regression: a string roi_instructions used to crash mid-run.
+    def test_from_spec_rejects_ill_typed_values(self):
+        # A string roi_instructions once crashed mid-run, then was
+        # coerced; values are now checked, never coerced.
+        for key, value in (("roi_instructions", "300"),
+                           ("max_cycles", "100000"),
+                           ("roi_instructions", "lots"),
+                           ("budget", 500.0),
+                           ("update_predictor_at_commit", 1)):
+            with pytest.raises(SessionError, match=f"^{key} must be"):
+                Simulation.from_spec({"workload": "gzip", key: value})
         session = Simulation.from_spec({
             "workload": "gzip", "budget": 500,
-            "roi_instructions": "300", "max_cycles": "100000",
+            "roi_instructions": 300, "max_cycles": 100_000,
         })
-        assert session._roi == 300
-        with pytest.raises(SessionError, match="bad value in spec"):
-            Simulation.from_spec({"workload": "gzip",
-                                  "roi_instructions": "lots"})
+        assert session.to_spec()["roi_instructions"] == 300
 
     def test_to_spec_refuses_unserializable_runs(self):
         generation, _ = generate_workload_trace(
