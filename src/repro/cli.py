@@ -612,16 +612,7 @@ def cmd_stats(args) -> int:
     from repro.serialize import stats_from_dict
     from repro.utils.atomic import atomic_path
 
-    documents = []
-    for name in args.files:
-        path = Path(name)
-        try:
-            payload = _json.loads(path.read_text())
-        except OSError as error:
-            raise SystemExit(f"{path}: {error.strerror or error}") from error
-        except _json.JSONDecodeError as error:
-            raise SystemExit(f"{path}: not valid JSON ({error})") from error
-        documents.append(payload)
+    documents = [_read_json_document(name) for name in args.files]
     try:
         merged = merge_slice_documents(documents)
     except ExecError as error:
@@ -761,10 +752,13 @@ def cmd_client(args) -> int:
 
 
 def cmd_spec(args) -> int:
-    """``resim spec hash``: print a simulation spec's canonical
-    content key — the same canonicalization + hash the campaign
-    cache builds its keys from, so two invocations agree iff the
-    service would treat the specs as the same computation."""
+    """``resim spec hash``: print a simulation spec's campaign cache
+    key (:func:`repro.serve.canon.cache_key`, over the trace's content
+    digest for a trace-file spec) — the key a served simulate job of
+    the same spec reports, so two invocations agree iff the service
+    would treat the specs as the same computation."""
+    from repro.serve.canon import (
+        CanonError, cache_key, canonical_spec, trace_digest)
     from repro.session.simulation import SessionError, Simulation
 
     if args.length < 4 or args.length > 64:
@@ -772,16 +766,17 @@ def cmd_spec(args) -> int:
                          f"got {args.length}")
     try:
         if args.file:
-            simulation = Simulation.from_spec(
-                _read_json_document(args.file))
+            spec = _read_json_document(args.file)
         elif args.trace_file:
-            simulation = Simulation.for_trace_file(
-                args.trace_file, config=_config(args.config))
+            spec = Simulation.for_trace_file(
+                args.trace_file, config=_config(args.config)).to_spec()
         else:
-            simulation = _workload_simulation(args,
-                                              _config(args.config))
-        print(simulation.spec_key(length=args.length))
-    except SessionError as error:
+            spec = _workload_simulation(args,
+                                        _config(args.config)).to_spec()
+        path = canonical_spec(spec)["trace_file"]
+        digest = None if path is None else trace_digest(path)
+        print(cache_key(spec, trace_digest=digest, length=args.length))
+    except (CanonError, SessionError) as error:
         raise SystemExit(str(error)) from error
     return 0
 

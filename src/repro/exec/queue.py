@@ -62,9 +62,8 @@ from repro.exec.unit import (
     UnitExecutionError,
     WorkUnit,
     atomic_write_json,
-    load_unit_result,
-    result_matches_unit,
     reusable_result,
+    stored_result,
 )
 
 #: Default seconds of lease silence after which a claimed unit is
@@ -196,8 +195,7 @@ def reclaim_stale(paths: QueuePaths,
             unit = read_unit(lease)
         except ExecError:
             unit = None
-        if unit is not None and result_matches_unit(
-                load_unit_result(unit.result_path), unit):
+        if unit is not None and stored_result(unit) is not None:
             complete_lease(paths, lease)
             continue
         try:
@@ -429,9 +427,8 @@ class DirectoryQueueBackend(ExecutionBackend):
                         unit_id not in candidates:
                     continue
                 unit = outstanding[unit_id]
-                payload = load_unit_result(unit.result_path)
-                if payload is None or \
-                        not result_matches_unit(payload, unit):
+                payload = stored_result(unit)
+                if payload is None:
                     continue  # not done yet (or a stale leftover a
                     #           worker is about to overwrite)
                 if "error" in payload and any(
@@ -508,8 +505,7 @@ class DirectoryQueueBackend(ExecutionBackend):
             marker = paths.done / f"{unit_id}.json"
             if not marker.exists():
                 continue
-            if result_matches_unit(load_unit_result(unit.result_path),
-                                   unit):
+            if stored_result(unit) is not None:
                 continue  # result is there; next pass collects it
             try:
                 marker.unlink()

@@ -1,12 +1,9 @@
 """Serializable work units — the currency of execution backends.
 
-The whole distributed-execution story rests on one observation: a
-ReSim run is already *data*.  PR 2 made every bulk simulation
-describable as a plain-dict :meth:`Simulation.from_spec` spec, and
-PR 3 made the trace it reads a shared on-disk artifact
-(:class:`~repro.trace.source.FileSource`, optionally restricted to a
-``segments=(lo, hi)`` shard range).  A :class:`WorkUnit` bundles the
-two with a result destination:
+A ReSim run is already *data*: a plain-dict
+:meth:`Simulation.from_spec` spec over a shared on-disk trace
+(optionally a ``segments=(lo, hi)`` range of it).  A
+:class:`WorkUnit` bundles that spec with a result destination:
 
 * ``spec`` — a ``Simulation.from_spec`` dict (trace path or workload
   name, config, optional segment range / start PC / windowing);
@@ -16,11 +13,14 @@ two with a result destination:
   (the sweep runner stores its provenance manifest here, which is why
   an executed unit's result file *is* a valid sweep checkpoint).
 
-Because the engine is a deterministic function of (config, trace), a
-unit may be executed anywhere, any number of times, by any backend:
-every execution writes the same bytes.  That idempotence is what lets
-the directory queue re-run units after worker crashes without risking
-duplicated or divergent results.
+This module is the one place that lays out a result document
+(:func:`result_document`) and the one rule that decides whether a
+stored document is this unit's result (:func:`stored_result`,
+:func:`reusable_result`).  Because the engine is a deterministic
+function of (config, trace), a unit may be executed anywhere, any
+number of times, by any backend: every execution writes the same
+bytes, which is what lets the directory queue re-run units after
+worker crashes without duplicated or divergent results.
 """
 
 from __future__ import annotations
@@ -33,13 +33,17 @@ from collections.abc import Mapping
 
 from repro.core.specialize import DEFAULT_ENGINE
 from repro.serialize import config_to_dict, stats_to_dict
-from repro.session.simulation import SPEC_FIELDS
+from repro.session.simulation import (
+    SEGMENT_BOUND,
+    SPEC_FIELDS,
+    SessionError,
+    spec_config,
+)
 from repro.trace.fileio import decoded_segment_reuse
 from repro.utils.atomic import atomic_path
 
-#: Result/unit document schema; bump on incompatible layout changes.
-#: Kept equal to the sweep checkpoint schema on purpose: a unit result
-#: *is* a sweep checkpoint when the sweep runner built the unit.
+#: Result/unit document schema (sweep checkpoints included); bump on
+#: incompatible layout changes.
 RESULT_SCHEMA = 1
 
 #: Keys the executor itself writes into a result document; tags may
@@ -137,7 +141,9 @@ class WorkUnit:
     ) -> WorkUnit:
         """Convenience constructor for the common shape: one stored
         trace (optionally a segment shard of it) simulated under one
-        config dict or registered config name.
+        config dict or registered config name.  Segment bounds and
+        ``start_pc`` pass the spec's checks (never coerced); the range
+        itself is checked when the unit runs.
 
         ``engine`` selects the engine tier executing the unit (a
         :data:`repro.core.specialize.ENGINE_TIERS` name); the default
@@ -152,9 +158,11 @@ class WorkUnit:
         """
         spec: dict = {"trace_file": str(trace_path), "config": config}
         if segments is not None:
-            spec["segments"] = [int(segments[0]), int(segments[1])]
+            spec["segments"] = [SEGMENT_BOUND.check(bound, SessionError)
+                                for bound in segments]
         if start_pc is not None:
-            spec["start_pc"] = int(start_pc)
+            spec["start_pc"] = SPEC_FIELDS["start_pc"].check(
+                start_pc, SessionError)
         if engine is not None and engine != DEFAULT_ENGINE:
             spec["engine"] = str(engine)
         return cls(unit_id=unit_id, spec=spec,
@@ -220,28 +228,24 @@ def execute_unit(unit: WorkUnit) -> dict:
 
     with decoded_segment_reuse():
         session = Simulation.from_spec(unit.spec).run()
-    payload = {
-        "schema": RESULT_SCHEMA,
-        "unit_id": unit.unit_id,
-        "spec": dict(unit.spec),
-        "config": config_to_dict(session.config),
-        "stats": stats_to_dict(session.stats),
-        **unit.tags,
-    }
+    payload = result_document(unit, config=config_to_dict(session.config),
+                              stats=stats_to_dict(session.stats))
     atomic_write_json(unit.result_path, payload)
     return payload
+
+
+def result_document(unit: WorkUnit, **body) -> dict:
+    """``unit``'s result document: its identity (schema, unit id, spec,
+    tags) around ``body`` — ``config`` and ``stats``, or ``error``."""
+    return {"schema": RESULT_SCHEMA, "unit_id": unit.unit_id,
+            "spec": dict(unit.spec), **body, **unit.tags}
 
 
 def error_document(unit: WorkUnit, error: BaseException) -> dict:
     """The result document a worker writes when a unit raises, so the
     coordinator learns *what* failed instead of waiting forever."""
-    return {
-        "schema": RESULT_SCHEMA,
-        "unit_id": unit.unit_id,
-        "spec": dict(unit.spec),
-        "error": {"type": type(error).__name__, "message": str(error)},
-        **unit.tags,
-    }
+    return result_document(unit, error={"type": type(error).__name__,
+                                        "message": str(error)})
 
 
 def result_matches_unit(payload: dict | None, unit: WorkUnit) -> bool:
@@ -253,10 +257,11 @@ def result_matches_unit(payload: dict | None, unit: WorkUnit) -> bool:
     deleted).  Reusing such a document would silently revive stale
     statistics the caller decided to recompute, so every
     reuse-instead-of-execute decision gates on this identity check:
-    same unit id, same spec, same tags.  The spec's ``"engine"`` tier
-    is ignored, the rule ``canonical_spec`` applies: tiers are
-    bit-identical, so a slice computed on one tier completes a point
-    on the other.  True for both success and error documents —
+    same unit id, same spec, same tags, and the config the spec names
+    (a hand-edited or colliding document is recomputed).  The spec's
+    ``"engine"`` tier is ignored, the rule ``canonical_spec`` applies:
+    tiers are bit-identical, so a slice computed on one tier completes
+    a point on the other.  True for both success and error documents —
     callers distinguish via the ``"error"`` key.
     """
     if payload is None:
@@ -267,17 +272,29 @@ def result_matches_unit(payload: dict | None, unit: WorkUnit) -> bool:
     if not isinstance(spec, Mapping) \
             or tierless_spec(spec) != tierless_spec(unit.spec):
         return False
+    if "config" in payload \
+            and not _config_matches(payload["config"], unit.spec):
+        return False
     return all(payload.get(key) == value
                for key, value in unit.tags.items())
+
+
+def _config_matches(document_config: object, spec: Mapping) -> bool:
+    config = spec.get("config", SPEC_FIELDS["config"].default)
+    if document_config == config:  # a full config dict, as sweeps write
+        return True
+    try:
+        return document_config == config_to_dict(spec_config(config))
+    except SessionError:
+        return False
 
 
 def load_unit_result(path: str | Path) -> dict | None:
     """A structurally valid result document, or None.
 
-    Missing file, unreadable JSON, non-dict payloads, and foreign
-    schemas all return None — callers treat that as "not done yet"
-    (coordinator polls) or "recompute" (checkpoint loading); semantic
-    validation (provenance, config match) stays with the caller.
+    Missing file, unreadable JSON, non-dict payloads, foreign schemas
+    and successes without ``stats``/``config`` dicts all return None;
+    whose result it is stays with :func:`stored_result`.
     """
     try:
         payload = json.loads(Path(path).read_text())
@@ -292,21 +309,25 @@ def load_unit_result(path: str | Path) -> dict | None:
         if not isinstance(error, dict) or "type" not in error:
             return None
         return payload
-    if not isinstance(payload.get("stats"), dict):
+    if not isinstance(payload.get("stats"), dict) \
+            or not isinstance(payload.get("config"), dict):
         return None
     return payload
+
+
+def stored_result(unit: WorkUnit) -> dict | None:
+    """The success or error document this exact unit wrote at its
+    result path (see :func:`result_matches_unit`), or None."""
+    payload = load_unit_result(unit.result_path)
+    return payload if result_matches_unit(payload, unit) else None
 
 
 def reusable_result(unit: WorkUnit) -> dict | None:
     """The success document this exact unit already wrote at its
     result path, or None: what every reuse-instead-of-execute decision
-    takes.  Missing, malformed, error and foreign documents (see
-    :func:`result_matches_unit`) never count."""
-    payload = load_unit_result(unit.result_path)
-    if payload is None or "error" in payload \
-            or not result_matches_unit(payload, unit):
-        return None
-    return payload
+    takes — slices, whole sweep points, queue drains and workers."""
+    payload = stored_result(unit)
+    return None if payload is None or "error" in payload else payload
 
 
 def tierless_spec(spec: Mapping) -> dict:

@@ -39,7 +39,7 @@ from collections.abc import Callable, Mapping, Sequence
 
 from repro.exec import ExecutionBackend, WorkUnit
 from repro.exec.backends import OnResult
-from repro.exec.unit import atomic_write_json
+from repro.exec.unit import atomic_write_json, result_document
 from repro.serve.canon import (
     CACHE_KEY_LENGTH,
     ENGINE_VERSION,
@@ -49,10 +49,6 @@ from repro.serve.canon import (
 
 #: Cache entry document schema; bump on incompatible layout changes.
 CACHE_SCHEMA = 1
-
-#: RESULT_SCHEMA-compatible keys a cached entry contributes to a
-#: synthesized result document.
-_ENTRY_RESULT_KEYS = ("config", "stats")
 
 
 class CacheError(ValueError):
@@ -145,7 +141,6 @@ class CacheStore:
         return entry
 
     def put(self, key: str, *, config: Mapping, stats: Mapping,
-            canonical_spec: Mapping | None = None,
             trace_digest: str | None = None) -> dict:
         """Store one completed computation under its key."""
         entry = {
@@ -154,8 +149,7 @@ class CacheStore:
             "engine_version": self.engine_version,
             "config": dict(config),
             "stats": dict(stats),
-            "canonical_spec": (None if canonical_spec is None
-                               else dict(canonical_spec)),
+            "canonical_spec": None,  # kept: existing entries' layout
             "trace_digest": trace_digest,
         }
         atomic_write_json(self._entry_path(key), entry)
@@ -204,12 +198,11 @@ class CachingBackend(ExecutionBackend):
 
     For every unit of a batch: derive its content-addressed key (trace
     digests are memoized per path — trace files are write-once in
-    this codebase), serve hits by synthesizing the unit's result
-    document from the cached (config, stats) — the document passes
-    :func:`~repro.exec.unit.result_matches_unit` because identity
-    (unit id, spec, tags) comes from the unit itself — and fan the
-    misses out to the inner backend, storing each success as it
-    lands.  Error documents are never cached: failures must re-run.
+    this codebase), serve hits as the unit's
+    :func:`~repro.exec.unit.result_document` over the cached (config,
+    stats), byte-identical to an execution's, and fan the misses out
+    to the inner backend, storing each success as it lands.  Error
+    documents are never cached: failures must re-run.
 
     ``hits``/``misses`` count this instance's verdicts (a job's
     per-run tally); the shared store accumulates the global ones.
@@ -245,8 +238,6 @@ class CachingBackend(ExecutionBackend):
 
     def _execute(self, batch: Sequence[WorkUnit],
                  on_result: OnResult | None) -> dict[str, dict]:
-        from repro.exec.unit import RESULT_SCHEMA
-
         results: dict[str, dict] = {}
         keys: dict[str, str] = {}
         misses: list[WorkUnit] = []
@@ -264,14 +255,8 @@ class CachingBackend(ExecutionBackend):
             self.hits += 1
             if self.on_verdict is not None:
                 self.on_verdict(unit, key, True)
-            payload = {
-                "schema": RESULT_SCHEMA,
-                "unit_id": unit.unit_id,
-                "spec": dict(unit.spec),
-                **{field: entry[field]
-                   for field in _ENTRY_RESULT_KEYS},
-                **unit.tags,
-            }
+            payload = result_document(unit, config=entry["config"],
+                                      stats=entry["stats"])
             # Still written to result_path: a cache-served unit's
             # document remains a valid sweep checkpoint / shard input.
             atomic_write_json(unit.result_path, payload)

@@ -81,7 +81,7 @@ from repro.trace.source import FileSource, InMemorySource, TraceSource
 from repro.trace.stats import TraceStatistics, measure_trace
 from repro.utils.atomic import atomic_path
 from repro.utils.fields import Field
-from repro.utils.registry import Registry
+from repro.utils.registry import Registry, RegistryError
 
 #: Named processor configurations (Table 1's two machines).  Register
 #: more (``CONFIGS.register("my-config", ProcessorConfig(...))``) and
@@ -120,7 +120,7 @@ _OWN_CODE = ("schema", "workload", "trace_file", "segments", "config",
              "devices")
 _VALUE_FIELDS = {name: field for name, field in SPEC_FIELDS.items()
                  if name not in _OWN_CODE}
-_SEGMENT_BOUND = Field("segment range bound", int, None, minimum=0)
+SEGMENT_BOUND = Field("segment range bound", int, None, minimum=0)
 
 
 def _segments(value: object) -> tuple[int, int] | None:
@@ -133,7 +133,7 @@ def _segments(value: object) -> tuple[int, int] | None:
             f"a segment range is a (lo, hi) pair of segment indices, "
             f"got {value!r}"
         )
-    lo, hi = (_SEGMENT_BOUND.check(bound, SessionError) for bound in value)
+    lo, hi = (SEGMENT_BOUND.check(bound, SessionError) for bound in value)
     if hi <= lo:
         # An empty range (lo == hi) is rejected too: it would simulate
         # zero records yet produce a structurally valid result document
@@ -143,11 +143,16 @@ def _segments(value: object) -> tuple[int, int] | None:
     return (lo, hi)
 
 
-def _spec_config(config: object) -> ProcessorConfig:
+def spec_config(config: object) -> ProcessorConfig:
     """A spec's config: a registered name, a config dict, or a
-    :class:`~repro.core.config.ProcessorConfig`."""
+    :class:`~repro.core.config.ProcessorConfig`.  The one config
+    resolver specs, campaign requests and result checks share; every
+    refusal is a :class:`SessionError`."""
     if isinstance(config, str):
-        return CONFIGS.get(config)
+        try:
+            return CONFIGS.get(config)
+        except RegistryError as error:
+            raise UnknownConfigError(str(error)) from None
     if isinstance(config, Mapping):
         try:
             return config_from_dict(dict(config))
@@ -172,6 +177,11 @@ def _devices(devices: object) -> tuple[FpgaDevice, ...]:
 
 class SessionError(ValueError):
     """Raised for malformed simulation specs or misused facades."""
+
+
+class UnknownConfigError(SessionError, RegistryError):
+    """An unregistered config name: a spec refusal that is still the
+    ``RegistryError`` a registry lookup raises."""
 
 
 @dataclass(frozen=True)
@@ -502,7 +512,7 @@ class Simulation:
         source = (_WorkloadSource(workload) if trace_file is None else
                   _TraceFileSource(str(trace_file), _segments(segments)))
         return cls(
-            _spec_config(spec.get("config", SPEC_FIELDS["config"].default)),
+            spec_config(spec.get("config", SPEC_FIELDS["config"].default)),
             source=source, devices=_devices(spec.get("devices", ())),
             **{name: spec[name] for name in _VALUE_FIELDS if name in spec})
 

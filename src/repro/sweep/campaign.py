@@ -21,7 +21,7 @@ from pathlib import Path
 
 from repro.exec.backends import ExecutionBackend
 from repro.serialize import config_from_dict, config_to_dict
-from repro.session.simulation import CONFIGS
+from repro.session.simulation import SessionError, spec_config
 from repro.sweep.fields import (
     CAMPAIGN_FIELDS,
     FIELDS,
@@ -39,22 +39,6 @@ from repro.workloads.tracegen import UnknownWorkloadError, is_known_workload
 #: Fields with their own normalization below: they need a registry or
 #: a structure, or (``kind``) are checked first.
 _SPECIAL = ("kind", "workload", "config", "axes", "sampling", "strategy")
-
-
-def _base_config(value: object):
-    if isinstance(value, str):
-        try:
-            return CONFIGS.get(value)
-        except RegistryError as error:
-            raise SweepError(str(error)) from None
-    if isinstance(value, Mapping):
-        try:
-            return config_from_dict(dict(value))
-        except (KeyError, TypeError, ValueError) as error:
-            raise SweepError(f"bad config in request: {error!r}") from None
-    raise SweepError(
-        f"request field 'config' must be a registered config name or "
-        f"a config dict, got {value!r}")
 
 
 def _axes(kind: str, axes: object) -> dict[str, list]:
@@ -87,7 +71,10 @@ def normalize_campaign(request: Mapping) -> dict:
             f"{', '.join(map(repr, unknown))}; accepted fields: "
             f"{', '.join(sorted(CAMPAIGN_FIELDS[kind]))}")
     axes = _axes(kind, request.get("axes"))
-    base = _base_config(request.get("config", FIELDS["config"].default))
+    try:
+        base = spec_config(request.get("config", FIELDS["config"].default))
+    except SessionError as error:
+        raise SweepError(str(error)) from None
     SweepSpec(axes=axes, base=base).expand()
     workload = request.get("workload", FIELDS["workload"].default)
     if not isinstance(workload, str) or not is_known_workload(workload):

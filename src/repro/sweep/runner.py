@@ -18,9 +18,14 @@ Durability: a work unit's result document **is** the design point's
 checkpoint — written atomically to ``<results_dir>/<config-key>.json``
 with the sweep's provenance manifest embedded, so a sweep killed
 halfway resumes from its checkpoints instead of restarting, no matter
-which backend (or which host) computed them.  Checkpoints are
-validated on load; a corrupt or mismatched checkpoint is discarded
-and recomputed, never trusted.
+which backend (or which host) computed them.  A point resumes by the
+one rule slices, queue drains and workers use,
+:func:`~repro.exec.unit.reusable_result` on the point's unit: the
+stored document must carry this unit's id, spec (the absolute trace
+path included), sweep manifest and config.  Anything else — corrupt,
+hand-edited, written before units carried ``unit_id``/``spec``, or
+left in a results directory moved to a new path — is recomputed,
+never trusted (a moved directory still reuses its trace).
 
 Determinism: the engine is a deterministic function of (config,
 records) and every backend runs the same
@@ -64,12 +69,11 @@ from repro.exec import (
     UnitExecutionError,
     WorkUnit,
     atomic_write_json,
-    load_unit_result,
     plan_regions,
     plan_shards,
+    reusable_result,
     slice_units,
 )
-from repro.exec.unit import reusable_result
 from repro.serialize import (
     canonical_digest,
     config_to_dict,
@@ -94,11 +98,6 @@ from repro.workloads.tracegen import (
     is_known_workload,
     write_workload_trace,
 )
-
-#: Checkpoint schema version; bump on incompatible layout changes.
-#: Checkpoints are work-unit result documents, so this tracks
-#: :data:`repro.exec.RESULT_SCHEMA`.
-CHECKPOINT_SCHEMA = 1
 
 #: Filename of the sweep manifest inside a results directory.
 MANIFEST_FILENAME = "sweep.json"
@@ -329,30 +328,6 @@ class SweepRunner:
             key: info.bits_per_instruction
             for key, info in self._traces.items()}
 
-    # -- checkpoints ---------------------------------------------------
-
-    def _checkpoint_path(self, point: SweepPoint) -> Path:
-        return self.results_dir / f"{point.key}.json"
-
-    def _load_checkpoint(self, path: Path,
-                         config_dict: dict) -> dict | None:
-        """A validated checkpoint payload, or None to recompute."""
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
-        if not isinstance(payload, dict):
-            return None
-        if payload.get("schema") != CHECKPOINT_SCHEMA:
-            return None
-        if payload.get("sweep") != self._manifest():
-            return None
-        if payload.get("config") != config_dict:
-            return None
-        if not isinstance(payload.get("stats"), dict):
-            return None
-        return payload
-
     # -- slicing -------------------------------------------------------
 
     def _plan_for(self, trace: _TraceInfo) -> SlicePlan | None:
@@ -386,22 +361,17 @@ class SweepRunner:
 
     def _unit_for(self, point: SweepPoint, trace: _TraceInfo,
                   provenance: dict) -> WorkUnit:
-        """One design point as a serializable work unit.
-
-        The unit's spec reproduces exactly what the pre-backend worker
-        hand-wired: stream the shared trace, simulate under the
-        point's config, start at the trace's recorded entry PC.  The
-        provenance manifest rides in the tags, which is what makes
-        the unit's result document a valid, self-describing sweep
-        checkpoint (even if ``sweep.json`` is deleted, results
-        computed under different workload/budget/seed parameters
-        cannot be revived as this sweep's).
-        """
+        """One design point as a serializable work unit: the shared
+        trace under the point's config, from the trace's entry PC.  The
+        provenance manifest rides in the tags, so the unit's result is
+        a self-describing checkpoint (even without ``sweep.json``, one
+        computed under other workload/budget/seed parameters is never
+        revived as this sweep's)."""
         return WorkUnit.for_trace(
             point.key,
             trace.path.resolve(),
             config_to_dict(point.config),
-            self._checkpoint_path(point).resolve(),
+            (self.results_dir / f"{point.key}.json").resolve(),
             start_pc=trace.start_pc,
             tags={"sweep": provenance},
             engine=self.engine,
@@ -419,8 +389,9 @@ class SweepRunner:
         ``points`` order.
 
         This is the scheduler core the grid sweep and the adaptive
-        search strategies share: load-or-build each point's
-        checkpoint, hand the missing ones to the backend as work
+        search strategies share: build each point's unit, reuse its
+        checkpoint (:func:`~repro.exec.unit.reusable_result`), hand
+        the missing ones to the backend as work
         units — one per point, or one per slice of the point's
         :meth:`slice plan <_plan_for>`, merged back into a point
         checkpoint as the last slice lands — and emit progress events
@@ -435,7 +406,10 @@ class SweepRunner:
 
         def finish(point: SweepPoint, payload: dict,
                    from_checkpoint: bool) -> None:
-            outcome = self._outcome(point, payload, from_checkpoint)
+            outcome = SweepOutcome(
+                key=point.key, params=point.params, config=point.config,
+                stats=stats_from_dict(payload["stats"]),
+                from_checkpoint=from_checkpoint)
             outcomes[point.key] = outcome
             self.progress.point(outcome)
             if on_outcome is not None:
@@ -448,37 +422,32 @@ class SweepRunner:
                     f"({point.label}) in one evaluation batch"
                 )
             trace = self._trace_for(point.config.predictor)
-            config_dict = config_to_dict(point.config)
-            payload = self._load_checkpoint(
-                self._checkpoint_path(point), config_dict)
+            base_unit = self._unit_for(point, trace, provenance)
+            payload = reusable_result(base_unit)
             if payload is not None:
                 finish(point, payload, from_checkpoint=True)
                 continue
-            by_id[point.key] = point
-            base_unit = self._unit_for(point, trace, provenance)
             plan = self._plan_for(trace)
-            if plan is None:
-                units.append(base_unit)
-                continue
-            # Split: per-slice results are checkpoints too — reuse the
-            # ones a previous (interrupted) run already computed and
-            # submit only the missing slices.
-            reducer = SliceReducer(base_unit, plan)
-            pending = []
-            for slice_unit in slice_units(base_unit, plan):
-                existing = reusable_result(slice_unit)
-                if existing is not None:
-                    reducer.add(existing)
-                else:
-                    pending.append(slice_unit)
-            if not pending:
-                finish(point, reducer.write(), from_checkpoint=True)
-                del by_id[point.key]
-                continue
-            reducers[point.key] = reducer
-            for slice_unit in pending:
-                slice_point[slice_unit.unit_id] = point.key
-                units.append(slice_unit)
+            pending = [base_unit]
+            if plan is not None:
+                # Split: per-slice results are checkpoints too — reuse
+                # the ones a previous (interrupted) run already computed
+                # and submit only the missing slices.
+                reducer = SliceReducer(base_unit, plan)
+                pending = []
+                for slice_unit in slice_units(base_unit, plan):
+                    existing = reusable_result(slice_unit)
+                    if existing is not None:
+                        reducer.add(existing)
+                    else:
+                        pending.append(slice_unit)
+                        slice_point[slice_unit.unit_id] = point.key
+                if not pending:
+                    finish(point, reducer.write(), from_checkpoint=True)
+                    continue
+                reducers[point.key] = reducer
+            by_id[point.key] = point
+            units.extend(pending)
 
         if units:
             def collect(unit: WorkUnit, payload: dict) -> None:
@@ -609,16 +578,5 @@ class SweepRunner:
             strategy=strategy.name,
             metric=strategy.metric,
             rounds=rounds,
-        )
-
-    @staticmethod
-    def _outcome(point: SweepPoint, payload: dict,
-                 from_checkpoint: bool) -> SweepOutcome:
-        return SweepOutcome(
-            key=point.key,
-            params=point.params,
-            config=point.config,
-            stats=stats_from_dict(payload["stats"]),
-            from_checkpoint=from_checkpoint,
         )
 

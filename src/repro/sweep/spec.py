@@ -28,6 +28,7 @@ accept kwargs dicts next to :class:`CacheConfig` objects.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from itertools import product
 from collections.abc import Iterable, Mapping, Sequence
 
@@ -55,10 +56,10 @@ class SweepPoint:
     config: ProcessorConfig
     params: tuple[tuple[str, object], ...]
 
-    @property
+    @cached_property
     def key(self) -> str:
         """Stable checkpoint/filename identifier (see
-        :func:`repro.serialize.config_key`)."""
+        :func:`repro.serialize.config_key`), hashed once per point."""
         return config_key(self.config)
 
     @property

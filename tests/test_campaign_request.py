@@ -26,6 +26,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.cli import _campaign_request, build_parser, main
 from repro.serve import CampaignService
 from repro.serve.jobs import request_key
+from repro.session import SessionError, Simulation
 from repro.sweep import SweepError
 from repro.sweep.campaign import CAMPAIGN_FIELDS, normalize_campaign
 from repro.sweep.fields import FIELDS
@@ -190,6 +191,25 @@ class TestNormalizeCampaign:
     def test_bad_values_are_rejected(self, fields, message):
         with pytest.raises(SweepError, match=message):
             normalize_campaign(sweep_request(**fields))
+
+    @pytest.mark.parametrize("config", ["nope", {"width": 4}, 17],
+                             ids=["unknown-name", "partial-dict", "int"])
+    def test_one_config_refusal(self, config, tmp_path):
+        """A spec, a campaign request and ``resim spec hash`` resolve
+        a config through one resolver and refuse a bad one with one
+        message (exit 1 from the CLI, never a traceback)."""
+        with pytest.raises(SessionError) as spec_error:
+            Simulation.from_spec({"workload": "gzip", "config": config})
+        message = str(spec_error.value)
+        with pytest.raises(SweepError) as request_error:
+            normalize_campaign(sweep_request(config=config))
+        assert str(request_error.value) == message
+        saved = tmp_path / "spec.json"
+        saved.write_text(json.dumps({"workload": "gzip",
+                                     "config": config}))
+        with pytest.raises(SystemExit) as cli_exit:
+            main(["spec", "hash", "--file", str(saved)])
+        assert cli_exit.value.code == message
 
     def test_axes_run_in_name_order(self):
         axes = {"width": [4, 2], "rob_entries": [16, 8]}

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.serve.canon import cache_key
 from repro.session import CONFIGS, Simulation
 
 BUDGET = "1500"
@@ -395,7 +396,7 @@ class TestSpecHash:
         saved.write_text(json.dumps({"workload": "gzip"}))
         assert main(["spec", "hash", "--file", str(saved)]) == 0
         assert capsys.readouterr().out.strip() == bare
-        assert bare == Simulation.for_workload("gzip").spec_key()
+        assert bare == cache_key({"workload": "gzip"})
 
 
 class TestSpecFieldFlags:

@@ -34,7 +34,7 @@ from repro.exec import (
 )
 from repro.exec.queue import claim_next
 from repro.serialize import config_to_dict, stats_to_dict
-from repro.session import Simulation
+from repro.session import SessionError, Simulation
 from repro.workloads.tracegen import write_workload_trace
 
 BUDGET = 1200
@@ -71,6 +71,24 @@ class TestWorkUnit:
             tmp_path / "shard0.json", segments=(0, 2), start_pc=4096)
         assert unit.spec["segments"] == [0, 2]
         assert unit.spec["start_pc"] == 4096
+
+    @pytest.mark.parametrize("keyword, value, message", [
+        ("start_pc", "4096", "start_pc must be an integer"),
+        ("start_pc", -1, "start_pc must be >= 0"),
+        ("segments", ("0", 2), "segment range bound must be an integer"),
+        ("segments", (0, 2.0), "segment range bound must be an integer"),
+    ])
+    def test_for_trace_checks_values_like_a_spec(self, trace_file,
+                                                 tmp_path, keyword,
+                                                 value, message):
+        """Bounds and start PC go through the spec's checks, never
+        ``int()``: what a spec refuses, a unit refuses."""
+        with pytest.raises(SessionError, match=message):
+            WorkUnit.for_trace("u", trace_file, "4wide-perfect",
+                               tmp_path / "u.json", **{keyword: value})
+        with pytest.raises(SessionError, match=message):
+            Simulation.from_spec({"trace_file": str(trace_file),
+                                  keyword: value})
 
     def test_path_traversing_unit_id_rejected(self, tmp_path):
         for bad in ("../evil", "a/b", "", "x y"):
@@ -495,6 +513,17 @@ class TestDirectoryQueue:
         assert load_unit_result(unit.result_path) is not None
         assert reusable_result(unit) is None
 
+    def test_registered_config_name_matches_its_dict(self, trace_file,
+                                                     tmp_path):
+        from repro.exec.unit import reusable_result
+        unit = WorkUnit.for_trace("named", trace_file, "2wide-cache",
+                                  tmp_path / "named.json")
+        payload = execute_unit(unit)
+        assert reusable_result(unit) == payload
+        other = WorkUnit.for_trace("named", trace_file, "4wide-perfect",
+                                   tmp_path / "named.json")
+        assert reusable_result(other) is None
+
     def test_unreadable_descriptor_abandoned_not_counted(
             self, tmp_path):
         paths = queue_paths(tmp_path / "queue")
@@ -727,6 +756,20 @@ class TestShardUnits:
             WorkUnit(unit_id="x", spec={"workload": "gzip"},
                      result_path=str(tmp_path / "x.json"),
                      tags={"sharded": {}})
+
+    def test_result_with_a_foreign_config_is_not_reused(
+            self, segmented_trace, tmp_path):
+        """A stored slice whose ``config`` disagrees with its spec
+        (hand-edited, or a colliding file) is recomputed: the one
+        reuse rule checks the config for slices as for points."""
+        from repro.exec.unit import atomic_write_json, reusable_result
+        base = make_base_unit(segmented_trace, tmp_path)
+        unit = slice_units(base, plan_shards(segmented_trace, 2))[0]
+        payload = execute_unit(unit)
+        assert reusable_result(unit) == payload
+        payload["config"]["rob_entries"] = 999
+        atomic_write_json(unit.result_path, payload)
+        assert reusable_result(unit) is None
 
 
 class TestShardReducer:

@@ -25,13 +25,20 @@ import signal
 import socket
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.exec import SerialBackend, WorkUnit
+from repro.exec import (
+    SerialBackend,
+    WorkUnit,
+    execute_unit,
+    plan_shards,
+    slice_units,
+)
 from repro.serve import (
     BackgroundServer,
     CacheStore,
@@ -46,6 +53,9 @@ from repro.serve import (
 )
 from repro.serve.http import MAX_BODY_BYTES
 from repro.session import CONFIGS, Simulation
+from repro.trace.fileio import write_trace_file
+
+from test_engine_properties import structured_trace
 
 BUDGET = 1200
 
@@ -213,6 +223,39 @@ class TestCachingBackend:
         assert new.key_for(unit) != old.key_for(unit)
         new.run_units(self._units(tmp_path, "v2"))
         assert (new.hits, new.misses) == (0, 2)
+
+
+@settings(max_examples=15, deadline=None)
+@given(structured_trace(max_segments=16), st.sampled_from(sorted(CONFIGS)),
+       st.integers(min_value=2, max_value=3))
+def test_cache_served_documents_equal_fresh_ones(trace, config_name,
+                                                 shards):
+    """Generated cached ≡ fresh: for a whole-trace unit and its shard
+    slices, a cache hit writes the bytes ``execute_unit`` writes."""
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch)
+        path = root / "drawn.rtrc"
+        write_trace_file(path, trace, segment_records=4)
+        plan = plan_shards(path, shards)
+
+        def units(run: str) -> list[WorkUnit]:
+            base = WorkUnit.for_trace(
+                "point", path, config_name, root / run / "point.json",
+                tags={"sweep": {"workload": "drawn"}})
+            return [base, *slice_units(base, plan)]
+
+        fresh = units("fresh")
+        for unit in fresh:
+            execute_unit(unit)
+        store = CacheStore(root / "cache")
+        CachingBackend(store, SerialBackend()).run_units(units("cold"))
+        warm = CachingBackend(store, SerialBackend())
+        served = units("warm")
+        warm.run_units(served)
+        assert (warm.hits, warm.misses) == (len(served), 0)
+        for unit, hit in zip(fresh, served, strict=True):
+            assert Path(hit.result_path).read_bytes() \
+                == Path(unit.result_path).read_bytes(), unit.unit_id
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +599,29 @@ class TestHttpService:
                 "gzip", CONFIGS.get("4wide-perfect"),
                 budget=BUDGET, seed=7).run()
             assert served["stats"] == stats_to_dict(direct.stats)
+
+    def test_spec_hash_prints_the_served_cache_key(self, tmp_path,
+                                                   capsys):
+        """``resim spec hash`` prints the key a served simulate job of
+        the same spec reports, for a workload and a trace-file spec."""
+        from repro.cli import main
+        trace = tmp_path / "gzip.rtrc"
+        assert main(["trace", "gzip", str(trace), "--budget",
+                     str(BUDGET)]) == 0
+        specs = [workload_spec(), {"trace_file": str(trace)}]
+        service = CampaignService(tmp_path / "root")
+        with BackgroundServer(service) as server:
+            client = ServiceClient(*server.address)
+            for index, spec in enumerate(specs):
+                answer = client.submit({"kind": "simulate", "spec": spec})
+                client.wait(answer["job_id"])
+                served = client.result(answer["job_id"])["result"]
+                saved = tmp_path / f"spec{index}.json"
+                saved.write_text(json.dumps(spec))
+                capsys.readouterr()
+                assert main(["spec", "hash", "--file", str(saved)]) == 0
+                assert capsys.readouterr().out.strip() \
+                    == served["cache_key"]
 
 
 # ---------------------------------------------------------------------------

@@ -549,13 +549,14 @@ class TestExecutionBackends:
         assert all(int(o.stats.committed_instructions) > BUDGET
                    for o in second)
 
-    def test_pre_backend_checkpoints_still_resume(self, small_spec,
-                                                  tmp_path):
-        """PR 3-era checkpoints lack the unit_id/spec keys work units
-        now embed; they must still be honored on resume."""
+    def test_pre_backend_checkpoints_are_recomputed(self, small_spec,
+                                                    tmp_path):
+        """Checkpoints without the unit_id/spec keys work units embed
+        (written before points ran as units) fail the one reuse rule,
+        so they are recomputed, to the same statistics."""
         directory = tmp_path / "sweep"
-        SweepRunner(small_spec, "gzip", results_dir=directory,
-                    budget=BUDGET).run()
+        first = SweepRunner(small_spec, "gzip", results_dir=directory,
+                            budget=BUDGET).run()
         for path in directory.glob("*.json"):
             if path.name == "sweep.json":
                 continue
@@ -565,7 +566,9 @@ class TestExecutionBackends:
             path.write_text(json.dumps(payload, sort_keys=True))
         second = SweepRunner(small_spec, "gzip", results_dir=directory,
                              budget=BUDGET).run()
-        assert second.resumed_count == 4
+        assert second.resumed_count == 0
+        assert [stats_to_dict(o.stats) for o in second.outcomes] == \
+            [stats_to_dict(o.stats) for o in first.outcomes]
 
 
 class TestProgressReporting:
