@@ -87,7 +87,7 @@ from repro.isa.instruction import INSTRUCTION_BYTES
 from repro.isa.opcodes import BranchKind, FuClass
 from repro.isa.program import TEXT_BASE
 from repro.serialize import canonical_digest, config_to_dict
-from repro.trace.record import BranchRecord, MemoryRecord, TraceRecord
+from repro.trace.record import ROW_FIELDS, ROW_TAG, RecordKind, TraceRecord
 from repro.trace.source import TraceSource, as_source
 from repro.utils.memo import BoundedMemo
 
@@ -176,16 +176,18 @@ def _block(text: str, indent: int) -> list[str]:
 
 
 def _admit_chunk(*, pc_var: str, wrong_path: bool) -> str:
-    """The fetch-side record decode: consume one record into the IFQ.
+    """The fetch-side record decode: consume the row ``rec`` (the
+    :data:`~repro.trace.record.ROW_FIELDS` layout) into the IFQ.
 
     Pre-computes everything the later stages read so the hot loop
-    never revisits the trace record.  Register semantics transcribe
+    never revisits the trace row.  Register semantics transcribe
     ``TraceRecord.src_registers``/``dest_registers``: sources are the
     nonzero src fields in order, destinations are (HI, LO) for MUL/DIV
     and the nonzero dest otherwise.
     """
-    tag_line = "op.tag = rec.tag\n" if wrong_path else ""
+    tag_line = "op.tag = tag\n" if wrong_path else ""
     return f"""
+{", ".join(ROW_FIELDS)} = rec
 op = Op()
 op.seq = seq
 seq += 1
@@ -193,32 +195,30 @@ op.pc = {pc_var}
 op.state = 0
 op.w1 = -1
 op.w2 = -1
-op.src1 = rec.src1
-op.src2 = rec.src2
+op.src1 = src1
+op.src2 = src2
 op.memory_ready = False
 op.forwarded = False
-{tag_line}klass = rec.__class__
-fu = rec.fu
-if klass is MemRec:
+{tag_line}if kind == {RecordKind.MEMORY.value}:
     op.is_mem = True
     op.is_branch = False
     ld = fu is FU_LOAD
     op.is_load = ld
     op.is_store = not ld
-    op.address = rec.address
+    op.address = f2
     op.fuc = 0
-    op.d1 = rec.dest
+    op.d1 = dest
     op.d2 = 0
-elif klass is BrRec:
+elif kind == {RecordKind.BRANCH.value}:
     op.is_mem = False
     op.is_load = False
     op.is_store = False
     op.is_branch = True
-    op.bk = rec.branch_kind
-    op.taken = rec.taken
-    op.target = rec.target
+    op.bk = f1
+    op.taken = f2
+    op.target = f3
     op.fuc = 0
-    op.d1 = rec.dest
+    op.d1 = dest
     op.d2 = 0
 else:
     op.is_mem = False
@@ -235,7 +235,7 @@ else:
         op.d2 = 33
     else:
         op.fuc = 0
-        op.d1 = rec.dest
+        op.d1 = dest
         op.d2 = 0
 ifq.append(op)
 c_fetched += 1
@@ -248,15 +248,15 @@ _DONE = "idx >= end and not rob and not ifq and not dec"
 
 
 def _refill(then: str = "", indent: int = 0) -> str:
-    """Move on to the source's next block once the held one is used
-    up, then run ``then`` (nested under the refill), all indented by
-    ``indent``.  The source's cursor catches up (``seek``) only here
+    """Move on to the source's next block of rows once the held one is
+    used up, then run ``then`` (nested under the refill), all indented
+    by ``indent``.  The source's cursor catches up (``seek``) only here
     and when the run ends."""
     text = f"""
 if idx >= end:
     src_seek(idx)
-    records, idx = src_block()
-    end = len(records)
+    rows, idx = src_block()
+    end = len(rows)
 {chr(10).join(_block(then, 4))}
 """
     return "\n".join(_block(text, indent)) + "\n"
@@ -266,8 +266,8 @@ def _drain_chunk() -> str:
     """Discard the wrong-path block at the cursor, counting each record
     as discarded and consumed — the reference engine's
     ``_drain_wrong_path``, for cold mid-stream starts and recovery."""
-    return _refill() + """
-while idx < end and records[idx].tag:
+    return _refill() + f"""
+while idx < end and rows[idx][{ROW_TAG}]:
     idx += 1
     c_disc += 1
     c_cons += 1
@@ -595,8 +595,6 @@ def _engine_source(
 def run_trace(trace, start_pc, bpred, memory, max_cycles, warmup, roi,
               tick, on_tick):
     Op = _Op
-    MemRec = _MemoryRecord
-    BrRec = _BranchRecord
     FU_LOAD = _FU_LOAD
     FU_STORE = _FU_STORE
     FU_MUL = _FU_MUL
@@ -626,12 +624,13 @@ def run_trace(trace, start_pc, bpred, memory, max_cycles, warmup, roi,
     base = 0
     cons_off = 0
 """)
+    # The fetch stage reads the source's held block in the row view.
     emit("""
-    src_block = trace.block
+    src_block = trace.rows
     src_seek = trace.seek
     start = trace.consumed
-    records, idx = src_block()
-    end = len(records)
+    rows, idx = src_block()
+    end = len(rows)
 """)
     # Everything after the first block runs inside try/finally (see
     # the end), so every exit leaves the source where the run stopped.
@@ -967,12 +966,12 @@ if idx >= end:
     break
 """), indent=16)
     emit("""
-                rec = records[idx]
+                rec = rows[idx]
 """)
     if wrong_path:
-        emit("""
+        emit(f"""
                 if speculative:
-                    if not rec.tag:
+                    if not rec[{ROW_TAG}]:
                         break
 """)
         emit(_icache_chunk(config, pc_var="spec_pc"), indent=20)
@@ -983,13 +982,13 @@ if idx >= end:
                     spec_pc += {INSTRUCTION_BYTES}
                     fetched += 1
                     continue
-                assert not rec.tag, (
+                assert not rec[{ROW_TAG}], (
                     "tagged record outside speculative fetch; trace "
                     "and engine disagree about a misprediction")
 """)
     else:
-        emit("""
-                if rec.tag:
+        emit(f"""
+                if rec[{ROW_TAG}]:
                     raise SpecializationError(
                         "trace contains a tagged (wrong-path) record "
                         "but the engine was specialized for a "
@@ -1009,8 +1008,8 @@ if idx >= end:
                         wrong_path=wrong_path), indent=20)
     if wrong_path:
         emit(_refill(), indent=20)
-        emit("""
-                    tagged_next = idx < end and records[idx].tag
+        emit(f"""
+                    tagged_next = idx < end and rows[idx][{ROW_TAG}]
 """)
         emit(f"""
                     if mis != tagged_next:
@@ -1151,8 +1150,6 @@ def compile_engine(
     namespace = {
         "_Op": _Op,
         "_deque": deque,
-        "_MemoryRecord": MemoryRecord,
-        "_BranchRecord": BranchRecord,
         "_FU_LOAD": FuClass.LOAD,
         "_FU_STORE": FuClass.STORE,
         "_FU_MUL": FuClass.MUL,

@@ -54,9 +54,10 @@ from repro.exec.slice import Slice, SlicePlan
 from repro.exec.unit import ExecError
 from repro.trace.fileio import (
     TraceSegment,
-    iter_trace_records,
+    iter_trace_blocks,
     read_segment_table,
 )
+from repro.trace.record import ROW_TAG
 
 #: Counters whose shard-wise sums equal the monolithic run's exactly
 #: (``mispredictions`` requires the planner's clean boundaries; the
@@ -83,11 +84,10 @@ def _segment_is_clean(path: str | Path,
     segment size); results are memoized per plan.
     """
     if index not in cache:
-        iterator = iter_trace_records(
-            path, segments=table[index:index + 1])
-        first = next(iterator, None)
-        iterator.close()
-        cache[index] = first is None or not first.tag
+        blocks = iter_trace_blocks(path, segments=table[index:index + 1])
+        rows = next(blocks, ())
+        blocks.close()
+        cache[index] = not rows or not rows[0][ROW_TAG]
     return cache[index]
 
 

@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from collections.abc import Callable, Sequence
 
@@ -74,11 +75,7 @@ from repro.exec import (
     reusable_result,
     slice_units,
 )
-from repro.serialize import (
-    canonical_digest,
-    config_to_dict,
-    stats_from_dict,
-)
+from repro.serialize import canonical_digest, stats_from_dict
 from repro.sweep.fields import FIELDS, sampling_entry
 from repro.sweep.progress import SweepProgress
 from repro.sweep.result import SweepOutcome, SweepResult
@@ -128,6 +125,11 @@ class _TraceInfo:
     path: Path
     start_pc: int | None
     bits_per_instruction: float
+
+    @cached_property
+    def resolved(self) -> Path:
+        """The absolute trace path work units name, resolved once."""
+        return self.path.resolve()
 
 
 class SweepRunner:
@@ -210,8 +212,9 @@ class SweepRunner:
             else SweepProgress()
         self.shards = shards
         self.segment_records = segment_records
-        self._traces: dict[str, _TraceInfo] = {}
+        self._traces: dict[PredictorConfig, _TraceInfo] = {}
         self._plans: dict[str, SlicePlan] = {}
+        self._results_root: Path | None = None
 
     # -- trace management ---------------------------------------------
 
@@ -306,11 +309,12 @@ class SweepRunner:
 
     def _trace_for(self, predictor: PredictorConfig) -> _TraceInfo:
         """Memoizing wrapper so one sweep/search prepares each
-        distinct predictor's trace exactly once."""
-        key = predictor_key(predictor)
-        if key not in self._traces:
-            self._traces[key] = self.prepare_trace(predictor)
-        return self._traces[key]
+        distinct predictor's trace exactly once (equal predictor
+        configs are one entry, as their :func:`predictor_key` is)."""
+        trace = self._traces.get(predictor)
+        if trace is None:
+            trace = self._traces[predictor] = self.prepare_trace(predictor)
+        return trace
 
     def trace_summary(self) -> tuple[float, dict[str, float]]:
         """Bits/instruction of the traces prepared so far, for result
@@ -321,12 +325,11 @@ class SweepRunner:
         """
         if not self._traces:
             raise SweepError("no design points evaluated yet")
-        base_key = predictor_key(self.spec.base.predictor)
-        headline = self._traces.get(base_key) \
+        headline = self._traces.get(self.spec.base.predictor) \
             or next(iter(self._traces.values()))
         return headline.bits_per_instruction, {
-            key: info.bits_per_instruction
-            for key, info in self._traces.items()}
+            predictor_key(predictor): info.bits_per_instruction
+            for predictor, info in self._traces.items()}
 
     # -- slicing -------------------------------------------------------
 
@@ -367,11 +370,14 @@ class SweepRunner:
         a self-describing checkpoint (even without ``sweep.json``, one
         computed under other workload/budget/seed parameters is never
         revived as this sweep's)."""
+        if self._results_root is None:
+            # After the trace is prepared, so the directory exists.
+            self._results_root = self.results_dir.resolve()
         return WorkUnit.for_trace(
             point.key,
-            trace.path.resolve(),
-            config_to_dict(point.config),
-            (self.results_dir / f"{point.key}.json").resolve(),
+            trace.resolved,
+            point.config_dict,
+            self._results_root / f"{point.key}.json",
             start_pc=trace.start_pc,
             tags={"sweep": provenance},
             engine=self.engine,

@@ -35,7 +35,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from repro.bpred.unit import PREDICTORS, PredictorConfig
 from repro.cache.cache import CacheConfig
 from repro.core.config import PAPER_4WIDE_PERFECT, ProcessorConfig
-from repro.serialize import config_key
+from repro.serialize import canonical_digest, config_to_dict
 
 _CONFIG_FIELDS = frozenset(spec.name for spec in fields(ProcessorConfig))
 
@@ -57,10 +57,18 @@ class SweepPoint:
     params: tuple[tuple[str, object], ...]
 
     @cached_property
+    def config_dict(self) -> dict:
+        """The config as :func:`repro.serialize.config_to_dict` gives
+        it, flattened once per point: the key hashes it and the
+        point's work unit carries it.  Treat it as read-only."""
+        return config_to_dict(self.config)
+
+    @cached_property
     def key(self) -> str:
-        """Stable checkpoint/filename identifier (see
-        :func:`repro.serialize.config_key`), hashed once per point."""
-        return config_key(self.config)
+        """Stable checkpoint/filename identifier (the
+        :func:`repro.serialize.config_key` of the config), hashed once
+        per point."""
+        return canonical_digest(self.config_dict)
 
     @property
     def label(self) -> str:

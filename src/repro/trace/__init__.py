@@ -10,12 +10,13 @@ what makes ReSim "almost ISA independent".
 
 This package provides:
 
-* :mod:`repro.trace.record` — the in-memory record types;
+* :mod:`repro.trace.record` — the in-memory record types, and the
+  plain-tuple row layout a stored trace decodes into;
 * :mod:`repro.trace.encode` — the bit-packed codec (Table 3 of the paper
   reports 41-47 *bits* per instruction, so the encoding is measured at
   bit granularity).  It holds the B/M/O field layout once, packs each
-  record as one integer word, and has the one decode loop that every
-  reader (in-memory, v1 chunks, v2 segments) goes through;
+  record as one integer word, and has the one decode loop, into rows,
+  that every reader (in-memory, v1 chunks, v2 segments) goes through;
 * :mod:`repro.trace.fileio` — the persistent trace-file format
   (segmented v2 plus the legacy v1), including the constant-memory
   :class:`~repro.trace.fileio.SegmentedTraceWriter` and the streaming

@@ -40,11 +40,12 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from pathlib import Path
 
 from repro.trace.fileio import (
     TraceFileError,
-    iter_trace_records,
+    iter_trace_blocks,
     read_segment_table,
 )
 from repro.trace.record import RecordKind
@@ -305,14 +306,17 @@ def analyze_trace(path: str | Path, *,
     block_start = 0
     previous_tagged = False
     bucket = _mix(block_start) % bbv_dim
-    branch, memory = RecordKind.BRANCH, RecordKind.MEMORY
-    iterator = iter_trace_records(path)
+    branch, memory = RecordKind.BRANCH.value, RecordKind.MEMORY.value
+    rows = chain.from_iterable(iter_trace_blocks(path))
     for segment in table:
         bbv = [0] * bbv_dim
         committed = wrong_path = wrong_path_blocks = 0
         branches = taken_branches = loads = stores = 0
-        for record in _take(iterator, segment.record_count, segment.index):
-            if record.tag:
+        # Rows in the ROW_FIELDS layout: f1 is an M row's is_store, f2
+        # and f3 a B row's taken and target.
+        for kind, tag, _, _, _, _, f1, f2, f3 in islice(
+                rows, segment.record_count):
+            if tag:
                 wrong_path += 1
                 if not previous_tagged:
                     wrong_path_blocks += 1
@@ -322,46 +326,37 @@ def analyze_trace(path: str | Path, *,
             previous_tagged = False
             committed += 1
             bbv[bucket] += 1
-            kind = record.kind
-            if kind is branch:
+            if kind == branch:
                 branches += 1
-                if record.taken:
+                if f2:
                     taken_branches += 1
-                    pc = record.target & _MASK32
+                    pc = f3 & _MASK32
                 else:
                     pc = (pc + 4) & _MASK32
                 block_start = pc
                 bucket = _mix(block_start) % bbv_dim
             else:
-                if kind is memory:
-                    if record.is_store:
+                if kind == memory:
+                    if f1:
                         stores += 1
                     else:
                         loads += 1
                 pc = (pc + 4) & _MASK32
+        if committed + wrong_path < segment.record_count:
+            raise TraceFileError(
+                f"trace ends inside segment {segment.index}")
         profiles.append(SegmentProfile(
             index=segment.index, records=committed + wrong_path,
             committed=committed, wrong_path=wrong_path,
             wrong_path_blocks=wrong_path_blocks, branches=branches,
             taken_branches=taken_branches, loads=loads, stores=stores,
             bbv=bbv))
-    # Drain the iterator so the whole-file consistency checks run.
-    for _ in iterator:
+    # Drain the rows so the whole-file consistency checks run.
+    for _ in rows:
         raise TraceFileError(
             "payload holds more records than the segment table claims")
     return TraceProfile(digest=trace_content_digest(path),
                         bbv_dim=bbv_dim, segments=profiles)
-
-
-def _take(iterator, count: int, segment_index: int):
-    """The next ``count`` records of one full-file iteration — how the
-    single streaming pass is split along segment-table boundaries."""
-    for _ in range(count):
-        record = next(iterator, None)
-        if record is None:
-            raise TraceFileError(
-                f"trace ends inside segment {segment_index}")
-        yield record
 
 
 def profile_path(trace_path: str | Path) -> Path:

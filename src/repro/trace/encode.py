@@ -15,6 +15,14 @@ instruction, matching the 41.16-47.14 range the paper reports in
 Table 3.  The codec is deliberately simple (no inter-record
 compression): ReSim's FPGA deserializer must decode a record per minor
 cycle, so the hardware-friendly flat layout is part of the design.
+
+The software deserializer is :func:`decode_rows`: it decodes straight
+into plain field rows (the layout :data:`repro.trace.record.ROW_FIELDS`
+declares), which the decoded-segment cache holds and the generated
+engine reads without building an object per instruction.
+:func:`decode_records` is the same decode mapped through
+:func:`~repro.trace.record.row_record`, for tools and the reference
+engine, which take record objects.
 """
 
 from __future__ import annotations
@@ -31,8 +39,9 @@ from repro.trace.record import (
     NUMBER_TO_FU,
     OtherRecord,
     RecordKind,
+    Row,
     TraceRecord,
-    trusted_constructor,
+    row_record,
 )
 
 
@@ -55,10 +64,8 @@ _WIDTHS = tuple(map(FORMAT_BITS.get, range(4)))  # by kind code; 3 is none
 _WINDOW_BYTES = (7 + max(FORMAT_BITS.values()) + 7) // 8  # any record, any offset
 #: The one FU class an M record may carry, by its store bit.
 _MEMORY_FU = (FuClass.LOAD, FuClass.STORE)
-# Decode checks what the layout does not bound itself (see below).
-_OTHER = trusted_constructor(OtherRecord)
-_MEMORY = trusted_constructor(MemoryRecord)
-_BRANCH = trusted_constructor(BranchRecord)
+# Kind codes as plain ints: the decode loop compares one per record.
+_OTHER_CODE, _MEMORY_CODE = RecordKind.OTHER.value, RecordKind.MEMORY.value
 
 
 class CorruptRecordError(ValueError):
@@ -130,13 +137,17 @@ class TraceEncoder:
         return bytes(self._buffer)
 
 
-def decode_records(data: bytes | bytearray, start_bit: int, end_bit: int,
-                   stop_bit: int) -> tuple[list[TraceRecord], int]:
+def decode_rows(data: bytes | bytearray, start_bit: int, end_bit: int,
+                stop_bit: int) -> tuple[list[Row], int]:
     """Decode the records that start in ``[start_bit, stop_bit)`` of a
-    payload ending at ``end_bit``; returns them and the next offset."""
+    payload ending at ``end_bit`` into rows; returns them and the next
+    offset.  Raises :class:`CorruptRecordError` for a record no valid
+    trace holds, which is everything the layout does not bound itself:
+    an unused kind, FU or branch-kind code, an FU class that does not
+    fit the format, or a record running past the payload."""
     window = bytes(data) + bytes(_WINDOW_BYTES)
-    records: list[TraceRecord] = []
-    append = records.append
+    rows: list[Row] = []
+    append = rows.append
     pos, stop = start_bit, min(stop_bit, end_bit - _COMMON_BITS + 1)
     limit = min(end_bit, 8 * len(data))  # no record may run past either
     while pos < stop:
@@ -152,24 +163,31 @@ def decode_records(data: bytes | bytearray, start_bit: int, end_bit: int,
         tag, dest, src1, src2 = (bool(head >> _TAG & 1), head >> _DEST & 0x3F,
                                  head >> _SRC1 & 0x3F, head & 0x3F)
         tail = bits >> (8 * _WINDOW_BYTES - width - (pos & 7))
-        if kind == RecordKind.OTHER:
-            append(_OTHER(tag, fu, dest, src1, src2))
-        elif kind == RecordKind.MEMORY:
+        if kind == _OTHER_CODE:
+            append((kind, tag, fu, dest, src1, src2, None, None, None))
+        elif kind == _MEMORY_CODE:
             store = tail >> _STORE & 1
             if fu is not _MEMORY_FU[store]:
                 access = "store" if store else "load"
                 raise CorruptRecordError(f"FU code {fu_code} in a {access} record", pos)
-            append(_MEMORY(tag, fu, dest, src1, src2, bool(store),
-                           tail & 0xFFFF_FFFF, tail >> _SIZE & 3))
+            append((kind, tag, fu, dest, src1, src2, bool(store),
+                    tail & 0xFFFF_FFFF, tail >> _SIZE & 3))
         elif fu is not FuClass.BRANCH:
             raise CorruptRecordError(f"FU code {fu_code} in a branch record", pos)
         elif (branch := NUMBER_TO_BRANCH[tail >> _BRANCH_KIND & 7]) is None:
             raise CorruptRecordError(f"branch kind code {tail >> _BRANCH_KIND & 7}", pos)
         else:
-            append(_BRANCH(tag, fu, dest, src1, src2, branch, bool(tail >> _TAKEN & 1),
-                           tail & 0xFFFF_FFFF))
+            append((kind, tag, fu, dest, src1, src2, branch, bool(tail >> _TAKEN & 1),
+                    tail & 0xFFFF_FFFF))
         pos += width
-    return records, pos
+    return rows, pos
+
+
+def decode_records(data: bytes | bytearray, start_bit: int, end_bit: int,
+                   stop_bit: int) -> tuple[list[TraceRecord], int]:
+    """:func:`decode_rows` as records: same arguments, same checks."""
+    rows, pos = decode_rows(data, start_bit, end_bit, stop_bit)
+    return list(map(row_record, rows)), pos
 
 
 def encode_trace(records: Sequence[TraceRecord]) -> tuple[bytes, int]:

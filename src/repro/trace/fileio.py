@@ -86,7 +86,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import partial
-from operator import attrgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO
 from collections.abc import Iterable, Iterator, Sequence
@@ -96,10 +96,10 @@ from repro.trace.encode import (
     FORMAT_BITS,
     CorruptRecordError,
     TraceEncoder,
-    decode_records,
+    decode_rows,
     encode_trace,
 )
-from repro.trace.record import TraceRecord
+from repro.trace.record import ROW_TAG, Row, TraceRecord, row_record
 from repro.utils.atomic import atomic_path
 from repro.utils.memo import BoundedMemo
 
@@ -593,29 +593,31 @@ def _verify_committed(header: TraceFileHeader, committed: int) -> None:
         )
 
 
+_TAG = itemgetter(ROW_TAG)
+
+
 def _decode_segment(data: bytes | bytearray, start_bit: int, end_bit: int,
                     stop_bit: int, index: int, origin: int = 0,
-                    ) -> tuple[list[TraceRecord], int, int]:
-    """:func:`decode_records`, naming segment ``index`` and the bit
+                    ) -> tuple[list[Row], int, int]:
+    """:func:`decode_rows`, naming segment ``index`` and the bit
     offset (``origin`` bits before ``data``) of a corrupt record; also
-    returns how many of the records are untagged (committed)."""
+    returns how many of the rows are untagged (committed)."""
     try:
-        records, pos = decode_records(data, start_bit, end_bit, stop_bit)
+        rows, pos = decode_rows(data, start_bit, end_bit, stop_bit)
     except CorruptRecordError as error:
         reason, bit = error.args
         raise TraceFileError(f"segment {index}: {reason} at bit "
                              f"{origin + bit}") from None
-    return records, len(records) - sum(map(attrgetter("tag"), records)), pos
+    return rows, len(rows) - sum(map(_TAG, rows)), pos
 
 
 # ----------------------------------------------------------------------
 # Decoded-segment cache: units over one trace decode each segment once.
 # ----------------------------------------------------------------------
 
-#: ``(payload bytes, bit length) -> (records, committed count)``: the
-#: count travels with the records, so a hit never recounts Tag bits.
-_SEGMENTS: BoundedMemo[tuple[bytes, int],
-                       tuple[tuple[TraceRecord, ...], int]] = \
+#: ``(payload bytes, bit length) -> (rows, committed count)``: the
+#: count travels with the rows, so a hit never recounts Tag bits.
+_SEGMENTS: BoundedMemo[tuple[bytes, int], tuple[tuple[Row, ...], int]] = \
     BoundedMemo("decoded segments", DECODED_SEGMENT_CACHE_RECORDS,
                 weigh=lambda entry: len(entry[0]), unit="records")
 #: Whether this thread's v2 reads consult the cache; see
@@ -627,7 +629,7 @@ _SEGMENT_REUSE: ContextVar[bool] = ContextVar("decoded_segment_reuse",
 @contextmanager
 def decoded_segment_reuse() -> Iterator[None]:
     """Let v2 segment reads in this block (and this thread) share
-    decoded records through the process-wide cache.
+    decoded segments through the process-wide cache.
 
     :func:`repro.exec.unit.execute_unit` runs every unit inside this
     scope, so a sweep, pool child, queue worker or campaign server
@@ -637,10 +639,14 @@ def decoded_segment_reuse() -> Iterator[None]:
     The key is the segment's exact payload bytes plus its bit length,
     so a hit is by construction the decode of identical bytes: no
     entry can go stale, and a corrupt segment never matches a clean
-    one.  Every per-read check (segment table, per-segment record
-    count, end-of-stream counts) still runs on each read; a decode
-    that raises is never stored.  The cache holds at most
-    :data:`DECODED_SEGMENT_CACHE_RECORDS` records.
+    one.  Entries are the decoded rows (the
+    :data:`~repro.trace.record.ROW_FIELDS` layout) and their committed
+    count, so a hit hands the generated engine exactly what a decode
+    would; the record view of a segment is built per read, when a
+    reader asks for records.  Every per-read check (segment table,
+    per-segment record count, end-of-stream counts) still runs on each
+    read; a decode that raises is never stored.  The cache holds at
+    most :data:`DECODED_SEGMENT_CACHE_RECORDS` records.
     """
     token = _SEGMENT_REUSE.set(True)
     try:
@@ -650,10 +656,10 @@ def decoded_segment_reuse() -> Iterator[None]:
 
 
 def _read_v2_segment(handle: BinaryIO, segment: TraceSegment,
-                     ) -> tuple[Sequence[TraceRecord], int]:
+                     ) -> tuple[Sequence[Row], int]:
     """Read and decode one v2 segment, checked against its table entry
-    (from the cache when reuse is on); returns its records and how
-    many are committed."""
+    (from the cache when reuse is on); returns its rows and how many
+    are committed."""
     handle.seek(segment.payload_offset)
     data = handle.read(segment.byte_length)
     if len(data) < segment.byte_length:
@@ -664,11 +670,11 @@ def _read_v2_segment(handle: BinaryIO, segment: TraceSegment,
     reuse = _SEGMENT_REUSE.get()
     entry = _SEGMENTS.get(key) if reuse else None
     if entry is None:
-        records, committed, _ = _decode_segment(
+        rows, committed, _ = _decode_segment(
             data, 0, segment.bit_length, segment.bit_length, segment.index)
-        entry = (records, committed)
+        entry = (rows, committed)
         if reuse:
-            entry = _SEGMENTS.put(key, (tuple(records), committed))
+            entry = _SEGMENTS.put(key, (tuple(rows), committed))
     if len(entry[0]) != segment.record_count:
         raise TraceFileError(
             f"segment {segment.index} holds {len(entry[0])} records, "
@@ -686,9 +692,9 @@ clear_decoded_segment_cache = _SEGMENTS.clear
 
 
 def _iter_v1_payload(handle: BinaryIO, bit_length: int,
-                     ) -> Iterator[tuple[list[TraceRecord], int]]:
+                     ) -> Iterator[tuple[list[Row], int]]:
     """Decode a v1 payload in bounded chunks, yielding each chunk's
-    records and how many are committed.
+    rows and how many are committed.
 
     The payload is one contiguous bit-packed run.  Each pass decodes
     every record that lies wholly inside the buffered chunk, then
@@ -709,10 +715,10 @@ def _iter_v1_payload(handle: BinaryIO, bit_length: int,
         last = end == bit_length - origin
         # Short of the payload's end, decode only records that start
         # early enough to end inside the buffer, whatever their format.
-        records, committed, pos = _decode_segment(
+        rows, committed, pos = _decode_segment(
             buffer, pos, end, end if last else end - _MAX_RECORD_BITS + 1,
             0, origin)
-        yield records, committed
+        yield rows, committed
         if last:
             return
         del buffer[:pos >> 3]
@@ -724,10 +730,12 @@ def iter_trace_blocks(
     path: str | Path,
     *,
     segments: Sequence[TraceSegment] | None = None,
-) -> Iterator[Sequence[TraceRecord]]:
-    """Stream a trace file as decoded blocks, with bounded memory: the
-    one reader, which :func:`iter_trace_records` flattens and
-    :class:`~repro.trace.source.FileSource` hands to the engine.
+) -> Iterator[Sequence[Row]]:
+    """Stream a trace file as blocks of decoded rows (the
+    :data:`~repro.trace.record.ROW_FIELDS` layout), with bounded
+    memory: the one reader, which :func:`iter_trace_records` turns
+    into records and :class:`~repro.trace.source.FileSource` hands to
+    the engine.
 
     v2 payloads come one segment per block (each checked against its
     table entry); v1 payloads come in fixed-size chunks.  When a
@@ -785,11 +793,11 @@ def iter_trace_records(
     *,
     segments: Sequence[TraceSegment] | None = None,
 ) -> Iterator[TraceRecord]:
-    """Stream a trace file's records with bounded memory: the records
-    of :func:`iter_trace_blocks` (same arguments, same checks), one
-    at a time."""
+    """Stream a trace file's records with bounded memory: the rows
+    of :func:`iter_trace_blocks` (same arguments, same checks) as
+    records, one at a time."""
     for block in iter_trace_blocks(path, segments=segments):
-        yield from block
+        yield from map(row_record, block)
 
 
 def read_trace_file(

@@ -17,6 +17,17 @@ Design notes
 * Multiply/divide writes the HI/LO pair; the second destination is
   implicit in the functional-unit class, so it costs no trace bits
   (:meth:`TraceRecord.dest_registers` reconstructs it).
+
+Records and rows
+----------------
+A stored trace decodes into **rows**: one plain tuple per record in
+the layout :data:`ROW_FIELDS` declares, with no object built per
+instruction.  Rows are what the decoder, the decoded-segment cache,
+the generated engine, trace profiling and the shard probe read.
+The record classes below are the API for tools, the reference
+engine tier and :class:`~repro.trace.source.InMemorySource`;
+:func:`record_row` and :func:`row_record` convert between the two
+forms, and ``row_record(record_row(r)) == r`` for every record.
 """
 
 from __future__ import annotations
@@ -206,16 +217,60 @@ class BranchRecord(TraceRecord):
         return self.branch_kind is not BranchKind.COND
 
 
-def trusted_constructor(cls: type[TraceRecord]) -> Callable[..., TraceRecord]:
-    """A positional constructor for record class ``cls`` that skips
-    ``__post_init__`` — for the trace decoder only, whose bit layout
-    bounds what those checks test (6-bit registers, 32-bit address and
-    target) and which checks the rest itself (an FU class that fits
-    the format, a concrete branch kind)."""
+#: The row layout: position -> field name.  The last three positions
+#: hold each format's own fields, ``(is_store, address, size_log2)``
+#: in M rows and ``(branch_kind, taken, target)`` in B rows; O rows
+#: pad them with None.  ``kind`` is the format's plain int code.
+ROW_FIELDS = ("kind", "tag", "fu", "dest", "src1", "src2", "f1", "f2", "f3")
+#: Where a row holds the Tag bit.
+ROW_TAG = ROW_FIELDS.index("tag")
+#: One decoded record in the row layout.
+Row = tuple
+_OTHER_CODE, _BRANCH_CODE, _MEMORY_CODE = (
+    RecordKind.OTHER.value, RecordKind.BRANCH.value, RecordKind.MEMORY.value)
+
+
+def record_row(record: TraceRecord) -> Row:
+    """The row of one record (field values carried as they are).
+
+    >>> record_row(OtherRecord(tag=True, dest=1))
+    (0, True, <FuClass.ALU: 'alu'>, 1, 0, 0, None, None, None)
+    """
+    if isinstance(record, MemoryRecord):
+        return (_MEMORY_CODE, record.tag, record.fu, record.dest, record.src1,
+                record.src2, record.is_store, record.address, record.size_log2)
+    if isinstance(record, BranchRecord):
+        return (_BRANCH_CODE, record.tag, record.fu, record.dest, record.src1,
+                record.src2, record.branch_kind, record.taken, record.target)
+    return (_OTHER_CODE, record.tag, record.fu, record.dest, record.src1,
+            record.src2, None, None, None)
+
+
+def _row_constructor(cls: type[TraceRecord]) -> Callable[[Row], TraceRecord]:
+    """A constructor of record class ``cls`` from its row that skips
+    ``__post_init__`` — rows come from the trace decoder, whose bit
+    layout bounds what those checks test (6-bit registers, 32-bit
+    address and target) and which checks the rest itself (an FU class
+    that fits the format, a concrete branch kind), or from
+    :func:`record_row` of a record that passed them."""
     names = [field.name for field in fields(cls)]
     namespace = {f"set_{name}": getattr(cls, name).__set__ for name in names}
     namespace.update(new=object.__new__, cls=cls)
+    unpack = ", ".join(["_", *names, *["_"] * (len(ROW_FIELDS) - 1 - len(names))])
     body = "".join(f"    set_{name}(record, {name})\n" for name in names)
-    exec(f"def make({', '.join(names)}):\n    record = new(cls)\n{body}"  # noqa: S102
-         "    return record\n", namespace)
+    exec(f"def make(row):\n    {unpack} = row\n    record = new(cls)\n"  # noqa: S102
+         f"{body}    return record\n", namespace)
     return namespace["make"]
+
+
+#: Record constructors from rows, by the row's kind code (O, B, M).
+_ROW_RECORDS = tuple(map(_row_constructor, (OtherRecord, BranchRecord, MemoryRecord)))
+
+
+def row_record(row: Row) -> TraceRecord:
+    """The record of one row: the inverse of :func:`record_row`.
+
+    >>> row_record((0, True, FuClass.ALU, 1, 0, 0, None, None, None))
+    OtherRecord(tag=True, fu=<FuClass.ALU: 'alu'>, dest=1, src1=0, src2=0)
+    """
+    return _ROW_RECORDS[row[0]](row)

@@ -11,32 +11,45 @@ segment or v1 chunk of a stored ``.rtrc`` file at a time, from
 :func:`repro.trace.fileio.iter_trace_blocks`, so memory is bounded by
 the segment size, not the trace length.
 
-The generated engine (:mod:`repro.core.specialize`) takes the
-**block** view: :meth:`~TraceSource.block` hands out the held block
-and the cursor's index into it, the engine indexes it as a plain
-sequence, and it calls back only at block ends and once, through
-:meth:`~TraceSource.seek`, when the run stops.  The reference engine
+A held block has two views on one cursor.  The generated engine
+(:mod:`repro.core.specialize`) takes the **row** view:
+:meth:`~TraceSource.rows` hands out the held block as plain field rows
+(:data:`repro.trace.record.ROW_FIELDS`) and the cursor's index into
+it, the engine indexes it as a plain sequence, and it calls back only
+at block ends and once, through :meth:`~TraceSource.seek`, when the
+run stops.  The reference engine
 (:class:`~repro.core.engine.ReSimEngine`) and step-wise drivers take
-the **record** view, :meth:`~TraceSource.peek`/:meth:`~TraceSource.next`.
-Both move one position (:attr:`~TraceSource.consumed`) through the
-same file checks, so both tiers see the same records.  A sequence
-passed to an engine is wrapped in an :class:`InMemorySource`.
+the **record** view, :meth:`~TraceSource.block` and
+:meth:`~TraceSource.peek`/:meth:`~TraceSource.next`.  A file decodes
+to rows and builds a block's records only when a record view asks for
+them; an in-memory sequence is records and converts to rows only when
+the row view asks.  Both views move one position
+(:attr:`~TraceSource.consumed`) through the same file checks, so both
+tiers see the same records.  A sequence passed to an engine is
+wrapped in an :class:`InMemorySource`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from itertools import repeat
 from pathlib import Path
 from collections.abc import Iterator, Sequence
 
 from repro.trace.fileio import (
+    DEFAULT_SEGMENT_RECORDS,
     TraceFileHeader,
     TraceSegment,
     iter_trace_blocks,
     read_segment_table,
     read_trace_header,
 )
-from repro.trace.record import TraceRecord
+from repro.trace.record import Row, TraceRecord, record_row, row_record
+
+
+#: Rows an :class:`InMemorySource` converts at a time: as many as a
+#: default v2 segment holds.
+ROW_CHUNK = DEFAULT_SEGMENT_RECORDS
 
 
 class TraceSourceError(ValueError):
@@ -44,15 +57,16 @@ class TraceSourceError(ValueError):
 
 
 class TraceSource(ABC):
-    """A forward-only cursor over decoded record blocks, which
-    subclasses supply through :meth:`_load`.
+    """A forward-only cursor over decoded blocks, which subclasses
+    supply through :meth:`_load` and expose as records
+    (:meth:`_records`) and as rows (:meth:`_rows`).
 
     :attr:`total_records` is the best current estimate of the stream
     length (exact for files, live for growing lists), for cycle
     budgets and progress reporting, never for termination.
     """
 
-    _block: Sequence[TraceRecord] = ()
+    _block: Sequence = ()  # the held block, records or rows
     _index = 0  # the cursor, within _block
     _base = 0   # records consumed before _block
 
@@ -62,14 +76,32 @@ class TraceSource(ABC):
         the held block's length, ``_index`` restarts at 0); False, with
         nothing changed, when no further block is available now."""
 
-    def block(self) -> tuple[Sequence[TraceRecord], int]:
-        """The held block and the cursor's index into it, after moving
-        past used-up blocks.  An index at the block's end means no
-        record is available *right now* (a growing in-memory stream may
-        produce more later; a file is done)."""
+    @abstractmethod
+    def _records(self) -> Sequence[TraceRecord]:
+        """The held block as records."""
+
+    @abstractmethod
+    def _rows(self) -> Sequence[Row]:
+        """The held block as rows, index for index."""
+
+    def _advance(self) -> None:
+        """Move past used-up blocks."""
         while self._index >= len(self._block) and self._load():
             pass
-        return self._block, self._index
+
+    def block(self) -> tuple[Sequence[TraceRecord], int]:
+        """The held block's records and the cursor's index into them,
+        after moving past used-up blocks.  An index at the block's end
+        means no record is available *right now* (a growing in-memory
+        stream may produce more later; a file is done)."""
+        self._advance()
+        return self._records(), self._index
+
+    def rows(self) -> tuple[Sequence[Row], int]:
+        """:meth:`block` in the row layout: the held block's rows and
+        the cursor's index into them, on the same cursor."""
+        self._advance()
+        return self._rows(), self._index
 
     def seek(self, index: int) -> None:
         """Move the cursor to ``index`` of the held block; the records
@@ -136,13 +168,35 @@ class InMemorySource(TraceSource):
     length read live: appending to the underlying list makes the new
     records visible, which is exactly how the streaming co-simulation
     driver models its flow-controlled input FIFO.
+
+    The row view indexes like the sequence, but holds at most
+    :data:`ROW_CHUNK` converted rows: each time the cursor uses up the
+    converted ones, the rows behind it are released (left as None)
+    and the next chunk from the cursor on is converted, so a
+    specialized run over records costs one chunk of rows, not a copy
+    of the trace.
     """
 
     def __init__(self, records: Sequence[TraceRecord]) -> None:
         self._block = records
+        self._converted: list[Row | None] = []
+        self._released = 0  # rows before this index are None
 
     def _load(self) -> bool:
         return False
+
+    def _records(self) -> Sequence[TraceRecord]:
+        return self._block
+
+    def _rows(self) -> Sequence[Row | None]:
+        rows, index = self._converted, self._index
+        if len(rows) <= index < len(self._block):
+            done = self._released
+            rows[done:] = repeat(None, len(rows) - done)
+            rows += repeat(None, index - len(rows))
+            rows += map(record_row, self._block[index:index + ROW_CHUNK])
+            self._released = index
+        return rows
 
     @property
     def total_records(self) -> int:
@@ -156,9 +210,10 @@ class FileSource(TraceSource):
     """Streams a stored trace file with bounded memory.
 
     The header is parsed eagerly (so a bad file fails at construction,
-    not mid-simulation); the blocks are decoded lazily by
+    not mid-simulation); the blocks are decoded lazily, as rows, by
     :func:`repro.trace.fileio.iter_trace_blocks`, with its per-segment
-    and end-of-stream checks and its decoded-segment cache.
+    and end-of-stream checks and its decoded-segment cache.  A block's
+    records are built once, when the record view first asks.
 
     ``segments`` restricts the cursor to a slice of a v2 file's
     segment table — ``FileSource(path, segments=(lo, hi))`` replays
@@ -193,7 +248,8 @@ class FileSource(TraceSource):
             elif (lo, hi) != (0, 1):
                 raise TraceSourceError(
                     "segment-restricted reads need a v2 trace file")
-        self._blocks: Iterator[Sequence[TraceRecord]] | None = None
+        self._blocks: Iterator[Sequence[Row]] | None = None
+        self._block_records: list[TraceRecord] | None = []
 
     @property
     def path(self) -> Path:
@@ -211,8 +267,16 @@ class FileSource(TraceSource):
         if block is None:
             return False
         self._base += len(self._block)
-        self._block, self._index = block, 0
+        self._block, self._block_records, self._index = block, None, 0
         return True
+
+    def _records(self) -> Sequence[TraceRecord]:
+        if self._block_records is None:
+            self._block_records = list(map(row_record, self._block))
+        return self._block_records
+
+    def _rows(self) -> Sequence[Row]:
+        return self._block
 
     @property
     def total_records(self) -> int:

@@ -38,6 +38,7 @@ from repro.trace.fileio import (
     read_trace_file,
     write_trace_file,
 )
+from repro.trace.record import ROW_TAG
 from repro.workloads import SyntheticWorkload, get_profile
 from test_trace_codec import records as record_strategy
 
@@ -170,7 +171,7 @@ class TestScope:
                         "entries": len(segments),
                         "records": len(records)}
         assert all(isinstance(records, tuple)
-                   and committed == sum(not r.tag for r in records)
+                   and committed == sum(not r[ROW_TAG] for r in records)
                    for records, committed in fileio._SEGMENTS.values())
 
     def test_v1_payloads_are_not_cached(self, path, tmp_path):
