@@ -6,9 +6,10 @@ Subcommands mirror how the paper's system is used:
   assembled kernel), streaming it straight into a segmented trace
   file; ``trace info FILE`` inspects a stored trace (header, format
   version, metadata, segment table) without decoding its payload;
-* ``simulate`` — run a trace file (streamed a segment at a time; see
-  ``--progress``) or generate one on the fly through the timing engine
-  and print statistics + FPGA-projected MIPS;
+* ``simulate`` — run one design point over a trace file (streamed a
+  segment at a time; see ``--progress``) or a generated workload and
+  print statistics + FPGA-projected MIPS, or a region-sampled estimate
+  (``--sample-regions``);
 * ``tables``   — regenerate the paper's Tables 1-4;
 * ``area``     — print the Table 4 area breakdown for a configuration;
 * ``vhdl``     — emit the parametric branch-predictor VHDL;
@@ -22,10 +23,7 @@ Subcommands mirror how the paper's system is used:
   ``--shards N`` splits every design point into N segment-range
   shard runs merged back into one result;
 * ``search``   — adaptive design-space search (grid / seeded random /
-  hill-climb) that simulates points one batch at a time through the
-  same backends, checkpoints, and sharding.  Both turn their argv into
-  the request document ``client submit`` would send and run it through
-  :mod:`repro.sweep.campaign`, exactly as ``serve`` does;
+  hill-climb) through the same backends, checkpoints, and sharding;
 * ``worker``   — a queue worker: claims work units from a shared
   queue directory (``sweep``/``search`` with ``--backend queue``)
   and simulates them until the queue drains or it is stopped;
@@ -44,8 +42,10 @@ Subcommands mirror how the paper's system is used:
   content key (spec + trace digest + engine version) the campaign
   cache addresses results by.
 
-Entry point: ``python -m repro.cli <subcommand>`` or the installed
-``resim`` script.
+``simulate``, ``sweep`` and ``search`` turn their argv into the request
+document ``client submit`` would send and run it as ``serve`` does
+(:mod:`repro.exec.point`, :mod:`repro.sweep.campaign`).  Entry point:
+``python -m repro.cli <subcommand>`` or the installed ``resim`` script.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from pathlib import Path
 # parts it never runs.
 from repro.exec.queue import DEFAULT_LEASE_SECONDS
 from repro.fpga.device import VIRTEX4_LX40, VIRTEX5_LX50T
-from repro.sweep.fields import CAMPAIGN_FIELDS, FIELDS
+from repro.sweep.fields import CAMPAIGN_FIELDS, FIELDS, SAMPLING_FIELDS
 from repro.sweep.result import SORT_KEYS, sort_key
 
 
@@ -82,9 +82,13 @@ def _device(name: str):
         raise SystemExit(str(error)) from error
 
 
-def _workload_simulation(args, config):
-    """Shared workload selection for `simulate` and `spec hash`."""
+def _simulation(args):
+    """The run ``simulate`` and ``spec hash`` name: ``--trace-file``,
+    else the workload."""
     from repro.session.simulation import Simulation
+    config = _config(args.config)
+    if args.trace_file:
+        return Simulation.for_trace_file(args.trace_file, config=config)
     return Simulation.for_workload(
         args.workload, config, budget=args.budget, seed=args.seed)
 
@@ -223,58 +227,28 @@ def cmd_trace_analyze(args) -> int:
     return 0
 
 
-def _simulate_regions(args, config, sampling: dict) -> int:
-    """``resim simulate --trace-file F --sample-regions N``: profile,
-    plan (``sampling`` is the normalized sampling record), run the
-    representative regions, report the weighted estimate."""
-    import tempfile
-    from repro.exec.regions import plan_regions
-    from repro.exec.slice import SliceReducer, slice_units
-    from repro.exec.unit import ExecError, WorkUnit, execute_unit
-    from repro.serialize import config_to_dict, stats_from_dict
-    from repro.trace.analyze import ensure_profile
-    from repro.trace.fileio import TraceFileError
-
-    if not args.trace_file:
-        raise SystemExit("--sample-regions needs --trace-file: region "
-                         "sampling plans over a stored segmented "
-                         "trace's profile")
-    trace = Path(args.trace_file)
-    try:
-        plan = plan_regions(trace, ensure_profile(trace),
-                            regions=sampling["regions"],
-                            seed=sampling["seed"],
-                            warmup_segments=sampling["warmup_segments"])
-        print(plan.describe(), file=sys.stderr)
-        with tempfile.TemporaryDirectory(prefix="resim-regions-") as work:
-            base = WorkUnit.for_trace(
-                "point", trace.resolve(), config_to_dict(config),
-                Path(work) / "point.json", engine=args.engine)
-            reducer = SliceReducer(base, plan)
-            for unit in slice_units(base, plan):
-                reducer.add(execute_unit(unit))
-            merged = reducer.merged()
-    except OSError as error:
-        raise SystemExit(
-            f"{trace}: {error.strerror or error}") from error
-    except (TraceFileError, ExecError, ValueError) as error:
-        raise SystemExit(f"{trace}: {error}") from error
-    stats = stats_from_dict(merged["stats"])
-    print(stats.report())
-    print(f"\nregion-sampled ESTIMATE: {plan.count} region(s) stood "
-          f"for {plan.total_segments} segment(s); "
-          f"{100.0 * plan.coverage:.1f}% of trace records executed "
-          f"(rerun without --sample-regions for exact statistics)")
-    return 0
+def _simulate_request(args) -> dict:
+    """The request document ``resim client submit`` would send for this
+    ``simulate`` invocation: the run spec and the sampling fields."""
+    return {"kind": "simulate",
+            "spec": _simulation(args).with_engine(args.engine).to_spec(),
+            **_flag_fields(args, _SAMPLING_NAMES)}
 
 
 def cmd_simulate(args) -> int:
+    """``resim simulate``: build the simulate request a client would
+    submit, run its point in-process and print its statistics (the
+    estimate note of a sampled run, or the device projections)."""
+    import tempfile
+    from repro.core.engine import SimulationResult
     from repro.core.minorpipe import select_pipeline
     from repro.core.observers import ProgressObserver
-    from repro.session.simulation import SessionError, Simulation
-    from repro.sweep.fields import normalize_sampling
-    from repro.sweep.spec import SweepError
-    from repro.trace.fileio import TraceFileError
+    from repro.exec.backends import SerialBackend
+    from repro.exec.point import (
+        normalize_simulate, run_point, simulate_point)
+    from repro.perf.throughput import ThroughputModel
+    from repro.serialize import stats_from_dict
+    from repro.session.simulation import Simulation
 
     config = _config(args.config)
     if args.progress_records < 1:
@@ -282,57 +256,49 @@ def cmd_simulate(args) -> int:
             f"--progress-records must be positive, "
             f"got {args.progress_records}")
     try:
-        sampling = normalize_sampling(_flag_fields(args, _SIMULATE_FIELDS))
-    except SweepError as error:
+        normalized = normalize_simulate(_simulate_request(args))
+    except ValueError as error:
         raise SystemExit(str(error)) from error
-    if sampling is not None:
-        return _simulate_regions(args, config, sampling)
-    if args.trace_file:
-        simulation = Simulation.for_trace_file(args.trace_file,
-                                               config=config)
-    else:
-        # Only a workload run loads the trace generator.
-        from repro.workloads.tracegen import (
-            UnknownWorkloadError,
-            is_known_workload,
-        )
-        if not is_known_workload(args.workload):
-            raise SystemExit(str(UnknownWorkloadError(args.workload)))
-        simulation = _workload_simulation(args, config)
-    # Select the tier and attach observers before prepare(): every
-    # with_* clone invalidates the prepared-trace cache.
-    try:
-        simulation = simulation.with_devices(
-            VIRTEX4_LX40, VIRTEX5_LX50T).with_engine(args.engine)
-    except SessionError as error:
-        raise SystemExit(str(error)) from error
-    if args.progress:
-        simulation = simulation.with_observer(
-            ProgressObserver(args.progress_records))
-    if args.trace_file:
+    # The observers stay in this process: no unit, spec or document
+    # carries them.  No other point shares this run's trace segments.
+    backend = SerialBackend(
+        observers=(lambda: (ProgressObserver(args.progress_records),))
+        if args.progress else None,
+        share_segments=False)
+    with tempfile.TemporaryDirectory(prefix="resim-simulate-") as work:
         try:
-            prepared = simulation.prepare()
-        except TraceFileError as error:
-            raise SystemExit(f"{args.trace_file}: {error}") from error
-        except OSError as error:
+            base, plan = simulate_point(normalized,
+                                        Path(work) / "point.json")
+            if plan is not None:
+                print(plan.describe(), file=sys.stderr)
+            if args.trace_file and Simulation.from_spec(
+                    base.spec).prepare().predictor_mismatch:
+                print("warning: trace was generated with a different "
+                      "predictor configuration; Tag bits may not match "
+                      "this engine's predictions", file=sys.stderr)
+            document = run_point(base, plan, backend)
+        except (OSError, ValueError) as error:
+            # An unknown workload, or a stored trace that fails to open
+            # or (a TraceFileError) to stream.
+            where = f"{args.trace_file}: " if args.trace_file else ""
             raise SystemExit(
-                f"{args.trace_file}: {error.strerror or error}") from error
-        if prepared.predictor_mismatch:
-            print("warning: trace was generated with a different "
-                  "predictor configuration; Tag bits may not match "
-                  "this engine's predictions", file=sys.stderr)
-    try:
-        session = simulation.run()
-    except TraceFileError as error:
-        # Streamed payload corruption surfaces during the run, not at
-        # prepare time (only one segment is ever decoded ahead).
-        raise SystemExit(f"{args.trace_file}: {error}") from error
-    print(session.stats.report())
+                f"{where}{getattr(error, 'strerror', None) or error}"
+            ) from error
+    stats = stats_from_dict(document["stats"])
+    print(stats.report())
+    if plan is not None:
+        print(f"\nregion-sampled ESTIMATE: {plan.count} region(s) stood "
+              f"for {plan.total_segments} segment(s); "
+              f"{100.0 * plan.coverage:.1f}% of trace records executed "
+              f"(rerun without --sample-regions for exact statistics)")
+        return 0
     pipeline = select_pipeline(config.width, config.memory_ports)
     print(f"\ninternal pipeline: {pipeline.name} "
           f"(major = {pipeline.minor_cycles_per_major} minor cycles)")
+    result = SimulationResult(config, stats)
     for device in (VIRTEX4_LX40, VIRTEX5_LX50T):
-        print(f"  {device.name:12s} {session.mips(device.name):7.2f} MIPS")
+        mips = ThroughputModel(device, pipeline).report(result).mips
+        print(f"  {device.name:12s} {mips:7.2f} MIPS")
     return 0
 
 
@@ -451,7 +417,7 @@ def _make_backend(args, results_dir: Path):
     worker processes to spawn" for the queue (0 = rely entirely on
     externally started ``resim worker`` processes).
     """
-    from repro.exec.backends import ProcessPoolBackend, SerialBackend
+    from repro.exec.backends import ProcessPoolBackend
     from repro.exec.unit import ExecError
     from repro.sweep.runner import default_backend
     from repro.utils.registry import RegistryError
@@ -472,8 +438,6 @@ def _make_backend(args, results_dir: Path):
     except RegistryError as error:
         raise SystemExit(str(error)) from error
     try:
-        if backend_cls is SerialBackend:
-            return SerialBackend()
         if backend_cls is ProcessPoolBackend:
             return ProcessPoolBackend(args.workers)
         if backend_cls is DirectoryQueueBackend:
@@ -484,7 +448,7 @@ def _make_backend(args, results_dir: Path):
                 lease_seconds=args.queue_lease,
                 timeout=args.queue_timeout,
             )
-        return backend_cls()  # extension-registered backend
+        return backend_cls()  # serial, or extension-registered
     except ExecError as error:
         raise SystemExit(str(error)) from error
 
@@ -522,6 +486,11 @@ def _export_bulk_result(args, result, device) -> None:
                                                exist_ok=True)
         result.to_json(args.json)
         print(f"wrote {args.json}")
+
+
+#: The region-sampling fields: ``resim simulate`` takes them as flags
+#: too, and they mean there what they mean in a sweep's request.
+_SAMPLING_NAMES = tuple(field.name for field in SAMPLING_FIELDS)
 
 
 def _flag_fields(args, names) -> dict:
@@ -759,20 +728,14 @@ def cmd_spec(args) -> int:
     would treat the specs as the same computation."""
     from repro.serve.canon import (
         CanonError, cache_key, canonical_spec, trace_digest)
-    from repro.session.simulation import SessionError, Simulation
+    from repro.session.simulation import SessionError
 
     if args.length < 4 or args.length > 64:
         raise SystemExit(f"--length must be in 4..64, "
                          f"got {args.length}")
     try:
-        if args.file:
-            spec = _read_json_document(args.file)
-        elif args.trace_file:
-            spec = Simulation.for_trace_file(
-                args.trace_file, config=_config(args.config)).to_spec()
-        else:
-            spec = _workload_simulation(args,
-                                        _config(args.config)).to_spec()
+        spec = _read_json_document(args.file) if args.file \
+            else _simulation(args).to_spec()
         path = canonical_spec(spec)["trace_file"]
         digest = None if path is None else trace_digest(path)
         print(cache_key(spec, trace_digest=digest, length=args.length))
@@ -813,10 +776,6 @@ def cmd_lint(args) -> int:
     return run(argv)
 
 
-#: The campaign fields ``resim simulate`` takes as flags: they mean
-#: what they mean in a sweep's request.
-_SIMULATE_FIELDS = ("workload", "engine", "regions", "region_seed",
-                    "region_warmup")
 
 
 class _CheckedField(argparse.Action):
@@ -895,7 +854,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--progress-records", type=int,
                           default=100_000,
                           help="records between progress lines")
-    _add_field_flags(simulate, _SIMULATE_FIELDS)
+    _add_field_flags(simulate, ("workload", "engine", *_SAMPLING_NAMES))
     simulate.set_defaults(func=cmd_simulate)
 
     tables = sub.add_parser("tables", help="regenerate paper tables")

@@ -1,37 +1,22 @@
-"""``repro.exec`` — pluggable execution backends for bulk simulation.
-
-The paper's bulk mode prepares a trace off-line and simulates it
-across a whole design grid; this package decides *where those
-simulations run* without the simulation core knowing or caring.  The
-pieces:
+"""``repro.exec`` — where and how design points run, without the
+simulation core knowing.
 
 * :class:`~repro.exec.unit.WorkUnit` — one serializable run: a
-  :meth:`Simulation.from_spec` dict (PR 2) over a shared trace file
-  (PR 3, optionally a segment shard) plus a result destination;
-* :class:`~repro.exec.backends.ExecutionBackend` — the
-  ``run_units`` protocol every dispatcher implements;
-* :class:`~repro.exec.backends.SerialBackend` /
-  :class:`~repro.exec.backends.ProcessPoolBackend` — in-process and
-  one-host fan-out (the sweep runner's historical behaviors);
-* :class:`~repro.exec.queue.DirectoryQueueBackend` + ``resim worker``
-  (:mod:`repro.exec.worker`) — multi-host execution over a shared
-  filesystem with crash-tolerant atomic-rename leases;
-* :class:`~repro.exec.slice.SlicePlan` (:mod:`repro.exec.slice`) —
-  split one design point into segment-range slice units and merge
-  their results back into one point result, through one
-  :func:`~repro.exec.slice.slice_units`, one
-  :class:`~repro.exec.slice.SliceReducer` and one
-  :func:`~repro.exec.slice.merge_slice_documents`.  Two planners build
-  it: :func:`~repro.exec.shard.plan_shards` cuts exact, contiguous
-  shards (:mod:`repro.exec.shard`), and
-  :func:`~repro.exec.regions.plan_regions` samples one weighted,
-  warmup-prefixed representative per behaviour cluster, whose merge
-  estimates the full run (:mod:`repro.exec.regions`).
+  :meth:`Simulation.from_spec` spec (a stored trace, optionally a
+  segment range of it, or a workload) plus a result destination;
+* :class:`~repro.exec.backends.ExecutionBackend` — ``run_units``, run
+  in-process, on a process pool, or by ``resim worker`` processes
+  draining a :class:`~repro.exec.queue.DirectoryQueueBackend`;
+* :class:`~repro.exec.slice.SlicePlan` — one point split into segment
+  ranges and merged back: exact shards
+  (:func:`~repro.exec.shard.plan_shards`) or weighted region estimates
+  (:func:`~repro.exec.regions.plan_regions`);
+* :mod:`repro.exec.point` — the one path of a design point (plan,
+  split, reuse, merge) for sweeps, ``resim simulate`` and a served
+  simulate.
 
-Backends are named in :data:`~repro.exec.backends.BACKENDS`.  Because
-work units are deterministic and results are written atomically,
-every backend produces bit-identical result documents for the same
-batch — the property the sweep and search layers build on.
+Units are deterministic and results are written atomically, so every
+backend writes bit-identical result documents for a batch.
 """
 
 from repro.utils.lazy import lazy_exports
@@ -41,6 +26,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
                            "SerialBackend",
     # BACKENDS is defined in backends; queue registers its "queue"
     # entry, so the registry resolves from there, complete.
+    "repro.exec.point": "SIMULATE_FIELDS choose_plan normalize_simulate "
+                        "point_units run_point simulate_point",
     "repro.exec.queue": "BACKENDS DEFAULT_LEASE_SECONDS DirectoryQueueBackend "
                         "enqueue queue_paths reclaim_stale",
     "repro.exec.regions": "DEFAULT_REGIONS DEFAULT_WARMUP_SEGMENTS "

@@ -1,31 +1,23 @@
 """Execution backends: *how* a batch of work units actually runs.
 
 The simulation core answers "what does design point X score?"; a
-backend answers "on which CPUs?".  Keeping the two separated (the
-lesson of simulator-generation work: the fast core must not know how
-runs are dispatched) means every bulk consumer — grid sweeps, adaptive
-search, future socket/SSH fleets — is written once against
-:class:`ExecutionBackend` and gains each new dispatch mechanism for
-free.
+backend answers "on which CPUs?", so every bulk consumer is written
+once against :class:`ExecutionBackend`:
 
-Three implementations ship:
-
-* :class:`SerialBackend` — in-process, in-order; the reference
-  semantics everything else must match bit-for-bit;
+* :class:`SerialBackend` — in-process, in-order: the reference
+  semantics the others match bit for bit, and the one backend that
+  can attach engine observers;
 * :class:`ProcessPoolBackend` — a ``ProcessPoolExecutor`` fan-out on
-  one host (the sweep runner's historical behavior, unchanged);
+  one host;
 * :class:`~repro.exec.queue.DirectoryQueueBackend` — a shared-
   filesystem queue drained by ``resim worker`` processes on any
   number of hosts (see :mod:`repro.exec.queue`).
 
-All three run the same :func:`~repro.exec.unit.execute_unit` on the
-same serializable :class:`~repro.exec.unit.WorkUnit`\\ s, and the
-engine is deterministic, so for a fixed unit batch every backend
-produces byte-identical result documents (the test suite asserts it).
-
-Backends are registered in :data:`BACKENDS` so CLI flags and scripts
-can name them (``--backend queue``), the same registry idiom every
-other pluggable component family uses.
+All three run :func:`~repro.exec.unit.execute_unit` on the same
+serializable :class:`~repro.exec.unit.WorkUnit`\\ s, and the engine is
+deterministic, so every backend writes byte-identical result documents
+for a batch (the test suite asserts it).  Backends are registered in
+:data:`BACKENDS`, so ``--backend queue`` can name one.
 """
 
 from __future__ import annotations
@@ -34,6 +26,7 @@ from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from collections.abc import Callable, Sequence
 
+from repro.core.engine import EngineObserver
 from repro.exec.unit import ExecError, WorkUnit, execute_unit
 from repro.utils.registry import Registry
 
@@ -91,15 +84,30 @@ class ExecutionBackend(ABC):
 
 @BACKENDS.register("serial")
 class SerialBackend(ExecutionBackend):
-    """In-process, in-order execution — the reference semantics."""
+    """In-process, in-order execution — the reference semantics.
+
+    Being in-process, it alone can instrument runs: ``observers`` makes
+    each unit's engine observers.  ``share_segments`` is
+    :func:`~repro.exec.unit.execute_unit`'s.
+    """
 
     name = "serial"
+
+    def __init__(self, *,
+                 observers: Callable[[], Sequence[EngineObserver]]
+                 | None = None,
+                 share_segments: bool = True) -> None:
+        self.observers = observers
+        self.share_segments = share_segments
 
     def _execute(self, batch: Sequence[WorkUnit],
                  on_result: OnResult | None) -> dict[str, dict]:
         results: dict[str, dict] = {}
         for unit in batch:
-            payload = execute_unit(unit)
+            payload = execute_unit(
+                unit, share_segments=self.share_segments,
+                observers=() if self.observers is None
+                else self.observers())
             results[unit.unit_id] = payload
             if on_result is not None:
                 on_result(unit, payload)

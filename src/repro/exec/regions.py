@@ -27,16 +27,12 @@ simulator (PAPERS.md) — estimates a design point from a few
   representatives.
 
 :func:`plan_regions` returns a weighted
-:class:`~repro.exec.slice.SlicePlan`, the same plan type
-:func:`~repro.exec.shard.plan_shards` returns, so region units run and
-reduce through :mod:`repro.exec.slice` like shards do.  Unlike a shard
-merge, a region merge is an **estimate**: the conformance suite
-measures its IPC error against full runs and documents the bound
-(:data:`IPC_ERROR_BOUND`).  Sampled results are never mistaken for
-exact ones: merged documents carry a top-level ``"sampled"`` summary,
-region unit specs differ from full-run specs (``segments`` and
-``warmup_instructions`` both survive canonicalization, keying the
-campaign cache apart), and sweep manifests record the sampling mode.
+:class:`~repro.exec.slice.SlicePlan`, so region units run and reduce
+like shards (:mod:`repro.exec.slice`), but their merge is an
+**estimate**: the conformance suite bounds its IPC error against full
+runs (:data:`IPC_ERROR_BOUND`), and the ``"sampled"`` marker of merged
+documents, the unit specs (``segments`` and ``warmup_instructions``
+key the campaign cache apart) and sweep manifests all say so.
 """
 
 from __future__ import annotations

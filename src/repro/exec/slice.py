@@ -13,13 +13,11 @@ such splits:
   one warmup-prefixed representative segment per behaviour cluster and
   weights it by the cluster's size: an **estimate**.
 
-Both return one frozen :class:`SlicePlan`.  :func:`slice_units` turns
-it into ordinary :class:`~repro.exec.unit.WorkUnit`s runnable on any
-backend, :class:`SliceReducer` collects their result documents, and
-:func:`merge_slice_documents` reduces them through
-:meth:`SimulationStatistics.merge
-<repro.core.stats.SimulationStatistics.merge>`.  The merged document
-is the point's checkpoint, so split sweeps resume like monolithic ones.
+Both return one frozen :class:`SlicePlan`, and
+:func:`~repro.exec.point.choose_plan` picks one.  :func:`slice_units`
+turns it into work units for any backend, and :class:`SliceReducer`
+merges their result documents (:func:`merge_slice_documents`) into
+the point's checkpoint, so split sweeps resume like monolithic ones.
 
 A plan is exact if and only if it has no weights.  Exactness changes
 only names and keys, all listed in the two :class:`SliceKind` rows

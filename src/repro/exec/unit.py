@@ -27,16 +27,19 @@ from __future__ import annotations
 
 import json
 import re
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 
+from repro.core.engine import EngineObserver
 from repro.core.specialize import DEFAULT_ENGINE
 from repro.serialize import config_to_dict, stats_to_dict
 from repro.session.simulation import (
     SEGMENT_BOUND,
     SPEC_FIELDS,
     SessionError,
+    Simulation,
     spec_config,
 )
 from repro.trace.fileio import decoded_segment_reuse
@@ -214,20 +217,21 @@ def atomic_write_json(path: str | Path, document: dict) -> None:
         tmp.write_text(json.dumps(document, sort_keys=True))
 
 
-def execute_unit(unit: WorkUnit) -> dict:
+def execute_unit(unit: WorkUnit, *,
+                 observers: Sequence[EngineObserver] = (),
+                 share_segments: bool = True) -> dict:
     """Run one unit and atomically write its result document.
 
     Module-level (it pickles into process pools) and side-effect-free
-    beyond the result file.  The unit runs exactly as its spec says,
-    with no observer attached, so it executes on the engine tier the
-    spec asks for.  Its trace reads share decoded segments with the
-    other units this process runs
-    (:func:`~repro.trace.fileio.decoded_segment_reuse`).
+    beyond the result file.  The unit runs exactly as its spec says;
+    ``observers`` are in-process instrumentation, never part of a unit.
+    ``share_segments`` shares decoded segments with the other units
+    this process runs (:func:`~repro.trace.fileio.decoded_segment_reuse`),
+    which a one-point process, whose slices never overlap, turns off.
     """
-    from repro.session.simulation import Simulation  # heavy, deferred
-
-    with decoded_segment_reuse():
-        session = Simulation.from_spec(unit.spec).run()
+    simulation = Simulation.from_spec(unit.spec).with_observer(*observers)
+    with decoded_segment_reuse() if share_segments else nullcontext():
+        session = simulation.run()
     payload = result_document(unit, config=config_to_dict(session.config),
                               stats=stats_to_dict(session.stats))
     atomic_write_json(unit.result_path, payload)

@@ -10,24 +10,23 @@ service directory::
     <root>/results/   per-job result payloads
     <root>/work/      per-job working directories (traces, checkpoints)
 
-Three request kinds are accepted, all as plain JSON documents:
+Three request kinds are accepted, as plain JSON documents, each
+normalized and run by the same functions as its CLI command, so
+equivalent spellings coalesce to one job and unknown fields are
+rejected:
 
-* ``{"kind": "simulate", "spec": {...}}`` — one
-  :meth:`Simulation.from_spec` run; the spec is canonicalized on
-  submission, so equivalent spellings coalesce to one job;
+* ``{"kind": "simulate", "spec": {...}}``, optionally with the
+  sampling fields of ``resim simulate --sample-regions`` — one design
+  point (:func:`~repro.exec.point.normalize_simulate`,
+  :func:`~repro.exec.point.run_point`);
 * ``{"kind": "sweep" | "search", "axes": {...}, ...}`` — a campaign
-  over a shared trace, validated by
-  :func:`~repro.sweep.campaign.normalize_campaign` and run by
-  :func:`~repro.sweep.campaign.run_campaign`, the two functions behind
-  ``resim sweep``/``resim search`` too.  Unknown fields are rejected,
-  and the axes run in name order.
+  over a shared trace (:func:`~repro.sweep.campaign.normalize_campaign`,
+  :func:`~repro.sweep.campaign.run_campaign`).
 
-Every simulation a job performs flows through a
-:class:`~repro.serve.cache.CachingBackend` wrapped around the
-service's execution backend, so overlapping submissions — the same
-sweep twice, two searches exploring intersecting regions, a sweep
-whose grid contains points a simulate request already ran — execute
-each distinct computation exactly once.
+Every unit a job runs, a region of a sampled simulate included, goes
+through a :class:`~repro.serve.cache.CachingBackend` around the
+service's execution backend, so overlapping submissions execute each
+distinct computation once.
 
 :class:`~repro.serve.http.BackgroundServer` serves the service over
 HTTP: in the foreground of ``resim serve``, or from a daemon thread
@@ -40,11 +39,10 @@ import json
 from pathlib import Path
 from collections.abc import Mapping
 
-from repro.core.specialize import DEFAULT_ENGINE
-from repro.exec import WorkUnit
+from repro.exec.point import normalize_simulate, run_point, simulate_point
 from repro.serialize import config_to_dict
 from repro.serve.cache import CacheStore, CachingBackend
-from repro.serve.canon import ENGINE_VERSION, canonical_spec
+from repro.serve.canon import ENGINE_VERSION
 from repro.serve.jobs import Job, JobContext, JobManager
 from repro.sweep.campaign import normalize_campaign, run_campaign
 from repro.sweep.fields import CAMPAIGN_KINDS
@@ -143,27 +141,12 @@ class CampaignService:
                 f"{type(request).__name__}")
         kind = request.get("kind")
         if kind == "simulate":
-            return self._validate_simulate(request)
+            return normalize_simulate(request)
         if kind in CAMPAIGN_KINDS:
             return normalize_campaign(request)
         raise ServiceError(
             f"unknown request kind {kind!r}; expected one of "
             f"{', '.join(REQUEST_KINDS)}")
-
-    def _validate_simulate(self, request: Mapping) -> dict:
-        spec = request.get("spec")
-        if not isinstance(spec, Mapping):
-            raise ServiceError(
-                "a simulate request needs a 'spec' object "
-                "(a Simulation.from_spec document)")
-        # canonical_spec() checks every key, then drops the engine tier
-        # (tiers are bit-identical, so cache keys must not depend on
-        # it); carry it beside the spec so execution still honors it.
-        normalized = {"kind": "simulate", "spec": canonical_spec(spec)}
-        engine = spec.get("engine", DEFAULT_ENGINE)
-        if engine != DEFAULT_ENGINE:
-            normalized["engine"] = engine
-        return normalized
 
     # -- execution -----------------------------------------------------
 
@@ -189,23 +172,19 @@ class CampaignService:
 
     def _run_simulate(self, job: Job, context: JobContext) -> dict:
         backend = self._caching_backend(context)
-        spec = dict(job.request["spec"])
-        engine = job.request.get("engine", DEFAULT_ENGINE)
-        if engine != DEFAULT_ENGINE:
-            spec["engine"] = engine
-        unit = WorkUnit(
-            unit_id=job.job_id, spec=spec,
-            result_path=str(self._workdir(job) / "result.json"))
         context.emit(event="start", label="simulate", total=1)
-        outcome = backend.run_units([unit])[unit.unit_id]
+        base, plan = simulate_point(
+            job.request, self._workdir(job) / "result.json",
+            unit_id=job.job_id)
+        document = run_point(base, plan, backend)
         context.set_cache_tally(backend.hits, backend.misses)
         context.set_progress(1, 1)
-        return {
-            "kind": "simulate",
-            "cache_key": backend.key_for(unit),
-            "config": outcome["config"],
-            "stats": outcome["stats"],
-        }
+        # A merged estimate is no cache entry: it carries its marker
+        # instead of a key.
+        identity = {"cache_key": backend.key_for(base)} if plan is None \
+            else {plan.kind.marker: document[plan.kind.marker]}
+        return {"kind": "simulate", **identity,
+                "config": document["config"], "stats": document["stats"]}
 
     def _run_campaign(self, job: Job, context: JobContext) -> dict:
         backend = self._caching_backend(context)

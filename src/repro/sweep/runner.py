@@ -1,55 +1,34 @@
 """The sweep scheduler: grid expansion → work units → backend → result.
 
-The paper's primary usage mode is traces *"prepared off-line ... for
-bulk simulations with varying design parameters"*.  This module is
-that bulk mode's *scheduler*: each workload trace is generated (or
-loaded) **once**, persisted through :mod:`repro.trace.fileio`, and
-every design point of a :class:`~repro.sweep.spec.SweepSpec` becomes
-one serializable :class:`~repro.exec.unit.WorkUnit` — a
-``Simulation.from_spec`` dict over the shared trace plus a checkpoint
-destination — handed to an :class:`~repro.exec.ExecutionBackend`.
-*How* the units run is entirely the backend's business: in-process
-(:class:`~repro.exec.SerialBackend`), fanned out over one host's
-cores (:class:`~repro.exec.ProcessPoolBackend`, the historical
-behavior), or drained by ``resim worker`` processes on any number of
-hosts (:class:`~repro.exec.DirectoryQueueBackend`).
+The paper's bulk mode simulates traces *"prepared off-line ... for
+bulk simulations with varying design parameters"*.  Here each
+workload trace is generated (or loaded) **once** into a segmented v2
+file, and every design point of a :class:`~repro.sweep.spec.SweepSpec`
+becomes a :class:`~repro.exec.unit.WorkUnit` over it, planned, split
+and reused by the one point rule of :mod:`repro.exec.point` that
+``resim simulate`` and a served simulate use too.  The runner batches
+the units of many points into one
+:class:`~repro.exec.ExecutionBackend` call: in-process, a process pool
+or a ``resim worker`` queue, all bit-identical (the test suite checks
+it).
 
-Durability: a work unit's result document **is** the design point's
-checkpoint — written atomically to ``<results_dir>/<config-key>.json``
-with the sweep's provenance manifest embedded, so a sweep killed
-halfway resumes from its checkpoints instead of restarting, no matter
-which backend (or which host) computed them.  A point resumes by the
-one rule slices, queue drains and workers use,
-:func:`~repro.exec.unit.reusable_result` on the point's unit: the
-stored document must carry this unit's id, spec (the absolute trace
-path included), sweep manifest and config.  Anything else — corrupt,
-hand-edited, written before units carried ``unit_id``/``spec``, or
-left in a results directory moved to a new path — is recomputed,
-never trusted (a moved directory still reuses its trace).
+Durability: a point's result document **is** its checkpoint, written
+atomically to ``<results_dir>/<config-key>.json`` with the sweep's
+provenance manifest embedded, so a killed sweep resumes whichever
+backend or host computed it.  A point resumes by the rule slices,
+queue drains and workers use, :func:`~repro.exec.unit.reusable_result`:
+the stored document must carry this unit's id, spec (the absolute
+trace path included), manifest and config.  Anything else — corrupt,
+hand-edited, or left in a results directory moved to a new path — is
+recomputed (a moved directory still reuses its trace).
 
-Determinism: the engine is a deterministic function of (config,
-records) and every backend runs the same
-:func:`~repro.exec.unit.execute_unit` on the same units, so all
-backends produce bit-identical :class:`SimulationStatistics` (the
-test suite checks serial vs. pool vs. directory queue).
-
-Trace sharing: ReSim's wrong-path handling is trace-authoritative
-(Section V.A) — the tagged blocks recorded at generation time *are*
-the misprediction signal.  Sizing axes (ROB, LSQ, IFQ, width, FU
-mixes, caches) therefore share one trace, exactly as in the paper's
-off-line mode.  The **predictor** is different: sharing one trace
-across predictor schemes would make every scheme score identically,
-so the runner generates one trace per *distinct predictor* in the
-grid (``trace-<predictor-key>.rtrc``), amortized across all other
-axes.  Generation ROB/IFQ always come from the base config.
-
-Memory: the whole pipeline is streaming.  The coordinator generates
-each shared trace straight into a segmented v2 file
-(:func:`~repro.workloads.tracegen.write_workload_trace`, one encoder
-segment resident), and every executor replays it through a
-:class:`~repro.trace.source.FileSource` (one decoded segment
-resident) — no process ever materializes a full record list, so the
-sweepable trace budget is bounded by disk, not by per-worker RAM.
+Trace sharing: wrong-path handling is trace-authoritative (Section
+V.A), so sizing axes share one trace, as in the paper's off-line mode,
+but each distinct predictor in the grid gets its own
+(``trace-<predictor-key>.rtrc``): one shared trace would make every
+scheme score identically.  Generation ROB/IFQ come from the base
+config.  Generation and replay both stream, one segment resident, so
+the sweepable trace budget is bounded by disk, not RAM.
 """
 
 from __future__ import annotations
@@ -70,10 +49,9 @@ from repro.exec import (
     UnitExecutionError,
     WorkUnit,
     atomic_write_json,
-    plan_regions,
-    plan_shards,
+    choose_plan,
+    point_units,
     reusable_result,
-    slice_units,
 )
 from repro.serialize import canonical_digest, stats_from_dict
 from repro.sweep.fields import FIELDS, sampling_entry
@@ -87,9 +65,11 @@ from repro.sweep.search import (
     SearchStrategy,
 )
 from repro.sweep.spec import SweepError, SweepPoint, SweepSpec
-from repro.trace.analyze import ensure_profile
 from repro.trace.fileio import TraceFileError, read_trace_header
 from repro.workloads.profiles import SPECINT_PROFILES
+# Unused here (planning is repro.exec.point's): resimbench traces them.
+from repro.exec.regions import plan_regions  # noqa: F401
+from repro.trace.analyze import ensure_profile  # noqa: F401
 from repro.workloads.tracegen import (
     UnknownWorkloadError,
     is_known_workload,
@@ -159,18 +139,12 @@ class SweepRunner:
         per-point completion events (``resim sweep --progress``).
     budget ... region_warmup:
         The campaign fields of the same names (meanings, defaults and
-        minimums: :data:`repro.sweep.fields.FIELDS`).  ``shards > 1``
-        splits every design point into segment-range shard units run
-        through the same backend and merged by a
-        :class:`~repro.exec.SliceReducer`: exact-sum counters equal the
-        monolithic run's, cycle-derived metrics are approximate (see
-        :mod:`repro.exec.shard`).  ``sampling="regions"`` estimates
-        each point from weighted representative regions (see
-        :mod:`repro.exec.regions`): merged documents carry a
-        ``"sampled"`` marker and the manifest records the sampling
-        parameters, so sampled and exact results never share a results
-        directory.  The two exclude each other; the region parameters
-        are ignored under full replay.
+        minimums: :data:`repro.sweep.fields.FIELDS`).  ``shards`` and
+        ``sampling`` choose each point's slice plan
+        (:func:`~repro.exec.point.choose_plan`); they exclude each
+        other, and the region parameters do nothing under full replay.
+        The manifest records the sampling parameters, so sampled and
+        exact results never share a results directory.
     """
 
     def __init__(
@@ -213,7 +187,7 @@ class SweepRunner:
         self.shards = shards
         self.segment_records = segment_records
         self._traces: dict[PredictorConfig, _TraceInfo] = {}
-        self._plans: dict[str, SlicePlan] = {}
+        self._plans: dict[str, SlicePlan | None] = {}
         self._results_root: Path | None = None
 
     # -- trace management ---------------------------------------------
@@ -334,31 +308,15 @@ class SweepRunner:
     # -- slicing -------------------------------------------------------
 
     def _plan_for(self, trace: _TraceInfo) -> SlicePlan | None:
-        """The slice plan every design point over ``trace`` runs as, or
-        ``None`` to run each point as one monolithic unit.
-
-        Memoized: a trace's shard boundaries are probed, or its
-        profile (a digest-fresh ``.rprof`` sidecar when present) is
-        clustered, once per runner; the plan depends only on the trace,
-        not the config.  Only an exact one-slice plan runs
-        monolithically (bit-identical to the unsplit path, unit
-        identity included); a sampled plan stays an estimate even with
-        one region, its checkpoint carrying the ``sampled`` marker.
-        """
-        sampling = self._sampling
-        if sampling is None and self.shards == 1:
-            return None
+        """The slice plan every design point over ``trace`` runs as
+        (:func:`~repro.exec.point.choose_plan`), or ``None`` to run each
+        point as one unit.  Memoized per trace: the plan depends only
+        on the trace, not the config."""
         key = str(trace.path)
         if key not in self._plans:
-            if sampling is not None:
-                self._plans[key] = plan_regions(
-                    trace.path, ensure_profile(trace.path),
-                    regions=sampling["regions"], seed=sampling["seed"],
-                    warmup_segments=sampling["warmup_segments"])
-            else:
-                self._plans[key] = plan_shards(trace.path, self.shards)
-        plan = self._plans[key]
-        return None if plan.exact and plan.count == 1 else plan
+            self._plans[key] = choose_plan(
+                trace.path, shards=self.shards, sampling=self._sampling)
+        return self._plans[key]
 
     # -- unit building -------------------------------------------------
 
@@ -395,20 +353,17 @@ class SweepRunner:
         ``points`` order.
 
         This is the scheduler core the grid sweep and the adaptive
-        search strategies share: build each point's unit, reuse its
-        checkpoint (:func:`~repro.exec.unit.reusable_result`), hand
-        the missing ones to the backend as work
-        units — one per point, or one per slice of the point's
-        :meth:`slice plan <_plan_for>`, merged back into a point
-        checkpoint as the last slice lands — and emit progress events
-        in true completion order.
+        search strategies share: reuse each point's checkpoint, hand
+        the units its plan still needs
+        (:func:`~repro.exec.point.point_units`) to the backend in one
+        batch, merge a split point as its last slice lands, and emit
+        progress events in true completion order.
         """
         provenance = self._manifest() if points else {}
         outcomes: dict[str, SweepOutcome] = {}
         units: list[WorkUnit] = []
-        by_id: dict[str, SweepPoint] = {}
-        reducers: dict[str, SliceReducer] = {}
-        slice_point: dict[str, str] = {}  # slice unit id -> point key
+        # unit id -> the point it computes, and that point's reducer
+        owners: dict[str, tuple[SweepPoint, SliceReducer | None]] = {}
 
         def finish(point: SweepPoint, payload: dict,
                    from_checkpoint: bool) -> None:
@@ -421,38 +376,27 @@ class SweepRunner:
             if on_outcome is not None:
                 on_outcome(outcome)
 
+        seen: set[str] = set()
         for point in points:
-            if point.key in outcomes or point.key in by_id:
+            if point.key in seen:
                 raise SweepError(
                     f"duplicate design point {point.key} "
                     f"({point.label}) in one evaluation batch"
                 )
+            seen.add(point.key)
             trace = self._trace_for(point.config.predictor)
             base_unit = self._unit_for(point, trace, provenance)
             payload = reusable_result(base_unit)
             if payload is not None:
                 finish(point, payload, from_checkpoint=True)
                 continue
-            plan = self._plan_for(trace)
-            pending = [base_unit]
-            if plan is not None:
-                # Split: per-slice results are checkpoints too — reuse
-                # the ones a previous (interrupted) run already computed
-                # and submit only the missing slices.
-                reducer = SliceReducer(base_unit, plan)
-                pending = []
-                for slice_unit in slice_units(base_unit, plan):
-                    existing = reusable_result(slice_unit)
-                    if existing is not None:
-                        reducer.add(existing)
-                    else:
-                        pending.append(slice_unit)
-                        slice_point[slice_unit.unit_id] = point.key
-                if not pending:
-                    finish(point, reducer.write(), from_checkpoint=True)
-                    continue
-                reducers[point.key] = reducer
-            by_id[point.key] = point
+            pending, reducer = point_units(base_unit,
+                                           self._plan_for(trace))
+            if not pending:
+                finish(point, reducer.write(), from_checkpoint=True)
+                continue
+            owners.update((unit.unit_id, (point, reducer))
+                          for unit in pending)
             units.extend(pending)
 
         if units:
@@ -463,19 +407,16 @@ class SweepRunner:
                         unit.unit_id,
                         f"{error.get('type')}: {error.get('message')}")
                     return
-                point_key = slice_point.get(unit.unit_id)
-                if point_key is None:
-                    finish(by_id[unit.unit_id], payload,
-                           from_checkpoint=False)
+                point, reducer = owners[unit.unit_id]
+                if reducer is None:
+                    finish(point, payload, from_checkpoint=False)
                     return
-                reducer = reducers[point_key]
                 reducer.add(payload)
                 if reducer.complete:
-                    # The merged document lands at the monolithic
+                    # The merged document lands at the point's
                     # checkpoint path (atomically), so the point
                     # resumes like any other from here on.
-                    finish(by_id[point_key], reducer.write(),
-                           from_checkpoint=False)
+                    finish(point, reducer.write(), from_checkpoint=False)
 
             def corrupt(error: Exception) -> SweepError:
                 # Executors decode the persisted trace payload; their
@@ -505,18 +446,20 @@ class SweepRunner:
         self.progress.start(len(expansion), label="sweep")
         ordered = tuple(self.evaluate(expansion.points))
         self.progress.finish()
+        return self._result(
+            ordered, {}, skipped_invalid=expansion.skipped_invalid,
+            skipped_duplicates=expansion.skipped_duplicates)
+
+    def _result(self, outcomes: tuple[SweepOutcome, ...], metadata: dict,
+                **counts: int) -> SweepResult:
+        """The result of ``outcomes``, the traces' bits/instruction
+        in its metadata."""
         headline, by_predictor = self.trace_summary()
         return SweepResult(
-            outcomes=ordered,
-            workload=self.workload,
-            budget=self.budget,
-            seed=self.seed,
-            trace_bits_per_instruction=headline,
-            metadata={"trace_bits_per_instruction_by_predictor":
-                      by_predictor},
-            skipped_invalid=expansion.skipped_invalid,
-            skipped_duplicates=expansion.skipped_duplicates,
-        )
+            outcomes=outcomes, workload=self.workload, budget=self.budget,
+            seed=self.seed, trace_bits_per_instruction=headline,
+            metadata={**metadata, "trace_bits_per_instruction_by_predictor":
+                      by_predictor}, **counts)
 
     def search(self, strategy: SearchStrategy) -> SearchResult:
         """Propose/evaluate/observe until ``strategy`` stops.
@@ -558,26 +501,12 @@ class SweepRunner:
             )
         progress.finish()
         best = strategy.best_of(list(evaluated.values()))
-        headline, by_predictor = self.trace_summary()
-        metadata = {
-            "search": {
-                "strategy": strategy.name,
-                "metric": strategy.metric,
-                "rounds": rounds,
-                "evaluated": len(evaluated),
-            },
-            "trace_bits_per_instruction_by_predictor": by_predictor,
-        }
+        search = {"strategy": strategy.name, "metric": strategy.metric,
+                  "rounds": rounds, "evaluated": len(evaluated)}
         if isinstance(strategy, HillClimb):
-            metadata["search"]["trajectory"] = list(strategy.trajectory)
-        sweep_result = SweepResult(
-            outcomes=tuple(evaluated.values()),
-            workload=self.workload,
-            budget=self.budget,
-            seed=self.seed,
-            trace_bits_per_instruction=headline,
-            metadata=metadata,
-        )
+            search["trajectory"] = list(strategy.trajectory)
+        sweep_result = self._result(tuple(evaluated.values()),
+                                    {"search": search})
         return SearchResult(
             result=sweep_result,
             best=best,

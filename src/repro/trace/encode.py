@@ -34,6 +34,7 @@ from repro.trace.record import (
     BRANCH_NUMBERS,
     BranchRecord,
     FU_NUMBERS,
+    MEMORY_FUS,
     MemoryRecord,
     NUMBER_TO_BRANCH,
     NUMBER_TO_FU,
@@ -62,8 +63,6 @@ FORMAT_BITS: dict[RecordKind, int] = {
 }
 _WIDTHS = tuple(map(FORMAT_BITS.get, range(4)))  # by kind code; 3 is none
 _WINDOW_BYTES = (7 + max(FORMAT_BITS.values()) + 7) // 8  # any record, any offset
-#: The one FU class an M record may carry, by its store bit.
-_MEMORY_FU = (FuClass.LOAD, FuClass.STORE)
 # Kind codes as plain ints: the decode loop compares one per record.
 _OTHER_CODE, _MEMORY_CODE = RecordKind.OTHER.value, RecordKind.MEMORY.value
 
@@ -164,10 +163,12 @@ def decode_rows(data: bytes | bytearray, start_bit: int, end_bit: int,
                                  head >> _SRC1 & 0x3F, head & 0x3F)
         tail = bits >> (8 * _WINDOW_BYTES - width - (pos & 7))
         if kind == _OTHER_CODE:
+            if fu in MEMORY_FUS:
+                raise CorruptRecordError(f"FU code {fu_code} in an other record", pos)
             append((kind, tag, fu, dest, src1, src2, None, None, None))
         elif kind == _MEMORY_CODE:
             store = tail >> _STORE & 1
-            if fu is not _MEMORY_FU[store]:
+            if fu is not MEMORY_FUS[store]:
                 access = "store" if store else "load"
                 raise CorruptRecordError(f"FU code {fu_code} in a {access} record", pos)
             append((kind, tag, fu, dest, src1, src2, bool(store),

@@ -66,6 +66,8 @@ FU_NUMBERS: dict[FuClass, int] = {
 #: The same table by trace code; None marks the one code no class uses.
 NUMBER_TO_FU: tuple[FuClass | None, ...] = tuple(
     map({v: k for k, v in FU_NUMBERS.items()}.get, range(8)))
+#: The FU classes only an M record carries, by its store bit.
+MEMORY_FUS = (FuClass.LOAD, FuClass.STORE)
 
 #: Branch sub-classes as encoded in the 3-bit type field of B records.
 BRANCH_NUMBERS: dict[BranchKind, int] = {
@@ -143,7 +145,13 @@ class TraceRecord:
 
 @dataclass(frozen=True, slots=True)
 class OtherRecord(TraceRecord):
-    """Format O: any instruction that is neither memory nor control flow."""
+    """Format O: any instruction that is neither memory nor control
+    flow (so never a LOAD or STORE, which need an address)."""
+
+    def __post_init__(self) -> None:
+        _check_common_fields(self)
+        if self.fu in MEMORY_FUS:
+            raise ValueError(f"other record fu={self.fu} is a memory class")
 
     @property
     def kind(self) -> RecordKind:

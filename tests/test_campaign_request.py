@@ -1,12 +1,17 @@
-"""One campaign request for ``resim sweep``/``search`` and ``resim serve``.
+"""One request document for each CLI command and ``resim serve``.
 
-Both entry points build the same request document and run it through
+``resim sweep``/``search`` and a served campaign build the same request
+document and run it through
 :func:`~repro.sweep.campaign.normalize_campaign` and
-:func:`~repro.sweep.campaign.run_campaign`.  These tests pin that:
+:func:`~repro.sweep.campaign.run_campaign`; ``resim simulate`` and a
+served simulate build the same simulate request and run it through
+:func:`~repro.exec.point.normalize_simulate` and
+:func:`~repro.exec.point.run_point`.  These tests pin that:
 
 * **CLI ≡ served** — a generated request run through ``repro.cli.main``
-  (``--json`` export) and through an in-process
-  :class:`~repro.serve.CampaignService` yields the same sweep document;
+  (a ``--json`` export, or the printed report) and through an
+  in-process :class:`~repro.serve.CampaignService` yields the same
+  sweep document or statistics;
 * **stable identity** — the request keys of every pre-existing document
   shape are unchanged (coalescing and journaled jobs depend on them);
 * **loud schema** — unknown fields, non-positive sizes and sampling
@@ -15,6 +20,8 @@ Both entry points build the same request document and run it through
   are the :data:`~repro.sweep.fields.FIELDS` rows.
 """
 
+import contextlib
+import io
 import json
 import re
 import tempfile
@@ -23,7 +30,14 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.cli import _campaign_request, build_parser, main
+from repro.cli import (
+    _campaign_request,
+    _simulate_request,
+    build_parser,
+    main,
+)
+from repro.exec import normalize_simulate
+from repro.serialize import stats_from_dict
 from repro.serve import CampaignService
 from repro.serve.jobs import request_key
 from repro.session import SessionError, Simulation
@@ -122,6 +136,79 @@ def test_cli_result_equals_served_result(request):
         assert served["sweep"] == json.loads(export.read_text())
 
 
+@st.composite
+def simulate_requests(draw) -> dict:
+    """A simulate request over the stored trace ``TRACE``, with or
+    without region sampling."""
+    spec = {"trace_file": "TRACE",
+            "config": draw(st.sampled_from(("4wide-perfect",
+                                            "2wide-cache"))),
+            "engine": draw(st.sampled_from(("specialized",
+                                            "reference")))}
+    request = {"kind": "simulate", "spec": spec}
+    if draw(st.booleans()):
+        request.update(sampling="regions",
+                       regions=draw(st.integers(1, 4)),
+                       region_seed=draw(st.integers(0, 3)),
+                       region_warmup=draw(st.integers(0, 2)))
+    return request
+
+
+def simulate_argv(request: dict) -> list[str]:
+    """The ``resim simulate`` invocation of one simulate request."""
+    spec = request["spec"]
+    argv = ["simulate", "--trace-file", spec["trace_file"],
+            "--config", spec["config"], "--engine", spec["engine"]]
+    if "sampling" in request:
+        argv += ["--sample-regions", str(request["regions"]),
+                 "--region-seed", str(request["region_seed"]),
+                 "--region-warmup", str(request["region_warmup"])]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def stored_trace(tmp_path_factory) -> str:
+    path = tmp_path_factory.mktemp("simulate") / "gzip.rtrc"
+    assert main(["trace", "gzip", str(path), "--budget", "2000",
+                 "--segment-records", "200"]) == 0
+    return str(path)
+
+
+@settings(max_examples=6, deadline=None)
+@given(request=simulate_requests())
+@example(request={"kind": "simulate",
+                  "spec": {"trace_file": "TRACE", "config": "2wide-cache",
+                           "engine": "specialized"},
+                  "sampling": "regions", "regions": 4, "region_seed": 0,
+                  "region_warmup": 1})
+def test_cli_simulate_equals_served_simulate(stored_trace, request):
+    """``resim simulate`` prints the report of the statistics a served
+    simulate of the same request returns; the CLI's request normalizes
+    to the served one."""
+    request = {**request,
+               "spec": {**request["spec"], "trace_file": stored_trace}}
+    argv = simulate_argv(request)
+    assert normalize_simulate(_simulate_request(
+        build_parser().parse_args(argv))) == normalize_simulate(request)
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0
+    with tempfile.TemporaryDirectory() as scratch:
+        service = CampaignService(scratch)
+        try:
+            job, _ = service.submit(request)
+            service.manager.wait(job.job_id, timeout=300)
+            assert job.state == "done", job.error
+            served = service.manager.result_document(job.job_id)
+        finally:
+            service.close()
+    report = stats_from_dict(served["stats"]).report()
+    assert printed.getvalue().startswith(report + "\n\n")
+    assert ("sampled" in served) == ("sampling" in request)
+    assert ("cache_key" in served) != ("sampling" in request)
+
+
 class TestRequestKeys:
     """Request keys computed by the service before the campaign module
     existed; every pre-existing document shape must keep its key."""
@@ -146,6 +233,25 @@ class TestRequestKeys:
         ({"kind": "search", "axes": {"width": [2, 4],
                                      "rob_entries": [8, 16]}},
          "5b86c2d5879216619f1701603b5f6490467615e0"),
+        ({"kind": "simulate", "spec": {"workload": "gzip",
+                                       "budget": BUDGET}},
+         "c027bd036bcbdbb30157973fddc3bd5daeb04849"),
+        ({"kind": "simulate", "spec": {"workload": "gzip",
+                                       "budget": BUDGET,
+                                       "engine": "reference"}},
+         "c1b4f021ddd2d0753b04a2c9cd08e572c1b5d912"),
+        ({"kind": "simulate", "spec": {"trace_file": "traces/gzip.rtrc",
+                                       "config": "2wide-cache"}},
+         "28465d3c9ae988258c0c07fb13fc9bd6eb743e61"),
+        # Spelled-out defaults and reordered keys.
+        ({"spec": {"budget": BUDGET, "seed": 7, "config": "4wide-perfect",
+                   "workload": "gzip", "schema": 1,
+                   "engine": "specialized"}, "kind": "simulate"},
+         "c027bd036bcbdbb30157973fddc3bd5daeb04849"),
+        ({"kind": "simulate", "spec": {"workload": "vecsum", "budget": 800,
+                                       "warmup_instructions": 100,
+                                       "max_cycles": 100_000}},
+         "2aabbc163144e3c1c5e8209e0189790fb02d562f"),
     ])
     def test_request_key_is_stable(self, tmp_path, request_document, key):
         service = CampaignService(tmp_path, autostart=False)
@@ -242,6 +348,32 @@ class TestNormalizeCampaign:
                                      "axes": {"rob_entries": [8]},
                                      **fields})
         assert cli == served
+
+
+@pytest.mark.parametrize("flags, fields", [
+    ([], {}),
+    (["--sample-regions", "4"], {"sampling": "regions", "regions": 4}),
+], ids=["full", "regions"])
+def test_cli_simulate_defaults_are_the_request_defaults(flags, fields):
+    """A bare ``resim simulate --trace-file F`` sends the defaults the
+    service fills in."""
+    args = build_parser().parse_args(["simulate", "--trace-file", "t.rtrc",
+                                      *flags])
+    assert normalize_simulate(_simulate_request(args)) == normalize_simulate(
+        {"kind": "simulate", "spec": {"trace_file": "t.rtrc"}, **fields})
+
+
+@pytest.mark.parametrize("restriction", [
+    {"segments": [0, 2]}, {"warmup_instructions": 100}])
+def test_sampled_simulate_refuses_a_restricted_spec(restriction):
+    """The plan sets every region's segments and warmup, so a spec that
+    sets them too is refused at normalization, not mid-job."""
+    spec = {"trace_file": "t.rtrc", **restriction}
+    normalize_simulate({"kind": "simulate", "spec": spec})
+    with pytest.raises(ValueError, match="sets its regions' segments "
+                                         "and warmup_instructions"):
+        normalize_simulate({"kind": "simulate", "spec": spec,
+                            "sampling": "regions"})
 
 
 @pytest.mark.parametrize("command", [

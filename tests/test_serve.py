@@ -600,6 +600,68 @@ class TestHttpService:
                 budget=BUDGET, seed=7).run()
             assert served["stats"] == stats_to_dict(direct.stats)
 
+    def test_sampled_simulate_needs_a_trace_file(self, tmp_path):
+        """Answers 400 with the message ``resim simulate
+        --sample-regions`` exits with on a workload."""
+        from repro.cli import main
+        with pytest.raises(SystemExit) as cli_exit:
+            main(["simulate", "gzip", "--sample-regions", "2"])
+        service = CampaignService(tmp_path, autostart=False)
+        with BackgroundServer(service) as server:
+            client = ServiceClient(*server.address)
+            with pytest.raises(ClientError) as refused:
+                client.submit({"kind": "simulate",
+                               "spec": workload_spec(),
+                               "sampling": "regions", "regions": 2})
+            assert refused.value.status == 400
+            assert str(refused.value).split("): ", 1)[1] \
+                == cli_exit.value.code
+            with pytest.raises(ClientError) as unknown:
+                client.submit({"kind": "simulate",
+                               "spec": workload_spec(), "shards": 2})
+            assert unknown.value.status == 400
+            assert "'shards'" in str(unknown.value)
+            assert client.jobs() == []
+
+    def test_sampled_simulate_is_a_marked_estimate(self, tmp_path):
+        """A served sampled simulate reports the ``sampled`` marker of
+        its merged document, never the exact run's ``cache_key``; a
+        resubmission is served from the cache, region by region."""
+        from repro.cli import main
+        from repro.exec import plan_regions
+        from repro.trace import ensure_profile
+        trace = tmp_path / "gzip.rtrc"
+        assert main(["trace", "gzip", str(trace), "--budget", "3000",
+                     "--segment-records", "256"]) == 0
+        spec = {"trace_file": str(trace)}
+        request = {"kind": "simulate", "spec": spec,
+                   "sampling": "regions", "regions": 3}
+        plan = plan_regions(trace, ensure_profile(trace), regions=3)
+        service = CampaignService(tmp_path / "root")
+        try:
+            results = []
+            for _ in range(2):
+                job, _ = service.submit(request)
+                service.manager.wait(job.job_id, timeout=120)
+                assert job.state == "done", job.error
+                results.append(
+                    service.manager.result_document(job.job_id))
+                assert (job.cache_hits, job.cache_misses) == \
+                    ((0, plan.count) if len(results) == 1
+                     else (plan.count, 0))
+            exact, _ = service.submit({"kind": "simulate", "spec": spec})
+            service.manager.wait(exact.job_id, timeout=120)
+            exact_result = service.manager.result_document(exact.job_id)
+        finally:
+            service.close()
+        cold, warm = results
+        assert cold == warm
+        assert cold["sampled"] == {"regions": plan.count,
+                                   "segments": plan.total_segments}
+        assert "cache_key" not in cold
+        assert "sampled" not in exact_result
+        assert exact_result["stats"] != cold["stats"]
+
     def test_spec_hash_prints_the_served_cache_key(self, tmp_path,
                                                    capsys):
         """``resim spec hash`` prints the key a served simulate job of

@@ -46,18 +46,19 @@ def _up_to_max(high: int):
 REGS = _up_to_max(63)
 WORDS = _up_to_max(2**32 - 1)
 BRANCH_KINDS = [kind for kind in BranchKind if kind is not BranchKind.NONE]
+OTHER_FUS = [fu for fu in FuClass if fu not in (FuClass.LOAD, FuClass.STORE)]
 
 
 @st.composite
 def records(draw):
     """Any valid record: all three formats, both tag values, every FU
-    class and branch kind, and field values up to their maxima."""
+    class a format allows (an O record is never a load or a store) and
+    every branch kind, and field values up to their maxima."""
     common = dict(tag=draw(st.booleans()), dest=draw(REGS),
                   src1=draw(REGS), src2=draw(REGS))
     fmt = draw(st.sampled_from("OMB"))
     if fmt == "O":
-        return OtherRecord(fu=draw(st.sampled_from(list(FuClass))),
-                           **common)
+        return OtherRecord(fu=draw(st.sampled_from(OTHER_FUS)), **common)
     if fmt == "M":
         is_store = draw(st.booleans())
         return MemoryRecord(

@@ -16,9 +16,13 @@ import json
 import pytest
 
 from repro.bpred.unit import PAPER_PREDICTOR
+from repro.core.specialize import ENGINE_TIERS
+from repro.isa.opcodes import FuClass
+from repro.session import Simulation
 from repro.trace import fileio
-from repro.trace import BranchRecord, MemoryRecord
+from repro.trace import BranchRecord, MemoryRecord, OtherRecord
 from repro.trace.encode import FORMAT_BITS
+from repro.trace.record import FU_NUMBERS
 from repro.trace.fileio import (
     MAX_HEADER_LENGTH,
     MAGIC,
@@ -28,6 +32,7 @@ from repro.trace.fileio import (
     _SEGMENT_ENTRY_BYTES,
     _V1_PREFIX,
     _V2_PREFIX,
+    iter_trace_blocks,
     iter_trace_records,
     read_segment_table,
     read_trace_file,
@@ -353,6 +358,44 @@ class TestCorruptFieldCodes:
             read_trace_file(trace_path)
         with pytest.raises(TraceFileError, match=message):
             list(iter_trace_records(trace_path))
+
+
+class TestOtherRecordMemoryFu:
+    """An O record whose FU class is LOAD or STORE has no address, so
+    no valid trace holds one: the record class refuses it, and a
+    flipped FU field that makes one fails both readers and both engine
+    tiers with one message (the tiers used to crash in different
+    ways)."""
+
+    @pytest.mark.parametrize("fu", [FuClass.LOAD, FuClass.STORE])
+    def test_record_class_refuses_it(self, fu):
+        with pytest.raises(ValueError, match="is a memory class"):
+            OtherRecord(fu=fu, dest=1)
+
+    @pytest.mark.parametrize("fu", [FuClass.LOAD, FuClass.STORE])
+    def test_decoded_one_fails_every_reader_and_tier(self, trace_path,
+                                                     records, fu):
+        index = next(i for i, r in enumerate(records)
+                     if isinstance(r, OtherRecord))
+        assert index < SEGMENT_RECORDS  # the record lies in segment 0
+        data = bytearray(trace_path.read_bytes())
+        start = _record_offset(records, index)
+        payload = 8 * int.from_bytes(data[10:12], "little")
+        code = FU_NUMBERS[fu]
+        _set_bits(data, payload + start + 3, 3, code)
+        trace_path.write_bytes(bytes(data))
+        message = (f"^segment 0: FU code {code} in an other record at "
+                   f"bit {start}$")
+        with pytest.raises(TraceFileError, match=message):
+            read_trace_file(trace_path)
+        with pytest.raises(TraceFileError, match=message):
+            list(iter_trace_records(trace_path))
+        with pytest.raises(TraceFileError, match=message):
+            list(iter_trace_blocks(trace_path))
+        for tier in ENGINE_TIERS:
+            with pytest.raises(TraceFileError, match=message):
+                Simulation.for_trace_file(trace_path).with_engine(
+                    tier).run()
 
 
 class TestSegmentedFormat:
