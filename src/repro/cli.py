@@ -58,7 +58,7 @@ from pathlib import Path
 # projects onto (the benchmark harness reads them from here): each
 # command imports the rest itself, so no command loads the simulator
 # parts it never runs.
-from repro.exec.queue import DEFAULT_LEASE_SECONDS
+from repro.exec.lease import DEFAULT_LEASE_SECONDS
 from repro.fpga.device import VIRTEX4_LX40, VIRTEX5_LX50T
 from repro.sweep.fields import CAMPAIGN_FIELDS, FIELDS, SAMPLING_FIELDS
 from repro.sweep.result import SORT_KEYS, sort_key

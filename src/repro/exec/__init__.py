@@ -24,11 +24,12 @@ from repro.utils.lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.exec.backends": "ExecutionBackend ProcessPoolBackend "
                            "SerialBackend",
-    # BACKENDS is defined in backends; queue registers its "queue"
-    # entry, so the registry resolves from there, complete.
+    "repro.exec.lease": "DEFAULT_LEASE_SECONDS",
     "repro.exec.point": "SIMULATE_FIELDS choose_plan normalize_simulate "
                         "point_units run_point simulate_point",
-    "repro.exec.queue": "BACKENDS DEFAULT_LEASE_SECONDS DirectoryQueueBackend "
+    # BACKENDS is defined in backends; queue registers its "queue"
+    # entry, so the registry resolves from there, complete.
+    "repro.exec.queue": "BACKENDS DirectoryQueueBackend "
                         "enqueue queue_paths reclaim_stale",
     "repro.exec.regions": "DEFAULT_REGIONS DEFAULT_WARMUP_SEGMENTS "
                           "IPC_ERROR_BOUND plan_regions",

@@ -57,6 +57,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.exec.backends import BACKENDS, ExecutionBackend, OnResult
+from repro.exec.lease import DEFAULT_LEASE_SECONDS
 from repro.exec.unit import (
     ExecError,
     UnitExecutionError,
@@ -65,13 +66,6 @@ from repro.exec.unit import (
     reusable_result,
     stored_result,
 )
-
-#: Default seconds of lease silence after which a claimed unit is
-#: presumed orphaned and becomes reclaimable.  Workers heartbeat well
-#: inside this (every lease_seconds / 4), so only a dead worker's
-#: lease ever goes stale.
-DEFAULT_LEASE_SECONDS = 60.0
-
 
 @dataclass(frozen=True)
 class QueuePaths:

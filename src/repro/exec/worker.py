@@ -46,8 +46,8 @@ from types import TracebackType
 from typing import TextIO
 
 from repro.core.engine import EngineObserver
+from repro.exec.lease import DEFAULT_LEASE_SECONDS
 from repro.exec.queue import (
-    DEFAULT_LEASE_SECONDS,
     QueuePaths,
     claim_next,
     complete_lease,

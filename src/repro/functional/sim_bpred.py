@@ -59,14 +59,15 @@ _SIZE_TO_LOG2 = {1: 0, 2: 1, 4: 2, 8: 3}
 class TraceGenerationResult:
     """A generated trace plus everything measured while producing it.
 
-    ``records`` is normally a plain list, but generators accept any
-    append/extend sink (see their ``sink`` parameter) so records can
-    stream straight into a
-    :class:`~repro.trace.fileio.SegmentedTraceWriter` without ever
-    being held in memory; in that mode :attr:`total_records` and
-    :meth:`statistics` are the *sink's* business (e.g.
-    :func:`repro.workloads.tracegen.write_workload_trace` counts and
-    measures as it writes).
+    ``records`` is normally a plain list of records, but generators
+    accept any append/extend sink (see their ``sink`` parameter) and
+    then ``records`` is that sink.  The synthetic generator streams
+    rows (:data:`repro.trace.record.ROW_FIELDS`) to its sink, and
+    :func:`repro.workloads.tracegen.write_workload_trace` hands every
+    workload's rows to a segment-sized batch that it packs into a file
+    and counts into a :class:`~repro.trace.stats.TraceStatistics`, so
+    no trace is ever held whole; in that mode :attr:`total_records`
+    and :meth:`statistics` are the sink's business.
     """
 
     records: list[TraceRecord] = field(default_factory=list)

@@ -16,10 +16,16 @@ Table 3.  The codec is deliberately simple (no inter-record
 compression): ReSim's FPGA deserializer must decode a record per minor
 cycle, so the hardware-friendly flat layout is part of the design.
 
+The serializer is :func:`pack_rows`, one loop over plain field rows
+(the layout :data:`repro.trace.record.ROW_FIELDS` declares), which is
+the form trace generation emits; it checks every row the way the
+record constructors check records, so a bad row never becomes a file
+that decodes.  :class:`TraceEncoder` and :func:`pack_record` pack
+records through their :func:`~repro.trace.record.record_row`.
+
 The software deserializer is :func:`decode_rows`: it decodes straight
-into plain field rows (the layout :data:`repro.trace.record.ROW_FIELDS`
-declares), which the decoded-segment cache holds and the generated
-engine reads without building an object per instruction.
+into the same rows, which the decoded-segment cache holds and the
+generated engine reads without building an object per instruction.
 :func:`decode_records` is the same decode mapped through
 :func:`~repro.trace.record.row_record`, for tools and the reference
 engine, which take record objects.
@@ -29,19 +35,19 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from repro.isa.opcodes import FuClass
+from repro.isa.opcodes import BranchKind, FuClass
 from repro.trace.record import (
     BRANCH_NUMBERS,
-    BranchRecord,
     FU_NUMBERS,
     MEMORY_FUS,
-    MemoryRecord,
     NUMBER_TO_BRANCH,
     NUMBER_TO_FU,
     OtherRecord,
     RecordKind,
     Row,
+    TRACE_REG_LIMIT,
     TraceRecord,
+    record_row,
     row_record,
 )
 
@@ -63,8 +69,10 @@ FORMAT_BITS: dict[RecordKind, int] = {
 }
 _WIDTHS = tuple(map(FORMAT_BITS.get, range(4)))  # by kind code; 3 is none
 _WINDOW_BYTES = (7 + max(FORMAT_BITS.values()) + 7) // 8  # any record, any offset
-# Kind codes as plain ints: the decode loop compares one per record.
-_OTHER_CODE, _MEMORY_CODE = RecordKind.OTHER.value, RecordKind.MEMORY.value
+# Kind codes as plain ints: the packing and decode loops compare one
+# per record.
+_OTHER_CODE, _BRANCH_CODE, _MEMORY_CODE = (
+    RecordKind.OTHER.value, RecordKind.BRANCH.value, RecordKind.MEMORY.value)
 
 
 class CorruptRecordError(ValueError):
@@ -76,6 +84,105 @@ def record_bit_length(record: TraceRecord) -> int:
     return FORMAT_BITS[record.kind]
 
 
+# Constants of the packing loop: the kind and FU header bits of M and
+# B records and of each FU class an O record may carry, the FU and
+# branch-kind members it tests by identity (an enum member hashes in
+# Python, so the common ones skip the table lookup) and the flag bits.
+_LOAD_HEAD, _STORE_HEAD = ((RecordKind.MEMORY << _KIND | FU_NUMBERS[fu] << _FU)
+                           for fu in MEMORY_FUS)
+_BRANCH_HEAD = RecordKind.BRANCH << _KIND | FU_NUMBERS[FuClass.BRANCH] << _FU
+_OTHER_HEADS = {fu: code << _FU for fu, code in FU_NUMBERS.items()
+                if fu not in MEMORY_FUS}
+_ALU, _LOAD, _STORE_FU, _BRANCH_FU, _COND = (
+    FuClass.ALU, FuClass.LOAD, FuClass.STORE, FuClass.BRANCH, BranchKind.COND)
+_M_BITS, _B_BITS = FORMAT_BITS[RecordKind.MEMORY], FORMAT_BITS[RecordKind.BRANCH]
+_TAG_BIT, _STORE_BIT, _TAKEN_BIT = 1 << _TAG, 1 << _STORE, 1 << _TAKEN
+#: Bits the packing loop holds in an int before it writes out bytes.
+_FLUSH_BITS = 512
+
+
+def _row_error(row: Row) -> ValueError:
+    """Why :func:`pack_rows` refuses ``row``: the check of the record
+    constructors (or of the format) that it fails."""
+    kind, _, fu, dest, src1, src2, f1, f2, f3 = row
+    for name, value in (("dest", dest), ("src1", src1), ("src2", src2)):
+        if not 0 <= value < TRACE_REG_LIMIT:
+            return ValueError(f"{name}={value} outside 6-bit trace register space")
+    if kind == _OTHER_CODE:
+        return ValueError(f"other record fu={fu} is not an other-record class")
+    if kind == _MEMORY_CODE:
+        if fu is not MEMORY_FUS[1 if f1 else 0]:
+            return ValueError(f"memory record fu={fu} inconsistent with is_store={f1}")
+        if not 0 <= f2 < (1 << 32):
+            return ValueError(f"address {f2:#x} not a 32-bit value")
+        return ValueError(f"size_log2 {f3} out of range")
+    if kind == _BRANCH_CODE:
+        if fu is not _BRANCH_FU:
+            return ValueError("branch record must have fu=BRANCH")
+        if f1 not in BRANCH_NUMBERS:
+            return ValueError(f"branch record needs a concrete branch kind, got {f1}")
+        return ValueError(f"target {f3:#x} not a 32-bit value")
+    return ValueError(f"kind code {kind} is not a record format")
+
+
+def pack_rows(rows: Iterable[Row], out: bytearray, bits: int) -> int:
+    """Pack ``rows`` onto ``out``, which holds ``bits`` bits (its last
+    byte zero-padded); returns the new bit count.
+
+    This is the codec's one packing loop: every record, generated or
+    converted by :func:`~repro.trace.record.record_row`, is written
+    here.  Flags (Tag, ``is_store``, ``taken``) pack as 0/1 whatever
+    truthy value they hold.  Each row gets the checks the record
+    constructors make — 6-bit registers, a 32-bit address or target,
+    a 2-bit access size, an FU class that fits the format and a
+    concrete branch kind — and a row that fails one raises
+    ``ValueError`` with ``out`` left as it was.
+    """
+    pending = bits & 7  # bits already in out's last byte
+    acc = out[-1] >> (8 - pending) if pending else 0
+    held = pending
+    packed = bytearray()
+    other_heads, branch_numbers = _OTHER_HEADS, BRANCH_NUMBERS
+    for row in rows:
+        kind, tag, fu, dest, src1, src2, f1, f2, f3 = row
+        if (dest | src1 | src2) >> 6:  # a negative or wider-than-6-bit one
+            raise _row_error(row)
+        head = (_TAG_BIT if tag else 0) | dest << _DEST | src1 << _SRC1 | src2
+        if kind == _OTHER_CODE:
+            fu_bits = 0 if fu is _ALU else other_heads.get(fu)
+            if fu_bits is None:
+                raise _row_error(row)
+            acc = acc << _COMMON_BITS | head | fu_bits
+            held += _COMMON_BITS
+        elif kind == _MEMORY_CODE:
+            if fu is not (_STORE_FU if f1 else _LOAD) or f2 >> 32 or f3 >> 2:
+                raise _row_error(row)
+            acc = (acc << _M_BITS | (head | (_STORE_HEAD if f1 else _LOAD_HEAD))
+                   << _MEMORY_TAIL | (_STORE_BIT if f1 else 0) | f3 << _SIZE | f2)
+            held += _M_BITS
+        elif kind == _BRANCH_CODE:
+            code = 0 if f1 is _COND else branch_numbers.get(f1)
+            if fu is not _BRANCH_FU or code is None or f3 >> 32:
+                raise _row_error(row)
+            acc = (acc << _B_BITS | (head | _BRANCH_HEAD) << _BRANCH_TAIL
+                   | code << _BRANCH_KIND | (_TAKEN_BIT if f2 else 0) | f3)
+            held += _B_BITS
+        else:
+            raise _row_error(row)
+        if held >= _FLUSH_BITS:
+            spare = held & 7
+            packed += (acc >> spare).to_bytes(held >> 3, "big")
+            acc &= (1 << spare) - 1
+            held = spare
+    end = bits - pending + 8 * len(packed) + held
+    if held:
+        packed += (acc << (-held & 7)).to_bytes((held + 7) >> 3, "big")
+    if pending:
+        del out[-1]
+    out += packed
+    return end
+
+
 def pack_record(record: TraceRecord) -> tuple[int, int]:
     """One record as ``(word, width)``, MSB first; flags pack as 0/1.
 
@@ -83,25 +190,18 @@ def pack_record(record: TraceRecord) -> tuple[int, int]:
     >>> f"{word:0{width}b}"
     '001000000001000000000011'
     """
-    header = (bool(record.tag) << _TAG | FU_NUMBERS[record.fu] << _FU
-              | record.dest << _DEST | record.src1 << _SRC1 | record.src2)
-    if isinstance(record, MemoryRecord):
-        return ((header | RecordKind.MEMORY << _KIND) << _MEMORY_TAIL
-                | bool(record.is_store) << _STORE | record.size_log2 << _SIZE
-                | record.address, _COMMON_BITS + _MEMORY_TAIL)
-    if isinstance(record, BranchRecord):
-        return ((header | RecordKind.BRANCH << _KIND) << _BRANCH_TAIL
-                | BRANCH_NUMBERS[record.branch_kind] << _BRANCH_KIND
-                | bool(record.taken) << _TAKEN | record.target, _COMMON_BITS + _BRANCH_TAIL)
-    return header, _COMMON_BITS
+    out = bytearray()
+    width = pack_rows((record_row(record),), out, 0)
+    return int.from_bytes(out, "big") >> (-width & 7), width
 
 
 class TraceEncoder:
-    """Streams records into a bit-packed buffer.
+    """Packs rows (or records) into a growing bit-packed buffer.
 
-    Use :func:`encode_trace` for the common whole-trace case; the
-    incremental encoder exists for the on-the-fly generation mode the
-    paper mentions (functional simulator feeding ReSim directly).
+    :meth:`extend_rows` is the form trace generation feeds, a batch at
+    a time; :meth:`append` and :meth:`extend` take records and pack
+    their :func:`~repro.trace.record.record_row`.  Use
+    :func:`encode_trace` for the common whole-trace case.
     """
 
     def __init__(self) -> None:
@@ -117,20 +217,18 @@ class TraceEncoder:
     def bit_length(self) -> int:
         return self._bits
 
+    def extend_rows(self, rows: Sequence[Row]) -> None:
+        """Encode a batch of rows; a bad row raises ``ValueError`` and
+        encodes none of the batch."""
+        self._bits = pack_rows(rows, self._buffer, self._bits)
+        self._count += len(rows)
+
     def append(self, record: TraceRecord) -> None:
         """Encode one record at the current bit position."""
-        word, width = pack_record(record)
-        pending = self._bits & 7  # bits already in the last byte
-        if pending:
-            word |= self._buffer.pop() >> (8 - pending) << width
-        self._bits += width
-        width += pending
-        self._buffer += (word << (-width & 7)).to_bytes((width + 7) >> 3, "big")
-        self._count += 1
+        self.extend_rows((record_row(record),))
 
     def extend(self, records: Iterable[TraceRecord]) -> None:
-        for record in records:
-            self.append(record)
+        self.extend_rows(list(map(record_row, records)))
 
     def getvalue(self) -> bytes:
         return bytes(self._buffer)

@@ -86,7 +86,8 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import partial
-from operator import itemgetter
+from itertools import islice
+from operator import itemgetter, not_
 from pathlib import Path
 from typing import BinaryIO
 from collections.abc import Iterable, Iterator, Sequence
@@ -99,7 +100,7 @@ from repro.trace.encode import (
     decode_rows,
     encode_trace,
 )
-from repro.trace.record import ROW_TAG, Row, TraceRecord, row_record
+from repro.trace.record import ROW_TAG, Row, TraceRecord, record_row, row_record
 from repro.utils.atomic import atomic_path
 from repro.utils.memo import BoundedMemo
 
@@ -129,6 +130,8 @@ _SEGMENT_ENTRY_BYTES = 12  # record count u32 + bit length u64
 
 #: Encoded size of the largest record format (a B record), in bits.
 _MAX_RECORD_BITS = max(FORMAT_BITS.values())
+#: A row's Tag bit.
+_TAG = itemgetter(ROW_TAG)
 
 #: Bytes per read when streaming a v1 payload: about one v2 segment's
 #: worth of records, which are decoded a chunk at a time.
@@ -233,11 +236,15 @@ def _metadata_blob(
 
 
 class SegmentedTraceWriter:
-    """Streams records into a v2 trace file with bounded memory.
+    """Streams rows (or records) into a v2 trace file with bounded
+    memory.
 
     The writer holds at most one partially encoded segment
     (``segment_records`` records) plus 12 bytes of table entry per
-    flushed segment — generation never needs the full record list::
+    flushed segment — generation never needs the full record list.
+    Trace generation hands it batches of rows
+    (:meth:`extend_rows`); :meth:`append` and :meth:`extend` take
+    records and write their rows::
 
         with SegmentedTraceWriter(path, benchmark="gzip") as writer:
             for record in generator:
@@ -313,20 +320,40 @@ class SegmentedTraceWriter:
 
     # -- writing --------------------------------------------------------
 
-    def append(self, record: TraceRecord) -> None:
-        """Append one record, flushing a segment when full."""
+    def extend_rows(self, rows: Sequence[Row]) -> None:
+        """Append a batch of rows, flushing each segment it fills.
+
+        The segments after the open one are packed first, so a row the
+        packer refuses raises ``ValueError`` before anything of the
+        batch is written or counted.
+        """
         if self._closed:
             raise TraceFileError("writer is closed")
-        self._encoder.append(record)
-        self._record_count += 1
-        if not record.tag:
-            self._committed += 1
-        if self._encoder.record_count >= self._segment_records:
+        size = self._segment_records
+        room = size - self._encoder.record_count
+        later = []
+        for start in range(room, len(rows), size):
+            encoder = TraceEncoder()
+            encoder.extend_rows(rows[start:start + size])
+            later.append(encoder)
+        self._encoder.extend_rows(rows[:room])
+        self._record_count += len(rows)
+        self._committed += sum(map(not_, map(_TAG, rows)))  # flags by truthiness
+        for encoder in later:
+            self._flush_segment()
+            self._encoder = encoder
+        if self._encoder.record_count == size:
             self._flush_segment()
 
+    def append(self, record: TraceRecord) -> None:
+        """Append one record, flushing a segment when full."""
+        self.extend_rows((record_row(record),))
+
     def extend(self, records: Iterable[TraceRecord]) -> None:
-        for record in records:
-            self.append(record)
+        """Append records a segment's worth at a time."""
+        rows = map(record_row, records)
+        while batch := list(islice(rows, self._segment_records)):
+            self.extend_rows(batch)
 
     def _flush_segment(self) -> None:
         count = self._encoder.record_count
@@ -592,8 +619,6 @@ def _verify_committed(header: TraceFileHeader, committed: int) -> None:
             f"corrupt"
         )
 
-
-_TAG = itemgetter(ROW_TAG)
 
 
 def _decode_segment(data: bytes | bytearray, start_bit: int, end_bit: int,

@@ -22,8 +22,10 @@ Records and rows
 ----------------
 A stored trace decodes into **rows**: one plain tuple per record in
 the layout :data:`ROW_FIELDS` declares, with no object built per
-instruction.  Rows are what the decoder, the decoded-segment cache,
-the generated engine, trace profiling and the shard probe read.
+instruction.  Rows are what the synthetic generator emits, what the
+encoder packs and the trace statistics count, and what the decoder,
+the decoded-segment cache, the generated engine, trace profiling and
+the shard probe read.
 The record classes below are the API for tools, the reference
 engine tier and :class:`~repro.trace.source.InMemorySource`;
 :func:`record_row` and :func:`row_record` convert between the two

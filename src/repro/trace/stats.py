@@ -6,6 +6,11 @@ mis-speculated instructions*, and the resulting input **trace bandwidth
 in MBytes/second**.  The bandwidth column is simply
 ``MIPS x bits-per-instruction / 8``; this module supplies the
 bits-per-instruction and record-mix measurements that feed it.
+
+The statistics fold rows (:data:`repro.trace.record.ROW_FIELDS`), the
+form trace generation produces, a batch at a time
+(:meth:`TraceStatistics.observe_rows`); :meth:`~TraceStatistics.observe`
+and :func:`measure_trace` fold records through their rows.
 """
 
 from __future__ import annotations
@@ -13,8 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections.abc import Iterable
 
-from repro.trace.encode import record_bit_length
-from repro.trace.record import RecordKind, TraceRecord
+from repro.trace.encode import FORMAT_BITS
+from repro.trace.record import RecordKind, Row, TraceRecord, record_row
+
+_BRANCH_CODE, _MEMORY_CODE = RecordKind.BRANCH.value, RecordKind.MEMORY.value
 
 
 @dataclass
@@ -30,18 +37,31 @@ class TraceStatistics:
     store_count: int = 0
     taken_branches: int = 0
 
+    def observe_rows(self, rows: Iterable[Row]) -> None:
+        """Fold a batch of rows into the statistics (flags count by
+        truthiness)."""
+        counts = [0] * len(RecordKind)
+        wrong_path = stores = taken = 0
+        for kind, tag, _, _, _, _, f1, f2, _ in rows:
+            counts[kind] += 1
+            if tag:
+                wrong_path += 1
+            if kind == _MEMORY_CODE:
+                if f1:
+                    stores += 1
+            elif kind == _BRANCH_CODE and f2:
+                taken += 1
+        for kind in RecordKind:
+            self.kind_counts[kind] += counts[kind]
+            self.total_bits += counts[kind] * FORMAT_BITS[kind]
+        self.total_records += sum(counts)
+        self.wrong_path_records += wrong_path
+        self.store_count += stores
+        self.taken_branches += taken
+
     def observe(self, record: TraceRecord) -> None:
         """Fold one record into the statistics."""
-        self.total_records += 1
-        self.total_bits += record_bit_length(record)
-        self.kind_counts[record.kind] += 1
-        if record.tag:
-            self.wrong_path_records += 1
-        kind = record.kind
-        if kind is RecordKind.MEMORY and getattr(record, "is_store", False):
-            self.store_count += 1
-        if kind is RecordKind.BRANCH and getattr(record, "taken", False):
-            self.taken_branches += 1
+        self.observe_rows((record_row(record),))
 
     # -- derived quantities -------------------------------------------
 
@@ -104,6 +124,5 @@ class TraceStatistics:
 def measure_trace(records: Iterable[TraceRecord]) -> TraceStatistics:
     """Measure a full record stream (convenience wrapper)."""
     stats = TraceStatistics()
-    for record in records:
-        stats.observe(record)
+    stats.observe_rows(map(record_row, records))
     return stats

@@ -20,6 +20,12 @@ the trace carries exactly the wrong-path blocks ReSim's own predictions
 will follow — the same consistency invariant as the functional
 ``sim-bpred`` flow (:mod:`repro.functional.sim_bpred`).
 
+The walk emits plain rows (:data:`repro.trace.record.ROW_FIELDS`),
+not record objects: a row is one tuple per instruction, which is what
+the trace writer packs and the statistics count, so streaming a trace
+to a file builds no object per instruction.  Without a sink,
+:meth:`SyntheticWorkload.generate` returns the rows' records.
+
 Everything is deterministic in the seed: the same
 ``(profile, seed, budget, predictor_config)`` produces a bit-identical
 trace on any platform.
@@ -34,12 +40,7 @@ from repro.functional.sim_bpred import TraceGenerationResult
 from repro.isa.instruction import INSTRUCTION_BYTES
 from repro.isa.opcodes import BranchKind, FuClass
 from repro.isa.program import DATA_BASE, TEXT_BASE
-from repro.trace.record import (
-    BranchRecord,
-    MemoryRecord,
-    OtherRecord,
-    TraceRecord,
-)
+from repro.trace.record import RecordKind, Row, row_record
 from repro.trace.wrongpath import conservative_block_size
 from repro.utils.rng import XorShiftRNG, cumulative_weights
 from repro.workloads.profiles import BenchmarkProfile
@@ -52,6 +53,22 @@ _GLOBAL_REGS = (16, 17, 18, 19, 20, 21, 22, 23)  # $s0..$s7
 
 #: Registers cycled through as instruction destinations.
 _DEST_REGS = tuple(range(8, 16)) + (24, 25)      # $t0..$t9
+
+#: The branch kind of each terminator's row.
+_BRANCH_KINDS = {
+    "loop": BranchKind.COND,
+    "cond": BranchKind.COND,
+    "jump": BranchKind.JUMP,
+    "call": BranchKind.CALL,
+    "ret": BranchKind.RETURN,
+}
+
+# Row fields as the walk emits them: format codes and FU classes.
+_OTHER, _BRANCH, _MEMORY = (
+    RecordKind.OTHER.value, RecordKind.BRANCH.value, RecordKind.MEMORY.value)
+_ALU, _MUL, _DIV, _LOAD, _STORE, _BRANCH_FU = (
+    FuClass.ALU, FuClass.MUL, FuClass.DIV, FuClass.LOAD, FuClass.STORE,
+    FuClass.BRANCH)
 
 
 def _stable_name_hash(name: str) -> int:
@@ -329,9 +346,6 @@ class SyntheticWorkload:
         if len(self._recent_dests) > 64:
             del self._recent_dests[:32]
 
-    def _next_dest(self, rng: XorShiftRNG) -> int:
-        return _DEST_REGS[rng.randint(0, len(_DEST_REGS) - 1)]
-
     def _sample_address(self, rng: XorShiftRNG, advance: bool) -> int:
         """Draw a data address from the locality model."""
         profile = self._profile
@@ -350,50 +364,35 @@ class SyntheticWorkload:
             offset = rng.randint(0, profile.working_set_bytes - 4) & ~3
         return (DATA_BASE + offset) & 0xFFFF_FFFF
 
-    def _body_record(self, rng_mix: XorShiftRNG, rng_deps: XorShiftRNG,
-                     rng_mem: XorShiftRNG, tag: bool,
-                     advance_streams: bool) -> TraceRecord:
+    def _body_row(self, rng_mix: XorShiftRNG, rng_deps: XorShiftRNG,
+                  rng_mem: XorShiftRNG, tag: bool, advance_streams: bool) -> Row:
         """Sample one non-branch instruction from the profile mix."""
         kind = rng_mix.choose_cumulative(self._body_mix)
 
         if kind == "load":
-            dest = self._next_dest(rng_deps)
+            dest = _DEST_REGS[rng_deps.randint(0, len(_DEST_REGS) - 1)]
             base = _GLOBAL_REGS[rng_deps.randint(0, len(_GLOBAL_REGS) - 1)]
-            record: TraceRecord = MemoryRecord(
-                tag=tag, fu=FuClass.LOAD, dest=dest, src1=base,
-                address=self._sample_address(rng_mem, advance_streams),
-                size_log2=2,
-            )
+            row = (_MEMORY, tag, _LOAD, dest, base, 0, False,
+                   self._sample_address(rng_mem, advance_streams), 2)
             if not tag:
                 self._push_dest(dest)
-            return record
+            return row
         if kind == "store":
             base = _GLOBAL_REGS[rng_deps.randint(0, len(_GLOBAL_REGS) - 1)]
             data = self._sample_source(rng_deps)
-            return MemoryRecord(
-                tag=tag, fu=FuClass.STORE, src1=base, src2=data,
-                is_store=True,
-                address=self._sample_address(rng_mem, advance_streams),
-                size_log2=2,
-            )
+            return (_MEMORY, tag, _STORE, 0, base, data, True,
+                    self._sample_address(rng_mem, advance_streams), 2)
         if kind in ("mul", "div"):
-            fu = FuClass.MUL if kind == "mul" else FuClass.DIV
-            record = OtherRecord(
-                tag=tag, fu=fu,
-                src1=self._sample_source(rng_deps),
-                src2=self._sample_source(rng_deps),
-            )
             # HI/LO destinations are implicit in the FU class.
-            return record
-        dest = self._next_dest(rng_deps)
-        record = OtherRecord(
-            tag=tag, fu=FuClass.ALU, dest=dest,
-            src1=self._sample_source(rng_deps),
-            src2=self._sample_source(rng_deps),
-        )
+            return (_OTHER, tag, _MUL if kind == "mul" else _DIV, 0,
+                    self._sample_source(rng_deps),
+                    self._sample_source(rng_deps), None, None, None)
+        dest = _DEST_REGS[rng_deps.randint(0, len(_DEST_REGS) - 1)]
+        row = (_OTHER, tag, _ALU, dest, self._sample_source(rng_deps),
+               self._sample_source(rng_deps), None, None, None)
         if not tag:
             self._push_dest(dest)
-        return record
+        return row
 
     # ------------------------------------------------------------------
     # Branch outcome processes
@@ -427,18 +426,21 @@ class SyntheticWorkload:
         """Walk the skeleton and emit the tagged trace.
 
         ``instruction_budget`` counts correct-path instructions; the
-        returned trace additionally contains the injected wrong-path
-        blocks.  ``sink`` (any object with ``append``/``extend``)
-        receives the records instead of the result's in-memory list —
-        the streaming-generation mode used by
-        :func:`repro.workloads.tracegen.write_workload_trace`.
+        trace additionally contains the injected wrong-path blocks.
+        The walk emits rows (:data:`repro.trace.record.ROW_FIELDS`).
+        ``sink`` (any object with ``append``/``extend``) receives them
+        as they are produced — the streaming-generation mode used by
+        :func:`repro.workloads.tracegen.write_workload_trace`; without
+        a sink the result's ``records`` is the list of their records.
         """
         if instruction_budget <= 0:
             raise ValueError("instruction_budget must be positive")
         predictor = BranchPredictorUnit(self._config)
         result = TraceGenerationResult(
             records=[] if sink is None else sink)
-        records = result.records
+        append = result.records.append
+        body_row = self._body_row
+        rng_mix, rng_deps, rng_mem = self._rng_mix, self._rng_deps, self._rng_mem
 
         func_index, block_index = 0, 0
         call_stack: list[tuple[int, int]] = []
@@ -449,11 +451,8 @@ class SyntheticWorkload:
 
             # Block body.
             for _ in range(block.body_length):
-                records.append(self._body_record(
-                    self._rng_mix, self._rng_deps, self._rng_mem,
-                    tag=False, advance_streams=True,
-                ))
-                result.committed_instructions += 1
+                append(body_row(rng_mix, rng_deps, rng_mem, False, True))
+            result.committed_instructions += block.body_length
 
             # Terminator.
             terminator = block.terminator
@@ -462,6 +461,12 @@ class SyntheticWorkload:
                 call_stack,
             )
 
+        if sink is None:
+            # In place, so the rows and their records are never all
+            # held at once.
+            records = result.records
+            for index, row in enumerate(records):
+                records[index] = row_record(row)
         result.output = (
             f"synthetic:{self._profile.name}:seed={self._seed}"
         )
@@ -531,12 +536,10 @@ class SyntheticWorkload:
         taken: bool,
         target: int,
     ) -> None:
-        """Emit a branch record, resolve/train, inject wrong path."""
+        """Emit a branch row, resolve/train, inject wrong path."""
         src1 = self._sample_source(self._rng_deps)
-        result.records.append(BranchRecord(
-            fu=FuClass.BRANCH, src1=src1,
-            branch_kind=kind, taken=taken, target=target & 0xFFFF_FFFF,
-        ))
+        result.records.append((_BRANCH, False, _BRANCH_FU, 0, src1, 0, kind,
+                               taken, target & 0xFFFF_FFFF))
         result.committed_instructions += 1
         result.branches += 1
 
@@ -556,51 +559,35 @@ class SyntheticWorkload:
     # Wrong-path synthesis (mirrors sim_bpred._wrong_path_block)
     # ------------------------------------------------------------------
 
-    def _wrong_path_block(self, start_pc: int) -> list[TraceRecord]:
+    def _wrong_path_block(self, start_pc: int) -> list[Row]:
         """Statically walk the skeleton from ``start_pc``, tagged."""
-        block_records: list[TraceRecord] = []
+        block_rows: list[Row] = []
         location = self._block_by_pc.get(start_pc)
         wp_rng = self._rng_wrongpath
-        while location is not None and len(block_records) < self._block_limit:
+        while location is not None and len(block_rows) < self._block_limit:
             func_index, block_index = location
-            block = self._functions[func_index].blocks[block_index]
+            blocks = self._functions[func_index].blocks
+            block = blocks[block_index]
             for _ in range(block.body_length):
-                if len(block_records) >= self._block_limit:
-                    return block_records
-                block_records.append(self._body_record(
-                    wp_rng, wp_rng, wp_rng, tag=True, advance_streams=False,
-                ))
-            if len(block_records) >= self._block_limit:
-                return block_records
+                if len(block_rows) >= self._block_limit:
+                    return block_rows
+                block_rows.append(self._body_row(
+                    wp_rng, wp_rng, wp_rng, True, False))
+            if len(block_rows) >= self._block_limit:
+                return block_rows
             terminator = block.terminator
-            if terminator.kind in ("loop", "cond"):
-                block_records.append(BranchRecord(
-                    tag=True, fu=FuClass.BRANCH,
-                    src1=self._sample_source(wp_rng),
-                    branch_kind=BranchKind.COND,
-                    taken=False, target=terminator.target_pc & 0xFFFF_FFFF,
-                ))
-                # Sequential wrong-path fetch: fall through.
-                if block_index + 1 < len(self._functions[func_index].blocks):
-                    location = (func_index, block_index + 1)
-                else:
-                    location = None
+            # A conditional falls through (sequential wrong-path fetch);
+            # an unconditional transfer ends the wrong-path block (a
+            # control-flow bubble stalls sequential fetch anyway).
+            branch_kind = _BRANCH_KINDS[terminator.kind]
+            block_rows.append((
+                _BRANCH, True, _BRANCH_FU, 0, self._sample_source(wp_rng), 0,
+                branch_kind, False, terminator.target_pc & 0xFFFF_FFFF))
+            if branch_kind is BranchKind.COND and block_index + 1 < len(blocks):
+                location = (func_index, block_index + 1)
             else:
-                # Unconditional transfer ends the wrong-path block (a
-                # control-flow bubble stalls sequential fetch anyway).
-                branch_kind = {
-                    "jump": BranchKind.JUMP,
-                    "call": BranchKind.CALL,
-                    "ret": BranchKind.RETURN,
-                }[terminator.kind]
-                block_records.append(BranchRecord(
-                    tag=True, fu=FuClass.BRANCH,
-                    src1=self._sample_source(wp_rng),
-                    branch_kind=branch_kind,
-                    taken=False, target=terminator.target_pc & 0xFFFF_FFFF,
-                ))
                 location = None
-        return block_records
+        return block_rows
 
     # ------------------------------------------------------------------
     # Introspection helpers (used by examples and tests)

@@ -15,6 +15,12 @@ streaming ``generate(..., sink=)`` methods), so new workloads (a new
 profile, a new kernel, or an entirely new source kind) register once
 and are immediately reachable from CLI flags, sweep specs, and
 :class:`~repro.session.Simulation` specs.
+
+A source's ``sink`` receives rows (:data:`repro.trace.record.ROW_FIELDS`):
+the synthetic generator emits them directly, and a kernel's records
+are handed over as their :func:`~repro.trace.record.record_row`.
+:func:`write_workload_trace` packs and counts them a segment-sized
+batch at a time.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from typing import TYPE_CHECKING
 from repro.functional.sim_bpred import SimBpred, TraceGenerationResult
 from repro.session.simulation import SPEC_FIELDS
 from repro.trace.fileio import DEFAULT_SEGMENT_RECORDS, SegmentedTraceWriter
+from repro.trace.record import Row, record_row
 from repro.trace.stats import TraceStatistics
 from repro.utils.atomic import atomic_path
 from repro.utils.registry import Registry
@@ -103,8 +110,11 @@ class KernelSource:
                  seed: int, sink=None,
                  ) -> tuple[TraceGenerationResult, int | None]:
         program = kernel_program(self.kernel_name)
-        return (build_tracer(config).generate(program, sink=sink),
-                program.entry)
+        tracer_sink = None if sink is None else _RecordRows(sink)
+        generation = build_tracer(config).generate(program, sink=tracer_sink)
+        if sink is not None:
+            generation.records = sink
+        return generation, program.entry
 
 
 #: Workload registry: name → trace source.  Populated from the profile
@@ -130,29 +140,54 @@ def is_known_workload(workload: str) -> bool:
     return workload in WORKLOADS
 
 
-class _ObservingSink:
-    """Forwards generated records to a writer while measuring them.
+class _SegmentSink:
+    """Collects generated rows about a segment at a time and folds each
+    batch into a writer and a statistics record.
 
-    The adapter that lets the generators' ``sink`` mode stream into a
-    :class:`~repro.trace.fileio.SegmentedTraceWriter`: each record is
-    written and folded into a :class:`~repro.trace.stats.TraceStatistics`
-    the moment it is produced, so nothing accumulates.
+    The sink a source's ``generate(..., sink=)`` streams into when
+    :func:`write_workload_trace` writes its trace: once it holds
+    ``size`` rows (a segment, plus at most the rest of the wrong-path
+    block that filled it), one loop packs the batch
+    (:meth:`~repro.trace.fileio.SegmentedTraceWriter.extend_rows`) and
+    one counts it (:meth:`~repro.trace.stats.TraceStatistics.observe_rows`).
     """
 
-    def __init__(self, writer, stats: TraceStatistics) -> None:
+    def __init__(self, writer, stats: TraceStatistics, size: int) -> None:
         self._writer = writer
         self._stats = stats
+        self._size = size
+        self._rows: list[Row] = []
 
-    def append(self, record) -> None:
-        self._writer.append(record)
-        self._stats.observe(record)
+    def append(self, row: Row) -> None:
+        self._rows.append(row)
+        if len(self._rows) >= self._size:
+            self.flush()
 
-    def extend(self, records) -> None:
-        for record in records:
-            self.append(record)
+    def extend(self, rows) -> None:
+        self._rows.extend(rows)
+        if len(self._rows) >= self._size:
+            self.flush()
+
+    def flush(self) -> None:
+        rows, self._rows = self._rows, []
+        self._writer.extend_rows(rows)
+        self._stats.observe_rows(rows)
 
     def __len__(self) -> int:
-        return self._writer.record_count
+        return self._writer.record_count + len(self._rows)
+
+
+class _RecordRows:
+    """Hands a row sink the rows of the records a tracer appends."""
+
+    def __init__(self, sink) -> None:
+        self._sink = sink
+
+    def append(self, record) -> None:
+        self._sink.append(record_row(record))
+
+    def extend(self, records) -> None:
+        self._sink.extend(map(record_row, records))
 
 
 @dataclass(frozen=True)
@@ -179,12 +214,13 @@ def write_workload_trace(
 ) -> WrittenTrace:
     """Generate a workload's trace straight into a segmented v2 file.
 
-    The generator's records stream through a
-    :class:`~repro.trace.fileio.SegmentedTraceWriter` as they are
-    produced — peak memory is one encoder segment, never the record
-    list — which is what lets trace *files* exceed what a Python list
-    of records could hold.  Metadata (predictor, workload, seed,
-    start PC, plus ``extra``) is identical to the
+    The generator's rows are collected about a segment at a time;
+    each batch is packed into a
+    :class:`~repro.trace.fileio.SegmentedTraceWriter` and counted into
+    the trace statistics — peak memory is one segment of rows, never
+    the whole trace — which is what lets trace *files* exceed what a
+    Python list of records could hold.  Metadata (predictor, workload,
+    seed, start PC, plus ``extra``) is identical to the
     ``Simulation.save_trace`` path, so consumers cannot tell which
     path produced a file.
 
@@ -211,9 +247,10 @@ def write_workload_trace(
         tmp, predictor=config.predictor, benchmark=workload,
         seed=seed, extra=metadata, segment_records=segment_records,
     ) as writer:
-        generation, _ = source.generate(
-            config, budget=budget, seed=seed,
-            sink=_ObservingSink(writer, stats))
+        sink = _SegmentSink(writer, stats, segment_records)
+        generation, _ = source.generate(config, budget=budget, seed=seed,
+                                        sink=sink)
+        sink.flush()
     return WrittenTrace(
         path=target,
         record_count=writer.record_count,
