@@ -57,10 +57,16 @@ def main() -> None:
         backend = DirectoryQueueBackend(
             scratch / "queue", workers=args.workers,
             poll_seconds=0.05, timeout=600)
-        sharded = SweepRunner(
-            spec, "gzip", results_dir=scratch / "sharded",
-            budget=args.budget, segment_records=256,
-            backend=backend, shards=args.shards).run()
+        try:
+            sharded = SweepRunner(
+                spec, "gzip", results_dir=scratch / "sharded",
+                budget=args.budget, segment_records=256,
+                backend=backend, shards=args.shards).run()
+        finally:
+            # A drain returns once every result is written, but a
+            # worker may still be moving its last lease into done/:
+            # stop the workers before the queue directory goes.
+            backend.close()
 
         print(f"\n{'point':>16} {'mono IPC':>9} {'shard IPC':>9} "
               f"{'delta':>7}  exact-sum counters")

@@ -39,9 +39,21 @@ simulating, so a unit whose worker died *after* the result write but
 *before* the lease rename costs one file read, not a re-simulation.
 
 :class:`DirectoryQueueBackend` is the coordinator side: it enqueues a
-batch, optionally spawns local ``resim worker`` processes, and polls
+batch, optionally spawns local ``resim worker`` processes, and waits
 for result files.  Any number of additional workers on any number of
 hosts (sharing the mount) drain the same queue concurrently.
+
+**Doorbell.**  Each local worker the coordinator spawns gets one end
+of a ``socket.socketpair()`` as its stdin (the inetd idiom).  After it
+enqueues, the coordinator sends every live local worker one byte;
+after each claim it resolves, a worker sends one byte back.  Both
+sides wait in a ``select`` bounded by the poll interval, so a local
+drain wakes on work instead of sleeping it off.  The bytes are hints
+only — sends never block, a full buffer drops the byte, a hung-up peer
+is dropped — and the filesystem stays the one source of truth: every
+wake-up re-reads the queue directories, and external workers
+(``resim worker`` in a terminal or on another host) poll every
+``--poll-seconds`` exactly as before.
 """
 
 from __future__ import annotations
@@ -49,6 +61,8 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import selectors
+import socket
 import subprocess
 import sys
 import time
@@ -207,6 +221,45 @@ def reclaim_stale(paths: QueuePaths,
     return reclaimed
 
 
+def ring(bell: socket.socket) -> bool:
+    """Send one wake-up byte on a doorbell (module docstring); False
+    once its peer is gone.  Never blocks: with the buffer full, the
+    peer already has wake-ups queued and this one is dropped."""
+    try:
+        bell.send(b"\0")
+    except BlockingIOError:
+        return True
+    except OSError:
+        return False
+    return True
+
+
+def wait_for_bells(bells: Sequence[socket.socket],
+                   seconds: float) -> list[socket.socket]:
+    """Wait up to ``seconds`` for a byte on any of ``bells`` (a plain
+    sleep when there are none); return the bells whose peer hung up,
+    which the caller must stop waiting on — an EOF stays readable, so
+    keeping one would turn every later wait into a busy loop."""
+    if not bells:
+        time.sleep(seconds)
+        return []
+    with selectors.DefaultSelector() as selector:
+        for bell in bells:
+            selector.register(bell, selectors.EVENT_READ, bell)
+        ready = [key.data for key, _ in selector.select(seconds)]
+    hung_up: list[socket.socket] = []
+    for bell in ready:
+        try:
+            if bell.recv(4096):
+                continue  # hints only: their content means nothing
+        except BlockingIOError:
+            continue
+        except OSError:
+            pass  # a reset connection is a departed peer
+        hung_up.append(bell)
+    return hung_up
+
+
 @BACKENDS.register("queue", aliases=("directory-queue", "dirqueue"))
 class DirectoryQueueBackend(ExecutionBackend):
     """Coordinator over a shared-filesystem queue (module docstring).
@@ -223,7 +276,9 @@ class DirectoryQueueBackend(ExecutionBackend):
     lease_seconds:
         Staleness horizon for crash recovery (see module docstring).
     poll_seconds:
-        Coordinator polling cadence for result files.
+        Longest wait between scans for result files, and the
+        spawned workers' ``--poll-seconds``; local workers also wake
+        their waits early through the doorbell (module docstring).
     timeout:
         Raise :class:`ExecError` if no unit completes for this many
         seconds (None = wait forever; the right default when remote
@@ -260,6 +315,8 @@ class DirectoryQueueBackend(ExecutionBackend):
         self.timeout = timeout
         self._respawns_left = 0
         self._procs: list[subprocess.Popen] = []
+        #: This end of each live local worker's doorbell.
+        self._bells: dict[subprocess.Popen, socket.socket] = {}
         self._atexit_registered = False
         #: How long a coordinator-spawned worker keeps polling an
         #: empty queue before retiring.  Long enough that the small
@@ -278,10 +335,41 @@ class DirectoryQueueBackend(ExecutionBackend):
             "--lease-seconds", str(self.lease_seconds),
             "--poll-seconds", str(self.poll_seconds),
         ]
-        # stdout swallowed (the exit summary must not interleave with
-        # the coordinator's table output); stderr inherited so real
-        # worker errors stay visible.
-        return subprocess.Popen(command, stdout=subprocess.DEVNULL)
+        # stdin is the worker's end of its doorbell; stdout swallowed
+        # (the exit summary must not interleave with the coordinator's
+        # table output); stderr inherited so real worker errors stay
+        # visible.
+        bell, worker_end = socket.socketpair()
+        try:
+            proc = subprocess.Popen(command, stdin=worker_end,
+                                    stdout=subprocess.DEVNULL)
+        except BaseException:
+            bell.close()
+            raise
+        finally:
+            worker_end.close()
+        bell.setblocking(False)
+        self._bells[proc] = bell
+        return proc
+
+    def _drop_bell(self, proc: subprocess.Popen) -> None:
+        bell = self._bells.pop(proc, None)
+        if bell is not None:
+            bell.close()
+
+    def _ring_workers(self) -> None:
+        """Wake every live local worker to look for pending units."""
+        for proc, bell in list(self._bells.items()):
+            if not ring(bell):
+                self._drop_bell(proc)
+
+    def _wait(self) -> None:
+        """Sleep up to ``poll_seconds``, waking early when a local
+        worker resolves a claim or exits (its end of the doorbell
+        closes with it)."""
+        owners = {bell: proc for proc, bell in self._bells.items()}
+        for bell in wait_for_bells(list(owners), self.poll_seconds):
+            self._drop_bell(owners[bell])
 
     def _ensure_workers(self) -> None:
         """Top the persistent local pool back up to ``workers``.
@@ -294,8 +382,13 @@ class DirectoryQueueBackend(ExecutionBackend):
         budget, which bounds the pathological case of a unit that
         hard-crashes every executor it meets.
         """
-        self._procs = [proc for proc in self._procs
-                       if proc.poll() is None]
+        live = []
+        for proc in self._procs:
+            if proc.poll() is None:
+                live.append(proc)
+            else:
+                self._drop_bell(proc)
+        self._procs = live
         while len(self._procs) < self.workers:
             if self._respawns_left <= 0:
                 raise ExecError(
@@ -315,7 +408,10 @@ class DirectoryQueueBackend(ExecutionBackend):
 
         Called automatically at interpreter exit (and on drain
         errors); idle workers also retire on their own after
-        ``worker_idle_exit`` seconds, so calling this is optional.
+        ``worker_idle_exit`` seconds, so calling this is optional —
+        except before removing the queue directory: a drain returns
+        once every result is written, and a worker may still be
+        moving its last lease into ``done/``.
         """
         procs, self._procs = self._procs, []
         for proc in procs:
@@ -327,6 +423,7 @@ class DirectoryQueueBackend(ExecutionBackend):
             except subprocess.TimeoutExpired:  # pragma: no cover
                 proc.kill()
                 proc.wait()
+            self._drop_bell(proc)
 
     # -- drain ---------------------------------------------------------
 
@@ -353,20 +450,21 @@ class DirectoryQueueBackend(ExecutionBackend):
                 # deterministic units make reuse always correct.
                 collect(unit, payload)
                 continue
-            result_path = Path(unit.result_path)
-            if result_path.exists():
-                # The file holds a stale error document (its failure
-                # was reported then; re-submitting the unit means the
-                # caller wants a retry — transient causes like a
-                # missing mount get fixed between runs), a result from
-                # a *different* unit that happened to use this path
-                # (e.g. a results directory reused after its manifest
-                # was deleted), or nothing readable.  Either way: clear
-                # the document and its done marker and execute afresh
-                # — reviving it would break the bit-identical contract.
-                result_path.unlink(missing_ok=True)
-                done_marker = paths.done / f"{unit.unit_id}.json"
-                done_marker.unlink(missing_ok=True)
+            # Whatever its result path holds is stale: an error
+            # document (its failure was reported then; re-submitting
+            # the unit means the caller wants a retry — transient
+            # causes like a missing mount get fixed between runs), a
+            # result from a *different* unit that happened to use this
+            # path (e.g. a results directory reused after its manifest
+            # was deleted), or nothing readable — reviving it would
+            # break the bit-identical contract.  So is a done marker
+            # an earlier drain left under the same unit id (a reused
+            # queue writing into a new results directory): it would
+            # keep ``enqueue`` from publishing the unit.  Clear both
+            # and execute afresh — the rule _requeue_abandoned
+            # applies mid-drain.
+            Path(unit.result_path).unlink(missing_ok=True)
+            (paths.done / f"{unit.unit_id}.json").unlink(missing_ok=True)
             enqueue(paths, unit)
             outstanding[unit.unit_id] = unit
 
@@ -378,6 +476,7 @@ class DirectoryQueueBackend(ExecutionBackend):
             self._respawns_left = self.workers
             self._ensure_workers()
             self._respawns_left = 3 * self.workers
+            self._ring_workers()
         try:
             self._poll(paths, outstanding, collect)
             if failures:
@@ -444,8 +543,9 @@ class DirectoryQueueBackend(ExecutionBackend):
                 continue
             # No unit finished this pass: drive crash recovery, then
             # make sure somebody is still around to do the work.
-            reclaim_stale(paths, self.lease_seconds)
-            self._requeue_abandoned(paths, outstanding)
+            if reclaim_stale(paths, self.lease_seconds) + \
+                    self._requeue_abandoned(paths, outstanding):
+                self._ring_workers()
             # Only *pending* entries justify a respawn: leased units
             # have a live claimant somewhere (and go back to pending
             # via the stale reclaim if that claimant died), while an
@@ -474,7 +574,7 @@ class DirectoryQueueBackend(ExecutionBackend):
                         f"waiting for: {waiting} (queue "
                         f"{self.queue_dir}; are any workers running?)"
                     )
-            time.sleep(self.poll_seconds)
+            self._wait()
 
     def _lease_is_fresh(self, lease: Path) -> bool:
         """True while ``lease`` is fresher than the staleness horizon
@@ -487,14 +587,15 @@ class DirectoryQueueBackend(ExecutionBackend):
 
     @staticmethod
     def _requeue_abandoned(paths: QueuePaths,
-                           outstanding: dict[str, WorkUnit]) -> None:
-        """Re-enqueue units an executor gave up on.
+                           outstanding: dict[str, WorkUnit]) -> int:
+        """Re-enqueue units an executor gave up on; returns how many.
 
         A ``done/`` marker without a valid result means a worker
         abandoned the unit (e.g. its queue descriptor was unreadable);
         the coordinator still holds the full unit in memory, so it
         rewrites a fresh descriptor instead of waiting forever.
         """
+        requeued = 0
         for unit_id, unit in outstanding.items():
             marker = paths.done / f"{unit_id}.json"
             if not marker.exists():
@@ -505,7 +606,8 @@ class DirectoryQueueBackend(ExecutionBackend):
                 marker.unlink()
             except OSError:
                 continue
-            enqueue(paths, unit)
+            requeued += enqueue(paths, unit)
+        return requeued
 
     def describe(self) -> str:
         return (f"DirectoryQueueBackend({str(self.queue_dir)!r}, "

@@ -25,25 +25,42 @@ Crash tolerance from the executing side:
   loop forever; the sweep layer's checkpoint validation discards
   error documents on resume, so a later rerun recomputes it).
 
+Waiting for work: a worker the coordinator spawned has its doorbell
+(:mod:`repro.exec.queue`) as stdin.  It waits on it instead of
+sleeping, so newly enqueued units are claimed at once, and rings it
+back after each claim it resolves.  Any other stdin — a terminal, a
+pipe, ``/dev/null`` — leaves the worker polling the queue every
+``--poll-seconds``, and so does a doorbell whose coordinator hung up.
+Any socket on stdin counts as a doorbell, so start an external worker
+under a launcher that passes one with ``< /dev/null``.  Either way
+the queue directories decide what runs; the doorbell only says when
+to look.
+
 Exit policy: by default a worker polls forever (fleet style — start
 it once per host, point it at the mount, Ctrl-C when the campaign is
 over).  ``--exit-when-drained`` exits once pending *and* leases are
-empty (what coordinator-spawned workers use); ``--idle-exit N`` exits
-after N seconds without finding work; ``--max-units N`` bounds the
-total processed.
+empty (scripted use); ``--idle-exit N`` exits after N seconds without
+finding work (what coordinator-spawned workers use); ``--max-units
+N`` bounds the total processed.
+
+Per-unit messages go to the ``repro.exec.worker`` logger; the
+command line shows them on stderr unless ``--quiet``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import logging
 import os
 import socket
+import stat
 import sys
 import threading
 import time
+from collections.abc import Iterator
 from pathlib import Path
 from types import TracebackType
-from typing import TextIO
 
 from repro.core.engine import EngineObserver
 from repro.exec.lease import DEFAULT_LEASE_SECONDS
@@ -54,7 +71,9 @@ from repro.exec.queue import (
     queue_paths,
     read_unit,
     reclaim_stale,
+    ring,
     touch_lease,
+    wait_for_bells,
 )
 from repro.exec.unit import (
     ExecError,
@@ -64,6 +83,8 @@ from repro.exec.unit import (
     reusable_result,
 )
 from repro.utils.memo import memo_info
+
+logger = logging.getLogger(__name__)
 
 
 def worker_id() -> str:
@@ -110,8 +131,7 @@ class LeaseHeartbeat(EngineObserver):
 
 
 def process_one(paths: QueuePaths, lease_path: Path, *,
-                lease_seconds: float,
-                log: TextIO | None = None) -> bool:
+                lease_seconds: float) -> bool:
     """Resolve one claimed unit; True if it was genuinely resolved
     (simulated, failed-with-error-document, or completed from an
     existing result *of this exact unit*), False if it had to be
@@ -125,9 +145,8 @@ def process_one(paths: QueuePaths, lease_path: Path, *,
     try:
         unit = read_unit(lease_path)
     except ExecError as error:
-        if log:
-            print(f"[worker {worker_id()}] abandoning unreadable "
-                  f"unit {lease_path.name}: {error}", file=log)
+        logger.warning("[worker %s] abandoning unreadable unit %s: %s",
+                       worker_id(), lease_path.name, error)
         complete_lease(paths, lease_path)
         return False
 
@@ -142,9 +161,8 @@ def process_one(paths: QueuePaths, lease_path: Path, *,
     try:
         with heartbeat:
             execute_unit(unit)
-        if log:
-            print(f"[worker {worker_id()}] completed {unit.unit_id}",
-                  file=log)
+        logger.info("[worker %s] completed %s", worker_id(),
+                    unit.unit_id)
     except Exception as error:  # noqa: BLE001 - becomes an error doc
         if reusable_result(unit) is None and lease_path.exists():
             # Report the failure only while we still own the claim —
@@ -158,9 +176,9 @@ def process_one(paths: QueuePaths, lease_path: Path, *,
             # already wrote.
             atomic_write_json(unit.result_path,
                               error_document(unit, error))
-        if log:
-            print(f"[worker {worker_id()}] unit {unit.unit_id} "
-                  f"failed: {type(error).__name__}: {error}", file=log)
+        logger.warning("[worker %s] unit %s failed: %s: %s",
+                       worker_id(), unit.unit_id,
+                       type(error).__name__, error)
     complete_lease(paths, lease_path)
     return True
 
@@ -173,13 +191,15 @@ def run_worker(
     max_units: int | None = None,
     idle_exit: float | None = None,
     exit_when_drained: bool = False,
-    log: TextIO | None = None,
+    doorbell: socket.socket | None = None,
 ) -> int:
     """Drain a queue directory; returns units resolved (executed,
     failed-with-error-document, or completed from an existing
     result).  Abandoned unreadable descriptors are not counted.  See
-    module docstring for the exit policy knobs."""
+    module docstring for the exit policy knobs and for ``doorbell``
+    (:func:`stdin_doorbell`), which stays the caller's to close."""
     paths = queue_paths(queue_dir)
+    bell = doorbell
     processed = 0
     idle_since = time.monotonic()
     while True:
@@ -187,9 +207,10 @@ def run_worker(
             return processed
         lease = claim_next(paths)
         if lease is not None:
-            if process_one(paths, lease, lease_seconds=lease_seconds,
-                           log=log):
+            if process_one(paths, lease, lease_seconds=lease_seconds):
                 processed += 1
+            if bell is not None and not ring(bell):
+                bell = None  # the coordinator hung up: poll from now on
             idle_since = time.monotonic()
             continue
         # Nothing pending: recover orphans (that may repopulate
@@ -203,7 +224,45 @@ def run_worker(
         if idle_exit is not None and \
                 time.monotonic() - idle_since >= idle_exit:
             return processed
-        time.sleep(poll_seconds)
+        if bell is None:
+            time.sleep(poll_seconds)
+        elif wait_for_bells([bell], poll_seconds):
+            bell = None  # the coordinator hung up: poll from now on
+
+
+def stdin_doorbell() -> socket.socket | None:
+    """This process's stdin as a non-blocking socket when it is one
+    (a coordinator-spawned worker's doorbell), else None."""
+    try:
+        if not stat.S_ISSOCK(os.fstat(0).st_mode):
+            return None
+        fd = os.dup(0)
+    except OSError:
+        return None
+    try:
+        bell = socket.socket(fileno=fd)
+    except OSError:
+        os.close(fd)
+        return None
+    bell.setblocking(False)
+    return bell
+
+
+@contextlib.contextmanager
+def _unit_messages(quiet: bool) -> Iterator[None]:
+    """Show the worker's per-unit messages on stderr, one per line,
+    unless ``quiet``; the handler is gone again on exit."""
+    handler: logging.Handler = logging.NullHandler() if quiet else \
+        logging.StreamHandler(sys.stderr)
+    level = logger.level
+    logger.addHandler(handler)
+    if not quiet:
+        logger.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 def add_worker_arguments(parser: argparse.ArgumentParser) -> None:
@@ -213,7 +272,7 @@ def add_worker_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("queue_dir", help="queue root directory "
                         "(shared by coordinator and all workers)")
     parser.add_argument("--poll-seconds", type=float, default=0.2,
-                        help="sleep between empty-queue scans")
+                        help="wait between empty-queue scans")
     parser.add_argument("--lease-seconds", type=float,
                         default=DEFAULT_LEASE_SECONDS,
                         help="silence after which another worker may "
@@ -239,16 +298,21 @@ def run_from_args(args: argparse.Namespace) -> int:
     if args.lease_seconds <= 0:
         raise SystemExit(f"--lease-seconds must be positive, "
                          f"got {args.lease_seconds}")
-    log = None if args.quiet else sys.stderr
-    processed = run_worker(
-        args.queue_dir,
-        poll_seconds=args.poll_seconds,
-        lease_seconds=args.lease_seconds,
-        max_units=args.max_units,
-        idle_exit=args.idle_exit,
-        exit_when_drained=args.exit_when_drained,
-        log=log,
-    )
+    doorbell = stdin_doorbell()
+    try:
+        with _unit_messages(args.quiet):
+            processed = run_worker(
+                args.queue_dir,
+                poll_seconds=args.poll_seconds,
+                lease_seconds=args.lease_seconds,
+                max_units=args.max_units,
+                idle_exit=args.idle_exit,
+                exit_when_drained=args.exit_when_drained,
+                doorbell=doorbell,
+            )
+    finally:
+        if doorbell is not None:
+            doorbell.close()
     # Decoded segments lead: the line's opening text is what scripts
     # and tests match on.
     memos = memo_info()

@@ -6,9 +6,12 @@ killed mid-unit, error propagation."""
 
 import json
 import os
+import re
 import signal
+import socket
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -545,6 +548,171 @@ class TestDirectoryQueue:
             [make_unit(trace_file, tmp_path, rob=16)])
         assert set(first) == {"rob8"}
         assert set(second) == {"rob16"}
+
+
+class TestDoorbell:
+    """Local workers wake on their doorbell — a socket pair as stdin —
+    instead of sleeping out a poll interval; anything else polls."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_drains_finish_without_poll_sleeps(self, trace_file,
+                                               tmp_path, workers,
+                                               monkeypatch):
+        """With a 30 s poll interval, any sleep on the drain's path
+        would show: a cold drain, then a second drain of the same unit
+        ids into a new results directory through the same backend (a
+        reused queue holding the first drain's done markers), both
+        finish well inside one interval, with the serial backend's
+        bytes.  The reused ids are published at submit time, not
+        recovered mid-drain as abandoned units."""
+        requeued: list[int] = []
+        recover = DirectoryQueueBackend._requeue_abandoned
+
+        def counting_recover(paths, outstanding):
+            requeued.append(recover(paths, outstanding))
+            return requeued[-1]
+
+        monkeypatch.setattr(DirectoryQueueBackend, "_requeue_abandoned",
+                            staticmethod(counting_recover))
+
+        def units(sub):
+            return [make_unit(trace_file, tmp_path / sub, rob=rob)
+                    for rob in (8, 16, 32)]
+
+        def documents(sub):
+            return {path.name: path.read_bytes()
+                    for path in sorted((tmp_path / sub).glob("*.json"))}
+
+        SerialBackend().run_units(units("serial"))
+        backend = DirectoryQueueBackend(
+            tmp_path / "queue", workers=workers, poll_seconds=30,
+            timeout=120)
+        try:
+            for sub in ("cold", "reused"):
+                start = time.monotonic()
+                backend.run_units(units(sub))
+                assert time.monotonic() - start < 10, sub
+                assert documents(sub) == documents("serial"), sub
+        finally:
+            backend.close()
+        assert not any(requeued)
+
+    def test_killed_worker_neither_stalls_nor_spins_the_drain(
+            self, tmp_path):
+        """SIGKILL the only local worker mid-unit: its doorbell hangs
+        up, the lease goes stale after lease_seconds, a respawned
+        worker reruns the unit — and the coordinator, held open for
+        seconds, waits instead of spinning on the dead doorbell."""
+        trace = tmp_path / "slow.rtrc"
+        write_workload_trace("gzip", PAPER_4WIDE_PERFECT, trace,
+                             budget=30_000, seed=7)
+
+        def unit(sub):
+            return WorkUnit.for_trace(
+                "victim", trace, config_to_dict(PAPER_4WIDE_PERFECT),
+                tmp_path / sub / "victim.json", engine="reference")
+
+        backend = DirectoryQueueBackend(
+            tmp_path / "queue", workers=1, lease_seconds=2,
+            poll_seconds=0.2, timeout=60)
+        leases = backend.queue_dir / "leases"
+        killed: list[subprocess.Popen] = []
+
+        def kill_first_claimant():
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline:
+                procs = list(backend._procs)
+                if procs and any(leases.glob("victim.*.json")):
+                    procs[0].send_signal(signal.SIGKILL)
+                    killed.append(procs[0])
+                    return
+                time.sleep(0.005)
+
+        killer = threading.Thread(target=kill_first_claimant)
+        killer.start()
+        try:
+            wall, cpu = time.monotonic(), time.process_time()
+            results = backend.run_units([unit("queue-out")])
+            wall = time.monotonic() - wall
+            cpu = time.process_time() - cpu
+        finally:
+            killer.join(timeout=60)
+            backend.close()
+        assert not killer.is_alive() and killed, "no worker was killed"
+        assert killed[0].wait(timeout=30) == -signal.SIGKILL
+        assert wall >= 2.0  # the stale-lease horizon held it open
+        assert cpu < 0.25 * wall, (cpu, wall)
+        serial = SerialBackend().run_units([unit("serial-out")])
+        assert results == serial
+
+    @pytest.mark.parametrize("stdin", [subprocess.DEVNULL,
+                                       subprocess.PIPE],
+                             ids=["devnull", "pipe"])
+    def test_worker_without_a_doorbell_polls(self, trace_file,
+                                             tmp_path, stdin):
+        """A worker whose stdin is not a socket (here /dev/null or a
+        pipe; a terminal or a remote shell alike) drains by polling,
+        and prints its per-unit lines on stderr unchanged."""
+        paths = queue_paths(tmp_path / "queue")
+        batch = [make_unit(trace_file, tmp_path, rob=rob)
+                 for rob in (8, 16)]
+        for unit in batch:
+            assert enqueue(paths, unit)
+        worker = subprocess.Popen(
+            [sys.executable, "-m", "repro.exec", str(paths.root),
+             "--exit-when-drained", "--poll-seconds", "0.02"],
+            stdin=stdin, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True)
+        out, err = worker.communicate(timeout=120)
+        assert worker.returncode == 0, err
+        assert out.startswith("processed 2 unit(s); decoded segments:")
+        assert sorted(re.findall(
+            r"^\[worker [^\]]+:\d+\] completed (\w+)$", err,
+            re.MULTILINE)) == ["rob16", "rob8"]
+        for unit in batch:
+            assert "stats" in load_unit_result(unit.result_path)
+
+    def test_worker_rings_per_claim_and_polls_after_hang_up(
+            self, trace_file, tmp_path):
+        paths = queue_paths(tmp_path / "queue")
+        for rob in (8, 16):
+            enqueue(paths, make_unit(trace_file, tmp_path, rob=rob))
+        ours, theirs = socket.socketpair()
+        theirs.setblocking(False)
+        with ours, theirs:
+            assert run_worker(paths.root, exit_when_drained=True,
+                              doorbell=theirs) == 2
+            assert ours.recv(16) == b"\0\0"  # one per resolved claim
+        # The coordinator hangs up: the EOF stays readable, so a
+        # worker still waiting on it would spin until --idle-exit.
+        ours, theirs = socket.socketpair()
+        theirs.setblocking(False)
+        ours.close()
+        with theirs:
+            wall, cpu = time.monotonic(), time.process_time()
+            assert run_worker(paths.root, idle_exit=2.0,
+                              poll_seconds=0.05, doorbell=theirs) == 0
+            assert time.monotonic() - wall >= 2.0
+            assert time.process_time() - cpu < 0.5
+
+    @pytest.mark.parametrize("quiet", [False, True])
+    def test_unit_messages_follow_quiet(self, tmp_path, capsys, quiet):
+        from repro.exec.worker import main
+
+        paths = queue_paths(tmp_path / "queue")
+        enqueue(paths, WorkUnit(unit_id="boom",
+                                spec={"workload": "nonesuch"},
+                                result_path=str(tmp_path / "boom.json")))
+        assert main([str(paths.root), "--exit-when-drained",
+                     *(["--quiet"] if quiet else [])]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("processed 1 unit(s);")
+        if quiet:
+            assert captured.err == ""
+        else:
+            assert re.fullmatch(
+                r"\[worker [^\]]+:\d+\] unit boom failed: "
+                r"UnknownWorkloadError: .*\n", captured.err)
 
 
 # -- sharded execution ------------------------------------------------
