@@ -32,7 +32,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.exec.queue": "BACKENDS DirectoryQueueBackend "
                         "enqueue queue_paths reclaim_stale",
     "repro.exec.regions": "DEFAULT_REGIONS DEFAULT_WARMUP_SEGMENTS "
-                          "IPC_ERROR_BOUND plan_regions",
+                          "IPC_ERROR_BOUND plan_cache_info plan_regions",
     "repro.exec.shard": "EXACT_SUM_COUNTERS plan_shards",
     "repro.exec.slice": "Slice SlicePlan SliceReducer merge_region_documents "
                         "merge_slice_documents region_units slice_units",

@@ -33,6 +33,15 @@ like shards (:mod:`repro.exec.slice`), but their merge is an
 runs (:data:`IPC_ERROR_BOUND`), and the ``"sampled"`` marker of merged
 documents, the unit specs (``segments`` and ``warmup_instructions``
 key the campaign cache apart) and sweep manifests all say so.
+
+A plan is a pure function of the profile's counts and the planning
+parameters, so each process clusters a trace at most once: a memo
+keyed by that content (never by the trace's path or digest alone)
+hands a repeated plan — a new sweep runner, a second served job, the
+same bytes linked into another directory — its slices without
+running k-means again.  Only a process that plans one profile more
+than once gains from it; ``resim sweep`` and ``resim simulate`` plan
+each trace once.
 """
 
 from __future__ import annotations
@@ -41,7 +50,8 @@ from pathlib import Path
 
 from repro.exec.slice import Slice, SlicePlan
 from repro.exec.unit import ExecError
-from repro.trace.analyze import TraceProfile
+from repro.trace.analyze import SegmentProfile, TraceProfile
+from repro.utils.memo import BoundedMemo
 from repro.utils.rng import XorShiftRNG
 
 #: Default number of regions (k-means clusters) a sampled run executes.
@@ -60,6 +70,10 @@ IPC_ERROR_BOUND = 0.15
 
 #: k-means iteration cap; assignments converge far earlier in practice.
 _KMEANS_ITERATIONS = 25
+
+#: Plans the in-process memo holds at most (least recently used first
+#: out).  An entry is one plan's few slices.
+PLAN_MEMO_ENTRIES = 32
 
 
 def _sqdist(a: tuple[float, ...], b: tuple[float, ...]) -> float:
@@ -132,30 +146,36 @@ def _kmeans(vectors: list[tuple[float, ...]], clusters: int,
     return assignment
 
 
-def plan_regions(
-    trace_path: str | Path,
-    profile: TraceProfile,
-    *,
-    regions: int = DEFAULT_REGIONS,
-    seed: int = 0,
-    warmup_segments: int = DEFAULT_WARMUP_SEGMENTS,
-) -> SlicePlan:
-    """Cluster a trace's segment profiles and pick one weighted
-    representative range per cluster (see module docstring).
+#: ``(bbv_dim, every segment's counts, regions, seed,
+#: warmup_segments) -> slices``; the plan's path and trace digest
+#: come from each caller.
+_PLANS: BoundedMemo[tuple, tuple[Slice, ...]] = \
+    BoundedMemo("region plans", PLAN_MEMO_ENTRIES)
 
-    The plan is a pure function of ``(profile, regions, seed,
-    warmup_segments)`` — same inputs, same plan, on any host.  Fewer
-    regions than requested are returned when the trace has fewer
-    segments.
-    """
-    if regions < 1:
-        raise ExecError(f"regions must be >= 1, got {regions}")
-    if warmup_segments < 0:
-        raise ExecError(
-            f"warmup_segments must be >= 0, got {warmup_segments}")
-    segments = profile.segments
-    if not segments:
-        raise ExecError(f"trace {trace_path} profiles zero segments")
+#: Hit/miss/size counters of the in-process plan memo.  Process
+#: telemetry only: never part of any statistics or result document.
+plan_cache_info = _PLANS.info
+#: Drop every memoized plan and zero the counters (test isolation).
+clear_plan_cache = _PLANS.clear
+
+
+def _profile_counts(segments: list[SegmentProfile]) -> tuple[int, ...]:
+    """Every count a plan reads, segment by segment.  Each segment
+    contributes eight counts and ``bbv_dim`` BBV entries, so with the
+    BBV size beside it the tuple keys a plan without ambiguity."""
+    counts: list[int] = []
+    for s in segments:
+        counts += (s.records, s.committed, s.wrong_path,
+                   s.wrong_path_blocks, s.branches, s.taken_branches,
+                   s.loads, s.stores)
+        counts += s.bbv
+    return tuple(counts)
+
+
+def _plan_slices(segments: list[SegmentProfile], regions: int,
+                 seed: int, warmup_segments: int) -> tuple[Slice, ...]:
+    """Cluster the segment profiles and build one warmup-prefixed,
+    weighted slice per cluster (see module docstring)."""
     vectors = [segment.features() for segment in segments]
     assignment = _kmeans(vectors, regions, XorShiftRNG(seed))
     clusters = sorted(set(assignment))
@@ -189,11 +209,46 @@ def plan_regions(
             weight=weight,
         ))
         previous_hi = representative + 1
+    return tuple(built)
+
+
+def plan_regions(
+    trace_path: str | Path,
+    profile: TraceProfile,
+    *,
+    regions: int = DEFAULT_REGIONS,
+    seed: int = 0,
+    warmup_segments: int = DEFAULT_WARMUP_SEGMENTS,
+) -> SlicePlan:
+    """Cluster a trace's segment profiles and pick one weighted
+    representative range per cluster (see module docstring).
+
+    The plan is a pure function of ``(profile, regions, seed,
+    warmup_segments)`` — same inputs, same plan, on any host — so its
+    slices are memoized per process under the profile's counts and
+    the parameters; ``trace_path`` and the profile's digest only label
+    the returned plan.  Fewer regions than requested are returned when
+    the trace has fewer segments.
+    """
+    if regions < 1:
+        raise ExecError(f"regions must be >= 1, got {regions}")
+    if warmup_segments < 0:
+        raise ExecError(
+            f"warmup_segments must be >= 0, got {warmup_segments}")
+    segments = profile.segments
+    if not segments:
+        raise ExecError(f"trace {trace_path} profiles zero segments")
+    key = (profile.bbv_dim, _profile_counts(segments), regions, seed,
+           warmup_segments)
+    slices = _PLANS.get(key)
+    if slices is None:
+        slices = _PLANS.put(
+            key, _plan_slices(segments, regions, seed, warmup_segments))
     return SlicePlan(
         trace_path=str(trace_path),
         total_segments=len(segments),
         total_records=profile.total_records,
-        slices=tuple(built),
+        slices=slices,
         trace_digest=profile.digest,
         seed=seed,
     )

@@ -53,9 +53,9 @@ from pathlib import Path
 from repro.exec.slice import Slice, SlicePlan
 from repro.exec.unit import ExecError
 from repro.trace.fileio import (
-    TraceSegment,
+    TraceLayout,
     iter_trace_blocks,
-    read_segment_table,
+    read_trace_layout,
 )
 from repro.trace.record import ROW_TAG
 
@@ -75,7 +75,7 @@ EXACT_SUM_COUNTERS = (
 
 
 def _segment_is_clean(path: str | Path,
-                      table: tuple[TraceSegment, ...],
+                      layout: TraceLayout,
                       index: int,
                       cache: dict[int, bool]) -> bool:
     """True when segment ``index`` starts on the correct path.
@@ -84,7 +84,8 @@ def _segment_is_clean(path: str | Path,
     segment size); results are memoized per plan.
     """
     if index not in cache:
-        blocks = iter_trace_blocks(path, segments=table[index:index + 1])
+        blocks = iter_trace_blocks(
+            path, segments=layout.segments[index:index + 1], layout=layout)
         rows = next(blocks, ())
         blocks.close()
         cache[index] = not rows or not rows[0][ROW_TAG]
@@ -102,7 +103,8 @@ def plan_shards(trace_path: str | Path, shards: int) -> SlicePlan:
     """
     if shards < 1:
         raise ExecError(f"shards must be >= 1, got {shards}")
-    table = read_segment_table(trace_path)
+    layout = read_trace_layout(trace_path)
+    table = layout.segments
     counts = [segment.record_count for segment in table]
     cumulative = [0]
     for count in counts:
@@ -131,13 +133,13 @@ def plan_shards(trace_path: str | Path, shards: int) -> SlicePlan:
         for distance in range(segments):
             forward = candidate + distance
             if forward <= segments - 1 and _segment_is_clean(
-                    trace_path, table, forward, cache):
+                    trace_path, layout, forward, cache):
                 clean = forward
                 break
             backward = candidate - distance
             if distance and backward >= previous + 1 \
                     and _segment_is_clean(
-                        trace_path, table, backward, cache):
+                        trace_path, layout, backward, cache):
                 clean = backward
                 break
         if clean is None:

@@ -49,6 +49,7 @@ from repro.sweep.fields import CAMPAIGN_KINDS
 from repro.sweep.progress import SweepProgress
 from repro.sweep.result import SweepResult
 from repro.sweep.runner import default_backend
+from repro.utils.memo import memo_info
 
 #: Request kinds the service accepts.
 REQUEST_KINDS = ("simulate", *CAMPAIGN_KINDS)
@@ -224,6 +225,13 @@ class CampaignService:
             "points": {"done": job.points_done,
                        "total": job.points_total},
         }
+
+    def cache_document(self) -> dict:
+        """``GET /v1/cache``: the result store's counters and
+        occupancy, plus every process-wide memo's counts
+        (:func:`~repro.utils.memo.memo_info`) — telemetry, never part
+        of a result document."""
+        return {**self.store.stats_document(), "memos": memo_info()}
 
     def health_document(self) -> dict:
         return {

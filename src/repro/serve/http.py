@@ -7,7 +7,7 @@ routes it into a :class:`~repro.serve.app.CampaignService`, and
 answers JSON.  The API surface::
 
     GET  /v1/health                     service liveness + job counts
-    GET  /v1/cache                      cache hit/miss/occupancy stats
+    GET  /v1/cache                      cache + process memo counters
     GET  /v1/jobs                       every job's status document
     POST /v1/jobs                       submit a request document
     GET  /v1/jobs/<id>                  one job's status document
@@ -134,7 +134,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._respond(200, service.health_document())
         elif route == ["cache"]:
             self._require_method("GET")
-            self._respond(200, service.store.stats_document())
+            self._respond(200, service.cache_document())
         elif route == ["jobs"]:
             if self.command == "GET":
                 self._respond(200, {

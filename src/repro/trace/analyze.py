@@ -46,7 +46,7 @@ from pathlib import Path
 from repro.trace.fileio import (
     TraceFileError,
     iter_trace_blocks,
-    read_segment_table,
+    read_trace_layout,
 )
 from repro.trace.record import RecordKind
 from repro.utils.atomic import atomic_path
@@ -300,15 +300,15 @@ def analyze_trace(path: str | Path, *,
     """
     if bbv_dim < 1:
         raise ProfileError(f"bbv_dim must be >= 1, got {bbv_dim}")
-    table = read_segment_table(path)
+    layout = read_trace_layout(path)
     profiles = []
     pc = 0
     block_start = 0
     previous_tagged = False
     bucket = _mix(block_start) % bbv_dim
     branch, memory = RecordKind.BRANCH.value, RecordKind.MEMORY.value
-    rows = chain.from_iterable(iter_trace_blocks(path))
-    for segment in table:
+    rows = chain.from_iterable(iter_trace_blocks(path, layout=layout))
+    for segment in layout.segments:
         bbv = [0] * bbv_dim
         committed = wrong_path = wrong_path_blocks = 0
         branches = taken_branches = loads = stores = 0

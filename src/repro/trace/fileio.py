@@ -195,6 +195,30 @@ class TraceFileHeader:
         return self.bit_length / self.record_count
 
 
+@dataclass(frozen=True)
+class TraceLayout:
+    """A trace file's parsed header and validated segment map: what a
+    reader needs before it decodes a payload byte.
+
+    :func:`read_trace_layout` parses it once; a
+    :class:`~repro.trace.source.FileSource` and its :meth:`fresh
+    <repro.trace.source.FileSource.fresh>` cursors share that parse
+    and hand it to :func:`iter_trace_blocks`.  ``segments`` is the v2
+    table, or one pseudo-segment spanning a v1 payload.  ``file_size``,
+    ``file_inode`` and ``file_mtime_ns`` identify the file the table
+    was validated against: a read refuses a file that differs in any
+    of them, so a trace replaced at its path (an atomic rename) or
+    rewritten in place never gets the old table.
+    """
+
+    header: TraceFileHeader
+    header_length: int
+    file_size: int
+    file_inode: int
+    file_mtime_ns: int
+    segments: tuple[TraceSegment, ...]
+
+
 def _predictor_metadata(config: PredictorConfig | None) -> dict | None:
     if config is None:
         return None
@@ -588,6 +612,30 @@ def _read_segment_table(
     return tuple(segments)
 
 
+def _read_layout(handle: BinaryIO, stat: os.stat_result) -> TraceLayout:
+    file_size = stat.st_size
+    header, header_length = _parse_header(handle.read(MAX_HEADER_LENGTH))
+    if header.version == VERSION_V1:
+        segments: tuple[TraceSegment, ...] = (TraceSegment(
+            index=0,
+            record_count=header.record_count,
+            bit_length=header.bit_length,
+            payload_offset=header_length,
+        ),)
+    else:
+        segments = _read_segment_table(handle, header, header_length,
+                                       file_size)
+    return TraceLayout(header, header_length, file_size, stat.st_ino,
+                       stat.st_mtime_ns, segments)
+
+
+def read_trace_layout(path: str | Path) -> TraceLayout:
+    """Parse a trace file's header and validate its segment table,
+    without decoding the payload."""
+    with open(path, "rb") as handle:
+        return _read_layout(handle, os.fstat(handle.fileno()))
+
+
 def read_segment_table(path: str | Path) -> tuple[TraceSegment, ...]:
     """The segment map of a trace file, for shard planning.
 
@@ -595,19 +643,7 @@ def read_segment_table(path: str | Path) -> tuple[TraceSegment, ...]:
     reported as one pseudo-segment spanning the whole payload, so
     shard planners can treat both formats uniformly.
     """
-    file_size = os.stat(path).st_size
-    with open(path, "rb") as handle:
-        header, header_length = _parse_header(
-            handle.read(MAX_HEADER_LENGTH))
-        if header.version == VERSION_V1:
-            return (TraceSegment(
-                index=0,
-                record_count=header.record_count,
-                bit_length=header.bit_length,
-                payload_offset=header_length,
-            ),)
-        return _read_segment_table(handle, header, header_length,
-                                   file_size)
+    return read_trace_layout(path).segments
 
 
 def _verify_committed(header: TraceFileHeader, committed: int) -> None:
@@ -755,6 +791,7 @@ def iter_trace_blocks(
     path: str | Path,
     *,
     segments: Sequence[TraceSegment] | None = None,
+    layout: TraceLayout | None = None,
 ) -> Iterator[Sequence[Row]]:
     """Stream a trace file as blocks of decoded rows (the
     :data:`~repro.trace.record.ROW_FIELDS` layout), with bounded
@@ -777,26 +814,39 @@ def iter_trace_blocks(
     ``segments`` restricts a v2 read to a subset of the table (shard
     workers pass the slice they own); partial reads skip the
     whole-file count and committed checks, since they see only their
-    shard.
+    shard.  ``layout`` is the file's :func:`read_trace_layout`, parsed
+    earlier, which the read then trusts instead of parsing the header
+    and table again, as long as the open file is the one it was
+    validated against (same size, inode and modification time).
     """
-    file_size = os.stat(path).st_size
     with open(path, "rb") as handle:
-        header, header_length = _parse_header(
-            handle.read(MAX_HEADER_LENGTH))
+        stat = os.fstat(handle.fileno())
+        file_size = stat.st_size
+        if layout is None:
+            layout = _read_layout(handle, stat)
+        elif file_size != layout.file_size:
+            raise TraceFileError(
+                f"trace file {path} is {file_size} bytes, was "
+                f"{layout.file_size} when its segment table was read")
+        elif (stat.st_ino, stat.st_mtime_ns) != (layout.file_inode,
+                                                 layout.file_mtime_ns):
+            raise TraceFileError(
+                f"trace file {path} was replaced or rewritten since "
+                f"its segment table was read")
+        header = layout.header
         if header.version == VERSION_V1:
             if segments is not None:
                 raise TraceFileError(
                     "segment-restricted reads need a v2 trace file")
-            payload_bytes = file_size - header_length
+            payload_bytes = file_size - layout.header_length
             if header.bit_length > 8 * max(0, payload_bytes):
                 raise TraceFileError("truncated payload")
-            handle.seek(header_length)
+            handle.seek(layout.header_length)
             blocks = _iter_v1_payload(handle, header.bit_length)
         else:
-            table = _read_segment_table(handle, header, header_length,
-                                        file_size)
             blocks = map(partial(_read_v2_segment, handle),
-                         table if segments is None else segments)
+                         layout.segments if segments is None
+                         else segments)
         records = 0
         committed = 0
         for block, block_committed in blocks:

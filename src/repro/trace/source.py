@@ -39,10 +39,10 @@ from collections.abc import Iterator, Sequence
 from repro.trace.fileio import (
     DEFAULT_SEGMENT_RECORDS,
     TraceFileHeader,
+    TraceLayout,
     TraceSegment,
     iter_trace_blocks,
-    read_segment_table,
-    read_trace_header,
+    read_trace_layout,
 )
 from repro.trace.record import Row, TraceRecord, record_row, row_record
 
@@ -209,8 +209,10 @@ class InMemorySource(TraceSource):
 class FileSource(TraceSource):
     """Streams a stored trace file with bounded memory.
 
-    The header is parsed eagerly (so a bad file fails at construction,
-    not mid-simulation); the blocks are decoded lazily, as rows, by
+    The header and segment table are parsed and validated once, at
+    construction (so a bad file fails there, not mid-simulation), and
+    every :meth:`fresh` cursor shares that parse; the blocks are
+    decoded lazily, as rows, by
     :func:`repro.trace.fileio.iter_trace_blocks`, with its per-segment
     and end-of-stream checks and its decoded-segment cache.  A block's
     records are built once, when the record view first asks.
@@ -227,12 +229,11 @@ class FileSource(TraceSource):
         *,
         segments: tuple[int, int] | None = None,
     ) -> None:
-        self._path = Path(path)
-        self._header = read_trace_header(self._path)
-        self._segments: tuple[TraceSegment, ...] | None = None
-        self._range = segments
+        path = Path(path)
+        layout = read_trace_layout(path)
+        selected: tuple[TraceSegment, ...] | None = None
         if segments is not None:
-            table = read_segment_table(self._path)
+            table = layout.segments
             lo, hi = segments
             if not (0 <= lo < hi <= len(table)):
                 # `lo < hi` (not `<=`): an empty range replays zero
@@ -241,13 +242,20 @@ class FileSource(TraceSource):
                 # SlicePlan and the session spec validation.
                 raise TraceSourceError(
                     f"segment range {segments} empty or outside the "
-                    f"{len(table)}-segment table of {self._path}"
+                    f"{len(table)}-segment table of {path}"
                 )
-            if self._header.version != 1:
-                self._segments = table[lo:hi]
+            if layout.header.version != 1:
+                selected = table[lo:hi]
             elif (lo, hi) != (0, 1):
                 raise TraceSourceError(
                     "segment-restricted reads need a v2 trace file")
+        self._start(path, layout, selected)
+
+    def _start(self, path: Path, layout: TraceLayout,
+               segments: tuple[TraceSegment, ...] | None) -> None:
+        self._path = path
+        self._layout = layout  # immutable: shared by fresh() cursors
+        self._segments = segments
         self._blocks: Iterator[Sequence[Row]] | None = None
         self._block_records: list[TraceRecord] | None = []
 
@@ -257,12 +265,13 @@ class FileSource(TraceSource):
 
     @property
     def header(self) -> TraceFileHeader:
-        return self._header
+        return self._layout.header
 
     def _load(self) -> bool:
         if self._blocks is None:
             self._blocks = iter_trace_blocks(self._path,
-                                             segments=self._segments)
+                                             segments=self._segments,
+                                             layout=self._layout)
         block = next(self._blocks, None)
         if block is None:
             return False
@@ -282,10 +291,12 @@ class FileSource(TraceSource):
     def total_records(self) -> int:
         if self._segments is not None:
             return sum(s.record_count for s in self._segments)
-        return self._header.record_count
+        return self._layout.header.record_count
 
     def fresh(self) -> FileSource:
-        return FileSource(self._path, segments=self._range)
+        source = FileSource.__new__(FileSource)
+        source._start(self._path, self._layout, self._segments)
+        return source
 
 
 def as_source(

@@ -2,10 +2,11 @@
 cache shares.
 
 ReSim's bulk mode prepares one trace and simulates it across a whole
-design grid, and three per-process caches make that cheap: compiled
+design grid, and four per-process caches make that cheap: compiled
 engines (:mod:`repro.core.specialize`), decoded trace segments
-(:mod:`repro.trace.fileio`) and trace profiles
-(:mod:`repro.trace.analyze`).  Each is a :class:`BoundedMemo` — one
+(:mod:`repro.trace.fileio`), trace profiles
+(:mod:`repro.trace.analyze`) and region plans
+(:mod:`repro.exec.regions`).  Each is a :class:`BoundedMemo` — one
 lock, a least-recently-used order bounded by total weight, and
 hit/miss counts — and :func:`memo_info` reports every live memo by
 name.  The counts are process telemetry only: never part of any

@@ -111,11 +111,12 @@ def test_threads_keep_the_weight_consistent():
 
 def test_memo_info_names_the_production_memos():
     import repro.core.specialize  # noqa: F401
+    import repro.exec.regions  # noqa: F401
     import repro.trace.analyze  # noqa: F401
     import repro.trace.fileio  # noqa: F401
 
     info = memo_info()
-    assert {"compiled engines", "decoded segments",
+    assert {"compiled engines", "decoded segments", "region plans",
             "trace profiles"} <= info.keys()
     assert info["decoded segments"].keys() == {
         "hits", "misses", "entries", "records"}

@@ -4,7 +4,9 @@ Pins the three promises of :mod:`repro.exec.regions`:
 
 * **planning is deterministic** — a fixed ``(profile, regions, seed,
   warmup)`` tuple always yields the same plan, and the plan's weights
-  partition the trace's segments exactly;
+  partition the trace's segments exactly; the process-wide plan memo
+  keyed by that content returns what a fresh plan would (cached ≡
+  fresh);
 * **a sampled run is cheap and close** — on a >=64-segment trace the
   default plan executes at most 35% of the records, and its weighted
   IPC estimate lands within :data:`IPC_ERROR_BOUND` of the full
@@ -17,7 +19,12 @@ Pins the three promises of :mod:`repro.exec.regions`:
 
 from __future__ import annotations
 
+import dataclasses
+import json
+import os
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.config import PAPER_4WIDE_PERFECT
 from repro.serialize import stats_from_dict
@@ -31,12 +38,17 @@ from repro.exec import (
     plan_regions,
     slice_units,
 )
-from repro.exec.regions import IPC_ERROR_BOUND
+from repro.exec.regions import (
+    IPC_ERROR_BOUND,
+    clear_plan_cache,
+    plan_cache_info,
+)
 from repro.exec.slice import REGION
 
 region_unit_id = REGION.unit_id
 from repro.serve.canon import cache_key
 from repro.trace import ensure_profile, trace_content_digest
+from repro.trace.analyze import profile_path
 from repro.workloads.tracegen import write_workload_trace
 
 BUDGET = 12_000
@@ -226,3 +238,99 @@ class TestMergeValidation:
     def test_empty_merge_refused(self):
         with pytest.raises(ExecError, match="nothing"):
             merge_slice_documents([])
+
+
+#: Workloads the generated memo test plans over.
+MEMO_WORKLOADS = ("bzip2", "gzip", "parser", "vpr")
+
+
+@pytest.fixture(scope="module")
+def memo_profiles(tmp_path_factory):
+    """One small segmented trace and its profile per workload."""
+    directory = tmp_path_factory.mktemp("plan-memo")
+    profiles = {}
+    for name in MEMO_WORKLOADS:
+        path = directory / f"{name}.rtrc"
+        write_workload_trace(name, PAPER_4WIDE_PERFECT, path,
+                             budget=4000, seed=3, segment_records=64)
+        profiles[name] = (path, ensure_profile(path))
+    return profiles
+
+
+def _link(trace, directory):
+    """``trace``'s bytes under its name in another directory."""
+    directory.mkdir()
+    target = directory / trace.name
+    os.link(trace, target)
+    return target
+
+
+class TestPlanMemo:
+    """Plans are memoized per process under the profile's content:
+    cached ≡ fresh, never keyed on a path or on a digest alone."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(MEMO_WORKLOADS),
+                              st.integers(0, 2**32), st.integers(1, 12),
+                              st.integers(0, 3)),
+                    min_size=1, max_size=6))
+    def test_generated_memoized_plan_equals_fresh(self, memo_profiles,
+                                                  draws):
+        clear_plan_cache()
+
+        def plan(draw):
+            workload, seed, regions, warmup = draw
+            trace, profile = memo_profiles[workload]
+            return plan_regions(trace, profile, regions=regions,
+                                seed=seed, warmup_segments=warmup)
+
+        planned = [plan(draw) for draw in draws]
+        memoized = [plan(draw) for draw in draws]
+        assert plan_cache_info()["hits"] >= len(draws)
+        for draw, first, held in zip(draws, planned, memoized,
+                                     strict=True):
+            clear_plan_cache()
+            fresh = plan(draw)
+            assert held == first == fresh
+        clear_plan_cache()
+
+    def test_linked_trace_is_a_hit_with_its_own_path(self, trace,
+                                                     tmp_path):
+        clear_plan_cache()
+        first_path = _link(trace, tmp_path / "a")
+        second_path = _link(trace, tmp_path / "b")
+        first = plan_regions(first_path, ensure_profile(first_path))
+        assert plan_cache_info() == {"hits": 0, "misses": 1,
+                                     "entries": 1}
+        second = plan_regions(second_path, ensure_profile(second_path))
+        assert plan_cache_info() == {"hits": 1, "misses": 1,
+                                     "entries": 1}
+        assert second.trace_path == str(second_path)
+        assert dataclasses.replace(
+            second, trace_path=first.trace_path) == first
+
+    def test_edited_sidecar_gets_its_own_plan(self, trace, profile,
+                                              tmp_path):
+        """A digest-fresh, self-consistent sidecar whose counts differ
+        from the trace's is planned from its own counts: a digest-only
+        key would hand it the first directory's plan."""
+        clear_plan_cache()
+        first_path = _link(trace, tmp_path / "a")
+        first = plan_regions(first_path, ensure_profile(first_path))
+        second_path = _link(trace, tmp_path / "b")
+        document = profile.to_dict()
+        for segment in document["segments"]:
+            segment["records"] += 1
+            segment["committed"] += 1
+            segment["bbv"][0] += 1
+        document["trace"]["records"] += len(document["segments"])
+        profile_path(second_path).write_text(json.dumps(document))
+        edited = ensure_profile(second_path)
+        assert edited.to_dict() == document
+        assert edited.digest == profile.digest
+        second = plan_regions(second_path, edited)
+        assert plan_cache_info()["hits"] == 0
+        assert second.slices != first.slices
+        clear_plan_cache()
+        assert plan_regions(second_path, edited) == second
+        clear_plan_cache()

@@ -662,6 +662,31 @@ class TestHttpService:
         assert "sampled" not in exact_result
         assert exact_result["stats"] != cold["stats"]
 
+    def test_cache_document_reports_a_region_plan_hit(self, tmp_path):
+        """Two served sampled simulates over one trace cluster it once:
+        ``GET /v1/cache`` reports the second job's plan as a hit of
+        the process-wide memo, and no result document carries memo
+        counts."""
+        from repro.cli import main
+        from repro.exec.regions import clear_plan_cache
+        trace = tmp_path / "gzip.rtrc"
+        assert main(["trace", "gzip", str(trace), "--budget", "3000",
+                     "--segment-records", "256"]) == 0
+        request = {"kind": "simulate", "spec": {"trace_file": str(trace)},
+                   "sampling": "regions", "regions": 3}
+        clear_plan_cache()
+        service = CampaignService(tmp_path / "root")
+        with BackgroundServer(service) as server:
+            client = ServiceClient(*server.address)
+            plans = []
+            for _ in range(2):
+                job_id = client.submit(request)["job_id"]
+                client.wait(job_id)
+                assert "memos" not in client.result(job_id)["result"]
+                plans.append(client.cache_stats()["memos"]["region plans"])
+        assert (plans[0]["hits"], plans[0]["misses"]) == (0, 1)
+        assert (plans[1]["hits"], plans[1]["misses"]) == (1, 1)
+
     def test_spec_hash_prints_the_served_cache_key(self, tmp_path,
                                                    capsys):
         """``resim spec hash`` prints the key a served simulate job of

@@ -7,6 +7,7 @@ the engine produces **bit-identical statistics** over all of them.
 """
 
 import io
+import os
 
 import pytest
 
@@ -15,9 +16,12 @@ from repro.core import (
     ProgressObserver,
     ReSimEngine,
 )
+from repro.exec import WorkUnit, execute_unit, plan_regions, slice_units
 from repro.serialize import stats_to_dict
 from repro.session import SessionError, Simulation
+from repro.trace import ensure_profile, fileio
 from repro.trace.fileio import (
+    TraceFileError,
     read_segment_table,
     read_trace_file,
     write_trace_file,
@@ -175,6 +179,67 @@ class TestFileSource:
         for lo in (0, 1, len(table) - 1):
             with pytest.raises(TraceSourceError, match="empty"):
                 FileSource(v2_path, segments=(lo, lo))
+
+
+class TestParseOnce:
+    """A stored trace's header and segment table are parsed once per
+    unit: when its :class:`FileSource` opens.  Fresh cursors share the
+    parse and the block reader trusts it, and every check still
+    runs."""
+
+    @pytest.fixture
+    def table_reads(self, monkeypatch):
+        reads = []
+        original = fileio._read_segment_table
+
+        def counting(*args):
+            reads.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(fileio, "_read_segment_table", counting)
+        return reads
+
+    def test_region_slice_unit_reads_the_table_once(self, v2_path,
+                                                    tmp_path,
+                                                    table_reads):
+        plan = plan_regions(v2_path, ensure_profile(v2_path), regions=3)
+        base = WorkUnit.for_trace("point", v2_path, "4wide-perfect",
+                                  tmp_path / "point.json")
+        unit = slice_units(base, plan)[-1]
+        assert unit.spec["warmup_instructions"] > 0
+        table_reads.clear()
+        assert "stats" in execute_unit(unit)
+        assert len(table_reads) == 1
+
+    def test_whole_file_run_reads_the_table_once(self, v2_path,
+                                                 table_reads):
+        Simulation.for_trace_file(v2_path, PAPER_4WIDE_PERFECT).run()
+        assert len(table_reads) == 1
+
+    @pytest.mark.parametrize("which", ["v1", "v2"])
+    @pytest.mark.parametrize("change", ["truncated", "replaced"])
+    def test_changed_after_open_still_raises(self, which, change,
+                                             v1_path, v2_path, tmp_path):
+        """A file truncated, or replaced at its path by another of the
+        same size (an atomic rename), after its FileSource opened is
+        refused rather than read through the old segment table."""
+        path = tmp_path / "trace.rtrc"
+        data = (v1_path if which == "v1" else v2_path).read_bytes()
+        path.write_bytes(data)
+        source = FileSource(path)
+        if change == "truncated":
+            with open(path, "r+b") as handle:
+                handle.truncate(len(data) // 2)
+            message = "bytes, was"
+        else:
+            replacement = tmp_path / "replacement.rtrc"
+            replacement.write_bytes(data[:-1] + bytes([data[-1] ^ 0xFF]))
+            os.replace(replacement, path)
+            message = "replaced or rewritten"
+        with pytest.raises(TraceFileError, match=message):
+            list(source)
+        with pytest.raises(TraceFileError, match=message):
+            source.fresh().rows()
 
 
 class TestBlockProtocol:
