@@ -51,9 +51,15 @@ the reference engine, proven by the differential conformance suite in
 
 The generated code is a line-for-line transcription of the reference
 stage semantics (Commit, Writeback, Lsq_refresh, Issue, Dispatch,
-Fetch in reverse pipeline order); when editing ``engine.py``'s stage
-logic, update :func:`_engine_source` in lockstep — the differential
-suite fails loudly on any divergence.
+Fetch in reverse pipeline order), with two deviations in bookkeeping
+that change no outcome: each in-flight op keeps the list of consumers
+waiting on it (``cons``, filled at dispatch and walked at writeback)
+where the reference keeps a producer-to-consumers dict, and the LSQ
+refresh runs only while a dispatched load still awaits memory
+readiness (a count the refresh, dispatch and the misspeculation flush
+keep).  When editing ``engine.py``'s stage logic, update
+:func:`_engine_source` in lockstep — the differential suite fails
+loudly on any divergence.
 """
 
 from __future__ import annotations
@@ -153,6 +159,8 @@ def choose_tier(
 # 3=squashed; committed ops leave all structures immediately) and the
 # waiting-on set as two producer-seq slots (an op has at most two
 # source registers), both measurably cheaper than enum/set traffic.
+# ``cons`` lists the ops waiting on this one (an op reading it through
+# both sources is listed twice), so waking them costs no dict lookup.
 # ----------------------------------------------------------------------
 
 
@@ -162,7 +170,7 @@ class _Op:
         "w1", "w2", "is_mem", "is_load", "is_store", "is_branch",
         "fuc", "tag", "src1", "src2", "d1", "d2", "address",
         "memory_ready", "forwarded", "bk", "taken", "target",
-        "resolution",
+        "resolution", "cons",
     )
 
 
@@ -199,6 +207,7 @@ op.src1 = src1
 op.src2 = src2
 op.memory_ready = False
 op.forwarded = False
+op.cons = []
 {tag_line}if kind == {RecordKind.MEMORY.value}:
     op.is_mem = True
     op.is_branch = False
@@ -607,7 +616,7 @@ def run_trace(trace, start_pc, bpred, memory, max_cycles, warmup, roi,
     rob = _deque()
     lsq = _deque()
     table = [None] * 64
-    consumers = dict()
+    unready = 0
     cycle = 0
     seq = 0
     fetch_pc = start_pc
@@ -719,7 +728,6 @@ if {_DONE}:
             d = op.d2
             if d and table[d] is op:
                 table[d] = None
-            consumers.pop(op.seq, None)
             c_commit += 1
             if op.is_load:
                 c_loads += 1
@@ -740,9 +748,9 @@ if {_DONE}:
                     # discard the rest of the tagged block, redirect.
                     for x in rob:
                         x.state = 3
-                        consumers.pop(x.seq, None)
                     rob.clear()
                     lsq.clear()
+                    unready = 0
                     ifq.clear()
                     dec.clear()
                     for r in range(64):
@@ -775,51 +783,53 @@ if {_DONE}:
         # ---- Writeback ----
         remaining = {width}
         for op in rob:
-            if remaining == 0:
-                break
             if op.state == 1 and op.exec_done <= cycle:
                 op.state = 2
                 op.completed = cycle
-                remaining -= 1
                 s = op.seq
-                for c in consumers.pop(s, ()):
+                for c in op.cons:
                     if c.state != 3:
                         if c.w1 == s:
                             c.w1 = -1
                         if c.w2 == s:
                             c.w2 = -1
+                remaining -= 1
+                if remaining == 0:
+                    break
 """)
 
     # ---- Lsq_refresh ----
     emit("""
         # ---- Lsq_refresh ----
-        stores = []
-        for op in lsq:
-            if op.is_store:
-                stores.append(op)
-                continue
-            if op.state != 0 or op.memory_ready:
-                continue
-            if op.w1 >= 0 or op.w2 >= 0:
-                continue
-            ok = True
-            fwd = False
-            a = op.address >> 2
-            for st in reversed(stores):
-                s = st.state
-                if s != 1 and s != 2:
-                    ok = False
-                    break
-                if (st.address >> 2) == a:
-                    if s == 2:
-                        fwd = True
-                    else:
+        if unready:
+            stores = []
+            for op in lsq:
+                if op.is_store:
+                    stores.append(op)
+                    continue
+                if op.state != 0 or op.memory_ready:
+                    continue
+                if op.w1 >= 0 or op.w2 >= 0:
+                    continue
+                ok = True
+                fwd = False
+                a = op.address >> 2
+                for st in reversed(stores):
+                    s = st.state
+                    if s != 1 and s != 2:
                         ok = False
-                    break
-            if ok:
-                op.memory_ready = True
-                if fwd:
-                    op.forwarded = True
+                        break
+                    if (st.address >> 2) == a:
+                        if s == 2:
+                            fwd = True
+                        else:
+                            ok = False
+                        break
+                if ok:
+                    op.memory_ready = True
+                    unready -= 1
+                    if fwd:
+                        op.forwarded = True
 """)
 
     # ---- Issue ----
@@ -828,8 +838,6 @@ if {_DONE}:
         remaining = {width}
         rd_used = 0
         for op in rob:
-            if remaining == 0:
-                break
             if op.state != 0 or op.w1 >= 0 or op.w2 >= 0:
                 continue
             if op.is_load:
@@ -900,6 +908,8 @@ lat = {dcache.hit_latency + config.memory_latency}
             op.state = 1
             op.exec_done = cycle + lat
             remaining -= 1
+            if remaining == 0:
+                break
 """)
 
     # ---- Dispatch ----
@@ -916,28 +926,20 @@ lat = {dcache.hit_latency + config.memory_latency}
             rob.append(op)
             if op.is_mem:
                 lsq.append(op)
+                if op.is_load:
+                    unready += 1
             r = op.src1
             if r:
                 p = table[r]
                 if p is not None and p.state < 2:
-                    ps = p.seq
-                    op.w1 = ps
-                    cl = consumers.get(ps)
-                    if cl is None:
-                        consumers[ps] = [op]
-                    else:
-                        cl.append(op)
+                    op.w1 = p.seq
+                    p.cons.append(op)
             r = op.src2
             if r:
                 p = table[r]
                 if p is not None and p.state < 2:
-                    ps = p.seq
-                    op.w2 = ps
-                    cl = consumers.get(ps)
-                    if cl is None:
-                        consumers[ps] = [op]
-                    else:
-                        cl.append(op)
+                    op.w2 = p.seq
+                    p.cons.append(op)
             d = op.d1
             if d:
                 table[d] = op

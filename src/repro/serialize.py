@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, fields
+from dataclasses import fields
 
 from repro.bpred.unit import PredictorConfig
 from repro.cache.cache import CacheConfig
@@ -35,10 +35,23 @@ from repro.core.config import ProcessorConfig
 from repro.core.stats import Counter64, OccupancySampler, SimulationStatistics
 
 
+def plain_fields(value: object) -> dict:
+    """``dataclasses.asdict`` of a config without its deep copy: the
+    same keys in the same order, nested dataclasses flattened in turn
+    and every other field value (configs hold immutable scalars) kept
+    as it is."""
+    flat = {}
+    for field in fields(value):
+        item = getattr(value, field.name)
+        flat[field.name] = (plain_fields(item)
+                            if hasattr(item, "__dataclass_fields__") else item)
+    return flat
+
+
 def config_to_dict(config: ProcessorConfig) -> dict:
     """Flatten a processor config (and its nested predictor/cache
     configs) into JSON-serializable primitives."""
-    return asdict(config)
+    return plain_fields(config)
 
 
 def config_from_dict(data: dict) -> ProcessorConfig:

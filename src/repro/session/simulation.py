@@ -392,12 +392,15 @@ class Simulation:
     ``start_pc``, ``update_predictor_at_commit``,
     ``warmup_instructions``, ``roi_instructions``, ``max_cycles``,
     ``engine``); each is checked against its :data:`SPEC_FIELDS` row,
-    and a missing one takes the row's default.
+    and a missing one takes the row's default.  ``config`` is a
+    :class:`~repro.core.config.ProcessorConfig` or a name registered
+    in :data:`CONFIGS`; anything else is refused here, not when the
+    run starts.
     """
 
     def __init__(
         self,
-        config: ProcessorConfig = PAPER_4WIDE_PERFECT,
+        config: ProcessorConfig | str = PAPER_4WIDE_PERFECT,
         *,
         source,
         devices: tuple[FpgaDevice, ...] = (),
@@ -409,6 +412,12 @@ class Simulation:
         if unknown:
             raise TypeError(f"unexpected Simulation value(s) "
                             f"{', '.join(sorted(unknown))}")
+        if isinstance(config, str):
+            config = spec_config(config)
+        elif not isinstance(config, ProcessorConfig):
+            raise SessionError(
+                f"config must be a ProcessorConfig or a registered name "
+                f"({', '.join(CONFIGS.names())}), got {config!r}")
         self._config = config
         self._source = source
         self._devices = devices
@@ -424,7 +433,7 @@ class Simulation:
 
     @classmethod
     def for_workload(cls, workload: str,
-                     config: ProcessorConfig = PAPER_4WIDE_PERFECT,
+                     config: ProcessorConfig | str = PAPER_4WIDE_PERFECT,
                      **values) -> Simulation:
         """A run over a named workload (SPECINT profile or kernel);
         ``values`` are spec values (``budget``, ``seed``, ...)."""
@@ -432,7 +441,7 @@ class Simulation:
 
     @classmethod
     def for_trace_file(cls, path: str | Path,
-                       config: ProcessorConfig = PAPER_4WIDE_PERFECT,
+                       config: ProcessorConfig | str = PAPER_4WIDE_PERFECT,
                        *, segments: tuple[int, int] | None = None,
                        ) -> Simulation:
         """A run over a stored ``.rtrc`` trace file.
@@ -456,14 +465,14 @@ class Simulation:
 
     @classmethod
     def for_records(cls, records: Sequence[TraceRecord],
-                    config: ProcessorConfig = PAPER_4WIDE_PERFECT, *,
+                    config: ProcessorConfig | str = PAPER_4WIDE_PERFECT, *,
                     start_pc: int | None = None) -> Simulation:
         """A run over records already in memory."""
         return cls(config, source=_RecordsSource(records), start_pc=start_pc)
 
     @classmethod
     def for_program(cls, program: Program,
-                    config: ProcessorConfig = PAPER_4WIDE_PERFECT, *,
+                    config: ProcessorConfig | str = PAPER_4WIDE_PERFECT, *,
                     inputs: Sequence[int] | None = None) -> Simulation:
         """A run over an assembled program, traced through the
         functional simulator (``sim-bpred``) at prepare time."""

@@ -34,7 +34,7 @@ the sweepable trace budget is bounded by disk, not RAM.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from collections.abc import Callable, Sequence
@@ -53,7 +53,7 @@ from repro.exec import (
     point_units,
     reusable_result,
 )
-from repro.serialize import canonical_digest, stats_from_dict
+from repro.serialize import canonical_digest, plain_fields, stats_from_dict
 from repro.sweep.fields import FIELDS, sampling_entry
 from repro.sweep.progress import SweepProgress
 from repro.sweep.result import SweepOutcome, SweepResult
@@ -82,7 +82,7 @@ MANIFEST_FILENAME = "sweep.json"
 
 def predictor_key(predictor: PredictorConfig) -> str:
     """Short stable identifier of one generation predictor."""
-    return canonical_digest(asdict(predictor), length=12)
+    return canonical_digest(plain_fields(predictor), length=12)
 
 
 def trace_filename(predictor: PredictorConfig) -> str:

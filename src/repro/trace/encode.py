@@ -26,6 +26,12 @@ records through their :func:`~repro.trace.record.record_row`.
 The software deserializer is :func:`decode_rows`: it decodes straight
 into the same rows, which the decoded-segment cache holds and the
 generated engine reads without building an object per instruction.
+Like the paper's deserializer, which picks a record's format from its
+header bits, it looks each record's top 6 bits (kind, Tag, FU code)
+up in one 64-entry table, :data:`_HEADS`, for the width, kind, Tag
+and FU class — or, for a head no valid record has, the refusal — and
+takes the rest of the record from one 64-bit read (a 9th byte only
+when an M or B record crosses it).
 :func:`decode_records` is the same decode mapped through
 :func:`~repro.trace.record.row_record`, for tools and the reference
 engine, which take record objects.
@@ -33,6 +39,7 @@ engine, which take record objects.
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Iterable, Sequence
 
 from repro.isa.opcodes import BranchKind, FuClass
@@ -67,8 +74,6 @@ FORMAT_BITS: dict[RecordKind, int] = {
     RecordKind.MEMORY: _COMMON_BITS + _MEMORY_TAIL,
     RecordKind.BRANCH: _COMMON_BITS + _BRANCH_TAIL,
 }
-_WIDTHS = tuple(map(FORMAT_BITS.get, range(4)))  # by kind code; 3 is none
-_WINDOW_BYTES = (7 + max(FORMAT_BITS.values()) + 7) // 8  # any record, any offset
 # Kind codes as plain ints: the packing and decode loops compare one
 # per record.
 _OTHER_CODE, _BRANCH_CODE, _MEMORY_CODE = (
@@ -77,6 +82,41 @@ _OTHER_CODE, _BRANCH_CODE, _MEMORY_CODE = (
 
 class CorruptRecordError(ValueError):
     """``(reason, bit)``: a record no valid trace holds, ``bit`` bits in."""
+
+
+#: The width of a head no valid record starts with: larger than any
+#: payload, so the decoder's truncation test takes it to its refusal.
+_REFUSED = 1 << 64
+
+
+def _head_entry(head: int) -> tuple[int, int | str, bool, FuClass | None]:
+    """``(width, kind, tag, fu)`` of a record whose top 6 bits (kind,
+    Tag, FU code) are ``head``.  A head no valid record has carries
+    its refusal in place of the kind: an unused kind or FU code with
+    width :data:`_REFUSED` (refused before the truncation test), an
+    FU class the format does not carry with the format's width
+    (refused after it).  M records are checked against their store
+    bit by the decoder."""
+    kind, tag, fu_code = head >> 4, head >> 3 & 1 == 1, head & 7
+    width, fu = FORMAT_BITS.get(kind), NUMBER_TO_FU[fu_code]
+    if width is None:
+        return _REFUSED, f"kind code {kind}", tag, fu
+    if fu is None:
+        return _REFUSED, f"FU code {fu_code}", tag, fu
+    if kind == _OTHER_CODE and fu in MEMORY_FUS:
+        return width, f"FU code {fu_code} in an other record", tag, fu
+    if kind == _BRANCH_CODE and fu is not FuClass.BRANCH:
+        return width, f"FU code {fu_code} in a branch record", tag, fu
+    return width, kind, tag, fu
+
+
+#: :func:`_head_entry` of every 6-bit record head: the decoder's one
+#: table, the software form of the paper's deserializer picking a
+#: record's format from its header bits.
+_HEADS = tuple(map(_head_entry, range(64)))
+#: A big-endian 64-bit read: every record's head, and all of it unless
+#: an M or B record crosses into a 9th byte.
+_WORD = struct.Struct(">Q")
 
 
 def record_bit_length(record: TraceRecord) -> int:
@@ -241,43 +281,50 @@ def decode_rows(data: bytes | bytearray, start_bit: int, end_bit: int,
     offset.  Raises :class:`CorruptRecordError` for a record no valid
     trace holds, which is everything the layout does not bound itself:
     an unused kind, FU or branch-kind code, an FU class that does not
-    fit the format, or a record running past the payload."""
-    window = bytes(data) + bytes(_WINDOW_BYTES)
+    fit the format, or a record running past the payload — checked in
+    that order, so each damaged record has one reason.
+
+    Each record is one :data:`_HEADS` lookup on its top 6 bits and one
+    64-bit read; the bit offsets below are the layout's (a record's
+    fields end ``width`` bits after its start)."""
+    window = bytes(data) + bytes(9)  # every 8-byte read, and a 9th byte
+    read = _WORD.unpack_from
+    heads, memory_fus, branches = _HEADS, MEMORY_FUS, NUMBER_TO_BRANCH
     rows: list[Row] = []
     append = rows.append
     pos, stop = start_bit, min(stop_bit, end_bit - _COMMON_BITS + 1)
     limit = min(end_bit, 8 * len(data))  # no record may run past either
     while pos < stop:
-        at = pos >> 3
-        bits = int.from_bytes(window[at:at + _WINDOW_BYTES], "big")
-        head = bits >> (8 * _WINDOW_BYTES - _COMMON_BITS - (pos & 7))
-        kind, fu_code = head >> _KIND & 3, head >> _FU & 7
-        width, fu = _WIDTHS[kind], NUMBER_TO_FU[fu_code]
-        if width is None or fu is None or pos + width > limit:
-            reason = ("truncated record" if width and fu else
-                      f"FU code {fu_code}" if width else f"kind code {kind}")
-            raise CorruptRecordError(reason, pos)
-        tag, dest, src1, src2 = (bool(head >> _TAG & 1), head >> _DEST & 0x3F,
-                                 head >> _SRC1 & 0x3F, head & 0x3F)
-        tail = bits >> (8 * _WINDOW_BYTES - width - (pos & 7))
-        if kind == _OTHER_CODE:
-            if fu in MEMORY_FUS:
-                raise CorruptRecordError(f"FU code {fu_code} in an other record", pos)
-            append((kind, tag, fu, dest, src1, src2, None, None, None))
-        elif kind == _MEMORY_CODE:
-            store = tail >> _STORE & 1
-            if fu is not MEMORY_FUS[store]:
+        at, sh = pos >> 3, pos & 7
+        word = read(window, at)[0]
+        width, kind, tag, fu = heads[word >> 58 - sh & 63]
+        if pos + width > limit:
+            raise CorruptRecordError(
+                kind if width == _REFUSED else "truncated record", pos)
+        if kind == 0:  # O: 24 bits
+            x = word >> 40 - sh
+            append((0, tag, fu, x >> 12 & 63, x >> 6 & 63, x & 63,
+                    None, None, None))
+        elif kind == 2:  # M: 59 bits, a 9th byte from offset 6 on
+            x = (word >> 5 - sh if sh < 6
+                 else (word << 8 | window[at + 8]) >> 13 - sh)
+            store = x >> 34 & 1
+            if fu is not memory_fus[store]:
                 access = "store" if store else "load"
-                raise CorruptRecordError(f"FU code {fu_code} in a {access} record", pos)
-            append((kind, tag, fu, dest, src1, src2, bool(store),
-                    tail & 0xFFFF_FFFF, tail >> _SIZE & 3))
-        elif fu is not FuClass.BRANCH:
-            raise CorruptRecordError(f"FU code {fu_code} in a branch record", pos)
-        elif (branch := NUMBER_TO_BRANCH[tail >> _BRANCH_KIND & 7]) is None:
-            raise CorruptRecordError(f"branch kind code {tail >> _BRANCH_KIND & 7}", pos)
-        else:
-            append((kind, tag, fu, dest, src1, src2, branch, bool(tail >> _TAKEN & 1),
-                    tail & 0xFFFF_FFFF))
+                raise CorruptRecordError(
+                    f"FU code {word >> 58 - sh & 7} in a {access} record", pos)
+            append((2, tag, fu, x >> 47 & 63, x >> 41 & 63, x >> 35 & 63,
+                    store == 1, x & 0xFFFF_FFFF, x >> 32 & 3))
+        elif kind == 1:  # B: 60 bits, a 9th byte from offset 5 on
+            x = (word >> 4 - sh if sh < 5
+                 else (word << 8 | window[at + 8]) >> 12 - sh)
+            branch = branches[x >> 33 & 7]
+            if branch is None:
+                raise CorruptRecordError(f"branch kind code {x >> 33 & 7}", pos)
+            append((1, tag, fu, x >> 48 & 63, x >> 42 & 63, x >> 36 & 63,
+                    branch, x >> 32 & 1 == 1, x & 0xFFFF_FFFF))
+        else:  # an FU class the format does not carry
+            raise CorruptRecordError(kind, pos)
         pos += width
     return rows, pos
 

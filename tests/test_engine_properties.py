@@ -9,6 +9,7 @@ the reference engine's statistics document byte for byte, on the
 registered configs and on drawn cache and predictor configurations.
 """
 
+import dataclasses
 import json
 import tempfile
 from pathlib import Path
@@ -348,4 +349,85 @@ def test_specialized_matches_reference_on_drawn_configs(scheme, replacement,
     specialized = _outcome(SpecializedEngine(
         config, list(trace), update_predictor_at_commit=at_commit,
         wrong_path_free=not wrong_path))
+    assert specialized == reference
+
+
+@st.composite
+def stall_config(draw):
+    """A :func:`drawn_config` machine shrunk until it stalls: width 1-2,
+    the smallest ROB (the width) and LSQ (one entry) the config allows
+    or a few entries more, and a memory latency of up to 60 cycles, so
+    loads wait behind stores and the pipeline drains behind misses."""
+    base = draw(drawn_config(draw(st.sampled_from(PREDICTOR_SCHEMES)),
+                             draw(st.sampled_from(
+                                 REPLACEMENT_POLICIES.names()))))
+    width = draw(st.sampled_from([1, 2]))
+    return dataclasses.replace(
+        base, width=width, ifq_entries=width,
+        rob_entries=width + draw(st.integers(0, 3)),
+        lsq_entries=draw(st.integers(1, 2)),
+        memory_latency=draw(st.one_of(st.just(60), st.integers(1, 60))))
+
+
+@st.composite
+def stall_trace(draw):
+    """Loads and the ops that wait on them.  Every group reads a load's
+    register through both sources of one op (the op waits on one
+    producer twice) and may put a store and a second load to the same
+    word behind it.  A conditional branch that reads the load may
+    follow, always with a wrong-path block that opens with a load and
+    an op reading it through both sources, so a flush can find that op
+    still waiting."""
+    trace = []
+    for _ in range(draw(st.integers(1, 8))):
+        register, address = draw(st.integers(1, 31)), 4 * draw(
+            st.integers(0, 255))
+        trace.append(MemoryRecord(fu=FuClass.LOAD, dest=register,
+                                  src1=draw(_regs), address=address))
+        if draw(st.booleans()):
+            trace.append(MemoryRecord(fu=FuClass.STORE, is_store=True,
+                                      src1=draw(_regs), src2=register,
+                                      address=address))
+            trace.append(MemoryRecord(fu=FuClass.LOAD,
+                                      dest=draw(st.integers(1, 31)),
+                                      address=address))
+        trace.append(draw(plain_record(kinds=("alu", "mul", "div"))
+                          .map(lambda op: dataclasses.replace(
+                              op, src1=register, src2=register))))
+        trace.extend(draw(st.lists(plain_record(max_word=255), max_size=3)))
+        if draw(st.booleans()):
+            trace.append(BranchRecord(
+                fu=FuClass.BRANCH, branch_kind=BranchKind.COND,
+                taken=draw(st.booleans()),
+                target=draw(st.sampled_from(_TARGETS)), src1=register))
+            wrong = draw(st.integers(1, 31))
+            trace.append(MemoryRecord(
+                tag=True, fu=FuClass.LOAD, dest=wrong,
+                address=4 * draw(st.integers(0, 255))))
+            trace.append(OtherRecord(tag=True, fu=FuClass.ALU,
+                                     dest=draw(st.integers(1, 31)),
+                                     src1=wrong, src2=wrong))
+            trace.extend(draw(st.lists(
+                plain_record(tag=True, max_word=255), max_size=2)))
+    return trace
+
+
+@settings(max_examples=80, deadline=None,
+          phases=[phase for phase in Phase if phase is not Phase.shrink])
+@given(data=st.data())
+def test_specialized_matches_reference_when_stalled(data):
+    """Generated oracle on stall-bound machines: the specialized tier's
+    per-op consumer lists, its LSQ refresh that runs only while a load
+    awaits memory readiness, and its width-bounded writeback and issue
+    scans must reproduce the reference tier's statistics — with one
+    producer registered twice by one op, loads held behind stores,
+    and wrong-path flushes that squash waiting consumers."""
+    config = data.draw(stall_config())
+    trace = data.draw(stall_trace())
+    at_commit = data.draw(st.booleans())
+    reference = _outcome(ReSimEngine(
+        config, list(trace), update_predictor_at_commit=at_commit))
+    specialized = _outcome(SpecializedEngine(
+        config, list(trace), update_predictor_at_commit=at_commit,
+        wrong_path_free=not any(record.tag for record in trace)))
     assert specialized == reference

@@ -6,16 +6,23 @@ statistics to the hand-wired ``generate_workload_trace`` +
 ``ReSimEngine(...).run()`` pipeline it replaced.
 """
 
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.bpred.unit import PREDICTORS, PredictorConfig
+from repro.bpred.unit import PREDICTOR_SCHEMES, PREDICTORS, PredictorConfig
 from repro.cache.replacement import REPLACEMENT_POLICIES, LruPolicy
 from repro.core.config import PAPER_4WIDE_PERFECT, ProcessorConfig
 from repro.core.engine import EngineObserver, ReSimEngine
 from repro.fpga.device import DEVICES, VIRTEX4_LX40
-from repro.serialize import config_from_dict, config_to_dict, stats_to_dict
+from repro.serialize import (
+    canonical_digest,
+    config_from_dict,
+    config_to_dict,
+    stats_to_dict,
+)
 from repro.session import (
     CONFIGS,
     SessionError,
@@ -23,8 +30,11 @@ from repro.session import (
     WORKLOADS,
 )
 from repro.sweep import SweepRunner, SweepSpec
+from repro.sweep.runner import predictor_key
 from repro.utils.registry import Registry, RegistryError
 from repro.workloads.tracegen import generate_workload_trace
+
+from test_engine_properties import drawn_config
 
 BUDGET = 2_000
 
@@ -392,6 +402,51 @@ class TestSharedSerialization:
     def test_config_round_trip(self):
         config = ProcessorConfig(rob_entries=32, mul_latency=5)
         assert config_from_dict(config_to_dict(config)) == config
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(PREDICTOR_SCHEMES).flatmap(
+        lambda scheme: st.sampled_from(REPLACEMENT_POLICIES.names()).flatmap(
+            lambda replacement: drawn_config(scheme, replacement))))
+    def test_flattening_is_asdict(self, config):
+        """``config_to_dict`` and ``predictor_key`` flatten without
+        ``dataclasses.asdict``: the same JSON, key order included."""
+        assert (json.dumps(config_to_dict(config))
+                == json.dumps(dataclasses.asdict(config)))
+        assert predictor_key(config.predictor) == canonical_digest(
+            dataclasses.asdict(config.predictor), length=12)
+
+    def test_subclassed_config_flattens_as_asdict(self):
+        @dataclasses.dataclass(frozen=True)
+        class Tagged(ProcessorConfig):
+            label: str = "tagged"
+            weights: tuple = (1, 2)
+
+        config = Tagged(rob_entries=32, predictor=PredictorConfig(
+            scheme="gshare"))
+        assert (json.dumps(config_to_dict(config))
+                == json.dumps(dataclasses.asdict(config)))
+        assert list(config_to_dict(config))[-2:] == ["label", "weights"]
+
+
+class TestConstructorConfig:
+    """Regression: a config name given to a constructor was accepted
+    and failed only in trace generation."""
+
+    def test_registered_name_resolves(self):
+        by_name = Simulation.for_workload("gzip", config="2wide-cache",
+                                          budget=BUDGET)
+        by_config = Simulation.for_workload(
+            "gzip", config=CONFIGS.get("2wide-cache"), budget=BUDGET)
+        assert by_name.config is CONFIGS.get("2wide-cache")
+        assert by_name.to_spec() == by_config.to_spec()
+        assert (stats_to_dict(by_name.run().stats)
+                == stats_to_dict(by_config.run().stats))
+
+    @pytest.mark.parametrize("config", [
+        "no-such-config", {"width": 2}, 4, None])
+    def test_anything_else_refused_at_construction(self, config):
+        with pytest.raises(SessionError, match="2wide-cache"):
+            Simulation.for_workload("gzip", config=config)
 
 
 class TestSegmentRanges:

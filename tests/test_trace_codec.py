@@ -6,6 +6,8 @@ must write the same bytes, decode its own output back, and agree with
 the reference on arbitrary input: the same records, or both raise.
 Decode builds records without re-running their constructors' checks,
 so it must also accept exactly the field codes those checks accept.
+Every record head is decoded at every bit alignment, whole and cut
+short, against the reference and the documented refusal order.
 Golden digests pin whole trace files of both on-disk formats.
 """
 
@@ -27,7 +29,8 @@ from repro.trace import (
     encode_trace,
     write_trace_file,
 )
-from repro.trace.encode import pack_record
+from repro.trace.encode import CorruptRecordError, decode_rows, pack_record
+from repro.trace.record import record_row
 from repro.workloads import SyntheticWorkload, get_profile
 
 #: SHA-256 of the golden trace files below, as the bit-serial codec
@@ -189,6 +192,80 @@ def test_trusted_decode_of_any_field_codes(payload):
         for record in new:
             rebuilt = _revalidated(record)
             assert type(rebuilt) is type(record) and rebuilt == record
+
+
+#: Widths by kind code; a head with the unused kind code 3 is given
+#: the widest record's bits.
+_WIDTH_BY_KIND = (24, 60, 59, 60)
+#: Tail fills: every field zero, every field all ones, and the two
+#: alternating patterns (so store bits, branch-kind codes and flags
+#: take both values).
+_FILLS = (0, -1, 0x5555_5555_5555_5555, -0x5555_5555_5555_5556)
+
+
+def _refusal(head, tail, width, bits):
+    """The reason a decoder gives for a record of ``width`` bits with
+    top 6 bits ``head`` and ``tail`` after them, when only ``bits`` of
+    it are in the payload, or None: unused kind code, unused FU code,
+    truncated record, then the FU class the format carries and the
+    branch-kind code."""
+    kind, fu = head >> 4, head & 7
+    if kind == 3:
+        return "kind code 3"
+    if fu == 7:
+        return f"FU code {fu}"
+    if bits < width:
+        return "truncated record"
+    if kind == 0 and fu in (3, 4):
+        return f"FU code {fu} in an other record"
+    if kind == 2:
+        store = tail >> 34 & 1
+        if fu != 3 + store:
+            return f"FU code {fu} in a {'store' if store else 'load'} record"
+    if kind == 1:
+        if fu != 5:
+            return f"FU code {fu} in a branch record"
+        if tail >> 33 & 7 > 4:
+            return f"branch kind code {tail >> 33 & 7}"
+    return None
+
+
+def test_every_head_at_every_alignment():
+    """Each 6-bit head, at bit offsets 0-7 behind a prefix of set bits,
+    whole and cut one bit short, with each tail fill: the row decoder
+    yields the reference decoder's records, or the refusal the order
+    above names at the record's first bit — and the reference refuses
+    exactly those records."""
+    for head in range(64):
+        width = _WIDTH_BY_KIND[head >> 4]
+        for fill in _FILLS:
+            tail = fill & ((1 << width - 6) - 1)
+            record = head << width - 6 | tail
+            for bits in (width, width - 1):
+                writer = BitWriter()
+                writer.write(record >> width - bits, bits)
+                try:
+                    expected = [record_row(r) for r in reference_decode(
+                        writer.getvalue(), bits)]
+                except (EOFError, KeyError, ValueError):
+                    expected = None
+                reason = _refusal(head, tail, width, bits) if bits >= 24 else None
+                assert (expected is None) == (reason is not None), (
+                    head, fill, bits)
+                for offset in range(8):
+                    prefix = (1 << offset) - 1  # bits the decoder skips
+                    total = offset + bits
+                    word = prefix << bits | record >> width - bits
+                    data = (word << (-total & 7)).to_bytes(-(-total // 8), "big")
+                    try:
+                        rows, end = decode_rows(data, offset, total, total)
+                    except CorruptRecordError as error:
+                        assert error.args == (reason, offset), (
+                            head, fill, bits, offset)
+                    else:
+                        assert reason is None, (head, fill, bits, offset)
+                        assert rows == expected, (head, fill, bits, offset)
+                        assert end == (offset + width if rows else offset)
 
 
 def test_flags_pack_by_truthiness():
