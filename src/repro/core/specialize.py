@@ -23,8 +23,9 @@ This module applies that move to ReSim:
   numbers with the geometry and latencies as constants, and the
   ``twolevel``/``gshare`` PHT and history registers, the BTB and the
   RAS are locals (``perfect`` prediction emits no predictor code at
-  all).  The ``random`` policy and the other schemes keep calling
-  :class:`~repro.cache.hierarchy.MemorySystem` /
+  all), emitted by :mod:`repro.bpred.emit`, which the trace generator
+  compiles its predictor from too.  The ``random`` policy and the
+  other schemes keep calling :class:`~repro.cache.hierarchy.MemorySystem` /
   :class:`~repro.bpred.unit.BranchPredictorUnit` from inside the
   generated engine, so no run changes tier;
 * :class:`SpecializedEngine` wraps the compiled function behind the
@@ -68,14 +69,14 @@ import math
 from collections import deque
 from collections.abc import Callable, Sequence
 
-from repro.bpred.unit import (
-    PREDICTORS,
-    BranchPredictorUnit,
-    PredictorConfig,
-    _build_gshare,
-    _build_perfect,
-    _build_twolevel,
+from repro.bpred.emit import (
+    inline_scheme,
+    predictor_state,
+    reindent,
+    resolve_chunk,
+    update_chunk,
 )
+from repro.bpred.unit import BranchPredictorUnit, PredictorConfig
 from repro.cache.cache import CacheConfig
 from repro.cache.hierarchy import MemorySystem
 from repro.cache.replacement import REPLACEMENT_POLICIES, FifoPolicy, LruPolicy
@@ -174,15 +175,6 @@ class _Op:
     )
 
 
-def _block(text: str, indent: int) -> list[str]:
-    """Re-indent a template chunk by ``indent`` spaces."""
-    pad = " " * indent
-    lines = []
-    for line in text.strip("\n").splitlines():
-        lines.append(pad + line if line.strip() else "")
-    return lines
-
-
 def _admit_chunk(*, pc_var: str, wrong_path: bool) -> str:
     """The fetch-side record decode: consume the row ``rec`` (the
     :data:`~repro.trace.record.ROW_FIELDS` layout) into the IFQ.
@@ -266,9 +258,9 @@ if idx >= end:
     src_seek(idx)
     rows, idx = src_block()
     end = len(rows)
-{chr(10).join(_block(then, 4))}
+{chr(10).join(reindent(then, 4))}
 """
-    return "\n".join(_block(text, indent)) + "\n"
+    return "\n".join(reindent(text, indent)) + "\n"
 
 
 def _drain_chunk() -> str:
@@ -297,32 +289,11 @@ while idx < end and rows[idx][{ROW_TAG}]:
 #: block numbers: recency order for LRU, fill order for FIFO.
 _INLINE_POLICIES = (LruPolicy, FifoPolicy)
 
-#: Registered predictor builders whose tables are generated as locals,
-#: and the form each is generated in.  Inlining is keyed on the builder
-#: a scheme name resolves to, not on the name, so a scheme registered
-#: over one of these keeps calling the object model.
-_INLINE_BUILDERS = {
-    _build_perfect: "perfect",
-    _build_twolevel: "twolevel",
-    _build_gshare: "gshare",
-}
-
-#: ``pc >> _WORD_SHIFT`` is ``pc // INSTRUCTION_BYTES``, the word
-#: address every predictor table is indexed by.
-_WORD_SHIFT = INSTRUCTION_BYTES.bit_length() - 1
-
-
 def _inline_policy(cache: CacheConfig) -> type | None:
     """The replacement policy ``cache``'s lookups are generated inline
     for, or None when they call the object model."""
     policy = REPLACEMENT_POLICIES.get(cache.replacement.lower())
     return policy if policy in _INLINE_POLICIES else None
-
-
-def _inline_scheme(predictor: PredictorConfig) -> str | None:
-    """The form ``predictor`` is generated inline in, or None when it
-    calls the object model."""
-    return _INLINE_BUILDERS.get(PREDICTORS.get(predictor.scheme, None))
 
 
 def _calls_memory(config: ProcessorConfig) -> bool:
@@ -334,7 +305,7 @@ def _calls_memory(config: ProcessorConfig) -> bool:
 def _calls_predictor(config: ProcessorConfig) -> bool:
     """Does the engine generated for ``config`` call a
     BranchPredictorUnit?"""
-    return _inline_scheme(config.predictor) is None
+    return inline_scheme(config.predictor) is None
 
 
 def _cache_state(cache: CacheConfig, table: str) -> str:
@@ -353,7 +324,7 @@ def _cache_access(cache: CacheConfig, table: str, call: str, address: str,
     ``block`` names a local already holding the block number.
     Policies without an inline form call ``call`` on the object model.
     """
-    miss = "\n".join(_block(miss, 4))
+    miss = "\n".join(reindent(miss, 4))
     policy = _inline_policy(cache)
     if not policy:
         return f"""
@@ -405,152 +376,7 @@ line = {pc_var} >> {shift}
 if line != last_line:
     c_iacc += 1
     last_line = line
-{chr(10).join(_block(access, 4))}
-"""
-
-
-def _direction(predictor: PredictorConfig) -> tuple[str, str, str, str]:
-    """The two-level direction tables for the word address ``bw``:
-    their power-on state, the line that picks the history register
-    (empty for a single global one), the register, and the PHT
-    index."""
-    gshare = _inline_scheme(predictor) == "gshare"
-    l1_size = 1 if gshare else predictor.l1_size
-    state = f"pht = [2] * {predictor.l2_size}\n"
-    if l1_size == 1:
-        state += "ghist = 0\n"
-        slot, history = "", "ghist"
-    else:
-        state += f"bht = [0] * {l1_size}\n"
-        slot, history = f"bh = bw & {l1_size - 1}\n", "bht[bh]"
-    if gshare:
-        index = f"({history} ^ bw)"
-    else:
-        index = f"({history} | (bw << {predictor.history_length}))"
-    return state, slot, history, f"{index} & {predictor.l2_size - 1}"
-
-
-def _btb(predictor: PredictorConfig) -> tuple[str, str, str]:
-    """The BTB for the word address ``bw``: its empty state, the
-    lookup into ``pt`` (None on a miss; a hit becomes the set's most
-    recently used entry) and the fill of ``op.target``.  Entries are
-    keyed by ``bw``, which stands for the (set, tag) pair."""
-    sets = predictor.btb_entries // predictor.btb_assoc
-    # A dict per set, in LRU order: least recently used first.
-    return f"btb = [{{}} for _ in range({sets})]\n", f"""
-bs = btb[bw & {sets - 1}]
-pt = bs.pop(bw, None)
-if pt is not None:
-    bs[bw] = pt
-""", f"""
-bs = btb[bw & {sets - 1}]
-if bw in bs:
-    del bs[bw]
-elif len(bs) == {predictor.btb_assoc}:
-    del bs[next(iter(bs))]
-bs[bw] = op.target
-"""
-
-
-def _predictor_state(predictor: PredictorConfig) -> str:
-    """The predictor's power-on state as locals (or the bound object
-    calls of a scheme without an inline form)."""
-    scheme = _inline_scheme(predictor)
-    if scheme == "perfect":
-        return ""
-    if scheme is None:
-        return "bp_resolve = bpred.resolve\nbp_update = bpred.update\n"
-    return (_direction(predictor)[0] + _btb(predictor)[0]
-            + f"ras = [0] * {predictor.ras_depth}\nras_top = 0\nras_n = 0\n")
-
-
-def _resolve_chunk(predictor: PredictorConfig, *, update_at_commit: bool,
-                   wrong_path: bool) -> str:
-    """Predict the fetched branch ``op`` at ``pc``: sets ``mis`` (wrong
-    direction), ``mf`` (misfetch) and, with wrong paths, ``wps`` (the
-    wrong-path fetch PC the prediction chose, None when it follows
-    from the outcome) — ``BranchPredictorUnit.resolve``.  The RAS is
-    peeked, never popped."""
-    wps = "wps = None\n" if wrong_path else ""
-    scheme = _inline_scheme(predictor)
-    if scheme == "perfect":
-        return "mis = False\nmf = False\n" + wps
-    if scheme is None:
-        text = "resolution = bp_resolve(pc, op.bk, op.taken, op.target)\n"
-        text += ("op.resolution = resolution\n" if update_at_commit
-                 else _update_chunk(predictor, "pc", "resolution"))
-        text += "mis = resolution.mispredicted\nmf = resolution.misfetch\n"
-        if wrong_path:
-            text += "wps = resolution.wrong_path_start\n"
-        return text
-    _, slot, _, index = _direction(predictor)
-    taken_wrong = "mis = True\nwps = pt\n" if wrong_path else "mis = True\n"
-    text = wps + f"""bk = op.bk
-bw = pc >> {_WORD_SHIFT}
-if bk is BK_RETURN:
-    pt = ras[ras_top - 1] if ras_n else None
-else:
-{chr(10).join(_block(_btb(predictor)[1], 4))}
-mis = False
-mf = False
-if bk is BK_COND:
-{chr(10).join(_block(slot, 4))}
-    if pt is not None and pht[{index}] > 1:
-        if op.taken:
-            mf = pt != op.target
-        else:
-{chr(10).join(_block(taken_wrong, 12))}
-    elif op.taken:
-        mis = True
-else:
-    mf = pt != op.target
-"""
-    if not update_at_commit:
-        text += _update_chunk(predictor, "pc", "None")
-    return text
-
-
-def _update_chunk(predictor: PredictorConfig, pc_var: str,
-                  resolution: str) -> str:
-    """Train the predictor on branch ``op`` at ``pc_var``, in program
-    order — ``BranchPredictorUnit.update``: the direction tables for
-    conditional branches, the BTB for taken non-returns, RAS push on a
-    call and pop on a return.  ``resolution`` is passed to the object
-    model only."""
-    scheme = _inline_scheme(predictor)
-    if scheme == "perfect":
-        return ""
-    if scheme is None:
-        return (f"bp_update({pc_var}, op.bk, op.taken, op.target, "
-                f"{resolution})\n")
-    _, slot, history, index = _direction(predictor)
-    mask = (1 << predictor.history_length) - 1
-    depth = predictor.ras_depth
-    return f"""
-bk = op.bk
-bw = {pc_var} >> {_WORD_SHIFT}
-if bk is BK_COND:
-{chr(10).join(_block(slot, 4))}
-    bx = {index}
-    bc = pht[bx]
-    if op.taken:
-        if bc < 3:
-            pht[bx] = bc + 1
-        {history} = (({history} << 1) | 1) & {mask}
-    else:
-        if bc:
-            pht[bx] = bc - 1
-        {history} = ({history} << 1) & {mask}
-if op.taken and bk is not BK_RETURN:
-{chr(10).join(_block(_btb(predictor)[2], 4))}
-if bk is BK_CALL:
-    ras[ras_top] = {pc_var} + {INSTRUCTION_BYTES}
-    ras_top = (ras_top + 1) % {depth}
-    if ras_n < {depth}:
-        ras_n += 1
-elif bk is BK_RETURN and ras_n:
-    ras_top = (ras_top - 1) % {depth}
-    ras_n -= 1
+{chr(10).join(reindent(access, 4))}
 """
 
 
@@ -596,7 +422,7 @@ def _engine_source(
     lines: list[str] = []
 
     def emit(text: str, indent: int = 0) -> None:
-        lines.extend(_block(text, indent))
+        lines.extend(reindent(text, indent))
 
     emit(f"""
 # Generated by repro.core.specialize for one ProcessorConfig.
@@ -624,7 +450,7 @@ def run_trace(trace, start_pc, bpred, memory, max_cycles, warmup, roi,
     last_line = -1
 """)
     emit("".join(f"{name} = 0\n" for name in _COUNTER_LOCALS), indent=4)
-    emit(_predictor_state(predictor), indent=4)
+    emit(predictor_state(predictor), indent=4)
     # The cycle budget keeps counting from the start of the run; the
     # reported cycle count starts where warmup ended (base), and the
     # records consumed before it (cons_off) keep counting for the tick.
@@ -739,7 +565,7 @@ if {_DONE}:
                     c_taken += 1
 """)
     if update_at_commit:
-        emit(_update_chunk(predictor, "op.pc", "op.resolution"), indent=16)
+        emit(update_chunk(predictor, "op.pc", "op.resolution"), indent=16)
     if wrong_path:
         emit("""
                 committed += 1
@@ -1006,7 +832,7 @@ if idx >= end:
                 fetched += 1
                 if op.is_branch:
 """)
-    emit(_resolve_chunk(predictor, update_at_commit=update_at_commit,
+    emit(resolve_chunk(predictor, update_at_commit=update_at_commit,
                         wrong_path=wrong_path), indent=20)
     if wrong_path:
         emit(_refill(), indent=20)
@@ -1122,7 +948,7 @@ def engine_cache_key(
         bool(wrong_path),
         _inline_policy(config.icache),
         _inline_policy(config.dcache),
-        _inline_scheme(config.predictor),
+        inline_scheme(config.predictor),
     )
 
 

@@ -82,6 +82,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import struct
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -89,7 +90,7 @@ from functools import partial
 from itertools import islice
 from operator import itemgetter, not_
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, NamedTuple
 from collections.abc import Iterable, Iterator, Sequence
 
 from repro.bpred.unit import PredictorConfig
@@ -126,7 +127,9 @@ _COMMITTED_MASK = 0xFFFF_FFFF
 
 _V1_PREFIX = 32
 _V2_PREFIX = 48
-_SEGMENT_ENTRY_BYTES = 12  # record count u32 + bit length u64
+#: A segment-table entry: record count u32, bit length u64.
+_SEGMENT_ENTRY = struct.Struct("<IQ")
+_SEGMENT_ENTRY_BYTES = _SEGMENT_ENTRY.size
 
 #: Encoded size of the largest record format (a B record), in bits.
 _MAX_RECORD_BITS = max(FORMAT_BITS.values())
@@ -146,10 +149,10 @@ class TraceFileError(ValueError):
     """Raised on malformed or incompatible trace files."""
 
 
-@dataclass(frozen=True)
-class TraceSegment:
+class TraceSegment(NamedTuple):
     """One entry of a v2 segment table (or the single pseudo-segment
-    covering a v1 payload)."""
+    covering a v1 payload).  A named tuple, so a table of a hundred
+    segments is built without a frozen-dataclass ``__init__`` each."""
 
     index: int
     record_count: int
@@ -582,14 +585,10 @@ def _read_segment_table(
     offset = header_length
     total_records = 0
     total_bits = 0
-    for index in range(header.segment_count):
-        base = index * _SEGMENT_ENTRY_BYTES
-        count = int.from_bytes(table_bytes[base:base + 4], "little")
-        bits = int.from_bytes(table_bytes[base + 4:base + 12], "little")
-        segment = TraceSegment(index=index, record_count=count,
-                               bit_length=bits, payload_offset=offset)
-        segments.append(segment)
-        offset += segment.byte_length
+    for index, (count, bits) in enumerate(
+            _SEGMENT_ENTRY.iter_unpack(table_bytes)):
+        segments.append(TraceSegment(index, count, bits, offset))
+        offset += (bits + 7) // 8
         total_records += count
         total_bits += bits
     if offset != header.segment_table_offset:

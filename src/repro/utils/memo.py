@@ -2,8 +2,9 @@
 cache shares.
 
 ReSim's bulk mode prepares one trace and simulates it across a whole
-design grid, and four per-process caches make that cheap: compiled
-engines (:mod:`repro.core.specialize`), decoded trace segments
+design grid, and five per-process caches make that cheap: compiled
+engines (:mod:`repro.core.specialize`), compiled trace-generation
+predictors (:mod:`repro.bpred.emit`), decoded trace segments
 (:mod:`repro.trace.fileio`), trace profiles
 (:mod:`repro.trace.analyze`) and region plans
 (:mod:`repro.exec.regions`).  Each is a :class:`BoundedMemo` — one

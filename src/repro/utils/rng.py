@@ -8,12 +8,21 @@ small xorshift64* generator instead of relying on :mod:`random`
 (whose Mersenne Twister is stable, but whose convenience-method call
 sequences have changed across CPython releases).
 
-Only the handful of distributions the generator needs are provided.
+Only the handful of distributions the generator needs are provided,
+plus the integer-threshold forms of their tests (:func:`below`,
+:func:`geometric_thresholds`, :func:`cumulative_thresholds`,
+:func:`randint_limit`) for samplers that inline the xorshift64* step.
 """
 
 from __future__ import annotations
 
-_MASK64 = (1 << 64) - 1
+import math
+
+#: The xorshift64* state mask and output multiplier: a sampler that
+#: inlines the step draws ``(state * MULTIPLIER) & MASK64``.
+MASK64 = (1 << 64) - 1
+MULTIPLIER = 0x2545F4914F6CDD1D
+
 _TWO_64 = 1 << 64
 _TWO_53 = float(1 << 53)
 
@@ -37,6 +46,60 @@ def cumulative_weights(weights: dict[str, float]) -> WeightTable:
     return total, tuple(steps)
 
 
+# Integer thresholds.  :meth:`XorShiftRNG.random` is ``(y >> 11) / 2**53``
+# for the raw draw ``y``; both sides of ``random() < p`` scale by 2**53
+# exactly, so the test is ``y >> 11 < ceil(p * 2**53)``, which is
+# ``y < ceil(p * 2**53) << 11``: one integer comparison, no float.
+
+
+def below(probability: float) -> int:
+    """The threshold ``T`` with ``random() < probability`` exactly
+    when the draw's raw output is below ``T`` (0: never, ``2**64``:
+    always).  :meth:`XorShiftRNG.chance` draws only for a
+    ``probability`` strictly between 0 and 1."""
+    return math.ceil(min(max(probability, 0.0), 1.0) * _TWO_53) << 11
+
+
+def geometric_thresholds(mean: float) -> tuple[int, int] | None:
+    """:meth:`XorShiftRNG.geometric` as integers: ``(T, tail)``, where a
+    draw below ``T`` ends the count and the count stops growing at
+    ``tail``; None when ``mean <= 1``, where it draws nothing and
+    returns 1."""
+    if mean <= 1.0:
+        return None
+    return below(1.0 / mean), math.ceil(64 * mean)
+
+
+def cumulative_thresholds(table: WeightTable) -> tuple[int, ...]:
+    """:meth:`XorShiftRNG.choose_cumulative` as integers: one threshold
+    per step, such that the pick is the first step whose threshold the
+    raw draw is below (the last step when there is none).
+
+    ``(k / 2**53) * total < bound`` is monotone in ``k`` (the float
+    product rounds monotonically), so each threshold is the first
+    ``k`` failing the test, found by binary search over ``[0, 2**53]``.
+    """
+    total, steps = table
+    thresholds = []
+    for bound, _ in steps:
+        low, high = 0, 1 << 53
+        while low < high:
+            middle = (low + high) // 2
+            if middle / _TWO_53 * total < bound:
+                low = middle + 1
+            else:
+                high = middle
+        thresholds.append(low << 11)
+    return tuple(thresholds)
+
+
+def randint_limit(span: int) -> int:
+    """:meth:`XorShiftRNG.randint` over ``span`` values accepts a raw
+    draw below this limit (0 for an empty range, which no draw meets)
+    and returns ``low + draw % span``."""
+    return _TWO_64 - (_TWO_64 % span) if span >= 1 else 0
+
+
 class XorShiftRNG:
     """xorshift64* PRNG (Vigna 2016 variant) with convenience samplers.
 
@@ -49,9 +112,9 @@ class XorShiftRNG:
 
     def __init__(self, seed: int = 1) -> None:
         # SplitMix64 scramble of the seed gives a well-mixed non-zero state.
-        state = (seed + 0x9E3779B97F4A7C15) & _MASK64
-        state = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        state = ((state ^ (state >> 27)) * 0x94D049BB133111EB) & _MASK64
+        state = (seed + 0x9E3779B97F4A7C15) & MASK64
+        state = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        state = ((state ^ (state >> 27)) * 0x94D049BB133111EB) & MASK64
         state ^= state >> 31
         self._state = state if state != 0 else 0x9E3779B97F4A7C15
 
@@ -59,10 +122,10 @@ class XorShiftRNG:
         """Return the next raw 64-bit output."""
         x = self._state
         x ^= (x >> 12)
-        x ^= (x << 25) & _MASK64
+        x ^= (x << 25) & MASK64
         x ^= (x >> 27)
         self._state = x
-        return (x * 0x2545F4914F6CDD1D) & _MASK64
+        return (x * 0x2545F4914F6CDD1D) & MASK64
 
     # The samplers below repeat next_u64's xorshift64* step inline (a
     # method call per draw is a large share of trace generation's
@@ -72,10 +135,10 @@ class XorShiftRNG:
         """Uniform float in [0, 1) with 53 bits of precision."""
         x = self._state
         x ^= x >> 12
-        x ^= (x << 25) & _MASK64
+        x ^= (x << 25) & MASK64
         x ^= x >> 27
         self._state = x
-        return (((x * 0x2545F4914F6CDD1D) & _MASK64) >> 11) / _TWO_53
+        return (((x * 0x2545F4914F6CDD1D) & MASK64) >> 11) / _TWO_53
 
     def randint(self, low: int, high: int) -> int:
         """Uniform integer in the inclusive range [low, high]."""
@@ -87,9 +150,9 @@ class XorShiftRNG:
         x = self._state
         while True:
             x ^= x >> 12
-            x ^= (x << 25) & _MASK64
+            x ^= (x << 25) & MASK64
             x ^= x >> 27
-            draw = (x * 0x2545F4914F6CDD1D) & _MASK64
+            draw = (x * 0x2545F4914F6CDD1D) & MASK64
             if draw < limit:
                 self._state = x
                 return low + (draw % span)
@@ -117,9 +180,9 @@ class XorShiftRNG:
         x = self._state
         while True:
             x ^= x >> 12
-            x ^= (x << 25) & _MASK64
+            x ^= (x << 25) & MASK64
             x ^= x >> 27
-            if (((x * 0x2545F4914F6CDD1D) & _MASK64) >> 11) / _TWO_53 \
+            if (((x * 0x2545F4914F6CDD1D) & MASK64) >> 11) / _TWO_53 \
                     < success:
                 break
             count += 1
@@ -150,3 +213,14 @@ class XorShiftRNG:
         kind does not perturb the sequence of another.
         """
         return XorShiftRNG(self.next_u64() ^ (stream_id * 0xA0761D6478BD642F))
+
+
+def redraw(state: int, span: int) -> tuple[int, int]:
+    """The rare path of an inlined randint over ``span`` values whose
+    draw missed :func:`randint_limit`: ``randint(0, span - 1)`` from
+    ``state`` on, as the new state and the value.  Raises ValueError
+    for an empty range, as ``randint`` does."""
+    rng = XorShiftRNG()
+    rng._state = state
+    value = rng.randint(0, span - 1)
+    return rng._state, value

@@ -15,16 +15,22 @@ then *walks* it dynamically:
   distribution and memory addresses from its locality model.
 
 Because branch sites live at stable PCs and the walker trains the same
-:class:`~repro.bpred.unit.BranchPredictorUnit` the ReSim engine uses,
-the trace carries exactly the wrong-path blocks ReSim's own predictions
-will follow — the same consistency invariant as the functional
-``sim-bpred`` flow (:mod:`repro.functional.sim_bpred`).
+predictor the ReSim engine runs — the code the specialized engine
+generates for it (:mod:`repro.bpred.emit`), or the
+:class:`~repro.bpred.unit.BranchPredictorUnit` where the engine calls
+the object model too — the trace carries exactly the wrong-path blocks
+ReSim's own predictions will follow: the same consistency invariant as
+the functional ``sim-bpred`` flow (:mod:`repro.functional.sim_bpred`).
 
 The walk emits plain rows (:data:`repro.trace.record.ROW_FIELDS`),
 not record objects: a row is one tuple per instruction, which is what
 the trace writer packs and the statistics count, so streaming a trace
 to a file builds no object per instruction.  Without a sink,
-:meth:`SyntheticWorkload.generate` returns the rows' records.
+:meth:`SyntheticWorkload.generate` returns the rows' records.  Block
+bodies come from one sampler that inlines the PRNG step and compares
+each draw against integer thresholds precomputed per workload
+(:meth:`SyntheticWorkload._sample_body`); ``tests/reference_sampler.py``
+is the per-row oracle it is checked against.
 
 Everything is deterministic in the seed: the same
 ``(profile, seed, budget, predictor_config)`` produces a bit-identical
@@ -33,8 +39,10 @@ trace on any platform.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
+from repro.bpred.emit import compile_predictor
 from repro.bpred.unit import BranchPredictorUnit, PAPER_PREDICTOR, PredictorConfig
 from repro.functional.sim_bpred import TraceGenerationResult
 from repro.isa.instruction import INSTRUCTION_BYTES
@@ -42,7 +50,17 @@ from repro.isa.opcodes import BranchKind, FuClass
 from repro.isa.program import DATA_BASE, TEXT_BASE
 from repro.trace.record import RecordKind, Row, row_record
 from repro.trace.wrongpath import conservative_block_size
-from repro.utils.rng import XorShiftRNG, cumulative_weights
+from repro.utils.rng import (
+    MASK64,
+    MULTIPLIER,
+    XorShiftRNG,
+    below,
+    cumulative_thresholds,
+    cumulative_weights,
+    geometric_thresholds,
+    randint_limit,
+    redraw,
+)
 from repro.workloads.profiles import BenchmarkProfile
 
 #: Gap between consecutive synthetic functions, in bytes.
@@ -69,6 +87,18 @@ _OTHER, _BRANCH, _MEMORY = (
 _ALU, _MUL, _DIV, _LOAD, _STORE, _BRANCH_FU = (
     FuClass.ALU, FuClass.MUL, FuClass.DIV, FuClass.LOAD, FuClass.STORE,
     FuClass.BRANCH)
+
+
+def _unit_predict(unit: BranchPredictorUnit) -> Callable:
+    """``predict(pc, bk, taken, target)`` over the object model, in the
+    shape of :func:`repro.bpred.emit.compile_predictor`'s functions."""
+    def predict(pc: int, bk: BranchKind, taken: bool,
+                target: int) -> tuple[bool, bool, int | None]:
+        resolution = unit.resolve(pc, bk, taken, target)
+        unit.update(pc, bk, taken, target, resolution)
+        return (resolution.mispredicted, resolution.misfetch,
+                resolution.wrong_path_start)
+    return predict
 
 
 def _stable_name_hash(name: str) -> int:
@@ -175,17 +205,7 @@ class SyntheticWorkload:
             )
             self._stream_offsets.append(0)
 
-        # The non-branch instruction mix every body record draws from,
-        # folded once.
-        non_branch = 1.0 - profile.branch_fraction
-        weights = {
-            "load": profile.load_fraction / non_branch,
-            "store": profile.store_fraction / non_branch,
-            "mul": profile.mul_fraction / non_branch,
-            "div": profile.div_fraction / non_branch,
-        }
-        weights["alu"] = max(0.0, 1.0 - sum(weights.values()))
-        self._body_mix = cumulative_weights(weights)
+        self._sampler = self._build_sampler()
 
         # Recent destination registers, oldest first (dependency model).
         self._recent_dests: list[int] = list(_GLOBAL_REGS)
@@ -333,66 +353,203 @@ class SyntheticWorkload:
     # Instruction-content sampling
     # ------------------------------------------------------------------
 
-    def _sample_source(self, rng: XorShiftRNG) -> int:
-        """Pick a source register via the dependency-distance model."""
-        distance = rng.geometric(self._profile.dep_distance_mean)
-        recents = self._recent_dests
-        if distance <= len(recents):
-            return recents[-distance]
-        return _GLOBAL_REGS[rng.randint(0, len(_GLOBAL_REGS) - 1)]
-
-    def _push_dest(self, register: int) -> None:
-        self._recent_dests.append(register)
-        if len(self._recent_dests) > 64:
-            del self._recent_dests[:32]
-
-    def _sample_address(self, rng: XorShiftRNG, advance: bool) -> int:
-        """Draw a data address from the locality model."""
+    def _build_sampler(self) -> tuple:
+        """The integer thresholds :meth:`_sample_body` tests its draws
+        against, in the order it unpacks them.  A ``chance`` that draws
+        nothing (probability 0 or 1) keeps its threshold, 0 or
+        ``2**64``, for its outcome."""
         profile = self._profile
-        if rng.chance(profile.stream_fraction) and self._stream_bases:
-            index = rng.randint(0, len(self._stream_bases) - 1)
-            offset = self._stream_bases[index] + self._stream_offsets[index]
-            if advance:
-                self._stream_offsets[index] = (
-                    (self._stream_offsets[index] + profile.stream_stride)
-                    % self._stream_region
-                )
-        elif rng.chance(profile.hot_fraction):
-            # Temporal locality: stack frames, hot buckets, counters.
-            offset = rng.randint(0, profile.hot_bytes - 4) & ~3
+        # The non-branch instruction mix every body row draws from.
+        non_branch = 1.0 - profile.branch_fraction
+        weights = {
+            "load": profile.load_fraction / non_branch,
+            "store": profile.store_fraction / non_branch,
+            "mul": profile.mul_fraction / non_branch,
+            "div": profile.div_fraction / non_branch,
+        }
+        weights["alu"] = max(0.0, 1.0 - sum(weights.values()))
+        t_load, t_store, t_mul, t_div, _ = cumulative_thresholds(
+            cumulative_weights(weights))
+        dependency = geometric_thresholds(profile.dep_distance_mean)
+        stream, hot = profile.stream_fraction, profile.hot_fraction
+        hot_span = profile.hot_bytes - 3
+        working_set_span = profile.working_set_bytes - 3
+        return (
+            t_load, t_store, t_mul, t_div,
+            dependency is not None, *(dependency or (0, 0)),
+            randint_limit(len(_DEST_REGS)),
+            0.0 < stream < 1.0, below(stream),
+            len(self._stream_bases), randint_limit(len(self._stream_bases)),
+            0.0 < hot < 1.0, below(hot),
+            hot_span, randint_limit(hot_span),
+            working_set_span, randint_limit(working_set_span),
+            profile.stream_stride, self._stream_region,
+        )
+
+    def _sample_body(self, count: int, rows: list[Row], wrong_path: bool,
+                     branch: bool) -> int:
+        """Append ``count`` body rows (non-branch instructions) to
+        ``rows``; with ``branch``, then draw the source register of the
+        branch that ends the block and return it (else return 0).
+
+        A row's FU class comes from the profile mix, its registers from
+        the dependency-distance model (a source ``d`` instructions back
+        reads the ``d``-th most recent destination, a longer one a
+        global register) and a load's or store's address from the
+        locality model (a strided stream, the hot region, or anywhere in
+        the working set).  Committed rows draw the mix, the registers
+        and the addresses from three streams, advance the memory
+        streams and push their destinations; wrong-path rows are
+        tagged, draw all three from the one wrong-path stream in the
+        same order, and change neither.
+
+        The xorshift64* step is inlined, each stream's state kept in a
+        local, and each draw tested against the integer thresholds
+        :meth:`_build_sampler` precomputed, so the draws and outcomes are
+        exactly those of ``XorShiftRNG``'s ``choose_cumulative``,
+        ``randint``, ``geometric`` and ``chance``.
+        """
+        (t_load, t_store, t_mul, t_div, dep_draws, t_dep, dep_tail,
+         l_dest, stream_draws, t_stream, n_streams, l_streams, hot_draws,
+         t_hot, hot_span, l_hot, ws_span, l_ws, stride,
+         region) = self._sampler
+        mask, mul = MASK64, MULTIPLIER
+        dest_regs, global_regs = _DEST_REGS, _GLOBAL_REGS
+        n_dest, n_global = len(dest_regs), len(global_regs)
+        recents, bases, offsets = (self._recent_dests, self._stream_bases,
+                                   self._stream_offsets)
+        append = rows.append
+        tag = wrong_path
+        if wrong_path:
+            xm = xd = xa = self._rng_wrongpath._state
         else:
-            offset = rng.randint(0, profile.working_set_bytes - 4) & ~3
-        return (DATA_BASE + offset) & 0xFFFF_FFFF
-
-    def _body_row(self, rng_mix: XorShiftRNG, rng_deps: XorShiftRNG,
-                  rng_mem: XorShiftRNG, tag: bool, advance_streams: bool) -> Row:
-        """Sample one non-branch instruction from the profile mix."""
-        kind = rng_mix.choose_cumulative(self._body_mix)
-
-        if kind == "load":
-            dest = _DEST_REGS[rng_deps.randint(0, len(_DEST_REGS) - 1)]
-            base = _GLOBAL_REGS[rng_deps.randint(0, len(_GLOBAL_REGS) - 1)]
-            row = (_MEMORY, tag, _LOAD, dest, base, 0, False,
-                   self._sample_address(rng_mem, advance_streams), 2)
-            if not tag:
-                self._push_dest(dest)
-            return row
-        if kind == "store":
-            base = _GLOBAL_REGS[rng_deps.randint(0, len(_GLOBAL_REGS) - 1)]
-            data = self._sample_source(rng_deps)
-            return (_MEMORY, tag, _STORE, 0, base, data, True,
-                    self._sample_address(rng_mem, advance_streams), 2)
-        if kind in ("mul", "div"):
-            # HI/LO destinations are implicit in the FU class.
-            return (_OTHER, tag, _MUL if kind == "mul" else _DIV, 0,
-                    self._sample_source(rng_deps),
-                    self._sample_source(rng_deps), None, None, None)
-        dest = _DEST_REGS[rng_deps.randint(0, len(_DEST_REGS) - 1)]
-        row = (_OTHER, tag, _ALU, dest, self._sample_source(rng_deps),
-               self._sample_source(rng_deps), None, None, None)
-        if not tag:
-            self._push_dest(dest)
-        return row
+            xm, xd, xa = (self._rng_mix._state, self._rng_deps._state,
+                          self._rng_mem._state)
+        # A row's draws: the mix pick, then its registers, then its
+        # address; aliased streams hand the state on between them.
+        for row in range(count + branch):
+            if row == count:
+                kind = _BRANCH_FU
+            else:
+                xm ^= xm >> 12
+                xm ^= (xm << 25) & mask
+                xm ^= xm >> 27
+                y = (xm * mul) & mask
+                kind = (_LOAD if y < t_load else _STORE if y < t_store
+                        else _MUL if y < t_mul else _DIV if y < t_div
+                        else _ALU)
+            if wrong_path:
+                xd = xm
+            if kind is _LOAD or kind is _ALU:
+                xd ^= xd >> 12
+                xd ^= (xd << 25) & mask
+                xd ^= xd >> 27
+                y = (xd * mul) & mask
+                if y >= l_dest:
+                    xd, y = redraw(xd, n_dest)
+                dest = dest_regs[y % n_dest]
+            else:
+                dest = 0
+            # Sources shift in from the right: a load's base and no
+            # source, a store's base and data, two sources otherwise.
+            # (8 global registers divide 2**64, so their randint never
+            # redraws; 10 destination registers may.)
+            if kind is _LOAD or kind is _STORE:
+                xd ^= xd >> 12
+                xd ^= (xd << 25) & mask
+                xd ^= xd >> 27
+                base = global_regs[((xd * mul) & mask) % n_global]
+                first, second, sources = ((base, 0, 0) if kind is _LOAD
+                                          else (0, base, 1))
+            else:
+                first = second = 0
+                sources = 1 if kind is _BRANCH_FU else 2
+            while sources:
+                distance = 1
+                if dep_draws:
+                    while True:
+                        xd ^= xd >> 12
+                        xd ^= (xd << 25) & mask
+                        xd ^= xd >> 27
+                        if (xd * mul) & mask < t_dep:
+                            break
+                        distance += 1
+                        if distance >= dep_tail:
+                            break
+                if distance <= len(recents):
+                    source = recents[-distance]
+                else:
+                    xd ^= xd >> 12
+                    xd ^= (xd << 25) & mask
+                    xd ^= xd >> 27
+                    source = global_regs[((xd * mul) & mask) % n_global]
+                first, second = second, source
+                sources -= 1
+            if kind is _BRANCH_FU:
+                break
+            if wrong_path:
+                xa = xd
+            if kind is _LOAD or kind is _STORE:
+                if stream_draws:
+                    xa ^= xa >> 12
+                    xa ^= (xa << 25) & mask
+                    xa ^= xa >> 27
+                    streamed = (xa * mul) & mask < t_stream
+                else:
+                    streamed = t_stream > 0
+                if streamed and n_streams:
+                    xa ^= xa >> 12
+                    xa ^= (xa << 25) & mask
+                    xa ^= xa >> 27
+                    y = (xa * mul) & mask
+                    if y >= l_streams:
+                        xa, y = redraw(xa, n_streams)
+                    index = y % n_streams
+                    offset = bases[index] + offsets[index]
+                    if not wrong_path:
+                        offsets[index] = (offsets[index] + stride) % region
+                else:
+                    # Else temporal locality (stack frames, hot buckets,
+                    # counters) or anywhere in the working set.
+                    if hot_draws:
+                        xa ^= xa >> 12
+                        xa ^= (xa << 25) & mask
+                        xa ^= xa >> 27
+                        hot = (xa * mul) & mask < t_hot
+                    else:
+                        hot = t_hot > 0
+                    span, limit = (hot_span, l_hot) if hot else (ws_span, l_ws)
+                    xa ^= xa >> 12
+                    xa ^= (xa << 25) & mask
+                    xa ^= xa >> 27
+                    y = (xa * mul) & mask
+                    if y >= limit:
+                        xa, y = redraw(xa, span)
+                    offset = (y % span) & ~3
+                address = (DATA_BASE + offset) & 0xFFFF_FFFF
+                if kind is _LOAD:
+                    append((_MEMORY, tag, _LOAD, dest, first, 0, False,
+                            address, 2))
+                else:
+                    append((_MEMORY, tag, _STORE, 0, first, second, True,
+                            address, 2))
+            else:
+                # HI/LO destinations are implicit in the FU class.
+                append((_OTHER, tag, kind, dest, first, second,
+                        None, None, None))
+            if wrong_path:
+                xm = xa
+            elif dest:
+                recents.append(dest)
+                if len(recents) > 64:
+                    del recents[:32]
+        if wrong_path:
+            self._rng_wrongpath._state = xd if branch else xm
+        else:
+            self._rng_mix._state = xm
+            self._rng_deps._state = xd
+            self._rng_mem._state = xa
+        return second if branch else 0
 
     # ------------------------------------------------------------------
     # Branch outcome processes
@@ -429,38 +586,79 @@ class SyntheticWorkload:
         trace additionally contains the injected wrong-path blocks.
         The walk emits rows (:data:`repro.trace.record.ROW_FIELDS`).
         ``sink`` (any object with ``append``/``extend``) receives them
-        as they are produced — the streaming-generation mode used by
+        a block at a time as they are produced — the
+        streaming-generation mode used by
         :func:`repro.workloads.tracegen.write_workload_trace`; without
         a sink the result's ``records`` is the list of their records.
+
+        Each branch is predicted and trained at once, in program order,
+        by the predictor the engine generates for the same config
+        (:func:`repro.bpred.emit.compile_predictor`), or by a
+        :class:`~repro.bpred.unit.BranchPredictorUnit` where the engine
+        calls the object model too.
         """
         if instruction_budget <= 0:
             raise ValueError("instruction_budget must be positive")
-        predictor = BranchPredictorUnit(self._config)
+        # The object model also checks the predictor geometry.
+        unit = BranchPredictorUnit(self._config)
+        factory = compile_predictor(self._config)
+        predict = factory() if factory is not None else _unit_predict(unit)
         result = TraceGenerationResult(
             records=[] if sink is None else sink)
-        append = result.records.append
-        body_row = self._body_row
-        rng_mix, rng_deps, rng_mem = self._rng_mix, self._rng_deps, self._rng_mem
-
+        extend = result.records.extend
+        sample_body = self._sample_body
+        functions = self._functions
         func_index, block_index = 0, 0
         call_stack: list[tuple[int, int]] = []
+        committed = branches = mispredictions = misfetches = wrong_path = 0
 
-        while result.committed_instructions < instruction_budget:
-            function = self._functions[func_index]
-            block = function.blocks[block_index]
+        while committed < instruction_budget:
+            block = functions[func_index].blocks[block_index]
+            rows: list[Row] = []
+            source = sample_body(block.body_length, rows, False, True)
 
-            # Block body.
-            for _ in range(block.body_length):
-                append(body_row(rng_mix, rng_deps, rng_mem, False, True))
-            result.committed_instructions += block.body_length
-
-            # Terminator.
+            # The terminator: its outcome and the next block.
             terminator = block.terminator
-            func_index, block_index = self._execute_terminator(
-                predictor, result, function, block_index, terminator,
-                call_stack,
-            )
+            kind = terminator.kind
+            target = terminator.target_pc
+            taken = True
+            if kind == "loop" or kind == "cond":
+                taken = (self._loop_taken(terminator) if kind == "loop"
+                         else self._cond_taken(terminator))
+                block_index = (terminator.target_block if taken
+                               else block_index + 1)
+            elif kind == "jump":
+                block_index = terminator.target_block
+            elif kind == "call":
+                call_stack.append((func_index, block_index + 1))
+                func_index, block_index = terminator.callee, 0
+                target = functions[func_index].base_pc
+            else:
+                # Underflow cannot happen with an acyclic call graph.
+                func_index, block_index = (call_stack.pop() if call_stack
+                                           else (0, 0))
+                target = functions[func_index].blocks[block_index].start_pc
+            branch_kind = _BRANCH_KINDS[kind]
+            target &= 0xFFFF_FFFF
+            rows.append((_BRANCH, False, _BRANCH_FU, 0, source, 0,
+                         branch_kind, taken, target))
+            committed += block.body_length + 1
+            branches += 1
 
+            mispredicted, misfetch, start = predict(
+                terminator.pc, branch_kind, taken, target)
+            if misfetch:
+                misfetches += 1
+            if mispredicted:
+                mispredictions += 1
+                wrong_path += self._wrong_path_block(start, rows)
+            extend(rows)
+
+        result.committed_instructions = committed
+        result.branches = branches
+        result.mispredictions = mispredictions
+        result.misfetches = misfetches
+        result.wrong_path_instructions = wrong_path
         if sink is None:
             # In place, so the rows and their records are never all
             # held at once.
@@ -472,122 +670,39 @@ class SyntheticWorkload:
         )
         return result
 
-    def _execute_terminator(
-        self,
-        predictor: BranchPredictorUnit,
-        result: TraceGenerationResult,
-        function: _Function,
-        block_index: int,
-        terminator: _Terminator,
-        call_stack: list[tuple[int, int]],
-    ) -> tuple[int, int]:
-        """Emit the terminator's record(s) and return the next location."""
-        kind = terminator.kind
-        profile_funcs = self._functions
-
-        if kind in ("loop", "cond"):
-            taken = (self._loop_taken(terminator) if kind == "loop"
-                     else self._cond_taken(terminator))
-            self._emit_branch(
-                predictor, result, terminator.pc, BranchKind.COND,
-                taken, terminator.target_pc,
-            )
-            if taken:
-                return function.index, terminator.target_block
-            return function.index, block_index + 1
-
-        if kind == "jump":
-            self._emit_branch(
-                predictor, result, terminator.pc, BranchKind.JUMP,
-                True, terminator.target_pc,
-            )
-            return function.index, terminator.target_block
-
-        if kind == "call":
-            callee = profile_funcs[terminator.callee]
-            self._emit_branch(
-                predictor, result, terminator.pc, BranchKind.CALL,
-                True, callee.base_pc,
-            )
-            call_stack.append((function.index, block_index + 1))
-            return callee.index, 0
-
-        if kind == "ret":
-            if call_stack:
-                ret_func, ret_block = call_stack.pop()
-            else:  # underflow cannot happen with an acyclic call graph
-                ret_func, ret_block = 0, 0
-            target_pc = (profile_funcs[ret_func]
-                         .blocks[ret_block].start_pc)
-            self._emit_branch(
-                predictor, result, terminator.pc, BranchKind.RETURN,
-                True, target_pc,
-            )
-            return ret_func, ret_block
-
-        raise AssertionError(f"unknown terminator kind {kind!r}")
-
-    def _emit_branch(
-        self,
-        predictor: BranchPredictorUnit,
-        result: TraceGenerationResult,
-        pc: int,
-        kind: BranchKind,
-        taken: bool,
-        target: int,
-    ) -> None:
-        """Emit a branch row, resolve/train, inject wrong path."""
-        src1 = self._sample_source(self._rng_deps)
-        result.records.append((_BRANCH, False, _BRANCH_FU, 0, src1, 0, kind,
-                               taken, target & 0xFFFF_FFFF))
-        result.committed_instructions += 1
-        result.branches += 1
-
-        resolution = predictor.resolve(pc, kind, taken, target & 0xFFFF_FFFF)
-        predictor.update(pc, kind, taken, target & 0xFFFF_FFFF, resolution)
-        if resolution.misfetch:
-            result.misfetches += 1
-        if resolution.mispredicted:
-            result.mispredictions += 1
-            start = resolution.wrong_path_start
-            assert start is not None
-            block = self._wrong_path_block(start)
-            result.wrong_path_instructions += len(block)
-            result.records.extend(block)
-
     # ------------------------------------------------------------------
     # Wrong-path synthesis (mirrors sim_bpred._wrong_path_block)
     # ------------------------------------------------------------------
 
-    def _wrong_path_block(self, start_pc: int) -> list[Row]:
-        """Statically walk the skeleton from ``start_pc``, tagged."""
-        block_rows: list[Row] = []
+    def _wrong_path_block(self, start_pc: int, rows: list[Row]) -> int:
+        """Statically walk the skeleton from ``start_pc``, appending
+        tagged rows to ``rows``; return how many."""
+        limit = self._block_limit
+        emitted = 0
         location = self._block_by_pc.get(start_pc)
-        wp_rng = self._rng_wrongpath
-        while location is not None and len(block_rows) < self._block_limit:
+        while location is not None and emitted < limit:
             func_index, block_index = location
             blocks = self._functions[func_index].blocks
             block = blocks[block_index]
-            for _ in range(block.body_length):
-                if len(block_rows) >= self._block_limit:
-                    return block_rows
-                block_rows.append(self._body_row(
-                    wp_rng, wp_rng, wp_rng, True, False))
-            if len(block_rows) >= self._block_limit:
-                return block_rows
-            terminator = block.terminator
+            body = min(block.body_length, limit - emitted)
+            branch = emitted + body < limit
+            source = self._sample_body(body, rows, True, branch)
+            emitted += body
+            if not branch:
+                break
             # A conditional falls through (sequential wrong-path fetch);
             # an unconditional transfer ends the wrong-path block (a
             # control-flow bubble stalls sequential fetch anyway).
+            terminator = block.terminator
             branch_kind = _BRANCH_KINDS[terminator.kind]
-            block_rows.append((
-                _BRANCH, True, _BRANCH_FU, 0, self._sample_source(wp_rng), 0,
-                branch_kind, False, terminator.target_pc & 0xFFFF_FFFF))
+            rows.append((_BRANCH, True, _BRANCH_FU, 0, source, 0,
+                         branch_kind, False, terminator.target_pc & 0xFFFF_FFFF))
+            emitted += 1
             if branch_kind is BranchKind.COND and block_index + 1 < len(blocks):
                 location = (func_index, block_index + 1)
             else:
                 location = None
-        return block_rows
+        return emitted
 
     # ------------------------------------------------------------------
     # Introspection helpers (used by examples and tests)

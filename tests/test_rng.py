@@ -1,8 +1,18 @@
 """Tests for the deterministic workload PRNG."""
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from repro.utils.rng import XorShiftRNG
+from repro.utils.rng import (
+    MASK64,
+    MULTIPLIER,
+    XorShiftRNG,
+    below,
+    cumulative_thresholds,
+    cumulative_weights,
+    geometric_thresholds,
+    randint_limit,
+    redraw,
+)
 
 
 class TestDeterminism:
@@ -129,3 +139,137 @@ def test_randint_always_in_range(seed, low, span):
     high = low + span
     for _ in range(10):
         assert low <= rng.randint(low, high) <= high
+
+
+# ----------------------------------------------------------------------
+# The integer-threshold forms a sampler inlining the xorshift64* step
+# tests its raw draws against, each equal to the float test it replaces.
+# ----------------------------------------------------------------------
+
+STATES = st.integers(min_value=1, max_value=MASK64)
+
+#: Probabilities at and next to the edges: 0, 2**-53, 1/2, 1 - 2**-53, 1.
+EDGE_PROBABILITIES = (0.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53, 1.0)
+
+
+def _rng_at(state: int) -> XorShiftRNG:
+    rng = XorShiftRNG()
+    rng._state = state
+    return rng
+
+
+def _step(state: int) -> tuple[int, int]:
+    """One inlined xorshift64* step: the new state and its raw draw."""
+    state ^= state >> 12
+    state ^= (state << 25) & MASK64
+    state ^= state >> 27
+    return state, (state * MULTIPLIER) & MASK64
+
+
+@given(state=STATES, probability=st.one_of(
+    st.sampled_from(EDGE_PROBABILITIES),
+    st.floats(min_value=0.0, max_value=1.0)))
+def test_below_is_the_chance_test(state, probability):
+    rng = _rng_at(state)
+    expected = rng.chance(probability)
+    drawn = rng._state != state
+    assert drawn == (0.0 < probability < 1.0)
+    if drawn:
+        assert rng._state == _step(state)[0]
+        assert expected == (_step(state)[1] < below(probability))
+    else:
+        assert expected == (below(probability) > 0)
+
+
+@given(state=STATES, probability=st.sampled_from(EDGE_PROBABILITIES))
+def test_below_is_the_random_comparison(state, probability):
+    """``random() < p`` itself, also at p = 0 and 1 where chance does
+    not draw."""
+    rng = _rng_at(state)
+    assert (rng.random() < probability) == (_step(state)[1]
+                                            < below(probability))
+
+
+@given(state=STATES, mean=st.one_of(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=1.0, max_value=40.0),
+    st.sampled_from([1.0, 1.0 + 2.0 ** -52, 2.0, 3.2, 60.0])))
+def test_geometric_thresholds_are_the_geometric_loop(state, mean):
+    rng = _rng_at(state)
+    expected = rng.geometric(mean)
+    thresholds = geometric_thresholds(mean)
+    count = 1
+    if thresholds is None:
+        assert mean <= 1.0 and rng._state == state
+    else:
+        success, tail = thresholds
+        while True:
+            state, draw = _step(state)
+            if draw < success:
+                break
+            count += 1
+            if count >= tail:
+                break
+    assert (count, state) == (expected, rng._state)
+
+
+WEIGHTS = st.dictionaries(
+    st.sampled_from("abcdef"),
+    st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=5.0)),
+    min_size=1).filter(lambda weights: sum(weights.values()) > 0)
+
+
+@given(state=STATES, weights=WEIGHTS)
+@example(state=1, weights={"a": 0.0, "b": 1.0, "c": 0.0})
+@example(state=1, weights={"a": 0.3, "b": 0.0, "c": 0.7, "d": 0.0})
+def test_cumulative_thresholds_pick_what_choose_cumulative_picks(state,
+                                                                 weights):
+    table = cumulative_weights(weights)
+    thresholds = cumulative_thresholds(table)
+    keys = [key for _, key in table[1]]
+    for _ in range(20):
+        rng = _rng_at(state)
+        expected = rng.choose_cumulative(table)
+        state, draw = _step(state)
+        pick = next((key for key, threshold in zip(keys, thresholds)
+                     if draw < threshold), keys[-1])
+        assert pick == expected
+        if pick != keys[-1]:
+            assert weights[pick] > 0
+
+
+@given(table=WEIGHTS.map(cumulative_weights),
+       k=st.integers(min_value=0, max_value=(1 << 53) - 1))
+def test_cumulative_thresholds_at_any_draw(table, k):
+    """Every 53-bit draw, not only the ones a state yields: the pick
+    from the thresholds is the pick from the float product."""
+    total, steps = table
+    thresholds = cumulative_thresholds(table)
+    product = k / float(1 << 53) * total
+    expected = next((key for bound, key in steps if product < bound),
+                    steps[-1][1])
+    draw = k << 11
+    assert next((key for (_, key), threshold in zip(steps, thresholds)
+                 if draw < threshold), steps[-1][1]) == expected
+
+
+@given(state=STATES, span=st.one_of(st.integers(1, 12),
+                                    st.integers(1, 2**40),
+                                    st.sampled_from([3, 2**63 + 1])))
+def test_randint_limit_and_redraw_are_randint(state, span):
+    rng = _rng_at(state)
+    expected = rng.randint(0, span - 1)
+    next_state, draw = _step(state)
+    if draw >= randint_limit(span):
+        next_state, draw = redraw(next_state, span)
+    assert (draw % span, next_state) == (expected, rng._state)
+
+
+def test_redraw_rejects_an_empty_range():
+    assert randint_limit(0) == 0
+    try:
+        redraw(1, 0)
+    except ValueError as error:
+        assert "empty range [0, -1]" in str(error)
+    else:
+        raise AssertionError("empty range accepted")

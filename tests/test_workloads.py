@@ -1,8 +1,14 @@
 """Tests for the synthetic SPECINT workloads and bundled kernels."""
 
-import pytest
+import dataclasses
 
-from repro.bpred.unit import PERFECT_PREDICTOR
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import reference_sampler
+from repro.bpred.emit import compile_predictor
+from repro.bpred.unit import PERFECT_PREDICTOR, PredictorConfig
+from repro.isa.opcodes import BranchKind
 from repro.trace.record import RecordKind
 from repro.trace.wrongpath import count_blocks, validate_block
 from repro.workloads import (
@@ -152,6 +158,120 @@ class TestSyntheticGenerator:
             if isinstance(record, BranchRecord) and not record.tag \
                     and record.taken:
                 assert record.target in starts
+
+
+#: Profiles whose draws the SPECINT ones never take: chances of 0 and 1
+#: and a dependency mean of 1 (which draw nothing), no streams, and
+#: zero-weight entries in the instruction mix.
+EDGE_PROFILES = (
+    dataclasses.replace(get_profile("gzip"), name="edge-sure",
+                        stream_fraction=1.0, hot_fraction=0.0,
+                        dep_distance_mean=1.0, mul_fraction=0.0,
+                        div_fraction=0.0),
+    dataclasses.replace(get_profile("vpr"), name="edge-never",
+                        stream_fraction=0.0, hot_fraction=1.0,
+                        stream_count=0, store_fraction=0.0),
+    dataclasses.replace(get_profile("parser"), name="edge-no-streams",
+                        stream_count=0, dep_distance_mean=40.0),
+)
+
+#: (rows, wrong path, branch source) per sampler call.
+SAMPLER_CALLS = st.lists(
+    st.tuples(st.integers(0, 40), st.booleans(), st.booleans()),
+    min_size=1, max_size=12)
+
+
+def _sampler_state(workload: SyntheticWorkload) -> tuple:
+    return (workload._rng_mix._state, workload._rng_deps._state,
+            workload._rng_mem._state, workload._rng_wrongpath._state,
+            list(workload._recent_dests), list(workload._stream_offsets))
+
+
+@settings(max_examples=80, deadline=None)
+@given(profile=st.sampled_from(
+           [*SPECINT_PROFILES.values(), *EDGE_PROFILES]),
+       seed=st.integers(0, 2**32), calls=SAMPLER_CALLS)
+def test_fused_sampler_matches_reference(profile, seed, calls):
+    """The fused body sampler draws the rows, branch sources and final
+    RNG, recent-destination and stream states of the per-row oracle
+    (``tests/reference_sampler.py``), in committed mode (three streams,
+    memory streams advancing, destinations pushed) and wrong-path mode
+    (one stream, rows tagged, nothing else advancing)."""
+    fused = SyntheticWorkload(profile, seed=seed)
+    reference = SyntheticWorkload(profile, seed=seed)
+    for count, wrong_path, branch in calls:
+        before = _sampler_state(fused)
+        rows: list = []
+        expected: list = []
+        source = fused._sample_body(count, rows, wrong_path, branch)
+        assert source == reference_sampler.sample_body(
+            reference, count, expected, wrong_path, branch)
+        assert rows == expected
+        assert _sampler_state(fused) == _sampler_state(reference)
+        assert all(row[1] is wrong_path for row in rows)
+        if wrong_path:
+            after = _sampler_state(fused)
+            assert after[:3] == before[:3] and after[4:] == before[4:]
+
+
+def _subclassed(config: PredictorConfig) -> PredictorConfig:
+    """The same predictor as a PredictorConfig subclass, which the
+    generator (like the engine) runs on the object model."""
+    class ObjectModelConfig(PredictorConfig):
+        pass
+    return ObjectModelConfig(**dataclasses.asdict(config))
+
+
+_POWERS = st.sampled_from([1, 2, 4, 8, 16])
+
+
+@st.composite
+def predictor_configs(draw) -> PredictorConfig:
+    btb_entries = draw(st.sampled_from([4, 16, 64, 512]))
+    return PredictorConfig(
+        scheme=draw(st.sampled_from(["twolevel", "gshare", "perfect"])),
+        l1_size=draw(_POWERS),
+        history_length=draw(st.integers(1, 12)),
+        l2_size=draw(st.sampled_from([16, 256, 4096])),
+        btb_entries=btb_entries,
+        btb_assoc=draw(st.sampled_from(
+            [a for a in (1, 2, 4, 8) if a <= btb_entries])),
+        ras_depth=draw(st.integers(1, 16)),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=predictor_configs(),
+       workload=st.sampled_from(sorted(SPECINT_PROFILES)),
+       seed=st.integers(0, 2**32), budget=st.integers(1, 1500))
+def test_compiled_predictor_matches_object_model(config, workload, seed,
+                                                 budget):
+    """Generation through the compiled predictor writes the rows and
+    counts generation through BranchPredictorUnit writes."""
+    assert compile_predictor(config) is not None
+    assert compile_predictor(_subclassed(config)) is None
+    compiled, modelled = (
+        SyntheticWorkload(get_profile(workload), seed=seed,
+                          predictor_config=predictor).generate(
+                              budget, sink=[])
+        for predictor in (config, _subclassed(config)))
+    assert compiled.records == modelled.records
+    for counter in ("mispredictions", "misfetches",
+                    "wrong_path_instructions", "branches",
+                    "committed_instructions"):
+        assert getattr(compiled, counter) == getattr(modelled, counter)
+
+
+def test_compiled_predictor_is_memoized_per_form():
+    """One compiled factory per generated form, fresh tables per call."""
+    factory = compile_predictor(PredictorConfig(scheme="gshare"))
+    assert compile_predictor(PredictorConfig(scheme="gshare")) is factory
+    assert compile_predictor(PredictorConfig(scheme="bimodal")) is None
+    first, second = factory(), factory()
+    # A taken call trains the first predictor's BTB, not the second's.
+    assert first(0x400000, BranchKind.CALL, True, 0x400100)[1]
+    assert not first(0x400000, BranchKind.CALL, True, 0x400100)[1]
+    assert second(0x400000, BranchKind.CALL, True, 0x400100)[1]
 
 
 class TestKernels:
