@@ -53,10 +53,9 @@ def main() -> None:
           f"{expansion.skipped_duplicates} duplicates dropped) "
           f"with {args.workers} worker(s)\n")
 
-    runner = SweepRunner(spec, "gzip", results_dir=results_dir,
-                         budget=args.budget,
-                         backend=default_backend(args.workers))
-    result = runner.run()
+    with default_backend(args.workers) as backend:
+        result = SweepRunner(spec, "gzip", results_dir=results_dir,
+                             budget=args.budget, backend=backend).run()
 
     print(sweep_table(result, sort_key="ipc", limit=8))
     if result.resumed_count:

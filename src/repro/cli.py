@@ -527,11 +527,10 @@ def cmd_campaign(args) -> int:
     results_dir = _validate_bulk_options(args)
     try:
         campaign = normalize_campaign(request)
-        backend = _make_backend(args, results_dir)
-        outcome = run_campaign(campaign, results_dir=args.results_dir,
-                               backend=backend,
-                               progress=ProgressPrinter() if args.progress
-                               else None)
+        with _make_backend(args, results_dir) as backend:
+            outcome = run_campaign(
+                campaign, results_dir=args.results_dir, backend=backend,
+                progress=ProgressPrinter() if args.progress else None)
     except (SweepError, ExecError) as error:
         raise SystemExit(str(error)) from error
 

@@ -172,12 +172,12 @@ class CampaignService:
         raise ServiceError(f"unknown request kind {kind!r}")
 
     def _run_simulate(self, job: Job, context: JobContext) -> dict:
-        backend = self._caching_backend(context)
         context.emit(event="start", label="simulate", total=1)
         base, plan = simulate_point(
             job.request, self._workdir(job) / "result.json",
             unit_id=job.job_id)
-        document = run_point(base, plan, backend)
+        with self._caching_backend(context) as backend:
+            document = run_point(base, plan, backend)
         context.set_cache_tally(backend.hits, backend.misses)
         context.set_progress(1, 1)
         # A merged estimate is no cache entry: it carries its marker
@@ -188,10 +188,10 @@ class CampaignService:
                 "config": document["config"], "stats": document["stats"]}
 
     def _run_campaign(self, job: Job, context: JobContext) -> dict:
-        backend = self._caching_backend(context)
-        outcome = run_campaign(job.request, results_dir=self._workdir(job),
-                               backend=backend,
-                               progress=_JobProgress(context))
+        with self._caching_backend(context) as backend:
+            outcome = run_campaign(
+                job.request, results_dir=self._workdir(job),
+                backend=backend, progress=_JobProgress(context))
         context.set_cache_tally(backend.hits, backend.misses)
         if isinstance(outcome, SweepResult):
             return {"kind": "sweep", "sweep": json.loads(outcome.to_json())}

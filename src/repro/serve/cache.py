@@ -280,6 +280,9 @@ class CachingBackend(ExecutionBackend):
             self.inner.run_units(misses, on_result=collect)
         return results
 
+    def close(self) -> None:
+        self.inner.close()
+
     def describe(self) -> str:
         return (f"CachingBackend({self.store.describe()} over "
                 f"{self.inner.describe()})")

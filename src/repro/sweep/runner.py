@@ -133,7 +133,7 @@ class SweepRunner:
         Any :class:`~repro.exec.ExecutionBackend`; ``None`` runs
         in-process (:class:`~repro.exec.SerialBackend`, the serial
         reference path).  :func:`default_backend` maps a worker count
-        to one.
+        to one.  The runner never closes it: its creator does.
     progress:
         A :class:`~repro.sweep.progress.SweepProgress` sink for
         per-point completion events (``resim sweep --progress``).

@@ -213,6 +213,8 @@ class SyntheticWorkload:
         # Dynamic per-site state.
         self._loop_remaining: dict[int, int] = {}
         self._pattern_phase: dict[int, int] = {}
+        #: The walk consumes the state above, so it runs once.
+        self._generated = False
 
     # ------------------------------------------------------------------
     # Skeleton construction
@@ -596,9 +598,20 @@ class SyntheticWorkload:
         (:func:`repro.bpred.emit.compile_predictor`), or by a
         :class:`~repro.bpred.unit.BranchPredictorUnit` where the engine
         calls the object model too.
+
+        The walk advances the instance's random streams and loop
+        state, so it runs once per instance: a second call raises
+        ``RuntimeError`` rather than return a trace that no fresh
+        instance of the same parameters would.
         """
         if instruction_budget <= 0:
             raise ValueError("instruction_budget must be positive")
+        if self._generated:
+            raise RuntimeError(
+                f"SyntheticWorkload.generate already ran on this "
+                f"instance ({self._profile.name}, seed {self._seed}); "
+                f"build a new instance for another trace")
+        self._generated = True
         # The object model also checks the predictor geometry.
         unit = BranchPredictorUnit(self._config)
         factory = compile_predictor(self._config)

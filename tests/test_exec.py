@@ -1,10 +1,13 @@
 """Tests for the execution-backend layer (:mod:`repro.exec`):
 work-unit serialization and idempotent execution, backend parity
-(serial / process pool / directory queue must be bit-identical), and
-the directory queue's crash tolerance — stale-lease reclaim, a worker
-killed mid-unit, error propagation."""
+(serial / process pool / directory queue must be bit-identical), the
+process pool's worker lifecycle, and the directory queue's crash
+tolerance — stale-lease reclaim, a worker killed mid-unit, error
+propagation."""
 
+import gc
 import json
+import multiprocessing
 import os
 import re
 import signal
@@ -13,6 +16,7 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
 
@@ -207,6 +211,193 @@ class TestBackendParity:
         SerialBackend().run_units(
             batch, on_result=lambda u, p: seen.append(u.unit_id))
         assert seen == ["rob8", "rob64"]
+
+
+def _children() -> set[int]:
+    """PIDs of this process's live multiprocessing children (the pool
+    workers)."""
+    return {child.pid for child in multiprocessing.active_children()}
+
+
+def _gone(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+def _rob_units(trace_file, directory, robs=(8, 16, 32)) -> list[WorkUnit]:
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    return [make_unit(trace_file, directory, rob=rob) for rob in robs]
+
+
+class TestPoolLifecycle:
+    """One executor per backend: workers outlive a batch, a dead one
+    is replaced, and close(), collection or exit releases them."""
+
+    def test_workers_persist_across_batches(self, trace_file, tmp_path):
+        before = _children()
+        with ProcessPoolBackend(2) as pool:
+            first = pool.run_units(_rob_units(trace_file, tmp_path / "a"))
+            workers = _children() - before
+            second = pool.run_units(_rob_units(trace_file, tmp_path / "b"))
+            assert len(workers) == 2
+            assert _children() - before == workers
+        assert first == second == SerialBackend().run_units(
+            _rob_units(trace_file, tmp_path / "serial"))
+        assert all(_gone(pid) for pid in workers)
+
+    def test_worker_killed_between_batches(self, trace_file, tmp_path):
+        before = _children()
+        with ProcessPoolBackend(2) as pool:
+            pool.run_units(_rob_units(trace_file, tmp_path / "a"))
+            victim = min(_children() - before)
+            os.kill(victim, signal.SIGKILL)
+            deadline = time.monotonic() + 30
+            # active_children() reaps the victim once it has died.
+            while victim in _children() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert victim not in _children()
+            results = pool.run_units(
+                _rob_units(trace_file, tmp_path / "b"))
+        assert results == SerialBackend().run_units(
+            _rob_units(trace_file, tmp_path / "serial"))
+
+    def test_worker_killed_mid_batch_fails_loudly(self, trace_file,
+                                                  tmp_path):
+        before = _children()
+        robs = tuple(range(8, 20))
+
+        def kill_workers(unit, payload):
+            for pid in _children() - before:
+                os.kill(pid, signal.SIGKILL)
+
+        with ProcessPoolBackend(2) as pool:
+            with pytest.raises(BrokenProcessPool):
+                pool.run_units(
+                    _rob_units(trace_file, tmp_path / "killed", robs),
+                    on_result=kill_workers)
+            # The next batch starts a fresh executor.
+            results = pool.run_units(
+                _rob_units(trace_file, tmp_path / "after"))
+        assert results == SerialBackend().run_units(
+            _rob_units(trace_file, tmp_path / "serial"))
+
+    def test_unit_exception_reraised_after_the_batch(self, trace_file,
+                                                     tmp_path):
+        """One worker, ten units: chunks of two, and ``boom`` opens the
+        third, so the unit after it shares its chunk.  The original
+        exception type surfaces once every other unit has written its
+        result, and the backend keeps working."""
+        from repro.workloads.tracegen import UnknownWorkloadError
+        batch = _rob_units(trace_file, tmp_path / "batch",
+                           robs=(8, 9, 10, 11, 12, 13, 14, 15, 16))
+        boom = WorkUnit(unit_id="boom", spec={"workload": "nonesuch"},
+                        result_path=str(tmp_path / "batch" / "boom.json"))
+        batch.insert(4, boom)
+        with ProcessPoolBackend(1) as pool:
+            with pytest.raises(UnknownWorkloadError):
+                pool.run_units(batch)
+            assert all(load_unit_result(unit.result_path) is not None
+                       for unit in batch if unit is not boom)
+            results = pool.run_units(
+                _rob_units(trace_file, tmp_path / "after"))
+        assert results == SerialBackend().run_units(
+            _rob_units(trace_file, tmp_path / "serial"))
+
+    def test_unclosed_pool_exits_cleanly(self, trace_file, tmp_path):
+        script = (
+            "import multiprocessing, sys\n"
+            "from repro.exec import ProcessPoolBackend, WorkUnit\n"
+            "backend = ProcessPoolBackend(2)\n"
+            "backend.run_units([WorkUnit.for_trace(\n"
+            "    'u', sys.argv[1], '4wide-perfect', sys.argv[2])])\n"
+            "print(*(child.pid for child in "
+            "multiprocessing.active_children()))\n")
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(trace_file),
+             str(tmp_path / "u.json")],
+            capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        workers = [int(pid) for pid in done.stdout.split()]
+        assert len(workers) == 2
+        assert all(_gone(pid) for pid in workers)
+
+    def test_dropped_backend_releases_workers(self, trace_file, tmp_path):
+        before = _children()
+        pool = ProcessPoolBackend(2)
+        pool.run_units(_rob_units(trace_file, tmp_path))
+        workers = _children() - before
+        assert len(workers) == 2
+        del pool
+        gc.collect()
+        assert all(_gone(pid) for pid in workers)
+
+    def test_serial_backend_closes_as_a_no_op(self, trace_file, tmp_path):
+        with SerialBackend() as serial:
+            serial.run_units(_rob_units(trace_file, tmp_path / "a"))
+        serial.run_units(_rob_units(trace_file, tmp_path / "b"))
+
+
+@pytest.fixture(scope="module")
+def small_trace(tmp_path_factory):
+    """A short, finely segmented trace for drawn segment ranges."""
+    path = tmp_path_factory.mktemp("small") / "gzip.rtrc"
+    write_workload_trace("gzip", PAPER_4WIDE_PERFECT, path,
+                         budget=600, seed=7, segment_records=64)
+    return path
+
+
+def _drawn_unit(segments: int):
+    """A (config, segment range or None) pair over a trace of
+    ``segments`` segments."""
+    config = st.builds(
+        lambda rob, lsq: config_to_dict(replace(
+            PAPER_4WIDE_PERFECT, rob_entries=rob, lsq_entries=lsq)),
+        st.sampled_from((4, 8, 16, 32)), st.sampled_from((2, 4, 8)))
+    span = st.integers(0, segments - 1).flatmap(
+        lambda lo: st.tuples(st.just(lo), st.integers(lo + 1, segments)))
+    return st.tuples(config, st.none() | span)
+
+
+class TestPoolMatchesSerial:
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_drawn_batches(self, data, small_trace, tmp_path_factory):
+        """Property: batches of 1-40 drawn units pushed through one
+        pool give the serial backend's documents and result-file
+        bytes, and ``on_result`` fires once per unit."""
+        segments = len(read_segment_table(small_trace))
+        root = tmp_path_factory.mktemp("drawn")
+        workers = data.draw(st.integers(1, 2), label="workers")
+        with ProcessPoolBackend(workers) as pool:
+            for batch in range(data.draw(st.integers(2, 3),
+                                         label="batches")):
+                drawn = data.draw(st.lists(_drawn_unit(segments),
+                                           min_size=1, max_size=40))
+
+                def units(side):
+                    directory = root / f"{side}{batch}"
+                    directory.mkdir()
+                    return [WorkUnit.for_trace(
+                        f"u{index}", small_trace, config,
+                        directory / f"u{index}.json", segments=span)
+                        for index, (config, span) in enumerate(drawn)]
+
+                seen = []
+                pooled = pool.run_units(
+                    units("pool"),
+                    on_result=lambda unit, _: seen.append(unit.unit_id))
+                serial = SerialBackend().run_units(units("serial"))
+                assert pooled == serial
+                assert sorted(seen) == sorted(serial)
+                for unit_id in serial:
+                    name = f"{unit_id}.json"
+                    assert ((root / f"pool{batch}" / name).read_bytes()
+                            == (root / f"serial{batch}" / name)
+                            .read_bytes())
 
 
 def _spawn_worker(queue_dir, *extra):

@@ -182,6 +182,17 @@ class TestCacheStore:
 # the memoizing backend
 
 
+class _ClosingSerial(SerialBackend):
+    """A serial backend that counts its ``close()`` calls."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.closes = 0
+
+    def close(self) -> None:
+        self.closes += 1
+
+
 class TestCachingBackend:
     def _units(self, tmp_path, run: str) -> list[WorkUnit]:
         outdir = tmp_path / run
@@ -209,6 +220,13 @@ class TestCachingBackend:
             warm_bytes = (tmp_path / "warm"
                           / f"unit-{seed}.json").read_bytes()
             assert cold_bytes == warm_bytes
+
+    def test_close_reaches_the_inner_backend(self, tmp_path):
+        inner = _ClosingSerial()
+        with CachingBackend(CacheStore(tmp_path / "cache"),
+                            inner) as caching:
+            caching.run_units(self._units(tmp_path, "run"))
+        assert inner.closes == 1
 
     def test_engine_bump_invalidates_and_rekeys(self, tmp_path):
         old_store = CacheStore(tmp_path / "cache",
@@ -365,6 +383,25 @@ class TestCampaignService:
             assert not coalesced and again.job_id != job.job_id
         finally:
             service.close()
+
+    def test_each_job_closes_its_backend(self, tmp_path, monkeypatch):
+        backends = []
+
+        def make(workers):
+            backends.append(_ClosingSerial())
+            return backends[-1]
+
+        monkeypatch.setattr("repro.serve.app.default_backend", make)
+        service = CampaignService(tmp_path)
+        try:
+            for request in (sweep_request(),
+                            {"kind": "simulate", "spec": workload_spec()}):
+                job, _ = service.submit(request)
+                assert service.manager.wait(
+                    job.job_id, timeout=120).state == "done"
+        finally:
+            service.close()
+        assert [backend.closes for backend in backends] == [1, 1]
 
     def test_journaled_jobs_resume_after_dead_server(self, tmp_path):
         # Server #1 journals a submission but dies before running it

@@ -73,6 +73,18 @@ class TestSyntheticGenerator:
         b = SyntheticWorkload(get_profile("gzip"), seed=42).generate(5000)
         assert a.records == b.records
 
+    def test_second_generate_refused(self):
+        """The walk consumes the instance's streams and loop state, so
+        a second call could only return a trace no fresh instance of
+        the same parameters gives; it raises instead, and the first
+        trace is the fresh one."""
+        workload = SyntheticWorkload(get_profile("gzip"), seed=3)
+        first = workload.generate(2000)
+        with pytest.raises(RuntimeError, match="already ran"):
+            workload.generate(2000)
+        fresh = SyntheticWorkload(get_profile("gzip"), seed=3)
+        assert first.records == fresh.generate(2000).records
+
     def test_seed_changes_trace(self):
         a = SyntheticWorkload(get_profile("gzip"), seed=1).generate(5000)
         b = SyntheticWorkload(get_profile("gzip"), seed=2).generate(5000)
